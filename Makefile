@@ -13,7 +13,7 @@ ABBENCH = 'RunFormation|SortKeys|TimeToFirstRow|TopKPlanned|Throughput|EntryLayo
 # so the slack only absorbs float formatting, not machine variance.
 TOLERANCE ?= 2
 
-.PHONY: build test race race-serve chaos bench bench-ab bench-gate bench-baseline fmt vet lint-pyro ci
+.PHONY: build test race race-serve chaos bench bench-ab bench-gate bench-baseline perf-ab fmt vet lint-pyro ci
 
 build:
 	$(GO) build ./...
@@ -64,6 +64,20 @@ bench-baseline:
 	@mkdir -p testdata
 	$(GO) test -run '^$$' -bench $(ABBENCH) -benchtime 1x . > testdata/bench-baseline.txt
 	@echo "wrote testdata/bench-baseline.txt"
+
+# Paired end-to-end A/B of the benchmark (cmd/pyro-perf): BASE's committed
+# files against the working tree, PAIRS alternating pairs at seeds 1..PAIRS,
+# verdict per workload and metric from `pyro-perf -compare`. What a change
+# that claims (or must rule out) a performance effect runs, e.g.
+#   make perf-ab BASE=HEAD~1 WORKLOAD=sort_spill PAIRS=10
+# TRACE=1 makes both sides traced runs, for the per-layer rows.
+BASE ?= HEAD
+WORKLOAD ?= all
+PAIRS ?= 10
+SECS ?= 20
+TRACE ?= 0
+perf-ab:
+	scripts/perf-ab.sh $(BASE) $(WORKLOAD) $(PAIRS) $(SECS) $(TRACE)
 
 # The serving layer's concurrency under the race detector at a forced
 # GOMAXPROCS: governor fairness/starvation, admission, plan cache, the

@@ -15,9 +15,10 @@ import (
 
 // chaosDB builds a compact database whose workloads exercise every fault
 // class: a clustered table whose sorts overflow the deliberately small sort
-// budget (spill-run reads and writes), plus a join partner. The admission
-// gate is enabled so every chaos run also checks that failed queries return
-// their slot.
+// budget (spill-run reads and writes), a join partner, and a one-segment
+// table whose sorts form more runs than the merge fan-in (so they reduce).
+// The admission gate is enabled so every chaos run also checks that failed
+// queries return their slot.
 func chaosDB(t testing.TB) *Database {
 	t.Helper()
 	db := Open(Config{
@@ -46,6 +47,21 @@ func chaosDB(t testing.TB) *Database {
 	}, ClusterOn("k"), small); err != nil {
 		t.Fatal(err)
 	}
+	// One g value, v strictly descending: as a partial sort the whole table
+	// is one oversized segment cut into memory-sized runs, and as a full
+	// sort replacement selection can never extend a run past one memory
+	// load either — both ways ≈ 11 runs against a fan-in of 7.
+	deep := make([][]any, 2800)
+	for i := range deep {
+		deep[i] = []any{int64(0), int64(len(deep) - i), int64(i)}
+	}
+	if err := db.CreateTable("deep", []Column{
+		{Name: "g", Type: Int64},
+		{Name: "v", Type: Int64},
+		{Name: "pad", Type: Int64},
+	}, ClusterOn("g"), deep); err != nil {
+		t.Fatal(err)
+	}
 	return db
 }
 
@@ -54,6 +70,10 @@ type chaosScenario struct {
 	name  string
 	build func(db *Database) *Query
 	limit int // rows to read before closing (0 = drain everything)
+	// reduces marks a scenario whose sort must run a partial reduction pass
+	// — some runs merged, the others passed through to the final merge —
+	// so the sweep fails transfers on both sides of that split.
+	reduces bool
 }
 
 func chaosScenarios() []chaosScenario {
@@ -74,7 +94,37 @@ func chaosScenarios() []chaosScenario {
 		{name: "hash-join", build: func(db *Database) *Query {
 			return db.Scan("big").Join(db.Scan("small"), Eq(Col("v"), Col("k"))).OrderBy("pad")
 		}},
+		// Run reduction, both ways in: a full sort reduces after run
+		// formation (xsort.reduceRuns), a spilled partial-sort segment while
+		// its last runs are still being formed (the pipelined harvest).
+		{name: "reduce-full-sort", build: func(db *Database) *Query {
+			return db.Scan("deep").OrderBy("v")
+		}, reduces: true},
+		{name: "reduce-segment", build: func(db *Database) *Query {
+			return db.Scan("deep").OrderBy("g", "v")
+		}, reduces: true},
 	}
+}
+
+// checkPartialReduction asserts that plan's sort ran an intermediate merge
+// pass that consumed some of its runs and left the rest for the final merge.
+func checkPartialReduction(t *testing.T, db *Database, plan *Plan) {
+	t.Helper()
+	cur, err := db.Query(context.Background(), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cur.Next() {
+	}
+	if err := cur.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range cur.Stats().Sorts {
+		if st.MergePasses > 0 && st.RunsMerged > 0 && st.RunsMerged < st.RunsGenerated {
+			return
+		}
+	}
+	t.Fatalf("no sort ran a partial reduction pass: %+v", cur.Stats().Sorts)
 }
 
 // runChaosQuery executes plan and returns the rows read (rendered, limited
@@ -155,6 +205,9 @@ func TestChaosFaultSweep(t *testing.T) {
 		plan, err := db.Optimize(sc.build(db))
 		if err != nil {
 			t.Fatal(err)
+		}
+		if sc.reduces {
+			checkPartialReduction(t, db, plan)
 		}
 		for _, batch := range []int{1, 64, 1024} {
 			// An early-closed pipelined query abandons in-flight read-ahead

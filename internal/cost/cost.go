@@ -22,7 +22,11 @@
 // benefit 2, §7 Top-K).
 package cost
 
-import "math"
+import (
+	"math"
+
+	"pyro/internal/xsort"
+)
 
 // Cost is the two-phase cost of producing a tuple stream: Startup is the
 // blocking work spent before the first output row, Total the full-drain
@@ -155,6 +159,11 @@ func (m Model) SortCPU(rows int64) float64 {
 // per merge read — a pass over a tuple run re-normalizes every key. With
 // both refinement knobs zeroed either branch reduces to the paper's
 // B·(2p + 1).
+//
+// The pass count's logarithm is taken to the sorter's own merge fan-in
+// (xsort.MergeFanIn: M−1, never below 2), not to a bare M−1: the governor
+// can hand a contended query a 1- or 2-block ExpectedGrant, where base M−1
+// would price the sort at one pass or at +Inf.
 func (m Model) FullSort(rows, blocks int64) Cost {
 	if rows <= 1 || blocks <= 0 {
 		return Cost{Rows: rows}
@@ -162,7 +171,8 @@ func (m Model) FullSort(rows, blocks int64) Cost {
 	if blocks <= m.MemoryBlocks {
 		return Cost{Startup: m.SortCPU(rows), Total: m.SortCPU(rows), Rows: rows}
 	}
-	passes := math.Ceil(logBase(float64(m.MemoryBlocks-1), float64(blocks)/float64(m.MemoryBlocks)))
+	fanIn := xsort.MergeFanIn(int(m.MemoryBlocks))
+	passes := math.Ceil(logBase(float64(fanIn), float64(blocks)/float64(m.MemoryBlocks)))
 	if passes < 1 {
 		passes = 1
 	}

@@ -52,6 +52,36 @@ func TestFullSortExternalFormula(t *testing.T) {
 	}
 }
 
+// TestFullSortFiniteAndMonotoneInMemory: more sort memory never prices a
+// sort higher, and no budget prices it at infinity. The governor's
+// ExpectedGrant reaches 1 and 2 blocks under contention, where a merge base
+// of M−1 used to give one pass (M=1: 3 600 for this input, below M=3's
+// 22 800) and +Inf (M=2).
+func TestFullSortFiniteAndMonotoneInMemory(t *testing.T) {
+	m := DefaultModel()
+	prev := math.Inf(1)
+	for mem := int64(1); mem <= 64; mem++ {
+		m.MemoryBlocks = mem
+		c := m.FullSort(100_000, 1_000)
+		if math.IsInf(c.Total, 0) || math.IsNaN(c.Total) || c.Total <= 0 || c.Startup > c.Total {
+			t.Fatalf("M=%d: cost %+v is not a finite positive two-phase cost", mem, c)
+		}
+		if c.Total > prev {
+			t.Fatalf("M=%d costs %.0f, more than M=%d's %.0f", mem, c.Total, mem-1, prev)
+		}
+		prev = c.Total
+	}
+	// Budgets of 1..3 blocks all merge two runs at a time: ⌈log2(B/M)⌉ passes
+	// of 2·1 200 transfers (entry files inflate B by SpillEntryFrac) plus the
+	// final read.
+	for mem, want := range map[int64]float64{1: 10*2400 + 1200, 2: 9*2400 + 1200, 3: 9*2400 + 1200} {
+		m.MemoryBlocks = mem
+		if got := m.FullSort(100_000, 1_000).Total; math.Abs(got-want) > 1e-6 {
+			t.Errorf("M=%d: cost %.1f, want %.1f", mem, got, want)
+		}
+	}
+}
+
 func TestPartialSort(t *testing.T) {
 	m := DefaultModel()
 	// 2M rows, 50k blocks, 1000 segments: each segment 2000 rows, 50

@@ -181,6 +181,15 @@ func sortRegime(s *exec.Sort) string {
 	}
 }
 
+// runShape renders a sort's spill structure as runs/passes/merged: runs
+// formed, intermediate merge passes, and runs those passes consumed. A pass
+// rewrites only what the final merge cannot take, so merged — not passes —
+// is what tracks the reduction's share of run_io.
+func runShape(s *exec.Sort) string {
+	st := s.SortStats()
+	return fmt.Sprintf("%d/%d/%d", st.RunsGenerated, st.MergePasses, st.RunsMerged)
+}
+
 // sortedProjection builds IndexScan -> Project(cols) for the sort
 // experiments.
 func sortedProjection(ix *catalog.Index, cols []string) (exec.Operator, error) {

@@ -36,7 +36,7 @@ func RunA1(w io.Writer, scale Scale) error {
 	target := sortord.New("l_suppkey", "l_partkey")
 	const sortBlocks = 32
 
-	t := &table{header: []string{"variant", "rows", "time_ms", "first_out_ms", "run_io", "comparisons"}}
+	t := &table{header: []string{"variant", "rows", "time_ms", "first_out_ms", "run_io", "comparisons", "runs/passes/merged"}}
 	// Default: SRS, input order ignored.
 	proj, err := sortedProjection(ix, []string{"l_suppkey", "l_partkey"})
 	if err != nil {
@@ -51,7 +51,7 @@ func RunA1(w io.Writer, scale Scale) error {
 		return err
 	}
 	t.add("default-sort (SRS)", fmt.Sprint(rsS.rows), ms(rsS.elapsed), ms(rsS.firstOut),
-		fmt.Sprint(rsS.io.RunTotal()), fmt.Sprint(srs.SortStats().Comparisons))
+		fmt.Sprint(rsS.io.RunTotal()), fmt.Sprint(srs.SortStats().Comparisons), runShape(srs))
 
 	// MRS exploiting the (l_suppkey) prefix from the index.
 	proj2, err := sortedProjection(ix, []string{"l_suppkey", "l_partkey"})
@@ -67,7 +67,7 @@ func RunA1(w io.Writer, scale Scale) error {
 		return err
 	}
 	t.add("partial-sort (MRS)", fmt.Sprint(rsM.rows), ms(rsM.elapsed), ms(rsM.firstOut),
-		fmt.Sprint(rsM.io.RunTotal()), fmt.Sprint(mrs.SortStats().Comparisons))
+		fmt.Sprint(rsM.io.RunTotal()), fmt.Sprint(mrs.SortStats().Comparisons), runShape(mrs))
 	t.write(w)
 	if rsS.rows != rsM.rows {
 		return fmt.Errorf("A1: row counts diverge (%d vs %d)", rsS.rows, rsM.rows)
@@ -159,7 +159,7 @@ func RunA3(w io.Writer, scale Scale) error {
 	const sortBlocks = 32 // ~few thousand buffered tuples
 	target := sortord.New("c1", "c2")
 
-	t := &table{header: []string{"seg_rows", "SRS_ms", "SRS_run_io", "MRS_ms", "MRS_run_io", "MRS_regime", "MRS_spilled_segs"}}
+	t := &table{header: []string{"seg_rows", "SRS_ms", "SRS_run_io", "SRS_runs/passes/merged", "MRS_ms", "MRS_run_io", "MRS_runs/passes/merged", "MRS_regime", "MRS_spilled_segs"}}
 	for i := int64(1); i <= rows; i *= 10 {
 		disk := storage.NewDisk(0)
 		cat := catalog.New(disk)
@@ -186,8 +186,8 @@ func RunA3(w io.Writer, scale Scale) error {
 		if rsS.rows != rows || rsM.rows != rows {
 			return fmt.Errorf("A3: row loss at segment %d", i)
 		}
-		t.add(fmt.Sprint(i), ms(rsS.elapsed), fmt.Sprint(rsS.io.RunTotal()),
-			ms(rsM.elapsed), fmt.Sprint(rsM.io.RunTotal()), sortRegime(mrs),
+		t.add(fmt.Sprint(i), ms(rsS.elapsed), fmt.Sprint(rsS.io.RunTotal()), runShape(srs),
+			ms(rsM.elapsed), fmt.Sprint(rsM.io.RunTotal()), runShape(mrs), sortRegime(mrs),
 			fmt.Sprint(mrs.SortStats().SpilledSegs))
 	}
 	t.write(w)

@@ -18,8 +18,9 @@ func fuzzPage(count uint16, tuples ...types.Tuple) []byte {
 	return page
 }
 
-// FuzzReadChunk feeds arbitrary page bytes through both read paths — the
-// row-at-a-time TupleReader.Next and the batch ReadChunk — and requires
+// FuzzReadChunk feeds arbitrary page bytes through every read path — the
+// row-at-a-time TupleReader.Next, the undecoded NextRaw and the batch
+// ReadChunk — and requires
 // corruption to surface as an error: no panic, no over-read, and no ragged
 // chunk left behind by a mid-tuple decode failure.
 func FuzzReadChunk(f *testing.F) {
@@ -50,6 +51,18 @@ func FuzzReadChunk(f *testing.F) {
 			_, ok, err := r.Next()
 			if err != nil || !ok {
 				break
+			}
+		}
+
+		// Raw path: the framing-only walk must stop just as cleanly.
+		rr := NewTupleReader(file)
+		for {
+			enc, ok, err := rr.NextRaw()
+			if err != nil || !ok {
+				break
+			}
+			if _, _, err := types.DecodeTuple(enc); err != nil {
+				t.Fatalf("NextRaw returned a span DecodeTuple rejects: %v", err)
 			}
 		}
 

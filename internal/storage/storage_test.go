@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -172,6 +173,87 @@ func TestOversizedTupleErrors(t *testing.T) {
 	big := types.NewTuple(types.NewString("this string is far too large for a page"))
 	if err := w.Write(big); err == nil {
 		t.Fatal("oversized tuple should error")
+	}
+}
+
+// TestWriteRawPageIdentical copies a tuple file through NextRaw/WriteRaw and
+// demands the copy be indistinguishable from the original written through
+// Write: same page count, same page bytes, same page directory, same charged
+// transfers. The tuple sizes walk the packing edge cases on a 64-byte page
+// (62 payload bytes): one tuple filling a page exactly, two that fill it
+// exactly together, and one that misses the remaining room by a byte.
+func TestWriteRawPageIdentical(t *testing.T) {
+	d := NewDisk(64)
+	str := func(n int) types.Tuple { return types.NewTuple(types.NewString(string(make([]byte, n)))) } // 9+n bytes encoded
+	var tuples []types.Tuple
+	for _, n := range []int{53, 22, 22, 21, 23, 0, 1, 40, 12, 13, 53, 5} {
+		tuples = append(tuples, str(n))
+	}
+	for i := 0; i < 40; i++ {
+		tuples = append(tuples, types.NewTuple(types.NewInt(int64(i)), types.NewString(fmt.Sprintf("r%d", i*i)), types.Null))
+	}
+	orig := d.Create("orig", KindRun)
+	ow := NewTupleWriter(orig)
+	for _, tup := range tuples {
+		if err := ow.Write(tup); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ow.Close(); err != nil {
+		t.Fatal(err)
+	}
+	written := d.Stats()
+
+	cp := d.Create("copy", KindRun)
+	cw := NewTupleWriter(cp)
+	r := NewTupleReader(orig)
+	for i := 0; ; i++ {
+		enc, ok, err := r.NextRaw()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		if want := tuples[i].Encode(nil); !bytes.Equal(enc, want) {
+			t.Fatalf("NextRaw tuple %d = %x, want %x", i, enc, want)
+		}
+		if err := cw.WriteRaw(enc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	copied := d.Stats().Sub(written)
+	if copied.PageReads != written.PageWrites || copied.PageWrites != written.PageWrites {
+		t.Errorf("copy charged %d reads / %d writes, want %d of each", copied.PageReads, copied.PageWrites, written.PageWrites)
+	}
+	if cw.TuplesWritten() != ow.TuplesWritten() || !reflect.DeepEqual(cw.PageStarts(), ow.PageStarts()) {
+		t.Errorf("copy wrote %d tuples starting %v, original %d starting %v",
+			cw.TuplesWritten(), cw.PageStarts(), ow.TuplesWritten(), ow.PageStarts())
+	}
+	if cp.NumPages() != orig.NumPages() {
+		t.Fatalf("copy has %d pages, original %d", cp.NumPages(), orig.NumPages())
+	}
+	for i := 0; i < orig.NumPages(); i++ {
+		a, _ := orig.ReadPage(i)
+		b, _ := cp.ReadPage(i)
+		if !bytes.Equal(a, b) {
+			t.Errorf("page %d differs: %x vs %x", i, a, b)
+		}
+	}
+
+	// An oversized tuple is refused by both entry points with the same
+	// error, and neither refusal poisons the writer.
+	big := str(54)
+	w := NewTupleWriter(d.Create("big", KindRun))
+	werr, rerr := w.Write(big), w.WriteRaw(big.Encode(nil))
+	if werr == nil || rerr == nil || werr.Error() != rerr.Error() {
+		t.Fatalf("oversized tuple: Write err %v, WriteRaw err %v", werr, rerr)
+	}
+	if err := w.WriteRaw(str(53).Encode(nil)); err != nil {
+		t.Fatalf("writer unusable after a refused tuple: %v", err)
 	}
 }
 

@@ -35,10 +35,31 @@ func (w *TupleWriter) PageStarts() []int64 {
 
 // Write appends one tuple, flushing a full page as needed.
 func (w *TupleWriter) Write(t types.Tuple) error {
+	if err := w.reserve(t.EncodedSize()); err != nil {
+		return err
+	}
+	w.buf = t.Encode(w.buf)
+	return nil
+}
+
+// WriteRaw appends one already encoded tuple — exactly the bytes
+// Tuple.Encode produces, as TupleReader.NextRaw returns them. Page packing
+// is Write's, so a file copied tuple by tuple through NextRaw/WriteRaw is
+// byte- and page-identical to one written from the decoded tuples.
+func (w *TupleWriter) WriteRaw(enc []byte) error {
+	if err := w.reserve(len(enc)); err != nil {
+		return err
+	}
+	w.buf = append(w.buf, enc...)
+	return nil
+}
+
+// reserve makes room for one sz-byte tuple on the current page — flushing
+// the page if the tuple does not fit — and counts it.
+func (w *TupleWriter) reserve(sz int) error {
 	if w.err != nil {
 		return w.err
 	}
-	sz := t.EncodedSize()
 	if 2+sz > w.file.pageSize {
 		return fmt.Errorf("storage: tuple of %d bytes exceeds page capacity %d", sz, w.file.pageSize-2)
 	}
@@ -47,7 +68,6 @@ func (w *TupleWriter) Write(t types.Tuple) error {
 			return err
 		}
 	}
-	w.buf = t.Encode(w.buf)
 	w.count++
 	w.tuples++
 	return nil
@@ -97,23 +117,33 @@ func NewTupleReader(f *File) *TupleReader {
 	return &TupleReader{file: f}
 }
 
-// Next returns the next tuple, or ok=false at end of file.
-func (r *TupleReader) Next() (types.Tuple, bool, error) {
+// fill positions the reader on a page with unread tuples, reading the next
+// page (one block read) only when the current one is exhausted; ok=false at
+// end of file.
+func (r *TupleReader) fill() (bool, error) {
 	for r.left == 0 {
 		if r.page >= r.file.NumPages() {
-			return nil, false, nil
+			return false, nil
 		}
 		data, err := r.file.ReadPage(r.page)
 		if err != nil {
-			return nil, false, err
+			return false, err
 		}
 		r.page++
 		if len(data) < 2 {
-			return nil, false, fmt.Errorf("storage: malformed page in %q", r.file.Name())
+			return false, fmt.Errorf("storage: malformed page in %q", r.file.Name())
 		}
 		r.data = data
 		r.left = int(binary.BigEndian.Uint16(data[:2]))
 		r.pos = 2
+	}
+	return true, nil
+}
+
+// Next returns the next tuple, or ok=false at end of file.
+func (r *TupleReader) Next() (types.Tuple, bool, error) {
+	if ok, err := r.fill(); !ok {
+		return nil, false, err
 	}
 	t, n, err := types.DecodeTuple(r.data[r.pos:])
 	if err != nil {
@@ -122,6 +152,25 @@ func (r *TupleReader) Next() (types.Tuple, bool, error) {
 	r.pos += n
 	r.left--
 	return t, true, nil
+}
+
+// NextRaw returns the next tuple as its encoded bytes, undecoded, or
+// ok=false at end of file. It reads the same pages at the same moments as
+// Next, so the two are interchangeable to the I/O ledger and the fault
+// plane. The slice aliases the page buffer: it must not be modified and is
+// valid until the next call that crosses a page.
+func (r *TupleReader) NextRaw() ([]byte, bool, error) {
+	if ok, err := r.fill(); !ok {
+		return nil, false, err
+	}
+	n, err := types.EncodedTupleLen(r.data[r.pos:])
+	if err != nil {
+		return nil, false, fmt.Errorf("storage: framing %q page %d: %w", r.file.Name(), r.page-1, err)
+	}
+	enc := r.data[r.pos : r.pos+n : r.pos+n]
+	r.pos += n
+	r.left--
+	return enc, true, nil
 }
 
 // ReadChunk decodes tuples from the current page directly into c's column
@@ -133,21 +182,8 @@ func (r *TupleReader) Next() (types.Tuple, bool, error) {
 // row path's Next would — so a consumer that stops after row j has read
 // precisely the pages the row path would have read to serve row j.
 func (r *TupleReader) ReadChunk(c *types.Chunk) (int, error) {
-	for r.left == 0 {
-		if r.page >= r.file.NumPages() {
-			return 0, nil
-		}
-		data, err := r.file.ReadPage(r.page)
-		if err != nil {
-			return 0, err
-		}
-		r.page++
-		if len(data) < 2 {
-			return 0, fmt.Errorf("storage: malformed page in %q", r.file.Name())
-		}
-		r.data = data
-		r.left = int(binary.BigEndian.Uint16(data[:2]))
-		r.pos = 2
+	if ok, err := r.fill(); !ok {
+		return 0, err
 	}
 	rows := 0
 	for r.left > 0 && !c.Full() {

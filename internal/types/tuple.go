@@ -150,6 +150,48 @@ func DecodeTuple(buf []byte) (Tuple, int, error) {
 	return t, pos, nil
 }
 
+// EncodedTupleLen returns the byte length of the encoded tuple at the start
+// of buf without materialising its datums — what a byte-level copy of the
+// tuple has to move. It walks the datum framing under the same bounds checks
+// as DecodeTuple, so it fails exactly where DecodeTuple would
+// (FuzzEncodedTupleLen holds the two to one verdict).
+func EncodedTupleLen(buf []byte) (int, error) {
+	if len(buf) < 4 {
+		return 0, fmt.Errorf("types: short tuple header (%d bytes)", len(buf))
+	}
+	n := int(binary.BigEndian.Uint32(buf[:4]))
+	if n < 0 || n > len(buf)-4 {
+		return 0, fmt.Errorf("types: tuple arity %d exceeds %d remaining bytes", uint32(n), len(buf)-4)
+	}
+	pos := 4
+	for i := 0; i < n; i++ {
+		if pos >= len(buf) {
+			return 0, fmt.Errorf("types: truncated tuple at datum %d", i)
+		}
+		rest := len(buf) - pos - 1 // bytes after the kind byte
+		var sz int
+		switch kind := Kind(buf[pos]); kind {
+		case KindNull:
+		case KindInt, KindFloat:
+			sz = 8
+		case KindBool:
+			sz = 1
+		case KindString:
+			if rest < 4 {
+				return 0, fmt.Errorf("types: truncated string length")
+			}
+			sz = 4 + int(binary.BigEndian.Uint32(buf[pos+1:pos+5]))
+		default:
+			return 0, fmt.Errorf("types: unknown datum kind %d", kind)
+		}
+		if sz < 0 || sz > rest {
+			return 0, fmt.Errorf("types: truncated datum %d", i)
+		}
+		pos += 1 + sz
+	}
+	return pos, nil
+}
+
 // String renders the tuple for debug output.
 func (t Tuple) String() string {
 	parts := make([]string, len(t))

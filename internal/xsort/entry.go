@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"pyro/internal/storage"
-	"pyro/internal/types"
 )
 
 // Fixed-width sort entries (the DuckDB SortLayout shape). A spill run is no
@@ -27,9 +26,11 @@ import (
 // Merges read the entry file and the payload tuple file in lockstep, so
 // the merge's hot loop touches only flat entry pages; the payload page of
 // the winning cursor is consulted once per emitted tuple (and for the rare
-// blob tie-break). Merged output runs copy the winning entry's prefix and
-// flag verbatim — a key is encoded exactly once per sort, at input
-// collection, no matter how many merge passes rewrite it.
+// blob tie-break). Merged output runs copy the winning record verbatim —
+// the entry's prefix and flag and the payload's encoded bytes — so a key is
+// encoded exactly once per sort, at input collection, and a spilled tuple
+// decoded exactly once, by the final merge, no matter how many merge passes
+// rewrite it.
 
 // EntryLayout selects the spill-run representation and the merge algorithm
 // over it. Output order is byte-identical across all three layouts for any
@@ -192,14 +193,12 @@ func (w *runWriter) write(kt keyed) error {
 	return w.entries.Write(w.buf)
 }
 
-// writeEntry appends one tuple whose entry prefix and tie flag are already
-// known — merge outputs pass the winning input entry through verbatim.
-func (w *runWriter) writeEntry(prefix []byte, truncated bool, t types.Tuple) error {
-	if err := w.payload.Write(t); err != nil {
+// writeEntry appends one record of a flat run whose entry prefix, tie flag
+// and encoded payload are already known — intermediate merges pass the
+// winning input record through verbatim, entry and tuple bytes alike.
+func (w *runWriter) writeEntry(prefix []byte, truncated bool, enc []byte) error {
+	if err := w.payload.WriteRaw(enc); err != nil {
 		return err
-	}
-	if w.entries == nil {
-		return nil
 	}
 	w.fill(prefix, truncated)
 	return w.entries.Write(w.buf)

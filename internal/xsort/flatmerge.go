@@ -2,6 +2,7 @@ package xsort
 
 import (
 	"bytes"
+	"fmt"
 
 	"pyro/internal/storage"
 	"pyro/internal/types"
@@ -19,16 +20,18 @@ type merger interface {
 // consumer goroutine).
 func openMerger(runs []spillRun, ky *keyer, lay entryLayout, st *SortStats) (merger, error) {
 	if lay.flat() {
-		return newFlatMerger(runs, ky, lay, &st.Comparisons, &st.MergeBucketSkips)
+		return newFlatMerger(runs, ky, lay, false, &st.Comparisons, &st.MergeBucketSkips)
 	}
 	return newRunMerger(payloadFiles(runs), ky, &st.Comparisons)
 }
 
 // flatCursor is one input of a flat-run merge: the run's entry reader and
-// payload tuple reader advanced in lockstep, plus the head entry. prefix is
+// payload tuple reader advanced in lockstep, plus the head record. prefix is
 // copied out of the entry page (an EntryReader slice dies when the reader
-// crosses a page); key caches the head's re-encoded full key suffix and is
-// populated only if a blob tie-break actually consults it.
+// crosses a page); the head's payload is the decoded tuple t in a final
+// merge and its still-encoded page bytes raw in an intermediate one; key
+// caches the head's re-encoded full key suffix and is populated only if a
+// blob tie-break actually consults it.
 type flatCursor struct {
 	entries *storage.EntryReader
 	payload *storage.TupleReader
@@ -36,7 +39,18 @@ type flatCursor struct {
 	prefix  []byte
 	trunc   bool
 	t       types.Tuple
+	raw     []byte
 	key     []byte
+}
+
+// flatHead is one merged record as nextEntry hands it out: entry prefix,
+// tie flag and the payload in the merger's mode (t or raw, see flatCursor).
+// The slices are the merger's own and valid until the following call.
+type flatHead struct {
+	prefix []byte
+	trunc  bool
+	t      types.Tuple
+	raw    []byte
 }
 
 // flatMerger merges flat entry runs. In heap mode (LayoutFlatHeap) it is a
@@ -65,9 +79,18 @@ type flatCursor struct {
 // Both modes break full-key ties by run ordinal, a deterministic total
 // order, so their outputs are byte-identical unconditionally; the tuple
 // layout's runMerger agrees whenever sort keys are duplicate-free.
+//
+// Orthogonally to the heap/radix choice, raw fixes what the merge does with
+// payloads. A final merge (raw false) decodes every tuple it reads — it is
+// about to emit them. An intermediate merge (raw true) compares entries
+// only, so it carries each payload as the encoded bytes it read and hands
+// them to the output run verbatim; a tuple is decoded only when two
+// truncated prefixes tie and the blob has to be re-encoded from it.
 type flatMerger struct {
 	ky          *keyer // cloned; blob consults re-encode through it
 	width       int
+	raw         bool
+	err         error // first lazy-decode failure of a raw blob consult
 	comparisons *int64
 	bucketSkips *int64
 
@@ -79,7 +102,7 @@ type flatMerger struct {
 	active    int                        // current bucket; in-base parking below it is impossible
 	remaining int                        // live cursors, heap + parked
 
-	out []byte // nextEntry's returned prefix (survives the cursor advance)
+	out flatHead // nextEntry's result (survives the cursor advance)
 }
 
 // buckets is the in-base fan-out of the cascade; parked[buckets] is the far
@@ -87,16 +110,16 @@ type flatMerger struct {
 const buckets = 256
 
 // newFlatMerger opens a merge of flat runs; radix-aware iff lay.mode is
-// LayoutFlat.
-func newFlatMerger(runs []spillRun, ky *keyer, lay entryLayout, comparisons, bucketSkips *int64) (*flatMerger, error) {
+// LayoutFlat, payloads left encoded iff raw.
+func newFlatMerger(runs []spillRun, ky *keyer, lay entryLayout, raw bool, comparisons, bucketSkips *int64) (*flatMerger, error) {
 	m := &flatMerger{
 		ky:          ky.clone(),
 		width:       lay.width,
+		raw:         raw,
 		radix:       lay.mode == LayoutFlat,
 		comparisons: comparisons,
 		bucketSkips: bucketSkips,
 		active:      buckets, // first refill re-bases over all cursors
-		out:         make([]byte, lay.width),
 	}
 	for ord, r := range runs {
 		c := &flatCursor{
@@ -166,13 +189,19 @@ func (m *flatMerger) rebase() {
 	m.active = 0
 }
 
-// advance reads the cursor's next entry and payload tuple in lockstep.
+// advance reads the cursor's next entry and payload tuple in lockstep; the
+// payload page is read at the same moment in either mode.
 func (m *flatMerger) advance(c *flatCursor) (bool, error) {
 	e, ok, err := c.entries.Next()
 	if err != nil {
 		return false, err
 	}
-	t, tok, err := c.payload.Next()
+	var tok bool
+	if m.raw {
+		c.raw, tok, err = c.payload.NextRaw()
+	} else {
+		c.t, tok, err = c.payload.Next()
+	}
 	if err != nil {
 		return false, err
 	}
@@ -184,18 +213,32 @@ func (m *flatMerger) advance(c *flatCursor) (bool, error) {
 	}
 	copy(c.prefix, e)
 	c.trunc = e[len(c.prefix)] != 0
-	c.t = t
 	c.key = nil
 	return true, nil
 }
 
 // blobKey returns the cursor head's full key suffix, re-encoding it from
-// the payload tuple on first consult. Truncated prefixes that tie are the
-// only callers — by construction a rare case when FixedWidthHint covered
-// the key columns.
+// the payload tuple on first consult — which, for a raw head, is also the
+// one place an intermediate merge decodes a tuple. Truncated prefixes that
+// tie are the only callers — by construction a rare case when
+// FixedWidthHint covered the key columns.
 func (m *flatMerger) blobKey(c *flatCursor) []byte {
 	if c.key == nil {
-		c.key = m.ky.wrap(c.t).key[m.ky.skip:]
+		t := c.t
+		if m.raw {
+			var err error
+			if t, _, err = types.DecodeTuple(c.raw); err != nil {
+				// NextRaw framed these bytes with EncodedTupleLen, which
+				// FuzzEncodedTupleLen holds to DecodeTuple's verdict, so
+				// only a drift between the two lands here; nextEntry
+				// surfaces it rather than merging on a missing key.
+				if m.err == nil {
+					m.err = fmt.Errorf("xsort: decoding a run tuple for its key: %w", err)
+				}
+				return nil
+			}
+		}
+		c.key = m.ky.wrap(t).key[m.ky.skip:]
 	}
 	return c.key
 }
@@ -254,13 +297,11 @@ func (m *flatMerger) pop() {
 	}
 }
 
-// nextEntry returns the globally smallest head — its entry prefix (valid
-// until the following call), tie flag and payload tuple — and advances its
-// cursor.
-func (m *flatMerger) nextEntry() ([]byte, bool, types.Tuple, bool, error) {
+// nextEntry returns the globally smallest head and advances its cursor.
+func (m *flatMerger) nextEntry() (flatHead, bool, error) {
 	for len(m.heap) == 0 {
 		if !m.radix || m.remaining == 0 {
-			return nil, false, nil, false, nil
+			return flatHead{}, false, nil
 		}
 		// Activate the lowest parked bucket; heads only grow, so parking
 		// below the active bucket is impossible and the scan never moves
@@ -278,11 +319,12 @@ func (m *flatMerger) nextEntry() ([]byte, bool, types.Tuple, bool, error) {
 		m.heapify()
 	}
 	top := m.heap[0]
-	m.out = append(m.out[:0], top.prefix...)
-	trunc, t := top.trunc, top.t
+	m.out.prefix = append(m.out.prefix[:0], top.prefix...)
+	m.out.raw = append(m.out.raw[:0], top.raw...)
+	m.out.trunc, m.out.t = top.trunc, top.t
 	ok, err := m.advance(top)
 	if err != nil {
-		return nil, false, nil, false, err
+		return flatHead{}, false, err
 	}
 	switch {
 	case !ok:
@@ -297,11 +339,14 @@ func (m *flatMerger) nextEntry() ([]byte, bool, types.Tuple, bool, error) {
 	default:
 		m.siftDown(0)
 	}
-	return m.out, trunc, t, true, nil
+	if m.err != nil {
+		return flatHead{}, false, m.err
+	}
+	return m.out, true, nil
 }
 
-// next serves the merge as a tuple stream.
+// next serves a final merge as a tuple stream.
 func (m *flatMerger) next() (types.Tuple, bool, error) {
-	_, _, t, ok, err := m.nextEntry()
-	return t, ok, err
+	h, ok, err := m.nextEntry()
+	return h.t, ok, err
 }

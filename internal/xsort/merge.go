@@ -105,12 +105,14 @@ type mergeTally struct {
 	comparisons int64
 	bucketSkips int64
 	pages       int64 // entry pages written by the merged output run
+	runs        int   // input runs the merge consumed
 }
 
 func (t mergeTally) addTo(st *SortStats) {
 	st.Comparisons += t.comparisons
 	st.MergeBucketSkips += t.bucketSkips
 	st.FlatRunPages += t.pages
+	st.RunsMerged += t.runs
 }
 
 // mergeGroup merges a group of runs into one fresh run in ns, removing the
@@ -122,20 +124,22 @@ func (t mergeTally) addTo(st *SortStats) {
 // is polled per merged tuple at the guard stride; it may be shared with
 // other concurrent merges, so each call takes its own Guard.
 //
-// In the flat layouts the output run's entries are copied from the winning
-// input entries (prefix and tie flag verbatim, fresh row ordinals): a key
-// is encoded once per sort no matter how many passes rewrite its run.
+// In the flat layouts the merge moves records, not tuples: the output run's
+// entries are the winning input entries (prefix and tie flag verbatim, fresh
+// row ordinals) and its payload is the winning tuple's encoded bytes, copied
+// page to page undecoded. A key is encoded once per sort and a tuple decoded
+// once — by the final merge — no matter how many passes rewrite its run.
 func mergeGroup(ns storage.TempSpace, prefix string, group []spillRun, ky *keyer, lay entryLayout, abort func() error) (spillRun, mergeTally, error) {
 	ky = ky.clone()
 	guard := iter.NewGuard(abort)
-	var tally mergeTally
+	tally := mergeTally{runs: len(group)}
 	w := newRunWriter(ns, prefix, lay, ky.skip)
 	fail := func(err error) (spillRun, mergeTally, error) {
 		w.abandon()
 		return spillRun{}, tally, err
 	}
 	if lay.flat() {
-		m, err := newFlatMerger(group, ky, lay, &tally.comparisons, &tally.bucketSkips)
+		m, err := newFlatMerger(group, ky, lay, true, &tally.comparisons, &tally.bucketSkips)
 		if err != nil {
 			return fail(err)
 		}
@@ -143,14 +147,14 @@ func mergeGroup(ns storage.TempSpace, prefix string, group []spillRun, ky *keyer
 			if err := guard.Check(); err != nil {
 				return fail(err)
 			}
-			p, trunc, t, ok, err := m.nextEntry()
+			h, ok, err := m.nextEntry()
 			if err != nil {
 				return fail(err)
 			}
 			if !ok {
 				break
 			}
-			if err := w.writeEntry(p, trunc, t); err != nil {
+			if err := w.writeEntry(h.prefix, h.trunc, h.raw); err != nil {
 				return fail(err)
 			}
 		}
@@ -187,80 +191,100 @@ func mergeGroup(ns storage.TempSpace, prefix string, group []spillRun, ky *keyer
 	return merged, tally, nil
 }
 
-// reduceRuns repeatedly merges groups of up to fanIn runs into larger runs
-// until at most fanIn remain, so the final merge can proceed with one input
-// buffer per run. Each intermediate pass reads and rewrites the data,
-// incrementing stats.MergePasses; consumed run files are removed from ns.
+// reduceRuns merges runs until at most fanIn remain, so the final merge can
+// proceed with one input buffer per run. Each intermediate pass is planned
+// by reductionPass — it rewrites only the runs the final merge cannot take
+// as they are — and increments stats.MergePasses; consumed run files are
+// removed from ns, untouched runs keep their place behind the merged ones.
 //
 // With SpillParallelism > 1 the groups of one pass — mutually independent
-// by construction — merge concurrently on worker goroutines. Grouping is
-// identical to the serial pass (consecutive runs, left to right) and each
-// group's comparison count folds into stats in group order, so comparison
-// and I/O totals match the serial path exactly.
+// by construction — merge concurrently on worker goroutines. The plan is the
+// serial pass's and each group's tally folds into stats in group order, so
+// comparison and I/O totals match the serial path exactly.
 func reduceRuns(cfg Config, ns storage.TempSpace, runs []spillRun, ky *keyer, lay entryLayout, stats *SortStats) ([]spillRun, error) {
 	fanIn := cfg.fanIn()
 	par := cfg.spillParallelism()
 	for len(runs) > fanIn {
 		stats.MergePasses++
-		nGroups := numGroups(fanIn, len(runs))
-		next := make([]spillRun, nGroups)
-		tallies := make([]mergeTally, nGroups)
-		errs := make([]error, nGroups)
+		groups := reductionPass(len(runs), fanIn)
+		outs := make([]spillRun, len(groups))
+		tallies := make([]mergeTally, len(groups))
+		errs := make([]error, len(groups))
+		merge := func(g int) {
+			in := runs[groups[g].lo:groups[g].hi]
+			outs[g], tallies[g], errs[g] = mergeGroup(ns, cfg.TempPrefix, in, ky, lay, cfg.Abort)
+		}
 		if par <= 1 {
-			for g := 0; g < nGroups; g++ {
-				next[g], tallies[g], errs[g] = reduceOneGroup(cfg, ns, runs, g, ky, lay)
+			for g := range groups {
+				merge(g)
 			}
 		} else {
 			sem := make(chan struct{}, par)
 			var wg sync.WaitGroup
-			for g := 0; g < nGroups; g++ {
+			for g := range groups {
 				wg.Add(1)
 				go func(g int) {
 					defer wg.Done()
 					sem <- struct{}{}
 					defer func() { <-sem }()
 					defer recoverWorker(&errs[g])
-					next[g], tallies[g], errs[g] = reduceOneGroup(cfg, ns, runs, g, ky, lay)
+					merge(g)
 				}(g)
 			}
 			wg.Wait()
 		}
-		for g := 0; g < nGroups; g++ {
+		for g := range groups {
 			tallies[g].addTo(stats)
 			if errs[g] != nil {
 				return nil, errs[g]
 			}
 		}
-		runs = next
+		runs = append(outs, runs[groups[len(groups)-1].hi:]...)
 	}
 	return runs, nil
 }
 
-// groupBounds returns the half-open run range of the g-th fan-in group of
-// one reduction pass over n runs. Every reduction path — serial, parallel,
-// and the pipelined harvest in MRS — must group through this function:
-// identical grouping is what keeps comparison and I/O totals independent
-// of parallelism (the golden tests' invariant).
-func groupBounds(g, fanIn, n int) (lo, hi int) {
-	lo = g * fanIn
-	hi = lo + fanIn
-	if hi > n {
-		hi = n
-	}
-	return lo, hi
-}
+// runGroup is a half-open range of consecutive runs that one merge consumes.
+type runGroup struct{ lo, hi int }
 
-// numGroups returns how many fan-in groups one reduction pass over n runs
-// forms.
-func numGroups(fanIn, n int) int { return (n + fanIn - 1) / fanIn }
-
-// reduceOneGroup merges the g-th fan-in group of runs (a single-run group
-// passes through unmerged, as in the serial algorithm).
-func reduceOneGroup(cfg Config, ns storage.TempSpace, runs []spillRun, g int, ky *keyer, lay entryLayout) (spillRun, mergeTally, error) {
-	lo, hi := groupBounds(g, cfg.fanIn(), len(runs))
-	group := runs[lo:hi]
-	if len(group) == 1 {
-		return group[0], mergeTally{}, nil
+// reductionPass plans one run-reduction pass over n > fanIn runs: the groups
+// to merge into one run apiece. Groups are consecutive, disjoint, 2..fanIn
+// wide and together cover a prefix of the run list; every run behind the
+// last group passes through untouched. Merged outputs take their groups'
+// place, so the run list stays in formation order — which is what lets the
+// flat merges' run-ordinal tie-break keep full-key ties in input order
+// whatever the schedule.
+//
+// When one pass can leave exactly F = fanIn runs (n ≤ F²) it merges only
+// what that takes: m = ⌈(n−F)/(F−1)⌉ groups, each removing width−1 runs —
+// the first k0 = (n−F) − (m−1)(F−1) + 1 wide to absorb the remainder, the
+// rest full F-way — so k0 + (m−1)F runs are rewritten and the others reach
+// the final merge as formed. The groups sit at the front because those runs
+// land first: MRS's pipelined harvest starts merging them while the tail of
+// the segment is still being formed. Beyond F² runs no single pass suffices;
+// the pass then merges everything F at a time (a trailing lone run passes
+// through) and the caller re-plans over the ⌈n/F⌉ survivors.
+//
+// Every reduction path — serial, parallel, and the pipelined harvest in MRS
+// — must plan through this function: one schedule is what keeps comparison
+// and I/O totals independent of parallelism (the golden tests' invariant).
+func reductionPass(n, fanIn int) []runGroup {
+	m, first := (n+fanIn-1)/fanIn, fanIn // full pass: everything, F at a time
+	if m <= fanIn {                      // n ≤ F²: one partial pass reaches F
+		excess := n - fanIn
+		m = (excess + fanIn - 2) / (fanIn - 1)
+		first = excess - (m-1)*(fanIn-1) + 1
 	}
-	return mergeGroup(ns, cfg.TempPrefix, group, ky, lay, cfg.Abort)
+	groups := make([]runGroup, 0, m)
+	lo, hi := 0, first
+	for g := 0; g < m; g++ {
+		if hi > n {
+			hi = n
+		}
+		if hi-lo >= 2 {
+			groups = append(groups, runGroup{lo, hi})
+		}
+		lo, hi = hi, hi+fanIn
+	}
+	return groups
 }

@@ -49,10 +49,11 @@ import (
 // never leaves the consumer goroutine). At most S flush jobs are in flight,
 // bounding transient memory at S batches. When the segment reaches the head
 // of the emission queue, its first run-reduction pass overlaps the tail of
-// run formation: each fan-in group of runs merges (on worker goroutines,
-// grouped exactly as the serial pass would) as soon as its member runs
-// land. With S = 1 spilled segments sort, spill and merge inline on the
-// consumer goroutine — the paper's serial algorithm, unchanged.
+// run formation: each planned group of runs merges (on worker goroutines,
+// planned exactly as the serial pass would be — reductionPass puts the
+// groups on the earliest runs) as soon as its member runs land. With S = 1
+// spilled segments sort, spill and merge inline on the consumer goroutine —
+// the paper's serial algorithm, unchanged.
 type MRS struct {
 	input  iter.Iterator
 	schema *types.Schema
@@ -381,44 +382,35 @@ func (m *MRS) adopt(seg *segment) error {
 // serial mode the runs are already on disk. In parallel mode it performs
 // the pipelined harvest: when the segment holds more runs than the merge
 // fan-in, the first reduction pass is dispatched group by group as member
-// runs land, overlapping reduction with the tail of run formation; the
-// remaining passes (rare) fall to reduceRuns afterwards. Comparison counts
-// fold in deterministic order — formation jobs first (dispatch order), then
-// merge groups (group order) — so totals equal the serial path's.
+// runs land, overlapping reduction with the tail of run formation — the
+// planned groups are the earliest runs, so a partial pass merges while the
+// runs it leaves alone are still being written; the remaining passes (rare)
+// fall to reduceRuns afterwards. Comparison counts fold in deterministic
+// order — formation jobs first (dispatch order), then merge groups (group
+// order) — so totals equal the serial path's.
 func (m *MRS) segmentRuns(sp *spillState) ([]spillRun, error) {
 	if len(sp.jobs) == 0 {
 		return sp.runs, nil
 	}
-	fanIn := m.cfg.fanIn()
-	if len(sp.jobs) <= fanIn {
-		// No reduction needed: wait out the jobs in dispatch order.
-		if err := m.harvestJobs(sp); err != nil {
-			return nil, err
-		}
-		runs := make([]spillRun, len(sp.jobs))
-		for i, j := range sp.jobs {
-			runs[i] = j.run
-		}
-		return runs, nil
+	var groups []runGroup
+	if fanIn := m.cfg.fanIn(); len(sp.jobs) > fanIn {
+		m.stats.MergePasses++
+		groups = reductionPass(len(sp.jobs), fanIn)
 	}
 
-	// Pipelined first pass: each fan-in group of formation jobs merges as
-	// soon as its members land, while later jobs may still be running.
-	// Groups are consecutive in dispatch order — exactly the serial pass.
-	m.stats.MergePasses++
+	// Each planned group of formation jobs merges as soon as its members
+	// land, while later jobs may still be running.
 	type groupRes struct {
 		out   spillRun
 		tally mergeTally
 		err   error
 		done  chan struct{}
 	}
-	nGroups := numGroups(fanIn, len(sp.jobs))
-	groups := make([]*groupRes, nGroups)
+	results := make([]*groupRes, len(groups))
 	sem := make(chan struct{}, m.spar)
-	for g := 0; g < nGroups; g++ {
-		lo, hi := groupBounds(g, fanIn, len(sp.jobs))
+	for g, grp := range groups {
 		res := &groupRes{done: make(chan struct{})}
-		groups[g] = res
+		results[g] = res
 		go func(jobs []*flushJob, res *groupRes) {
 			defer close(res.done)
 			defer recoverWorker(&res.err)
@@ -431,23 +423,18 @@ func (m *MRS) segmentRuns(sp *spillState) ([]spillRun, error) {
 				}
 				runs = append(runs, j.run)
 			}
-			if len(runs) == 1 {
-				// Single-run group passes through, as in the serial pass.
-				res.out = runs[0]
-				return
-			}
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			res.out, res.tally, res.err = mergeGroup(sp.arena, m.cfg.TempPrefix, runs, sp.ky, m.lay, m.cfg.Abort)
-		}(sp.jobs[lo:hi], res)
+		}(sp.jobs[grp.lo:grp.hi], res)
 	}
 
 	// Fold formation tallies in dispatch order, then group merges in
 	// group order; wait everything out even on error so the arena can be
 	// released without racing in-flight writers.
 	err := m.harvestJobs(sp)
-	runs := make([]spillRun, 0, nGroups)
-	for _, res := range groups {
+	runs := make([]spillRun, 0, len(sp.jobs))
+	for _, res := range results {
 		<-res.done
 		res.tally.addTo(&m.stats)
 		if res.err != nil && err == nil {
@@ -457,6 +444,14 @@ func (m *MRS) segmentRuns(sp *spillState) ([]spillRun, error) {
 	}
 	if err != nil {
 		return nil, err
+	}
+	// Jobs behind the last group reach the next stage unmerged.
+	passed := 0
+	if len(groups) > 0 {
+		passed = groups[len(groups)-1].hi
+	}
+	for _, j := range sp.jobs[passed:] {
+		runs = append(runs, j.run)
 	}
 	return runs, nil
 }

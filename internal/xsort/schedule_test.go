@@ -1,0 +1,244 @@
+package xsort
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"pyro/internal/iter"
+	"pyro/internal/sortord"
+	"pyro/internal/storage"
+	"pyro/internal/types"
+)
+
+// TestReductionPassProperties walks the reduction loop over every fan-in
+// 2..17 and run count 1..400 and checks each planned pass: groups are
+// consecutive from run 0, disjoint and 2..F wide; the pass shrinks the run
+// list; once n ≤ F² a single pass rewrites exactly k0 + (m−1)F runs and
+// leaves exactly F; and the loop ends with at most F runs after as many
+// passes as merging everything F at a time would have taken — the schedule
+// moves less data, never adds a pass.
+func TestReductionPassProperties(t *testing.T) {
+	for fanIn := 2; fanIn <= 17; fanIn++ {
+		for n := 1; n <= 400; n++ {
+			wantPasses := 0
+			for c := n; c > fanIn; c = (c + fanIn - 1) / fanIn {
+				wantPasses++
+			}
+			count, passes := n, 0
+			for count > fanIn {
+				at := fmt.Sprintf("F=%d n=%d pass %d over %d runs", fanIn, n, passes+1, count)
+				groups := reductionPass(count, fanIn)
+				if len(groups) == 0 {
+					t.Fatalf("%s: nothing planned", at)
+				}
+				merged, lo := 0, 0
+				for _, g := range groups {
+					if g.lo != lo || g.hi > count {
+						t.Fatalf("%s: groups %v are not consecutive from run 0 within the run list", at, groups)
+					}
+					if w := g.hi - g.lo; w < 2 || w > fanIn {
+						t.Fatalf("%s: group %v is %d wide, want 2..%d", at, g, w, fanIn)
+					}
+					merged += g.hi - g.lo
+					lo = g.hi
+				}
+				next := len(groups) + count - lo
+				if next >= count {
+					t.Fatalf("%s: pass leaves %d runs", at, next)
+				}
+				if count <= fanIn*fanIn {
+					m := (count - fanIn + fanIn - 2) / (fanIn - 1)
+					k0 := (count - fanIn) - (m-1)*(fanIn-1) + 1
+					if merged != k0+(m-1)*fanIn || next != fanIn {
+						t.Fatalf("%s: rewrote %d runs leaving %d, want %d leaving exactly %d",
+							at, merged, next, k0+(m-1)*fanIn, fanIn)
+					}
+				}
+				count = next
+				passes++
+			}
+			if passes != wantPasses {
+				t.Fatalf("F=%d n=%d: %d passes, merging everything takes %d", fanIn, n, passes, wantPasses)
+			}
+		}
+	}
+}
+
+// fixedBudget pins a sort's live memory allowance, so MemoryBlocks varies
+// the merge fan-in alone: run formation — batch boundaries, run count, run
+// contents — is identical at every fan-in under the same budget.
+type fixedBudget int
+
+func (b fixedBudget) Blocks() int { return int(b) }
+
+// encodeAll renders an output stream as one byte string; equal strings mean
+// identical tuples in identical order.
+func encodeAll(rows []types.Tuple) []byte {
+	var buf []byte
+	for _, r := range rows {
+		buf = r.Encode(buf)
+	}
+	return buf
+}
+
+// TestReductionScheduleKeepsOutputBytes is the tie-heavy differential for
+// the merge schedule. Inputs have few distinct sort keys and a unique
+// payload per row, so the order of full-key ties is visible in the output
+// bytes. A fixed 3-block Budget forms the same runs at every fan-in, which
+// isolates the schedule: the unreduced sort (fan-in above the run count, one
+// final merge over the formation runs) is the baseline, and every reduction
+// — fan-in {2, 3, 7, 15} × spill parallelism {1, 2, 4, 8} — must reproduce
+// it.
+//
+// In the flat layouts that means byte for byte, ties included: merges break
+// full-key ties by run ordinal and the schedule keeps merged outputs in run
+// order, so which runs were pre-merged is invisible. MRS in a flat layout is
+// a stable sort outright (stable batch sorts, runs in arrival order) and is
+// held to sort.SliceStable as well. SRS's replacement-selection heap and the
+// tuple layout's runMerger promise no tie order (see the package comment and
+// entry.go), so there the key sequence and the multiset must match and the
+// output must not depend on parallelism.
+//
+// The "blob" input sorts on strings that share their first 12 bytes: every
+// flat entry is truncated and prefix-tied, so intermediate merges can only
+// order records by decoding the raw payload and re-encoding its key — the
+// passthrough's lazy path — on every comparison.
+func TestReductionScheduleKeepsOutputBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	const n = 2400
+	ints := make([]types.Tuple, n)
+	for i := range ints {
+		ints[i] = types.NewTuple(types.NewInt(int64(i/(n/2))), types.NewInt(rng.Int63n(4)), types.NewString(fmt.Sprintf("r%04d", i)))
+	}
+	blobSchema := types.NewSchema(
+		types.Column{Name: "g", Kind: types.KindInt},
+		types.Column{Name: "s", Kind: types.KindString},
+		types.Column{Name: "id", Kind: types.KindInt},
+	)
+	blobs := make([]types.Tuple, n)
+	for i := range blobs {
+		blobs[i] = types.NewTuple(types.NewInt(int64(i/(n/2))), types.NewString(fmt.Sprintf("shared-head-%02d", rng.Intn(40))), types.NewInt(int64(i)))
+	}
+	inputs := []struct {
+		name   string
+		schema *types.Schema
+		rows   []types.Tuple // sorted on the first column
+		target sortord.Order
+		given  sortord.Order
+	}{
+		{"ties", sortSchema, ints, sortord.New("c1", "c2"), sortord.New("c1")},
+		{"blob", blobSchema, blobs, sortord.New("g", "s"), sortord.New("g")},
+	}
+
+	type result struct {
+		out   []byte
+		stats SortStats
+		io    storage.IOStats
+	}
+	for _, in := range inputs {
+		ks := types.MustKeySpec(in.schema, in.target)
+		stable := append([]types.Tuple(nil), in.rows...)
+		sort.SliceStable(stable, func(i, j int) bool { return ks.Compare(stable[i], stable[j]) < 0 })
+		mixed := shuffled(in.rows, rng)
+
+		run := func(t *testing.T, mrs bool, lay EntryLayout, blocks, par int) ([]types.Tuple, result) {
+			t.Helper()
+			cfg, d := smallCfg(t, blocks)
+			cfg.Budget = fixedBudget(3)
+			cfg.EntryLayout = lay
+			cfg.Parallelism, cfg.SpillParallelism = par, par
+			var op interface {
+				iter.Iterator
+				Stats() *SortStats
+			}
+			var err error
+			if mrs {
+				op, err = NewMRS(iter.FromSlice(in.rows), in.schema, in.target, in.given, cfg)
+			} else {
+				op, err = NewSRS(iter.FromSlice(mixed), in.schema, in.target, cfg)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, err := iter.Drain(op)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := *op.Stats()
+			st.PeakMemBytes = 0 // schedule-dependent under parallel spill
+			return rows, result{encodeAll(rows), st, d.Stats()}
+		}
+
+		for _, mrs := range []bool{false, true} {
+			for _, lay := range []EntryLayout{LayoutFlat, LayoutFlatHeap, LayoutTuple} {
+				algo := "srs"
+				if mrs {
+					algo = "mrs"
+				}
+				t.Run(fmt.Sprintf("%s/%s/%s", in.name, algo, lay), func(t *testing.T) {
+					baseRows, base := run(t, mrs, lay, 4096, 1)
+					if base.stats.MergePasses != 0 || base.stats.RunsGenerated < 16 {
+						t.Fatalf("baseline should form > 15 runs and merge them once: %+v", base.stats)
+					}
+					if len(baseRows) != len(stable) {
+						t.Fatalf("baseline emitted %d rows, want %d", len(baseRows), len(stable))
+					}
+					for i := range stable {
+						if ks.Compare(baseRows[i], stable[i]) != 0 {
+							t.Fatalf("baseline key order diverges from the reference at %d: %v vs %v", i, baseRows[i], stable[i])
+						}
+					}
+					if mrs && lay != LayoutTuple && !bytes.Equal(base.out, encodeAll(stable)) {
+						t.Fatal("flat MRS is a stable sort, but its output differs from sort.SliceStable")
+					}
+					wantSet := multiset(stable)
+
+					for _, fanIn := range []int{2, 3, 7, 15} {
+						var serial result
+						for _, par := range []int{1, 2, 4, 8} {
+							at := fmt.Sprintf("fan-in %d par %d", fanIn, par)
+							rows, got := run(t, mrs, lay, fanIn+1, par)
+							st := got.stats
+							if st.RunsGenerated != base.stats.RunsGenerated {
+								t.Fatalf("%s: %d formation runs, baseline %d — the fixed budget should pin them", at, st.RunsGenerated, base.stats.RunsGenerated)
+							}
+							if st.MergePasses == 0 || st.RunsMerged == 0 {
+								t.Fatalf("%s: no reduction ran: %+v", at, st)
+							}
+							if par == 1 {
+								serial = got
+							} else {
+								got.stats.SpillRunsSerial, got.stats.SpillRunsParallel = serial.stats.SpillRunsSerial, serial.stats.SpillRunsParallel
+								if got.stats != serial.stats || got.io != serial.io || !bytes.Equal(got.out, serial.out) {
+									t.Errorf("%s: diverges from the serial run\n stats %+v io %+v\nserial %+v io %+v", at, got.stats, got.io, serial.stats, serial.io)
+								}
+							}
+							if lay != LayoutTuple {
+								if !bytes.Equal(got.out, base.out) {
+									t.Errorf("%s: output bytes differ from the unreduced sort", at)
+								}
+								continue
+							}
+							if len(rows) != len(stable) {
+								t.Fatalf("%s: emitted %d rows, want %d", at, len(rows), len(stable))
+							}
+							for i := range stable {
+								if ks.Compare(rows[i], stable[i]) != 0 {
+									t.Fatalf("%s: key order diverges at %d: %v vs %v", at, i, rows[i], stable[i])
+								}
+							}
+							for k, c := range multiset(rows) {
+								if wantSet[k] != c {
+									t.Fatalf("%s: output is not a permutation of the input", at)
+								}
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}

@@ -93,6 +93,14 @@ type SortStats struct {
 	MergeBucketSkips int64
 	FlatRunPages     int64
 
+	// RunsMerged counts the runs intermediate merges consumed, over all
+	// reduction passes (the final merge's inputs are not counted). A pass
+	// rewrites only the runs the final merge cannot take as they are, so
+	// MergePasses alone no longer says how much data a reduction moved:
+	// RunsMerged against RunsGenerated does. Folded in group order, so it is
+	// identical at every parallelism.
+	RunsMerged int
+
 	// SpillRunsSerial and SpillRunsParallel split MRS spill-run formation
 	// by regime: runs sorted and written inline on the consumer goroutine
 	// (SpillParallelism 1, the paper's serial algorithm) versus runs formed
@@ -261,12 +269,18 @@ func (c Config) memoryBytes() int64 {
 	return int64(blocks) * int64(c.Disk.PageSize())
 }
 
-func (c Config) fanIn() int {
-	f := c.MemoryBlocks - 1
-	if f < 2 {
-		f = 2
+func (c Config) fanIn() int { return MergeFanIn(c.MemoryBlocks) }
+
+// MergeFanIn is the merge fan-in of a sort with memoryBlocks blocks of
+// memory: one block per input run plus one for the output, and never fewer
+// than two inputs — a narrower merge reduces nothing. The cost model prices
+// merge passes through the same function (cost.Model.FullSort), so estimate
+// and execution cannot disagree at tiny budgets.
+func MergeFanIn(memoryBlocks int) int {
+	if memoryBlocks < 3 {
+		return 2
 	}
-	return f
+	return memoryBlocks - 1
 }
 
 func (c Config) parallelism() int {
