@@ -70,14 +70,17 @@ bench-baseline:
 # verdict per workload and metric from `pyro-perf -compare`. What a change
 # that claims (or must rule out) a performance effect runs, e.g.
 #   make perf-ab BASE=HEAD~1 WORKLOAD=sort_spill PAIRS=10
-# TRACE=1 makes both sides traced runs, for the per-layer rows.
+# TRACE=1 makes both sides traced runs, for the per-layer rows. OUT=FILE
+# also writes the run's trajectory record (medians, quartiles, pairs won,
+# verdicts) — the BENCH_<pr>.json a PR commits.
 BASE ?= HEAD
 WORKLOAD ?= all
 PAIRS ?= 10
 SECS ?= 20
 TRACE ?= 0
+OUT ?=
 perf-ab:
-	scripts/perf-ab.sh $(BASE) $(WORKLOAD) $(PAIRS) $(SECS) $(TRACE)
+	scripts/perf-ab.sh $(BASE) $(WORKLOAD) $(PAIRS) $(SECS) $(TRACE) $(OUT)
 
 # The serving layer's concurrency under the race detector at a forced
 # GOMAXPROCS: governor fairness/starvation, admission, plan cache, the

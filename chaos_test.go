@@ -103,6 +103,21 @@ func chaosScenarios() []chaosScenario {
 		{name: "reduce-segment", build: func(db *Database) *Query {
 			return db.Scan("deep").OrderBy("g", "v")
 		}, reduces: true},
+		// Planned Top-K, the sort bounded by its Limit. k rows fit the
+		// budget: a bounded selection over the first segment (or, without a
+		// usable prefix, over the whole table), no run ever written — every
+		// fault point is a data-page read.
+		{name: "topk-bounded-fits", build: func(db *Database) *Query {
+			return db.Scan("big").OrderBy("g", "v").Limit(16)
+		}},
+		{name: "topk-bounded-full-sort", build: func(db *Database) *Query {
+			return db.Scan("big").OrderBy("v").Limit(16)
+		}},
+		// k rows exceed the budget: the segment spills runs cut at k rows and
+		// its reduction merges stop at k rows, leaving their inputs part-read.
+		{name: "topk-bounded-spills", build: func(db *Database) *Query {
+			return db.Scan("deep").OrderBy("g", "v").Limit(900)
+		}, reduces: true},
 	}
 }
 
@@ -303,30 +318,35 @@ func TestChaosFaultSweep(t *testing.T) {
 // leaks, and lifting the quota restores byte-identical execution.
 func TestChaosTempQuotaENOSPC(t *testing.T) {
 	db := chaosDB(t)
-	plan, err := db.Optimize(db.Scan("big").OrderBy("v"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseRows, baseIO, err := runChaosQuery(db, plan, 64, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db.disk.SetTempQuotaPages(2)
-	_, _, err = runChaosQuery(db, plan, 64, 0)
-	if err == nil {
-		t.Fatal("spilling sort succeeded under a 2-page temp quota")
-	}
-	if !errors.Is(err, storage.ErrNoTempSpace) {
-		t.Fatalf("quota violation lost its ErrNoTempSpace cause: %v", err)
-	}
-	checkServingRestored(t, db, "after quota failure")
-	db.disk.SetTempQuotaPages(0)
-	rows, io, err := runChaosQuery(db, plan, 64, 0)
-	if err != nil {
-		t.Fatalf("re-run after lifting the quota failed: %v", err)
-	}
-	if !sameRows(rows, baseRows) || io != baseIO {
-		t.Fatalf("re-run after quota diverged from baseline (io %+v, want %+v)", io, baseIO)
+	for name, q := range map[string]*Query{
+		"full sort":              db.Scan("big").OrderBy("v"),
+		"bounded sort, k spills": db.Scan("deep").OrderBy("g", "v").Limit(900),
+	} {
+		plan, err := db.Optimize(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		baseRows, baseIO, err := runChaosQuery(db, plan, 64, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db.disk.SetTempQuotaPages(2)
+		_, _, err = runChaosQuery(db, plan, 64, 0)
+		if err == nil {
+			t.Fatalf("%s: spilling sort succeeded under a 2-page temp quota", name)
+		}
+		if !errors.Is(err, storage.ErrNoTempSpace) {
+			t.Fatalf("%s: quota violation lost its ErrNoTempSpace cause: %v", name, err)
+		}
+		checkServingRestored(t, db, name+" after quota failure")
+		db.disk.SetTempQuotaPages(0)
+		rows, io, err := runChaosQuery(db, plan, 64, 0)
+		if err != nil {
+			t.Fatalf("%s: re-run after lifting the quota failed: %v", name, err)
+		}
+		if !sameRows(rows, baseRows) || io != baseIO {
+			t.Fatalf("%s: re-run after quota diverged from baseline (io %+v, want %+v)", name, io, baseIO)
+		}
 	}
 }
 

@@ -296,17 +296,19 @@ func (db *Database) Query(ctx context.Context, p *Plan, opts ...ExecOption) (*Cu
 	tap := storage.NewTap()
 
 	// Sort-memory grant: governed queries whose plan buffers sort memory
-	// ask the global pool for their configured budget. A lone query gets
-	// its full ask (single-cursor execution is identical to the ungoverned
-	// engine); under contention the grant is a fair share and may be shrunk
-	// further while the query spills. The grant doubles as the live
-	// xsort.Budget every sort enforcer re-reads, and the tap lets the
-	// governor see this query's spill writes. Explicit WithSortMemoryBlocks
-	// bypasses all of this, as does a plan with no sort or spool operator.
+	// ask the global pool for their configured budget — or, when every sort
+	// is bounded by a Limit, for the little those bounds need
+	// (sortMemoryAsk). A lone query gets its full ask (single-cursor
+	// execution is identical to the ungoverned engine); under contention
+	// the grant is a fair share and may be shrunk further while the query
+	// spills. The grant doubles as the live xsort.Budget every sort
+	// enforcer re-reads, and the tap lets the governor see this query's
+	// spill writes. Explicit WithSortMemoryBlocks bypasses all of this, as
+	// does a plan with no sort or spool operator.
 	buildBlocks := cfg.SortMemoryBlocks
 	var budget xsort.Budget
-	if db.gov != nil && !cfg.memoryOverride && planUsesSortMemory(inner) {
-		g, err := db.gov.Acquire(cfg.SortMemoryBlocks, tap, abort)
+	if ask := sortMemoryAsk(inner, cfg.Config); db.gov != nil && !cfg.memoryOverride && ask > 0 {
+		g, err := db.gov.Acquire(min(max(ask, db.gov.MinGrant()), cfg.SortMemoryBlocks), tap, abort)
 		if err != nil {
 			return nil, err
 		}
@@ -420,12 +422,33 @@ func openOp(op exec.Operator) (err error) {
 	return op.Open()
 }
 
-// planUsesSortMemory reports whether the plan contains an operator that
-// buffers tuples against the sort-memory budget — a sort enforcer or a
-// block-nested-loops join spool. Plans without one (pure scans, filters,
-// hash operators) run grant-free: they take nothing from the global pool.
-func planUsesSortMemory(p *core.Plan) bool {
-	return p.CountKind(core.OpSort) > 0 || p.CountKind(core.OpNLJoin) > 0
+// sortMemoryAsk sizes the query's ask of the sort-memory pool, in blocks.
+// 0 means the plan holds no operator that buffers tuples against the budget
+// (no sort enforcer, no block-nested-loops spool): pure scans, filters and
+// hash operators run grant-free. A plan whose every sort is bounded by a
+// Limit (core.Plan.SortLimit) asks only for what the bounded collector can
+// use — room for 2·limit rows, the point at which it selects — so Top-K
+// traffic leaves the rest of the pool to queries that need it. Any
+// unbounded sort or spool asks for the full SortMemoryBlocks, as does a bound
+// too large to matter. The row footprint is an estimate; a wrong one only
+// costs speed: the collector selects at whatever budget it was given and
+// spills correctly if it must.
+func sortMemoryAsk(p *core.Plan, cfg Config) int {
+	full := int64(cfg.SortMemoryBlocks)
+	var ask int64
+	p.Walk(func(q *core.Plan) {
+		switch {
+		case q.Kind == core.OpNLJoin, q.Kind == core.OpSort && q.SortLimit == 0:
+			ask = full
+		case q.Kind == core.OpSort:
+			// More rows than the full budget has bytes never fit; clamping
+			// there also keeps the product below from overflowing.
+			page := int64(cfg.PageSize)
+			need := 2 * min(q.SortLimit, full*page) * int64(q.Schema.AvgMemWidth())
+			ask = max(ask, min(full, (need+page-1)/page))
+		}
+	})
+	return int(ask)
 }
 
 // Next advances to the next row, reporting whether one is available. It

@@ -133,9 +133,12 @@ func build(p *Plan, cfg BuildConfig) (exec.Operator, error) {
 		}
 		return exec.NewProject(children[0], cols)
 	case OpSort:
-		if p.SortGiven.IsEmpty() {
+		// A bounded full sort is MRS over an empty prefix — one segment, the
+		// same bounded collector — not a second implementation in SRS.
+		if p.SortGiven.IsEmpty() && p.SortLimit == 0 {
 			return exec.NewSortSRS(children[0], p.SortTarget, xcfg)
 		}
+		xcfg.Limit = p.SortLimit
 		return exec.NewSortMRS(children[0], p.SortTarget, p.SortGiven, xcfg)
 	case OpMergeJoin:
 		return exec.NewMergeJoin(children[0], children[1], p.LeftKey, p.RightKey, p.JoinType)

@@ -2,12 +2,14 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"pyro/internal/cost"
 	"pyro/internal/exec"
 	"pyro/internal/expr"
 	"pyro/internal/ford"
 	"pyro/internal/logical"
+	"pyro/internal/ordersel"
 	"pyro/internal/sortord"
 )
 
@@ -248,9 +250,27 @@ func (opt *Optimizer) blocksFor(rows int64, width int) int64 {
 // after k rows, so candidates are compared by PrefixCost(k)); memoized on
 // all three.
 func (opt *Optimizer) bestPlan(n logical.Node, required sortord.Order, budget int64) (*Plan, error) {
+	return opt.boundedPlan(n, required, budget, 0)
+}
+
+// boundedPlan is bestPlan for a node whose output a Limit reads directly: at
+// most bound rows of it will ever be consumed (0 = no such promise). A budget
+// is a hint — a WithRowTarget consumer may read on — and only steers plan
+// comparison; a bound is a guarantee, so a sort enforced on this node's
+// output may discard everything past its first bound rows (Plan.SortLimit).
+// The bound describes the first rows of this node's output *in the required
+// order*, so it reaches a child only through nodes that preserve cardinality
+// (Project, a nested OrderBy or Limit) and only where no re-sort will stand
+// between the two: a node whose output must still be re-ordered hands on no
+// bound, and the enforcer above it takes it instead. Every other operator
+// plans its children unbounded.
+func (opt *Optimizer) boundedPlan(n logical.Node, required sortord.Order, budget, bound int64) (*Plan, error) {
 	key := required.Key()
 	if budget > 0 {
 		key = fmt.Sprintf("%s#%d", key, budget)
+	}
+	if bound > 0 {
+		key = fmt.Sprintf("%s!%d", key, bound)
 	}
 	if m, ok := opt.memo[n]; ok {
 		if p, hit := m[key]; hit {
@@ -270,7 +290,7 @@ func (opt *Optimizer) bestPlan(n logical.Node, required sortord.Order, budget in
 	case *logical.Select:
 		candidates, err = opt.selectCandidates(t, required, budget)
 	case *logical.Project:
-		candidates, err = opt.projectCandidates(t, required, budget)
+		candidates, err = opt.projectCandidates(t, required, budget, bound)
 	case *logical.Join:
 		candidates, err = opt.joinCandidates(t, required, budget)
 		canon = t.CanonicalizeOrder
@@ -281,10 +301,18 @@ func (opt *Optimizer) bestPlan(n logical.Node, required sortord.Order, budget in
 	case *logical.Union:
 		candidates, err = opt.unionCandidates(t, required, budget)
 	case *logical.Limit:
-		candidates, err = opt.limitCandidates(t, required, budget)
+		candidates, err = opt.limitCandidates(t, required, budget, bound)
 	case *logical.OrderBy:
-		// Nested order-by: optimize the child for the combined order.
-		child, cerr := opt.bestPlan(t.Child, t.Order, budget)
+		// Nested order-by: optimize the child for the combined order. The
+		// bound counts rows in the required order: it is the child's too only
+		// when the child's order already gives that one, so that the enforce
+		// below adds no sort. Otherwise the child must produce every row and
+		// the re-sort above it is the bounded one.
+		childBound := bound
+		if !required.IsEmpty() && !required.PrefixOf(t.Order) {
+			childBound = 0
+		}
+		child, cerr := opt.boundedPlan(t.Child, t.Order, budget, childBound)
 		if cerr != nil {
 			return nil, cerr
 		}
@@ -303,7 +331,7 @@ func (opt *Optimizer) bestPlan(n logical.Node, required sortord.Order, budget in
 	props := n.Props()
 	for _, cand := range candidates {
 		opt.stats.PlansCosted++
-		final := opt.enforce(cand, required, props, canon)
+		final := opt.enforce(cand, required, props, canon, bound)
 		if best == nil || opt.cheaper(final, best, budget) {
 			best = final
 		}
@@ -320,7 +348,16 @@ func (opt *Optimizer) bestPlan(n logical.Node, required sortord.Order, budget in
 // performed. K = 0 has defined semantics: an empty result at zero cost,
 // planned without a child so no degenerate sort is ever built (the executor
 // compiles it to an empty Values leaf).
-func (opt *Optimizer) limitCandidates(t *logical.Limit, required sortord.Order, budget int64) ([]*Plan, error) {
+//
+// Unlike a budget, K is a promise: nothing past the child's first K rows is
+// ever read, so the child is planned under K as a bound (tightened by an
+// enclosing Limit's) and a sort sitting directly below sorts only K rows.
+//
+// The requirement passes through only while it cannot change *which* K rows
+// survive: below a Limit whose input has an order of its own (ordered), the
+// first K rows in that order are the answer, so the child is planned for its
+// own order and the requirement is enforced above the Limit, on K rows.
+func (opt *Optimizer) limitCandidates(t *logical.Limit, required sortord.Order, budget, bound int64) ([]*Plan, error) {
 	rows := t.Props().Rows
 	if t.K == 0 {
 		return []*Plan{{
@@ -338,7 +375,14 @@ func (opt *Optimizer) limitCandidates(t *logical.Limit, required sortord.Order, 
 	if budget > 0 && budget < childBudget {
 		childBudget = budget
 	}
-	child, err := opt.bestPlan(t.Child, required, childBudget)
+	childBound := t.K
+	if !required.IsEmpty() && ordered(t.Child) {
+		// All K rows feed the sort above; an enclosing bound is that sort's.
+		required = sortord.Empty
+	} else if bound > 0 && bound < childBound {
+		childBound = bound
+	}
+	child, err := opt.boundedPlan(t.Child, required, childBudget, childBound)
 	if err != nil {
 		return nil, err
 	}
@@ -368,6 +412,25 @@ func (opt *Optimizer) limitCandidates(t *logical.Limit, required sortord.Order, 
 	}}, nil
 }
 
+// ordered reports whether n's output has an order the query asked for: an
+// OrderBy, seen through the nodes that keep row order (Project, Select, Limit).
+func ordered(n logical.Node) bool {
+	for {
+		switch t := n.(type) {
+		case *logical.OrderBy:
+			return true
+		case *logical.Project:
+			n = t.Child
+		case *logical.Select:
+			n = t.Child
+		case *logical.Limit:
+			n = t.Child
+		default:
+			return false
+		}
+	}
+}
+
 // enforce adds a (partial) sort on top of plan if it does not already
 // guarantee required. canon, when non-nil, maps equivalent column names
 // (both sides of an equijoin) to a canonical spelling before comparison.
@@ -377,7 +440,10 @@ func (opt *Optimizer) limitCandidates(t *logical.Limit, required sortord.Order, 
 // sort (MRS) needs only the first segment's worth of input and one segment
 // sort before emitting — the child's prefix cost for N/D rows. Totals
 // compose exactly as the scalar model did.
-func (opt *Optimizer) enforce(plan *Plan, required sortord.Order, props logical.Props, canon func(sortord.Order) sortord.Order) *Plan {
+//
+// A positive bound (see boundedPlan) below the input's cardinality makes the
+// enforcer a bounded sort, annotated and priced by boundSort.
+func (opt *Optimizer) enforce(plan *Plan, required sortord.Order, props logical.Props, canon func(sortord.Order) sortord.Order, bound int64) *Plan {
 	if required.IsEmpty() {
 		return plan
 	}
@@ -399,11 +465,26 @@ func (opt *Optimizer) enforce(plan *Plan, required sortord.Order, props logical.
 			segments = 1
 		}
 	}
+	node := &Plan{
+		Kind:       OpSort,
+		Children:   []*Plan{plan},
+		SortTarget: required.Clone(),
+		SortGiven:  required[:prefix.Len()].Clone(),
+		Schema:     plan.Schema,
+		OutOrder:   required.Clone(),
+		Rows:       plan.Rows,
+		Blocks:     plan.Blocks,
+	}
+	if !prefix.IsEmpty() && segments > 1 {
+		node.SortSegments = segments
+	}
+	if bound > 0 && bound < plan.Rows {
+		opt.boundSort(node, segments, bound)
+		return node
+	}
 	sortCost := opt.opts.Model.PartialSort(plan.Rows, plan.Blocks, segments, required.Len()-prefix.Len())
-	given := required[:prefix.Len()].Clone()
 	var startup float64
-	var sortSegments int64
-	if !given.IsEmpty() && segments > 1 {
+	if node.SortSegments > 1 {
 		// Partial sort: pipelined. First row after one segment of input and
 		// one segment sort.
 		perSegRows := plan.Rows / segments
@@ -411,7 +492,6 @@ func (opt *Optimizer) enforce(plan *Plan, required sortord.Order, props logical.
 			perSegRows = 1
 		}
 		startup = plan.Cost.Prefix(perSegRows) + sortCost.Startup
-		sortSegments = segments
 	} else {
 		// Full sort (or a single-segment partial sort, which degenerates to
 		// one full sort of everything): the whole input is consumed before
@@ -419,22 +499,46 @@ func (opt *Optimizer) enforce(plan *Plan, required sortord.Order, props logical.
 		// external sort still streams its final merge read).
 		startup = plan.Cost.Total + opt.opts.Model.FullSort(plan.Rows, plan.Blocks).Startup
 	}
-	return &Plan{
-		Kind:         OpSort,
-		Children:     []*Plan{plan},
-		SortTarget:   required.Clone(),
-		SortGiven:    given,
-		SortSegments: sortSegments,
-		Schema:       plan.Schema,
-		OutOrder:     required.Clone(),
-		Rows:         plan.Rows,
-		Blocks:       plan.Blocks,
-		Cost: cost.Cost{
-			Startup: startup,
-			Total:   plan.Cost.Total + sortCost.Total,
-			Rows:    plan.Rows,
-		},
+	node.Cost = cost.Cost{
+		Startup: startup,
+		Total:   plan.Cost.Total + sortCost.Total,
+		Rows:    plan.Rows,
 	}
+	return node
+}
+
+// boundSort turns the enforcer node into the bounded sort a Limit reading at
+// most bound rows of it allows (bound < the input's rows), and prices it as
+// what the executor does with xsort.Config.Limit: the input prefix of the
+// s = ⌈bound·D/N⌉ covering segments, s−1 ordinary segment sorts, and a
+// bounded selection (cost.Model.BoundedSort) of the rows still owed in the
+// last covering segment — no spill term when those rows fit M. The node
+// emits bound rows, so its Total is already the cost of everything a
+// consumer can ask of it.
+func (opt *Optimizer) boundSort(node *Plan, segments, bound int64) {
+	m, plan := opt.opts.Model, node.Children[0]
+	segRows, segBlocks := plan.Rows, plan.Blocks
+	if segments > 1 {
+		segRows, segBlocks = max(plan.Rows/segments, 1), max(plan.Blocks/segments, 1)
+	}
+	covering := ordersel.SegmentBudget(bound, plan.Rows, segments)
+	inRows := min(covering*segRows, plan.Rows)
+	owed := bound - (covering-1)*segRows // of the last covering segment
+	owedBlocks := (owed*int64(plan.Schema.AvgMemWidth()) + int64(m.PageSize) - 1) / int64(m.PageSize)
+	full := m.FullSort(segRows, segBlocks)
+	last := m.BoundedSort(segRows, segBlocks, owed, owedBlocks)
+
+	total := plan.PrefixCost(inRows) + float64(covering-1)*full.Total + last.Total
+	// First row: one segment of input and that segment's sort — the bounded
+	// selection itself when a single segment covers the bound.
+	startup := plan.Cost.Prefix(segRows) + full.Total
+	if covering == 1 {
+		startup = plan.Cost.Prefix(inRows) + last.Startup
+	}
+	node.SortLimit = bound
+	node.Rows = bound
+	node.Blocks = opt.blocksFor(bound, plan.Schema.AvgTupleWidth())
+	node.Cost = cost.Cost{Startup: math.Min(startup, total), Total: total, Rows: bound}
 }
 
 func (opt *Optimizer) scanCandidates(s *logical.Scan) ([]*Plan, error) {
@@ -590,7 +694,7 @@ func (opt *Optimizer) deferredFetchCandidates(s *logical.Select, props logical.P
 	return plans
 }
 
-func (opt *Optimizer) projectCandidates(p *logical.Project, required sortord.Order, budget int64) ([]*Plan, error) {
+func (opt *Optimizer) projectCandidates(p *logical.Project, required sortord.Order, budget, bound int64) ([]*Plan, error) {
 	props := p.Props()
 	// Output name -> source child column for plain references.
 	toChild := make(map[string]string)
@@ -614,23 +718,26 @@ func (opt *Optimizer) projectCandidates(p *logical.Project, required sortord.Ord
 			}
 			out = append(out, name)
 		}
+		// A bounded sort below emits fewer rows than the logical estimate.
+		rows := min(props.Rows, child.Rows)
 		return &Plan{
 			Kind:     OpProject,
 			Children: []*Plan{child},
 			Cols:     p.Cols,
 			Schema:   p.Schema(),
 			OutOrder: out,
-			Rows:     props.Rows,
-			Blocks:   opt.blocksFor(props.Rows, p.Schema().AvgTupleWidth()),
+			Rows:     rows,
+			Blocks:   opt.blocksFor(rows, p.Schema().AvgTupleWidth()),
 			Cost: cost.Cost{
 				Startup: child.Cost.Startup,
 				Total:   child.Cost.Total + opt.opts.Model.ProjectCPU(child.Rows),
-				Rows:    props.Rows,
+				Rows:    rows,
 			},
 			Logical: p,
 		}
 	}
-	// Projection preserves cardinality: the budget passes through intact.
+	// Projection preserves cardinality and order: the budget, and a Limit's
+	// bound with it, pass through intact.
 	var plans []*Plan
 	if !required.IsEmpty() {
 		// Translate the requirement through the projection if possible.
@@ -645,14 +752,20 @@ func (opt *Optimizer) projectCandidates(p *logical.Project, required sortord.Ord
 			translated = append(translated, src)
 		}
 		if ok && p.Child.Schema().HasAll(translated.Attrs()) {
-			child, err := opt.bestPlan(p.Child, translated, budget)
+			child, err := opt.boundedPlan(p.Child, translated, budget, bound)
 			if err != nil {
 				return nil, err
 			}
 			plans = append(plans, mk(child))
 		}
 	}
-	child, err := opt.bestPlan(p.Child, sortord.Empty, budget)
+	// Planned for no order, the child keeps the bound only if no sort is to
+	// come above the projection either.
+	childBound := bound
+	if !required.IsEmpty() {
+		childBound = 0
+	}
+	child, err := opt.boundedPlan(p.Child, sortord.Empty, budget, childBound)
 	if err != nil {
 		return nil, err
 	}

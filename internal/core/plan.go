@@ -114,6 +114,13 @@ type Plan struct {
 	// prefix exactly ⌈k·D/N⌉ segment sorts instead of the generic linear
 	// interpolation.
 	SortSegments int64
+	// SortLimit is the row bound of an OpSort that a Limit reads directly or
+	// through order- and cardinality-preserving nodes only (Project): nobody
+	// will ever read past the sort's first SortLimit rows, so Build hands it
+	// to the enforcer as xsort.Config.Limit and the node is priced, and
+	// counted in Rows, as the bounded sort it runs as. A row-target hint
+	// never sets it — that consumer may read on. 0 means unbounded.
+	SortLimit int64
 
 	// Derived annotations.
 	Schema   *types.Schema
@@ -150,7 +157,9 @@ func (p *Plan) PrefixCost(k int64) float64 {
 	if p.Rows > 0 && k >= p.Rows {
 		return p.Cost.Total
 	}
-	if p.IsPartialSort() && p.SortSegments > 1 && len(p.Children) == 1 {
+	// A bounded sort is priced for the Rows = SortLimit rows it emits, which
+	// the k ≥ Rows case above returned; a smaller k interpolates that.
+	if p.IsPartialSort() && p.SortLimit == 0 && p.SortSegments > 1 && len(p.Children) == 1 {
 		child := p.Children[0]
 		segs := ordersel.SegmentBudget(k, p.Rows, p.SortSegments)
 		perSegRows := p.Rows / p.SortSegments
@@ -213,6 +222,9 @@ func (p *Plan) describe() string {
 			fmt.Fprintf(&b, "(partial) %v -> %v", p.SortGiven, p.SortTarget)
 		} else {
 			fmt.Fprintf(&b, " %v", p.SortTarget)
+		}
+		if p.SortLimit > 0 {
+			fmt.Fprintf(&b, " limit=%d", p.SortLimit)
 		}
 	case OpMergeJoin:
 		fmt.Fprintf(&b, "[%s] %v = %v", p.JoinType, p.LeftKey, p.RightKey)

@@ -1,8 +1,12 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
+	"pyro/internal/exec"
+	"pyro/internal/expr"
+	"pyro/internal/iter"
 	"pyro/internal/logical"
 	"pyro/internal/sortord"
 )
@@ -122,9 +126,15 @@ func TestLimitPlansUnderRowBudget(t *testing.T) {
 		t.Fatalf("Limit total %f != child PrefixCost(5) %f",
 			limited.Plan.Cost.Total, child.PrefixCost(5))
 	}
-	if limited.Plan.Cost.Total >= child.Cost.Total {
-		t.Fatalf("Limit 5 must cost less than draining the child: %f vs %f",
-			limited.Plan.Cost.Total, child.Cost.Total)
+	// The sort under the Limit is bounded by it: it emits 5 rows and its
+	// total is already the 5-row cost, far below the unlimited query's.
+	if child.Kind != OpSort || child.SortLimit != 5 || child.Rows != 5 {
+		t.Fatalf("expected a sort bounded at 5 rows under the Limit:\n%s", limited.Plan.Format())
+	}
+	unlimited := mustOptimize(t, ordered, DefaultOptions(HeuristicFavorable))
+	if limited.Plan.Cost.Total >= unlimited.Plan.Cost.Total {
+		t.Fatalf("Limit 5 must cost less than the unlimited query: %f vs %f",
+			limited.Plan.Cost.Total, unlimited.Plan.Cost.Total)
 	}
 	// The stepped prefix total can undercut the child's interpolated
 	// startup at tiny K; the Limit node must clamp to keep the invariant.
@@ -189,5 +199,118 @@ func TestMergeSideBudget(t *testing.T) {
 	// assumption, which reproduces the row-ratio value here.
 	if got := mergeSideBudget(100, logical.Props{Rows: 10_000}, key, wide, key); got != 500 {
 		t.Fatalf("stat-less output budget = %d, want row-ratio 500", got)
+	}
+}
+
+// TestLimitBoundReachesOnlyTheSortItSitsOn pins which sorts a Limit bounds
+// (Plan.SortLimit): the enforcer directly below it or below projections,
+// tightened by an enclosing Limit — never a sort under a filter or an
+// aggregate, whose cardinality the bound says nothing about, never a sort
+// under another sort, which needs every row, and never on the strength of a
+// row-target hint. It also pins the execution side: the
+// bounded sort emits no more than its bound, and a bounded full sort is
+// built as the (empty-prefix) bounded collector.
+func TestLimitBoundReachesOnlyTheSortItSitsOn(t *testing.T) {
+	f := newFixture(t)
+	f.buildQ3World(t, 40, 8)
+	scan := logical.NewScan(mustTable(f.cat, "partsupp"))
+	order := sortord.New("ps_partkey", "ps_availqty")
+	opts := DefaultOptions(HeuristicFavorable)
+
+	// allSortLimits lists the SortLimit of every sort, outermost first.
+	allSortLimits := func(root logical.Node, opts Options) (*Plan, []int64) {
+		t.Helper()
+		plan := mustOptimize(t, root, opts).Plan
+		var limits []int64
+		plan.Walk(func(p *Plan) {
+			if p.Kind == OpSort {
+				limits = append(limits, p.SortLimit)
+			}
+		})
+		return plan, limits
+	}
+	sortLimits := func(root logical.Node, opts Options) (*Plan, []int64) {
+		t.Helper()
+		plan, limits := allSortLimits(root, opts)
+		if len(limits) != 1 {
+			t.Fatalf("expected exactly one sort:\n%s", plan.Format())
+		}
+		return plan, limits
+	}
+
+	cases := []struct {
+		name string
+		root logical.Node
+		want int64
+	}{
+		{"direct", logical.NewLimit(logical.NewOrderBy(scan, order), 5), 5},
+		{"through a projection", logical.NewLimit(logical.NewOrderBy(
+			logical.NewProjectNames(scan, []string{"ps_partkey", "ps_availqty"}), order), 5), 5},
+		{"through a projection above the order-by", logical.NewLimit(logical.NewProjectNames(
+			logical.NewOrderBy(scan, order), []string{"ps_partkey", "ps_availqty"}), 5), 5},
+		{"nested limits take the tighter", logical.NewLimit(logical.NewLimit(logical.NewOrderBy(scan, order), 50), 5), 5},
+		{"bound at the input's rows is no bound", logical.NewLimit(logical.NewOrderBy(scan, order), 320), 0},
+		{"not through a filter", logical.NewLimit(logical.NewSelect(logical.NewOrderBy(scan, order),
+			expr.Compare(expr.GT, expr.Col("ps_availqty"), expr.IntLit(20))), 5), 0},
+	}
+	for _, tc := range cases {
+		plan, limits := sortLimits(tc.root, opts)
+		if limits[0] != tc.want {
+			t.Fatalf("%s: SortLimit = %d, want %d\n%s", tc.name, limits[0], tc.want, plan.Format())
+		}
+		rows := execPlan(t, f, plan)
+		if want := int(plan.Rows); len(rows) != want {
+			t.Fatalf("%s: executed %d rows, plan says %d", tc.name, len(rows), want)
+		}
+	}
+
+	// Stacked order-bys: only the outer sort may stop at the bound — the
+	// first 5 rows by availqty can be anywhere in the inner sort's output.
+	byQty := sortord.New("ps_availqty")
+	stacked := []struct {
+		name string
+		root logical.Node
+		want []int64 // outermost sort first
+	}{
+		{"order-by over order-by", logical.NewLimit(logical.NewOrderBy(logical.NewOrderBy(scan, order), byQty), 5),
+			[]int64{5, 0}},
+		{"each limit bounds its own order-by", logical.NewLimit(logical.NewOrderBy(
+			logical.NewLimit(logical.NewOrderBy(scan, order), 50), byQty), 5), []int64{5, 50}},
+		{"an outer limit does not tighten a sort below a re-sort", logical.NewLimit(logical.NewOrderBy(
+			logical.NewLimit(logical.NewOrderBy(scan, order), 5), byQty), 50), []int64{0, 5}},
+	}
+	for _, tc := range stacked {
+		plan, limits := allSortLimits(tc.root, opts)
+		if !slices.Equal(limits, tc.want) {
+			t.Fatalf("%s: SortLimits = %v, want %v\n%s", tc.name, limits, tc.want, plan.Format())
+		}
+		if rows := execPlan(t, f, plan); len(rows) != int(plan.Rows) {
+			t.Fatalf("%s: executed %d rows, plan says %d", tc.name, len(rows), plan.Rows)
+		}
+	}
+
+	// A row target steers plan choice but promises nothing.
+	hinted := opts
+	hinted.RowTarget = 5
+	if plan, limits := sortLimits(logical.NewOrderBy(scan, order), hinted); limits[0] != 0 {
+		t.Fatalf("a row-target hint bounded the sort:\n%s", plan.Format())
+	}
+
+	// A bounded full sort (no usable prefix) runs as one bounded segment.
+	full, limits := sortLimits(logical.NewLimit(logical.NewOrderBy(scan, sortord.New("ps_availqty")), 5), opts)
+	if limits[0] != 5 {
+		t.Fatalf("full sort under a Limit is not bounded:\n%s", full.Format())
+	}
+	op, err := Build(full, BuildConfig{Disk: f.disk, SortMemoryBlocks: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := iter.Drain(op)
+	if err != nil || len(rows) != 5 {
+		t.Fatalf("bounded full sort: %d rows, err %v", len(rows), err)
+	}
+	st := exec.CollectSorts(op)[0].SortStats()
+	if st.Segments != 1 || st.TuplesOut != 5 || st.RunsGenerated != 0 {
+		t.Fatalf("bounded full sort should be one in-memory bounded segment: %+v", st)
 	}
 }

@@ -176,22 +176,75 @@ func (m Model) FullSort(rows, blocks int64) Cost {
 	if passes < 1 {
 		passes = 1
 	}
-	spill := float64(m.SpillParallelism)
-	if spill < 1 {
-		spill = 1
-	}
-	spillBlocks := float64(blocks)
-	var passCPU float64 // per-pass key work riding on the merge reads
-	if m.TupleSpillLayout {
-		passCPU = float64(rows) * m.KeyEncodeWeight
-	} else {
-		spillBlocks *= 1 + m.SpillEntryFrac
-	}
-	startup := passes * (spillBlocks*2/spill + passCPU)
+	spillBlocks, passCPU := m.spillShape(rows, blocks)
+	startup := passes * (spillBlocks*2/m.spillOverlap() + passCPU)
 	return Cost{
 		Startup: startup,
 		Total:   startup + spillBlocks + passCPU, // final merge read
 		Rows:    rows,
+	}
+}
+
+// spillShape is what one full transfer of a sort's rows to or from its run
+// files costs under the configured layout: the blocks moved (the flat
+// layouts' entry file rides on the payload) and the per-read key work (the
+// tuple layout re-normalizes every key it reads back).
+func (m Model) spillShape(rows, blocks int64) (spillBlocks, passCPU float64) {
+	if m.TupleSpillLayout {
+		return float64(blocks), float64(rows) * m.KeyEncodeWeight
+	}
+	return float64(blocks) * (1 + m.SpillEntryFrac), 0
+}
+
+// spillOverlap is the factor concurrent spill jobs divide intermediate pass
+// costs by (never below the serial 1).
+func (m Model) spillOverlap() float64 {
+	if m.SpillParallelism > 1 {
+		return float64(m.SpillParallelism)
+	}
+	return 1
+}
+
+// BoundedSort is the cost of a sort whose consumer reads only the first keep
+// of its output rows — a LIMIT sitting on the sort (xsort.Config.Limit, §7
+// Top-K). The sort becomes a bounded selection: every input row costs
+// log₂ keep comparisons instead of log₂ rows and, the point, there is no
+// spill term when the kept rows fit in memory, however large the input —
+// rows past the cut-off are dropped, never buffered. keepBlocks is the
+// in-memory footprint of the kept rows in blocks (the sorter budgets tuples
+// at their in-memory size, several times their page encoding for narrow
+// rows), which is what decides "fit".
+//
+// Only when the kept rows themselves exceed M does the sort go external, and
+// then it moves less than a full sort does: the input is written once as
+// formation runs (one per M of in-memory input, each shorter than keep
+// rows), every reduction merge rewrites at most keep rows, and the final
+// merge reads keep rows' worth plus the first page of every run.
+// keep ≥ rows is a plain FullSort. The result's Rows is keep: the bounded
+// sort emits no more.
+func (m Model) BoundedSort(rows, blocks, keep, keepBlocks int64) Cost {
+	if keep <= 0 || keep >= rows {
+		return m.FullSort(rows, blocks)
+	}
+	cpu := float64(rows) * math.Log2(math.Max(float64(keep), 2)) * m.CmpWeight
+	if keepBlocks <= m.MemoryBlocks {
+		return Cost{Startup: cpu, Total: cpu, Rows: keep}
+	}
+	spillBlocks, passCPU := m.spillShape(rows, blocks)
+	frac := float64(keep) / float64(rows)
+	keepSpill, keepCPU := spillBlocks*frac, passCPU*frac
+	runs := math.Ceil(float64(keepBlocks) / frac / float64(m.MemoryBlocks))
+	startup := cpu + spillBlocks // run formation writes everything once
+	for fanIn := float64(xsort.MergeFanIn(int(m.MemoryBlocks))); runs > fanIn; {
+		groups := math.Ceil(runs / fanIn)
+		pass := math.Min(spillBlocks, groups*keepSpill)
+		startup += 2*pass/m.spillOverlap() + math.Min(passCPU, groups*keepCPU)
+		runs = groups
+	}
+	return Cost{
+		Startup: startup,
+		Total:   startup + math.Min(spillBlocks, keepSpill+runs) + keepCPU,
+		Rows:    keep,
 	}
 }
 

@@ -393,3 +393,55 @@ func TestSpillLayoutPricing(t *testing.T) {
 		t.Fatal("zeroed knobs must recover B·(2p+1)")
 	}
 }
+
+// TestBoundedSort pins the Top-K pricing: no spill term when the kept rows
+// fit M, however large the input; a truncated spill, cheaper than the full
+// sort's, when they do not; and exactly FullSort when the bound is no bound.
+func TestBoundedSort(t *testing.T) {
+	m := DefaultModel()
+	m.MemoryBlocks = 16
+	const rows, blocks = 200_000, 1500 // ≈ 94 × M: FullSort is deep external
+
+	full := m.FullSort(rows, blocks)
+	fits := m.BoundedSort(rows, blocks, 100, 6)
+	if fits.Rows != 100 {
+		t.Fatalf("a bounded sort emits keep rows, got %d", fits.Rows)
+	}
+	if want := float64(rows) * math.Log2(100) * m.CmpWeight; fits.Total != want || fits.Startup != want {
+		t.Fatalf("k rows fit M: cost = %+v, want pure n·log₂k CPU %f", fits, want)
+	}
+	if fits.Total >= m.SortCPU(rows) {
+		t.Fatalf("selecting 100 of %d rows must undercut sorting them: %f vs %f", rows, fits.Total, m.SortCPU(rows))
+	}
+
+	// 20 000 kept rows, 600 blocks in memory: they do not fit 16 blocks.
+	spills := m.BoundedSort(rows, blocks, 20_000, 600)
+	written := float64(blocks) * (1 + m.SpillEntryFrac)
+	if spills.Startup < written {
+		t.Fatalf("a spilling bounded sort still writes its input once: startup %f < %f", spills.Startup, written)
+	}
+	if spills.Total >= full.Total {
+		t.Fatalf("truncated runs must cost less than the full external sort: %f vs %f", spills.Total, full.Total)
+	}
+	if spills.Startup > spills.Total {
+		t.Fatalf("Startup %f exceeds Total %f", spills.Startup, spills.Total)
+	}
+	// More kept rows never cost less.
+	if more := m.BoundedSort(rows, blocks, 40_000, 1200); more.Total < spills.Total {
+		t.Fatalf("keeping more rows got cheaper: %f < %f", more.Total, spills.Total)
+	}
+
+	for _, keep := range []int64{0, rows, rows + 1} {
+		if got := m.BoundedSort(rows, blocks, keep, 1); got != full {
+			t.Fatalf("keep=%d is no bound: %+v, want FullSort %+v", keep, got, full)
+		}
+	}
+
+	// The governor can hand out a 1- or 2-block grant; the price stays finite.
+	for _, mem := range []int64{1, 2, 3} {
+		m.MemoryBlocks = mem
+		if c := m.BoundedSort(rows, blocks, 20_000, 600); math.IsInf(c.Total, 0) || math.IsNaN(c.Total) || c.Total <= 0 {
+			t.Fatalf("M=%d: bounded sort priced at %f", mem, c.Total)
+		}
+	}
+}

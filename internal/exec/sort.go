@@ -48,7 +48,8 @@ func NewSortSRS(child Operator, target sortord.Order, cfg xsort.Config) (*Sort, 
 }
 
 // NewSortMRS builds a partial sort: given is the order known to hold on the
-// input (must be a prefix of target).
+// input (must be a prefix of target). An empty given with cfg.Limit set is
+// the bounded full sort: one segment, kept down to the Limit's rows.
 func NewSortMRS(child Operator, target, given sortord.Order, cfg xsort.Config) (*Sort, error) {
 	m, err := xsort.NewMRS(child, child.Schema(), target, given, cfg)
 	if err != nil {

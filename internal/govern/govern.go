@@ -119,6 +119,10 @@ func New(cfg Config) (*Governor, error) {
 // Total returns the pool size in blocks.
 func (g *Governor) Total() int { return g.cfg.TotalBlocks }
 
+// MinGrant returns the smallest grant the governor issues or shrinks to;
+// callers sizing a small ask floor it here.
+func (g *Governor) MinGrant() int { return g.cfg.minGrant() }
+
 // Stats returns a snapshot of the governor's counters.
 func (g *Governor) Stats() Stats {
 	g.mu.Lock()

@@ -6,12 +6,13 @@ import "testing"
 // includes a reconstruction of the PR 8 MRS adopt leak (inline-only
 // Release with a fallible call in between) and the flat-run writer shape
 // (one arena backing a payload file and an entry file, with a fallible
-// entry-writer Close between creation and Release) alongside the accepted
-// shapes: plain defer, defer guarded by an ownership flag, and every form
-// of ownership transfer.
+// entry-writer Close between creation and Release) and the limit-bounded
+// writer (a run cut at k rows: a write loop with a non-error early exit)
+// alongside the accepted shapes: plain defer, defer guarded by an ownership
+// flag, and every form of ownership transfer.
 func TestArenaRelease(t *testing.T) {
 	res := runFixture(t, []*Analyzer{ArenaRelease}, "./arena")
-	if want := 6; len(res.Diagnostics) != want {
+	if want := 7; len(res.Diagnostics) != want {
 		t.Errorf("got %d diagnostics, want %d", len(res.Diagnostics), want)
 	}
 }

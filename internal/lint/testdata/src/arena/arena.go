@@ -126,3 +126,49 @@ func flatRunFixed(d *storage.Disk, closePayload, closeEntries func() error, adop
 	adopt(a)
 	return nil
 }
+
+// truncatedRunLeak mirrors a limit-bounded spill writer: a run is cut at
+// keep rows, so the write loop has an early exit that is not an error. With
+// the only Release after the loop, the failure inside it — the run's
+// remaining input is simply abandoned — leaves the arena and its part-written
+// run behind.
+func truncatedRunLeak(d *storage.Disk, keep int, next func() (bool, error)) error {
+	a := d.NewArenaTapped("cut-run", nil) // want `arena Release is not deferred`
+	for n := 0; n < keep; n++ {
+		more, err := next()
+		if err != nil {
+			return err // the cut run and its arena are still live here
+		}
+		if !more {
+			break
+		}
+	}
+	a.Release()
+	return nil
+}
+
+// truncatedRunFixed is the accepted shape: the deferred, flag-guarded
+// Release covers the failure as well as both ways out of the loop — input
+// exhausted, or keep rows written — and the cut run changes hands only once
+// it is complete.
+func truncatedRunFixed(d *storage.Disk, keep int, next func() (bool, error), adopt func(*storage.SpillArena)) error {
+	a := d.NewArenaTapped("cut-run", nil)
+	owned := true
+	defer func() {
+		if owned {
+			a.Release()
+		}
+	}()
+	for n := 0; n < keep; n++ {
+		more, err := next()
+		if err != nil {
+			return err
+		}
+		if !more {
+			break
+		}
+	}
+	owned = false
+	adopt(a)
+	return nil
+}

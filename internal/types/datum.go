@@ -204,6 +204,9 @@ func (d Datum) EncodedSize() int {
 // MemSize returns an approximate in-memory footprint in bytes, used by the
 // sort operators to account for their memory budget.
 func (d Datum) MemSize() int {
-	// struct overhead approximated at 32 bytes (kind+pad, i, f, string header).
-	return 32 + len(d.s)
+	return datumMemOverhead + len(d.s)
 }
+
+// datumMemOverhead approximates the Datum struct itself (kind+pad, i, f,
+// string header).
+const datumMemOverhead = 32

@@ -138,6 +138,21 @@ func (s *Schema) AvgTupleWidth() int {
 	return w
 }
 
+// AvgMemWidth estimates Tuple.MemSize for one tuple of this schema — the
+// footprint the sort enforcers budget buffered tuples at, several times
+// AvgTupleWidth for narrow rows. The optimizer uses it to decide whether a
+// number of rows fits a sort-memory grant.
+func (s *Schema) AvgMemWidth() int {
+	w := tupleMemOverhead
+	for _, c := range s.cols {
+		w += datumMemOverhead
+		if c.Kind == KindString {
+			w += c.DefaultWidth()
+		}
+	}
+	return w
+}
+
 // String renders the schema for debug output.
 func (s *Schema) String() string {
 	parts := make([]string, len(s.cols))

@@ -29,9 +29,12 @@ func (t Tuple) Concat(u Tuple) Tuple {
 	return out
 }
 
+// tupleMemOverhead is the slice header every tuple carries in memory.
+const tupleMemOverhead = 24
+
 // MemSize approximates the in-memory footprint in bytes.
 func (t Tuple) MemSize() int {
-	n := 24 // slice header
+	n := tupleMemOverhead
 	for _, d := range t {
 		n += d.MemSize()
 	}

@@ -126,6 +126,46 @@ func TestMRSAbortWithParallelSpill(t *testing.T) {
 	}
 }
 
+// TestMRSLimitAbortReleasesEverything: the bounded sort's own exits — the
+// in-memory selection (k fits) and the truncated-run spill with its cut
+// reduction merges (k does not fit) — are reached by the abort like any other
+// loop, at every poll position, and leave no file or arena behind.
+func TestMRSLimitAbortReleasesEverything(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	rows := genRows(6000, 2, rng)
+	for _, tc := range []struct {
+		name  string
+		limit int64
+	}{{"fits", 10}, {"spills", 400}} {
+		for _, par := range []int{1, 2} {
+			aborted := 0
+			for polls := 1; polls <= 40; polls += 3 {
+				cfg, d := smallCfg(t, 4)
+				cfg.Parallelism, cfg.SpillParallelism = par, par
+				cfg.Limit = tc.limit
+				cfg.Abort = abortAfter(polls)
+				m, err := NewMRS(iter.FromSlice(rows), sortSchema, sortord.New("c1", "c2"), sortord.New("c1"), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// A late enough abort never fires: the bounded sort is done first.
+				if _, err = iter.Drain(m); err != nil {
+					if !errors.Is(err, errCanceled) {
+						t.Fatalf("%s par=%d polls=%d: drain returned %v, want the abort error", tc.name, par, polls, err)
+					}
+					aborted++
+				}
+				if names := d.FileNames(); len(names) != 0 {
+					t.Fatalf("%s par=%d polls=%d: aborted bounded MRS leaked files: %v", tc.name, par, polls, names)
+				}
+			}
+			if aborted == 0 {
+				t.Fatalf("%s par=%d: no abort position was reached", tc.name, par)
+			}
+		}
+	}
+}
+
 // TestNilAbortSortsNormally pins that the zero-value Abort changes nothing.
 func TestNilAbortSortsNormally(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))

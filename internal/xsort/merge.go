@@ -124,12 +124,17 @@ func (t mergeTally) addTo(st *SortStats) {
 // is polled per merged tuple at the guard stride; it may be shared with
 // other concurrent merges, so each call takes its own Guard.
 //
+// keep bounds the output: a limit-bounded sort (Config.Limit) will never
+// read past the first keep rows of the merged order, so the merge stops
+// there — the rest of its inputs is neither read nor rewritten — and the
+// inputs are removed all the same. noLimit merges everything.
+//
 // In the flat layouts the merge moves records, not tuples: the output run's
 // entries are the winning input entries (prefix and tie flag verbatim, fresh
 // row ordinals) and its payload is the winning tuple's encoded bytes, copied
 // page to page undecoded. A key is encoded once per sort and a tuple decoded
 // once — by the final merge — no matter how many passes rewrite its run.
-func mergeGroup(ns storage.TempSpace, prefix string, group []spillRun, ky *keyer, lay entryLayout, abort func() error) (spillRun, mergeTally, error) {
+func mergeGroup(ns storage.TempSpace, prefix string, group []spillRun, ky *keyer, lay entryLayout, keep int64, abort func() error) (spillRun, mergeTally, error) {
 	ky = ky.clone()
 	guard := iter.NewGuard(abort)
 	tally := mergeTally{runs: len(group)}
@@ -143,7 +148,7 @@ func mergeGroup(ns storage.TempSpace, prefix string, group []spillRun, ky *keyer
 		if err != nil {
 			return fail(err)
 		}
-		for {
+		for n := int64(0); n < keep; n++ {
 			if err := guard.Check(); err != nil {
 				return fail(err)
 			}
@@ -163,7 +168,7 @@ func mergeGroup(ns storage.TempSpace, prefix string, group []spillRun, ky *keyer
 		if err != nil {
 			return fail(err)
 		}
-		for {
+		for n := int64(0); n < keep; n++ {
 			if err := guard.Check(); err != nil {
 				return fail(err)
 			}
@@ -196,12 +201,13 @@ func mergeGroup(ns storage.TempSpace, prefix string, group []spillRun, ky *keyer
 // by reductionPass — it rewrites only the runs the final merge cannot take
 // as they are — and increments stats.MergePasses; consumed run files are
 // removed from ns, untouched runs keep their place behind the merged ones.
+// Every merged output is cut at keep rows (see mergeGroup).
 //
 // With SpillParallelism > 1 the groups of one pass — mutually independent
 // by construction — merge concurrently on worker goroutines. The plan is the
 // serial pass's and each group's tally folds into stats in group order, so
 // comparison and I/O totals match the serial path exactly.
-func reduceRuns(cfg Config, ns storage.TempSpace, runs []spillRun, ky *keyer, lay entryLayout, stats *SortStats) ([]spillRun, error) {
+func reduceRuns(cfg Config, ns storage.TempSpace, runs []spillRun, ky *keyer, lay entryLayout, keep int64, stats *SortStats) ([]spillRun, error) {
 	fanIn := cfg.fanIn()
 	par := cfg.spillParallelism()
 	for len(runs) > fanIn {
@@ -212,7 +218,7 @@ func reduceRuns(cfg Config, ns storage.TempSpace, runs []spillRun, ky *keyer, la
 		errs := make([]error, len(groups))
 		merge := func(g int) {
 			in := runs[groups[g].lo:groups[g].hi]
-			outs[g], tallies[g], errs[g] = mergeGroup(ns, cfg.TempPrefix, in, ky, lay, cfg.Abort)
+			outs[g], tallies[g], errs[g] = mergeGroup(ns, cfg.TempPrefix, in, ky, lay, keep, cfg.Abort)
 		}
 		if par <= 1 {
 			for g := range groups {

@@ -54,6 +54,22 @@ import (
 // groups on the earliest runs) as soon as its member runs land. With S = 1
 // spilled segments sort, spill and merge inline on the consumer goroutine —
 // the paper's serial algorithm, unchanged.
+//
+// Config.Limit bounds all of it by the rows a LIMIT on the sort will read
+// (§7 Top-K). owed is the bound minus the rows of the segments already
+// collected, and each segment is collected against the owed rows it can
+// still contribute (its keep): the collector buffers until the memory
+// budget or 2·keep rows, whichever comes first, then sorts the buffer, keeps
+// the first keep rows and remembers the last one's key as the segment's
+// cut-off — any later tuple that does not sort before it cannot be among the
+// first keep rows and is dropped with one comparison, never buffered, never
+// spilled. A segment spills only if keep rows themselves exceed the budget,
+// and then every formation run and every reduction merge's output is cut at
+// keep rows. When a finished segment brings owed to zero the sort treats its
+// input as exhausted: nothing past the covering segments is read (beyond the
+// one lookahead tuple that found the boundary), collected or read ahead.
+// An unbounded sort runs the same code with owed = noLimit, a bound no
+// segment reaches, so it never selects, drops or stops early.
 type MRS struct {
 	input  iter.Iterator
 	schema *types.Schema
@@ -74,7 +90,8 @@ type MRS struct {
 	pendingKT   keyed       // pending with its sort key (wrapped by src)
 	src         *tupleSource
 	inputDone   bool
-	passthrough bool // given == target: nothing to do
+	passthrough bool  // given == target: nothing to do
+	owed        int64 // Config.Limit minus the rows of collected segments
 
 	// Segment pipeline: col accumulates the segment currently being read;
 	// segq holds collected segments in input order (sorting or sorted);
@@ -103,6 +120,15 @@ type segCollector struct {
 	memBytes int64
 	spilled  bool
 	sp       *spillState // non-nil once the segment has spilled
+
+	// Bounded selection (see MRS): keep is the owed rows this segment can
+	// contribute, rows the tuples seen so far, cut the key of the keep-th
+	// smallest of them once a selection has established it (cut.t nil
+	// before), spare the buffer selectTop compacts into.
+	keep  int64
+	rows  int64
+	cut   keyed
+	spare []keyed
 }
 
 // spillState is the spill side of one oversized segment: its private arena
@@ -114,6 +140,7 @@ type segCollector struct {
 type spillState struct {
 	arena  *storage.SpillArena
 	ky     *keyer
+	keep   int64       // the segment's row bound: runs and merges are cut there
 	runs   []spillRun  // serial-mode formation runs
 	jobs   []*flushJob // parallel-mode formation jobs, dispatch order
 	reaped int         // jobs whose buffers the consumer has returned to the budget
@@ -144,7 +171,8 @@ func (sp *spillState) inflight() int { return len(sp.jobs) - sp.reaped }
 type segment struct {
 	ky       *keyer // segment's skip-bound keyer (compare/merge/radix seed)
 	buf      []keyed
-	order    []int32 // emission permutation over buf (in-memory segments)
+	order    []int32 // emission permutation over buf, cut at keep (in-memory segments)
+	keep     int64   // rows this segment emits at most
 	memBytes int64
 	tally    sortTally
 	done     chan struct{} // non-nil iff sorted asynchronously
@@ -152,7 +180,7 @@ type segment struct {
 	spilled  bool
 	sp       *spillState
 
-	pos     int
+	pos     int64
 	merging merger
 }
 
@@ -211,6 +239,7 @@ func NewMRS(input iter.Iterator, schema *types.Schema, target, given sortord.Ord
 		lay:         resolveLayout(cfg, ky, prefix),
 		guard:       iter.NewGuard(cfg.Abort),
 		passthrough: prefix == target.Len(),
+		owed:        cfg.limit(),
 	}, nil
 }
 
@@ -307,7 +336,9 @@ func (m *MRS) Next() (types.Tuple, bool, error) {
 		}
 		if m.passthrough {
 			t := m.pending
-			if err := m.advance(); err != nil {
+			if m.owed--; m.owed == 0 {
+				m.stopInput()
+			} else if err := m.advance(); err != nil {
 				return nil, false, err
 			}
 			m.stats.TuplesOut++
@@ -329,9 +360,16 @@ func (m *MRS) Next() (types.Tuple, bool, error) {
 func (m *MRS) emit() (types.Tuple, bool, error) {
 	s := m.cur
 	if s.merging != nil {
-		return s.merging.next()
+		if s.pos >= s.keep {
+			return nil, false, nil
+		}
+		t, ok, err := s.merging.next()
+		if ok {
+			s.pos++
+		}
+		return t, ok, err
 	}
-	if s.pos >= len(s.order) {
+	if s.pos >= int64(len(s.order)) {
 		return nil, false, nil
 	}
 	t := s.buf[s.order[s.pos]].t
@@ -363,7 +401,7 @@ func (m *MRS) adopt(seg *segment) error {
 		}()
 		runs, err := m.segmentRuns(seg.sp)
 		if err == nil {
-			runs, err = reduceRuns(m.cfg, seg.sp.arena, runs, seg.ky, m.lay, &m.stats)
+			runs, err = reduceRuns(m.cfg, seg.sp.arena, runs, seg.ky, m.lay, seg.keep, &m.stats)
 		}
 		if err == nil {
 			seg.sp.runs = runs
@@ -425,7 +463,7 @@ func (m *MRS) segmentRuns(sp *spillState) ([]spillRun, error) {
 			}
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			res.out, res.tally, res.err = mergeGroup(sp.arena, m.cfg.TempPrefix, runs, sp.ky, m.lay, m.cfg.Abort)
+			res.out, res.tally, res.err = mergeGroup(sp.arena, m.cfg.TempPrefix, runs, sp.ky, m.lay, sp.keep, m.cfg.Abort)
 		}(sp.jobs[grp.lo:grp.hi], res)
 	}
 
@@ -578,7 +616,7 @@ func (m *MRS) collect(limit int) (*segment, error) {
 	}
 	if m.col == nil {
 		m.stats.Segments++
-		m.col = &segCollector{first: m.pending, ky: m.segmentKeyer(m.pending)}
+		m.col = &segCollector{first: m.pending, ky: m.segmentKeyer(m.pending), keep: m.owed}
 	}
 	c := m.col
 	read := 0
@@ -588,21 +626,29 @@ func (m *MRS) collect(limit int) (*segment, error) {
 		if err := m.guard.Check(); err != nil {
 			return nil, err
 		}
-		t := m.pending
-		c.buf = append(c.buf, m.pendingKT)
-		c.memBytes += int64(t.MemSize())
-		m.liveBytes += int64(t.MemSize())
-		if m.liveBytes > m.stats.PeakMemBytes {
-			m.stats.PeakMemBytes = m.liveBytes
-		}
-		// The budget is re-read per tuple, not cached across the loop: a
-		// governed query's live allowance (xsort.Budget) can shrink
-		// mid-segment under spill pressure, and the next buffering decision
-		// must see it.
-		if c.memBytes >= m.cfg.memoryBytes() {
-			c.spilled = true
-			if err := m.flush(c); err != nil {
-				return nil, err
+		c.rows++
+		if !m.pastCut(c, m.pendingKT) {
+			t := m.pending
+			c.buf = append(c.buf, m.pendingKT)
+			c.memBytes += int64(t.MemSize())
+			m.liveBytes += int64(t.MemSize())
+			if m.liveBytes > m.stats.PeakMemBytes {
+				m.stats.PeakMemBytes = m.liveBytes
+			}
+			// The budget is re-read per tuple, not cached across the loop: a
+			// governed query's live allowance (xsort.Budget) can shrink
+			// mid-segment under spill pressure, and the next buffering
+			// decision must see it. Over budget, a bounded segment first sheds
+			// the rows nobody will read and spills only what is still too big.
+			if c.memBytes >= m.cfg.memoryBytes() {
+				if !m.shed(c) {
+					c.spilled = true
+					if err := m.flush(c); err != nil {
+						return nil, err
+					}
+				}
+			} else if int64(len(c.buf))/2 >= c.keep {
+				m.selectTop(c)
 			}
 		}
 		if err := m.advance(); err != nil {
@@ -627,12 +673,11 @@ func (m *MRS) collect(limit int) (*segment, error) {
 // most SpillParallelism jobs in flight.
 func (m *MRS) flush(c *segCollector) error {
 	if c.sp == nil {
-		c.sp = &spillState{arena: m.cfg.Disk.NewArenaTapped(m.cfg.Tap), ky: c.ky}
+		c.sp = &spillState{arena: m.cfg.Disk.NewArenaTapped(m.cfg.Tap), ky: c.ky, keep: c.keep}
 	}
 	if m.spar <= 1 {
-		order, tally := formOrder(c.buf, c.ky, m.rf)
+		run, pages, tally, err := formRun(c.sp.arena, m.cfg.TempPrefix, c.buf, c.ky, m.rf, m.lay, c.keep)
 		tally.addTo(&m.stats)
-		run, pages, err := writeRun(c.sp.arena, m.cfg.TempPrefix, c.buf, order, m.lay, c.ky.skip)
 		if err != nil {
 			return err
 		}
@@ -657,13 +702,11 @@ func (m *MRS) flush(c *segCollector) error {
 	c.sp.jobs = append(c.sp.jobs, job)
 	m.stats.RunsGenerated++
 	m.stats.SpillRunsParallel++
-	arena, prefix, ky, rf, lay := c.sp.arena, m.cfg.TempPrefix, c.ky, m.rf, m.lay
+	arena, prefix, ky, rf, lay, keep := c.sp.arena, m.cfg.TempPrefix, c.ky, m.rf, m.lay, c.keep
 	go func() {
 		defer close(job.done)
 		defer recoverWorker(&job.err)
-		var order []int32
-		order, job.tally = formOrder(job.buf, ky, rf)
-		job.run, job.pages, job.err = writeRun(arena, prefix, job.buf, order, lay, ky.skip)
+		job.run, job.pages, job.tally, job.err = formRun(arena, prefix, job.buf, ky, rf, lay, keep)
 		job.buf = nil // batch is on disk; release it before the consumer reaps
 	}()
 	// The batch's bytes stay in liveBytes until the job completes and is
@@ -676,6 +719,11 @@ func (m *MRS) flush(c *segCollector) error {
 // finish turns a fully read collector into a queued segment, dispatching
 // the in-memory sort to a worker when the pool is enabled.
 func (m *MRS) finish(c *segCollector) (*segment, error) {
+	// The segment contributes its rows up to its bound; once nothing is owed
+	// the sort is done with its input for good.
+	if m.owed -= min(c.rows, c.keep); m.owed == 0 {
+		m.stopInput()
+	}
 	if c.spilled {
 		m.stats.SpilledSegs++
 		if len(c.buf) > 0 {
@@ -684,22 +732,94 @@ func (m *MRS) finish(c *segCollector) (*segment, error) {
 				return nil, err
 			}
 		}
-		return &segment{spilled: true, sp: c.sp, ky: c.ky}, nil
+		return &segment{spilled: true, sp: c.sp, ky: c.ky, keep: c.keep}, nil
 	}
-	seg := &segment{buf: c.buf, memBytes: c.memBytes, ky: c.ky}
+	seg := &segment{buf: c.buf, memBytes: c.memBytes, ky: c.ky, keep: c.keep}
 	if m.par > 1 {
 		seg.done = make(chan struct{})
 		go func() {
 			defer close(seg.done)
 			defer recoverWorker(&seg.err)
 			seg.order, seg.tally = formOrder(seg.buf, seg.ky, m.rf)
+			seg.order = firstRows(seg.order, seg.keep)
 		}()
 	} else {
 		var tally sortTally
 		seg.order, tally = formOrder(seg.buf, seg.ky, m.rf)
+		seg.order = firstRows(seg.order, seg.keep)
 		tally.addTo(&m.stats)
 	}
 	return seg, nil
+}
+
+// firstRows cuts an emission order at keep rows.
+func firstRows(order []int32, keep int64) []int32 {
+	if int64(len(order)) > keep {
+		return order[:keep]
+	}
+	return order
+}
+
+// formRun sorts one memory batch of an oversized segment and writes its
+// first keep tuples as a run in arena (everything, for an unbounded sort).
+func formRun(arena *storage.SpillArena, prefix string, buf []keyed, ky *keyer, rf RunFormation, lay entryLayout, keep int64) (spillRun, int64, sortTally, error) {
+	order, tally := formOrder(buf, ky, rf)
+	run, pages, err := writeRun(arena, prefix, buf, firstRows(order, keep), lay, ky.skip)
+	return run, pages, tally, err
+}
+
+// pastCut reports whether kt cannot be among the segment's first keep rows:
+// keep tuples at or before the cut-off are already held, so a tuple that
+// does not sort strictly before it — ties go to the earlier arrival, as in
+// the stable sort — is dropped unbuffered.
+func (m *MRS) pastCut(c *segCollector, kt keyed) bool {
+	if c.cut.t == nil {
+		return false
+	}
+	m.stats.Comparisons++
+	return c.ky.compare(kt, c.cut) >= 0
+}
+
+// shed is the over-budget step of a bounded segment: if the buffer holds
+// more than the keep rows anyone will read, cut it down to them; it reports
+// whether that brought the segment back under its budget.
+func (m *MRS) shed(c *segCollector) bool {
+	if int64(len(c.buf)) <= c.keep {
+		return false
+	}
+	m.selectTop(c)
+	return c.memBytes < m.cfg.memoryBytes()
+}
+
+// selectTop cuts the collector's buffer down to its keep smallest tuples,
+// compacted in sorted order so arrival order still breaks later ties, and
+// makes the last of them the segment's cut-off. The dropped tuples' bytes
+// leave the memory accounting.
+func (m *MRS) selectTop(c *segCollector) {
+	order, tally := formOrder(c.buf, c.ky, m.rf)
+	tally.addTo(&m.stats)
+	kept := c.spare[:0]
+	for _, idx := range order[:c.keep] {
+		kept = append(kept, c.buf[idx])
+	}
+	var dropped int64
+	for _, idx := range order[c.keep:] {
+		dropped += int64(c.buf[idx].t.MemSize())
+	}
+	clear(c.buf) // the spare must not pin the dropped tuples
+	c.buf, c.spare = kept, c.buf[:0]
+	c.memBytes -= dropped
+	m.liveBytes -= dropped
+	c.cut = kept[len(kept)-1]
+}
+
+// stopInput marks the input exhausted — at its real end, or as soon as a
+// bounded sort owes nothing more: from then on nothing is read, collected or
+// read ahead.
+func (m *MRS) stopInput() {
+	m.inputDone = true
+	m.pending = nil
+	m.pendingKT = keyed{}
 }
 
 // advance pulls the next input tuple into pending (nil at EOF), already
@@ -707,8 +827,7 @@ func (m *MRS) finish(c *segCollector) (*segment, error) {
 // actually takes — source-side chunk buffering is invisible to the stats.
 func (m *MRS) advance() error {
 	if m.inputDone {
-		m.pending = nil
-		m.pendingKT = keyed{}
+		m.stopInput()
 		return nil
 	}
 	kt, ok, err := m.src.next()
@@ -716,9 +835,7 @@ func (m *MRS) advance() error {
 		return err
 	}
 	if !ok {
-		m.inputDone = true
-		m.pending = nil
-		m.pendingKT = keyed{}
+		m.stopInput()
 		return nil
 	}
 	m.stats.TuplesIn++

@@ -249,7 +249,7 @@ func (s *SRS) open() error {
 
 	// Phase 3: reduce runs to fan-in and set up the final merge. Groups
 	// within a pass merge concurrently under SpillParallelism.
-	runs, err := reduceRuns(s.cfg, s.arena, s.runs, s.ky, s.lay, &s.stats)
+	runs, err := reduceRuns(s.cfg, s.arena, s.runs, s.ky, s.lay, noLimit, &s.stats)
 	if err != nil {
 		return err
 	}

@@ -55,6 +55,7 @@ package xsort
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 
 	"pyro/internal/iter"
@@ -257,6 +258,29 @@ type Config struct {
 	// spill arena, multiplying transient sort memory by up to the same
 	// factor (each in-flight flush holds one MemoryBlocks-sized batch).
 	SpillParallelism int
+	// Limit, when positive, is a hard bound on the rows the consumer will
+	// ever read — a LIMIT k sitting on the sort, never a row-target hint: MRS
+	// emits at most Limit rows and does only the work those rows need. Each
+	// segment keeps a bounded selection of the rows still owed instead of
+	// the whole segment (spilling only if those rows themselves exceed the
+	// budget, and then as runs cut at that many rows), and the sort stops
+	// reading input at the first segment boundary at or past the bound — see
+	// mrs.go. The emitted rows are the first Limit rows of the unlimited
+	// sort. 0 means unbounded. SRS ignores it: a limited full sort is an MRS
+	// with an empty given order.
+	Limit int64
+}
+
+// noLimit is the row bound of an unbounded sort. Config.Limit == 0 resolves
+// to it, so bounded and unbounded sorts run the same code with a bound the
+// latter can never reach.
+const noLimit = math.MaxInt64
+
+func (c Config) limit() int64 {
+	if c.Limit > 0 {
+		return c.Limit
+	}
+	return noLimit
 }
 
 func (c Config) memoryBytes() int64 {
@@ -319,6 +343,9 @@ func (c Config) validate() error {
 	}
 	if c.BatchSize < 0 {
 		return fmt.Errorf("xsort: BatchSize must be non-negative, got %d", c.BatchSize)
+	}
+	if c.Limit < 0 {
+		return fmt.Errorf("xsort: Limit must be non-negative, got %d", c.Limit)
 	}
 	return nil
 }

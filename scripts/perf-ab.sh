@@ -1,7 +1,7 @@
 #!/bin/sh
 # perf-ab.sh — paired A/B run of cmd/pyro-perf: BASE against the working tree.
 #
-#   scripts/perf-ab.sh BASE [WORKLOAD] [PAIRS] [SECONDS] [TRACE]
+#   scripts/perf-ab.sh BASE [WORKLOAD] [PAIRS] [SECONDS] [TRACE] [OUT]
 #
 # Builds pyro-perf twice — from an export of BASE's committed files and from
 # the working tree — then runs PAIRS pairs of (old, new), alternating which
@@ -9,16 +9,21 @@
 # seed i on both sides: the exact counters compare at equal seeds, and the
 # timing medians are taken over PAIRS different datasets. Results land in
 # $PERF_AB_OUT/{old,new} (default .bench_build/perf-ab, wiped first); the
-# verdict table is pyro-perf -compare.
+# verdict table is pyro-perf -compare. With OUT set (a file name, e.g.
+# BENCH_16.json) the same runs are also condensed into the PR's committed
+# trajectory record: per workload and end-to-end metric both sides' median
+# and quartiles, the pairs the change won, and the verdict
+# (cmd/pyro-trajectory).
 # This is the procedure cmd/pyro-perf/README.md prescribes for a change that
 # claims a gain (`make perf-ab` is the usual way in).
 set -eu
 
-base=${1:?usage: perf-ab.sh BASE [WORKLOAD] [PAIRS] [SECONDS] [TRACE]}
+base=${1:?usage: perf-ab.sh BASE [WORKLOAD] [PAIRS] [SECONDS] [TRACE] [OUT]}
 workload=${2:-all}
 pairs=${3:-10}
 seconds=${4:-20}
 trace=${5:-0}
+out=${6:-}
 
 root=$(git rev-parse --show-toplevel)
 work=${PERF_AB_OUT:-$root/.bench_build/perf-ab}
@@ -52,4 +57,12 @@ while [ "$i" -le "$pairs" ]; do
 done
 
 cd "$root"
-"$work/pyro-perf-new" -compare "$work/old" "$work/new"
+rc=0
+"$work/pyro-perf-new" -compare "$work/old" "$work/new" >"$work/compare.txt" || rc=$?
+cat "$work/compare.txt"
+if [ -n "$out" ] && [ "$rc" -le 1 ]; then
+	go run ./cmd/pyro-trajectory -verdicts "$work/compare.txt" \
+		-base "$(git rev-parse "$base")" -out "$out" "$work/old" "$work/new"
+	echo "perf-ab: wrote $out" >&2
+fi
+exit "$rc"
