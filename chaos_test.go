@@ -50,8 +50,11 @@ func chaosDB(t testing.TB) *Database {
 	// One g value, v strictly descending: as a partial sort the whole table
 	// is one oversized segment cut into memory-sized runs, and as a full
 	// sort replacement selection can never extend a run past one memory
-	// load either — both ways ≈ 11 runs against a fan-in of 7.
-	deep := make([][]any, 2800)
+	// load either — both ways 10 runs against a fan-in of 7 (4 merged, 6
+	// through). 8 blocks hold ≈ 700 of these rows, encoded plus their sort
+	// entries; the table had 2 800 rows while the budget was counted in
+	// Tuple.MemSize and a load was ≈ 270.
+	deep := make([][]any, 6300)
 	for i := range deep {
 		deep[i] = []any{int64(0), int64(len(deep) - i), int64(i)}
 	}

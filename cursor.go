@@ -442,10 +442,10 @@ func sortMemoryAsk(p *core.Plan, cfg Config) int {
 			ask = full
 		case q.Kind == core.OpSort:
 			// More rows than the full budget has bytes never fit; clamping
-			// there also keeps the product below from overflowing.
-			page := int64(cfg.PageSize)
-			need := 2 * min(q.SortLimit, full*page) * int64(q.Schema.AvgMemWidth())
-			ask = max(ask, min(full, (need+page-1)/page))
+			// there also keeps the footprint's products from overflowing.
+			rows := 2 * min(q.SortLimit, full*int64(cfg.PageSize))
+			need := xsort.FootprintBlocks(q.Schema, q.SortTarget, q.SortGiven, rows, cfg.PageSize)
+			ask = max(ask, min(full, need))
 		}
 	})
 	return int(ask)

@@ -11,6 +11,7 @@ package catalog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"pyro/internal/sortord"
@@ -211,7 +212,7 @@ func (c *Catalog) CreateTable(name string, schema *types.Schema, clusterOrder so
 		if err != nil {
 			return nil, err
 		}
-		sort.SliceStable(sorted, func(i, j int) bool { return ks.Compare(sorted[i], sorted[j]) < 0 })
+		slices.SortStableFunc(sorted, ks.Compare)
 	}
 	file := c.disk.Create("table."+name, storage.KindData)
 	w := storage.NewTupleWriter(file)
@@ -294,7 +295,7 @@ func (c *Catalog) CreateIndex(name string, table *Table, keyOrder sortord.Order,
 		proj[i] = p
 	}
 	ks := types.MustKeySpec(ixSchema, keyOrder)
-	sort.SliceStable(proj, func(i, j int) bool { return ks.Compare(proj[i], proj[j]) < 0 })
+	slices.SortStableFunc(proj, ks.Compare)
 	file := c.disk.Create(fmt.Sprintf("index.%s.%s", table.Name, name), storage.KindData)
 	if err := storage.WriteAll(file, proj); err != nil {
 		return nil, err

@@ -11,6 +11,7 @@ import (
 	"pyro/internal/logical"
 	"pyro/internal/ordersel"
 	"pyro/internal/sortord"
+	"pyro/internal/xsort"
 )
 
 // Heuristic selects the interesting-order strategy for operators with
@@ -524,7 +525,7 @@ func (opt *Optimizer) boundSort(node *Plan, segments, bound int64) {
 	covering := ordersel.SegmentBudget(bound, plan.Rows, segments)
 	inRows := min(covering*segRows, plan.Rows)
 	owed := bound - (covering-1)*segRows // of the last covering segment
-	owedBlocks := (owed*int64(plan.Schema.AvgMemWidth()) + int64(m.PageSize) - 1) / int64(m.PageSize)
+	owedBlocks := xsort.FootprintBlocks(plan.Schema, node.SortTarget, node.SortGiven, owed, m.PageSize)
 	full := m.FullSort(segRows, segBlocks)
 	last := m.BoundedSort(segRows, segBlocks, owed, owedBlocks)
 

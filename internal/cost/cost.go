@@ -210,10 +210,10 @@ func (m Model) spillOverlap() float64 {
 // Top-K). The sort becomes a bounded selection: every input row costs
 // log₂ keep comparisons instead of log₂ rows and, the point, there is no
 // spill term when the kept rows fit in memory, however large the input —
-// rows past the cut-off are dropped, never buffered. keepBlocks is the
-// in-memory footprint of the kept rows in blocks (the sorter budgets tuples
-// at their in-memory size, several times their page encoding for narrow
-// rows), which is what decides "fit".
+// rows past the cut-off are dropped, never buffered. keepBlocks is the sort
+// memory the kept rows take, in blocks (xsort.FootprintBlocks: the blocks of
+// their encoded bytes plus the blocks of their sort entries — what the
+// sorter's row store would hold), which is what decides "fit".
 //
 // Only when the kept rows themselves exceed M does the sort go external, and
 // then it moves less than a full sort does: the input is written once as

@@ -37,6 +37,8 @@
 package keys
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strings"
@@ -133,6 +135,46 @@ func (c *Codec) Suffix(k int) *Codec {
 	return &Codec{cols: c.cols[k:]}
 }
 
+// KeyPrefixLen is PrefixLen read off an encoded key instead of the tuple: the
+// number of leading bytes of key — a full encoding this codec produced —
+// that the first k columns occupy. Every column's encoding ends itself (fixed
+// widths, terminated strings), so the walk needs only the column kinds. A
+// sorter that has a row's key but not its datums (the row is still encoded)
+// finds its shared-prefix skip this way.
+func (c *Codec) KeyPrefixLen(key []byte, k int) int {
+	if k < 0 || k > len(c.cols) {
+		panic(fmt.Sprintf("keys: prefix %d out of range [0,%d]", k, len(c.cols)))
+	}
+	n := 0
+	for _, col := range c.cols[:k] {
+		n++ // marker byte
+		if key[n-1] != markerValue {
+			continue // NULL: the marker is the whole column
+		}
+		switch col.Kind {
+		case types.KindInt, types.KindFloat:
+			n += 8
+		case types.KindBool:
+			n++
+		case types.KindString:
+			// Content runs to the {0x00, terminator} pair; a 0x00 inside it
+			// is followed by the escape byte instead. Descending columns
+			// carry all of it inverted.
+			zero, term := byte(0x00), byte(strTerminator)
+			if col.Desc {
+				zero, term = ^zero, ^term
+			}
+			for {
+				n += bytes.IndexByte(key[n:], zero) + 2
+				if key[n-1] == term {
+					break
+				}
+			}
+		}
+	}
+	return n
+}
+
 // PrefixLen returns the number of bytes Append writes for the first k key
 // columns of t — the byte offset in t's full key at which the remaining
 // columns' encoding starts. Inside one MRS partial-sort segment every
@@ -190,17 +232,7 @@ func (c *Codec) Append(dst []byte, t types.Tuple) []byte {
 		case types.KindInt:
 			dst = appendUint64(dst, uint64(d.Int())^(1<<63))
 		case types.KindFloat:
-			f := d.Float()
-			if f == 0 {
-				f = 0 // normalize -0.0 to +0.0: Datum.Compare treats them as equal
-			}
-			bits := math.Float64bits(f)
-			if bits&(1<<63) != 0 {
-				bits = ^bits
-			} else {
-				bits |= 1 << 63
-			}
-			dst = appendUint64(dst, bits)
+			dst = appendFloat(dst, d.Float())
 		case types.KindBool:
 			b := byte(0)
 			if d.Bool() {
@@ -208,20 +240,7 @@ func (c *Codec) Append(dst []byte, t types.Tuple) []byte {
 			}
 			dst = append(dst, b)
 		case types.KindString:
-			s := d.Str()
-			// Fast path: no NUL bytes (the overwhelmingly common case) —
-			// one bulk append instead of a byte-at-a-time escape loop.
-			for {
-				i := strings.IndexByte(s, 0x00)
-				if i < 0 {
-					dst = append(dst, s...)
-					break
-				}
-				dst = append(dst, s[:i]...)
-				dst = append(dst, 0x00, strEscape)
-				s = s[i+1:]
-			}
-			dst = append(dst, 0x00, strTerminator)
+			dst = appendEscaped(dst, d.Str())
 		}
 		if col.Desc {
 			for i := start; i < len(dst); i++ {
@@ -230,6 +249,59 @@ func (c *Codec) Append(dst []byte, t types.Tuple) []byte {
 		}
 	}
 	return dst
+}
+
+// AppendEncoded is Append for a row still in its Tuple.Encode form: it
+// appends the sort key of the encoded tuple enc without materializing a
+// datum — how a sorter keys the rows of a chunk it received as encoded spans
+// and will buffer as such, never decoding them. The bytes appended are
+// exactly Append's for the decoded tuple; enc must be a well formed encoding
+// whose key columns hold NULL or the declared kind (Append's contract),
+// anything else is an error.
+func (c *Codec) AppendEncoded(dst, enc []byte) ([]byte, error) {
+	for _, col := range c.cols {
+		d, err := types.EncodedDatum(enc, col.Ordinal)
+		if err != nil {
+			return dst, err
+		}
+		kind := types.Kind(d[0])
+		if kind == types.KindNull {
+			if col.NullsLast {
+				dst = append(dst, markerNullLast)
+			} else {
+				dst = append(dst, markerNullFirst)
+			}
+			continue
+		}
+		if kind != col.Kind {
+			return dst, fmt.Errorf("keys: encoded datum kind %v at ordinal %d, column declared %v", kind, col.Ordinal, col.Kind)
+		}
+		dst = append(dst, markerValue)
+		start := len(dst)
+		payload := d[1:]
+		switch kind {
+		case types.KindInt:
+			dst = append(dst, payload...)
+			dst[start] ^= 0x80
+		case types.KindFloat:
+			f := math.Float64frombits(binary.BigEndian.Uint64(payload))
+			dst = appendFloat(dst, f)
+		case types.KindBool:
+			b := byte(0)
+			if payload[0] != 0 {
+				b = 1
+			}
+			dst = append(dst, b)
+		case types.KindString:
+			dst = appendEscaped(dst, payload[4:])
+		}
+		if col.Desc {
+			for i := start; i < len(dst); i++ {
+				dst[i] = ^dst[i]
+			}
+		}
+	}
+	return dst, nil
 }
 
 // AppendFixed encodes a fixed-width prefix of t's sort key: exactly width
@@ -273,22 +345,33 @@ func (c *Codec) FixedWidthHint(k int) int {
 	}
 	w := 0
 	for _, col := range c.cols[k:] {
-		switch col.Kind {
-		case types.KindInt, types.KindFloat:
-			w += 9 // marker + 8 payload bytes
-		case types.KindBool:
-			w += 2 // marker + payload byte
-		case types.KindString:
-			w += 9 // marker + 8 content bytes (terminator spills to the blob)
-		}
-		if w >= fixedWidthCap {
-			return fixedWidthCap
-		}
+		w += prefixWidth(col.Kind)
 	}
-	if w < 1 {
-		w = 1
+	return min(max(w, 1), fixedWidthCap)
+}
+
+// FixedWidth is FixedWidthHint read off bare column kinds — the key columns
+// a sorter's entries will discriminate on — for callers that size entries
+// without building a codec (the planner's sort-footprint estimate).
+func FixedWidth(kinds ...types.Kind) int {
+	w := 0
+	for _, k := range kinds {
+		w += prefixWidth(k)
 	}
-	return w
+	return min(max(w, 1), fixedWidthCap)
+}
+
+// prefixWidth is what one key column of kind k contributes to a fixed prefix.
+func prefixWidth(k types.Kind) int {
+	switch k {
+	case types.KindInt, types.KindFloat:
+		return 9 // marker + 8 payload bytes
+	case types.KindBool:
+		return 2 // marker + payload byte
+	case types.KindString:
+		return 9 // marker + 8 content bytes (terminator spills to the blob)
+	}
+	return 0
 }
 
 // fixedWidthCap bounds FixedWidthHint: past this many prefix bytes, wider
@@ -310,6 +393,49 @@ func (c *Codec) EncodeBatch(dst []byte, rows []types.Tuple, ends []int) ([]byte,
 		ends = append(ends, len(dst)-base)
 	}
 	return dst, ends
+}
+
+// appendFloat appends the IEEE-754 total-order encoding of f.
+func appendFloat(dst []byte, f float64) []byte {
+	if f == 0 {
+		f = 0 // normalize -0.0 to +0.0: Datum.Compare treats them as equal
+	}
+	bits := math.Float64bits(f)
+	if bits&(1<<63) != 0 {
+		bits = ^bits
+	} else {
+		bits |= 1 << 63
+	}
+	return appendUint64(dst, bits)
+}
+
+// appendEscaped appends the prefix-free string encoding of s — a datum's
+// string or string content still in an encoded row: 0x00 escaped, terminator
+// appended.
+func appendEscaped[S string | []byte](dst []byte, s S) []byte {
+	// Fast path: no NUL bytes (the overwhelmingly common case) — one bulk
+	// append instead of a byte-at-a-time escape loop.
+	for {
+		i := indexNUL(s)
+		if i < 0 {
+			dst = append(dst, s...)
+			break
+		}
+		dst = append(dst, s[:i]...)
+		dst = append(dst, 0x00, strEscape)
+		s = s[i+1:]
+	}
+	return append(dst, 0x00, strTerminator)
+}
+
+func indexNUL[S string | []byte](s S) int {
+	switch s := any(s).(type) {
+	case string:
+		return strings.IndexByte(s, 0x00)
+	case []byte:
+		return bytes.IndexByte(s, 0x00)
+	}
+	panic("unreachable")
 }
 
 func appendUint64(dst []byte, v uint64) []byte {

@@ -6,29 +6,49 @@ import (
 )
 
 // ArenaRelease checks that every spill arena created with Disk.NewArena /
-// Disk.NewArenaTapped is either released in a defer or has its ownership
-// transferred (returned, stored in a struct, passed to another function).
+// Disk.NewArenaTapped — and every sort row store created with
+// xsort.newRowStore, the owner of a list of sort-memory blocks — is either
+// released in a defer or has its ownership transferred (returned, stored in
+// a struct, passed to another function).
 //
 // An arena whose only Release calls are inline is flagged even though some
 // path releases it: a panic or early return between creation and the
 // inline Release leaks the arena's temp files — exactly the MRS adopt leak
 // PR 8's fault sweep caught dynamically. The fix shape the analyzer
 // accepts is the one adopt now uses: release in a defer, guarded by an
-// ownership flag if the happy path hands the arena off.
+// ownership flag if the happy path hands the arena off. A row store dropped
+// the same way leaks its blocks: the pool never gets them back and
+// Disk.LiveBlocks never returns to zero.
 var ArenaRelease = &Analyzer{
 	Name: "arenarelease",
-	Doc: "spill arenas must be released in a defer or have ownership transferred; " +
-		"inline-only Release leaks on panic and early-return paths",
+	Doc: "spill arenas and sort row stores must be released in a defer or have ownership transferred; " +
+		"inline-only release leaks on panic and early-return paths",
 	Run: runArenaRelease,
 }
 
+// ownedKind is one kind of resource the analyzer tracks: how a creation is
+// recognised, the method that gives it back, and the words for both.
+type ownedKind struct {
+	noun    string // "arena"
+	release string // releasing method
+	leaks   string // what an unreleased one leaves behind
+	// creation reports whether call creates one, and how to name the call.
+	creation func(info *types.Info, call *ast.CallExpr) (string, bool)
+}
+
+var ownedKinds = []*ownedKind{
+	{noun: "arena", release: "Release", leaks: "the arena's temp files", creation: isArenaNew},
+	{noun: "row store", release: "release", leaks: "the store's sort-memory blocks", creation: isRowStoreNew},
+}
+
 // arenaTracked records what the analyzer has learned about one local
-// variable holding a freshly created arena.
+// variable holding a freshly created resource.
 type arenaTracked struct {
+	kind     *ownedKind
 	obj      types.Object
 	pos      ast.Node
-	deferred bool // a.Release() reachable from a defer
-	inline   bool // a.Release() on a non-defer path only
+	deferred bool // released from a defer
+	inline   bool // released on a non-defer path only
 	escaped  bool // ownership transferred
 }
 
@@ -58,7 +78,18 @@ func checkArenaUse(pass *Pass, info *types.Info, body *ast.BlockStmt) {
 
 	walkStack(body, func(n ast.Node, stack []ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
-		if !ok || !isArenaNew(info, call) {
+		if !ok {
+			return true
+		}
+		var kind *ownedKind
+		var newName string
+		for _, k := range ownedKinds {
+			if name, ok := k.creation(info, call); ok {
+				kind, newName = k, name
+				break
+			}
+		}
+		if kind == nil {
 			return true
 		}
 		parent := ast.Node(nil)
@@ -67,7 +98,7 @@ func checkArenaUse(pass *Pass, info *types.Info, body *ast.BlockStmt) {
 		}
 		switch p := parent.(type) {
 		case *ast.ExprStmt:
-			pass.Reportf(call.Pos(), "result of %s is discarded: the arena can never be released", arenaNewName(call))
+			pass.Reportf(call.Pos(), "result of %s is discarded: the %s can never be released", newName, kind.noun)
 		case *ast.AssignStmt:
 			// Find which LHS this call feeds (parallel assignment).
 			for i, rhs := range p.Rhs {
@@ -77,7 +108,7 @@ func checkArenaUse(pass *Pass, info *types.Info, body *ast.BlockStmt) {
 				switch lhs := p.Lhs[i].(type) {
 				case *ast.Ident:
 					if lhs.Name == "_" {
-						pass.Reportf(call.Pos(), "result of %s is discarded: the arena can never be released", arenaNewName(call))
+						pass.Reportf(call.Pos(), "result of %s is discarded: the %s can never be released", newName, kind.noun)
 						break
 					}
 					obj := info.Defs[lhs]
@@ -89,7 +120,7 @@ func checkArenaUse(pass *Pass, info *types.Info, body *ast.BlockStmt) {
 						// ownership lives beyond this function.
 						break
 					}
-					t := &arenaTracked{obj: obj, pos: call}
+					t := &arenaTracked{kind: kind, obj: obj, pos: call}
 					locals = append(locals, t)
 					byObj[obj] = t
 				default:
@@ -124,10 +155,12 @@ func checkArenaUse(pass *Pass, info *types.Info, body *ast.BlockStmt) {
 		if t.deferred || t.escaped {
 			continue
 		}
+		k := t.kind
 		if t.inline {
-			pass.Reportf(t.pos.Pos(), "arena Release is not deferred: a panic or early return before the inline Release leaks the arena's temp files (use `defer a.Release()`, guarded by an ownership flag if the arena is handed off)")
+			pass.Reportf(t.pos.Pos(), "%s %s is not deferred: a panic or early return before the inline %s leaks %s (use `defer a.%s()`, guarded by an ownership flag if the %s is handed off)",
+				k.noun, k.release, k.release, k.leaks, k.release, k.noun)
 		} else {
-			pass.Reportf(t.pos.Pos(), "arena is never released and never escapes this function")
+			pass.Reportf(t.pos.Pos(), "%s is never released and never escapes this function", k.noun)
 		}
 	}
 }
@@ -156,8 +189,8 @@ func classifyArenaUse(t *arenaTracked, id *ast.Ident, stack []ast.Node) {
 			t.escaped = true
 			return
 		}
-		if p.Sel.Name != "Release" {
-			return // other methods on the arena neither release nor escape
+		if p.Sel.Name != t.kind.release {
+			return // other methods on the resource neither release nor escape
 		}
 		if hasAncestor(stack, func(n ast.Node) bool { _, ok := n.(*ast.DeferStmt); return ok }) {
 			t.deferred = true
@@ -190,19 +223,22 @@ func classifyArenaUse(t *arenaTracked, id *ast.Ident, stack []ast.Node) {
 // NewArenaTapped (matched by method name plus defining package and
 // receiver type, so the analyzer works against both the real storage
 // package and test fixtures).
-func isArenaNew(info *types.Info, call *ast.CallExpr) bool {
-	recv, _, ok := methodCall(info, call, "NewArena", "NewArenaTapped")
-	if !ok {
-		return false
+func isArenaNew(info *types.Info, call *ast.CallExpr) (string, bool) {
+	recv, name, ok := methodCall(info, call, "NewArena", "NewArenaTapped")
+	if !ok || !namedFrom(recv, "internal/storage", "Disk") {
+		return "", false
 	}
-	return namedFrom(recv, "internal/storage", "Disk")
+	return "Disk." + name, true
 }
 
-func arenaNewName(call *ast.CallExpr) string {
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		return "Disk." + sel.Sel.Name
+// isRowStoreNew reports whether call invokes xsort's newRowStore, the one
+// constructor of a sort's block-owning row store.
+func isRowStoreNew(info *types.Info, call *ast.CallExpr) (string, bool) {
+	fn, ok := calleeObject(info, call).(*types.Func)
+	if !ok || fn.Name() != "newRowStore" || !pathWithin(pkgPathOf(fn), "internal/xsort") {
+		return "", false
 	}
-	return "Disk.NewArena"
+	return "newRowStore", true
 }
 
 // isLocalVar reports whether obj is a variable declared inside body.

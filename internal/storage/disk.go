@@ -152,10 +152,11 @@ type TempSpace interface {
 // the file/arena registry. Stats reports the global ledger plus every live
 // arena's, so I/O-count assertions hold no matter which shard did the work.
 type Disk struct {
-	pageSize  int
-	stats     ledger
-	fault     atomic.Pointer[faultSlot] // installed FaultPlan; nil slot or plan = no faults
-	tempQuota atomic.Int64              // max live run pages; <= 0 = unlimited
+	pageSize   int
+	stats      ledger
+	fault      atomic.Pointer[faultSlot] // installed FaultPlan; nil slot or plan = no faults
+	tempQuota  atomic.Int64              // max live run pages; <= 0 = unlimited
+	liveBlocks atomic.Int64              // pages of sort memory out (block.go)
 
 	mu        sync.Mutex
 	files     map[string]*File

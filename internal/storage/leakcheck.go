@@ -7,8 +7,8 @@ type TB interface {
 	Errorf(format string, args ...any)
 }
 
-// AssertNoLeaks fails the test if the disk holds any live temporary file or
-// unreleased spill arena. Every query — successful, cancelled, failed by an
+// AssertNoLeaks fails the test if the disk holds any live temporary file,
+// unreleased spill arena or unreturned block of sort memory. Every query — successful, cancelled, failed by an
 // injected fault, or panicked — must leave the device in this state, so
 // end-to-end tests call it after draining their cursors.
 func AssertNoLeaks(t TB, d *Disk) {
@@ -18,5 +18,8 @@ func AssertNoLeaks(t TB, d *Disk) {
 	}
 	if n := d.LiveArenas(); n > 0 {
 		t.Errorf("storage: %d unreleased spill arenas", n)
+	}
+	if n := d.LiveBlocks(); n != 0 {
+		t.Errorf("storage: %d pages of sort memory not returned", n)
 	}
 }

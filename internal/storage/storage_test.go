@@ -566,3 +566,42 @@ func TestConcurrentArenaSharedByWorkers(t *testing.T) {
 		t.Fatalf("leaked %v", names)
 	}
 }
+
+// TestBlockPoolCountsWhatIsOut: blocks are page-sized (or a whole number of
+// pages), counted per disk while out, and a pooled block of another disk's
+// page size is never handed out.
+func TestBlockPoolCountsWhatIsOut(t *testing.T) {
+	d, other := NewDisk(512), NewDisk(128)
+	b1, b2, big := d.GetBlock(1), d.GetBlock(1), d.GetBlock(3)
+	if len(b1.Buf) != 512 || len(big.Buf) != 3*512 || big.Pages() != 3 {
+		t.Fatalf("block sizes %d, %d (%d pages)", len(b1.Buf), len(big.Buf), big.Pages())
+	}
+	if got := d.LiveBlocks(); got != 5 {
+		t.Fatalf("LiveBlocks = %d, want 5", got)
+	}
+	d.PutBlock(b1)
+	for i := 0; i < 4; i++ { // whatever the pool hands back, it is this disk's size
+		b := other.GetBlock(1)
+		if len(b.Buf) != 128 {
+			t.Fatalf("a %d-byte block for a 128-byte-page disk", len(b.Buf))
+		}
+		other.PutBlock(b)
+	}
+	d.PutBlock(b2)
+	d.PutBlock(big)
+	if d.LiveBlocks() != 0 || other.LiveBlocks() != 0 {
+		t.Fatalf("blocks still out: %d, %d", d.LiveBlocks(), other.LiveBlocks())
+	}
+	leaky := &recordingTB{}
+	held := d.GetBlock(1)
+	AssertNoLeaks(leaky, d)
+	if leaky.errors != 1 {
+		t.Fatalf("AssertNoLeaks reported %d problems with a block out, want 1", leaky.errors)
+	}
+	d.PutBlock(held)
+}
+
+type recordingTB struct{ errors int }
+
+func (r *recordingTB) Helper()               {}
+func (r *recordingTB) Errorf(string, ...any) { r.errors++ }

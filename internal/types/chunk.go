@@ -25,11 +25,19 @@ const DefaultChunkCapacity = 1024
 // Chunks are reused aggressively (see GetChunk/PutChunk): the datums a
 // chunk holds are only valid until the next NextChunk call that refills it,
 // so consumers that retain rows must copy them out (OwnedRow).
+//
+// Rows that arrive encoded (AppendEncoded — a scan filling the chunk from a
+// page) are framed and remembered as spans, and decoded into the column
+// vectors only when a consumer first asks for a datum. A consumer that wants
+// the rows in their page format anyway — a sort enforcer buffers them
+// encoded — reads the spans (EncodedRow) and the decode never happens.
 type Chunk struct {
 	cols     [][]Datum
-	n        int     // physical rows appended
-	sel      []int32 // live physical row indices, nil = all n rows live
-	selBuf   []int32 // scratch selection storage, capacity cap(chunk)
+	enc      [][]byte // encoded spans of the first len(enc) physical rows (see EncodedRow)
+	decoded  int      // physical rows whose datums are in cols; the rest are spans only
+	n        int      // physical rows appended
+	sel      []int32  // live physical row indices, nil = all n rows live
+	selBuf   []int32  // scratch selection storage, capacity cap(chunk)
 	capacity int
 }
 
@@ -72,8 +80,32 @@ func (c *Chunk) Reset() {
 	for j := range c.cols {
 		c.cols[j] = c.cols[j][:0]
 	}
-	c.n = 0
+	c.enc = c.enc[:0]
+	c.n, c.decoded = 0, 0
 	c.sel = nil
+}
+
+// materialize decodes the rows held as spans only into the column vectors.
+func (c *Chunk) materialize() {
+	for ; c.decoded < c.n; c.decoded++ {
+		c.decodeRow(c.enc[c.decoded])
+	}
+}
+
+// decodeRow appends the datums of one framed tuple to the column vectors.
+func (c *Chunk) decodeRow(buf []byte) {
+	pos := 4
+	for j := range c.cols {
+		k := len(c.cols[j])
+		c.cols[j] = append(c.cols[j], Datum{})
+		sz, err := decodeDatum(&c.cols[j][k], buf[pos:])
+		if err != nil {
+			// AppendEncoded framed these bytes with EncodedTupleLen, which
+			// FuzzEncodedTupleLen holds to the decoder's verdict.
+			panic(fmt.Sprintf("types: framed row does not decode: %v", err))
+		}
+		pos += sz
+	}
 }
 
 // Full reports whether the chunk has reached its capacity.
@@ -110,11 +142,20 @@ func (c *Chunk) RowIndex(i int) int {
 }
 
 // DatumAt returns the datum of column col at live row i.
-func (c *Chunk) DatumAt(col, i int) Datum { return c.cols[col][c.RowIndex(i)] }
+func (c *Chunk) DatumAt(col, i int) Datum {
+	if c.decoded < c.n {
+		c.materialize()
+	}
+	return c.cols[col][c.RowIndex(i)]
+}
 
 // AppendRow appends one physical row. The tuple's arity must match the
 // chunk's column count and the chunk must not be full.
 func (c *Chunk) AppendRow(t Tuple) {
+	if c.decoded < c.n {
+		c.materialize()
+	}
+	c.decoded++
 	for j := range c.cols {
 		c.cols[j] = append(c.cols[j], t[j])
 	}
@@ -126,6 +167,9 @@ func (c *Chunk) AppendRow(t Tuple) {
 // stays valid after the chunk is refilled, but a second CopyRow into the
 // same dst overwrites it.
 func (c *Chunk) CopyRow(dst Tuple, i int) Tuple {
+	if c.decoded < c.n {
+		c.materialize()
+	}
 	phys := c.RowIndex(i)
 	if cap(dst) < len(c.cols) {
 		dst = make(Tuple, len(c.cols))
@@ -152,41 +196,58 @@ func (c *Chunk) Truncate(k int) {
 		c.sel = c.sel[:k]
 		return
 	}
-	for j := range c.cols {
-		c.cols[j] = c.cols[j][:k]
+	if c.decoded > k {
+		for j := range c.cols {
+			c.cols[j] = c.cols[j][:k]
+		}
+		c.decoded = k
+	}
+	if len(c.enc) > k {
+		c.enc = c.enc[:k]
 	}
 	c.n = k
 }
 
-// AppendEncoded decodes one encoded tuple (the Tuple.Encode layout) from
-// buf directly into the chunk's column vectors — the batch path's
-// replacement for DecodeTuple, skipping the per-row tuple allocation. It
-// returns the number of bytes consumed. The encoded arity must match the
-// chunk's column count.
+// AppendEncoded appends one encoded tuple (the Tuple.Encode layout) from the
+// start of buf — the batch path's replacement for DecodeTuple, skipping the
+// per-row tuple allocation — and returns the number of bytes consumed. The
+// tuple is framed and checked here (its arity must match the chunk's column
+// count) but decoded into the column vectors only on first use; the chunk
+// keeps the consumed span (EncodedRow), so buf must stay unmodified for as
+// long as the chunk holds the row.
 func (c *Chunk) AppendEncoded(buf []byte) (int, error) {
-	if len(buf) < 4 {
-		return 0, fmt.Errorf("types: short tuple header (%d bytes)", len(buf))
+	pos, err := EncodedTupleLen(buf)
+	if err != nil {
+		return 0, err
 	}
-	n := int(binary.BigEndian.Uint32(buf[:4]))
-	if n != len(c.cols) {
+	if n := int(binary.BigEndian.Uint32(buf[:4])); n != len(c.cols) {
 		return 0, fmt.Errorf("types: encoded tuple has arity %d, chunk wants %d", n, len(c.cols))
 	}
-	pos := 4
-	for i := 0; i < n; i++ {
-		d, sz, err := decodeDatum(buf[pos:])
-		if err != nil {
-			// Roll back the columns already extended so a decode failure
-			// cannot leave the chunk ragged (columns of unequal length).
-			for j := 0; j < i; j++ {
-				c.cols[j] = c.cols[j][:c.n]
-			}
-			return 0, fmt.Errorf("types: datum %d: %w", i, err)
-		}
-		c.cols[i] = append(c.cols[i], d)
-		pos += sz
+	if len(c.enc) < c.n {
+		// Rows without spans came first (AppendRow): from there on the
+		// chunk is columnar only.
+		c.decodeRow(buf)
+		c.decoded++
+	} else {
+		c.enc = append(c.enc, buf[:pos:pos])
 	}
 	c.n++
 	return pos, nil
+}
+
+// EncodedRow returns the Tuple.Encode bytes live row i was decoded from, or
+// nil when the chunk does not have them: spans are kept for the leading
+// physical rows that arrived through AppendEncoded — all of them when a scan
+// filled the chunk straight from a page — and survive selection and
+// truncation, which move no row. A consumer that wants rows in their page
+// format (a sort buffering them encoded) copies the span instead of
+// re-encoding the datums. The slice aliases the producer's page buffer and
+// is valid exactly as long as the row's datums are.
+func (c *Chunk) EncodedRow(i int) []byte {
+	if phys := c.RowIndex(i); phys < len(c.enc) {
+		return c.enc[phys]
+	}
+	return nil
 }
 
 // chunkPool recycles chunks across operators and queries so steady-state
@@ -210,6 +271,7 @@ func PutChunk(c *Chunk) {
 	if c == nil {
 		return
 	}
+	clear(c.enc) // a pooled chunk must not pin the pages its last rows came from
 	c.Reset()
 	chunkPool.Put(c)
 }

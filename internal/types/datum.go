@@ -202,7 +202,8 @@ func (d Datum) EncodedSize() int {
 }
 
 // MemSize returns an approximate in-memory footprint in bytes, used by the
-// sort operators to account for their memory budget.
+// nested-loops join to account its spool against the memory budget. (The
+// sort operators buffer rows encoded and count the blocks they fill.)
 func (d Datum) MemSize() int {
 	return datumMemOverhead + len(d.s)
 }

@@ -138,16 +138,23 @@ func (s *Schema) AvgTupleWidth() int {
 	return w
 }
 
-// AvgMemWidth estimates Tuple.MemSize for one tuple of this schema — the
-// footprint the sort enforcers budget buffered tuples at, several times
-// AvgTupleWidth for narrow rows. The optimizer uses it to decide whether a
-// number of rows fits a sort-memory grant.
-func (s *Schema) AvgMemWidth() int {
-	w := tupleMemOverhead
+// AvgEncodedWidth estimates the length of Tuple.Encode for one tuple of this
+// schema: the 4-byte arity, a kind byte per column, and the payload (a
+// string's 4-byte length plus its declared average width). This is what a
+// row occupies on a page and — the sort enforcers buffer rows in their page
+// format — in sort memory.
+func (s *Schema) AvgEncodedWidth() int {
+	w := 4
 	for _, c := range s.cols {
-		w += datumMemOverhead
-		if c.Kind == KindString {
-			w += c.DefaultWidth()
+		switch c.Kind {
+		case KindInt, KindFloat:
+			w += 1 + 8
+		case KindBool:
+			w += 1 + 1
+		case KindString:
+			w += 1 + 4 + c.DefaultWidth()
+		default:
+			w++
 		}
 	}
 	return w

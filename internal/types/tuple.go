@@ -82,52 +82,64 @@ func (t Tuple) Encode(buf []byte) []byte {
 	return buf
 }
 
-// decodeDatum parses one encoded datum (kind byte + payload) from buf,
-// returning the datum and the number of bytes consumed. Both the row path
-// (DecodeTuple) and the batch path (Chunk.AppendEncoded) decode through
-// here, so the two cannot drift apart.
-func decodeDatum(buf []byte) (Datum, int, error) {
+// decodeDatum parses one encoded datum (kind byte + payload) from buf into
+// *d, returning the number of bytes consumed. Both the row path (DecodeTuple)
+// and the batch path (Chunk) decode through here, so the two cannot drift
+// apart. Writing through the pointer keeps the 40-byte Datum out of the
+// return registers on what is the hot loop of every scan and every sort
+// emission.
+func decodeDatum(d *Datum, buf []byte) (int, error) {
 	if len(buf) == 0 {
-		return Null, 0, fmt.Errorf("types: empty datum")
+		return 0, fmt.Errorf("types: empty datum")
 	}
-	kind := Kind(buf[0])
-	pos := 1
-	switch kind {
+	switch kind := Kind(buf[0]); kind {
 	case KindNull:
-		return Null, pos, nil
+		*d = Null
+		return 1, nil
 	case KindInt:
-		if pos+8 > len(buf) {
-			return Null, 0, fmt.Errorf("types: truncated int datum")
+		if len(buf) < 9 {
+			return 0, fmt.Errorf("types: truncated int datum")
 		}
-		return NewInt(int64(binary.BigEndian.Uint64(buf[pos : pos+8]))), pos + 8, nil
+		*d = Datum{kind: KindInt, i: int64(binary.BigEndian.Uint64(buf[1:9]))}
+		return 9, nil
 	case KindFloat:
-		if pos+8 > len(buf) {
-			return Null, 0, fmt.Errorf("types: truncated float datum")
+		if len(buf) < 9 {
+			return 0, fmt.Errorf("types: truncated float datum")
 		}
-		return NewFloat(math.Float64frombits(binary.BigEndian.Uint64(buf[pos : pos+8]))), pos + 8, nil
+		*d = Datum{kind: KindFloat, f: math.Float64frombits(binary.BigEndian.Uint64(buf[1:9]))}
+		return 9, nil
 	case KindBool:
-		if pos+1 > len(buf) {
-			return Null, 0, fmt.Errorf("types: truncated bool datum")
+		if len(buf) < 2 {
+			return 0, fmt.Errorf("types: truncated bool datum")
 		}
-		return NewBool(buf[pos] != 0), pos + 1, nil
+		*d = NewBool(buf[1] != 0)
+		return 2, nil
 	case KindString:
-		if pos+4 > len(buf) {
-			return Null, 0, fmt.Errorf("types: truncated string length")
+		if len(buf) < 5 {
+			return 0, fmt.Errorf("types: truncated string length")
 		}
-		l := int(binary.BigEndian.Uint32(buf[pos : pos+4]))
-		pos += 4
-		if l < 0 || l > len(buf)-pos {
-			return Null, 0, fmt.Errorf("types: truncated string payload")
+		l := int(binary.BigEndian.Uint32(buf[1:5]))
+		if l < 0 || l > len(buf)-5 {
+			return 0, fmt.Errorf("types: truncated string payload")
 		}
-		return NewString(string(buf[pos : pos+l])), pos + l, nil
+		*d = Datum{kind: KindString, s: string(buf[5 : 5+l])}
+		return 5 + l, nil
 	default:
-		return Null, 0, fmt.Errorf("types: unknown datum kind %d", kind)
+		return 0, fmt.Errorf("types: unknown datum kind %d", kind)
 	}
 }
 
 // DecodeTuple parses one tuple from buf, returning the tuple and the number
 // of bytes consumed.
 func DecodeTuple(buf []byte) (Tuple, int, error) {
+	return DecodeTupleInto(nil, buf)
+}
+
+// DecodeTupleInto is DecodeTuple into caller-supplied datum storage: the
+// tuple is built in dst when its capacity covers the encoded arity (a fresh
+// tuple is allocated otherwise), so a caller emitting many rows can carve
+// them from one slab instead of paying an allocation per row.
+func DecodeTupleInto(dst Tuple, buf []byte) (Tuple, int, error) {
 	if len(buf) < 4 {
 		return nil, 0, fmt.Errorf("types: short tuple header (%d bytes)", len(buf))
 	}
@@ -138,16 +150,19 @@ func DecodeTuple(buf []byte) (Tuple, int, error) {
 		return nil, 0, fmt.Errorf("types: tuple arity %d exceeds %d remaining bytes", uint32(n), len(buf)-4)
 	}
 	pos := 4
-	t := make(Tuple, n)
+	t := dst[:0]
+	if cap(t) < n {
+		t = make(Tuple, n)
+	}
+	t = t[:n]
 	for i := 0; i < n; i++ {
 		if pos >= len(buf) {
 			return nil, 0, fmt.Errorf("types: truncated tuple at datum %d", i)
 		}
-		d, sz, err := decodeDatum(buf[pos:])
+		sz, err := decodeDatum(&t[i], buf[pos:])
 		if err != nil {
 			return nil, 0, err
 		}
-		t[i] = d
 		pos += sz
 	}
 	return t, pos, nil
@@ -171,28 +186,64 @@ func EncodedTupleLen(buf []byte) (int, error) {
 		if pos >= len(buf) {
 			return 0, fmt.Errorf("types: truncated tuple at datum %d", i)
 		}
-		rest := len(buf) - pos - 1 // bytes after the kind byte
-		var sz int
-		switch kind := Kind(buf[pos]); kind {
-		case KindNull:
-		case KindInt, KindFloat:
-			sz = 8
-		case KindBool:
-			sz = 1
-		case KindString:
-			if rest < 4 {
-				return 0, fmt.Errorf("types: truncated string length")
-			}
-			sz = 4 + int(binary.BigEndian.Uint32(buf[pos+1:pos+5]))
-		default:
-			return 0, fmt.Errorf("types: unknown datum kind %d", kind)
+		sz, err := encodedDatumLen(buf[pos:])
+		if err != nil {
+			return 0, fmt.Errorf("types: datum %d: %w", i, err)
 		}
-		if sz < 0 || sz > rest {
-			return 0, fmt.Errorf("types: truncated datum %d", i)
-		}
-		pos += 1 + sz
+		pos += sz
 	}
 	return pos, nil
+}
+
+// EncodedDatum returns the encoding — kind byte plus payload — of column col
+// of the encoded tuple at the start of buf, without decoding anything: what
+// a reader that needs one or two columns of a buffered row (a sort key, say)
+// walks instead of materializing the tuple. Framing errors are DecodeTuple's.
+func EncodedDatum(buf []byte, col int) ([]byte, error) {
+	if len(buf) < 4 {
+		return nil, fmt.Errorf("types: short tuple header (%d bytes)", len(buf))
+	}
+	if n := int(binary.BigEndian.Uint32(buf[:4])); col < 0 || col >= n {
+		return nil, fmt.Errorf("types: column %d of an encoded tuple of arity %d", col, uint32(n))
+	}
+	pos := 4
+	for i := 0; ; i++ {
+		sz, err := encodedDatumLen(buf[pos:])
+		if err != nil {
+			return nil, fmt.Errorf("types: datum %d: %w", i, err)
+		}
+		if i == col {
+			return buf[pos : pos+sz : pos+sz], nil
+		}
+		pos += sz
+	}
+}
+
+// encodedDatumLen returns the byte length (kind byte included) of the
+// encoded datum at the start of buf.
+func encodedDatumLen(buf []byte) (int, error) {
+	if len(buf) == 0 {
+		return 0, fmt.Errorf("types: empty datum")
+	}
+	sz := 0
+	switch kind := Kind(buf[0]); kind {
+	case KindNull:
+	case KindInt, KindFloat:
+		sz = 8
+	case KindBool:
+		sz = 1
+	case KindString:
+		if len(buf) < 5 {
+			return 0, fmt.Errorf("types: truncated string length")
+		}
+		sz = 4 + int(binary.BigEndian.Uint32(buf[1:5]))
+	default:
+		return 0, fmt.Errorf("types: unknown datum kind %d", kind)
+	}
+	if sz < 0 || sz > len(buf)-1 {
+		return 0, fmt.Errorf("types: truncated datum")
+	}
+	return 1 + sz, nil
 }
 
 // String renders the tuple for debug output.

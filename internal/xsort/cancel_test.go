@@ -46,6 +46,9 @@ func TestSRSAbortInterruptsOpen(t *testing.T) {
 	if names := d.FileNames(); len(names) != 0 {
 		t.Fatalf("aborted SRS leaked files: %v", names)
 	}
+	if n := d.LiveBlocks(); n != 0 {
+		t.Fatalf("aborted SRS kept %d blocks of sort memory", n)
+	}
 }
 
 // TestMRSAbortInterruptsCollect: the abort must reach MRS's demand-driven
@@ -84,6 +87,9 @@ func TestMRSAbortInterruptsCollect(t *testing.T) {
 	}
 	if names := d.FileNames(); len(names) != 0 {
 		t.Fatalf("aborted MRS leaked files: %v", names)
+	}
+	if n := d.LiveBlocks(); n != 0 {
+		t.Fatalf("aborted MRS kept %d blocks of sort memory", n)
 	}
 }
 
@@ -124,12 +130,15 @@ func TestMRSAbortWithParallelSpill(t *testing.T) {
 	if names := d.FileNames(); len(names) != 0 {
 		t.Fatalf("aborted MRS leaked files: %v", names)
 	}
+	if n := d.LiveBlocks(); n != 0 {
+		t.Fatalf("aborted MRS kept %d blocks of sort memory", n)
+	}
 }
 
 // TestMRSLimitAbortReleasesEverything: the bounded sort's own exits — the
 // in-memory selection (k fits) and the truncated-run spill with its cut
 // reduction merges (k does not fit) — are reached by the abort like any other
-// loop, at every poll position, and leave no file or arena behind.
+// loop, at every poll position, and leave no file, arena or block of sort memory behind.
 func TestMRSLimitAbortReleasesEverything(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	rows := genRows(6000, 2, rng)
@@ -157,6 +166,9 @@ func TestMRSLimitAbortReleasesEverything(t *testing.T) {
 				}
 				if names := d.FileNames(); len(names) != 0 {
 					t.Fatalf("%s par=%d polls=%d: aborted bounded MRS leaked files: %v", tc.name, par, polls, names)
+				}
+				if n := d.LiveBlocks(); n != 0 {
+					t.Fatalf("%s par=%d polls=%d: aborted bounded MRS kept %d blocks of sort memory", tc.name, par, polls, n)
 				}
 			}
 			if aborted == 0 {

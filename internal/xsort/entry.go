@@ -4,7 +4,10 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"pyro/internal/keys"
+	"pyro/internal/sortord"
 	"pyro/internal/storage"
+	"pyro/internal/types"
 )
 
 // Fixed-width sort entries (the DuckDB SortLayout shape). A spill run is no
@@ -86,12 +89,11 @@ func ParseEntryLayout(s string) (EntryLayout, error) {
 }
 
 // entryOverhead is the per-entry bytes past the key prefix: the tie flag
-// and the int32 row id.
+// and the u32 row id (run file) or row offset (store).
 const entryOverhead = 5
 
-// entryLayout is one sort's resolved spill-entry geometry. The zero value
-// (mode LayoutTuple via resolveLayout) means tuple-page runs with no entry
-// files.
+// entryLayout is one sort's resolved entry geometry: the prefix width its
+// store entries and run entries share, and whether runs carry entry files.
 type entryLayout struct {
 	mode  EntryLayout
 	width int // fixed key-prefix bytes per entry
@@ -101,24 +103,61 @@ type entryLayout struct {
 // flat reports whether runs carry entry files.
 func (l entryLayout) flat() bool { return l.mode != LayoutTuple }
 
-// resolveLayout fixes a sort's entry geometry at construction. prefixCols
-// is the number of leading key columns every key the sort compares is known
-// to share (MRS's `given` prefix; 0 for SRS): the fixed width is sized for
-// the suffix columns the entries actually discriminate on. Comparator-mode
-// sorts have no encoded keys and degrade to the tuple layout, as does a
-// page size too small to hold even one minimal entry per page.
-func resolveLayout(cfg Config, ky *keyer, prefixCols int) entryLayout {
-	if cfg.EntryLayout == LayoutTuple || !ky.encoded() {
-		return entryLayout{mode: LayoutTuple}
+// resolveLayout fixes a sort's entry geometry at construction. codec is the
+// sort's key codec (nil for a key shape it cannot encode) and prefixCols the
+// number of leading key columns every key the sort compares is known to
+// share (MRS's `given` prefix; 0 for SRS): the fixed width is sized for the
+// suffix columns the entries actually discriminate on. The width is the
+// sort's one key representation — in-memory store entries and flat run
+// entries alike — so it is resolved in every mode; mode only decides whether
+// runs carry entry files. A comparator-mode sort (Config.Keys) keeps the
+// geometry and leaves the prefixes blank: the ablation then holds as many
+// rows per block as the encoded arm, forms the same runs and differs in what
+// a comparison costs, nothing else. Without encoded keys runs are tuple
+// pages.
+func resolveLayout(cfg Config, codec *keys.Codec, prefixCols int) entryLayout {
+	if codec == nil {
+		return entryLayout{mode: LayoutTuple, size: entryOverhead}
 	}
-	width := ky.codec.FixedWidthHint(prefixCols)
+	width := codec.FixedWidthHint(prefixCols)
 	if max := cfg.Disk.PageSize() - 2 - entryOverhead; width > max {
 		width = max
 	}
+	mode := cfg.EntryLayout
 	if width < 1 {
-		return entryLayout{mode: LayoutTuple}
+		// A page too small for one minimal entry: every key counts as
+		// truncated and runs fall back to tuple pages.
+		width, mode = 0, LayoutTuple
 	}
-	return entryLayout{mode: cfg.EntryLayout, width: width, size: width + entryOverhead}
+	if cfg.Keys == KeyComparator {
+		mode = LayoutTuple
+	}
+	return entryLayout{mode: mode, width: width, size: width + entryOverhead}
+}
+
+// FootprintBlocks estimates the sort memory, in blocks of pageSize bytes, that
+// buffering rows rows of schema takes a sort to target whose input already
+// carries given: the blocks their encoded bytes fill (average width) plus the
+// blocks their store entries fill — never fewer than one of each. It is the
+// one definition of "do these rows fit M": the governor's ask for a bounded
+// sort, the optimizer's owed-rows test and the cost model's BoundedSort all
+// go through it, and it is how a rowStore holding those rows would count
+// itself. The entry is sized from the kinds of the key columns past given,
+// as resolveLayout sizes it from the codec; a target attribute schema lacks —
+// no sort can be built for such a plan — adds nothing. rows must be small
+// enough for rows × width not to overflow.
+func FootprintBlocks(schema *types.Schema, target, given sortord.Order, rows int64, pageSize int) int64 {
+	var buf [8]types.Kind
+	kinds := buf[:0]
+	for _, a := range target[min(given.Len(), target.Len()):] {
+		if ord, ok := schema.Ordinal(a); ok {
+			kinds = append(kinds, schema.Col(ord).Kind)
+		}
+	}
+	entry := int64(entryOverhead + keys.FixedWidth(kinds...))
+	page := int64(pageSize)
+	blocks := func(width int64) int64 { return max((rows*width+page-1)/page, 1) }
+	return blocks(int64(schema.AvgEncodedWidth())) + blocks(entry)
 }
 
 // spillRun is one sorted run on disk: the payload tuple file, plus — in the
@@ -156,7 +195,6 @@ func payloadFiles(runs []spillRun) []*storage.File {
 type runWriter struct {
 	ns      storage.TempSpace
 	lay     entryLayout
-	skip    int
 	run     spillRun
 	payload *storage.TupleWriter
 	entries *storage.EntryWriter // nil in LayoutTuple
@@ -164,11 +202,9 @@ type runWriter struct {
 	rowid   uint32
 }
 
-// newRunWriter opens a fresh run in ns. skip is the writer's keyer skip:
-// entry prefixes are taken from the key past it, matching what the
-// segment's merges will compare.
-func newRunWriter(ns storage.TempSpace, prefix string, lay entryLayout, skip int) *runWriter {
-	w := &runWriter{ns: ns, lay: lay, skip: skip}
+// newRunWriter opens a fresh run in ns.
+func newRunWriter(ns storage.TempSpace, prefix string, lay entryLayout) *runWriter {
+	w := &runWriter{ns: ns, lay: lay}
 	w.run.payload = ns.CreateTemp(prefix, storage.KindRun)
 	w.payload = storage.NewTupleWriter(w.run.payload)
 	if lay.flat() {
@@ -179,18 +215,21 @@ func newRunWriter(ns storage.TempSpace, prefix string, lay entryLayout, skip int
 	return w
 }
 
-// write appends one keyed tuple, deriving its entry from the already
-// encoded key — run formation never re-encodes.
-func (w *runWriter) write(kt keyed) error {
-	if err := w.payload.Write(kt.t); err != nil {
-		return err
-	}
+// writeTuple appends one tuple of a tuple-layout run (no entry file): the
+// output of a tuple-layout merge, which works on decoded tuples.
+func (w *runWriter) writeTuple(t types.Tuple) error {
+	return w.payload.Write(t)
+}
+
+// writeStored appends one buffered row: its bytes go to the payload file as
+// they are — a spill is a copy — and, in the flat layouts, the prefix and tie
+// flag of its store entry e become its run entry. Nothing is decoded, nothing
+// re-encoded.
+func (w *runWriter) writeStored(st *rowStore, e []byte) error {
 	if w.entries == nil {
-		return nil
+		return w.payload.WriteRaw(st.rowBytes(e))
 	}
-	suffix := kt.key[w.skip:]
-	w.fill(suffix[:min(len(suffix), w.lay.width)], len(suffix) > w.lay.width)
-	return w.entries.Write(w.buf)
+	return w.writeEntry(e[:w.lay.width], e[w.lay.width]&flagTrunc != 0, st.rowBytes(e))
 }
 
 // writeEntry appends one record of a flat run whose entry prefix, tie flag
@@ -242,14 +281,14 @@ func (w *runWriter) abandon() {
 	w.run.remove(w.ns)
 }
 
-// writeRun writes the tuples of a keyed buffer, in emission order, as one
-// run in ns — the sort's spill arena, so concurrent writers from different
-// segments or workers never share a namespace or a ledger mutex. It returns
-// the run and its entry-page count.
-func writeRun(ns storage.TempSpace, prefix string, buf []keyed, order []int32, lay entryLayout, skip int) (spillRun, int64, error) {
-	w := newRunWriter(ns, prefix, lay, skip)
-	for _, idx := range order {
-		if err := w.write(buf[idx]); err != nil {
+// writeRun writes the rows of st, in emission order, as one run in ns — the
+// sort's spill arena, so concurrent writers from different segments or
+// workers never share a namespace or a ledger mutex. It returns the run and
+// its entry-page count.
+func writeRun(ns storage.TempSpace, prefix string, st *rowStore, order []uint32, lay entryLayout) (spillRun, int64, error) {
+	w := newRunWriter(ns, prefix, lay)
+	for _, h := range order {
+		if err := w.writeStored(st, st.entry(h)); err != nil {
 			w.abandon()
 			return spillRun{}, 0, err
 		}

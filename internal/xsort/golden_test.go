@@ -11,13 +11,13 @@ import (
 	"pyro/internal/types"
 )
 
-// The golden values below were captured from the pre-arena serial spill
-// path (PR 1, commit c12f98e) on the fixed workload of goldenRows: 6000
-// rows in 3 oversized segments, 512-byte pages. They pin the refactored
-// spill subsystem to the paper's serial algorithm byte for byte — output
-// sequence (order-sensitive FNV checksum of the encoded tuples), comparison
-// counts, run/pass structure and I/O totals. Any change to these numbers is
-// a semantic change to the sort, not a scheduling change, and must be
+// The golden values below pin the spill subsystem on the fixed workload of
+// goldenRows: 6000 rows in 3 oversized segments, 512-byte pages. The output
+// checksum (order-sensitive FNV of the encoded tuples) is the one the
+// pre-arena serial spill path produced (PR 1, commit c12f98e) and has never
+// moved; comparison counts, run/pass structure and I/O totals are what the
+// paper's serial algorithm does with this memory. Any change to these numbers
+// is a semantic change to the sort, not a scheduling change, and must be
 // deliberate.
 //
 // One such change: the MRS comparison and I/O constants were re-captured at
@@ -30,20 +30,37 @@ import (
 // — and neither did any SRS constant: 179 runs at fan-in 3 exceed 3² until
 // the last pass, and its 7 → 3 step was already minimal (3+3 merged, 1
 // through). The RunsMerged constants pin the schedule itself.
+//
+// Every structural constant was re-captured at PR 22, when sort memory became
+// what it says: buffered rows live encoded in page-sized blocks and the
+// budget counts those blocks, where it used to count Tuple.MemSize — 127
+// bytes for a 34-byte row here — against heap it did not measure. The same M
+// now holds more than twice the rows, so the same input forms fewer, longer
+// runs and needs fewer passes (old → new):
+//
+//	MRS  runs 183 → 81   passes 6 → 3   merged 192 → 72    I/O 2208 → 1524   comparisons 89253 → 91735
+//	SRS  runs 179 → 108  passes 4 → 4   merged 265 → 158   I/O 4178 → 3750   comparisons 98977 → 95765
+//
+// MRS: 8 blocks of 512 bytes are 5 row blocks (15 rows each) and 3 entry
+// blocks, 75 rows a batch instead of 33, so each 2000-row segment forms 27
+// runs, reduced 27 → 7 in one partial pass (24 merged, 3 through). SRS: 4
+// blocks are 2 row blocks and 2 entry blocks, a 28-row fill (replacement
+// selection rounds its recyclable row slots up to 4 bytes) instead of 16.
+// The checksum did not move: what comes out is decided by the keys alone.
 const (
 	goldenChecksum = 0x5cfb849c70b9843d
 
-	goldenMRSComparisons = 89253
-	goldenMRSRuns        = 183
-	goldenMRSPasses      = 6
-	goldenMRSRunsMerged  = 192  // per segment: all 61, then 3 of 9
-	goldenMRSIOTotal     = 2208 // 1104 reads + 1104 writes, all run-attributed
+	goldenMRSComparisons = 91735
+	goldenMRSRuns        = 81
+	goldenMRSPasses      = 3
+	goldenMRSRunsMerged  = 72   // per segment: 24 of 27
+	goldenMRSIOTotal     = 1524 // 762 reads + 762 writes, all run-attributed
 
-	goldenSRSComparisons = 98977
-	goldenSRSRuns        = 179
+	goldenSRSComparisons = 95765
+	goldenSRSRuns        = 108
 	goldenSRSPasses      = 4
-	goldenSRSRunsMerged  = 265  // 179 + 60 + 20 + 6 of 7
-	goldenSRSIOTotal     = 4178 // 2089 reads + 2089 writes, all run-attributed
+	goldenSRSRunsMerged  = 158  // 108 + 36 + 12 + 2 of 4
+	goldenSRSIOTotal     = 3750 // 1875 reads + 1875 writes, all run-attributed
 )
 
 func goldenRows() []types.Tuple {

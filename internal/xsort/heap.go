@@ -1,129 +1,122 @@
 package xsort
 
-// runEntry is a heap element during replacement-selection run formation:
-// tuples tagged for the current run sort before tuples deferred to the next.
-type runEntry struct {
-	tag int // run number this tuple belongs to
-	kt  keyed
-}
-
-// runHeap is a binary min-heap over (tag, key). The heap order is an int32
-// slot permutation over stable entry storage — the same treatment that
-// moved MRS segment sorts to index sorting: every sift swaps one 4-byte
-// index instead of a 56-byte entry (whose key and tuple slices also drag
-// write barriers through the heap). Freed slots are recycled, so
-// replacement selection's push-one-pop-one steady state never grows the
-// entry array past the memory budget.
+// runHeap is the replacement-selection heap: a binary min-heap over
+// (run, key) of the rows buffered in a rowStore. The heap order is a
+// permutation of entry handles — every sift swaps one 4-byte handle, and
+// the entries (which hold the key prefixes the comparisons read) stay where
+// they are. That handle array, 4 bytes a row, is the one part of SRS's
+// memory outside the store's blocks.
 //
-// Key comparisons are counted into *comparisons; tag comparisons are not
-// (they are integer checks, not the multi-attribute comparisons the paper's
-// analysis counts). Key bytes are excluded from memBytes so the M-block
-// budget keeps the paper's tuple-size arithmetic regardless of key mode.
+// A row's run rides in its entry's flag byte as one parity bit: the heap
+// only ever holds rows of the current run and of the next, so parity tells
+// them apart, and rows of the current run sort first. Key comparisons are
+// counted into *comparisons; run comparisons are not (they are bit checks,
+// not the multi-attribute comparisons the paper's analysis counts).
 type runHeap struct {
-	entries     []runEntry // slot-stable storage; holes are reused via free
-	heap        []int32    // heap order: slots into entries
-	free        []int32    // recycled slots
+	st          *rowStore
+	heap        []uint32 // heap order: entry handles into st
 	ky          *keyer
 	comparisons *int64
-	bytes       int64
+	current     byte // flagRun parity of the run being written
 }
 
-func newRunHeap(ky *keyer, comparisons *int64) *runHeap {
-	return &runHeap{ky: ky, comparisons: comparisons}
+func newRunHeap(st *rowStore, ky *keyer, comparisons *int64) *runHeap {
+	return &runHeap{st: st, ky: ky, comparisons: comparisons}
 }
 
 func (h *runHeap) len() int { return len(h.heap) }
 
-func (h *runHeap) memBytes() int64 { return h.bytes }
+// nextRun makes the rows deferred to the next run the current ones.
+func (h *runHeap) nextRun() { h.current ^= flagRun }
 
-func (h *runHeap) less(i, j int) bool {
-	a, b := &h.entries[h.heap[i]], &h.entries[h.heap[j]]
-	if a.tag != b.tag {
-		return a.tag < b.tag
+// runFlag returns the flag bits of a row entering the heap for the current
+// run, or deferred to the next.
+func (h *runHeap) runFlag(deferred bool) byte {
+	if deferred {
+		return h.current ^ flagRun
+	}
+	return h.current
+}
+
+// topDeferred reports whether the minimum belongs to the next run — the
+// current one is then exhausted.
+func (h *runHeap) topDeferred() bool {
+	return h.st.entry(h.heap[0])[h.st.width]&flagRun != h.current
+}
+
+// less orders two entries: run first, then key.
+func (h *runHeap) less(a, b []byte) bool {
+	if ra, rb := a[h.st.width]&flagRun, b[h.st.width]&flagRun; ra != rb {
+		return ra == h.current
 	}
 	*h.comparisons++
-	return h.ky.compare(a.kt, b.kt) < 0
+	return h.ky.compareEntries(h.st, a, b, 0) < 0
 }
 
-func (h *runHeap) swap(i, j int) {
-	h.heap[i], h.heap[j] = h.heap[j], h.heap[i]
-}
-
-func (h *runHeap) push(e runEntry) {
-	var slot int32
-	if n := len(h.free); n > 0 {
-		slot = h.free[n-1]
-		h.free = h.free[:n-1]
-		h.entries[slot] = e
-	} else {
-		slot = int32(len(h.entries))
-		h.entries = append(h.entries, e)
-	}
-	h.heap = append(h.heap, slot)
-	h.bytes += int64(e.kt.t.MemSize())
+// push adds the entry with handle e (already in the store).
+func (h *runHeap) push(e uint32) {
+	h.heap = append(h.heap, e)
 	h.siftUp(len(h.heap) - 1)
 }
 
-// pop removes and returns the minimum entry.
-func (h *runHeap) pop() runEntry {
-	slot := h.heap[0]
-	top := h.entries[slot]
-	h.entries[slot] = runEntry{} // drop tuple/key references for the GC
-	h.free = append(h.free, slot)
+// pop removes and returns the minimum entry's handle. The entry and its row
+// stay in the store until the caller frees them.
+func (h *runHeap) pop() uint32 {
+	top := h.heap[0]
 	last := len(h.heap) - 1
 	h.heap[0] = h.heap[last]
 	h.heap = h.heap[:last]
-	h.bytes -= int64(top.kt.t.MemSize())
 	if last > 0 {
 		h.siftDown(0)
 	}
 	return top
 }
 
-// peek returns the minimum entry without removing it.
-func (h *runHeap) peek() runEntry { return h.entries[h.heap[0]] }
-
-// seed adopts a pre-sorted phase-1 fill without any comparisons: entries
-// land in arrival order (tagged for the first run) and the heap order is
-// the ascending permutation the run-formation sort produced — a sorted
-// array is a valid binary min-heap, so subsequent push/pop traffic works
-// unchanged. Must be called on an empty heap.
-func (h *runHeap) seed(fill []keyed, order []int32) {
-	h.entries = make([]runEntry, len(fill))
-	h.heap = append(h.heap[:0], order...)
-	for i, kt := range fill {
-		h.entries[i] = runEntry{tag: 0, kt: kt}
-		h.bytes += int64(kt.t.MemSize())
-	}
+// seed adopts a pre-sorted phase-1 fill without any comparisons: the heap
+// order is the ascending permutation the run-formation sort produced — a
+// sorted array is a valid binary min-heap, so subsequent push/pop traffic
+// works unchanged. Must be called on an empty heap.
+func (h *runHeap) seed(order []uint32) {
+	h.heap = order
 }
 
+// The sifts hold the moving element's entry across levels instead of looking
+// it up again at each; the comparisons made, and their order, are those of
+// the textbook loops.
+
 func (h *runHeap) siftUp(i int) {
+	moving := h.st.entry(h.heap[i])
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(i, parent) {
+		if !h.less(moving, h.st.entry(h.heap[parent])) {
 			return
 		}
-		h.swap(i, parent)
+		h.heap[i], h.heap[parent] = h.heap[parent], h.heap[i]
 		i = parent
 	}
 }
 
 func (h *runHeap) siftDown(i int) {
 	n := len(h.heap)
+	moving := h.st.entry(h.heap[i])
 	//pyro:bounded(heap sift descends one level per iteration: at most log2(len(heap)) steps)
 	for {
 		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && h.less(l, smallest) {
-			smallest = l
+		smallest, least := i, moving
+		if l < n {
+			if e := h.st.entry(h.heap[l]); h.less(e, least) {
+				smallest, least = l, e
+			}
 		}
-		if r < n && h.less(r, smallest) {
-			smallest = r
+		if r < n {
+			if e := h.st.entry(h.heap[r]); h.less(e, least) {
+				smallest, least = r, e
+			}
 		}
 		if smallest == i {
 			return
 		}
-		h.swap(i, smallest)
+		h.heap[i], h.heap[smallest] = h.heap[smallest], h.heap[i]
 		i = smallest
 	}
 }

@@ -171,8 +171,10 @@ func TestMRSLimitBoundsMemoryAndDropsPastCutoff(t *testing.T) {
 	cfg.Limit = k
 	out, st := limitedMRS(t, rows, sortord.New("c1"), cfg)
 	checkLimited(t, out, rows, k)
-	if max := int64(2*k) * int64(rows[0].MemSize()); st.PeakMemBytes > max {
-		t.Fatalf("PeakMemBytes = %d, want at most 2k rows = %d", st.PeakMemBytes, max)
+	// 2k rows' worth of blocks, and one more of each kind for the row that
+	// triggers the selection.
+	if max := (FootprintBlocks(sortSchema, limitTarget, sortord.New("c1"), 2*k, 512) + 2) * 512; st.PeakMemBytes > max {
+		t.Fatalf("PeakMemBytes = %d, want at most 2k rows' blocks = %d", st.PeakMemBytes, max)
 	}
 	unlimitedCfg, _ := smallCfg(t, 10_000)
 	unlimitedCfg.Parallelism = 1

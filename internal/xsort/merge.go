@@ -138,7 +138,7 @@ func mergeGroup(ns storage.TempSpace, prefix string, group []spillRun, ky *keyer
 	ky = ky.clone()
 	guard := iter.NewGuard(abort)
 	tally := mergeTally{runs: len(group)}
-	w := newRunWriter(ns, prefix, lay, ky.skip)
+	w := newRunWriter(ns, prefix, lay)
 	fail := func(err error) (spillRun, mergeTally, error) {
 		w.abandon()
 		return spillRun{}, tally, err
@@ -179,7 +179,7 @@ func mergeGroup(ns storage.TempSpace, prefix string, group []spillRun, ky *keyer
 			if !ok {
 				break
 			}
-			if err := w.write(keyed{t: t}); err != nil {
+			if err := w.writeTuple(t); err != nil {
 				return fail(err)
 			}
 		}

@@ -1,6 +1,7 @@
 package xsort
 
 import (
+	"bytes"
 	"fmt"
 
 	"pyro/internal/iter"
@@ -85,13 +86,19 @@ type MRS struct {
 	lay    entryLayout
 	stats  SortStats
 
-	// Input state.
-	pending     types.Tuple // lookahead: first tuple of the next segment
-	pendingKT   keyed       // pending with its sort key (wrapped by src)
+	// Input state. pending is the lookahead row — the first of the next
+	// segment, or the next of the one being collected — as a view into the
+	// source's current batch: it is buffered (copied into a store), cloned or
+	// dropped before the source is asked for another.
+	pending     inputRow
+	havePending bool
 	src         *tupleSource
 	inputDone   bool
 	passthrough bool  // given == target: nothing to do
 	owed        int64 // Config.Limit minus the rows of collected segments
+	out         rowEmitter
+	left        int64     // Config.Limit minus the rows emitted: sizes the emitter's slabs
+	spare       *rowStore // the last released segment's store, empty, for the next collector
 
 	// Segment pipeline: col accumulates the segment currently being read;
 	// segq holds collected segments in input order (sorting or sorted);
@@ -100,7 +107,7 @@ type MRS struct {
 	segq []*segment
 	cur  *segment
 
-	liveBytes int64      // buffered tuple bytes across all live segments
+	liveBytes int64      // blocks held, in bytes, across all live segments and flush jobs
 	pumpErr   error      // read-ahead failure, surfaced on the next Next call
 	guard     iter.Guard // strided Config.Abort poll (consumer goroutine only)
 
@@ -110,25 +117,28 @@ type MRS struct {
 
 // segCollector accumulates one partial-sort segment as it is read. ky is
 // the segment's skip-bound keyer: keys are full target-order encodings
-// (wrapped by the shared consumer-side keyer), and within this segment
-// they all share the encoded bytes of the `given` prefix, so the
-// segment's comparisons slice past them and its radix sorts seed there.
+// (encoded by the consumer-side source), and within this segment they all
+// share the encoded bytes of the `given` prefix, so the store's entries
+// carry, and the segment's comparisons and radix sorts touch, only what
+// follows them.
 type segCollector struct {
-	first    types.Tuple // segment representative for prefix comparisons
-	ky       *keyer
-	buf      []keyed
-	memBytes int64
-	spilled  bool
-	sp       *spillState // non-nil once the segment has spilled
+	// The segment's representative for the boundary test: the encoded bytes
+	// of its `given`-prefix values — the first ky.skip bytes of every key in
+	// it — or, in comparator mode, its first tuple (owned).
+	prefix  []byte
+	first   types.Tuple
+	ky      *keyer
+	store   *rowStore // the rows buffered so far; its blocks are the segment's memory
+	spilled bool
+	sp      *spillState // non-nil once the segment has spilled
 
 	// Bounded selection (see MRS): keep is the owed rows this segment can
 	// contribute, rows the tuples seen so far, cut the key of the keep-th
-	// smallest of them once a selection has established it (cut.t nil
-	// before), spare the buffer selectTop compacts into.
-	keep  int64
-	rows  int64
-	cut   keyed
-	spare []keyed
+	// smallest of them once a selection has established it.
+	keep   int64
+	rows   int64
+	hasCut bool
+	cut    bound
 }
 
 // spillState is the spill side of one oversized segment: its private arena
@@ -147,11 +157,15 @@ type spillState struct {
 }
 
 // flushJob is one parallel run-formation unit: sort one memory batch of an
-// oversized segment and write it to the segment's arena. All fields other
-// than buf/memBytes are written by the worker before close(done) and read
-// by the consumer only after <-done.
+// oversized segment and write it to the segment's arena. The job owns the
+// batch's store — the collector handed over the whole block list — and
+// returns its blocks when the run is written (or the attempt has failed);
+// memBytes, what the store held at dispatch, leaves the sort's accounting
+// when the consumer reaps the job. All fields other than store/memBytes are
+// written by the worker before close(done) and read by the consumer only
+// after <-done.
 type flushJob struct {
-	buf      []keyed
+	store    *rowStore
 	memBytes int64
 	done     chan struct{}
 	run      spillRun
@@ -169,16 +183,15 @@ func (sp *spillState) inflight() int { return len(sp.jobs) - sp.reaped }
 // folds it into SortStats when the segment reaches the head of the queue,
 // keeping the stats single-writer and their totals deterministic.
 type segment struct {
-	ky       *keyer // segment's skip-bound keyer (compare/merge/radix seed)
-	buf      []keyed
-	order    []int32 // emission permutation over buf, cut at keep (in-memory segments)
-	keep     int64   // rows this segment emits at most
-	memBytes int64
-	tally    sortTally
-	done     chan struct{} // non-nil iff sorted asynchronously
-	err      error         // worker panic during the async sort, if any
-	spilled  bool
-	sp       *spillState
+	ky      *keyer    // segment's skip-bound keyer (compare/merge)
+	store   *rowStore // in-memory segments: the buffered rows, owned until released
+	order   []uint32  // emission permutation over store's entries, cut at keep
+	keep    int64     // rows this segment emits at most
+	tally   sortTally
+	done    chan struct{} // non-nil iff sorted asynchronously
+	err     error         // worker panic during the async sort, if any
+	spilled bool
+	sp      *spillState
 
 	pos     int64
 	merging merger
@@ -224,6 +237,8 @@ func NewMRS(input iter.Iterator, schema *types.Schema, target, given sortord.Ord
 	// shape a future radix-aware merge of segment runs needs.
 	suffixCmp := func(a, b types.Tuple) int { return ks.CompareSuffix(a, b, prefix) }
 	ky := newKeyer(cfg.Keys, codec, suffixCmp)
+	lay := resolveLayout(cfg, codec, prefix)
+	ky.width = lay.width
 	return &MRS{
 		input:       input,
 		schema:      schema,
@@ -236,22 +251,31 @@ func NewMRS(input iter.Iterator, schema *types.Schema, target, given sortord.Ord
 		par:         cfg.parallelism(),
 		spar:        cfg.spillParallelism(),
 		rf:          cfg.RunFormation,
-		lay:         resolveLayout(cfg, ky, prefix),
+		lay:         lay,
+		out:         rowEmitter{ncols: schema.Len()},
 		guard:       iter.NewGuard(cfg.Abort),
 		passthrough: prefix == target.Len(),
 		owed:        cfg.limit(),
+		left:        cfg.limit(),
 	}, nil
 }
 
-// segmentKeyer binds the shared keyer to one segment: skip is the encoded
-// byte length of the segment's `given`-prefix values (keys.Codec.PrefixLen
-// on the segment's first tuple — prefix columns of variable width make it
-// segment-specific).
-func (m *MRS) segmentKeyer(first types.Tuple) *keyer {
-	if m.prefix == 0 || !m.ky.encoded() {
-		return m.ky.withSkip(0)
+// startSegment opens a collector on the pending row. It binds the shared
+// keyer to the segment: skip is the encoded byte length of the segment's
+// `given`-prefix values (prefix columns of variable width make it
+// segment-specific), which every key of the segment starts with.
+func (m *MRS) startSegment() *segCollector {
+	c := &segCollector{store: m.spare, keep: m.owed}
+	if m.spare = nil; c.store == nil {
+		c.store = newRowStore(m.cfg.Disk, m.lay, m.cfg.Limit > 0)
 	}
-	return m.ky.withSkip(m.ky.codec.PrefixLen(first, m.prefix))
+	if !m.ky.encoded() {
+		c.first, c.ky = m.pending.t.Clone(), m.ky.withSkip(0)
+		return c
+	}
+	skip := m.ky.codec.KeyPrefixLen(m.pending.key, m.prefix)
+	c.prefix, c.ky = append([]byte(nil), m.pending.key[:skip]...), m.ky.withSkip(skip)
+	return c
 }
 
 // Stats returns the operator's work counters.
@@ -270,32 +294,26 @@ func (m *MRS) Open() error {
 	if err := m.input.Open(); err != nil {
 		return err
 	}
-	// The source wraps each tuple with its sort key as it is pulled. A
-	// passthrough (given == target) never compares keys, so it gets a
-	// comparator-mode keyer and skips the encodes entirely.
+	// The source encodes each row's sort key as it is pulled. A passthrough
+	// (given == target) never compares keys, so it gets a comparator-mode
+	// keyer and skips the encodes entirely.
 	ky := m.ky
 	if m.passthrough {
 		ky = &keyer{cmp: m.ky.cmp}
 	}
 	m.src = newTupleSource(m.input, m.schema, ky, m.cfg)
-	kt, ok, err := m.src.next()
-	if err != nil {
-		return err
-	}
-	if !ok {
-		m.inputDone = true
-		return nil
-	}
-	m.stats.TuplesIn++
-	m.pending = kt.t
-	m.pendingKT = kt
-	return nil
+	return m.advance()
 }
 
-// samePrefix reports whether b belongs to the segment started by a.
-func (m *MRS) samePrefix(a, b types.Tuple) bool {
+// samePrefix reports whether r belongs to segment c: its `given`-prefix
+// values are the segment's. Keys are prefix-free column by column, so in
+// encoded mode that is one comparison of the leading key bytes.
+func (m *MRS) samePrefix(c *segCollector, r inputRow) bool {
 	m.stats.Comparisons++
-	return m.ks.ComparePrefix(a, b, m.prefix) == 0
+	if c.ky.encoded() {
+		return len(r.key) >= len(c.prefix) && bytes.Equal(r.key[:len(c.prefix)], c.prefix)
+	}
+	return m.ks.ComparePrefix(c.first, r.t, m.prefix) == 0
 }
 
 // Next returns the next tuple of the target order.
@@ -313,6 +331,7 @@ func (m *MRS) Next() (types.Tuple, bool, error) {
 			}
 			if ok {
 				m.stats.TuplesOut++
+				m.left--
 				// A read-ahead failure must not swallow the tuple already
 				// taken from the current segment: deliver t now, surface
 				// the error on the next call.
@@ -331,11 +350,15 @@ func (m *MRS) Next() (types.Tuple, bool, error) {
 			}
 			continue
 		}
-		if m.pending == nil {
+		if !m.havePending {
 			return nil, false, nil
 		}
 		if m.passthrough {
-			t := m.pending
+			t := m.pending.t
+			if m.src.cs != nil {
+				t = m.out.own(t, m.left) // a batch row is a view; the consumer keeps what it gets
+			}
+			m.left--
 			if m.owed--; m.owed == 0 {
 				m.stopInput()
 			} else if err := m.advance(); err != nil {
@@ -372,7 +395,11 @@ func (m *MRS) emit() (types.Tuple, bool, error) {
 	if s.pos >= int64(len(s.order)) {
 		return nil, false, nil
 	}
-	t := s.buf[s.order[s.pos]].t
+	e := s.store.entry(s.order[s.pos])
+	t, err := m.out.emit(s.store.rowAt(e), m.left)
+	if err != nil {
+		return nil, false, err
+	}
 	s.pos++
 	return t, true, nil
 }
@@ -384,6 +411,9 @@ func (m *MRS) adopt(seg *segment) error {
 	if seg.done != nil {
 		<-seg.done
 		if seg.err != nil {
+			// seg is off the queue and never becomes the emission head:
+			// nobody else will give its blocks back.
+			m.release(seg)
 			return seg.err
 		}
 		seg.tally.addTo(&m.stats)
@@ -559,14 +589,36 @@ func (m *MRS) releaseSpill(sp *spillState) {
 	sp.runs = nil
 }
 
-// release drops an exhausted segment: its buffer memory leaves the
-// accounting and its spill arena (if any) is released.
+// release drops a segment — exhausted, abandoned or failed: its blocks go
+// back to the pool and out of the accounting, and its spill arena (if any)
+// is released. A segment still being sorted by a worker is waited out first.
 func (m *MRS) release(seg *segment) {
-	m.liveBytes -= seg.memBytes
-	seg.buf = nil
-	seg.order = nil
+	if seg.done != nil {
+		<-seg.done
+	}
+	if m.dropStore(seg.store); seg.store != nil {
+		m.spare = seg.store // segments come and go; their bookkeeping need not
+	}
+	seg.store, seg.order = nil, nil
 	m.releaseSpill(seg.sp)
 	seg.sp = nil
+}
+
+// dropStore returns a store's blocks and takes them out of the accounting.
+func (m *MRS) dropStore(st *rowStore) {
+	if st != nil {
+		m.liveBytes -= st.bytes()
+		st.release()
+	}
+}
+
+// resized folds a change of st's footprint since it held before bytes into
+// the sort's accounting.
+func (m *MRS) resized(st *rowStore, before int64) {
+	m.liveBytes += st.bytes() - before
+	if m.liveBytes > m.stats.PeakMemBytes {
+		m.stats.PeakMemBytes = m.liveBytes
+	}
 }
 
 // pump advances read-ahead in parallel mode: after each emitted tuple the
@@ -578,7 +630,7 @@ func (m *MRS) release(seg *segment) {
 // growing once M is reached, so only the demand-driven path (one emitting
 // plus one collecting segment) can exceed it, as in the serial algorithm.
 func (m *MRS) pump() error {
-	if m.par <= 1 || m.pending == nil || len(m.segq) >= m.par {
+	if m.par <= 1 || !m.havePending || len(m.segq) >= m.par {
 		return nil
 	}
 	// Buffers that spill workers have already written out no longer hold
@@ -611,12 +663,12 @@ func (m *MRS) pump() error {
 // reached; the returned segment is already dispatched for sorting when the
 // pool is enabled.
 func (m *MRS) collect(limit int) (*segment, error) {
-	if m.pending == nil {
+	if !m.havePending {
 		return nil, nil
 	}
 	if m.col == nil {
 		m.stats.Segments++
-		m.col = &segCollector{first: m.pending, ky: m.segmentKeyer(m.pending), keep: m.owed}
+		m.col = m.startSegment()
 	}
 	c := m.col
 	read := 0
@@ -627,34 +679,37 @@ func (m *MRS) collect(limit int) (*segment, error) {
 			return nil, err
 		}
 		c.rows++
-		if !m.pastCut(c, m.pendingKT) {
-			t := m.pending
-			c.buf = append(c.buf, m.pendingKT)
-			c.memBytes += int64(t.MemSize())
-			m.liveBytes += int64(t.MemSize())
-			if m.liveBytes > m.stats.PeakMemBytes {
-				m.stats.PeakMemBytes = m.liveBytes
-			}
-			// The budget is re-read per tuple, not cached across the loop: a
-			// governed query's live allowance (xsort.Budget) can shrink
+		if !m.pastCut(c, m.pending) {
+			// The budget is re-read per attempt, not cached across the loop:
+			// a governed query's live allowance (xsort.Budget) can shrink
 			// mid-segment under spill pressure, and the next buffering
-			// decision must see it. Over budget, a bounded segment first sheds
-			// the rows nobody will read and spills only what is still too big.
-			if c.memBytes >= m.cfg.memoryBytes() {
+			// decision must see it. When the store may not take the row, a
+			// bounded segment first sheds the rows nobody will read and spills
+			// only what is still too big; a spill empties the store, which
+			// then takes anything.
+			before := c.store.bytes()
+			//pyro:bounded(a failed add is followed by one shed at most, then by a flush, and an emptied store takes any row)
+			for {
+				if _, ok := c.store.add(m.pending, c.ky.suffix(m.pending), 0, m.cfg.memoryBlocks()); ok {
+					break
+				}
 				if !m.shed(c) {
 					c.spilled = true
 					if err := m.flush(c); err != nil {
 						return nil, err
 					}
 				}
-			} else if int64(len(c.buf))/2 >= c.keep {
+				before = c.store.bytes() // shed and flush have settled their own accounts
+			}
+			m.resized(c.store, before)
+			if int64(c.store.len())/2 >= c.keep {
 				m.selectTop(c)
 			}
 		}
 		if err := m.advance(); err != nil {
 			return nil, err
 		}
-		if m.pending == nil || !m.samePrefix(c.first, m.pending) {
+		if !m.havePending || !m.samePrefix(c, m.pending) {
 			m.col = nil
 			return m.finish(c)
 		}
@@ -676,7 +731,7 @@ func (m *MRS) flush(c *segCollector) error {
 		c.sp = &spillState{arena: m.cfg.Disk.NewArenaTapped(m.cfg.Tap), ky: c.ky, keep: c.keep}
 	}
 	if m.spar <= 1 {
-		run, pages, tally, err := formRun(c.sp.arena, m.cfg.TempPrefix, c.buf, c.ky, m.rf, m.lay, c.keep)
+		run, pages, tally, err := formRun(c.sp.arena, m.cfg.TempPrefix, c.store, c.ky, m.rf, m.lay, c.keep)
 		tally.addTo(&m.stats)
 		if err != nil {
 			return err
@@ -685,9 +740,7 @@ func (m *MRS) flush(c *segCollector) error {
 		m.stats.FlatRunPages += pages
 		m.stats.RunsGenerated++
 		m.stats.SpillRunsSerial++
-		c.buf = c.buf[:0]
-		m.liveBytes -= c.memBytes
-		c.memBytes = 0
+		m.dropStore(c.store)
 		return nil
 	}
 
@@ -698,21 +751,21 @@ func (m *MRS) flush(c *segCollector) error {
 	for c.sp.inflight() >= m.spar {
 		m.reapJob(c.sp, c.sp.reaped)
 	}
-	job := &flushJob{buf: c.buf, memBytes: c.memBytes, done: make(chan struct{})}
+	// The job takes the whole block list; its bytes stay in liveBytes until
+	// the job completes and is reaped. The collector goes on with a fresh
+	// store.
+	job := &flushJob{store: c.store, memBytes: c.store.bytes(), done: make(chan struct{})}
+	c.store = newRowStore(m.cfg.Disk, m.lay, m.cfg.Limit > 0)
 	c.sp.jobs = append(c.sp.jobs, job)
 	m.stats.RunsGenerated++
 	m.stats.SpillRunsParallel++
-	arena, prefix, ky, rf, lay, keep := c.sp.arena, m.cfg.TempPrefix, c.ky, m.rf, m.lay, c.keep
+	arena, prefix, ky, rf, lay, keep := c.sp.arena, m.cfg.TempPrefix, c.ky.clone(), m.rf, m.lay, c.keep
 	go func() {
 		defer close(job.done)
 		defer recoverWorker(&job.err)
-		job.run, job.pages, job.tally, job.err = formRun(arena, prefix, job.buf, ky, rf, lay, keep)
-		job.buf = nil // batch is on disk; release it before the consumer reaps
+		defer job.store.release() // the batch is on disk, or the attempt is over
+		job.run, job.pages, job.tally, job.err = formRun(arena, prefix, job.store, ky, rf, lay, keep)
 	}()
-	// The batch's bytes stay in liveBytes until the job completes and is
-	// reaped; hand the collector a fresh buffer.
-	c.buf = nil
-	c.memBytes = 0
 	return nil
 }
 
@@ -726,26 +779,29 @@ func (m *MRS) finish(c *segCollector) (*segment, error) {
 	}
 	if c.spilled {
 		m.stats.SpilledSegs++
-		if len(c.buf) > 0 {
-			if err := m.flush(c); err != nil {
-				m.releaseSpill(c.sp)
-				return nil, err
-			}
+		var err error
+		if c.store.len() > 0 {
+			err = m.flush(c)
+		}
+		m.dropStore(c.store) // empty, or unwritten after a failed flush
+		if err != nil {
+			m.releaseSpill(c.sp)
+			return nil, err
 		}
 		return &segment{spilled: true, sp: c.sp, ky: c.ky, keep: c.keep}, nil
 	}
-	seg := &segment{buf: c.buf, memBytes: c.memBytes, ky: c.ky, keep: c.keep}
+	seg := &segment{store: c.store, ky: c.ky, keep: c.keep}
 	if m.par > 1 {
 		seg.done = make(chan struct{})
 		go func() {
 			defer close(seg.done)
 			defer recoverWorker(&seg.err)
-			seg.order, seg.tally = formOrder(seg.buf, seg.ky, m.rf)
+			seg.order, seg.tally = formOrder(seg.store, seg.ky, m.rf)
 			seg.order = firstRows(seg.order, seg.keep)
 		}()
 	} else {
 		var tally sortTally
-		seg.order, tally = formOrder(seg.buf, seg.ky, m.rf)
+		seg.order, tally = formOrder(seg.store, seg.ky, m.rf)
 		seg.order = firstRows(seg.order, seg.keep)
 		tally.addTo(&m.stats)
 	}
@@ -753,64 +809,60 @@ func (m *MRS) finish(c *segCollector) (*segment, error) {
 }
 
 // firstRows cuts an emission order at keep rows.
-func firstRows(order []int32, keep int64) []int32 {
+func firstRows(order []uint32, keep int64) []uint32 {
 	if int64(len(order)) > keep {
 		return order[:keep]
 	}
 	return order
 }
 
-// formRun sorts one memory batch of an oversized segment and writes its
-// first keep tuples as a run in arena (everything, for an unbounded sort).
-func formRun(arena *storage.SpillArena, prefix string, buf []keyed, ky *keyer, rf RunFormation, lay entryLayout, keep int64) (spillRun, int64, sortTally, error) {
-	order, tally := formOrder(buf, ky, rf)
-	run, pages, err := writeRun(arena, prefix, buf, firstRows(order, keep), lay, ky.skip)
+// formRun sorts one memory batch of an oversized segment and copies its
+// first keep rows to a run in arena (everything, for an unbounded sort). The
+// store is the caller's to release.
+func formRun(arena *storage.SpillArena, prefix string, st *rowStore, ky *keyer, rf RunFormation, lay entryLayout, keep int64) (spillRun, int64, sortTally, error) {
+	order, tally := formOrder(st, ky, rf)
+	run, pages, err := writeRun(arena, prefix, st, firstRows(order, keep), lay)
 	return run, pages, tally, err
 }
 
-// pastCut reports whether kt cannot be among the segment's first keep rows:
+// pastCut reports whether r cannot be among the segment's first keep rows:
 // keep tuples at or before the cut-off are already held, so a tuple that
 // does not sort strictly before it — ties go to the earlier arrival, as in
 // the stable sort — is dropped unbuffered.
-func (m *MRS) pastCut(c *segCollector, kt keyed) bool {
-	if c.cut.t == nil {
+func (m *MRS) pastCut(c *segCollector, r inputRow) bool {
+	if !c.hasCut {
 		return false
 	}
 	m.stats.Comparisons++
-	return c.ky.compare(kt, c.cut) >= 0
+	return c.ky.compareBound(r, &c.cut) >= 0
 }
 
-// shed is the over-budget step of a bounded segment: if the buffer holds
-// more than the keep rows anyone will read, cut it down to them; it reports
-// whether that brought the segment back under its budget.
+// shed is the no-room step of a bounded segment: if the store holds more
+// than the keep rows anyone will read, cut it down to them, which frees the
+// dropped rows' slots for the rows to come; it reports whether the segment
+// may go on buffering — not if nothing could be dropped, and not if the
+// store is over a shrunk allowance, which freed slots do not cure.
 func (m *MRS) shed(c *segCollector) bool {
-	if int64(len(c.buf)) <= c.keep {
+	if int64(c.store.len()) <= c.keep {
 		return false
 	}
 	m.selectTop(c)
-	return c.memBytes < m.cfg.memoryBytes()
+	return c.store.held() <= max(m.cfg.memoryBlocks(), 2)
 }
 
-// selectTop cuts the collector's buffer down to its keep smallest tuples,
-// compacted in sorted order so arrival order still breaks later ties, and
-// makes the last of them the segment's cut-off. The dropped tuples' bytes
-// leave the memory accounting.
+// selectTop cuts the collector's store down to its keep smallest rows, their
+// entries compacted in sorted order so arrival order still breaks later
+// ties, and makes the last of them the segment's cut-off. The dropped rows'
+// slots are recycled and the surplus entry blocks leave the memory
+// accounting.
 func (m *MRS) selectTop(c *segCollector) {
-	order, tally := formOrder(c.buf, c.ky, m.rf)
+	order, tally := formOrder(c.store, c.ky, m.rf)
 	tally.addTo(&m.stats)
-	kept := c.spare[:0]
-	for _, idx := range order[:c.keep] {
-		kept = append(kept, c.buf[idx])
-	}
-	var dropped int64
-	for _, idx := range order[c.keep:] {
-		dropped += int64(c.buf[idx].t.MemSize())
-	}
-	clear(c.buf) // the spare must not pin the dropped tuples
-	c.buf, c.spare = kept, c.buf[:0]
-	c.memBytes -= dropped
-	m.liveBytes -= dropped
-	c.cut = kept[len(kept)-1]
+	c.ky.lift(&c.cut, c.store, c.store.entry(order[c.keep-1]))
+	c.hasCut = true
+	before := c.store.bytes()
+	c.store.keepOnly(order[:c.keep], order[c.keep:])
+	m.resized(c.store, before)
 }
 
 // stopInput marks the input exhausted — at its real end, or as soon as a
@@ -818,19 +870,18 @@ func (m *MRS) selectTop(c *segCollector) {
 // read ahead.
 func (m *MRS) stopInput() {
 	m.inputDone = true
-	m.pending = nil
-	m.pendingKT = keyed{}
+	m.pending, m.havePending = inputRow{}, false
 }
 
-// advance pulls the next input tuple into pending (nil at EOF), already
-// wrapped with its sort key. TuplesIn counts here, per tuple the sort
-// actually takes — source-side chunk buffering is invisible to the stats.
+// advance pulls the next input row into pending (none at EOF), with its
+// sort key. TuplesIn counts here, per tuple the sort actually takes —
+// source-side chunk buffering is invisible to the stats.
 func (m *MRS) advance() error {
 	if m.inputDone {
 		m.stopInput()
 		return nil
 	}
-	kt, ok, err := m.src.next()
+	r, ok, err := m.src.next()
 	if err != nil {
 		return err
 	}
@@ -839,16 +890,14 @@ func (m *MRS) advance() error {
 		return nil
 	}
 	m.stats.TuplesIn++
-	m.pending = kt.t
-	m.pendingKT = kt
+	m.pending, m.havePending = r, true
 	return nil
 }
 
-// Close releases any remaining spill arenas — of the emitting segment, of
-// queued segments, and of a partially collected spilling segment — waiting
-// out their in-flight flush jobs first, and closes the input. In-flight
-// in-memory segment sorts finish on their own and are reclaimed by the
-// garbage collector.
+// Close gives back everything the sort still holds — the blocks and spill
+// arenas of the emitting segment, of queued segments and of a partially
+// collected one — waiting out in-flight segment sorts and flush jobs first,
+// and closes the input.
 func (m *MRS) Close() error {
 	if m.closed {
 		return nil
@@ -859,11 +908,11 @@ func (m *MRS) Close() error {
 		m.cur = nil
 	}
 	for _, seg := range m.segq {
-		m.releaseSpill(seg.sp)
-		seg.sp = nil
+		m.release(seg)
 	}
 	m.segq = nil
 	if m.col != nil {
+		m.dropStore(m.col.store)
 		m.releaseSpill(m.col.sp)
 		m.col = nil
 	}

@@ -1,14 +1,17 @@
 package xsort
 
-import "bytes"
+import "sort"
 
 // MSD radix run formation. Normalized keys (package keys) made every sort
 // comparison a bytes.Compare; this file harvests the rest of what the
-// encoding pays for: because key order IS byte order, a buffer of keyed
-// tuples can be sorted by byte-bucket distribution in O(n·keylen) with no
-// comparisons at all. The sorter operates on the same int32 index
-// permutations the comparison path uses (sortKeyed), so emission, spilling
-// and merging are untouched — only how the permutation is produced changes.
+// encoding pays for: because key order IS byte order, the entries of a row
+// store can be sorted by byte-bucket distribution over their fixed-width key
+// prefixes in O(n·width) with no comparisons at all. The sorter operates on
+// the same entry-handle permutations the comparison path uses (sortEntries),
+// so emission, spilling and merging are untouched — only how the permutation
+// is produced changes. Entries whose whole prefix agrees are complete, equal
+// keys (arrival order stands) or truncated ones, which a stable comparison
+// sort on the key overflows finishes.
 //
 // The sort is most-significant-digit-first with three standard refinements:
 //
@@ -21,16 +24,16 @@ import "bytes"
 //
 //   - insertion-sort cutoff: buckets at or below radixInsertionCutoff
 //     entries are finished with a stable insertion sort on key suffixes.
-//     Counting 257 buckets to place a handful of entries is wasted motion;
+//     Counting 256 buckets to place a handful of entries is wasted motion;
 //     the crossover point is far above the cutoff.
 //
 //   - common-prefix skipping: before distributing, the bucket's shared key
-//     prefix is measured and skipped in one scan. MRS seeds the top-level
-//     call past the encoded bytes of the segment's shared `given` prefix
+//     prefix is measured and skipped in one scan. An MRS segment's entries
+//     already start past the encoded bytes of its shared `given` prefix
 //     (keyer.skip, from keys.Codec.PrefixLen), and the scan extends the
 //     skip through any further shared bytes — low-cardinality columns
 //     produce long shared prefixes that would otherwise each cost a full
-//     257-bucket counting pass.
+//     256-bucket counting pass.
 //
 // Work is accounted in SortStats alongside Comparisons: RadixPasses counts
 // counting-distribution passes, RadixBucketScans the tuples classified by
@@ -51,16 +54,17 @@ const (
 	// keeps the comparison sort: tiny buffers are dominated by the
 	// per-level bucket bookkeeping, not by comparisons.
 	adaptiveMinTuples = 128
-	// adaptiveMinKeyBytes is the minimum encoded key length (past any
-	// shared-prefix skip) for RunFormAdaptive to pick radix: one- or
-	// two-byte keys (a lone bool or NULL marker) partition in so few
-	// passes that bytes.Compare is already effectively radix.
+	// adaptiveMinKeyBytes is the minimum entry prefix width (the encoded
+	// key past any shared-prefix skip, as far as entries carry it) for
+	// RunFormAdaptive to pick radix: one- or two-byte keys (a lone bool)
+	// partition in so few passes that bytes.Compare is already effectively
+	// radix.
 	adaptiveMinKeyBytes = 4
 )
 
 // sortTally is the work done by one run-formation sort, tallied locally so
 // parallel segment sorts and spill jobs can publish once into SortStats in
-// deterministic order (the same single-writer discipline sortKeyed's
+// deterministic order (the same single-writer discipline sortEntries'
 // comparison count already followed).
 type sortTally struct {
 	comparisons      int64
@@ -74,143 +78,146 @@ func (t sortTally) addTo(st *SortStats) {
 	st.RadixBucketScans += t.radixBucketScans
 }
 
-// radixEligible decides whether buf is sorted by byte buckets or by
-// comparisons. Comparator-mode keyers carry no encoded keys, so radix is
-// structurally impossible and every mode degrades to the comparison sort.
-func radixEligible(buf []keyed, ky *keyer, rf RunFormation) bool {
+// radixEligible decides whether a store of n entries is sorted by byte
+// buckets or by comparisons. Comparator-mode keyers carry no encoded keys,
+// so radix is structurally impossible and every mode degrades to the
+// comparison sort.
+func radixEligible(n int, ky *keyer, rf RunFormation) bool {
 	if !ky.encoded() || rf == RunFormCompare {
 		return false
 	}
 	if rf == RunFormRadix {
 		return true
 	}
-	if len(buf) < adaptiveMinTuples {
-		return false
-	}
-	return len(buf[0].key)-ky.skip >= adaptiveMinKeyBytes
+	return n >= adaptiveMinTuples && ky.width >= adaptiveMinKeyBytes
 }
 
-// formOrder produces buf's emission permutation under the configured
+// formOrder produces st's emission permutation under the configured
 // run-formation mode. Both branches yield the identical stable order; they
 // differ only in how the work is spent (and therefore tallied).
-func formOrder(buf []keyed, ky *keyer, rf RunFormation) ([]int32, sortTally) {
-	if radixEligible(buf, ky, rf) {
-		return radixSortKeyed(buf, ky.skip)
+func formOrder(st *rowStore, ky *keyer, rf RunFormation) ([]uint32, sortTally) {
+	if radixEligible(st.len(), ky, rf) {
+		return radixSortEntries(st, ky)
 	}
-	order, comparisons := sortKeyed(buf, ky)
+	order, comparisons := sortEntries(st, ky)
 	return order, sortTally{comparisons: comparisons}
 }
 
-// radixSortKeyed stable-sorts buf by key bytes from offset skip (the caller
-// guarantees all keys share their first skip bytes and are at least skip
-// bytes long), returning the emission permutation and the work tally.
-func radixSortKeyed(buf []keyed, skip int) ([]int32, sortTally) {
-	return radixSortKeyedCutoff(buf, skip, radixInsertionCutoff)
+// radixSortEntries stable-sorts st's entries by prefix bytes (and full keys
+// where truncated prefixes tie), returning the emission permutation and the
+// work tally.
+func radixSortEntries(st *rowStore, ky *keyer) ([]uint32, sortTally) {
+	return radixSortEntriesCutoff(st, ky, radixInsertionCutoff)
 }
 
-// radixSortKeyedCutoff is radixSortKeyed with an explicit insertion-sort
+// radixSortEntriesCutoff is radixSortEntries with an explicit insertion-sort
 // cutoff; BenchmarkRadixInsertionCutoff sweeps it to keep the constant
 // honest against real key-length distributions.
-func radixSortKeyedCutoff(buf []keyed, skip, cutoff int) ([]int32, sortTally) {
-	order := make([]int32, len(buf))
-	for i := range order {
-		order[i] = int32(i)
+func radixSortEntriesCutoff(st *rowStore, ky *keyer, cutoff int) ([]uint32, sortTally) {
+	r := radixSorter{st: st, ky: ky, cutoff: cutoff}
+	r.order = st.handles(make([]uint32, 0, st.appended))
+	if len(r.order) > 1 {
+		r.scratch = make([]uint32, len(r.order))
+		r.sort(0, len(r.order), 0)
 	}
-	var t sortTally
-	if len(buf) > 1 {
-		scratch := make([]int32, len(buf))
-		msdRadix(buf, order, scratch, 0, len(buf), skip, cutoff, &t)
-	}
-	return order, t
+	return r.order, r.tally
 }
 
-// msdRadix sorts order[lo:hi] — whose keys all agree on bytes [0, depth) —
+type radixSorter struct {
+	st             *rowStore
+	ky             *keyer
+	order, scratch []uint32
+	cutoff         int
+	tally          sortTally
+}
+
+// sort orders order[lo:hi] — whose prefixes all agree on bytes [0, depth) —
 // by distributing on the byte at depth and recursing into each bucket.
-func msdRadix(buf []keyed, order, scratch []int32, lo, hi, depth, cutoff int, t *sortTally) {
+func (r *radixSorter) sort(lo, hi, depth int) {
 	n := hi - lo
 	if n <= 1 {
 		return
 	}
-	if n <= cutoff {
-		insertionByKey(buf, order[lo:hi], depth, t)
+	if n <= r.cutoff {
+		r.insertion(r.order[lo:hi], depth)
 		return
 	}
-	depth += commonPrefixLen(buf, order[lo:hi], depth)
-
-	// Classify into 257 buckets: 0 holds keys exhausted at depth (a short
-	// key sorts before every extension, exactly as bytes.Compare orders a
-	// prefix), 1..256 hold byte values 0..255.
-	var counts [257]int
-	t.radixPasses++
-	t.radixBucketScans += int64(n)
-	for i := lo; i < hi; i++ {
-		counts[bucketOf(buf[order[i]].key, depth)]++
+	depth += r.commonPrefixLen(r.order[lo:hi], depth)
+	if depth == r.ky.width {
+		// The whole prefix agrees. Complete keys are then equal and already
+		// in arrival order; truncated ones still differ past the prefix.
+		if r.st.entry(r.order[lo])[depth]&flagTrunc != 0 {
+			r.byOverflow(r.order[lo:hi])
+		}
+		return
 	}
 
-	var next [257]int
+	// Classify by the byte at depth. (Prefixes are fixed-width and
+	// zero-padded, so — unlike variable-length keys — none is exhausted
+	// before the width.)
+	var counts [256]int
+	r.tally.radixPasses++
+	r.tally.radixBucketScans += int64(n)
+	for _, h := range r.order[lo:hi] {
+		counts[r.st.entry(h)[depth]]++
+	}
+	var next [256]int
 	sum := 0
 	for b := range counts {
 		next[b] = sum
 		sum += counts[b]
 	}
-	for i := lo; i < hi; i++ {
-		b := bucketOf(buf[order[i]].key, depth)
-		scratch[lo+next[b]] = order[i]
+	for _, h := range r.order[lo:hi] {
+		b := r.st.entry(h)[depth]
+		r.scratch[lo+next[b]] = h
 		next[b]++
 	}
-	copy(order[lo:hi], scratch[lo:hi])
+	copy(r.order[lo:hi], r.scratch[lo:hi])
 
-	// Bucket 0 (exhausted keys) is a run of fully equal keys left in
-	// arrival order — stable by construction. Value buckets recurse.
-	start := lo + counts[0]
-	for b := 1; b < 257; b++ {
+	start := lo
+	for b := range counts {
 		if counts[b] > 1 {
-			msdRadix(buf, order, scratch, start, start+counts[b], depth+1, cutoff, t)
+			r.sort(start, start+counts[b], depth+1)
 		}
 		start += counts[b]
 	}
 }
 
-func bucketOf(key []byte, depth int) int {
-	if depth >= len(key) {
-		return 0
-	}
-	return int(key[depth]) + 1
-}
-
-// commonPrefixLen returns how many bytes past depth every key in ord
-// shares, in a single scan against the first key.
-func commonPrefixLen(buf []keyed, ord []int32, depth int) int {
-	first := buf[ord[0]].key
-	max := len(first) - depth
+// commonPrefixLen returns how many prefix bytes past depth every entry in
+// ord shares, in a single scan against the first entry.
+func (r *radixSorter) commonPrefixLen(ord []uint32, depth int) int {
+	first := r.st.entry(ord[0])
+	max := r.ky.width - depth
 	for i := 1; i < len(ord) && max > 0; i++ {
-		k := buf[ord[i]].key
-		if m := len(k) - depth; m < max {
-			max = m
-		}
+		e := r.st.entry(ord[i])
 		j := 0
-		for j < max && k[depth+j] == first[depth+j] {
+		for j < max && e[depth+j] == first[depth+j] {
 			j++
 		}
 		max = j
 	}
-	if max < 0 {
-		max = 0
-	}
 	return max
 }
 
-// insertionByKey stable-sorts a small bucket by key suffixes, counting its
-// comparisons into the tally: the radix mode's residual comparison work is
-// real and stays on the books.
-func insertionByKey(buf []keyed, ord []int32, depth int, t *sortTally) {
+// insertion stable-sorts a small bucket, counting its comparisons into the
+// tally: the radix mode's residual comparison work is real and stays on the
+// books.
+func (r *radixSorter) insertion(ord []uint32, depth int) {
 	for i := 1; i < len(ord); i++ {
 		for j := i; j > 0; j-- {
-			t.comparisons++
-			if bytes.Compare(buf[ord[j]].key[depth:], buf[ord[j-1]].key[depth:]) >= 0 {
+			r.tally.comparisons++
+			if r.ky.compareEntries(r.st, r.st.entry(ord[j]), r.st.entry(ord[j-1]), depth) >= 0 {
 				break
 			}
 			ord[j], ord[j-1] = ord[j-1], ord[j]
 		}
 	}
+}
+
+// byOverflow stable-sorts a bucket of truncated entries whose prefixes tie.
+func (r *radixSorter) byOverflow(ord []uint32) {
+	sort.SliceStable(ord, func(i, j int) bool {
+		r.tally.comparisons++
+		return r.ky.compareEntries(r.st, r.st.entry(ord[i]), r.st.entry(ord[j]), r.ky.width) < 0
+	})
 }

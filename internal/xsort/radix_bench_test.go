@@ -5,14 +5,18 @@ import (
 	"math/rand"
 	"testing"
 
+	"pyro/internal/sortord"
+	"pyro/internal/storage"
 	"pyro/internal/types"
 )
 
 // Realistic key-length distributions for the insertion-cutoff sweep. Each
-// builder returns a fresh keyed buffer of n entries; keys are built at the
-// byte level in the shapes the normalized-key codec actually produces.
+// builder returns the rows of one distribution and the order to sort them
+// under; the benchmark buffers them in a row store, so the radix sorter sees
+// the entries — fixed-width key prefixes — the codec and the store really
+// produce.
 //
-//   - int64: a lone numeric ORDER BY column — 9 encoded bytes (tag +
+//   - int64: a lone numeric ORDER BY column — 9 prefix bytes (marker +
 //     big-endian payload), uniform values, so buckets fan out fast and the
 //     tail buckets are tiny.
 //   - composite: (low-cardinality int64, int64, short string) — the
@@ -20,79 +24,62 @@ import (
 //     buckets sharing a 9-byte prefix, so recursion spends most of its
 //     time in mid-size buckets where the cutoff choice actually matters.
 //   - strings: path-like variable-length text, 12–40 bytes with a handful
-//     of long shared prefixes — the distribution that punishes a cutoff
-//     set too low, because each extra recursion level re-scans the shared
-//     bytes.
+//     of long shared prefixes — every entry is truncated at the 9-byte
+//     prefix, so the sort is decided by the full-key tie-break.
 var cutoffDistributions = []struct {
 	name  string
-	build func(r *rand.Rand, n int) []keyed
+	order sortord.Order
+	build func(r *rand.Rand, n int) []types.Tuple
 }{
-	{"int64", func(r *rand.Rand, n int) []keyed {
-		buf := make([]keyed, n)
-		for i := range buf {
-			k := make([]byte, 9)
-			k[0] = 0x10
-			r.Read(k[1:])
-			buf[i] = keyed{key: k, t: types.NewTuple(types.NewInt(int64(i)))}
+	{"int64", sortord.New("c2"), func(r *rand.Rand, n int) []types.Tuple {
+		rows := make([]types.Tuple, n)
+		for i := range rows {
+			rows[i] = types.NewTuple(types.NewInt(int64(i)), types.NewInt(int64(r.Uint64())), types.NewString(""))
 		}
-		return buf
+		return rows
 	}},
-	{"composite", func(r *rand.Rand, n int) []keyed {
-		buf := make([]keyed, n)
-		for i := range buf {
-			k := make([]byte, 0, 32)
-			k = append(k, 0x10, 0, 0, 0, 0, 0, 0, 0, byte(r.Intn(100)))
-			k = append(k, 0x10)
-			var v [8]byte
-			r.Read(v[:])
-			k = append(k, v[:]...)
-			k = append(k, 0x20)
-			k = append(k, fmt.Sprintf("tag-%03d", r.Intn(1000))...)
-			k = append(k, 0)
-			buf[i] = keyed{key: k, t: types.NewTuple(types.NewInt(int64(i)))}
+	{"composite", sortord.New("c1", "c2", "c3"), func(r *rand.Rand, n int) []types.Tuple {
+		rows := make([]types.Tuple, n)
+		for i := range rows {
+			rows[i] = types.NewTuple(types.NewInt(int64(r.Intn(100))), types.NewInt(int64(r.Uint64())),
+				types.NewString(fmt.Sprintf("tag-%03d", r.Intn(1000))))
 		}
-		return buf
+		return rows
 	}},
-	{"strings", func(r *rand.Rand, n int) []keyed {
+	{"strings", sortord.New("c3"), func(r *rand.Rand, n int) []types.Tuple {
 		prefixes := []string{"/var/log/pyro/", "/var/lib/pyro/runs/", "/home/u/", "pyro://seg/"}
-		buf := make([]keyed, n)
-		for i := range buf {
-			k := []byte{0x20}
-			k = append(k, prefixes[r.Intn(len(prefixes))]...)
+		rows := make([]types.Tuple, n)
+		for i := range rows {
+			k := []byte(prefixes[r.Intn(len(prefixes))])
 			for j := 4 + r.Intn(24); j > 0; j-- {
 				k = append(k, byte('a'+r.Intn(26)))
 			}
-			k = append(k, 0)
-			buf[i] = keyed{key: k, t: types.NewTuple(types.NewInt(int64(i)))}
+			rows[i] = types.NewTuple(types.NewInt(int64(i)), types.NewInt(0), types.NewString(string(k)))
 		}
-		return buf
+		return rows
 	}},
 }
 
 // BenchmarkRadixInsertionCutoff sweeps the insertion-sort cutoff across
 // the three key-length distributions above. This is the measurement
 // behind radixInsertionCutoff = 16: on 50k-key buffers the int64 and
-// composite distributions are flat within noise from 8 through 32, but
-// the strings distribution degrades steadily above 16 (~18% slower at 24,
-// ~25% at 32) — its buckets share long prefixes, so every insertion
-// comparison re-walks suffix bytes that a single counting pass classifies
-// once, and the quadratic comparison count swamps the saved passes.
-// 16 takes the strings win without leaving anything on the flat
-// distributions. Re-run the sweep before moving the constant.
+// composite distributions are flat within noise from 8 through 32. Re-run
+// the sweep before moving the constant.
 func BenchmarkRadixInsertionCutoff(b *testing.B) {
 	const n = 50_000
 	for _, dist := range cutoffDistributions {
-		buf := dist.build(rand.New(rand.NewSource(41)), n)
+		st, ky := fillStore(b, storage.NewDisk(0), dist.order, 0, dist.build(rand.New(rand.NewSource(41)), n))
 		for _, cutoff := range []int{8, 16, 24, 32, 48, 64} {
 			b.Run(fmt.Sprintf("%s/cutoff%d", dist.name, cutoff), func(b *testing.B) {
 				b.ReportAllocs()
 				var t sortTally
 				for i := 0; i < b.N; i++ {
-					_, t = radixSortKeyedCutoff(buf, 0, cutoff)
+					_, t = radixSortEntriesCutoff(st, ky, cutoff)
 				}
 				b.ReportMetric(float64(t.comparisons), "comparisons/op")
 				b.ReportMetric(float64(t.radixPasses), "radix-passes/op")
 			})
 		}
+		st.release()
 	}
 }

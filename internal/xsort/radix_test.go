@@ -14,89 +14,108 @@ import (
 	"pyro/internal/types"
 )
 
-// randKeyed builds adversarial key buffers straight at the byte level:
-// varying lengths, ties, keys that are prefixes of other keys, a shared
-// leading region of skip bytes, and bytes from a tiny alphabet so every
-// collision case actually occurs.
-func randKeyed(r *rand.Rand, n, skip int) []keyed {
-	shared := make([]byte, skip)
-	r.Read(shared)
+// adversarialRows builds rows whose (c1, c3) keys collide in every way the
+// entry layout has to survive: c1 takes few values (long shared prefixes),
+// c3 is a string over a tiny alphabet that includes the escape and
+// terminator bytes, of lengths on both sides of the 8 content bytes an entry
+// prefix carries — so complete keys, truncated keys, keys that are prefixes
+// of other keys and exact duplicates all occur. c2 is the row's identity, so
+// a stability violation is visible even between equal keys.
+func adversarialRows(r *rand.Rand, n int) []types.Tuple {
 	alphabet := []byte{0x00, 0x01, 0x7f, 0xfe, 0xff}
-	buf := make([]keyed, n)
-	for i := range buf {
-		k := append([]byte(nil), shared...)
-		for j := r.Intn(6); j > 0; j-- {
-			k = append(k, alphabet[r.Intn(len(alphabet))])
+	rows := make([]types.Tuple, n)
+	for i := range rows {
+		k := make([]byte, r.Intn(13))
+		for j := range k {
+			k[j] = alphabet[r.Intn(len(alphabet))]
 		}
-		// The tuple doubles as an identity so stability violations are
-		// visible even between equal keys.
-		buf[i] = keyed{key: k, t: types.NewTuple(types.NewInt(int64(i)))}
+		rows[i] = types.NewTuple(types.NewInt(int64(r.Intn(3))), types.NewInt(int64(i)), types.NewString(string(k)))
 	}
 	// Inject exact duplicates of earlier keys.
-	for i := range buf {
+	for i := range rows {
 		if i > 0 && r.Intn(4) == 0 {
-			buf[i].key = buf[r.Intn(i)].key
+			rows[i][0], rows[i][2] = rows[r.Intn(i)][0], rows[r.Intn(i)][2]
 		}
 	}
-	return buf
+	return rows
 }
 
 // TestRadixSortKeyedMatchesStableSort: the radix permutation must be
-// bit-identical to the stable comparison permutation — including tie order
-// (stability) and prefix-of-longer-key ordering — for any skip depth.
+// bit-identical to the stable comparison permutation of the full encoded
+// keys — including tie order (stability), truncated-prefix ties resolved
+// from the rows, and prefix-of-longer-key ordering — with and without a
+// shared-prefix skip.
 func TestRadixSortKeyedMatchesStableSort(t *testing.T) {
 	r := rand.New(rand.NewSource(51))
+	d := storage.NewDisk(512)
+	defer storage.AssertNoLeaks(t, d)
+	target := sortord.New("c1", "c3")
+	codec, err := keys.NewCodec(sortSchema, target)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for trial := 0; trial < 500; trial++ {
-		skip := r.Intn(4)
-		buf := randKeyed(r, r.Intn(300), skip)
-
-		want := make([]int32, len(buf))
-		for i := range want {
-			want[i] = int32(i)
+		rows := adversarialRows(r, r.Intn(300))
+		prefixCols := r.Intn(2)
+		if prefixCols == 1 {
+			for _, row := range rows {
+				row[0] = rows[0][0] // one segment: every key shares the c1 bytes
+			}
 		}
-		sort.SliceStable(want, func(i, j int) bool {
-			return bytes.Compare(buf[want[i]].key[skip:], buf[want[j]].key[skip:]) < 0
+		st, ky := fillStore(t, d, target, prefixCols, rows)
+
+		full := make([][]byte, len(rows))
+		for i, row := range rows {
+			full[i] = codec.Append(nil, row)
+		}
+		wantIdx := make([]int, len(rows))
+		for i := range wantIdx {
+			wantIdx[i] = i
+		}
+		sort.SliceStable(wantIdx, func(i, j int) bool {
+			return bytes.Compare(full[wantIdx[i]], full[wantIdx[j]]) < 0
 		})
+		handles := st.handles(nil)
+		want := make([]uint32, len(rows))
+		for i, idx := range wantIdx {
+			want[i] = handles[idx]
+		}
 
-		got, tally := radixSortKeyed(buf, skip)
+		got, tally := radixSortEntries(st, ky)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d (skip %d): radix order %v != stable order %v", trial, skip, got, want)
+			t.Fatalf("trial %d (%d prefix cols): radix order %v != stable order %v", trial, prefixCols, got, want)
 		}
-		if len(buf) > radixInsertionCutoff && tally.radixPasses == 0 {
-			t.Fatalf("trial %d: %d keys sorted with zero radix passes", trial, len(buf))
+		if cmp, _ := sortEntries(st, ky); !reflect.DeepEqual(cmp, want) {
+			t.Fatalf("trial %d (%d prefix cols): comparison order %v != stable order %v", trial, prefixCols, cmp, want)
 		}
+		if len(rows) > radixInsertionCutoff && tally.radixPasses == 0 && prefixCols == 0 {
+			t.Fatalf("trial %d: %d keys sorted with zero radix passes", trial, len(rows))
+		}
+		st.release()
 	}
 }
 
 func TestRadixEligibility(t *testing.T) {
-	enc := &keyer{codec: testCodec(t)}
+	enc := &keyer{codec: testCodec(t), width: 9}
+	short := &keyer{codec: testCodec(t), width: 2} // a lone bool
 	cmp := &keyer{cmp: func(a, b types.Tuple) int { return 0 }}
-	big := make([]keyed, adaptiveMinTuples)
-	for i := range big {
-		big[i] = keyed{key: []byte("12345678")}
-	}
-	small := big[:4]
-	shortKeys := make([]keyed, adaptiveMinTuples)
-	for i := range shortKeys {
-		shortKeys[i] = keyed{key: []byte{0x01, 0x00}}
-	}
 
 	cases := []struct {
 		name string
-		buf  []keyed
+		n    int
 		ky   *keyer
 		rf   RunFormation
 		want bool
 	}{
-		{"adaptive big encoded", big, enc, RunFormAdaptive, true},
-		{"adaptive tiny buffer", small, enc, RunFormAdaptive, false},
-		{"adaptive short keys", shortKeys, enc, RunFormAdaptive, false},
-		{"compare mode", big, enc, RunFormCompare, false},
-		{"radix forced tiny", small, enc, RunFormRadix, true},
-		{"comparator keys", big, cmp, RunFormRadix, false},
+		{"adaptive big encoded", adaptiveMinTuples, enc, RunFormAdaptive, true},
+		{"adaptive tiny buffer", 4, enc, RunFormAdaptive, false},
+		{"adaptive short keys", adaptiveMinTuples, short, RunFormAdaptive, false},
+		{"compare mode", adaptiveMinTuples, enc, RunFormCompare, false},
+		{"radix forced tiny", 4, enc, RunFormRadix, true},
+		{"comparator keys", adaptiveMinTuples, cmp, RunFormRadix, false},
 	}
 	for _, tc := range cases {
-		if got := radixEligible(tc.buf, tc.ky, tc.rf); got != tc.want {
+		if got := radixEligible(tc.n, tc.ky, tc.rf); got != tc.want {
 			t.Errorf("%s: radixEligible = %v, want %v", tc.name, got, tc.want)
 		}
 	}

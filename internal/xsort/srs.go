@@ -42,16 +42,20 @@ type SRS struct {
 	ky     *keyer
 	stats  SortStats
 
-	// In-memory fast path.
-	memOut []types.Tuple
-	memPos int
-	inMem  bool
+	// store buffers every row the sort holds in memory — the phase-1 fill,
+	// then the replacement-selection heap's rows — and is the sort's memory
+	// accounting. In the in-memory fast path memOrder is its emission order.
+	store    *rowStore
+	memOrder []uint32
+	memPos   int
+	inMem    bool
+	out      rowEmitter
 
 	merger merger
 	runs   []spillRun
 	lay    entryLayout
 	arena  *storage.SpillArena // lazily created spill namespace; owns all temps
-	src    *tupleSource        // keyed input collection (batched when configured)
+	src    *tupleSource        // input collection (batched when configured)
 	opened bool
 	closed bool
 }
@@ -77,6 +81,8 @@ func NewSRS(input iter.Iterator, schema *types.Schema, o sortord.Order, cfg Conf
 		cfg.TempPrefix = "srs"
 	}
 	ky := newKeyer(cfg.Keys, codec, ks.Compare)
+	lay := resolveLayout(cfg, codec, 0)
+	ky.width = lay.width
 	return &SRS{
 		input:  input,
 		schema: schema,
@@ -84,7 +90,8 @@ func NewSRS(input iter.Iterator, schema *types.Schema, o sortord.Order, cfg Conf
 		cfg:    cfg,
 		ks:     ks,
 		ky:     ky,
-		lay:    resolveLayout(cfg, ky, 0),
+		lay:    lay,
+		out:    rowEmitter{ncols: schema.Len()},
 	}, nil
 }
 
@@ -114,83 +121,96 @@ func (s *SRS) open() error {
 		return err
 	}
 	s.src = newTupleSource(s.input, s.schema, s.ky, s.cfg)
-	h := newRunHeap(s.ky, &s.stats.Comparisons)
+	s.store = newRowStore(s.cfg.Disk, s.lay, true)
+	h := newRunHeap(s.store, s.ky, &s.stats.Comparisons)
 	// Open is where SRS blocks for its entire input, so it is the loop a
 	// cancellation most needs to reach (a canceled query must not sort two
 	// million tuples first).
 	guard := iter.NewGuard(s.cfg.Abort)
 
-	// Phase 1: read up to the memory budget into a flat fill buffer. The
-	// buffer — not the heap — is what radix run formation sorts: a buffer
-	// whose keys are byte-bucket sorted IS a valid min-heap (every prefix
-	// of an ascending array satisfies the heap property), so replacement
-	// selection can be seeded without the O(n log n) comparison cost of
-	// building the initial heap.
-	inputDone := false
-	var fill []keyed
-	var fillBytes int64
-	// The budget is re-read per iteration: a governed sort's allowance can
-	// shrink while the fill is being read, capping the heap (and every
-	// later phase's memory) at the new bound.
-	for fillBytes < s.cfg.memoryBytes() {
-		if err := guard.Check(); err != nil {
-			return err
+	// pending is the input row read but not yet buffered: the one the store
+	// had no room for. take buffers input rows, through admit, for as long as
+	// there is input and admit finds room under the live budget — re-read per
+	// row: a governed sort's allowance can shrink while it runs.
+	var pending inputRow
+	havePending, inputDone := false, false
+	take := func(admit func(r inputRow) bool) error {
+		for !inputDone {
+			if err := guard.Check(); err != nil {
+				return err
+			}
+			if !havePending {
+				r, ok, err := s.src.next()
+				if err != nil {
+					return err
+				}
+				if !ok {
+					inputDone = true
+					break
+				}
+				s.stats.TuplesIn++
+				pending, havePending = r, true
+			}
+			if !admit(pending) {
+				break
+			}
+			havePending = false
+			s.trackPeak(s.store.bytes())
 		}
-		kt, ok, err := s.src.next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			inputDone = true
-			break
-		}
-		s.stats.TuplesIn++
-		fill = append(fill, kt)
-		fillBytes += int64(kt.t.MemSize())
+		return nil
 	}
-	s.trackPeak(fillBytes)
 
-	if radixEligible(fill, s.ky, s.cfg.RunFormation) {
-		order, tally := radixSortKeyed(fill, s.ky.skip)
+	// Phase 1: read up to the memory budget into the store. The fill — not
+	// a heap — is what radix run formation sorts: entries whose keys are
+	// byte-bucket sorted ARE a valid min-heap (every prefix of an ascending
+	// array satisfies the heap property), so replacement selection can be
+	// seeded without the O(n log n) comparison cost of building the initial
+	// heap.
+	if err := take(func(r inputRow) bool {
+		_, ok := s.store.add(r, s.ky.suffix(r), h.runFlag(false), s.cfg.memoryBlocks())
+		return ok
+	}); err != nil {
+		return err
+	}
+
+	if radixEligible(s.store.len(), s.ky, s.cfg.RunFormation) {
+		order, tally := radixSortEntries(s.store, s.ky)
 		tally.addTo(&s.stats)
 		if inputDone {
 			// Whole input fits in memory: emit the stable radix order
 			// directly, no heap and no disk I/O.
-			s.inMem = true
-			s.memOut = make([]types.Tuple, len(fill))
-			for i, idx := range order {
-				s.memOut[i] = fill[idx].t
-			}
+			s.inMem, s.memOrder = true, order
 			return nil
 		}
-		h.seed(fill, order)
+		h.seed(order)
 	} else {
 		// Comparison path: push the fill in input order — the identical
 		// comparison sequence the pre-buffered implementation performed
 		// by pushing as it read.
-		for _, kt := range fill {
-			h.push(runEntry{tag: 0, kt: kt})
+		for _, e := range s.store.handles(nil) {
+			h.push(e)
 		}
 		if inputDone {
 			// Whole input fits in memory: drain the heap, no disk I/O.
-			s.inMem = true
-			s.memOut = make([]types.Tuple, 0, h.len())
+			s.inMem, s.memOrder = true, make([]uint32, 0, h.len())
 			for h.len() > 0 {
-				s.memOut = append(s.memOut, h.pop().kt.t)
+				s.memOrder = append(s.memOrder, h.pop())
 			}
 			return nil
 		}
 	}
 
 	// Phase 2: replacement selection. Pop the minimum of the current run,
-	// write it out, replace it with the next input tuple — tagged for the
-	// current run if it can still be emitted in order, else for the next.
-	// Runs stream through a runWriter: payload tuples plus, in the flat
-	// layouts, fixed-width entries derived from the already encoded keys.
-	currentRun := 0
+	// copy it to the run file, give its slot back, and take input for as
+	// long as it fits — with fixed-width rows that is one row per row
+	// written — each row joining the current run if it can still be emitted
+	// in order, else the next. Runs stream through a runWriter: payload
+	// bytes as buffered plus, in the flat layouts, the fixed-width entries.
+	// A budget shrink leaves the store over its allowance, which refuses
+	// input until the heap has drained into the current and the next run;
+	// the emptied store then returns its blocks and refills under the new
+	// allowance.
 	w := s.newRunWriter()
-	var lastOut keyed
-
 	finishRun := func() error {
 		run, pages, err := w.close()
 		if err != nil {
@@ -201,51 +221,44 @@ func (s *SRS) open() error {
 		s.stats.RunsGenerated++
 		return nil
 	}
+	var last bound // the key last written to the current run
+	admit := func(r inputRow) bool {
+		deferred := s.ky.compareBound(r, &last) < 0
+		e, ok := s.store.add(r, s.ky.suffix(r), h.runFlag(deferred), s.cfg.memoryBlocks())
+		if !ok {
+			return false // decided again, against a later key, when it does fit
+		}
+		s.stats.Comparisons++ // one per row admitted
+		h.push(e)
+		return true
+	}
 
-	for {
+	for h.len() > 0 {
 		if err := guard.Check(); err != nil {
 			return err
 		}
-		if h.len() == 0 {
-			break
-		}
-		e := h.peek()
-		if e.tag != currentRun {
+		if h.topDeferred() {
 			// Current run exhausted: start the next one.
 			if err := finishRun(); err != nil {
 				return err
 			}
-			currentRun++
+			h.nextRun()
 			w = s.newRunWriter()
-			lastOut = keyed{}
 		}
-		e = h.pop()
-		if err := w.write(e.kt); err != nil {
+		e := h.pop()
+		if err := w.writeStored(s.store, s.store.entry(e)); err != nil {
 			return err
 		}
-		lastOut = e.kt
-		if !inputDone {
-			kt, ok, err := s.src.next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				inputDone = true
-			} else {
-				s.stats.TuplesIn++
-				tag := currentRun
-				s.stats.Comparisons++
-				if s.ky.compare(kt, lastOut) < 0 {
-					tag = currentRun + 1
-				}
-				h.push(runEntry{tag: tag, kt: kt})
-				s.trackPeak(h.memBytes())
-			}
+		s.ky.lift(&last, s.store, s.store.entry(e))
+		s.store.free(e)
+		if err := take(admit); err != nil {
+			return err
 		}
 	}
 	if err := finishRun(); err != nil {
 		return err
 	}
+	s.store.release()
 
 	// Phase 3: reduce runs to fan-in and set up the final merge. Groups
 	// within a pass merge concurrently under SpillParallelism.
@@ -264,13 +277,17 @@ func (s *SRS) newRunWriter() *runWriter {
 	if s.arena == nil {
 		s.arena = s.cfg.Disk.NewArenaTapped(s.cfg.Tap)
 	}
-	return newRunWriter(s.arena, s.cfg.TempPrefix, s.lay, s.ky.skip)
+	return newRunWriter(s.arena, s.cfg.TempPrefix, s.lay)
 }
 
-// removeTemps releases the spill arena, dropping every run file this sort
-// created — formation runs and reduction outputs alike — and merging the
-// arena's I/O ledger into the disk's (idempotent).
+// removeTemps returns the store's blocks and releases the spill arena,
+// dropping every run file this sort created — formation runs and reduction
+// outputs alike — and merging the arena's I/O ledger into the disk's
+// (idempotent).
 func (s *SRS) removeTemps() {
+	if s.store != nil {
+		s.store.release()
+	}
 	if s.arena != nil {
 		s.arena.Release()
 		s.arena = nil
@@ -287,10 +304,14 @@ func (s *SRS) trackPeak(b int64) {
 // Next returns the next tuple in sorted order.
 func (s *SRS) Next() (types.Tuple, bool, error) {
 	if s.inMem {
-		if s.memPos >= len(s.memOut) {
+		if s.memPos >= len(s.memOrder) {
 			return nil, false, nil
 		}
-		t := s.memOut[s.memPos]
+		e := s.store.entry(s.memOrder[s.memPos])
+		t, err := s.out.emit(s.store.rowAt(e), int64(len(s.memOrder)-s.memPos))
+		if err != nil {
+			return nil, false, err
+		}
 		s.memPos++
 		s.stats.TuplesOut++
 		return t, true, nil

@@ -14,17 +14,38 @@
 //     been read, giving pipelined execution, early output, and fewer
 //     comparisons (suffix-only within a segment).
 //
+// Sort memory is one thing: a row store (store.go). Every row a sort buffers
+// — an MRS segment or spill batch, SRS's fill and replacement-selection heap,
+// a bounded collector's selection — lives encoded, in the page row format it
+// arrived in and will spill as, in page-sized blocks drawn one at a time from
+// the disk's block pool, with a fixed-width entry beside it: the first bytes
+// of its normalized key, a tie flag and the row's offset. The budget
+// (Config.MemoryBlocks, or the live Config.Budget) is compared to the blocks
+// a store holds, SortStats.PeakMemBytes is their high-water mark, a spill
+// copies row bytes to the run file and hands the blocks back, and a Close —
+// early, after an error, after a worker panic — returns every block
+// (storage.Disk.LiveBlocks is the leak check). M blocks of budget are M
+// blocks of heap holding M pages' worth of rows and entries; the one thing
+// outside them is the 4-byte-a-row permutation a sort orders or the
+// replacement-selection heap. Input that arrives as chunks filled from a
+// scan is buffered by copying its encoded spans — the chunk is never decoded
+// — and each emitted row is decoded once, into datum arrays carved per batch.
+//
 // Key comparisons default to normalized keys: each tuple's sort key is
 // encoded once (package keys) into an order-preserving byte string, so a
-// comparison is a single bytes.Compare instead of a typed field walk.
-// Config.Keys selects the legacy comparator path for ablation. Both paths
-// count comparisons at identical call sites, so SortStats totals are the
-// same in either mode and the golden/ablation expectations stay meaningful.
+// comparison is a bytes.Compare of two entry prefixes — and of the keys'
+// overflow, kept beside the rows, when both prefixes are truncated and tie —
+// instead of a typed field walk. Config.Keys selects the comparator path for
+// ablation: same store, same entry geometry (so the same rows per block and
+// the same runs), blank prefixes, and every comparison decodes both rows.
+// Both paths count comparisons at identical call sites, so SortStats totals
+// are the same in either mode and the golden/ablation expectations stay
+// meaningful.
 //
-// Run formation — producing the sorted order of an in-memory buffer, be it
-// an MRS segment, a spill batch, or SRS's initial heap fill — additionally
+// Run formation — producing the sorted order of a store's entries, be it an
+// MRS segment, a spill batch, or SRS's initial heap fill — additionally
 // exploits that byte order IS key order: Config.RunFormation selects MSD
-// radix partitioning over the encoded keys (see radix.go) instead of the
+// radix partitioning over the entry prefixes (see radix.go) instead of the
 // comparison sort. The radix order is bit-identical to the stable
 // comparison order, so MRS output bytes, run/pass structure, and I/O
 // totals are the same in every mode; SRS agrees on all of those too except
@@ -71,7 +92,7 @@ type SortStats struct {
 	MergePasses   int   // intermediate merge passes (excluding the final pipelined merge)
 	Segments      int   // MRS: partial-sort segments processed
 	SpilledSegs   int   // MRS: segments that did not fit in memory
-	PeakMemBytes  int64 // high-water mark of buffered tuple bytes
+	PeakMemBytes  int64 // high-water mark of the sort-memory blocks held, in bytes (see store.go)
 	TuplesIn      int64
 	TuplesOut     int64
 
@@ -122,7 +143,9 @@ const (
 	// bytes.Compare; each tuple is encoded once on entry.
 	KeyEncoded KeyMode = iota
 	// KeyComparator compares tuples field by field through the resolved
-	// KeySpec — the pre-normalized-key path, kept for ablation.
+	// KeySpec — the pre-normalized-key path, kept for ablation. Rows are
+	// buffered encoded all the same; each comparison decodes the two it
+	// compares.
 	KeyComparator
 )
 
@@ -188,7 +211,9 @@ type Budget interface {
 type Config struct {
 	Disk *storage.Disk
 	// MemoryBlocks is M, the number of disk blocks worth of main memory
-	// available for sorting (the paper uses M = 10000 blocks = 40 MB).
+	// available for sorting (the paper uses M = 10000 blocks = 40 MB): the
+	// page-sized blocks of encoded rows and sort entries a sort may hold at
+	// once — never fewer than one of each.
 	MemoryBlocks int
 	// Budget, when non-nil, overrides MemoryBlocks as the live memory
 	// allowance: buffering decisions re-read it, so it may shrink (or grow)
@@ -256,7 +281,8 @@ type Config struct {
 	// consumer goroutine (the paper's serial algorithm, and the pre-arena
 	// behaviour). Values above 1 let each worker form runs into its own
 	// spill arena, multiplying transient sort memory by up to the same
-	// factor (each in-flight flush holds one MemoryBlocks-sized batch).
+	// factor (each in-flight flush owns one MemoryBlocks-sized store until
+	// its run is written).
 	SpillParallelism int
 	// Limit, when positive, is a hard bound on the rows the consumer will
 	// ever read — a LIMIT k sitting on the sort, never a row-target hint: MRS
@@ -283,14 +309,20 @@ func (c Config) limit() int64 {
 	return noLimit
 }
 
-func (c Config) memoryBytes() int64 {
+// memoryBlocks is the live memory allowance in blocks: what a row store may
+// hold right now. Buffering decisions call it per row.
+func (c Config) memoryBlocks() int {
 	blocks := c.MemoryBlocks
 	if c.Budget != nil {
 		if b := c.Budget.Blocks(); b > 0 && b < blocks {
 			blocks = b
 		}
 	}
-	return int64(blocks) * int64(c.Disk.PageSize())
+	return blocks
+}
+
+func (c Config) memoryBytes() int64 {
+	return int64(c.memoryBlocks()) * int64(c.Disk.PageSize())
 }
 
 func (c Config) fanIn() int { return MergeFanIn(c.MemoryBlocks) }
