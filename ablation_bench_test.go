@@ -13,7 +13,6 @@ import (
 	"pyro/internal/iter"
 	"pyro/internal/storage"
 	"pyro/internal/workload"
-	"pyro/internal/xsort"
 )
 
 func q3World(b *testing.B) (*catalog.Catalog, *storage.Disk) {
@@ -72,21 +71,9 @@ func BenchmarkAblationPartialSortOff(b *testing.B) {
 	benchQ3Execution(b, func(o *core.Options) { o.DisablePartialSort = true })
 }
 
-// BenchmarkAblationNormalizedKeysOn/Off isolate the normalized-key sort
-// engine end to end on the Query 3 merge-join plan: every enforcer in the
-// plan switches between encoded byte-string keys and the field comparator.
-func BenchmarkAblationNormalizedKeysOn(b *testing.B) {
-	benchQ3ExecutionCfg(b, func(*core.Options) {}, func(*core.BuildConfig) {})
-}
-
-func BenchmarkAblationNormalizedKeysOff(b *testing.B) {
-	benchQ3ExecutionCfg(b, func(*core.Options) {},
-		func(c *core.BuildConfig) { c.SortKeys = xsort.KeyComparator })
-}
-
 // BenchmarkAblationSortParallelismOff pins MRS segment sorting to one
 // goroutine (the serial paper algorithm); the On arm is the GOMAXPROCS
-// default of BenchmarkAblationNormalizedKeysOn.
+// default of BenchmarkAblationPartialSortOn.
 func BenchmarkAblationSortParallelismOff(b *testing.B) {
 	benchQ3ExecutionCfg(b, func(*core.Options) {},
 		func(c *core.BuildConfig) { c.SortParallelism = 1 })
@@ -165,7 +152,7 @@ func BenchmarkAblationDeferredFetch(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := db.Execute(plan); err != nil {
+				if _, err := queryAll(db, plan); err != nil {
 					b.Fatal(err)
 				}
 			}

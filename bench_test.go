@@ -121,17 +121,13 @@ func reportCursorCounters(b *testing.B, db *Database, plan *Plan, pull int, opts
 		b.Fatal(err)
 	}
 	st := cur.Stats()
-	var comps, radix, skips, pages int64
+	var comps, radix int64
 	for _, s := range st.Sorts {
 		comps += s.Comparisons
 		radix += s.RadixPasses
-		skips += s.MergeBucketSkips
-		pages += s.FlatRunPages
 	}
 	b.ReportMetric(float64(comps), "comparisons/op")
 	b.ReportMetric(float64(radix), "radix-passes/op")
-	b.ReportMetric(float64(skips), "merge-bucket-skips/op")
-	b.ReportMetric(float64(pages), "flat-run-pages/op")
 	b.ReportMetric(float64(st.IO.PageReads+st.IO.PageWrites), "io-pages/op")
 	b.ReportMetric(float64(st.IO.RunPageReads+st.IO.RunPageWrites), "run-pages/op")
 }
@@ -144,8 +140,6 @@ func reportSortCounters(b *testing.B, st xsort.SortStats, io storage.IOStats) {
 	b.Helper()
 	b.ReportMetric(float64(st.Comparisons), "comparisons/op")
 	b.ReportMetric(float64(st.RadixPasses), "radix-passes/op")
-	b.ReportMetric(float64(st.MergeBucketSkips), "merge-bucket-skips/op")
-	b.ReportMetric(float64(st.FlatRunPages), "flat-run-pages/op")
 	b.ReportMetric(float64(io.PageReads+io.PageWrites), "io-pages/op")
 	b.ReportMetric(float64(io.RunPageReads+io.RunPageWrites), "run-pages/op")
 }
@@ -154,11 +148,8 @@ func reportSortCounters(b *testing.B, st xsort.SortStats, io storage.IOStats) {
 // boundary: each iteration opens a cursor, pulls one row and closes. The
 // baseline arm streams a pipelined partial-sort plan (first segment only);
 // the full-sort arm must consume the entire input inside Query before the
-// first row exists; the materialise arm is the deprecated Execute on the
-// same partial plan, paying full-result materialisation the cursor
-// avoids. `make bench-ab` feeds these arms through cmd/pyro-abdiff, so
-// the first-row deltas land in the same CI table as the key-mode and
-// run-formation ablations.
+// first row exists. `make bench-ab` feeds these arms through
+// cmd/pyro-abdiff, so the first-row deltas land in the CI table.
 func BenchmarkTimeToFirstRow(b *testing.B) {
 	db := segmentedDB(b, 50_000, 500) // the workload TestCursorEarlyCloseAbandonsWork pins
 	q := db.Scan("big").OrderBy("g", "v")
@@ -197,16 +188,6 @@ func BenchmarkTimeToFirstRow(b *testing.B) {
 			firstRow(b, full)
 		}
 		reportCursorCounters(b, db, full, 1)
-	})
-	b.Run("execute-materialise", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			rows, err := db.Execute(partial)
-			if err != nil {
-				b.Fatal(err)
-			}
-			_ = rows.Data[0]
-		}
 	})
 }
 
@@ -507,10 +488,9 @@ func BenchmarkMRSSort(b *testing.B) {
 	}
 }
 
-// keyBenchRows returns rows whose sort key is the realistic hard case for
-// the comparator path: a composite (int, string, int) key with shared
-// string prefixes, so every field comparison walks type switches and
-// common prefixes. c1 carries the MRS segment order.
+// keyBenchRows returns rows whose sort key is the realistic hard case: a
+// composite (int, string, int) key with shared string prefixes, longer than
+// an entry prefix. c1 carries the MRS segment order.
 func keyBenchRows(n int, segments int64) []types.Tuple {
 	rng := rand.New(rand.NewSource(2))
 	per := int64(n) / segments
@@ -528,199 +508,119 @@ func keyBenchRows(n int, segments int64) []types.Tuple {
 	return rows
 }
 
-// BenchmarkSRSSortKeys isolates the normalized-key engine on the full-sort
-// path: identical input and memory budget, encoded byte-string keys vs the
-// field-by-field comparator, on a composite (string, int) key. Run
-// formation is pinned to the comparison sort so the delta stays a pure
-// key-representation measurement (adaptive would radix-sort the encoded
-// arm only; the RunFormation benchmarks measure that separately).
-func BenchmarkSRSSortKeys(b *testing.B) {
-	rows := keyBenchRows(50_000, 100)
-	for _, mode := range []struct {
-		name string
-		keys xsort.KeyMode
-	}{{"encoded", xsort.KeyEncoded}, {"comparator", xsort.KeyComparator}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var st xsort.SortStats
-			var io storage.IOStats
-			for i := 0; i < b.N; i++ {
-				d := storage.NewDisk(0)
-				s, err := xsort.NewSRS(iter.FromSlice(rows), sortBenchSchema,
-					sortord.New("c3", "c2", "c1"),
-					xsort.Config{Disk: d, MemoryBlocks: 256, Keys: mode.keys,
-						RunFormation: xsort.RunFormCompare})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := iter.Drain(s); err != nil {
-					b.Fatal(err)
-				}
-				st, io = *s.Stats(), d.Stats()
-			}
-			reportSortCounters(b, st, io)
-		})
-	}
-}
-
-// BenchmarkMRSSortKeys isolates the normalized-key engine on the
-// partial-sort path. Parallelism is pinned to 1 so the delta is purely
-// encoded vs comparator key comparisons.
-func BenchmarkMRSSortKeys(b *testing.B) {
-	rows := keyBenchRows(50_000, 100)
-	for _, mode := range []struct {
-		name string
-		keys xsort.KeyMode
-	}{{"encoded", xsort.KeyEncoded}, {"comparator", xsort.KeyComparator}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var st xsort.SortStats
-			var io storage.IOStats
-			for i := 0; i < b.N; i++ {
-				d := storage.NewDisk(0)
-				m, err := xsort.NewMRS(iter.FromSlice(rows), sortBenchSchema,
-					sortord.New("c1", "c3", "c2"), sortord.New("c1"),
-					xsort.Config{Disk: d, MemoryBlocks: 256, Keys: mode.keys, Parallelism: 1,
-						RunFormation: xsort.RunFormCompare})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := iter.Drain(m); err != nil {
-					b.Fatal(err)
-				}
-				st, io = *m.Stats(), d.Stats()
-			}
-			reportSortCounters(b, st, io)
-		})
-	}
-}
-
-// runFormationArms runs one sort benchmark once per run-formation mode, so
-// `-bench RunFormation` (and make bench-ab) reports compare-vs-radix deltas
-// on identical inputs. Output order, run structure and I/O are identical
-// across arms (asserted by TestGoldenRadixAgrees / TestRunFormationModesAgree);
-// the delta is purely how the sorted order is produced.
-func runFormationArms(b *testing.B, run func(b *testing.B, rf xsort.RunFormation)) {
-	for _, arm := range []struct {
-		name string
-		rf   xsort.RunFormation
-	}{{"compare", xsort.RunFormCompare}, {"radix", xsort.RunFormRadix}, {"adaptive", xsort.RunFormAdaptive}} {
-		b.Run(arm.name, func(b *testing.B) {
-			b.ReportAllocs()
-			run(b, arm.rf)
-		})
-	}
-}
+// The RunFormation benchmarks cover the four regimes run formation works in
+// — MRS segments in memory, MRS spilled batches, the SRS in-memory fast path
+// and the SRS phase-1 fill ahead of replacement selection — and report the
+// deterministic work counters bench-gate pins. How a buffer is sorted is the
+// sort's own choice (radix or comparison, by buffer size and key width);
+// TestGoldenRadixAgrees / TestRunFormationModesAgree hold both sides to the
+// same output.
 
 // BenchmarkMRSPartialSortRunFormation is the MRS hot path the radix engine
 // targets: in-memory partial-sort segments on a composite (string, int)
-// suffix key. Parallelism is pinned to 1 so the delta is the segment sort
+// suffix key. Parallelism is pinned to 1 so the time is the segment sorts
 // alone.
 func BenchmarkMRSPartialSortRunFormation(b *testing.B) {
 	rows := keyBenchRows(50_000, 100)
-	runFormationArms(b, func(b *testing.B, rf xsort.RunFormation) {
-		var st xsort.SortStats
-		var io storage.IOStats
-		for i := 0; i < b.N; i++ {
-			d := storage.NewDisk(0)
-			m, err := xsort.NewMRS(iter.FromSlice(rows), sortBenchSchema,
-				sortord.New("c1", "c3", "c2"), sortord.New("c1"),
-				xsort.Config{Disk: d, MemoryBlocks: 2048, Parallelism: 1, RunFormation: rf})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := iter.Drain(m); err != nil {
-				b.Fatal(err)
-			}
-			st, io = *m.Stats(), d.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var st xsort.SortStats
+	var io storage.IOStats
+	for i := 0; i < b.N; i++ {
+		d := storage.NewDisk(0)
+		m, err := xsort.NewMRS(iter.FromSlice(rows), sortBenchSchema,
+			sortord.New("c1", "c3", "c2"), sortord.New("c1"),
+			xsort.Config{Disk: d, MemoryBlocks: 2048, Parallelism: 1})
+		if err != nil {
+			b.Fatal(err)
 		}
-		reportSortCounters(b, st, io)
-	})
+		if _, err := iter.Drain(m); err != nil {
+			b.Fatal(err)
+		}
+		st, io = *m.Stats(), d.Stats()
+	}
+	reportSortCounters(b, st, io)
 }
 
-// BenchmarkMRSSpilledSortRunFormation measures radix run formation where
-// runs actually hit disk: oversized segments whose memory batches are
-// sorted and spilled, then merged. Spilling is serial so the arms differ
-// only in batch-sort algorithm, not scheduling.
+// BenchmarkMRSSpilledSortRunFormation measures run formation where runs
+// actually hit disk: oversized segments whose memory batches are sorted and
+// spilled, then merged, serially.
 func BenchmarkMRSSpilledSortRunFormation(b *testing.B) {
 	rows := keyBenchRows(50_000, 4)
-	runFormationArms(b, func(b *testing.B, rf xsort.RunFormation) {
-		var st xsort.SortStats
-		var io storage.IOStats
-		for i := 0; i < b.N; i++ {
-			d := storage.NewDisk(0)
-			m, err := xsort.NewMRS(iter.FromSlice(rows), sortBenchSchema,
-				sortord.New("c1", "c3", "c2"), sortord.New("c1"),
-				xsort.Config{Disk: d, MemoryBlocks: 64, Parallelism: 1, SpillParallelism: 1, RunFormation: rf})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := iter.Drain(m); err != nil {
-				b.Fatal(err)
-			}
-			if rf == xsort.RunFormRadix && m.Stats().RadixPasses == 0 {
-				b.Fatal("radix arm did no radix work")
-			}
-			st, io = *m.Stats(), d.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var st xsort.SortStats
+	var io storage.IOStats
+	for i := 0; i < b.N; i++ {
+		d := storage.NewDisk(0)
+		m, err := xsort.NewMRS(iter.FromSlice(rows), sortBenchSchema,
+			sortord.New("c1", "c3", "c2"), sortord.New("c1"),
+			xsort.Config{Disk: d, MemoryBlocks: 64, Parallelism: 1, SpillParallelism: 1})
+		if err != nil {
+			b.Fatal(err)
 		}
-		reportSortCounters(b, st, io)
-	})
+		if _, err := iter.Drain(m); err != nil {
+			b.Fatal(err)
+		}
+		st, io = *m.Stats(), d.Stats()
+	}
+	reportSortCounters(b, st, io)
 }
 
 // BenchmarkSRSSortRunFormation measures the SRS in-memory fast path: the
-// whole input fits, so the compare arm builds and drains a replacement-
-// selection heap while the radix arm byte-bucket sorts the fill directly.
+// whole input fits, so the fill is byte-bucket sorted and emitted directly,
+// with no replacement-selection heap built or drained.
 func BenchmarkSRSSortRunFormation(b *testing.B) {
 	rows := keyBenchRows(50_000, 100)
-	runFormationArms(b, func(b *testing.B, rf xsort.RunFormation) {
-		var st xsort.SortStats
-		var io storage.IOStats
-		for i := 0; i < b.N; i++ {
-			d := storage.NewDisk(0)
-			s, err := xsort.NewSRS(iter.FromSlice(rows), sortBenchSchema,
-				sortord.New("c3", "c2", "c1"),
-				xsort.Config{Disk: d, MemoryBlocks: 4096, RunFormation: rf})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := iter.Drain(s); err != nil {
-				b.Fatal(err)
-			}
-			if s.Stats().RunsGenerated != 0 {
-				b.Fatal("workload must stay in memory")
-			}
-			st, io = *s.Stats(), d.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var st xsort.SortStats
+	var io storage.IOStats
+	for i := 0; i < b.N; i++ {
+		d := storage.NewDisk(0)
+		s, err := xsort.NewSRS(iter.FromSlice(rows), sortBenchSchema,
+			sortord.New("c3", "c2", "c1"),
+			xsort.Config{Disk: d, MemoryBlocks: 4096})
+		if err != nil {
+			b.Fatal(err)
 		}
-		reportSortCounters(b, st, io)
-	})
+		if _, err := iter.Drain(s); err != nil {
+			b.Fatal(err)
+		}
+		if s.Stats().RunsGenerated != 0 {
+			b.Fatal("workload must stay in memory")
+		}
+		st, io = *s.Stats(), d.Stats()
+	}
+	reportSortCounters(b, st, io)
 }
 
 // BenchmarkSRSSpilledSortRunFormation: spilled SRS, where radix only seeds
 // the initial heap fill (replacement selection itself stays comparison-
-// based) — the honest small-delta companion to the in-memory case.
+// based).
 func BenchmarkSRSSpilledSortRunFormation(b *testing.B) {
 	rows := keyBenchRows(50_000, 100)
-	runFormationArms(b, func(b *testing.B, rf xsort.RunFormation) {
-		var st xsort.SortStats
-		var io storage.IOStats
-		for i := 0; i < b.N; i++ {
-			d := storage.NewDisk(0)
-			s, err := xsort.NewSRS(iter.FromSlice(rows), sortBenchSchema,
-				sortord.New("c3", "c2", "c1"),
-				xsort.Config{Disk: d, MemoryBlocks: 256, RunFormation: rf})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := iter.Drain(s); err != nil {
-				b.Fatal(err)
-			}
-			if s.Stats().RunsGenerated == 0 {
-				b.Fatal("workload must spill")
-			}
-			st, io = *s.Stats(), d.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var st xsort.SortStats
+	var io storage.IOStats
+	for i := 0; i < b.N; i++ {
+		d := storage.NewDisk(0)
+		s, err := xsort.NewSRS(iter.FromSlice(rows), sortBenchSchema,
+			sortord.New("c3", "c2", "c1"),
+			xsort.Config{Disk: d, MemoryBlocks: 256})
+		if err != nil {
+			b.Fatal(err)
 		}
-		reportSortCounters(b, st, io)
-	})
+		if _, err := iter.Drain(s); err != nil {
+			b.Fatal(err)
+		}
+		if s.Stats().RunsGenerated == 0 {
+			b.Fatal("workload must spill")
+		}
+		st, io = *s.Stats(), d.Stats()
+	}
+	reportSortCounters(b, st, io)
 }
 
 // BenchmarkMRSSortParallelism measures the bounded worker pool on MRS's
@@ -918,76 +818,4 @@ func BenchmarkMergeJoinExec(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkSpilledMergeEntryLayout is the fixed-width-entry A/B: the same
-// spilled sort under the three spill layouts. flat is the shipping
-// configuration (fixed-width entry runs, radix-aware cascade merge);
-// flat-heap isolates the cascade by merging identical entry runs with a
-// plain comparison heap; tuple is the legacy payload-only format. Output
-// order is byte-identical across arms (the golden tests pin it); the gated
-// counters show the trade — comparisons/op drops on flat versus both
-// ablations, flat-run-pages/op and the page counters carry the entry-file
-// I/O the flat layouts pay for it.
-func BenchmarkSpilledMergeEntryLayout(b *testing.B) {
-	srsRows := keyBenchRows(50_000, 100)
-	mrsRows := keyBenchRows(50_000, 4)
-	layouts := []struct {
-		name string
-		lay  xsort.EntryLayout
-	}{{"flat", xsort.LayoutFlat}, {"flat-heap", xsort.LayoutFlatHeap}, {"tuple", xsort.LayoutTuple}}
-
-	b.Run("srs", func(b *testing.B) {
-		for _, arm := range layouts {
-			b.Run(arm.name, func(b *testing.B) {
-				b.ReportAllocs()
-				var st xsort.SortStats
-				var io storage.IOStats
-				for i := 0; i < b.N; i++ {
-					d := storage.NewDisk(0)
-					s, err := xsort.NewSRS(iter.FromSlice(srsRows), sortBenchSchema,
-						sortord.New("c3", "c2", "c1"),
-						xsort.Config{Disk: d, MemoryBlocks: 256, EntryLayout: arm.lay})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := iter.Drain(s); err != nil {
-						b.Fatal(err)
-					}
-					if s.Stats().RunsGenerated == 0 {
-						b.Fatal("workload must spill")
-					}
-					st, io = *s.Stats(), d.Stats()
-				}
-				reportSortCounters(b, st, io)
-			})
-		}
-	})
-
-	b.Run("mrs", func(b *testing.B) {
-		for _, arm := range layouts {
-			b.Run(arm.name, func(b *testing.B) {
-				b.ReportAllocs()
-				var st xsort.SortStats
-				var io storage.IOStats
-				for i := 0; i < b.N; i++ {
-					d := storage.NewDisk(0)
-					m, err := xsort.NewMRS(iter.FromSlice(mrsRows), sortBenchSchema,
-						sortord.New("c1", "c3", "c2"), sortord.New("c1"),
-						xsort.Config{Disk: d, MemoryBlocks: 64, Parallelism: 1, SpillParallelism: 1, EntryLayout: arm.lay})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := iter.Drain(m); err != nil {
-						b.Fatal(err)
-					}
-					if m.Stats().SpilledSegs == 0 {
-						b.Fatal("workload must spill")
-					}
-					st, io = *m.Stats(), d.Stats()
-				}
-				reportSortCounters(b, st, io)
-			})
-		}
-	})
 }

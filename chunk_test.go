@@ -289,7 +289,7 @@ func TestConcurrentChunkCursors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := db.Execute(plan)
+	want, err := queryAll(db, plan)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,7 @@
 // Usage:
 //
 //	pyro-bench [-exp all|example1|a1|a2|a3|a4|b1|b2|b3|scalability|refine] [-scale f]
-//	           [-sort-par n] [-spill-par n] [-run-formation adaptive|compare|radix]
-//	           [-limit k]
+//	           [-sort-par n] [-spill-par n] [-limit k]
 //
 // -scale multiplies dataset sizes (1.0 ≈ seconds per experiment).
 // Execution tables report first_row_ms (time to the first output tuple —
@@ -13,13 +12,9 @@
 // -sort-par bounds concurrent MRS segment sorts per enforcer (0 =
 // GOMAXPROCS, 1 = the paper's serial algorithm); -spill-par bounds
 // concurrent spill jobs when a sort exceeds memory (0 = inherit -sort-par,
-// 1 = serial spilling). -run-formation selects how enforcers sort
-// in-memory buffers: MSD radix partitioning of the normalized keys,
-// comparison sorts, or adaptive (the default). Comparison and I/O counts
-// are identical at every parallelism setting, and output key order, run
-// structure and I/O are identical across run-formation modes (only the
-// work accounting moves between comparisons and radix passes) — so the
-// paper's tables stay valid while wall-clock times drop. -limit sets the
+// 1 = serial spilling). Comparison and I/O counts are identical at every
+// parallelism setting, so the paper's tables stay valid while wall-clock
+// times drop. -limit sets the
 // Top-K row count the limit-aware experiment plans under (default 10):
 // its table shows the two-phase cost model's estimated full-drain and
 // startup costs next to measured time_ms/first_row_ms for the pipelined
@@ -34,7 +29,6 @@ import (
 	"strings"
 
 	"pyro/internal/harness"
-	"pyro/internal/xsort"
 )
 
 func main() {
@@ -48,7 +42,6 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "dataset scale factor")
 	sortPar := flag.Int("sort-par", 0, "MRS segment-sort parallelism (0 = GOMAXPROCS, 1 = serial)")
 	spillPar := flag.Int("spill-par", 0, "spill-path parallelism (0 = inherit -sort-par, 1 = serial)")
-	runForm := flag.String("run-formation", "adaptive", "run formation: adaptive, compare or radix")
 	limit := flag.Int64("limit", 0, "Top-K row count for the limit-aware experiments (0 = default 10)")
 	// serve-mode knobs (ignored by the paper experiments).
 	queries := flag.Int("cursors", 2000, "serve: total Top-K queries to run")
@@ -96,16 +89,11 @@ func main() {
 		return
 	}
 
-	rf, err := xsort.ParseRunFormation(*runForm)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pyro-bench:", err)
-		os.Exit(2)
-	}
 	if *limit < 0 {
 		fmt.Fprintf(os.Stderr, "pyro-bench: negative -limit %d\n", *limit)
 		os.Exit(2)
 	}
-	s := harness.Scale{Factor: *scale, SortParallelism: *sortPar, SpillParallelism: *spillPar, RunFormation: rf, Limit: *limit}
+	s := harness.Scale{Factor: *scale, SortParallelism: *sortPar, SpillParallelism: *spillPar, Limit: *limit}
 	if *exp == "all" {
 		if err := harness.RunAll(os.Stdout, s); err != nil {
 			fmt.Fprintln(os.Stderr, "pyro-bench:", err)

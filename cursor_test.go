@@ -39,7 +39,7 @@ func TestCursorStreamsAndScans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := db.Execute(plan)
+	want, err := queryAll(db, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestCursorContextCancellation(t *testing.T) {
 }
 
 func TestCursorExecOptionsOverridePerQuery(t *testing.T) {
-	db := segmentedDB(t, 50_000, 10_000) // few large segments: radix pays
+	db := segmentedDB(t, 50_000, 10_000) // few large segments
 	plan, err := db.Optimize(db.Scan("big").OrderBy("g", "v"))
 	if err != nil {
 		t.Fatal(err)
@@ -320,21 +320,7 @@ func TestCursorExecOptionsOverridePerQuery(t *testing.T) {
 		return cur.Stats()
 	}
 
-	// Run formation: adaptive (the Config default) radix-sorts these large
-	// segments; a per-query compare override must pin it off — and leave
-	// the database default untouched for the next query.
-	adaptive := drain()
-	if adaptive.Sorts[0].RadixPasses == 0 {
-		t.Fatal("default adaptive run formation did no radix work on large segments")
-	}
-	compared := drain(WithSortRunFormation(RunFormationCompare))
-	if compared.Sorts[0].RadixPasses != 0 {
-		t.Fatal("WithSortRunFormation(compare) did not pin the comparison sort")
-	}
-	again := drain()
-	if again.Sorts[0].RadixPasses == 0 {
-		t.Fatal("per-query override leaked into the database config")
-	}
+	base := drain()
 
 	// Spill regime: a tiny per-query memory budget forces spilling, and
 	// the spill-parallelism override decides which regime forms the runs.
@@ -342,9 +328,17 @@ func TestCursorExecOptionsOverridePerQuery(t *testing.T) {
 	if serial.Sorts[0].SpillRunsSerial == 0 || serial.Sorts[0].SpillRunsParallel != 0 {
 		t.Fatalf("spill-par 1 should form runs serially: %+v", serial.Sorts[0])
 	}
+	if serial.Sorts[0].RunsGenerated <= base.Sorts[0].RunsGenerated {
+		t.Fatalf("an 8-block budget should form more runs than the configured one: %d vs %d",
+			serial.Sorts[0].RunsGenerated, base.Sorts[0].RunsGenerated)
+	}
 	parallel := drain(WithSortMemoryBlocks(8), WithSortParallelism(2), WithSortSpillParallelism(2))
 	if parallel.Sorts[0].SpillRunsParallel == 0 || parallel.Sorts[0].SpillRunsSerial != 0 {
 		t.Fatalf("spill-par 2 should form runs on workers: %+v", parallel.Sorts[0])
+	}
+	// The overrides were those queries' alone.
+	if again := drain(); again.Sorts[0].RunsGenerated != base.Sorts[0].RunsGenerated {
+		t.Fatal("per-query override leaked into the database config")
 	}
 }
 
@@ -357,7 +351,7 @@ func TestConcurrentCursors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := db.Execute(plan)
+	want, err := queryAll(db, plan)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,25 +97,11 @@ type Model struct {
 	// only — never from GOMAXPROCS — or plan choice becomes a property of
 	// the optimizing machine.
 	SpillParallelism int
-	// SpillEntryFrac is the I/O surcharge of the flat spill layouts: the
-	// fixed-width entry file each run carries alongside its payload pages,
-	// as a fraction of the payload blocks. Every reduction pass writes and
-	// re-reads it, and the final merge reads it once.
-	SpillEntryFrac float64
 	// KeyEncodeWeight converts one sort-key normalization into I/O units.
-	// Only the tuple spill layout pays it on merge reads: re-reading a
-	// tuple run re-encodes every tuple's key per pass, while flat runs
-	// carry their keys in the entry file — a key is encoded once per sort
-	// at input collection no matter how many passes rewrite its run. This
-	// is the "cheaper flat-run I/O": each flat page read costs just the
-	// transfer, with no per-tuple key work riding on it.
+	// A key is encoded once at input collection, and again every time its
+	// row is read back from a run: runs hold rows only, so each merge read
+	// carries one key encode per row on top of the transfer.
 	KeyEncodeWeight float64
-	// TupleSpillLayout prices external sorts for the legacy tuple-only
-	// spill format (xsort.LayoutTuple): no entry-file I/O, but every merge
-	// read pays KeyEncodeWeight per tuple. The zero value prices the
-	// default flat layouts — entry-file I/O, encode-free merge reads.
-	// Callers set it from the configured sort entry layout.
-	TupleSpillLayout bool
 }
 
 // DefaultModel mirrors the paper's environment: 4 KiB blocks and M = 10000
@@ -128,7 +114,6 @@ func DefaultModel() Model {
 		HashWeight:       5e-5,
 		TupleWeight:      1e-5,
 		SpillParallelism: 1,
-		SpillEntryFrac:   0.2,
 		KeyEncodeWeight:  2e-5,
 	}
 }
@@ -153,12 +138,9 @@ func (m Model) SortCPU(rows int64) float64 {
 // sort blocks on run formation and the intermediate passes (B·2p/S) but
 // streams the final merge read (B) one block at a time.
 //
-// The spill term is layout-aware: the flat entry layouts inflate every
-// spill transfer by SpillEntryFrac (the entry file travels with the
-// payload), while the tuple layout instead pays KeyEncodeWeight per tuple
-// per merge read — a pass over a tuple run re-normalizes every key. With
-// both refinement knobs zeroed either branch reduces to the paper's
-// B·(2p + 1).
+// The spill term prices blocks per transfer plus KeyEncodeWeight per tuple
+// per merge read — a pass over a run re-normalizes every key. With that
+// weight zeroed it is the paper's B·(2p + 1).
 //
 // The pass count's logarithm is taken to the sorter's own merge fan-in
 // (xsort.MergeFanIn: M−1, never below 2), not to a bare M−1: the governor
@@ -186,14 +168,10 @@ func (m Model) FullSort(rows, blocks int64) Cost {
 }
 
 // spillShape is what one full transfer of a sort's rows to or from its run
-// files costs under the configured layout: the blocks moved (the flat
-// layouts' entry file rides on the payload) and the per-read key work (the
-// tuple layout re-normalizes every key it reads back).
+// files costs: the blocks moved and the per-read key work (a merge keys every
+// row it reads back).
 func (m Model) spillShape(rows, blocks int64) (spillBlocks, passCPU float64) {
-	if m.TupleSpillLayout {
-		return float64(blocks), float64(rows) * m.KeyEncodeWeight
-	}
-	return float64(blocks) * (1 + m.SpillEntryFrac), 0
+	return float64(blocks), float64(rows) * m.KeyEncodeWeight
 }
 
 // spillOverlap is the factor concurrent spill jobs divide intermediate pass

@@ -22,12 +22,11 @@ func TestFullSortInMemory(t *testing.T) {
 	}
 }
 
-// paperModel zeroes the spill-layout refinement knobs so FullSort reduces
-// to the paper's bare B·(2p + 1); the layout terms are pinned separately in
+// paperModel zeroes the merge reads' key work so FullSort reduces to the
+// paper's bare B·(2p + 1); that term is pinned separately in
 // TestSpillLayoutPricing.
 func paperModel() Model {
 	m := DefaultModel()
-	m.SpillEntryFrac = 0
 	m.KeyEncodeWeight = 0
 	return m
 }
@@ -72,9 +71,9 @@ func TestFullSortFiniteAndMonotoneInMemory(t *testing.T) {
 		prev = c.Total
 	}
 	// Budgets of 1..3 blocks all merge two runs at a time: ⌈log2(B/M)⌉ passes
-	// of 2·1 200 transfers (entry files inflate B by SpillEntryFrac) plus the
-	// final read.
-	for mem, want := range map[int64]float64{1: 10*2400 + 1200, 2: 9*2400 + 1200, 3: 9*2400 + 1200} {
+	// of 2·1 000 transfers plus the final read, each read keying 100 000
+	// rows (2 units).
+	for mem, want := range map[int64]float64{1: 10*2002 + 1002, 2: 9*2002 + 1002, 3: 9*2002 + 1002} {
 		m.MemoryBlocks = mem
 		if got := m.FullSort(100_000, 1_000).Total; math.Abs(got-want) > 1e-6 {
 			t.Errorf("M=%d: cost %.1f, want %.1f", mem, got, want)
@@ -352,45 +351,30 @@ func TestSortCheaperWithPartialPrefixRealScenario(t *testing.T) {
 	}
 }
 
-// TestSpillLayoutPricing pins the layout-aware spill refinement: the flat
-// entry layouts inflate every spill transfer by the entry-file fraction,
-// the tuple layout instead pays a per-tuple key re-encode on every merge
-// read, and with both knobs zeroed the branches collapse to the same paper
-// formula.
+// TestSpillLayoutPricing pins what a spilled sort pays per transfer: the
+// run's blocks — runs hold rows and nothing else — plus, on every merge read,
+// one key encode per row; with that weight zeroed it is the paper's formula.
 func TestSpillLayoutPricing(t *testing.T) {
 	rows, blocks := int64(2_000_000), int64(50_000)
-
-	flat := DefaultModel()
-	tuple := DefaultModel()
-	tuple.TupleSpillLayout = true
-
-	// Flat: one pass, B·(1+f)·(2 + 1) with f = 0.2 ⇒ 60000·3 = 180000.
-	if got := flat.FullSort(rows, blocks); got.Total != 180_000 {
-		t.Fatalf("flat external sort = %f, want 180000", got.Total)
-	}
-	// Tuple: bare I/O B·3 = 150000 plus the per-pass key work — rows ·
+	m := DefaultModel()
+	// One pass: bare I/O B·3 = 150000 plus the key work — rows ·
 	// KeyEncodeWeight on the reduction pass and again on the final merge
 	// read: 2·2M·2e-5 = 80.
-	if got := tuple.FullSort(rows, blocks); got.Total != 150_080 {
-		t.Fatalf("tuple external sort = %f, want 150080", got.Total)
+	got := m.FullSort(rows, blocks)
+	if got.Total != 150_080 {
+		t.Fatalf("external sort = %f, want 150080", got.Total)
 	}
-	// The tuple surcharge blocks with its pass and streams with the final
-	// merge, exactly like the I/O it rides on.
-	if got := tuple.FullSort(rows, blocks); got.Startup != 100_040 {
-		t.Fatalf("tuple external sort startup = %f, want 100040", got.Startup)
+	// The key work blocks with its pass and streams with the final merge,
+	// exactly like the I/O it rides on.
+	if got.Startup != 100_040 {
+		t.Fatalf("external sort startup = %f, want 100040", got.Startup)
 	}
-	// In-memory sorts never touch either knob.
-	if flat.FullSort(1000, 100) != tuple.FullSort(1000, 100) {
-		t.Fatal("entry layout must not reprice in-memory sorts")
+	// In-memory sorts never read a run.
+	if m.FullSort(1000, 100) != paperModel().FullSort(1000, 100) {
+		t.Fatal("merge-read key work must not reprice in-memory sorts")
 	}
-	// Zeroed knobs: both layouts price identically at the paper formula.
-	pf, pt := paperModel(), paperModel()
-	pt.TupleSpillLayout = true
-	if pf.FullSort(rows, blocks) != pt.FullSort(rows, blocks) {
-		t.Fatal("zeroed refinement knobs must collapse the layouts")
-	}
-	if pf.FullSort(rows, blocks).Total != 150_000 {
-		t.Fatal("zeroed knobs must recover B·(2p+1)")
+	if paperModel().FullSort(rows, blocks).Total != 150_000 {
+		t.Fatal("a zeroed KeyEncodeWeight must recover B·(2p+1)")
 	}
 }
 
@@ -416,7 +400,7 @@ func TestBoundedSort(t *testing.T) {
 
 	// 20 000 kept rows, 600 blocks in memory: they do not fit 16 blocks.
 	spills := m.BoundedSort(rows, blocks, 20_000, 600)
-	written := float64(blocks) * (1 + m.SpillEntryFrac)
+	written := float64(blocks)
 	if spills.Startup < written {
 		t.Fatalf("a spilling bounded sort still writes its input once: startup %f < %f", spills.Startup, written)
 	}

@@ -24,11 +24,8 @@ type sorter interface {
 // replacement selection, used when nothing is known about the input order)
 // or MRS (the paper's modified replacement selection, used when the input
 // is known to carry a prefix of the target order — the "partial sort
-// enforcer" of §3.2). The wrapped sort inherits the Config's key mode,
-// run-formation mode (comparison sort vs MSD radix on the encoded keys;
-// identical output key order and run structure, different work
-// accounting — see the xsort package comment) and parallelism knobs
-// unchanged.
+// enforcer" of §3.2). The wrapped sort takes the Config's memory and
+// parallelism knobs unchanged.
 type Sort struct {
 	child  Operator
 	target sortord.Order

@@ -60,6 +60,16 @@ func fuzzTuple(data []byte, cols []Col) (types.Tuple, []byte) {
 	return tup, data
 }
 
+// fuzzKind reads a column's kind off its control byte: one of the four value
+// kinds by the low bits, or — bit 6 set and bit 7 clear, which no seed from
+// before NULL-typed columns could be keys has — KindNull.
+func fuzzKind(b byte) types.Kind {
+	if b&0xC0 == 0x40 {
+		return types.KindNull
+	}
+	return allKinds[int(b)%4]
+}
+
 // FuzzFixedPrefixAgreesWithFullCompare pins the fixed-width entry
 // contract under fuzzing: for any column spec, any pair of tuples and any
 // prefix width, comparing the AppendFixed prefixes and falling back to the
@@ -78,6 +88,8 @@ func FuzzFixedPrefixAgreesWithFullCompare(f *testing.F) {
 	// NULLs (control byte 0 => NULL) and desc columns (0x10 bit).
 	f.Add(3, []byte{0x01, 0x13, 0x00, 0x00, 0x05})
 	f.Add(1, bytes.Repeat([]byte{0x00}, 32))
+	// A NULL-typed column (0x40) ahead of a string cut at the width.
+	f.Add(4, append([]byte{0x01, 0x40, 0x02, 0x01, 0x01, 0x05}, []byte("aaaab\x01\x01\x05aaaac")...))
 
 	f.Fuzz(func(t *testing.T, width int, data []byte) {
 		if width < 1 {
@@ -99,7 +111,7 @@ func FuzzFixedPrefixAgreesWithFullCompare(f *testing.F) {
 			}
 			cols[i] = Col{
 				Ordinal:   i,
-				Kind:      allKinds[int(b)%len(allKinds)],
+				Kind:      fuzzKind(b),
 				Desc:      b&0x10 != 0,
 				NullsLast: b&0x20 != 0,
 			}
@@ -164,6 +176,10 @@ func FuzzCodecAgreesWithComparator(f *testing.F) {
 	f.Add([]byte{0x01, 0xFF, 0x00, 0x42, 0x03, 'a', 0x00, 'b'})
 	f.Add(bytes.Repeat([]byte{0x00}, 64))
 	f.Add(bytes.Repeat([]byte{0xFF, 0x80, 0x00}, 24))
+	// A NULL-typed column (0x40) first, in the middle and last of an int/string key.
+	f.Add([]byte{0x02, 0x40, 0x00, 0x12, 0x01, 0x01, 0, 0, 0, 0, 0, 0, 0, 7, 0x01, 0x02, 'a', 'b'})
+	f.Add([]byte{0x02, 0x00, 0x60, 0x02, 0x01, 0, 0, 0, 0, 0, 0, 0, 7, 0x01, 0x01, 0x01, 'a'})
+	f.Add([]byte{0x02, 0x02, 0x10, 0x40, 0x01, 0x01, 'a', 0x01, 0, 0, 0, 0, 0, 0, 0, 7, 0x01})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ctl := byte(0)
@@ -179,7 +195,7 @@ func FuzzCodecAgreesWithComparator(f *testing.F) {
 			}
 			cols[i] = Col{
 				Ordinal:   i,
-				Kind:      allKinds[int(b)%len(allKinds)],
+				Kind:      fuzzKind(b),
 				Desc:      b&0x10 != 0,
 				NullsLast: b&0x20 != 0,
 			}
@@ -231,6 +247,7 @@ func FuzzAppendEncoded(f *testing.F) {
 			{Ordinal: 1, Kind: types.KindString, Desc: flags&4 != 0, NullsLast: flags&8 != 0},
 			{Ordinal: 2, Kind: types.KindFloat, Desc: flags&16 != 0, NullsLast: flags&32 != 0},
 			{Ordinal: 3, Kind: types.KindBool, Desc: flags&64 != 0, NullsLast: flags&128 != 0},
+			{Ordinal: 4, Kind: types.KindNull, NullsLast: flags&1 != 0},
 		}
 		c, err := New(cols)
 		if err != nil {

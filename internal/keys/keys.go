@@ -13,7 +13,9 @@
 // Encoding, per key column:
 //
 //   - a marker byte places NULLs: 0x00 (nulls first) or 0xFF (nulls
-//     last) for NULL, 0x01 for any non-null value;
+//     last) for NULL, 0x01 for any non-null value; a column declared
+//     KindNull (a projected NULL literal) only ever holds NULL, so the
+//     marker is its whole encoding;
 //   - Int64 is encoded big-endian with the sign bit flipped;
 //   - Float64 is encoded with the usual IEEE-754 total-order flip
 //     (negative values bit-inverted, positives get the sign bit set);
@@ -84,7 +86,7 @@ const (
 func New(cols []Col) (*Codec, error) {
 	for _, c := range cols {
 		switch c.Kind {
-		case types.KindInt, types.KindFloat, types.KindString, types.KindBool:
+		case types.KindNull, types.KindInt, types.KindFloat, types.KindString, types.KindBool:
 		default:
 			return nil, fmt.Errorf("keys: unsupported key column kind %v", c.Kind)
 		}
@@ -364,6 +366,8 @@ func FixedWidth(kinds ...types.Kind) int {
 // prefixWidth is what one key column of kind k contributes to a fixed prefix.
 func prefixWidth(k types.Kind) int {
 	switch k {
+	case types.KindNull:
+		return 1 // the marker is the whole column
 	case types.KindInt, types.KindFloat:
 		return 9 // marker + 8 payload bytes
 	case types.KindBool:
@@ -375,7 +379,7 @@ func prefixWidth(k types.Kind) int {
 }
 
 // fixedWidthCap bounds FixedWidthHint: past this many prefix bytes, wider
-// entries cost more in entry-page I/O and cache footprint than the rare
+// entries cost more in sort memory and cache footprint than the rare
 // blob tie-break they would avoid.
 const fixedWidthCap = 24
 
@@ -384,8 +388,7 @@ const fixedWidthCap = 24
 // to ends, returning both extended slices. Key i of the batch occupies
 // [ends[i-1], ends[i]) (with ends[-1] = 0) of the appended bytes. One
 // EncodeBatch call amortizes dst's growth checks over a whole chunk of
-// tuples; xsort's keyer then copies the block into its arena with a
-// single capacity check instead of one per tuple.
+// tuples.
 func (c *Codec) EncodeBatch(dst []byte, rows []types.Tuple, ends []int) ([]byte, []int) {
 	base := len(dst)
 	for _, t := range rows {

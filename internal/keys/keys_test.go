@@ -102,7 +102,9 @@ func randDatum(r *rand.Rand, k types.Kind) types.Datum {
 	return types.Null
 }
 
-var allKinds = []types.Kind{types.KindInt, types.KindFloat, types.KindString, types.KindBool}
+// allKinds are the kinds a key column can declare. KindNull (a projected NULL
+// literal) is last: the fuzzers index the first four by a control byte.
+var allKinds = []types.Kind{types.KindInt, types.KindFloat, types.KindString, types.KindBool, types.KindNull}
 
 // TestEncodingAgreesWithComparator is the core property: for randomized
 // multi-column specs across all supported types, directions and null
@@ -290,8 +292,8 @@ func TestPrefixFreedom(t *testing.T) {
 }
 
 func TestCodecValidation(t *testing.T) {
-	if _, err := New([]Col{{Ordinal: 0, Kind: types.KindNull}}); err == nil {
-		t.Fatal("KindNull key column should be rejected")
+	if _, err := New([]Col{{Ordinal: 0, Kind: types.Kind(99)}}); err == nil {
+		t.Fatal("a key column of no known kind should be rejected")
 	}
 	if _, err := New([]Col{{Ordinal: -1, Kind: types.KindInt}}); err == nil {
 		t.Fatal("negative ordinal should be rejected")
@@ -302,6 +304,65 @@ func TestCodecValidation(t *testing.T) {
 	schema := types.NewSchema(types.Column{Name: "a", Kind: types.KindInt})
 	if _, err := NewCodec(schema, sortord.New("zz")); err == nil {
 		t.Fatal("unknown attribute should be rejected")
+	}
+}
+
+// TestNullTypedKeyColumn: a column declared KindNull is one marker byte of
+// key wherever it sits — first, in the middle, last — and changes nothing
+// about the rest: the order is the reference comparator's, the key read off
+// the encoded row is the key built from the datums, and the prefix lengths
+// read off the key are the tuple's. A non-NULL datum there is the contract
+// violation any mismatched kind is.
+func TestNullTypedKeyColumn(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for pos := 0; pos < 3; pos++ {
+		cols := []Col{{Kind: types.KindInt}, {Kind: types.KindString, Desc: true}}
+		cols = append(cols[:pos:pos], append([]Col{{Kind: types.KindNull, NullsLast: pos == 1}}, cols[pos:]...)...)
+		for i := range cols {
+			cols[i].Ordinal = i
+		}
+		c, err := New(cols)
+		if err != nil {
+			t.Fatalf("NULL-typed column at key position %d: %v", pos, err)
+		}
+		if w := c.FixedWidthHint(0); w != 9+9+1 {
+			t.Errorf("position %d: hint = %d, want two 9-byte columns and the marker", pos, w)
+		}
+		draw := func() types.Tuple {
+			tup := make(types.Tuple, len(cols))
+			for i, col := range cols {
+				tup[i] = randDatum(r, col.Kind)
+			}
+			return tup
+		}
+		for trial := 0; trial < 300; trial++ {
+			a, b := draw(), draw()
+			ka, kb := c.Append(nil, a), c.Append(nil, b)
+			if got, want := sign(bytes.Compare(ka, kb)), sign(refCompare(cols, a, b)); got != want {
+				t.Fatalf("position %d: %v vs %v: bytes.Compare=%d, comparator=%d", pos, a, b, got, want)
+			}
+			if enc, err := c.AppendEncoded(nil, a.Encode(nil)); err != nil || !bytes.Equal(enc, ka) {
+				t.Fatalf("position %d: %v: key from encoded row % x (%v), from datums % x", pos, a, enc, err, ka)
+			}
+			for k := 0; k <= len(cols); k++ {
+				if got, want := c.KeyPrefixLen(ka, k), c.PrefixLen(a, k); got != want {
+					t.Fatalf("position %d: %v: KeyPrefixLen(%d) = %d, PrefixLen = %d", pos, a, k, got, want)
+				}
+			}
+		}
+		bad := draw()
+		bad[pos] = types.NewInt(1)
+		if _, err := c.AppendEncoded(nil, bad.Encode(nil)); err == nil {
+			t.Errorf("position %d: AppendEncoded took a non-NULL datum in the NULL-typed column", pos)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("position %d: Append took a non-NULL datum in the NULL-typed column", pos)
+				}
+			}()
+			c.Append(nil, bad)
+		}()
 	}
 }
 

@@ -214,19 +214,9 @@ func (ks KeySpec) Compare(a, b Tuple) int {
 	return 0
 }
 
-// ComparePrefix compares only the first k key attributes.
-func (ks KeySpec) ComparePrefix(a, b Tuple, k int) int {
-	for _, ord := range ks.Ordinals[:k] {
-		if c := a[ord].Compare(b[ord]); c != 0 {
-			return c
-		}
-	}
-	return 0
-}
-
-// CompareSuffix compares only the key attributes from position k on. MRS
-// uses this within a partial-sort segment, where the first k attributes are
-// equal by construction.
+// CompareSuffix compares only the key attributes from position k on — the
+// order within a partial-sort segment, where the first k attributes are equal
+// by construction. It is the reference keys.Codec.Suffix is tested against.
 func (ks KeySpec) CompareSuffix(a, b Tuple, k int) int {
 	for _, ord := range ks.Ordinals[k:] {
 		if c := a[ord].Compare(b[ord]); c != 0 {

@@ -144,9 +144,6 @@ func TestKeySpecCompare(t *testing.T) {
 	if ks.Compare(t1, t2) >= 0 {
 		t.Fatal("tie on b should fall to a")
 	}
-	if ks.ComparePrefix(t1, t2, 1) != 0 {
-		t.Fatal("prefix compare on b should tie")
-	}
 	if _, err := MakeKeySpec(s, sortord.New("zz")); err == nil {
 		t.Fatal("missing sort attribute should error")
 	}

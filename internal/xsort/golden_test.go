@@ -1,6 +1,7 @@
 package xsort
 
 import (
+	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"testing"
@@ -47,10 +48,16 @@ import (
 // blocks are 2 row blocks and 2 entry blocks, a 28-row fill (replacement
 // selection rounds its recyclable row slots up to 4 bytes) instead of 16.
 // The checksum did not move: what comes out is decided by the keys alone.
+//
+// One constant moved when runs became payload pages merged by one stable
+// merge: MRS comparisons 91735 → 91739. The merge breaks full-key ties by run
+// ordinal, which on this workload sends four sifts one level further in the
+// segment merges; checksum, runs, passes, merged runs and I/O held, and no SRS
+// constant moved (its shuffled input has no tie that meets in a merge).
 const (
 	goldenChecksum = 0x5cfb849c70b9843d
 
-	goldenMRSComparisons = 91735
+	goldenMRSComparisons = 91739
 	goldenMRSRuns        = 81
 	goldenMRSPasses      = 3
 	goldenMRSRunsMerged  = 72   // per segment: 24 of 27
@@ -83,197 +90,136 @@ func orderChecksum(rows []types.Tuple) uint64 {
 	return h.Sum64()
 }
 
+// goldenWant is what one operator's sort of the golden workload is held to.
+type goldenWant struct {
+	comparisons          int64
+	runs, passes, merged int
+	io                   int64
+}
+
+var (
+	goldenMRS = goldenWant{goldenMRSComparisons, goldenMRSRuns, goldenMRSPasses, goldenMRSRunsMerged, goldenMRSIOTotal}
+	goldenSRS = goldenWant{goldenSRSComparisons, goldenSRSRuns, goldenSRSPasses, goldenSRSRunsMerged, goldenSRSIOTotal}
+)
+
+// sortGolden runs the golden workload through MRS (3 oversized segments, 8
+// blocks) or SRS (shuffled input, 4 blocks) at parallelism par and checks
+// everything that must hold however run formation sorted its buffers: the
+// output checksum, the run/pass/merge structure, I/O that is all run I/O and
+// all payload pages, and no file left behind. The comparison count is a
+// comparison-path number and is checked only when comparisons is set (a sort
+// that radix-partitions spends that work in RadixPasses instead).
+func sortGolden(t *testing.T, mrs bool, par int, comparisons bool) *SortStats {
+	t.Helper()
+	d := storage.NewDisk(512)
+	var op interface {
+		iter.Iterator
+		Stats() *SortStats
+	}
+	var err error
+	want := goldenSRS
+	if mrs {
+		want = goldenMRS
+		op, err = NewMRS(iter.FromSlice(goldenRows()), sortSchema, sortord.New("c1", "c2"), sortord.New("c1"),
+			Config{Disk: d, MemoryBlocks: 8, Parallelism: par})
+	} else {
+		op, err = NewSRS(iter.FromSlice(goldenShuffled()), sortSchema, sortord.New("c1", "c2"),
+			Config{Disk: d, MemoryBlocks: 4, Parallelism: 1, SpillParallelism: par})
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := iter.Drain(op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := op.Stats()
+	if got := orderChecksum(out); got != goldenChecksum {
+		t.Errorf("output checksum = %#x, golden %#x", got, goldenChecksum)
+	}
+	if comparisons && st.Comparisons != want.comparisons {
+		t.Errorf("Comparisons = %d, golden %d", st.Comparisons, want.comparisons)
+	}
+	if st.RunsGenerated != want.runs || st.MergePasses != want.passes || st.RunsMerged != want.merged {
+		t.Errorf("runs/passes/merged = %d/%d/%d, golden %d/%d/%d",
+			st.RunsGenerated, st.MergePasses, st.RunsMerged, want.runs, want.passes, want.merged)
+	}
+	if st.FlatRunPages != 0 || st.MergeBucketSkips != 0 {
+		t.Errorf("FlatRunPages/MergeBucketSkips = %d/%d: runs are payload pages only", st.FlatRunPages, st.MergeBucketSkips)
+	}
+	if io := d.Stats(); io.Total() != want.io || io.RunTotal() != want.io {
+		t.Errorf("IO total/run = %d/%d, golden %d (all run-attributed)", io.Total(), io.RunTotal(), want.io)
+	}
+	for _, name := range d.FileNames() {
+		t.Errorf("run file %q leaked after Close", name)
+	}
+	return st
+}
+
 // TestGoldenSerialSpill pins the Parallelism=1 spill path — for both MRS
 // (3 oversized segments) and SRS (shuffled input, tiny memory) — to the
-// values the pre-refactor serial implementation produced. Run formation is
-// pinned to the comparison sort: the golden comparison counts are
-// comparison-path numbers (radix mode spends its work in RadixPasses
-// instead; TestGoldenRadixAgrees holds it to the same output and
-// structure).
+// values the serial implementation produces. Run formation is pinned to the
+// comparison sort: the golden comparison counts are comparison-path numbers
+// (TestGoldenRadixAgrees holds radix to the same output and structure).
 func TestGoldenSerialSpill(t *testing.T) {
+	pinFormation(t, false)
 	t.Run("mrs", func(t *testing.T) {
-		d := storage.NewDisk(512)
-		m, err := NewMRS(iter.FromSlice(goldenRows()), sortSchema,
-			sortord.New("c1", "c2"), sortord.New("c1"),
-			Config{Disk: d, MemoryBlocks: 8, Parallelism: 1, RunFormation: RunFormCompare, EntryLayout: LayoutTuple})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := iter.Drain(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := orderChecksum(out); got != goldenChecksum {
-			t.Errorf("output checksum = %#x, golden %#x", got, goldenChecksum)
-		}
-		st := m.Stats()
-		if st.Comparisons != goldenMRSComparisons {
-			t.Errorf("Comparisons = %d, golden %d", st.Comparisons, goldenMRSComparisons)
-		}
-		if st.RunsGenerated != goldenMRSRuns || st.MergePasses != goldenMRSPasses || st.RunsMerged != goldenMRSRunsMerged {
-			t.Errorf("runs/passes/merged = %d/%d/%d, golden %d/%d/%d",
-				st.RunsGenerated, st.MergePasses, st.RunsMerged, goldenMRSRuns, goldenMRSPasses, goldenMRSRunsMerged)
-		}
+		st := sortGolden(t, true, 1, true)
 		if st.SpillRunsSerial != goldenMRSRuns || st.SpillRunsParallel != 0 {
 			t.Errorf("spill regime = serial %d / parallel %d, want all %d serial",
 				st.SpillRunsSerial, st.SpillRunsParallel, goldenMRSRuns)
 		}
-		io := d.Stats()
-		if io.Total() != goldenMRSIOTotal || io.RunTotal() != goldenMRSIOTotal {
-			t.Errorf("IO total/run = %d/%d, golden %d (all run-attributed)",
-				io.Total(), io.RunTotal(), goldenMRSIOTotal)
-		}
 	})
-
-	t.Run("srs", func(t *testing.T) {
-		d := storage.NewDisk(512)
-		s, err := NewSRS(iter.FromSlice(goldenShuffled()), sortSchema,
-			sortord.New("c1", "c2"),
-			Config{Disk: d, MemoryBlocks: 4, Parallelism: 1, RunFormation: RunFormCompare, EntryLayout: LayoutTuple})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := iter.Drain(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := orderChecksum(out); got != goldenChecksum {
-			t.Errorf("output checksum = %#x, golden %#x", got, goldenChecksum)
-		}
-		st := s.Stats()
-		if st.Comparisons != goldenSRSComparisons {
-			t.Errorf("Comparisons = %d, golden %d", st.Comparisons, goldenSRSComparisons)
-		}
-		if st.RunsGenerated != goldenSRSRuns || st.MergePasses != goldenSRSPasses || st.RunsMerged != goldenSRSRunsMerged {
-			t.Errorf("runs/passes/merged = %d/%d/%d, golden %d/%d/%d",
-				st.RunsGenerated, st.MergePasses, st.RunsMerged, goldenSRSRuns, goldenSRSPasses, goldenSRSRunsMerged)
-		}
-		io := d.Stats()
-		if io.Total() != goldenSRSIOTotal || io.RunTotal() != goldenSRSIOTotal {
-			t.Errorf("IO total/run = %d/%d, golden %d (all run-attributed)",
-				io.Total(), io.RunTotal(), goldenSRSIOTotal)
-		}
-	})
+	t.Run("srs", func(t *testing.T) { sortGolden(t, false, 1, true) })
 }
 
 // TestGoldenParallelSpillAgrees runs the identical workloads at several
 // parallelism levels and demands the exact golden output order, comparison
 // counts and I/O totals — parallel spilling must be a pure scheduling
-// change (the PR's acceptance criterion).
+// change.
 func TestGoldenParallelSpillAgrees(t *testing.T) {
+	pinFormation(t, false)
 	for _, par := range []int{2, 4, 8} {
-		d := storage.NewDisk(512)
-		m, err := NewMRS(iter.FromSlice(goldenRows()), sortSchema,
-			sortord.New("c1", "c2"), sortord.New("c1"),
-			Config{Disk: d, MemoryBlocks: 8, Parallelism: par, RunFormation: RunFormCompare, EntryLayout: LayoutTuple})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := iter.Drain(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := m.Stats()
-		if got := orderChecksum(out); got != goldenChecksum {
-			t.Errorf("par=%d: MRS checksum = %#x, golden %#x", par, got, goldenChecksum)
-		}
-		if st.Comparisons != goldenMRSComparisons {
-			t.Errorf("par=%d: MRS Comparisons = %d, golden %d", par, st.Comparisons, goldenMRSComparisons)
-		}
+		st := sortGolden(t, true, par, true)
 		if st.SpillRunsParallel != goldenMRSRuns || st.SpillRunsSerial != 0 {
 			t.Errorf("par=%d: spill regime = serial %d / parallel %d, want all %d parallel",
 				par, st.SpillRunsSerial, st.SpillRunsParallel, goldenMRSRuns)
 		}
-		if io := d.Stats(); io.Total() != goldenMRSIOTotal {
-			t.Errorf("par=%d: MRS IO total = %d, golden %d", par, io.Total(), goldenMRSIOTotal)
-		}
-		if names := d.FileNames(); len(names) != 0 {
-			t.Errorf("par=%d: leaked files %v", par, names)
-		}
-
-		d2 := storage.NewDisk(512)
-		s, err := NewSRS(iter.FromSlice(goldenShuffled()), sortSchema,
-			sortord.New("c1", "c2"),
-			Config{Disk: d2, MemoryBlocks: 4, SpillParallelism: par, RunFormation: RunFormCompare, EntryLayout: LayoutTuple})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err = iter.Drain(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := orderChecksum(out); got != goldenChecksum {
-			t.Errorf("par=%d: SRS checksum = %#x, golden %#x", par, got, goldenChecksum)
-		}
-		if s.Stats().Comparisons != goldenSRSComparisons {
-			t.Errorf("par=%d: SRS Comparisons = %d, golden %d", par, s.Stats().Comparisons, goldenSRSComparisons)
-		}
-		if io := d2.Stats(); io.Total() != goldenSRSIOTotal {
-			t.Errorf("par=%d: SRS IO total = %d, golden %d", par, io.Total(), goldenSRSIOTotal)
-		}
+		sortGolden(t, false, par, true)
 	}
 }
 
-// TestGoldenRadixAgrees holds radix (and adaptive) run formation to the
-// golden output order, run/pass structure and I/O totals at every
-// parallelism level: switching the run-formation algorithm is a pure
+// TestGoldenRadixAgrees holds radix run formation — forced, and as the sort
+// picks it by itself — to the golden output order, run/pass structure and I/O
+// totals at every parallelism level: how a buffer is sorted is a pure
 // work-accounting change, never a semantic one. Comparison counts are the
 // one golden deliberately NOT asserted — radix spends that work in
 // byte-bucket passes (RadixPasses/RadixBucketScans) instead.
 func TestGoldenRadixAgrees(t *testing.T) {
-	for _, rf := range []RunFormation{RunFormRadix, RunFormAdaptive} {
-		for _, par := range []int{1, 2, 4, 8} {
-			d := storage.NewDisk(512)
-			m, err := NewMRS(iter.FromSlice(goldenRows()), sortSchema,
-				sortord.New("c1", "c2"), sortord.New("c1"),
-				Config{Disk: d, MemoryBlocks: 8, Parallelism: par, RunFormation: rf, EntryLayout: LayoutTuple})
-			if err != nil {
-				t.Fatal(err)
+	for _, forced := range []bool{true, false} {
+		t.Run(fmt.Sprintf("forced=%v", forced), func(t *testing.T) {
+			if forced {
+				pinFormation(t, true)
 			}
-			out, err := iter.Drain(m)
-			if err != nil {
-				t.Fatal(err)
+			for _, par := range []int{1, 2, 4, 8} {
+				if st := sortGolden(t, true, par, false); forced && st.RadixPasses == 0 {
+					t.Errorf("par=%d: forced radix MRS recorded no radix passes: %+v", par, st)
+				}
+				sortGolden(t, false, par, false)
 			}
-			st := m.Stats()
-			if got := orderChecksum(out); got != goldenChecksum {
-				t.Errorf("%v par=%d: MRS checksum = %#x, golden %#x", rf, par, got, goldenChecksum)
-			}
-			if st.RunsGenerated != goldenMRSRuns || st.MergePasses != goldenMRSPasses {
-				t.Errorf("%v par=%d: MRS runs/passes = %d/%d, golden %d/%d",
-					rf, par, st.RunsGenerated, st.MergePasses, goldenMRSRuns, goldenMRSPasses)
-			}
-			if rf == RunFormRadix && st.RadixPasses == 0 {
-				t.Errorf("par=%d: forced radix MRS recorded no radix passes: %+v", par, st)
-			}
-			if io := d.Stats(); io.Total() != goldenMRSIOTotal {
-				t.Errorf("%v par=%d: MRS IO total = %d, golden %d", rf, par, io.Total(), goldenMRSIOTotal)
-			}
-			if names := d.FileNames(); len(names) != 0 {
-				t.Errorf("%v par=%d: leaked files %v", rf, par, names)
-			}
+		})
+	}
+}
 
-			d2 := storage.NewDisk(512)
-			s, err := NewSRS(iter.FromSlice(goldenShuffled()), sortSchema,
-				sortord.New("c1", "c2"),
-				Config{Disk: d2, MemoryBlocks: 4, SpillParallelism: par, RunFormation: rf, EntryLayout: LayoutTuple})
-			if err != nil {
-				t.Fatal(err)
-			}
-			out, err = iter.Drain(s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			st = s.Stats()
-			if got := orderChecksum(out); got != goldenChecksum {
-				t.Errorf("%v par=%d: SRS checksum = %#x, golden %#x", rf, par, got, goldenChecksum)
-			}
-			if st.RunsGenerated != goldenSRSRuns || st.MergePasses != goldenSRSPasses {
-				t.Errorf("%v par=%d: SRS runs/passes = %d/%d, golden %d/%d",
-					rf, par, st.RunsGenerated, st.MergePasses, goldenSRSRuns, goldenSRSPasses)
-			}
-			if io := d2.Stats(); io.Total() != goldenSRSIOTotal {
-				t.Errorf("%v par=%d: SRS IO total = %d, golden %d", rf, par, io.Total(), goldenSRSIOTotal)
-			}
+// TestGoldenFlatLayout is the golden matrix by operator and parallelism:
+// comparison-path counters, structure and I/O independent of Parallelism and
+// SpillParallelism, subtest by subtest (see spillArms for the leaf names).
+func TestGoldenFlatLayout(t *testing.T) {
+	pinFormation(t, false)
+	for _, arm := range spillArms[:2] {
+		for _, par := range []int{1, 2, 4, 8} {
+			t.Run(fmt.Sprintf("mrs-%s-par%d", arm, par), func(t *testing.T) { sortGolden(t, true, par, true) })
+			t.Run(fmt.Sprintf("srs-%s-par%d", arm, par), func(t *testing.T) { sortGolden(t, false, par, true) })
 		}
 	}
 }

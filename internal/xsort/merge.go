@@ -1,56 +1,125 @@
 package xsort
 
 import (
+	"bytes"
+	"fmt"
 	"sync"
 
 	"pyro/internal/iter"
 	"pyro/internal/storage"
-	"pyro/internal/types"
 )
 
-// mergeCursor is one input of a multiway merge: a run reader plus its
-// lookahead tuple, wrapped with its normalized key (re-encoded on read —
-// one encode per tuple buys log(fan-in) cheap byte comparisons in the heap).
-// The keyer's skip short-circuits those comparisons past any shared key
-// prefix: a spilled MRS segment's runs all share the encoded bytes of the
-// segment's `given` prefix, so its merges never re-scan them.
-type mergeCursor struct {
-	r    *storage.TupleReader
-	head keyed
+// A spilled run is one file of encoded rows — the bytes the store held, page
+// after page, in sorted order. There is no second file and no per-run key
+// material: whoever reads a run back keys each row again from its bytes.
+
+// runWriter streams one sorted run into ns, the caller's spill arena (so
+// concurrent writers from different segments or workers never share a
+// namespace or a ledger mutex). Streaming matters: SRS's replacement selection
+// and merge outputs don't know a run's length up front. On error the caller
+// abandons the writer or releases the whole arena.
+type runWriter struct {
+	ns   storage.TempSpace
+	file *storage.File
+	w    *storage.TupleWriter
 }
 
-// runMerger merges sorted run files into a single sorted stream. It uses a
-// loser-free simple binary heap of cursors; comparisons are counted.
+func newRunWriter(ns storage.TempSpace, prefix string) *runWriter {
+	f := ns.CreateTemp(prefix, storage.KindRun)
+	return &runWriter{ns: ns, file: f, w: storage.NewTupleWriter(f)}
+}
+
+// write appends one encoded row as it is: a spill is a copy.
+func (w *runWriter) write(row []byte) error { return w.w.WriteRaw(row) }
+
+// close finishes the run. On error its file is already removed.
+func (w *runWriter) close() (*storage.File, error) {
+	if err := w.w.Close(); err != nil {
+		w.abandon()
+		return nil, err
+	}
+	return w.file, nil
+}
+
+// abandon removes the partially written run.
+func (w *runWriter) abandon() { w.ns.Remove(w.file.Name()) }
+
+// writeRun writes the rows of st, in emission order, as one run in ns.
+func writeRun(ns storage.TempSpace, prefix string, st *rowStore, order []uint32) (*storage.File, error) {
+	w := newRunWriter(ns, prefix)
+	for _, h := range order {
+		if err := w.write(st.rowBytes(st.entry(h))); err != nil {
+			w.abandon()
+			return nil, err
+		}
+	}
+	return w.close()
+}
+
+// mergeCursor is one input of a multiway merge: a run reader and its head
+// row, still encoded — a view of the reader's current page — with the sort
+// key re-derived from those bytes into the cursor's own buffer (one encode per
+// row read buys log(fan-in) byte comparisons in the heap).
+type mergeCursor struct {
+	r   *storage.TupleReader
+	ord int // the run's place in the run list: full-key ties go to the earlier run
+	row []byte
+	key []byte
+}
+
+// runMerger merges sorted runs into one sorted stream of encoded rows with a
+// binary heap of cursors; comparisons are counted. Heads are compared on their
+// keys past the keyer's skip — a spilled MRS segment's runs all share the
+// encoded bytes of the segment's `given` prefix — and rows that tie on the
+// whole key come out in run order. Runs are formed in arrival order by stable
+// sorts and every reduction keeps merged outputs in their groups' place
+// (reductionPass), so that tie-break is what makes MRS a stable sort and the
+// output bytes of either operator independent of the reduction schedule.
 type runMerger struct {
 	cursors     []*mergeCursor
 	ky          *keyer
 	comparisons *int64
+	taken       bool // the top cursor's head has been handed out: advance it first
 }
 
 func newRunMerger(runs []*storage.File, ky *keyer, comparisons *int64) (*runMerger, error) {
 	m := &runMerger{ky: ky, comparisons: comparisons}
-	for _, f := range runs {
-		c := &mergeCursor{r: storage.NewTupleReader(f)}
-		t, ok, err := c.r.Next()
+	for ord, f := range runs {
+		c := &mergeCursor{r: storage.NewTupleReader(f), ord: ord}
+		ok, err := m.load(c)
 		if err != nil {
 			return nil, err
 		}
-		if !ok {
-			continue // empty run
+		if ok { // else an empty run
+			m.cursors = append(m.cursors, c)
 		}
-		c.head = ky.wrap(t)
-		m.cursors = append(m.cursors, c)
 	}
-	// Heapify.
 	for i := len(m.cursors)/2 - 1; i >= 0; i-- {
 		m.siftDown(i)
 	}
 	return m, nil
 }
 
+// load reads c's next row and keys it; false at the end of the run.
+func (m *runMerger) load(c *mergeCursor) (bool, error) {
+	row, ok, err := c.r.NextRaw()
+	if err != nil || !ok {
+		return false, err
+	}
+	c.row = row
+	if c.key, err = m.ky.codec.AppendEncoded(c.key[:0], row); err != nil {
+		return false, fmt.Errorf("xsort: keying a run row: %w", err)
+	}
+	return true, nil
+}
+
 func (m *runMerger) less(i, j int) bool {
 	*m.comparisons++
-	return m.ky.compare(m.cursors[i].head, m.cursors[j].head) < 0
+	a, b := m.cursors[i], m.cursors[j]
+	if c := bytes.Compare(a.key[m.ky.skip:], b.key[m.ky.skip:]); c != 0 {
+		return c < 0
+	}
+	return a.ord < b.ord
 }
 
 func (m *runMerger) siftDown(i int) {
@@ -73,29 +142,29 @@ func (m *runMerger) siftDown(i int) {
 	}
 }
 
-// next returns the smallest head among all cursors, advancing that cursor.
-func (m *runMerger) next() (types.Tuple, bool, error) {
+// next returns the smallest head row among all cursors, encoded. The bytes
+// are a view of a run page, valid until the following call: the cursor that
+// served them is advanced only then, so a merge cut short — a bounded sort's
+// keep — reads nothing past its last row.
+func (m *runMerger) next() ([]byte, bool, error) {
+	if m.taken {
+		m.taken = false
+		ok, err := m.load(m.cursors[0])
+		if err != nil {
+			return nil, false, err
+		}
+		if !ok {
+			last := len(m.cursors) - 1
+			m.cursors[0] = m.cursors[last]
+			m.cursors = m.cursors[:last]
+		}
+		m.siftDown(0)
+	}
 	if len(m.cursors) == 0 {
 		return nil, false, nil
 	}
-	top := m.cursors[0]
-	out := top.head.t
-	t, ok, err := top.r.Next()
-	if err != nil {
-		return nil, false, err
-	}
-	if ok {
-		top.head = m.ky.wrap(t)
-		m.siftDown(0)
-	} else {
-		last := len(m.cursors) - 1
-		m.cursors[0] = m.cursors[last]
-		m.cursors = m.cursors[:last]
-		if last > 0 {
-			m.siftDown(0)
-		}
-	}
-	return out, true, nil
+	m.taken = true
+	return m.cursors[0].row, true, nil
 }
 
 // mergeTally is the work done by one group merge, tallied locally so
@@ -103,151 +172,125 @@ func (m *runMerger) next() (types.Tuple, bool, error) {
 // in deterministic group order.
 type mergeTally struct {
 	comparisons int64
-	bucketSkips int64
-	pages       int64 // entry pages written by the merged output run
-	runs        int   // input runs the merge consumed
+	runs        int // input runs the merge consumed
 }
 
 func (t mergeTally) addTo(st *SortStats) {
 	st.Comparisons += t.comparisons
-	st.MergeBucketSkips += t.bucketSkips
-	st.FlatRunPages += t.pages
 	st.RunsMerged += t.runs
 }
 
 // mergeGroup merges a group of runs into one fresh run in ns, removing the
 // consumed inputs on success. The work tally is returned rather than
 // accumulated so concurrent group merges can tally locally and the caller
-// can fold counts in deterministic group order. The keyer is cloned first:
-// merging may re-encode keys as tuples come off disk (keyer.wrap mutates
-// scratch buffers), and group merges run concurrently. abort (nil = never)
-// is polled per merged tuple at the guard stride; it may be shared with
-// other concurrent merges, so each call takes its own Guard.
+// can fold counts in deterministic group order. abort (nil = never) is polled
+// per merged row at the guard stride; it may be shared with other concurrent
+// merges, so each call takes its own Guard.
 //
 // keep bounds the output: a limit-bounded sort (Config.Limit) will never
 // read past the first keep rows of the merged order, so the merge stops
 // there — the rest of its inputs is neither read nor rewritten — and the
 // inputs are removed all the same. noLimit merges everything.
 //
-// In the flat layouts the merge moves records, not tuples: the output run's
-// entries are the winning input entries (prefix and tie flag verbatim, fresh
-// row ordinals) and its payload is the winning tuple's encoded bytes, copied
-// page to page undecoded. A key is encoded once per sort and a tuple decoded
-// once — by the final merge — no matter how many passes rewrite its run.
-func mergeGroup(ns storage.TempSpace, prefix string, group []spillRun, ky *keyer, lay entryLayout, keep int64, abort func() error) (spillRun, mergeTally, error) {
-	ky = ky.clone()
+// The merge moves bytes, not tuples: the winning row is copied from its input
+// page to the output page undecoded. A spilled row is decoded once — by the
+// final merge, as it is emitted — no matter how many passes rewrite its run.
+func mergeGroup(ns storage.TempSpace, prefix string, group []*storage.File, ky *keyer, keep int64, abort func() error) (*storage.File, mergeTally, error) {
 	guard := iter.NewGuard(abort)
 	tally := mergeTally{runs: len(group)}
-	w := newRunWriter(ns, prefix, lay)
-	fail := func(err error) (spillRun, mergeTally, error) {
+	w := newRunWriter(ns, prefix)
+	fail := func(err error) (*storage.File, mergeTally, error) {
 		w.abandon()
-		return spillRun{}, tally, err
+		return nil, tally, err
 	}
-	if lay.flat() {
-		m, err := newFlatMerger(group, ky, lay, true, &tally.comparisons, &tally.bucketSkips)
+	m, err := newRunMerger(group, ky, &tally.comparisons)
+	if err != nil {
+		return fail(err)
+	}
+	for n := int64(0); n < keep; n++ {
+		if err := guard.Check(); err != nil {
+			return fail(err)
+		}
+		row, ok, err := m.next()
 		if err != nil {
 			return fail(err)
 		}
-		for n := int64(0); n < keep; n++ {
-			if err := guard.Check(); err != nil {
-				return fail(err)
-			}
-			h, ok, err := m.nextEntry()
-			if err != nil {
-				return fail(err)
-			}
-			if !ok {
-				break
-			}
-			if err := w.writeEntry(h.prefix, h.trunc, h.raw); err != nil {
-				return fail(err)
-			}
+		if !ok {
+			break
 		}
-	} else {
-		m, err := newRunMerger(payloadFiles(group), ky, &tally.comparisons)
-		if err != nil {
+		if err := w.write(row); err != nil {
 			return fail(err)
 		}
-		for n := int64(0); n < keep; n++ {
-			if err := guard.Check(); err != nil {
-				return fail(err)
-			}
-			t, ok, err := m.next()
-			if err != nil {
-				return fail(err)
-			}
-			if !ok {
-				break
-			}
-			if err := w.writeTuple(t); err != nil {
-				return fail(err)
-			}
-		}
 	}
-	merged, pages, err := w.close()
+	merged, err := w.close()
 	if err != nil {
 		// close already removed the partial output.
-		return spillRun{}, tally, err
+		return nil, tally, err
 	}
-	tally.pages = pages
 	for _, g := range group {
-		g.remove(ns)
+		ns.Remove(g.Name())
 	}
 	return merged, tally, nil
 }
 
 // reduceRuns merges runs until at most fanIn remain, so the final merge can
-// proceed with one input buffer per run. Each intermediate pass is planned
-// by reductionPass — it rewrites only the runs the final merge cannot take
-// as they are — and increments stats.MergePasses; consumed run files are
-// removed from ns, untouched runs keep their place behind the merged ones.
-// Every merged output is cut at keep rows (see mergeGroup).
+// proceed with one input buffer per run, one reducePass at a time.
+func reduceRuns(cfg Config, ns storage.TempSpace, runs []*storage.File, ky *keyer, keep int64, stats *SortStats) ([]*storage.File, error) {
+	for len(runs) > cfg.fanIn() {
+		var err error
+		if runs, err = reducePass(cfg, ns, runs, ky, keep, stats); err != nil {
+			return nil, err
+		}
+	}
+	return runs, nil
+}
+
+// reducePass runs one intermediate merge pass over runs (more than fanIn of
+// them) as reductionPass plans it — it rewrites only the runs the final merge
+// cannot take as they are — and increments stats.MergePasses; consumed run
+// files are removed from ns, untouched runs keep their place behind the
+// merged ones. Every merged output is cut at keep rows (see mergeGroup).
 //
-// With SpillParallelism > 1 the groups of one pass — mutually independent
+// With SpillParallelism > 1 the groups of the pass — mutually independent
 // by construction — merge concurrently on worker goroutines. The plan is the
 // serial pass's and each group's tally folds into stats in group order, so
 // comparison and I/O totals match the serial path exactly.
-func reduceRuns(cfg Config, ns storage.TempSpace, runs []spillRun, ky *keyer, lay entryLayout, keep int64, stats *SortStats) ([]spillRun, error) {
-	fanIn := cfg.fanIn()
-	par := cfg.spillParallelism()
-	for len(runs) > fanIn {
-		stats.MergePasses++
-		groups := reductionPass(len(runs), fanIn)
-		outs := make([]spillRun, len(groups))
-		tallies := make([]mergeTally, len(groups))
-		errs := make([]error, len(groups))
-		merge := func(g int) {
-			in := runs[groups[g].lo:groups[g].hi]
-			outs[g], tallies[g], errs[g] = mergeGroup(ns, cfg.TempPrefix, in, ky, lay, keep, cfg.Abort)
-		}
-		if par <= 1 {
-			for g := range groups {
-				merge(g)
-			}
-		} else {
-			sem := make(chan struct{}, par)
-			var wg sync.WaitGroup
-			for g := range groups {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					sem <- struct{}{}
-					defer func() { <-sem }()
-					defer recoverWorker(&errs[g])
-					merge(g)
-				}(g)
-			}
-			wg.Wait()
-		}
-		for g := range groups {
-			tallies[g].addTo(stats)
-			if errs[g] != nil {
-				return nil, errs[g]
-			}
-		}
-		runs = append(outs, runs[groups[len(groups)-1].hi:]...)
+func reducePass(cfg Config, ns storage.TempSpace, runs []*storage.File, ky *keyer, keep int64, stats *SortStats) ([]*storage.File, error) {
+	stats.MergePasses++
+	groups := reductionPass(len(runs), cfg.fanIn())
+	outs := make([]*storage.File, len(groups))
+	tallies := make([]mergeTally, len(groups))
+	errs := make([]error, len(groups))
+	merge := func(g int) {
+		in := runs[groups[g].lo:groups[g].hi]
+		outs[g], tallies[g], errs[g] = mergeGroup(ns, cfg.TempPrefix, in, ky, keep, cfg.Abort)
 	}
-	return runs, nil
+	if par := cfg.spillParallelism(); par <= 1 {
+		for g := range groups {
+			merge(g)
+		}
+	} else {
+		sem := make(chan struct{}, par)
+		var wg sync.WaitGroup
+		for g := range groups {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				sem <- struct{}{}
+				defer func() { <-sem }()
+				defer recoverWorker(&errs[g])
+				merge(g)
+			}(g)
+		}
+		wg.Wait()
+	}
+	for g := range groups {
+		tallies[g].addTo(stats)
+		if errs[g] != nil {
+			return nil, errs[g]
+		}
+	}
+	return append(outs, runs[groups[len(groups)-1].hi:]...), nil
 }
 
 // runGroup is a half-open range of consecutive runs that one merge consumes.
@@ -258,8 +301,8 @@ type runGroup struct{ lo, hi int }
 // wide and together cover a prefix of the run list; every run behind the
 // last group passes through untouched. Merged outputs take their groups'
 // place, so the run list stays in formation order — which is what lets the
-// flat merges' run-ordinal tie-break keep full-key ties in input order
-// whatever the schedule.
+// merge's run-ordinal tie-break keep full-key ties in input order whatever
+// the schedule.
 //
 // When one pass can leave exactly F = fanIn runs (n ≤ F²) it merges only
 // what that takes: m = ⌈(n−F)/(F−1)⌉ groups, each removing width−1 runs —

@@ -77,13 +77,10 @@ type MRS struct {
 	target sortord.Order
 	given  sortord.Order // known input order; must be a prefix of target
 	cfg    Config
-	ks     types.KeySpec // full target key
-	ky     *keyer        // full-key keyer; segments bind per-segment skips
-	prefix int           // |given|
-	par    int           // resolved segment-sort parallelism
-	spar   int           // resolved spill parallelism
-	rf     RunFormation
-	lay    entryLayout
+	ky     *keyer // full-key keyer; segments bind per-segment skips
+	prefix int    // |given|
+	par    int    // resolved segment-sort parallelism
+	spar   int    // resolved spill parallelism
 	stats  SortStats
 
 	// Input state. pending is the lookahead row — the first of the next
@@ -124,9 +121,8 @@ type MRS struct {
 type segCollector struct {
 	// The segment's representative for the boundary test: the encoded bytes
 	// of its `given`-prefix values — the first ky.skip bytes of every key in
-	// it — or, in comparator mode, its first tuple (owned).
+	// it.
 	prefix  []byte
-	first   types.Tuple
 	ky      *keyer
 	store   *rowStore // the rows buffered so far; its blocks are the segment's memory
 	spilled bool
@@ -150,10 +146,10 @@ type segCollector struct {
 type spillState struct {
 	arena  *storage.SpillArena
 	ky     *keyer
-	keep   int64       // the segment's row bound: runs and merges are cut there
-	runs   []spillRun  // serial-mode formation runs
-	jobs   []*flushJob // parallel-mode formation jobs, dispatch order
-	reaped int         // jobs whose buffers the consumer has returned to the budget
+	keep   int64           // the segment's row bound: runs and merges are cut there
+	runs   []*storage.File // serial-mode formation runs
+	jobs   []*flushJob     // parallel-mode formation jobs, dispatch order
+	reaped int             // jobs whose buffers the consumer has returned to the budget
 }
 
 // flushJob is one parallel run-formation unit: sort one memory batch of an
@@ -168,8 +164,7 @@ type flushJob struct {
 	store    *rowStore
 	memBytes int64
 	done     chan struct{}
-	run      spillRun
-	pages    int64 // entry pages the run occupies (flat layouts)
+	run      *storage.File
 	tally    sortTally
 	err      error
 }
@@ -194,7 +189,7 @@ type segment struct {
 	sp      *spillState
 
 	pos     int64
-	merging merger
+	merging *runMerger
 }
 
 // pumpQuantum is how many input tuples one emitted tuple "buys" of
@@ -215,13 +210,10 @@ func NewMRS(input iter.Iterator, schema *types.Schema, target, given sortord.Ord
 	if !given.PrefixOf(target) {
 		return nil, fmt.Errorf("xsort: input order %v is not a prefix of target %v", given, target)
 	}
-	ks, err := types.MakeKeySpec(schema, target)
+	codec, err := keys.NewCodec(schema, target)
 	if err != nil {
 		return nil, err
 	}
-	// As in NewSRS: an unencodable key shape degrades to the comparator,
-	// it never fails the sort.
-	codec, _ := keys.FromKeySpec(ks)
 	if cfg.TempPrefix == "" {
 		cfg.TempPrefix = "mrs"
 	}
@@ -229,29 +221,20 @@ func NewMRS(input iter.Iterator, schema *types.Schema, target, given sortord.Ord
 	// Keys are full target-order encodings; each segment binds a keyer
 	// whose skip covers the encoded `given` prefix (constant within the
 	// segment by definition), so segment comparisons still touch only the
-	// suffix bytes. The comparator fallback compares the suffix directly.
-	// Versus the earlier suffix-only codec this spends one prefix encode
-	// per tuple (and its key-arena bytes) to keep a single codec across
-	// all segments, give radix a known seed depth instead of a prefix
-	// rescan, and keep every key a complete target-order encoding — the
-	// shape a future radix-aware merge of segment runs needs.
-	suffixCmp := func(a, b types.Tuple) int { return ks.CompareSuffix(a, b, prefix) }
-	ky := newKeyer(cfg.Keys, codec, suffixCmp)
-	lay := resolveLayout(cfg, codec, prefix)
-	ky.width = lay.width
+	// suffix bytes. Versus a suffix-only codec this spends one prefix encode
+	// per tuple to keep a single codec across all segments, give radix a
+	// known seed depth instead of a prefix rescan, and let the segment
+	// boundary test be one comparison of leading key bytes.
 	return &MRS{
 		input:       input,
 		schema:      schema,
 		target:      target.Clone(),
 		given:       given.Clone(),
 		cfg:         cfg,
-		ks:          ks,
-		ky:          ky,
+		ky:          &keyer{codec: codec, width: entryWidth(codec, prefix, cfg.Disk.PageSize())},
 		prefix:      prefix,
 		par:         cfg.parallelism(),
 		spar:        cfg.spillParallelism(),
-		rf:          cfg.RunFormation,
-		lay:         lay,
 		out:         rowEmitter{ncols: schema.Len()},
 		guard:       iter.NewGuard(cfg.Abort),
 		passthrough: prefix == target.Len(),
@@ -267,11 +250,7 @@ func NewMRS(input iter.Iterator, schema *types.Schema, target, given sortord.Ord
 func (m *MRS) startSegment() *segCollector {
 	c := &segCollector{store: m.spare, keep: m.owed}
 	if m.spare = nil; c.store == nil {
-		c.store = newRowStore(m.cfg.Disk, m.lay, m.cfg.Limit > 0)
-	}
-	if !m.ky.encoded() {
-		c.first, c.ky = m.pending.t.Clone(), m.ky.withSkip(0)
-		return c
+		c.store = newRowStore(m.cfg.Disk, m.ky.width, m.cfg.Limit > 0)
 	}
 	skip := m.ky.codec.KeyPrefixLen(m.pending.key, m.prefix)
 	c.prefix, c.ky = append([]byte(nil), m.pending.key[:skip]...), m.ky.withSkip(skip)
@@ -295,25 +274,21 @@ func (m *MRS) Open() error {
 		return err
 	}
 	// The source encodes each row's sort key as it is pulled. A passthrough
-	// (given == target) never compares keys, so it gets a comparator-mode
-	// keyer and skips the encodes entirely.
-	ky := m.ky
+	// (given == target) never compares keys, so its source does not key.
+	codec := m.ky.codec
 	if m.passthrough {
-		ky = &keyer{cmp: m.ky.cmp}
+		codec = nil
 	}
-	m.src = newTupleSource(m.input, m.schema, ky, m.cfg)
+	m.src = newTupleSource(m.input, m.schema, codec, m.cfg)
 	return m.advance()
 }
 
 // samePrefix reports whether r belongs to segment c: its `given`-prefix
-// values are the segment's. Keys are prefix-free column by column, so in
-// encoded mode that is one comparison of the leading key bytes.
+// values are the segment's. Keys are prefix-free column by column, so that is
+// one comparison of the leading key bytes.
 func (m *MRS) samePrefix(c *segCollector, r inputRow) bool {
 	m.stats.Comparisons++
-	if c.ky.encoded() {
-		return len(r.key) >= len(c.prefix) && bytes.Equal(r.key[:len(c.prefix)], c.prefix)
-	}
-	return m.ks.ComparePrefix(c.first, r.t, m.prefix) == 0
+	return len(r.key) >= len(c.prefix) && bytes.Equal(r.key[:len(c.prefix)], c.prefix)
 }
 
 // Next returns the next tuple of the target order.
@@ -386,11 +361,17 @@ func (m *MRS) emit() (types.Tuple, bool, error) {
 		if s.pos >= s.keep {
 			return nil, false, nil
 		}
-		t, ok, err := s.merging.next()
-		if ok {
-			s.pos++
+		// The final merge is where a spilled row is decoded, once.
+		row, ok, err := s.merging.next()
+		if err != nil || !ok {
+			return nil, false, err
 		}
-		return t, ok, err
+		t, err := m.out.emit(row, m.left)
+		if err != nil {
+			return nil, false, err
+		}
+		s.pos++
+		return t, true, nil
 	}
 	if s.pos >= int64(len(s.order)) {
 		return nil, false, nil
@@ -431,11 +412,11 @@ func (m *MRS) adopt(seg *segment) error {
 		}()
 		runs, err := m.segmentRuns(seg.sp)
 		if err == nil {
-			runs, err = reduceRuns(m.cfg, seg.sp.arena, runs, seg.ky, m.lay, seg.keep, &m.stats)
+			runs, err = reduceRuns(m.cfg, seg.sp.arena, runs, seg.ky, seg.keep, &m.stats)
 		}
 		if err == nil {
 			seg.sp.runs = runs
-			seg.merging, err = openMerger(runs, seg.ky, m.lay, &m.stats)
+			seg.merging, err = newRunMerger(runs, seg.ky, &m.stats.Comparisons)
 		}
 		if err != nil {
 			return err
@@ -456,7 +437,7 @@ func (m *MRS) adopt(seg *segment) error {
 // fall to reduceRuns afterwards. Comparison counts fold in deterministic
 // order — formation jobs first (dispatch order), then merge groups (group
 // order) — so totals equal the serial path's.
-func (m *MRS) segmentRuns(sp *spillState) ([]spillRun, error) {
+func (m *MRS) segmentRuns(sp *spillState) ([]*storage.File, error) {
 	if len(sp.jobs) == 0 {
 		return sp.runs, nil
 	}
@@ -469,7 +450,7 @@ func (m *MRS) segmentRuns(sp *spillState) ([]spillRun, error) {
 	// Each planned group of formation jobs merges as soon as its members
 	// land, while later jobs may still be running.
 	type groupRes struct {
-		out   spillRun
+		out   *storage.File
 		tally mergeTally
 		err   error
 		done  chan struct{}
@@ -482,7 +463,7 @@ func (m *MRS) segmentRuns(sp *spillState) ([]spillRun, error) {
 		go func(jobs []*flushJob, res *groupRes) {
 			defer close(res.done)
 			defer recoverWorker(&res.err)
-			runs := make([]spillRun, 0, len(jobs))
+			runs := make([]*storage.File, 0, len(jobs))
 			for _, j := range jobs {
 				<-j.done
 				if j.err != nil {
@@ -493,7 +474,7 @@ func (m *MRS) segmentRuns(sp *spillState) ([]spillRun, error) {
 			}
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			res.out, res.tally, res.err = mergeGroup(sp.arena, m.cfg.TempPrefix, runs, sp.ky, m.lay, sp.keep, m.cfg.Abort)
+			res.out, res.tally, res.err = mergeGroup(sp.arena, m.cfg.TempPrefix, runs, sp.ky, sp.keep, m.cfg.Abort)
 		}(sp.jobs[grp.lo:grp.hi], res)
 	}
 
@@ -501,7 +482,7 @@ func (m *MRS) segmentRuns(sp *spillState) ([]spillRun, error) {
 	// group order; wait everything out even on error so the arena can be
 	// released without racing in-flight writers.
 	err := m.harvestJobs(sp)
-	runs := make([]spillRun, 0, len(sp.jobs))
+	runs := make([]*storage.File, 0, len(sp.jobs))
 	for _, res := range results {
 		<-res.done
 		res.tally.addTo(&m.stats)
@@ -546,7 +527,6 @@ func (m *MRS) harvestJobs(sp *spillState) error {
 	for i := range sp.jobs {
 		j := m.reapJob(sp, i)
 		j.tally.addTo(&m.stats)
-		m.stats.FlatRunPages += j.pages
 		if j.err != nil && firstErr == nil {
 			firstErr = j.err
 		}
@@ -731,13 +711,12 @@ func (m *MRS) flush(c *segCollector) error {
 		c.sp = &spillState{arena: m.cfg.Disk.NewArenaTapped(m.cfg.Tap), ky: c.ky, keep: c.keep}
 	}
 	if m.spar <= 1 {
-		run, pages, tally, err := formRun(c.sp.arena, m.cfg.TempPrefix, c.store, c.ky, m.rf, m.lay, c.keep)
+		run, tally, err := formRun(c.sp.arena, m.cfg.TempPrefix, c.store, c.ky, c.keep)
 		tally.addTo(&m.stats)
 		if err != nil {
 			return err
 		}
 		c.sp.runs = append(c.sp.runs, run)
-		m.stats.FlatRunPages += pages
 		m.stats.RunsGenerated++
 		m.stats.SpillRunsSerial++
 		m.dropStore(c.store)
@@ -755,16 +734,16 @@ func (m *MRS) flush(c *segCollector) error {
 	// the job completes and is reaped. The collector goes on with a fresh
 	// store.
 	job := &flushJob{store: c.store, memBytes: c.store.bytes(), done: make(chan struct{})}
-	c.store = newRowStore(m.cfg.Disk, m.lay, m.cfg.Limit > 0)
+	c.store = newRowStore(m.cfg.Disk, m.ky.width, m.cfg.Limit > 0)
 	c.sp.jobs = append(c.sp.jobs, job)
 	m.stats.RunsGenerated++
 	m.stats.SpillRunsParallel++
-	arena, prefix, ky, rf, lay, keep := c.sp.arena, m.cfg.TempPrefix, c.ky.clone(), m.rf, m.lay, c.keep
+	arena, prefix, ky, keep := c.sp.arena, m.cfg.TempPrefix, c.ky, c.keep
 	go func() {
 		defer close(job.done)
 		defer recoverWorker(&job.err)
 		defer job.store.release() // the batch is on disk, or the attempt is over
-		job.run, job.pages, job.tally, job.err = formRun(arena, prefix, job.store, ky, rf, lay, keep)
+		job.run, job.tally, job.err = formRun(arena, prefix, job.store, ky, keep)
 	}()
 	return nil
 }
@@ -796,12 +775,12 @@ func (m *MRS) finish(c *segCollector) (*segment, error) {
 		go func() {
 			defer close(seg.done)
 			defer recoverWorker(&seg.err)
-			seg.order, seg.tally = formOrder(seg.store, seg.ky, m.rf)
+			seg.order, seg.tally = formOrder(seg.store, seg.ky)
 			seg.order = firstRows(seg.order, seg.keep)
 		}()
 	} else {
 		var tally sortTally
-		seg.order, tally = formOrder(seg.store, seg.ky, m.rf)
+		seg.order, tally = formOrder(seg.store, seg.ky)
 		seg.order = firstRows(seg.order, seg.keep)
 		tally.addTo(&m.stats)
 	}
@@ -819,10 +798,10 @@ func firstRows(order []uint32, keep int64) []uint32 {
 // formRun sorts one memory batch of an oversized segment and copies its
 // first keep rows to a run in arena (everything, for an unbounded sort). The
 // store is the caller's to release.
-func formRun(arena *storage.SpillArena, prefix string, st *rowStore, ky *keyer, rf RunFormation, lay entryLayout, keep int64) (spillRun, int64, sortTally, error) {
-	order, tally := formOrder(st, ky, rf)
-	run, pages, err := writeRun(arena, prefix, st, firstRows(order, keep), lay)
-	return run, pages, tally, err
+func formRun(arena *storage.SpillArena, prefix string, st *rowStore, ky *keyer, keep int64) (*storage.File, sortTally, error) {
+	order, tally := formOrder(st, ky)
+	run, err := writeRun(arena, prefix, st, firstRows(order, keep))
+	return run, tally, err
 }
 
 // pastCut reports whether r cannot be among the segment's first keep rows:
@@ -856,7 +835,7 @@ func (m *MRS) shed(c *segCollector) bool {
 // slots are recycled and the surplus entry blocks leave the memory
 // accounting.
 func (m *MRS) selectTop(c *segCollector) {
-	order, tally := formOrder(c.store, c.ky, m.rf)
+	order, tally := formOrder(c.store, c.ky)
 	tally.addTo(&m.stats)
 	c.ky.lift(&c.cut, c.store, c.store.entry(order[c.keep-1]))
 	c.hasCut = true

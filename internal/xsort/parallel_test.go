@@ -3,6 +3,7 @@ package xsort
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"pyro/internal/iter"
@@ -159,88 +160,61 @@ func TestMRSParallelCleanup(t *testing.T) {
 	}
 }
 
-// TestEncodedAndComparatorKeysAgree: the normalized-key path must be
-// invisible except for speed — identical output sequence and identical
-// SortStats for both SRS and MRS on the same input.
+// TestEncodedAndComparatorKeysAgree: the normalized-key sorts against the
+// field comparator they replaced, which lives on as the reference
+// (types.KeySpec.Compare under sort.SliceStable) — the same key sequence and
+// rows from SRS, the very sequence from MRS, on a spilling input.
 func TestEncodedAndComparatorKeysAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	rows := genRows(5000, 25, rng)
-	shuffledRows := shuffled(rows, rand.New(rand.NewSource(25)))
+	target := sortord.New("c1", "c2")
+	ks := types.MustKeySpec(sortSchema, target)
+	want := append([]types.Tuple(nil), rows...)
+	sort.SliceStable(want, func(i, j int) bool { return ks.Compare(want[i], want[j]) < 0 })
 
 	t.Run("srs", func(t *testing.T) {
-		run := func(mode KeyMode) ([]types.Tuple, *SortStats) {
-			cfg, _ := smallCfg(t, 8)
-			cfg.Keys = mode
-			// Pin the comparison sort: this test's contract is that the key
-			// REPRESENTATION is invisible, so both arms must spend their
-			// work in the same currency. (Adaptive would radix-sort the
-			// encoded arm only and the stats would rightly diverge.) The
-			// tuple layout is pinned for the same reason: comparator-mode
-			// keyers have no fixed-width encoding, so the flat layouts
-			// would silently fall back on one arm only.
-			cfg.RunFormation = RunFormCompare
-			cfg.EntryLayout = LayoutTuple
-			s, err := NewSRS(iter.FromSlice(shuffledRows), sortSchema, sortord.New("c1", "c2"), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out, err := iter.Drain(s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return out, s.Stats()
+		cfg, _ := smallCfg(t, 8)
+		s, err := NewSRS(iter.FromSlice(shuffled(rows, rand.New(rand.NewSource(25)))), sortSchema, target, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		encOut, encStats := run(KeyEncoded)
-		cmpOut, cmpStats := run(KeyComparator)
-		if !reflect.DeepEqual(multiset(encOut), multiset(cmpOut)) {
-			t.Fatal("encoded and comparator SRS disagree on output multiset")
+		out, err := iter.Drain(s)
+		if err != nil {
+			t.Fatal(err)
 		}
-		isSorted(t, encOut, sortord.New("c1", "c2"))
-		if *encStats != *cmpStats {
-			t.Fatalf("SRS stats diverge between key modes:\n encoded    %+v\n comparator %+v", encStats, cmpStats)
+		if !reflect.DeepEqual(multiset(out), multiset(want)) {
+			t.Fatal("SRS output is not a permutation of its input")
+		}
+		for i := range out {
+			if ks.Compare(out[i], want[i]) != 0 {
+				t.Fatalf("key sequence diverges from the comparator's at %d: %v vs %v", i, out[i], want[i])
+			}
 		}
 	})
 
 	t.Run("mrs", func(t *testing.T) {
-		run := func(mode KeyMode) ([]types.Tuple, *SortStats) {
-			cfg, _ := smallCfg(t, 16)
-			cfg.Keys = mode
-			cfg.Parallelism = 1
-			cfg.RunFormation = RunFormCompare // see the srs arm
-			cfg.EntryLayout = LayoutTuple     // ditto
-			m, err := NewMRS(iter.FromSlice(rows), sortSchema, sortord.New("c1", "c2"), sortord.New("c1"), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out, err := iter.Drain(m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return out, m.Stats()
+		cfg, _ := smallCfg(t, 16)
+		m, err := NewMRS(iter.FromSlice(rows), sortSchema, target, sortord.New("c1"), cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		encOut, encStats := run(KeyEncoded)
-		cmpOut, cmpStats := run(KeyComparator)
-		if len(encOut) != len(cmpOut) {
-			t.Fatalf("output sizes diverge: %d vs %d", len(encOut), len(cmpOut))
+		out, err := iter.Drain(m)
+		if err != nil {
+			t.Fatal(err)
 		}
-		// MRS segment sorts are stable in both modes, so the sequences must
-		// match tuple for tuple, not just as multisets.
-		for i := range encOut {
-			if !reflect.DeepEqual(encOut[i], cmpOut[i]) {
-				t.Fatalf("sequences diverge at %d: %v vs %v", i, encOut[i], cmpOut[i])
-			}
+		if m.Stats().SpilledSegs == 0 {
+			t.Fatal("workload must spill for this test to cover the merge's keys")
 		}
-		if *encStats != *cmpStats {
-			t.Fatalf("MRS stats diverge between key modes:\n encoded    %+v\n comparator %+v", encStats, cmpStats)
+		if !reflect.DeepEqual(out, want) {
+			t.Fatal("MRS output differs from the comparator's stable sort")
 		}
 	})
 }
 
-// TestUnencodableKeyFallsBackToComparator: a key column the codec cannot
-// encode (a NULL-typed column, e.g. a projected NULL literal) must not fail
-// the sort — both operators silently degrade to the field comparator, in
-// either key mode.
-func TestUnencodableKeyFallsBackToComparator(t *testing.T) {
+// TestSortsOnNullTypedKeyColumn: a NULL-typed key column (a projected NULL
+// literal) sorts like any other — its key is the NULL marker — in any key
+// position, given or not.
+func TestSortsOnNullTypedKeyColumn(t *testing.T) {
 	schema := types.NewSchema(
 		types.Column{Name: "k", Kind: types.KindInt},
 		types.Column{Name: "n", Kind: types.KindNull},
@@ -250,27 +224,26 @@ func TestUnencodableKeyFallsBackToComparator(t *testing.T) {
 		types.NewTuple(types.NewInt(1), types.Null),
 		types.NewTuple(types.NewInt(2), types.Null),
 	}
-	for _, mode := range []KeyMode{KeyEncoded, KeyComparator} {
-		cfg, _ := smallCfg(t, 16)
-		cfg.Keys = mode
-		s, err := NewSRS(iter.FromSlice(rows), schema, sortord.New("k", "n"), cfg)
-		if err != nil {
-			t.Fatalf("mode %d: NewSRS: %v", mode, err)
-		}
-		out, err := iter.Drain(s)
-		if err != nil || len(out) != 3 || out[0][0].Int() != 1 {
-			t.Fatalf("mode %d: SRS out=%v err=%v", mode, out, err)
-		}
-		cfg2, _ := smallCfg(t, 16)
-		cfg2.Keys = mode
-		m, err := NewMRS(iter.FromSlice(rows), schema, sortord.New("n", "k"), sortord.New("n"), cfg2)
-		if err != nil {
-			t.Fatalf("mode %d: NewMRS: %v", mode, err)
-		}
-		out, err = iter.Drain(m)
-		if err != nil || len(out) != 3 || out[0][0].Int() != 1 {
-			t.Fatalf("mode %d: MRS out=%v err=%v", mode, out, err)
-		}
+	cfg, _ := smallCfg(t, 16)
+	s, err := NewSRS(iter.FromSlice(rows), schema, sortord.New("k", "n"), cfg)
+	if err != nil {
+		t.Fatalf("NewSRS: %v", err)
+	}
+	out, err := iter.Drain(s)
+	if err != nil || len(out) != 3 || out[0][0].Int() != 1 || out[2][0].Int() != 3 {
+		t.Fatalf("SRS out=%v err=%v", out, err)
+	}
+	cfg2, _ := smallCfg(t, 16)
+	m, err := NewMRS(iter.FromSlice(rows), schema, sortord.New("n", "k"), sortord.New("n"), cfg2)
+	if err != nil {
+		t.Fatalf("NewMRS: %v", err)
+	}
+	out, err = iter.Drain(m)
+	if err != nil || len(out) != 3 || out[0][0].Int() != 1 || out[2][0].Int() != 3 {
+		t.Fatalf("MRS out=%v err=%v", out, err)
+	}
+	if m.Stats().Segments != 1 {
+		t.Fatalf("rows that agree on the NULL-typed prefix are one segment, got %d", m.Stats().Segments)
 	}
 }
 

@@ -50,17 +50,20 @@ const (
 	// past 16 — each insertion comparison re-scans the bucket's shared
 	// suffix bytes that one cheap counting pass would have skipped once.
 	radixInsertionCutoff = 16
-	// adaptiveMinTuples is the buffer size below which RunFormAdaptive
-	// keeps the comparison sort: tiny buffers are dominated by the
-	// per-level bucket bookkeeping, not by comparisons.
-	adaptiveMinTuples = 128
 	// adaptiveMinKeyBytes is the minimum entry prefix width (the encoded
-	// key past any shared-prefix skip, as far as entries carry it) for
-	// RunFormAdaptive to pick radix: one- or two-byte keys (a lone bool)
-	// partition in so few passes that bytes.Compare is already effectively
-	// radix.
+	// key past any shared-prefix skip, as far as entries carry it) for run
+	// formation to pick radix: one- or two-byte keys (a lone bool) partition
+	// in so few passes that bytes.Compare is already effectively radix.
 	adaptiveMinKeyBytes = 4
 )
+
+// adaptiveMinTuples is the buffer size below which run formation keeps the
+// comparison sort: tiny buffers are dominated by the per-level bucket
+// bookkeeping, not by comparisons. It is a variable only so that tests can
+// pin either side (0: radix wherever the keys allow it; MaxInt: always
+// compare) — the tests that hold radix to the comparison order and the golden
+// comparison counts do; nothing else writes it.
+var adaptiveMinTuples = 128
 
 // sortTally is the work done by one run-formation sort, tallied locally so
 // parallel segment sorts and spill jobs can publish once into SortStats in
@@ -79,24 +82,17 @@ func (t sortTally) addTo(st *SortStats) {
 }
 
 // radixEligible decides whether a store of n entries is sorted by byte
-// buckets or by comparisons. Comparator-mode keyers carry no encoded keys,
-// so radix is structurally impossible and every mode degrades to the
-// comparison sort.
-func radixEligible(n int, ky *keyer, rf RunFormation) bool {
-	if !ky.encoded() || rf == RunFormCompare {
-		return false
-	}
-	if rf == RunFormRadix {
-		return true
-	}
+// buckets or by comparisons, from what it can observe: the buffer size and
+// the key width.
+func radixEligible(n int, ky *keyer) bool {
 	return n >= adaptiveMinTuples && ky.width >= adaptiveMinKeyBytes
 }
 
-// formOrder produces st's emission permutation under the configured
-// run-formation mode. Both branches yield the identical stable order; they
-// differ only in how the work is spent (and therefore tallied).
-func formOrder(st *rowStore, ky *keyer, rf RunFormation) ([]uint32, sortTally) {
-	if radixEligible(st.len(), ky, rf) {
+// formOrder produces st's emission permutation — by radix or by comparison,
+// as radixEligible decides. Both branches yield the identical stable order;
+// they differ only in how the work is spent (and therefore tallied).
+func formOrder(st *rowStore, ky *keyer) ([]uint32, sortTally) {
+	if radixEligible(st.len(), ky) {
 		return radixSortEntries(st, ky)
 	}
 	order, comparisons := sortEntries(st, ky)

@@ -2,6 +2,7 @@ package xsort
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -15,7 +16,7 @@ import (
 )
 
 // adversarialRows builds rows whose (c1, c3) keys collide in every way the
-// entry layout has to survive: c1 takes few values (long shared prefixes),
+// store entries have to survive: c1 takes few values (long shared prefixes),
 // c3 is a string over a tiny alphabet that includes the escape and
 // terminator bytes, of lengths on both sides of the 8 content bytes an entry
 // prefix carries — so complete keys, truncated keys, keys that are prefixes
@@ -95,30 +96,29 @@ func TestRadixSortKeyedMatchesStableSort(t *testing.T) {
 	}
 }
 
+// TestRadixEligibility: the sort picks radix from the buffer size and the key
+// width, and the row threshold is the hook that pins either side for tests.
 func TestRadixEligibility(t *testing.T) {
 	enc := &keyer{codec: testCodec(t), width: 9}
 	short := &keyer{codec: testCodec(t), width: 2} // a lone bool
-	cmp := &keyer{cmp: func(a, b types.Tuple) int { return 0 }}
-
-	cases := []struct {
-		name string
-		n    int
-		ky   *keyer
-		rf   RunFormation
-		want bool
-	}{
-		{"adaptive big encoded", adaptiveMinTuples, enc, RunFormAdaptive, true},
-		{"adaptive tiny buffer", 4, enc, RunFormAdaptive, false},
-		{"adaptive short keys", adaptiveMinTuples, short, RunFormAdaptive, false},
-		{"compare mode", adaptiveMinTuples, enc, RunFormCompare, false},
-		{"radix forced tiny", 4, enc, RunFormRadix, true},
-		{"comparator keys", adaptiveMinTuples, cmp, RunFormRadix, false},
-	}
-	for _, tc := range cases {
-		if got := radixEligible(tc.n, tc.ky, tc.rf); got != tc.want {
-			t.Errorf("%s: radixEligible = %v, want %v", tc.name, got, tc.want)
+	check := func(name string, n int, ky *keyer, want bool) {
+		t.Helper()
+		if got := radixEligible(n, ky); got != want {
+			t.Errorf("%s: radixEligible = %v, want %v", name, got, want)
 		}
 	}
+	check("big buffer", adaptiveMinTuples, enc, true)
+	check("tiny buffer", 4, enc, false)
+	check("short keys", adaptiveMinTuples, short, false)
+	t.Run("compare pinned", func(t *testing.T) {
+		pinFormation(t, false)
+		check("big buffer", 1<<20, enc, false)
+	})
+	t.Run("radix pinned", func(t *testing.T) {
+		pinFormation(t, true)
+		check("tiny buffer", 4, enc, true)
+		check("short keys", 4, short, false)
+	})
 }
 
 func testCodec(t *testing.T) *keys.Codec {
@@ -129,29 +129,6 @@ func testCodec(t *testing.T) *keys.Codec {
 		t.Fatal(err)
 	}
 	return c
-}
-
-func TestParseRunFormation(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want RunFormation
-	}{{"", RunFormAdaptive}, {"adaptive", RunFormAdaptive}, {"compare", RunFormCompare}, {"radix", RunFormRadix}} {
-		got, err := ParseRunFormation(tc.in)
-		if err != nil || got != tc.want {
-			t.Errorf("ParseRunFormation(%q) = %v, %v", tc.in, got, err)
-		}
-		if tc.in != "" && got.String() != tc.in {
-			t.Errorf("String() round-trip: %q -> %q", tc.in, got.String())
-		}
-	}
-	if _, err := ParseRunFormation("bogus"); err == nil {
-		t.Error("bogus mode should error")
-	}
-	cfg, _ := smallCfg(t, 4)
-	cfg.RunFormation = RunFormation(9)
-	if _, err := NewSRS(iter.FromSlice(nil), sortSchema, sortord.New("c1"), cfg); err == nil {
-		t.Error("out-of-range RunFormation should fail validation")
-	}
 }
 
 // fullKeySchemaRows returns rows where EVERY column is a key column of the
@@ -174,14 +151,16 @@ func fullKeyRows(r *rand.Rand, n, dist1 int) []types.Tuple {
 	return rows
 }
 
-// TestRunFormationModesAgree is the property test of the PR: for random
-// segment shapes, memory budgets and parallelism levels, radix and adaptive
-// run formation must reproduce the compare path's output sequence, run
-// structure and I/O totals exactly — for MRS and SRS alike. Only the work
-// accounting (Comparisons vs RadixPasses) may differ.
+// TestRunFormationModesAgree: for random segment shapes, memory budgets and
+// parallelism levels, run formation pinned to radix and left to choose must
+// reproduce the pinned compare path's output sequence, run structure and I/O
+// totals exactly — for MRS and SRS alike. Only the work accounting
+// (Comparisons vs RadixPasses) may differ.
 func TestRunFormationModesAgree(t *testing.T) {
 	r := rand.New(rand.NewSource(52))
 	target := sortord.New("c1", "c2", "c3")
+	threshold := adaptiveMinTuples // see pinFormation
+	defer func() { adaptiveMinTuples = threshold }()
 	for trial := 0; trial < 60; trial++ {
 		n := 20 + r.Intn(3000)
 		dist1 := 1 + r.Intn(12)
@@ -195,10 +174,9 @@ func TestRunFormationModesAgree(t *testing.T) {
 			stats SortStats
 			io    storage.IOStats
 		}
-		runMRS := func(rf RunFormation) result {
+		runMRS := func() result {
 			cfg, d := smallCfg(t, blocks)
 			cfg.Parallelism = par
-			cfg.RunFormation = rf
 			m, err := NewMRS(iter.FromSlice(rows), sortSchema, target, sortord.New("c1"), cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -209,9 +187,8 @@ func TestRunFormationModesAgree(t *testing.T) {
 			}
 			return result{out, *m.Stats(), d.Stats()}
 		}
-		runSRS := func(rf RunFormation) result {
+		runSRS := func() result {
 			cfg, d := smallCfg(t, blocks)
-			cfg.RunFormation = rf
 			s, err := NewSRS(iter.FromSlice(shuffledRows), sortSchema, target, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -225,14 +202,16 @@ func TestRunFormationModesAgree(t *testing.T) {
 
 		for _, op := range []struct {
 			name string
-			run  func(RunFormation) result
+			run  func() result
 		}{{"mrs", runMRS}, {"srs", runSRS}} {
-			base := op.run(RunFormCompare)
+			adaptiveMinTuples = math.MaxInt
+			base := op.run()
 			if base.stats.RadixPasses != 0 || base.stats.RadixBucketScans != 0 {
 				t.Fatalf("trial %d %s: compare mode counted radix work: %+v", trial, op.name, base.stats)
 			}
-			for _, rf := range []RunFormation{RunFormRadix, RunFormAdaptive} {
-				got := op.run(rf)
+			for rf, minTuples := range map[string]int{"radix": 0, "adaptive": threshold} {
+				adaptiveMinTuples = minTuples
+				got := op.run()
 				if len(got.out) != len(base.out) {
 					t.Fatalf("trial %d %s %v: %d tuples vs %d", trial, op.name, rf, len(got.out), len(base.out))
 				}
@@ -254,27 +233,5 @@ func TestRunFormationModesAgree(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestRadixFallsBackOnComparatorKeys: forcing radix with comparator-mode
-// keys must degrade to the comparison sort, not fail or miscount.
-func TestRadixFallsBackOnComparatorKeys(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	rows := genRows(2000, 10, rng)
-	cfg, _ := smallCfg(t, 8)
-	cfg.Keys = KeyComparator
-	cfg.RunFormation = RunFormRadix
-	m, err := NewMRS(iter.FromSlice(rows), sortSchema, sortord.New("c1", "c2"), sortord.New("c1"), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := iter.Drain(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	isSorted(t, out, sortord.New("c1", "c2"))
-	if st := m.Stats(); st.RadixPasses != 0 || st.RadixBucketScans != 0 {
-		t.Fatalf("comparator keys cannot radix-partition, yet stats say %+v", st)
 	}
 }

@@ -84,6 +84,14 @@ func encodeAll(rows []types.Tuple) []byte {
 	return buf
 }
 
+// scheduleResult is what one sort of TestReductionScheduleKeepsOutputBytes
+// left behind.
+type scheduleResult struct {
+	out   []byte
+	stats SortStats
+	io    storage.IOStats
+}
+
 // TestReductionScheduleKeepsOutputBytes is the tie-heavy differential for
 // the merge schedule. Inputs have few distinct sort keys and a unique
 // payload per row, so the order of full-key ties is visible in the output
@@ -91,21 +99,18 @@ func encodeAll(rows []types.Tuple) []byte {
 // isolates the schedule: the unreduced sort (fan-in above the run count, one
 // final merge over the formation runs) is the baseline, and every reduction
 // — fan-in {2, 3, 7, 15} × spill parallelism {1, 2, 4, 8} — must reproduce
-// it.
-//
-// In the flat layouts that means byte for byte, ties included: merges break
-// full-key ties by run ordinal and the schedule keeps merged outputs in run
-// order, so which runs were pre-merged is invisible. MRS in a flat layout is
-// a stable sort outright (stable batch sorts, runs in arrival order) and is
-// held to sort.SliceStable as well. SRS's replacement-selection heap and the
-// tuple layout's runMerger promise no tie order (see the package comment and
-// entry.go), so there the key sequence and the multiset must match and the
-// output must not depend on parallelism.
+// it byte for byte, ties included: merges break full-key ties by run ordinal
+// and the schedule keeps merged outputs in run order, so which runs were
+// pre-merged is invisible. MRS is a stable sort outright (stable batch sorts,
+// runs in arrival order) and is held to sort.SliceStable as well — and, under
+// a Limit that cuts into the second segment, so that merged outputs are
+// truncated, to its first rows. SRS's replacement-selection heap promises no
+// tie order (see the package comment), so its baseline is held to the
+// reference's key sequence only.
 //
 // The "blob" input sorts on strings that share their first 12 bytes: every
-// flat entry is truncated and prefix-tied, so intermediate merges can only
-// order records by decoding the raw payload and re-encoding its key — the
-// passthrough's lazy path — on every comparison.
+// store entry is truncated and prefix-tied, and runs carry no entries at all,
+// so merges order these rows by the keys they re-derive from the row bytes.
 func TestReductionScheduleKeepsOutputBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	const n = 2400
@@ -133,22 +138,17 @@ func TestReductionScheduleKeepsOutputBytes(t *testing.T) {
 		{"blob", blobSchema, blobs, sortord.New("g", "s"), sortord.New("g")},
 	}
 
-	type result struct {
-		out   []byte
-		stats SortStats
-		io    storage.IOStats
-	}
 	for _, in := range inputs {
 		ks := types.MustKeySpec(in.schema, in.target)
 		stable := append([]types.Tuple(nil), in.rows...)
 		sort.SliceStable(stable, func(i, j int) bool { return ks.Compare(stable[i], stable[j]) < 0 })
 		mixed := shuffled(in.rows, rng)
 
-		run := func(t *testing.T, mrs bool, lay EntryLayout, blocks, par int) ([]types.Tuple, result) {
+		run := func(t *testing.T, mrs bool, blocks, par int, limit int64) ([]types.Tuple, scheduleResult) {
 			t.Helper()
 			cfg, d := smallCfg(t, blocks)
 			cfg.Budget = fixedBudget(3)
-			cfg.EntryLayout = lay
+			cfg.Limit = limit // SRS ignores it
 			cfg.Parallelism, cfg.SpillParallelism = par, par
 			var op interface {
 				iter.Iterator
@@ -169,17 +169,17 @@ func TestReductionScheduleKeepsOutputBytes(t *testing.T) {
 			}
 			st := *op.Stats()
 			st.PeakMemBytes = 0 // schedule-dependent under parallel spill
-			return rows, result{encodeAll(rows), st, d.Stats()}
+			return rows, scheduleResult{encodeAll(rows), st, d.Stats()}
 		}
 
 		for _, mrs := range []bool{false, true} {
-			for _, lay := range []EntryLayout{LayoutFlat, LayoutFlatHeap, LayoutTuple} {
+			for _, arm := range spillArms {
 				algo := "srs"
 				if mrs {
 					algo = "mrs"
 				}
-				t.Run(fmt.Sprintf("%s/%s/%s", in.name, algo, lay), func(t *testing.T) {
-					baseRows, base := run(t, mrs, lay, 4096, 1)
+				t.Run(fmt.Sprintf("%s/%s/%s", in.name, algo, arm), func(t *testing.T) {
+					baseRows, base := run(t, mrs, 4096, 1, 0)
 					if base.stats.MergePasses != 0 || base.stats.RunsGenerated < 16 {
 						t.Fatalf("baseline should form > 15 runs and merge them once: %+v", base.stats)
 					}
@@ -191,16 +191,18 @@ func TestReductionScheduleKeepsOutputBytes(t *testing.T) {
 							t.Fatalf("baseline key order diverges from the reference at %d: %v vs %v", i, baseRows[i], stable[i])
 						}
 					}
-					if mrs && lay != LayoutTuple && !bytes.Equal(base.out, encodeAll(stable)) {
-						t.Fatal("flat MRS is a stable sort, but its output differs from sort.SliceStable")
+					if mrs && !bytes.Equal(base.out, encodeAll(stable)) {
+						t.Fatal("MRS is a stable sort, but its output differs from sort.SliceStable")
 					}
-					wantSet := multiset(stable)
+					// Limited: all of the first segment and a quarter of the second.
+					const limit = n/2 + n/8
+					limited := encodeAll(stable[:limit])
 
 					for _, fanIn := range []int{2, 3, 7, 15} {
-						var serial result
+						var serial, serialLimited scheduleResult
 						for _, par := range []int{1, 2, 4, 8} {
 							at := fmt.Sprintf("fan-in %d par %d", fanIn, par)
-							rows, got := run(t, mrs, lay, fanIn+1, par)
+							_, got := run(t, mrs, fanIn+1, par, 0)
 							st := got.stats
 							if st.RunsGenerated != base.stats.RunsGenerated {
 								t.Fatalf("%s: %d formation runs, baseline %d — the fixed budget should pin them", at, st.RunsGenerated, base.stats.RunsGenerated)
@@ -208,37 +210,117 @@ func TestReductionScheduleKeepsOutputBytes(t *testing.T) {
 							if st.MergePasses == 0 || st.RunsMerged == 0 {
 								t.Fatalf("%s: no reduction ran: %+v", at, st)
 							}
-							if par == 1 {
-								serial = got
-							} else {
-								got.stats.SpillRunsSerial, got.stats.SpillRunsParallel = serial.stats.SpillRunsSerial, serial.stats.SpillRunsParallel
-								if got.stats != serial.stats || got.io != serial.io || !bytes.Equal(got.out, serial.out) {
-									t.Errorf("%s: diverges from the serial run\n stats %+v io %+v\nserial %+v io %+v", at, got.stats, got.io, serial.stats, serial.io)
-								}
+							if !bytes.Equal(got.out, base.out) {
+								t.Errorf("%s: output bytes differ from the unreduced sort", at)
 							}
-							if lay != LayoutTuple {
-								if !bytes.Equal(got.out, base.out) {
-									t.Errorf("%s: output bytes differ from the unreduced sort", at)
-								}
+							sameAsSerial(t, at, par, &serial, got)
+							if !mrs {
 								continue
 							}
-							if len(rows) != len(stable) {
-								t.Fatalf("%s: emitted %d rows, want %d", at, len(rows), len(stable))
+							_, got = run(t, true, fanIn+1, par, limit)
+							if got.stats.MergePasses == 0 {
+								t.Fatalf("%s limit %d: no reduction ran: %+v", at, limit, got.stats)
 							}
-							for i := range stable {
-								if ks.Compare(rows[i], stable[i]) != 0 {
-									t.Fatalf("%s: key order diverges at %d: %v vs %v", at, i, rows[i], stable[i])
-								}
+							if !bytes.Equal(got.out, limited) {
+								t.Errorf("%s limit %d: output differs from the first rows of sort.SliceStable", at, limit)
 							}
-							for k, c := range multiset(rows) {
-								if wantSet[k] != c {
-									t.Fatalf("%s: output is not a permutation of the input", at)
-								}
-							}
+							sameAsSerial(t, at+" limited", par, &serialLimited, got)
 						}
 					}
 				})
 			}
 		}
+	}
+}
+
+// sameAsSerial holds a run at spill parallelism par to the serial run of the
+// same configuration — stats, I/O and output bytes — remembering the serial
+// one when it comes by.
+func sameAsSerial(t *testing.T, at string, par int, serial *scheduleResult, got scheduleResult) {
+	t.Helper()
+	if par == 1 {
+		*serial = got
+		return
+	}
+	got.stats.SpillRunsSerial, got.stats.SpillRunsParallel = serial.stats.SpillRunsSerial, serial.stats.SpillRunsParallel
+	if got.stats != serial.stats || got.io != serial.io || !bytes.Equal(got.out, serial.out) {
+		t.Errorf("%s: diverges from the serial run\n stats %+v io %+v\nserial %+v io %+v", at, got.stats, got.io, serial.stats, serial.io)
+	}
+}
+
+// TestRunsArePayloadFiles follows a spilled sort's files: after run formation
+// and after each reduction pass the arena holds exactly one file per live run
+// — no second file rides along — every page written is a run page holding
+// rows, and the pages a pass writes are the pages its merged outputs occupy.
+func TestRunsArePayloadFiles(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	cfg, d := smallCfg(t, 4) // fan-in 3
+	cfg.SpillParallelism, cfg.TempPrefix = 2, "t"
+	arena := d.NewArena()
+	defer arena.Release()
+	target := sortord.New("c2", "c1")
+
+	var runs []*storage.File
+	var ky *keyer
+	var stats SortStats
+	written := int64(0) // pages of every run file ever closed
+	check := func(stage string, fresh []*storage.File) {
+		t.Helper()
+		for _, f := range fresh {
+			written += int64(f.NumPages())
+		}
+		names := d.FileNames()
+		if len(names) != len(runs) {
+			t.Fatalf("%s: %d live runs but the arena holds %v", stage, len(runs), names)
+		}
+		live := 0
+		for _, f := range runs {
+			live += f.NumPages()
+			if i := sort.SearchStrings(names, f.Name()); i == len(names) || names[i] != f.Name() {
+				t.Fatalf("%s: run %q is not among the arena's files %v", stage, f.Name(), names)
+			}
+		}
+		if d.TotalPages() != live {
+			t.Fatalf("%s: the arena's files take %d pages, the live runs %d", stage, d.TotalPages(), live)
+		}
+		if io := arena.Stats(); io.RunPageWrites != written || io.PageWrites != written {
+			t.Fatalf("%s: %d pages written (%d to runs), the runs' payload pages are %d", stage, io.PageWrites, io.RunPageWrites, written)
+		}
+		if stats.FlatRunPages != 0 {
+			t.Fatalf("%s: FlatRunPages = %d", stage, stats.FlatRunPages)
+		}
+	}
+
+	for batch := 0; batch < 40; batch++ {
+		var st *rowStore
+		st, ky = fillStore(t, d, target, 0, genRows(30, 1, rng))
+		run, tally, err := formRun(arena, cfg.TempPrefix, st, ky, noLimit)
+		st.release()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tally.addTo(&stats)
+		runs = append(runs, run)
+	}
+	check("formation", runs)
+	for len(runs) > cfg.fanIn() {
+		before := map[*storage.File]bool{}
+		for _, f := range runs {
+			before[f] = true
+		}
+		var err error
+		if runs, err = reducePass(cfg, arena, runs, ky, noLimit, &stats); err != nil {
+			t.Fatal(err)
+		}
+		var fresh []*storage.File
+		for _, f := range runs {
+			if !before[f] {
+				fresh = append(fresh, f)
+			}
+		}
+		check(fmt.Sprintf("pass %d", stats.MergePasses), fresh)
+	}
+	if stats.MergePasses < 3 {
+		t.Fatalf("40 runs at fan-in 3 should take at least 3 passes, took %d", stats.MergePasses)
 	}
 }

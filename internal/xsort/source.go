@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pyro/internal/iter"
+	"pyro/internal/keys"
 	"pyro/internal/types"
 )
 
@@ -17,13 +18,13 @@ type chunkSource interface {
 }
 
 // inputRow is one input row as the sort sees it before buffering it: the
-// full encoded sort key (nil in comparator mode), the row's page-format bytes
-// when the input had them — a chunk filled straight from a scan does
-// (types.Chunk.EncodedRow), so buffering the row is a copy of that span — and
-// the datums, present whenever enc or key is not: the store encodes t when
-// there is no span, and comparator-mode comparisons walk it. All three are
-// views, valid only until the source's next call: a sort that keeps a row
-// copies it into its store, one that hands it on clones it.
+// full encoded sort key (nil from a source that does not key), the row's
+// page-format bytes when the input had them — a chunk filled straight from a
+// scan does (types.Chunk.EncodedRow), so buffering the row is a copy of that
+// span — and the datums, present whenever enc is not: the store encodes t when
+// there is no span. All three are views, valid only until the source's next
+// call: a sort that keeps a row copies it into its store, one that hands it
+// on clones it.
 type inputRow struct {
 	t   types.Tuple
 	key []byte
@@ -45,8 +46,8 @@ type inputRow struct {
 // SortStats counter are identical to the row path. The caller still counts
 // TuplesIn and polls its abort guard per served tuple.
 type tupleSource struct {
-	it iter.Iterator
-	ky *keyer
+	it    iter.Iterator
+	codec *keys.Codec // nil: rows are served unkeyed (an MRS with nothing to sort)
 
 	// Batch mode state; cs == nil means row mode.
 	cs    chunkSource
@@ -64,8 +65,8 @@ type tupleSource struct {
 
 // newTupleSource builds the source; it serves rows unless cfg enables
 // batching and the input supports it.
-func newTupleSource(it iter.Iterator, schema *types.Schema, ky *keyer, cfg Config) *tupleSource {
-	s := &tupleSource{it: it, ky: ky}
+func newTupleSource(it iter.Iterator, schema *types.Schema, codec *keys.Codec, cfg Config) *tupleSource {
+	s := &tupleSource{it: it, codec: codec}
 	if cfg.BatchSize > 1 {
 		if cs, ok := it.(chunkSource); ok && cs.CanChunk() {
 			s.cs = cs
@@ -84,8 +85,8 @@ func (s *tupleSource) next() (inputRow, bool, error) {
 			return inputRow{}, false, err
 		}
 		r := inputRow{t: t}
-		if s.ky.codec != nil {
-			s.keys = s.ky.codec.Append(s.keys[:0], t)
+		if s.codec != nil {
+			s.keys = s.codec.Append(s.keys[:0], t)
 			r.key = s.keys
 		}
 		return r, true, nil
@@ -104,7 +105,7 @@ func (s *tupleSource) next() (inputRow, bool, error) {
 	if len(s.rows) > 0 {
 		r.t = s.rows[i]
 	}
-	if s.ky.codec != nil {
+	if s.codec != nil {
 		start := 0
 		if i > 0 {
 			start = s.ends[i-1]
@@ -130,7 +131,7 @@ func (s *tupleSource) refill() error {
 		return nil
 	}
 	s.rows, s.keys, s.ends = s.rows[:0], s.keys[:0], s.ends[:0]
-	codec := s.ky.codec
+	codec := s.codec
 	if codec != nil && s.chunk.EncodedRow(s.live-1) != nil {
 		// Every row has its span (spans cover a prefix of the physical
 		// rows): keys come straight from the encoded bytes.

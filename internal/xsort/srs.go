@@ -16,29 +16,27 @@ import (
 // fan-in runs, and Next serves tuples from the final merge. When the whole
 // input fits in memory no run is written and the sort is CPU-only.
 //
-// Each input tuple's sort key is normalized once on entry (Config.Keys);
-// every heap and merge comparison is then a single byte-string compare.
-// Run formation is inherently sequential (one replacement-selection heap),
-// but the run-reduction passes merge independent groups concurrently when
-// SpillParallelism > 1. All spill files live in one SpillArena, whose
-// release on Close (or error) both cleans them up and folds their I/O into
-// the disk's global ledger.
+// Each input tuple's sort key is normalized once on entry; every heap
+// comparison is then a byte-string compare, and a merge keys the rows it reads
+// back from their bytes. Run formation is inherently sequential (one
+// replacement-selection heap), but the run-reduction passes merge independent
+// groups concurrently when SpillParallelism > 1. All spill files live in one
+// SpillArena, whose release on Close (or error) both cleans them up and folds
+// their I/O into the disk's global ledger.
 //
-// Config.RunFormation applies to the phase-1 fill: in radix (or adaptive)
-// mode the initial memory load is byte-bucket sorted and seeds the heap as
-// a sorted array — valid heap order, zero build comparisons — or, when the
-// whole input fits, is emitted directly. Replacement selection itself stays
-// comparison-based in every mode: its incremental push/pop structure is
-// what produces the paper's 2M-sized runs, and a heap has no radix
-// equivalent. Run count, run sizes and I/O totals are therefore identical
-// across modes (the pop sequence visits the same key multiset in the same
-// ascending order).
+// The phase-1 fill is sorted like any other buffer (radixEligible): when radix
+// pays, the initial memory load is byte-bucket sorted and seeds the heap as a
+// sorted array — valid heap order, zero build comparisons — or, when the whole
+// input fits, is emitted directly. Replacement selection itself is
+// comparison-based: its incremental push/pop structure is what produces the
+// paper's 2M-sized runs, and a heap has no radix equivalent. Run count, run
+// sizes and I/O totals do not depend on how the fill was sorted (the pop
+// sequence visits the same key multiset in the same ascending order).
 type SRS struct {
 	input  iter.Iterator
 	schema *types.Schema
 	order  sortord.Order
 	cfg    Config
-	ks     types.KeySpec
 	ky     *keyer
 	stats  SortStats
 
@@ -51,9 +49,8 @@ type SRS struct {
 	inMem    bool
 	out      rowEmitter
 
-	merger merger
-	runs   []spillRun
-	lay    entryLayout
+	merger *runMerger
+	runs   []*storage.File
 	arena  *storage.SpillArena // lazily created spill namespace; owns all temps
 	src    *tupleSource        // input collection (batched when configured)
 	opened bool
@@ -69,28 +66,19 @@ func NewSRS(input iter.Iterator, schema *types.Schema, o sortord.Order, cfg Conf
 	if o.IsEmpty() {
 		return nil, fmt.Errorf("xsort: empty sort order")
 	}
-	ks, err := types.MakeKeySpec(schema, o)
+	codec, err := keys.NewCodec(schema, o)
 	if err != nil {
 		return nil, err
 	}
-	// A nil codec (key shape the encoder does not support, e.g. a NULL
-	// literal column) falls back to the field comparator inside newKeyer;
-	// the sort itself must never fail over the key representation.
-	codec, _ := keys.FromKeySpec(ks)
 	if cfg.TempPrefix == "" {
 		cfg.TempPrefix = "srs"
 	}
-	ky := newKeyer(cfg.Keys, codec, ks.Compare)
-	lay := resolveLayout(cfg, codec, 0)
-	ky.width = lay.width
 	return &SRS{
 		input:  input,
 		schema: schema,
 		order:  o.Clone(),
 		cfg:    cfg,
-		ks:     ks,
-		ky:     ky,
-		lay:    lay,
+		ky:     &keyer{codec: codec, width: entryWidth(codec, 0, cfg.Disk.PageSize())},
 		out:    rowEmitter{ncols: schema.Len()},
 	}, nil
 }
@@ -120,8 +108,8 @@ func (s *SRS) open() error {
 	if err := s.input.Open(); err != nil {
 		return err
 	}
-	s.src = newTupleSource(s.input, s.schema, s.ky, s.cfg)
-	s.store = newRowStore(s.cfg.Disk, s.lay, true)
+	s.src = newTupleSource(s.input, s.schema, s.ky.codec, s.cfg)
+	s.store = newRowStore(s.cfg.Disk, s.ky.width, true)
 	h := newRunHeap(s.store, s.ky, &s.stats.Comparisons)
 	// Open is where SRS blocks for its entire input, so it is the loop a
 	// cancellation most needs to reach (a canceled query must not sort two
@@ -161,7 +149,7 @@ func (s *SRS) open() error {
 	}
 
 	// Phase 1: read up to the memory budget into the store. The fill — not
-	// a heap — is what radix run formation sorts: entries whose keys are
+	// a heap — is what run formation sorts: entries whose keys are
 	// byte-bucket sorted ARE a valid min-heap (every prefix of an ascending
 	// array satisfies the heap property), so replacement selection can be
 	// seeded without the O(n log n) comparison cost of building the initial
@@ -173,7 +161,7 @@ func (s *SRS) open() error {
 		return err
 	}
 
-	if radixEligible(s.store.len(), s.ky, s.cfg.RunFormation) {
+	if radixEligible(s.store.len(), s.ky) {
 		order, tally := radixSortEntries(s.store, s.ky)
 		tally.addTo(&s.stats)
 		if inputDone {
@@ -204,20 +192,18 @@ func (s *SRS) open() error {
 	// copy it to the run file, give its slot back, and take input for as
 	// long as it fits — with fixed-width rows that is one row per row
 	// written — each row joining the current run if it can still be emitted
-	// in order, else the next. Runs stream through a runWriter: payload
-	// bytes as buffered plus, in the flat layouts, the fixed-width entries.
-	// A budget shrink leaves the store over its allowance, which refuses
+	// in order, else the next. Runs stream through a runWriter, row bytes
+	// as buffered. A budget shrink leaves the store over its allowance, which refuses
 	// input until the heap has drained into the current and the next run;
 	// the emptied store then returns its blocks and refills under the new
 	// allowance.
 	w := s.newRunWriter()
 	finishRun := func() error {
-		run, pages, err := w.close()
+		run, err := w.close()
 		if err != nil {
 			return err
 		}
 		s.runs = append(s.runs, run)
-		s.stats.FlatRunPages += pages
 		s.stats.RunsGenerated++
 		return nil
 	}
@@ -246,7 +232,7 @@ func (s *SRS) open() error {
 			w = s.newRunWriter()
 		}
 		e := h.pop()
-		if err := w.writeStored(s.store, s.store.entry(e)); err != nil {
+		if err := w.write(s.store.rowBytes(s.store.entry(e))); err != nil {
 			return err
 		}
 		s.ky.lift(&last, s.store, s.store.entry(e))
@@ -262,12 +248,12 @@ func (s *SRS) open() error {
 
 	// Phase 3: reduce runs to fan-in and set up the final merge. Groups
 	// within a pass merge concurrently under SpillParallelism.
-	runs, err := reduceRuns(s.cfg, s.arena, s.runs, s.ky, s.lay, noLimit, &s.stats)
+	runs, err := reduceRuns(s.cfg, s.arena, s.runs, s.ky, noLimit, &s.stats)
 	if err != nil {
 		return err
 	}
 	s.runs = runs
-	s.merger, err = openMerger(runs, s.ky, s.lay, &s.stats)
+	s.merger, err = newRunMerger(runs, s.ky, &s.stats.Comparisons)
 	return err
 }
 
@@ -277,7 +263,7 @@ func (s *SRS) newRunWriter() *runWriter {
 	if s.arena == nil {
 		s.arena = s.cfg.Disk.NewArenaTapped(s.cfg.Tap)
 	}
-	return newRunWriter(s.arena, s.cfg.TempPrefix, s.lay)
+	return newRunWriter(s.arena, s.cfg.TempPrefix)
 }
 
 // removeTemps returns the store's blocks and releases the spill arena,
@@ -316,11 +302,17 @@ func (s *SRS) Next() (types.Tuple, bool, error) {
 		s.stats.TuplesOut++
 		return t, true, nil
 	}
-	t, ok, err := s.merger.next()
-	if ok {
-		s.stats.TuplesOut++
+	// The final merge is where a spilled row is decoded, once.
+	row, ok, err := s.merger.next()
+	if err != nil || !ok {
+		return nil, false, err
 	}
-	return t, ok, err
+	t, err := s.out.emit(row, s.stats.TuplesIn-s.stats.TuplesOut)
+	if err != nil {
+		return nil, false, err
+	}
+	s.stats.TuplesOut++
+	return t, true, nil
 }
 
 // Close releases run files and closes the input.

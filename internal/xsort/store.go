@@ -16,8 +16,7 @@ import (
 //
 //	[ width bytes: normalized-key prefix, zero-padded ][ 1 byte: flags ][ u32 row offset ]
 //
-// — the flat spill layout's entry (entry.go) with the row's offset where a
-// run file keeps the ordinal. Rows and entries are appended to page-sized
+// (entry.go). Rows and entries are appended to page-sized
 // blocks drawn one at a time from the disk's block pool, so the memory a
 // sort holds is, exactly, held() blocks: that count is what the budget is
 // compared to, what PeakMemBytes records, and what a spill or a Close gives
@@ -29,8 +28,8 @@ import (
 // formation sorts permutations of entry handles (radix.go, key.go): a
 // comparison reads two prefixes and reaches for the overflows only when both
 // are truncated and tie; nothing is ever re-derived from a row. A spill
-// copies row bytes to the run file (WriteRaw) and the prefix and tie flag to
-// the entry file; emission decodes each row once.
+// copies row bytes to the run file (WriteRaw) and nothing else; emission
+// decodes each row once.
 //
 // Row slots are recycled: replacement selection frees the row it has just
 // written and gives the slot to the incoming row, and a bounded collector
@@ -82,7 +81,7 @@ type rowStore struct {
 // freeSlot is a recycled row slot.
 type freeSlot struct{ off, size uint32 }
 
-// Entry flag byte: the tie flag of the spill format, the parity of the
+// Entry flag byte: the tie flag, the parity of the
 // replacement-selection run the row belongs to (heap.go), and the bytes of
 // its slot the row does not use.
 const (
@@ -95,12 +94,13 @@ const (
 	deadEntry    = math.MaxUint32     // row offset of a freed entry
 )
 
-// newRowStore returns an empty store of lay's entries. recycles says whether
+// newRowStore returns an empty store whose entries carry width prefix bytes
+// (entryWidth). recycles says whether
 // the owner will free rows while it goes on adding them (replacement
 // selection, a bounded collector); a store that is only ever filled and then
 // released packs its rows unpadded.
-func newRowStore(disk *storage.Disk, lay entryLayout, recycles bool) *rowStore {
-	s := &rowStore{disk: disk, blockSize: disk.PageSize(), width: lay.width, size: lay.width + entryOverhead, pad: 1}
+func newRowStore(disk *storage.Disk, width int, recycles bool) *rowStore {
+	s := &rowStore{disk: disk, blockSize: disk.PageSize(), width: width, size: width + entryOverhead, pad: 1}
 	if recycles {
 		s.pad = slotGranule
 	}

@@ -18,23 +18,20 @@ import (
 )
 
 // fillStore buffers rows of sortSchema, unbounded, the way a sort would —
-// the keyer and entry layout NewMRS resolves for target with its first
+// the keyer and entry width NewMRS resolves for target with its first
 // prefixCols columns given, each row added under its full key — and returns
 // the store (the caller releases it) with its keyer.
 func fillStore(tb testing.TB, d *storage.Disk, target sortord.Order, prefixCols int, rows []types.Tuple) (*rowStore, *keyer) {
 	tb.Helper()
-	ks := types.MustKeySpec(sortSchema, target)
-	codec, err := keys.FromKeySpec(ks)
+	codec, err := keys.NewCodec(sortSchema, target)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	ky := newKeyer(KeyEncoded, codec, ks.Compare)
-	lay := resolveLayout(Config{Disk: d}, codec, prefixCols)
-	ky.width = lay.width
+	ky := &keyer{codec: codec, width: entryWidth(codec, prefixCols, d.PageSize())}
 	if len(rows) > 0 {
 		ky = ky.withSkip(codec.PrefixLen(rows[0], prefixCols))
 	}
-	st := newRowStore(d, lay, true)
+	st := newRowStore(d, ky.width, true)
 	for _, row := range rows {
 		r := inputRow{t: row, key: codec.Append(nil, row)}
 		if _, ok := st.add(r, ky.suffix(r), 0, 1<<30); !ok {
@@ -71,9 +68,8 @@ func TestStoreSortsUnderEveryKeySpec(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lay := resolveLayout(Config{Disk: d}, codec, 0)
-		ky := &keyer{codec: codec, width: lay.width}
-		st := newRowStore(d, lay, true)
+		ky := &keyer{codec: codec, width: entryWidth(codec, 0, d.PageSize())}
+		st := newRowStore(d, ky.width, true)
 
 		type buffered struct {
 			h   uint32
@@ -655,7 +651,6 @@ var residentShapes = []struct {
 // entry size itself.
 func TestFootprintPricesTheStoresEntry(t *testing.T) {
 	const page = 4096
-	d := storage.NewDisk(page)
 	for _, c := range []struct{ target, given sortord.Order }{
 		{sortord.New("c1", "c2"), sortord.New("c1")},
 		{sortord.New("c1", "c2", "c3"), nil},
@@ -667,10 +662,10 @@ func TestFootprintPricesTheStoresEntry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lay := resolveLayout(Config{Disk: d}, codec, c.given.Len())
+		size := entryWidth(codec, c.given.Len(), page) + entryOverhead
 		got := FootprintBlocks(sortSchema, c.target, c.given, page, page) - int64(sortSchema.AvgEncodedWidth())
-		if got != int64(lay.size) {
-			t.Errorf("sort to %v given %v: footprint prices %d-byte entries, the store holds %d-byte ones", c.target, c.given, got, lay.size)
+		if got != int64(size) {
+			t.Errorf("sort to %v given %v: footprint prices %d-byte entries, the store holds %d-byte ones", c.target, c.given, got, size)
 		}
 	}
 }

@@ -31,30 +31,36 @@
 // scan is buffered by copying its encoded spans — the chunk is never decoded
 // — and each emitted row is decoded once, into datum arrays carved per batch.
 //
-// Key comparisons default to normalized keys: each tuple's sort key is
-// encoded once (package keys) into an order-preserving byte string, so a
-// comparison is a bytes.Compare of two entry prefixes — and of the keys'
-// overflow, kept beside the rows, when both prefixes are truncated and tie —
-// instead of a typed field walk. Config.Keys selects the comparator path for
-// ablation: same store, same entry geometry (so the same rows per block and
-// the same runs), blank prefixes, and every comparison decodes both rows.
-// Both paths count comparisons at identical call sites, so SortStats totals
-// are the same in either mode and the golden/ablation expectations stay
-// meaningful.
+// Keys are normalized: each tuple's sort key is encoded once (package keys)
+// into an order-preserving byte string, so a comparison is a bytes.Compare of
+// two entry prefixes — and of the keys' overflow, kept beside the rows, when
+// both prefixes are truncated and tie — instead of a typed field walk. Every
+// resolvable order has such an encoding (a NULL-typed column is its marker
+// byte), so there is no second key representation.
 //
 // Run formation — producing the sorted order of a store's entries, be it an
 // MRS segment, a spill batch, or SRS's initial heap fill — additionally
-// exploits that byte order IS key order: Config.RunFormation selects MSD
-// radix partitioning over the entry prefixes (see radix.go) instead of the
-// comparison sort. The radix order is bit-identical to the stable
-// comparison order, so MRS output bytes, run/pass structure, and I/O
-// totals are the same in every mode; SRS agrees on all of those too except
-// that tuples tied on the full sort key may emit in a different relative
-// order (its compare-mode path drains an unstable replacement-selection
-// heap, while radix is stable — the key sequence itself is identical).
-// Only the work accounting otherwise changes (RadixPasses and
-// RadixBucketScans alongside a smaller Comparisons). The default, adaptive,
-// falls back to comparisons for tiny buffers and short keys.
+// exploits that byte order IS key order: buffers large enough, on keys wide
+// enough, are sorted by MSD radix partitioning over the entry prefixes (see
+// radix.go) instead of the comparison sort; the sort decides per buffer from
+// those two things it can observe. The radix order is bit-identical to the
+// stable comparison order, so MRS output bytes, run/pass structure and I/O
+// totals do not depend on the choice, and SRS agrees on all of those except
+// that tuples tied on the full sort key may emit in a different relative order
+// (a heap built by pushes and one seeded from a sorted fill drain ties
+// differently — the key sequence is identical). Otherwise only the work
+// accounting changes (RadixPasses and RadixBucketScans alongside a smaller
+// Comparisons).
+//
+// A spilled run is one file of encoded rows: a spill copies row bytes out of
+// the store, an intermediate merge copies the winner's bytes from page to
+// page, and only the final merge decodes — once per emitted row. Merges key
+// each row they read from its bytes and break full-key ties by run ordinal;
+// runs are formed in arrival order by stable sorts and reductions keep merged
+// outputs in place, so MRS is a stable sort and the output bytes of either
+// operator do not depend on the reduction schedule (merge.go). SRS is stable
+// up to the emission order of rows with duplicate full sort keys: its
+// replacement-selection heap promises them no order.
 //
 // MRS additionally sorts independent in-memory segments on a bounded worker
 // pool (Config.Parallelism); see mrs.go for the pipelining contract. The
@@ -100,18 +106,16 @@ type SortStats struct {
 	// same spirit Comparisons accounts the comparison sorts: one pass is
 	// one counting distribution over a bucket's entries on one key byte,
 	// and the scan counter totals the tuples those passes classified. In
-	// radix mode total sort work reads as Comparisons (heap, merge, and
-	// insertion-sort tails) plus these; in compare mode both stay zero.
+	// Total sort work reads as Comparisons (heap, merge, comparison sorts and
+	// insertion-sort tails) plus these; a sort that never picked radix leaves
+	// both zero.
 	RadixPasses      int64
 	RadixBucketScans int64
 
-	// MergeBucketSkips counts, in the flat layouts' radix-aware merges,
-	// advanced run heads parked comparison-free because they left the merge
-	// frontier's leading-byte bucket — each one a run temporarily excluded
-	// from heap ordering entirely. FlatRunPages counts entry pages written
-	// for flat spill runs (formation and merge outputs; payload tuple pages
-	// stay under the I/O ledger as before). Both are deterministic at every
-	// parallelism and batch size, like every other counter here.
+	// MergeBucketSkips and FlatRunPages are always 0: they counted the work
+	// of the entry-file spill layouts, which are gone. The fields are read by
+	// cmd/pyro-perf and leave with the pyro-perf probes in the next
+	// `benchmark` PR.
 	MergeBucketSkips int64
 	FlatRunPages     int64
 
@@ -133,66 +137,6 @@ type SortStats struct {
 	// guessing from wall-clock shape.
 	SpillRunsSerial   int
 	SpillRunsParallel int
-}
-
-// KeyMode selects how sort keys are compared.
-type KeyMode uint8
-
-const (
-	// KeyEncoded (the default) compares normalized byte-string keys with
-	// bytes.Compare; each tuple is encoded once on entry.
-	KeyEncoded KeyMode = iota
-	// KeyComparator compares tuples field by field through the resolved
-	// KeySpec — the pre-normalized-key path, kept for ablation. Rows are
-	// buffered encoded all the same; each comparison decodes the two it
-	// compares.
-	KeyComparator
-)
-
-// RunFormation selects how the sorted order of an in-memory buffer is
-// produced (MRS segment sorts, spill-batch sorts, SRS's phase-1 fill).
-// Every mode yields the identical stable buffer order; see radix.go and
-// the package comment for the one visible difference (SRS key ties).
-type RunFormation uint8
-
-const (
-	// RunFormAdaptive (the default) picks MSD radix partitioning for
-	// encoded keys on buffers large enough to amortize bucket bookkeeping,
-	// and the comparison sort otherwise.
-	RunFormAdaptive RunFormation = iota
-	// RunFormCompare always sorts by key comparisons — the pre-radix path,
-	// kept for ablation and as the comparator-mode fallback.
-	RunFormCompare
-	// RunFormRadix always radix-partitions encoded keys (comparator-mode
-	// keyers still fall back to comparisons: there is no byte string to
-	// partition).
-	RunFormRadix
-)
-
-// String returns the CLI spelling of the mode.
-func (rf RunFormation) String() string {
-	switch rf {
-	case RunFormAdaptive:
-		return "adaptive"
-	case RunFormCompare:
-		return "compare"
-	case RunFormRadix:
-		return "radix"
-	}
-	return fmt.Sprintf("RunFormation(%d)", uint8(rf))
-}
-
-// ParseRunFormation parses the CLI spelling ("" means the default).
-func ParseRunFormation(s string) (RunFormation, error) {
-	switch s {
-	case "", "adaptive":
-		return RunFormAdaptive, nil
-	case "compare":
-		return RunFormCompare, nil
-	case "radix":
-		return RunFormRadix, nil
-	}
-	return 0, fmt.Errorf("xsort: unknown run formation %q (want adaptive, compare or radix)", s)
 }
 
 // Budget is a live sort-memory allowance in disk blocks. A sort consults
@@ -224,20 +168,6 @@ type Config struct {
 	Budget Budget
 	// TempPrefix names the run files for debuggability.
 	TempPrefix string
-	// Keys selects normalized-key (default) or comparator key comparison.
-	Keys KeyMode
-	// RunFormation selects radix, comparison, or adaptive (default)
-	// production of in-memory sorted orders. Run/pass structure, I/O and
-	// output key order are identical in every mode; output bytes are
-	// bit-identical for MRS, and for SRS up to the emission order of
-	// tuples with duplicate full sort keys (see the package comment).
-	RunFormation RunFormation
-	// EntryLayout selects the spill-run representation and merge algorithm:
-	// flat fixed-width entries with the radix-aware bucket merge (default),
-	// flat entries with the plain comparison heap (ablation), or the legacy
-	// re-encoded tuple runs (see entry.go). Comparator-mode sorts always
-	// use the tuple layout — there is no encoded key to lay out flat.
-	EntryLayout EntryLayout
 	// Parallelism bounds how many MRS in-memory segments may be sorted
 	// concurrently. 0 means runtime.GOMAXPROCS(0); 1 means fully serial,
 	// strictly demand-driven reading (the paper's original behaviour).
@@ -366,12 +296,6 @@ func (c Config) validate() error {
 	}
 	if c.SpillParallelism < 0 {
 		return fmt.Errorf("xsort: SpillParallelism must be non-negative, got %d", c.SpillParallelism)
-	}
-	if c.RunFormation > RunFormRadix {
-		return fmt.Errorf("xsort: unknown RunFormation %d", c.RunFormation)
-	}
-	if c.EntryLayout > LayoutTuple {
-		return fmt.Errorf("xsort: unknown EntryLayout %d", c.EntryLayout)
 	}
 	if c.BatchSize < 0 {
 		return fmt.Errorf("xsort: BatchSize must be non-negative, got %d", c.BatchSize)

@@ -1,6 +1,7 @@
 package xsort
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -91,6 +92,25 @@ func smallCfg(t testing.TB, blocks int) (Config, *storage.Disk) {
 	t.Cleanup(func() { storage.AssertNoLeaks(t, d) })
 	return Config{Disk: d, MemoryBlocks: blocks}, d
 }
+
+// pinFormation forces run formation to one side for the rest of the test —
+// radix wherever the key width allows it, or the comparison sort everywhere —
+// through the adaptive row threshold, the one selector there is. Not for
+// parallel tests: the threshold is package state.
+func pinFormation(t testing.TB, radix bool) {
+	t.Helper()
+	old := adaptiveMinTuples
+	t.Cleanup(func() { adaptiveMinTuples = old })
+	adaptiveMinTuples = math.MaxInt
+	if radix {
+		adaptiveMinTuples = 0
+	}
+}
+
+// spillArms are subtest leaf names from when a sort could spill in three
+// layouts. One is left, so every arm of a matrix runs the same sort; the
+// leaves stay because the suite's floor pins subtests by their full names.
+var spillArms = []string{"flat", "flat-heap", "tuple"}
 
 func TestSRSInMemoryNoIO(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))

@@ -93,7 +93,7 @@ func TestTopKPlanFlipMatrix(t *testing.T) {
 
 	// Correctness across the flip: the limited plans return the first k
 	// rows of the unlimited ordering.
-	want, err := db.Execute(unlimited)
+	want, err := queryAll(db, unlimited)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestTopKPlanFlipMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := db.Execute(plan)
+		got, err := queryAll(db, plan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +128,7 @@ func TestWithRowTargetReplansWithoutTruncating(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := db.Execute(plan)
+	want, err := queryAll(db, plan)
 	if err != nil {
 		t.Fatal(err)
 	}

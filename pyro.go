@@ -27,12 +27,10 @@
 // Query streams: under a pipelined partial-sort plan the first rows arrive
 // before most of the input has been read, closing the cursor early
 // abandons the unread remainder, and the context cancels execution even
-// inside a long sort. Execute remains as a materialising convenience.
+// inside a long sort.
 package pyro
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -44,7 +42,6 @@ import (
 	"pyro/internal/sortord"
 	"pyro/internal/storage"
 	"pyro/internal/types"
-	"pyro/internal/xsort"
 )
 
 // Type enumerates column types of the public API.
@@ -109,23 +106,6 @@ type Config struct {
 	// deliberately: plan choice must never depend on the machine the
 	// optimizer happens to run on.
 	SortSpillParallelism int
-	// SortRunFormation selects how sort enforcers produce in-memory sorted
-	// orders: RunFormationAdaptive (default) uses MSD radix partitioning
-	// on the normalized keys where it pays, RunFormationRadix forces it,
-	// RunFormationCompare pins the comparison sort. Result key order and
-	// I/O are identical in every mode (rows tied on the entire ORDER BY
-	// key may emit in a different relative order under a full sort — that
-	// order was never guaranteed).
-	SortRunFormation RunFormation
-	// SortEntryLayout selects the spill-run representation of the sort
-	// enforcers: EntryLayoutFlat (default) spills fixed-width key-prefix
-	// entries alongside the payload tuples and merges them with the
-	// radix-aware cascade, EntryLayoutFlatHeap keeps the flat runs but
-	// merges with a plain comparison heap (the ablation arm), and
-	// EntryLayoutTuple is the legacy tuple-only spill format. Result rows
-	// and result order are identical in every mode; spill I/O shape and
-	// merge comparison counts differ.
-	SortEntryLayout EntryLayout
 
 	// GlobalSortMemoryBlocks is the database-wide sort-memory pool, in
 	// blocks, shared by all concurrently executing queries through the
@@ -175,26 +155,6 @@ type Config struct {
 	// disables caching.
 	PlanCacheSize int
 }
-
-// RunFormation selects the sort enforcers' run-formation algorithm.
-type RunFormation = xsort.RunFormation
-
-// Run-formation modes.
-const (
-	RunFormationAdaptive = xsort.RunFormAdaptive
-	RunFormationCompare  = xsort.RunFormCompare
-	RunFormationRadix    = xsort.RunFormRadix
-)
-
-// EntryLayout selects the sort enforcers' spill-run representation.
-type EntryLayout = xsort.EntryLayout
-
-// Sort entry layouts.
-const (
-	EntryLayoutFlat     = xsort.LayoutFlat
-	EntryLayoutFlatHeap = xsort.LayoutFlatHeap
-	EntryLayoutTuple    = xsort.LayoutTuple
-)
 
 // Database is a self-contained engine instance.
 type Database struct {
@@ -455,12 +415,6 @@ func (db *Database) Optimize(q *Query, opts ...OptimizeOption) (*Plan, error) {
 	if spillPar > 1 {
 		options.Model.SpillParallelism = spillPar
 	}
-	// Price the spill format execution will use: the legacy tuple layout
-	// re-encodes keys on every merge read, the flat layouts carry entry
-	// files instead (see cost.Model). Comparator-keyed sorts fall back to
-	// the tuple layout at runtime regardless, but the optimizer cannot see
-	// key shapes here and prices the configured intent.
-	options.Model.TupleSpillLayout = db.cfg.SortEntryLayout == EntryLayoutTuple
 	inner, stats, err := db.optimize(q.node, options)
 	if err != nil {
 		return nil, err
@@ -497,36 +451,6 @@ func (db *Database) optimize(node logical.Node, options core.Options) (*core.Pla
 	}
 	db.plans.put(key, res.Plan, res.Stats)
 	return res.Plan, res.Stats, nil
-}
-
-// Rows is a fully materialised query result.
-type Rows struct {
-	Columns []string
-	Data    [][]any
-}
-
-// Execute compiles and runs a plan, materialising every result row. It is
-// a thin wrapper over Query that drains the cursor, so it pays
-// full-result materialisation and cannot stop the engine early or be
-// cancelled — everything the streaming cursor exists to avoid.
-//
-// Deprecated: Use Query, which streams rows on demand, honors context
-// cancellation, supports per-query execution options and reports per-query
-// ExecStats. Execute is kept as a convenience for small results and for
-// existing callers.
-func (db *Database) Execute(p *Plan) (*Rows, error) {
-	cur, err := db.Query(context.Background(), p)
-	if err != nil {
-		return nil, err
-	}
-	out := &Rows{Columns: cur.Columns(), Data: make([][]any, 0)}
-	for cur.Next() {
-		out.Data = append(out.Data, cur.Row())
-	}
-	if err := cur.Err(); err != nil {
-		return nil, errors.Join(err, cur.Close())
-	}
-	return out, cur.Close()
 }
 
 func datumValue(d types.Datum) any {

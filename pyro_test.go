@@ -1,11 +1,36 @@
 package pyro
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
 	"pyro/internal/storage"
 )
+
+// resultRows is a query's whole result.
+type resultRows struct {
+	Columns []string
+	Data    [][]any
+}
+
+// queryAll drains a Query cursor over p: what a test that compares whole
+// results does with the streaming API.
+func queryAll(db *Database, p *Plan) (*resultRows, error) {
+	cur, err := db.Query(context.Background(), p)
+	if err != nil {
+		return nil, err
+	}
+	out := &resultRows{Columns: cur.Columns(), Data: make([][]any, 0)}
+	for cur.Next() {
+		out.Data = append(out.Data, cur.Row())
+	}
+	if err := cur.Err(); err != nil {
+		return nil, errors.Join(err, cur.Close())
+	}
+	return out, cur.Close()
+}
 
 // openTestDB loads a small two-table database exercising clustering,
 // covering indices and all query-builder verbs.
@@ -56,7 +81,7 @@ func TestQuickstartFlow(t *testing.T) {
 	if !strings.Contains(plan.Explain(), "Filter") {
 		t.Fatalf("Explain:\n%s", plan.Explain())
 	}
-	rows, err := db.Execute(plan)
+	rows, err := queryAll(db, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +117,7 @@ func TestJoinGroupByFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := db.Execute(plan)
+	rows, err := queryAll(db, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +143,7 @@ func TestSelfJoinWithAlias(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := db.Execute(plan)
+	rows, err := queryAll(db, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +181,7 @@ func TestDistinctUnionLimitlessFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := db.Execute(plan)
+	rows, err := queryAll(db, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +193,7 @@ func TestDistinctUnionLimitlessFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uRows, err := db.Execute(uPlan)
+	uRows, err := queryAll(db, uPlan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +264,7 @@ func TestCrossDatabaseExecuteRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db2.Execute(plan); err == nil {
+	if _, err := queryAll(db2, plan); err == nil {
 		t.Fatal("executing another database's plan should error")
 	}
 }
@@ -251,7 +276,7 @@ func TestIOStatsVisible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Execute(plan); err != nil {
+	if _, err := queryAll(db, plan); err != nil {
 		t.Fatal(err)
 	}
 	if db.IOStats().PageReads == 0 {
@@ -279,7 +304,7 @@ func TestExprBuilders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := db.Execute(plan)
+	rows, err := queryAll(db, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +321,7 @@ func TestExprBuilders(t *testing.T) {
 // identical order, identical I/O totals — the whole-stack version of the
 // xsort golden tests.
 func TestSpillParallelismEndToEnd(t *testing.T) {
-	run := func(spillPar int) (*Rows, IOStats) {
+	run := func(spillPar int) (*resultRows, IOStats) {
 		db := Open(Config{
 			SortMemoryBlocks:     2, // force the sort to spill
 			SortParallelism:      4,
@@ -319,7 +344,7 @@ func TestSpillParallelismEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		db.ResetIOStats()
-		out, err := db.Execute(plan)
+		out, err := queryAll(db, plan)
 		if err != nil {
 			t.Fatal(err)
 		}

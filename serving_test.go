@@ -261,11 +261,11 @@ func TestPlanCacheHitsAndMisses(t *testing.T) {
 		t.Fatal("plan cache collided on queries that differ only in projection expressions")
 	}
 
-	r1, err := db.Execute(p1)
+	r1, err := queryAll(db, p1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := db.Execute(p2)
+	r2, err := queryAll(db, p2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func TestTopKCorrectness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fullRows, err := db.Execute(full)
+	fullRows, err := queryAll(db, full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestTopKCorrectness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kRows, err := db.Execute(topk)
+	kRows, err := queryAll(db, topk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestTopKEarlyTermination(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.ResetIOStats()
-	if _, err := db.Execute(partial); err != nil {
+	if _, err := queryAll(db, partial); err != nil {
 		t.Fatal(err)
 	}
 	ioPartial := db.IOStats().PageReads
@@ -78,7 +78,7 @@ func TestTopKEarlyTermination(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.ResetIOStats()
-	if _, err := db.Execute(fullSort); err != nil {
+	if _, err := queryAll(db, fullSort); err != nil {
 		t.Fatal(err)
 	}
 	ioFull := db.IOStats().PageReads
@@ -99,7 +99,7 @@ func TestLimitValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := db.Execute(plan)
+	rows, err := queryAll(db, plan)
 	if err != nil || len(rows.Data) != 0 {
 		t.Fatalf("limit 0: %d rows, err %v", len(rows.Data), err)
 	}
@@ -108,7 +108,7 @@ func TestLimitValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows2, err := db.Execute(plan2)
+	rows2, err := queryAll(db, plan2)
 	if err != nil || len(rows2.Data) != 200 {
 		t.Fatalf("oversized limit: %d rows", len(rows2.Data))
 	}
