@@ -104,7 +104,7 @@ func reportCursorCounters(b *testing.B, db *Database, plan *Plan, pull int, opts
 	b.Helper()
 	b.StopTimer()
 	defer b.StartTimer()
-	opts = append(opts, WithSortParallelism(1), WithSortSpillParallelism(1))
+	opts = append(opts, WithSortParallelism(1))
 	cur, err := db.Query(context.Background(), plan, opts...)
 	if err != nil {
 		b.Fatal(err)
@@ -555,7 +555,7 @@ func BenchmarkMRSSpilledSortRunFormation(b *testing.B) {
 		d := storage.NewDisk(0)
 		m, err := xsort.NewMRS(iter.FromSlice(rows), sortBenchSchema,
 			sortord.New("c1", "c3", "c2"), sortord.New("c1"),
-			xsort.Config{Disk: d, MemoryBlocks: 64, Parallelism: 1, SpillParallelism: 1})
+			xsort.Config{Disk: d, MemoryBlocks: 64, Parallelism: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -671,42 +671,6 @@ func BenchmarkSRSHeapReplacementSelection(b *testing.B) {
 		if _, err := iter.Drain(s); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkSpillParallelism measures the concurrent spill subsystem end to
-// end on an oversized-segment MRS workload: run formation on worker flush
-// jobs into per-segment arenas, overlapped run reduction, final merge.
-// s1 is the paper's serial spill path; comparison and I/O counts are
-// identical in every arm (asserted by TestGoldenParallelSpillAgrees), so
-// the delta is pure scheduling.
-func BenchmarkSpillParallelism(b *testing.B) {
-	rows := sortBenchRows(200_000, 4) // 4 oversized segments at 64 blocks
-	for _, par := range []struct {
-		name string
-		p    int
-	}{{"s1", 1}, {"s2", 2}, {"s4", 4}, {"smax", 0}} {
-		b.Run(par.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				d := storage.NewDisk(0)
-				m, err := xsort.NewMRS(iter.FromSlice(rows), sortBenchSchema,
-					sortord.New("c1", "c2"), sortord.New("c1"),
-					xsort.Config{Disk: d, MemoryBlocks: 64, SpillParallelism: par.p})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := iter.Drain(m); err != nil {
-					b.Fatal(err)
-				}
-				if par.p == 1 && m.Stats().SpillRunsParallel != 0 {
-					b.Fatal("serial arm ran parallel spills")
-				}
-				if par.p > 1 && m.Stats().SpillRunsSerial != 0 {
-					b.Fatal("parallel arm ran serial spills")
-				}
-			}
-		})
 	}
 }
 

@@ -73,7 +73,6 @@ func chunkDiffOpts(batch int) []ExecOption {
 	return []ExecOption{
 		WithExecBatchSize(batch),
 		WithSortParallelism(1),
-		WithSortSpillParallelism(1),
 	}
 }
 

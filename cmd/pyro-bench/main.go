@@ -4,17 +4,15 @@
 // Usage:
 //
 //	pyro-bench [-exp all|example1|a1|a2|a3|a4|b1|b2|b3|scalability|refine] [-scale f]
-//	           [-sort-par n] [-spill-par n] [-limit k]
+//	           [-sort-par n] [-limit k]
 //
 // -scale multiplies dataset sizes (1.0 ≈ seconds per experiment).
 // Execution tables report first_row_ms (time to the first output tuple —
 // the pipelining benefit a streaming consumer sees) alongside time_ms.
-// -sort-par bounds concurrent MRS segment sorts per enforcer (0 =
-// GOMAXPROCS, 1 = the paper's serial algorithm); -spill-par bounds
-// concurrent spill jobs when a sort exceeds memory (0 = inherit -sort-par,
-// 1 = serial spilling). Comparison and I/O counts are identical at every
-// parallelism setting, so the paper's tables stay valid while wall-clock
-// times drop. -limit sets the
+// -sort-par bounds concurrent in-memory MRS segment sorts per enforcer (0 =
+// GOMAXPROCS, 1 = the paper's serial algorithm); spilling is always serial.
+// Comparison and I/O counts are identical at every setting, so the paper's
+// tables stay valid. -limit sets the
 // Top-K row count the limit-aware experiment plans under (default 10):
 // its table shows the two-phase cost model's estimated full-drain and
 // startup costs next to measured time_ms/first_row_ms for the pipelined
@@ -41,7 +39,6 @@ func main() {
 	exp := flag.String("exp", "all", "experiment to run: all, serve, or one of "+strings.Join(names, ", "))
 	scale := flag.Float64("scale", 1.0, "dataset scale factor")
 	sortPar := flag.Int("sort-par", 0, "MRS segment-sort parallelism (0 = GOMAXPROCS, 1 = serial)")
-	spillPar := flag.Int("spill-par", 0, "spill-path parallelism (0 = inherit -sort-par, 1 = serial)")
 	limit := flag.Int64("limit", 0, "Top-K row count for the limit-aware experiments (0 = default 10)")
 	// serve-mode knobs (ignored by the paper experiments).
 	queries := flag.Int("cursors", 2000, "serve: total Top-K queries to run")
@@ -93,7 +90,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pyro-bench: negative -limit %d\n", *limit)
 		os.Exit(2)
 	}
-	s := harness.Scale{Factor: *scale, SortParallelism: *sortPar, SpillParallelism: *spillPar, Limit: *limit}
+	s := harness.Scale{Factor: *scale, SortParallelism: *sortPar, Limit: *limit}
 	if *exp == "all" {
 		if err := harness.RunAll(os.Stdout, s); err != nil {
 			fmt.Fprintln(os.Stderr, "pyro-bench:", err)

@@ -15,7 +15,7 @@ import (
 )
 
 // SortStats re-exports the sort engine's per-enforcer work counters
-// (comparisons, runs, merge passes, segments, radix passes, spill regime).
+// (comparisons, runs, merge passes, segments, radix passes).
 type SortStats = xsort.SortStats
 
 // execConfig is the per-query execution state ExecOptions mutate: the
@@ -41,12 +41,6 @@ type ExecOption func(*execConfig)
 // this query (0 = GOMAXPROCS, 1 = the paper's serial algorithm).
 func WithSortParallelism(n int) ExecOption {
 	return func(c *execConfig) { c.SortParallelism = n }
-}
-
-// WithSortSpillParallelism bounds concurrent spill jobs per enforcer for
-// this query (0 = inherit the sort parallelism, 1 = serial spilling).
-func WithSortSpillParallelism(n int) ExecOption {
-	return func(c *execConfig) { c.SortSpillParallelism = n }
 }
 
 // WithSortMemoryBlocks overrides the per-sort memory budget M (in disk
@@ -308,14 +302,13 @@ func (db *Database) Query(ctx context.Context, p *Plan, opts ...ExecOption) (*Cu
 		batch = types.DefaultChunkCapacity
 	}
 	op, err := core.Build(inner, core.BuildConfig{
-		Disk:                 db.disk,
-		SortMemoryBlocks:     buildBlocks,
-		SortBudget:           budget,
-		SortParallelism:      cfg.SortParallelism,
-		SortSpillParallelism: cfg.SortSpillParallelism,
-		SortAbort:            abort,
-		IOTap:                tap,
-		ExecBatchSize:        batch,
+		Disk:             db.disk,
+		SortMemoryBlocks: buildBlocks,
+		SortBudget:       budget,
+		SortParallelism:  cfg.SortParallelism,
+		SortAbort:        abort,
+		IOTap:            tap,
+		ExecBatchSize:    batch,
 	})
 	if err != nil {
 		return nil, err

@@ -322,19 +322,11 @@ func TestCursorExecOptionsOverridePerQuery(t *testing.T) {
 
 	base := drain()
 
-	// Spill regime: a tiny per-query memory budget forces spilling, and
-	// the spill-parallelism override decides which regime forms the runs.
-	serial := drain(WithSortMemoryBlocks(8), WithSortSpillParallelism(1))
-	if serial.Sorts[0].SpillRunsSerial == 0 || serial.Sorts[0].SpillRunsParallel != 0 {
-		t.Fatalf("spill-par 1 should form runs serially: %+v", serial.Sorts[0])
-	}
-	if serial.Sorts[0].RunsGenerated <= base.Sorts[0].RunsGenerated {
+	// A tiny per-query memory budget forces spilling.
+	spilled := drain(WithSortMemoryBlocks(8))
+	if spilled.Sorts[0].RunsGenerated <= base.Sorts[0].RunsGenerated {
 		t.Fatalf("an 8-block budget should form more runs than the configured one: %d vs %d",
-			serial.Sorts[0].RunsGenerated, base.Sorts[0].RunsGenerated)
-	}
-	parallel := drain(WithSortMemoryBlocks(8), WithSortParallelism(2), WithSortSpillParallelism(2))
-	if parallel.Sorts[0].SpillRunsParallel == 0 || parallel.Sorts[0].SpillRunsSerial != 0 {
-		t.Fatalf("spill-par 2 should form runs on workers: %+v", parallel.Sorts[0])
+			spilled.Sorts[0].RunsGenerated, base.Sorts[0].RunsGenerated)
 	}
 	// The overrides were those queries' alone.
 	if again := drain(); again.Sorts[0].RunsGenerated != base.Sorts[0].RunsGenerated {
@@ -408,7 +400,7 @@ func TestPerQueryIOAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := []ExecOption{WithSortMemoryBlocks(8), WithSortParallelism(1), WithSortSpillParallelism(1)}
+	opts := []ExecOption{WithSortMemoryBlocks(8), WithSortParallelism(1)}
 
 	drain := func() ExecStats {
 		t.Helper()

@@ -17,12 +17,6 @@ type BuildConfig struct {
 	// SortParallelism bounds concurrent MRS segment sorts per enforcer
 	// (0 = GOMAXPROCS, 1 = serial).
 	SortParallelism int
-	// SortSpillParallelism bounds concurrent spill jobs (run formation and
-	// run-reduction merges) per enforcer when a sort exceeds its memory
-	// budget (0 = inherit SortParallelism, 1 = the paper's serial spill
-	// path). Each enforcer spills into private storage arenas, so
-	// enforcers in one plan never contend on spill state.
-	SortSpillParallelism int
 	// SortAbort, when non-nil, is polled by the sort enforcers'
 	// long-running loops (input consumption, segment collection, spill
 	// merges); its first error aborts the enforcer, which surfaces it from
@@ -86,14 +80,13 @@ func build(p *Plan, cfg BuildConfig) (exec.Operator, error) {
 		children[i] = op
 	}
 	xcfg := xsort.Config{
-		Disk:             cfg.Disk,
-		MemoryBlocks:     cfg.SortMemoryBlocks,
-		Budget:           cfg.SortBudget,
-		Parallelism:      cfg.SortParallelism,
-		SpillParallelism: cfg.SortSpillParallelism,
-		Abort:            cfg.SortAbort,
-		Tap:              cfg.IOTap,
-		BatchSize:        cfg.ExecBatchSize,
+		Disk:         cfg.Disk,
+		MemoryBlocks: cfg.SortMemoryBlocks,
+		Budget:       cfg.SortBudget,
+		Parallelism:  cfg.SortParallelism,
+		Abort:        cfg.SortAbort,
+		Tap:          cfg.IOTap,
+		BatchSize:    cfg.ExecBatchSize,
 	}
 
 	switch p.Kind {

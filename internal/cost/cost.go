@@ -87,16 +87,6 @@ type Model struct {
 	HashWeight float64
 	// TupleWeight converts one per-tuple pipeline step into I/O units.
 	TupleWeight float64
-	// SpillParallelism is the spill-path concurrency the executor will run
-	// enforcers with (xsort.Config.SpillParallelism): above 1, an external
-	// sort forms runs on worker flush jobs and merges reduction groups
-	// concurrently, so the intermediate write-and-reread passes overlap
-	// and their effective cost shrinks by roughly that factor. 0 or 1
-	// prices the paper's serial spill path: coe(e, ε, o) = B·(2p + 1).
-	// Callers should set this from an explicitly configured parallelism
-	// only — never from GOMAXPROCS — or plan choice becomes a property of
-	// the optimizing machine.
-	SpillParallelism int
 	// KeyEncodeWeight converts one sort-key normalization into I/O units.
 	// A key is encoded once at input collection, and again every time its
 	// row is read back from a run: runs hold rows only, so each merge read
@@ -108,13 +98,12 @@ type Model struct {
 // blocks (40 MB) of sort memory.
 func DefaultModel() Model {
 	return Model{
-		PageSize:         4096,
-		MemoryBlocks:     10000,
-		CmpWeight:        1e-5,
-		HashWeight:       5e-5,
-		TupleWeight:      1e-5,
-		SpillParallelism: 1,
-		KeyEncodeWeight:  2e-5,
+		PageSize:        4096,
+		MemoryBlocks:    10000,
+		CmpWeight:       1e-5,
+		HashWeight:      5e-5,
+		TupleWeight:     1e-5,
+		KeyEncodeWeight: 2e-5,
 	}
 }
 
@@ -128,14 +117,11 @@ func (m Model) SortCPU(rows int64) float64 {
 
 // FullSort is coe(e, ε, o): the cost of sorting from scratch. The paper's
 // external formula B·(2p + 1) charges two block transfers per intermediate
-// pass plus the final read; with SpillParallelism S > 1 those passes run as
-// S concurrent group merges (and run formation overlaps them), so the pass
-// term is divided by S. The final pipelined merge is a single consumer-side
-// stream and stays whole.
+// pass plus the final read.
 //
 // The split: an in-memory sort blocks on its entire CPU cost (the buffer
 // must be full and sorted before the smallest key is known). An external
-// sort blocks on run formation and the intermediate passes (B·2p/S) but
+// sort blocks on run formation and the intermediate passes (B·2p) but
 // streams the final merge read (B) one block at a time.
 //
 // The spill term prices blocks per transfer plus KeyEncodeWeight per tuple
@@ -159,7 +145,7 @@ func (m Model) FullSort(rows, blocks int64) Cost {
 		passes = 1
 	}
 	spillBlocks, passCPU := m.spillShape(rows, blocks)
-	startup := passes * (spillBlocks*2/m.spillOverlap() + passCPU)
+	startup := passes * (spillBlocks*2 + passCPU)
 	return Cost{
 		Startup: startup,
 		Total:   startup + spillBlocks + passCPU, // final merge read
@@ -172,15 +158,6 @@ func (m Model) FullSort(rows, blocks int64) Cost {
 // row it reads back).
 func (m Model) spillShape(rows, blocks int64) (spillBlocks, passCPU float64) {
 	return float64(blocks), float64(rows) * m.KeyEncodeWeight
-}
-
-// spillOverlap is the factor concurrent spill jobs divide intermediate pass
-// costs by (never below the serial 1).
-func (m Model) spillOverlap() float64 {
-	if m.SpillParallelism > 1 {
-		return float64(m.SpillParallelism)
-	}
-	return 1
 }
 
 // BoundedSort is the cost of a sort whose consumer reads only the first keep
@@ -216,7 +193,7 @@ func (m Model) BoundedSort(rows, blocks, keep, keepBlocks int64) Cost {
 	for fanIn := float64(xsort.MergeFanIn(int(m.MemoryBlocks))); runs > fanIn; {
 		groups := math.Ceil(runs / fanIn)
 		pass := math.Min(spillBlocks, groups*keepSpill)
-		startup += 2*pass/m.spillOverlap() + math.Min(passCPU, groups*keepCPU)
+		startup += 2*pass + math.Min(passCPU, groups*keepCPU)
 		runs = groups
 	}
 	return Cost{

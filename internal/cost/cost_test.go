@@ -49,6 +49,15 @@ func TestFullSortExternalFormula(t *testing.T) {
 	if got := m.FullSort(b*10, b); got.Total != float64(b)*5 {
 		t.Fatalf("two-pass sort = %f, want %f", got.Total, float64(b)*5)
 	}
+	// In-memory sorts pay no spill term.
+	if got := m.FullSort(1000, 100); got != DefaultModel().FullSort(1000, 100) || got.Total != m.SortCPU(1000) {
+		t.Fatalf("in-memory sort = %+v, want cpu %f", got, m.SortCPU(1000))
+	}
+	// PartialSort prices its oversized segments through FullSort: two
+	// segments of 25000 blocks, each one pass, B·3 apiece.
+	if got := m.PartialSort(2_000_000, 50_000, 2, 1); got.Total != 2*75_000 || got.Total != 2*m.FullSort(1_000_000, 25_000).Total {
+		t.Fatalf("spilling partial sort = %f, want 2 × 75000", got.Total)
+	}
 }
 
 // TestFullSortFiniteAndMonotoneInMemory: more sort memory never prices a
@@ -211,73 +220,6 @@ func TestPrefixTopKSortFlip(t *testing.T) {
 	// And at k = N both degrade to their totals.
 	if full.Prefix(rows) != full.Total || partial.Prefix(rows) != partial.Total {
 		t.Fatal("Prefix(N) must equal Total")
-	}
-}
-
-func TestFullSortSpillParallelism(t *testing.T) {
-	serial := paperModel()
-	par := paperModel()
-	par.SpillParallelism = 4
-
-	// In-memory sorts are CPU-bound: spill pricing must not touch them.
-	if par.FullSort(1000, 100) != serial.FullSort(1000, 100) {
-		t.Fatal("spill parallelism must not reprice in-memory sorts")
-	}
-	// B = 50000, M = 10000, one pass: serial B·(2+1) = 150000; at S=4 the
-	// pass term overlaps 4-way: B·(2/4+1) = 75000.
-	if got := serial.FullSort(2_000_000, 50_000); got.Total != 150_000 {
-		t.Fatalf("serial external sort = %f, want 150000", got.Total)
-	}
-	if got := par.FullSort(2_000_000, 50_000); got.Total != 75_000 {
-		t.Fatalf("parallel external sort = %f, want 75000", got.Total)
-	}
-	// The final merge stays whole: cost never drops below one full read.
-	huge := paperModel()
-	huge.SpillParallelism = 1 << 20
-	if got := huge.FullSort(2_000_000, 50_000); got.Total < 50_000 {
-		t.Fatalf("cost %f fell below the final-merge read", got.Total)
-	}
-	// PartialSort prices its per-segment sorts through FullSort and must
-	// inherit the overlap.
-	if s, p := serial.PartialSort(2_000_000, 50_000, 2, 1), par.PartialSort(2_000_000, 50_000, 2, 1); p.Total >= s.Total {
-		t.Fatalf("spilling partial sort did not get cheaper: serial %f, parallel %f", s.Total, p.Total)
-	}
-	// A zero (unset) parallelism prices serially, like 1.
-	unset := paperModel()
-	unset.SpillParallelism = 0
-	if unset.FullSort(2_000_000, 50_000).Total != 150_000 {
-		t.Fatal("unset spill parallelism must price serially")
-	}
-}
-
-// TestSpillPricingFlipsPlanChoice is a PR 3 satellite's acceptance case: the
-// same two physical alternatives — a merge join fed by an external full
-// sort versus a hash join — flip winners when the model prices the spill
-// path as overlapped. Serially the sort's merge passes make the sort-based
-// plan lose; at SpillParallelism 4 the sort halves and wins.
-func TestSpillPricingFlipsPlanChoice(t *testing.T) {
-	rows, blocks := int64(2_000_000), int64(50_000)
-	sortPlan := func(m Model) float64 {
-		return m.FullSort(rows, blocks).Total + m.MergeJoinCPU(rows, rows)
-	}
-	hashPlan := func(m Model) float64 {
-		return m.HashJoinCost(rows, rows, 20_000, 20_000).Total
-	}
-
-	serial := paperModel()
-	if sortPlan(serial) <= hashPlan(serial) {
-		t.Fatalf("serial pricing: sort plan %f should lose to hash plan %f",
-			sortPlan(serial), hashPlan(serial))
-	}
-	par := paperModel()
-	par.SpillParallelism = 4
-	if sortPlan(par) >= hashPlan(par) {
-		t.Fatalf("parallel pricing: sort plan %f should beat hash plan %f — no flip",
-			sortPlan(par), hashPlan(par))
-	}
-	// The unaffected alternative's price must not have moved.
-	if hashPlan(par) != hashPlan(serial) {
-		t.Fatal("hash join cost must be independent of spill parallelism")
 	}
 }
 

@@ -10,9 +10,7 @@ import (
 // Construction is arena-aware: both implementations spill through private
 // storage.SpillArena namespaces (per sort for SRS, per oversized segment
 // for MRS) created from the Config's Disk, so multiple enforcers in one
-// plan — and multiple spill workers in one enforcer — never contend on
-// temp names or a ledger mutex, while the disk's IOStats totals remain
-// exactly what the serial algorithm would have charged.
+// plan never contend on temp names or a ledger mutex.
 type sorter interface {
 	Open() error
 	Next() (types.Tuple, bool, error)

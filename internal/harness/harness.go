@@ -31,9 +31,6 @@ type Scale struct {
 	// SortParallelism bounds concurrent MRS segment sorts per enforcer
 	// (0 = GOMAXPROCS, 1 = the paper's serial algorithm).
 	SortParallelism int
-	// SpillParallelism bounds concurrent spill jobs per enforcer
-	// (0 = inherit SortParallelism, 1 = serial spilling).
-	SpillParallelism int
 	// Limit is the Top-K row count for the limit-aware experiments
 	// (pyro-bench -limit; 0 = the default of 10). The two-phase cost model
 	// plans the Top-K extension experiment under this row budget.
@@ -144,10 +141,9 @@ func measure(disk *storage.Disk, op exec.Operator) (runStats, error) {
 // buildAndMeasure compiles a plan and executes it under scale's sort knobs.
 func buildAndMeasure(disk *storage.Disk, plan *core.Plan, sortBlocks int, scale Scale) (runStats, error) {
 	op, err := core.Build(plan, core.BuildConfig{
-		Disk:                 disk,
-		SortMemoryBlocks:     sortBlocks,
-		SortParallelism:      scale.SortParallelism,
-		SortSpillParallelism: scale.SpillParallelism,
+		Disk:             disk,
+		SortMemoryBlocks: sortBlocks,
+		SortParallelism:  scale.SortParallelism,
 	})
 	if err != nil {
 		return runStats{}, err
@@ -159,20 +155,12 @@ func ms(d time.Duration) string {
 	return fmt.Sprintf("%.1f", float64(d.Microseconds())/1000.0)
 }
 
-// sortRegime labels which execution regime a sort enforcer exercised —
-// pipelined in-memory, serial spilling, or worker-pool spilling — so
-// experiment tables distinguish measurements that silently serialized on
-// the spill path from ones that ran it concurrently.
+// sortRegime labels whether a sort enforcer stayed in memory or spilled.
 func sortRegime(s *exec.Sort) string {
-	st := s.SortStats()
-	switch {
-	case !s.Spilled():
-		return "in-memory"
-	case st.SpillRunsParallel > 0:
-		return "spill-par"
-	default:
-		return "spill-serial"
+	if s.Spilled() {
+		return "spilled"
 	}
+	return "in-memory"
 }
 
 // runShape renders a sort's spill structure as runs/passes/merged: runs
@@ -194,10 +182,9 @@ func sortedProjection(ix *catalog.Index, cols []string) (exec.Operator, error) {
 // mkSortConfig builds an xsort config on the disk under scale's sort knobs.
 func mkSortConfig(disk *storage.Disk, blocks int, scale Scale) xsort.Config {
 	return xsort.Config{
-		Disk:             disk,
-		MemoryBlocks:     blocks,
-		Parallelism:      scale.SortParallelism,
-		SpillParallelism: scale.SpillParallelism,
+		Disk:         disk,
+		MemoryBlocks: blocks,
+		Parallelism:  scale.SortParallelism,
 	}
 }
 

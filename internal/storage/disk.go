@@ -7,10 +7,10 @@
 //
 // The device is a thin sharded front-end: page I/O charges a lock-free
 // atomic ledger and never takes the device-wide mutex (which guards only
-// the file registry). Concurrent spill producers get per-worker SpillArenas
-// — isolated temp namespaces with their own atomic ledgers that merge back
-// into the global ledger on release — so parallel external sorting contends
-// on nothing.
+// the file registry). Spill producers — a sort, or one oversized segment of
+// one — get their own SpillArenas: isolated temp namespaces with their own
+// atomic ledgers that merge back into the global ledger on release, so
+// concurrent queries' external sorts contend on nothing.
 //
 // The default page size is 4 KiB, matching the paper's setup ("We assume a
 // disk block size of 4K bytes").

@@ -534,8 +534,7 @@ func TestConcurrentArenaWriters(t *testing.T) {
 }
 
 // TestConcurrentArenaSharedByWorkers exercises one arena shared by several
-// goroutines (MRS flush jobs of a single spilled segment do this): temp
-// creation must stay collision-free and the ledger exact.
+// goroutines: temp creation must stay collision-free and the ledger exact.
 func TestConcurrentArenaSharedByWorkers(t *testing.T) {
 	d := NewDisk(64)
 	a := d.NewArena()

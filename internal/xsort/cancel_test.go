@@ -3,7 +3,6 @@ package xsort
 import (
 	"errors"
 	"math/rand"
-	"sync/atomic"
 	"testing"
 
 	"pyro/internal/iter"
@@ -12,13 +11,13 @@ import (
 
 // abortAfter returns a poll that starts failing with errCanceled after n
 // invocations — a deterministic stand-in for a context cancelled
-// mid-query. The counter is atomic because spill workers share the poll.
+// mid-query. Only the consumer goroutine polls it.
 var errCanceled = errors.New("query canceled")
 
 func abortAfter(n int) func() error {
-	var polls atomic.Int64
+	polls := 0
 	return func() error {
-		if polls.Add(1) > int64(n) {
+		if polls++; polls > n {
 			return errCanceled
 		}
 		return nil
@@ -59,7 +58,6 @@ func TestMRSAbortInterruptsCollect(t *testing.T) {
 	rows := genRows(20_000, 2, rng) // two oversized segments
 	cfg, d := smallCfg(t, 4)
 	cfg.Parallelism = 1
-	cfg.SpillParallelism = 1
 	cfg.Abort = abortAfter(3)
 	m, err := NewMRS(iter.FromSlice(rows), sortSchema, sortord.New("c1", "c2"), sortord.New("c1"), cfg)
 	if err != nil {
@@ -93,15 +91,14 @@ func TestMRSAbortInterruptsCollect(t *testing.T) {
 	}
 }
 
-// TestMRSAbortWithParallelSpill: the abort poll is shared with spill
-// workers; an abort firing while flush jobs are in flight must still
-// surface and release cleanly (race-gated by `make race`).
+// TestMRSAbortWithParallelSpill: with the segment pool on, an abort firing
+// while oversized segments spill — the emitting one and the one read ahead —
+// must still surface and release cleanly (race-gated by `make race`).
 func TestMRSAbortWithParallelSpill(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	rows := genRows(20_000, 2, rng)
 	cfg, d := smallCfg(t, 4)
 	cfg.Parallelism = 2
-	cfg.SpillParallelism = 2
 	cfg.Abort = abortAfter(10)
 	m, err := NewMRS(iter.FromSlice(rows), sortSchema, sortord.New("c1", "c2"), sortord.New("c1"), cfg)
 	if err != nil {
@@ -150,7 +147,7 @@ func TestMRSLimitAbortReleasesEverything(t *testing.T) {
 			aborted := 0
 			for polls := 1; polls <= 40; polls += 3 {
 				cfg, d := smallCfg(t, 4)
-				cfg.Parallelism, cfg.SpillParallelism = par, par
+				cfg.Parallelism = par
 				cfg.Limit = tc.limit
 				cfg.Abort = abortAfter(polls)
 				m, err := NewMRS(iter.FromSlice(rows), sortSchema, sortord.New("c1", "c2"), sortord.New("c1"), cfg)

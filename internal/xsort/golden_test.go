@@ -106,9 +106,10 @@ var (
 // blocks) or SRS (shuffled input, 4 blocks) at parallelism par and checks
 // everything that must hold however run formation sorted its buffers: the
 // output checksum, the run/pass/merge structure, I/O that is all run I/O and
-// all payload pages, and no file left behind. The comparison count is a
-// comparison-path number and is checked only when comparisons is set (a sort
-// that radix-partitions spends that work in RadixPasses instead).
+// all payload pages, every MRS run formed on the consumer goroutine, and no
+// file left behind. The comparison count is a comparison-path number and is
+// checked only when comparisons is set (a sort that radix-partitions spends
+// that work in RadixPasses instead).
 func sortGolden(t *testing.T, mrs bool, par int, comparisons bool) *SortStats {
 	t.Helper()
 	d := storage.NewDisk(512)
@@ -124,7 +125,7 @@ func sortGolden(t *testing.T, mrs bool, par int, comparisons bool) *SortStats {
 			Config{Disk: d, MemoryBlocks: 8, Parallelism: par})
 	} else {
 		op, err = NewSRS(iter.FromSlice(goldenShuffled()), sortSchema, sortord.New("c1", "c2"),
-			Config{Disk: d, MemoryBlocks: 4, Parallelism: 1, SpillParallelism: par})
+			Config{Disk: d, MemoryBlocks: 4, Parallelism: par})
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -143,6 +144,9 @@ func sortGolden(t *testing.T, mrs bool, par int, comparisons bool) *SortStats {
 	if st.RunsGenerated != want.runs || st.MergePasses != want.passes || st.RunsMerged != want.merged {
 		t.Errorf("runs/passes/merged = %d/%d/%d, golden %d/%d/%d",
 			st.RunsGenerated, st.MergePasses, st.RunsMerged, want.runs, want.passes, want.merged)
+	}
+	if mrs && (st.SpillRunsSerial != st.RunsGenerated || st.SpillRunsParallel != 0) {
+		t.Errorf("spill runs serial/parallel = %d/%d, want all %d serial", st.SpillRunsSerial, st.SpillRunsParallel, st.RunsGenerated)
 	}
 	if st.FlatRunPages != 0 || st.MergeBucketSkips != 0 {
 		t.Errorf("FlatRunPages/MergeBucketSkips = %d/%d: runs are payload pages only", st.FlatRunPages, st.MergeBucketSkips)
@@ -163,29 +167,18 @@ func sortGolden(t *testing.T, mrs bool, par int, comparisons bool) *SortStats {
 // (TestGoldenRadixAgrees holds radix to the same output and structure).
 func TestGoldenSerialSpill(t *testing.T) {
 	pinFormation(t, false)
-	t.Run("mrs", func(t *testing.T) {
-		st := sortGolden(t, true, 1, true)
-		if st.SpillRunsSerial != goldenMRSRuns || st.SpillRunsParallel != 0 {
-			t.Errorf("spill regime = serial %d / parallel %d, want all %d serial",
-				st.SpillRunsSerial, st.SpillRunsParallel, goldenMRSRuns)
-		}
-	})
+	t.Run("mrs", func(t *testing.T) { sortGolden(t, true, 1, true) })
 	t.Run("srs", func(t *testing.T) { sortGolden(t, false, 1, true) })
 }
 
-// TestGoldenParallelSpillAgrees runs the identical workloads at several
-// parallelism levels and demands the exact golden output order, comparison
-// counts and I/O totals — parallel spilling must be a pure scheduling
-// change.
+// TestGoldenParallelSpillAgrees runs the MRS workload with the segment pool
+// on and demands the exact golden output order, comparison counts and I/O
+// totals: spilled segments form and merge their runs on the consumer
+// goroutine at every parallelism. (SRS has no pool.)
 func TestGoldenParallelSpillAgrees(t *testing.T) {
 	pinFormation(t, false)
 	for _, par := range []int{2, 4, 8} {
-		st := sortGolden(t, true, par, true)
-		if st.SpillRunsParallel != goldenMRSRuns || st.SpillRunsSerial != 0 {
-			t.Errorf("par=%d: spill regime = serial %d / parallel %d, want all %d parallel",
-				par, st.SpillRunsSerial, st.SpillRunsParallel, goldenMRSRuns)
-		}
-		sortGolden(t, false, par, true)
+		sortGolden(t, true, par, true)
 	}
 }
 
@@ -212,8 +205,8 @@ func TestGoldenRadixAgrees(t *testing.T) {
 }
 
 // TestGoldenFlatLayout is the golden matrix by operator and parallelism:
-// comparison-path counters, structure and I/O independent of Parallelism and
-// SpillParallelism, subtest by subtest (see spillArms for the leaf names).
+// comparison-path counters, structure and I/O independent of Parallelism,
+// subtest by subtest (see spillArms for the leaf names).
 func TestGoldenFlatLayout(t *testing.T) {
 	pinFormation(t, false)
 	for _, arm := range spillArms[:2] {

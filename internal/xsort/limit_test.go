@@ -87,7 +87,7 @@ func TestMRSLimitMatchesStablePrefix(t *testing.T) {
 						name := fmt.Sprintf("%s/k%d/m%d/p%d/%s", in.name, k, blocks, par, arm)
 						t.Run(name, func(t *testing.T) {
 							cfg, _ := smallCfg(t, blocks)
-							cfg.Parallelism, cfg.SpillParallelism = par, par
+							cfg.Parallelism = par
 							cfg.Limit = int64(k)
 							out, st := limitedMRS(t, in.rows, in.given, cfg)
 							checkLimited(t, out, in.rows, k)
@@ -116,7 +116,7 @@ func TestMRSLimitReadsOnlyCoveringSegments(t *testing.T) {
 		t.Run(fmt.Sprintf("par%d", par), func(t *testing.T) {
 			run := func(rows []types.Tuple) (SortStats, storage.IOStats, int) {
 				cfg, d := smallCfg(t, 16) // 16 blocks ≈ 64 rows: 2k rows do not fit, k rows do
-				cfg.Parallelism, cfg.SpillParallelism = par, par
+				cfg.Parallelism = par
 				cfg.Limit = k
 				in := &countingIter{inner: iter.FromSlice(rows)}
 				m, err := NewMRS(in, sortSchema, limitTarget, sortord.New("c1"), cfg)
@@ -191,7 +191,7 @@ func TestMRSLimitSpillsTruncatedRuns(t *testing.T) {
 			t.Run(fmt.Sprintf("par%d/%s", par, arm), func(t *testing.T) {
 				run := func(limit int64) (SortStats, storage.IOStats) {
 					cfg, d := smallCfg(t, 4) // ≈ 16 rows of memory, fan-in 3
-					cfg.Parallelism, cfg.SpillParallelism = par, par
+					cfg.Parallelism = par
 					cfg.Limit = limit
 					out, st := limitedMRS(t, rows, sortord.New("c1"), cfg)
 					if limit > 0 {
@@ -224,7 +224,7 @@ func TestMRSLimitUnderShrinkingBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(65))
 	rows := genRows(3000, 3, rng)
 	cfg, _ := smallCfg(t, 64)
-	cfg.Parallelism, cfg.SpillParallelism = 1, 1
+	cfg.Parallelism = 1
 	cfg.Limit = k
 	b := &countdownBudget{blocks: 64, after: 150, then: 8}
 	cfg.Budget = b
@@ -302,7 +302,6 @@ func FuzzMRSLimit(f *testing.F) {
 		}
 		cfg, _ := smallCfg(t, int(blocks))
 		cfg.Parallelism = 1 + int(seed&1)
-		cfg.SpillParallelism = cfg.Parallelism
 		cfg.Limit = int64(k)
 		out, _ := limitedMRS(t, rows, given, cfg)
 		checkLimited(t, out, rows, int(k))

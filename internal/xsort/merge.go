@@ -3,7 +3,6 @@ package xsort
 import (
 	"bytes"
 	"fmt"
-	"sync"
 
 	"pyro/internal/iter"
 	"pyro/internal/storage"
@@ -13,11 +12,10 @@ import (
 // after page, in sorted order. There is no second file and no per-run key
 // material: whoever reads a run back keys each row again from its bytes.
 
-// runWriter streams one sorted run into ns, the caller's spill arena (so
-// concurrent writers from different segments or workers never share a
-// namespace or a ledger mutex). Streaming matters: SRS's replacement selection
-// and merge outputs don't know a run's length up front. On error the caller
-// abandons the writer or releases the whole arena.
+// runWriter streams one sorted run into ns, the caller's spill arena.
+// Streaming matters: SRS's replacement selection and merge outputs don't know
+// a run's length up front. On error the caller abandons the writer or
+// releases the whole arena.
 type runWriter struct {
 	ns   storage.TempSpace
 	file *storage.File
@@ -167,25 +165,10 @@ func (m *runMerger) next() ([]byte, bool, error) {
 	return m.cursors[0].row, true, nil
 }
 
-// mergeTally is the work done by one group merge, tallied locally so
-// concurrent group merges can publish once and the caller can fold counts
-// in deterministic group order.
-type mergeTally struct {
-	comparisons int64
-	runs        int // input runs the merge consumed
-}
-
-func (t mergeTally) addTo(st *SortStats) {
-	st.Comparisons += t.comparisons
-	st.RunsMerged += t.runs
-}
-
 // mergeGroup merges a group of runs into one fresh run in ns, removing the
-// consumed inputs on success. The work tally is returned rather than
-// accumulated so concurrent group merges can tally locally and the caller
-// can fold counts in deterministic group order. abort (nil = never) is polled
-// per merged row at the guard stride; it may be shared with other concurrent
-// merges, so each call takes its own Guard.
+// consumed inputs on success, and counts its comparisons and the runs it
+// consumed into stats. cfg.Abort is polled per merged row at the guard
+// stride.
 //
 // keep bounds the output: a limit-bounded sort (Config.Limit) will never
 // read past the first keep rows of the merged order, so the merge stops
@@ -195,15 +178,15 @@ func (t mergeTally) addTo(st *SortStats) {
 // The merge moves bytes, not tuples: the winning row is copied from its input
 // page to the output page undecoded. A spilled row is decoded once — by the
 // final merge, as it is emitted — no matter how many passes rewrite its run.
-func mergeGroup(ns storage.TempSpace, prefix string, group []*storage.File, ky *keyer, keep int64, abort func() error) (*storage.File, mergeTally, error) {
-	guard := iter.NewGuard(abort)
-	tally := mergeTally{runs: len(group)}
-	w := newRunWriter(ns, prefix)
-	fail := func(err error) (*storage.File, mergeTally, error) {
+func mergeGroup(cfg Config, ns storage.TempSpace, group []*storage.File, ky *keyer, keep int64, stats *SortStats) (*storage.File, error) {
+	guard := iter.NewGuard(cfg.Abort)
+	stats.RunsMerged += len(group)
+	w := newRunWriter(ns, cfg.TempPrefix)
+	fail := func(err error) (*storage.File, error) {
 		w.abandon()
-		return nil, tally, err
+		return nil, err
 	}
-	m, err := newRunMerger(group, ky, &tally.comparisons)
+	m, err := newRunMerger(group, ky, &stats.Comparisons)
 	if err != nil {
 		return fail(err)
 	}
@@ -222,15 +205,14 @@ func mergeGroup(ns storage.TempSpace, prefix string, group []*storage.File, ky *
 			return fail(err)
 		}
 	}
-	merged, err := w.close()
+	merged, err := w.close() // on error close has removed the partial output
 	if err != nil {
-		// close already removed the partial output.
-		return nil, tally, err
+		return nil, err
 	}
 	for _, g := range group {
 		ns.Remove(g.Name())
 	}
-	return merged, tally, nil
+	return merged, nil
 }
 
 // reduceRuns merges runs until at most fanIn remain, so the final merge can
@@ -250,44 +232,14 @@ func reduceRuns(cfg Config, ns storage.TempSpace, runs []*storage.File, ky *keye
 // cannot take as they are — and increments stats.MergePasses; consumed run
 // files are removed from ns, untouched runs keep their place behind the
 // merged ones. Every merged output is cut at keep rows (see mergeGroup).
-//
-// With SpillParallelism > 1 the groups of the pass — mutually independent
-// by construction — merge concurrently on worker goroutines. The plan is the
-// serial pass's and each group's tally folds into stats in group order, so
-// comparison and I/O totals match the serial path exactly.
 func reducePass(cfg Config, ns storage.TempSpace, runs []*storage.File, ky *keyer, keep int64, stats *SortStats) ([]*storage.File, error) {
 	stats.MergePasses++
 	groups := reductionPass(len(runs), cfg.fanIn())
 	outs := make([]*storage.File, len(groups))
-	tallies := make([]mergeTally, len(groups))
-	errs := make([]error, len(groups))
-	merge := func(g int) {
-		in := runs[groups[g].lo:groups[g].hi]
-		outs[g], tallies[g], errs[g] = mergeGroup(ns, cfg.TempPrefix, in, ky, keep, cfg.Abort)
-	}
-	if par := cfg.spillParallelism(); par <= 1 {
-		for g := range groups {
-			merge(g)
-		}
-	} else {
-		sem := make(chan struct{}, par)
-		var wg sync.WaitGroup
-		for g := range groups {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				defer recoverWorker(&errs[g])
-				merge(g)
-			}(g)
-		}
-		wg.Wait()
-	}
-	for g := range groups {
-		tallies[g].addTo(stats)
-		if errs[g] != nil {
-			return nil, errs[g]
+	for g, grp := range groups {
+		var err error
+		if outs[g], err = mergeGroup(cfg, ns, runs[grp.lo:grp.hi], ky, keep, stats); err != nil {
+			return nil, err
 		}
 	}
 	return append(outs, runs[groups[len(groups)-1].hi:]...), nil
@@ -308,15 +260,9 @@ type runGroup struct{ lo, hi int }
 // what that takes: m = ⌈(n−F)/(F−1)⌉ groups, each removing width−1 runs —
 // the first k0 = (n−F) − (m−1)(F−1) + 1 wide to absorb the remainder, the
 // rest full F-way — so k0 + (m−1)F runs are rewritten and the others reach
-// the final merge as formed. The groups sit at the front because those runs
-// land first: MRS's pipelined harvest starts merging them while the tail of
-// the segment is still being formed. Beyond F² runs no single pass suffices;
-// the pass then merges everything F at a time (a trailing lone run passes
-// through) and the caller re-plans over the ⌈n/F⌉ survivors.
-//
-// Every reduction path — serial, parallel, and the pipelined harvest in MRS
-// — must plan through this function: one schedule is what keeps comparison
-// and I/O totals independent of parallelism (the golden tests' invariant).
+// the final merge as formed. Beyond F² runs no single pass suffices; the pass
+// then merges everything F at a time (a trailing lone run passes through) and
+// the caller re-plans over the ⌈n/F⌉ survivors.
 func reductionPass(n, fanIn int) []runGroup {
 	m, first := (n+fanIn-1)/fanIn, fanIn // full pass: everything, F at a time
 	if m <= fanIn {                      // n ≤ F²: one partial pass reaches F

@@ -41,20 +41,11 @@ import (
 // paper algorithm: segment i is fully emitted before segment i+1 is read
 // past its first tuple.
 //
-// Oversized (spilling) segments are concurrent too. Each spilled segment
-// owns a storage.SpillArena — an isolated temp namespace with a lock-free
-// I/O ledger — and with Config.SpillParallelism = S > 1 its run formation
-// moves off the consumer: every time a memory batch fills, the batch is
-// handed to a flush job that sorts it and writes the run into the arena
-// while the consumer keeps reading the segment (input consumption still
-// never leaves the consumer goroutine). At most S flush jobs are in flight,
-// bounding transient memory at S batches. When the segment reaches the head
-// of the emission queue, its first run-reduction pass overlaps the tail of
-// run formation: each planned group of runs merges (on worker goroutines,
-// planned exactly as the serial pass would be — reductionPass puts the
-// groups on the earliest runs) as soon as its member runs land. With S = 1
-// spilled segments sort, spill and merge inline on the consumer goroutine —
-// the paper's serial algorithm, unchanged.
+// Oversized (spilling) segments run the paper's serial algorithm on the
+// consumer goroutine at every P. Each owns a storage.SpillArena — an
+// isolated temp namespace with its own I/O ledger — into which every filled
+// memory batch is sorted and written as a run; when the segment reaches the
+// head of the emission queue its runs are reduced and merged there.
 //
 // Config.Limit bounds all of it by the rows a LIMIT on the sort will read
 // (§7 Top-K). owed is the bound minus the rows of the segments already
@@ -80,7 +71,6 @@ type MRS struct {
 	ky     *keyer // full-key keyer; segments bind per-segment skips
 	prefix int    // |given|
 	par    int    // resolved segment-sort parallelism
-	spar   int    // resolved spill parallelism
 	stats  SortStats
 
 	// Input state. pending is the lookahead row — the first of the next
@@ -104,7 +94,7 @@ type MRS struct {
 	segq []*segment
 	cur  *segment
 
-	liveBytes int64      // blocks held, in bytes, across all live segments and flush jobs
+	liveBytes int64      // blocks held, in bytes, across all live segments
 	pumpErr   error      // read-ahead failure, surfaced on the next Next call
 	guard     iter.Guard // strided Config.Abort poll (consumer goroutine only)
 
@@ -138,40 +128,11 @@ type segCollector struct {
 }
 
 // spillState is the spill side of one oversized segment: its private arena
-// and the runs formed into it. In serial mode (SpillParallelism 1) runs
-// holds files written inline; in parallel mode jobs holds the in-flight and
-// completed flush jobs, harvested in dispatch order by the consumer. ky is
-// the segment's skip-bound keyer, shared by formation sorts and reduction
-// merges.
+// and the runs formed into it, in formation order.
 type spillState struct {
-	arena  *storage.SpillArena
-	ky     *keyer
-	keep   int64           // the segment's row bound: runs and merges are cut there
-	runs   []*storage.File // serial-mode formation runs
-	jobs   []*flushJob     // parallel-mode formation jobs, dispatch order
-	reaped int             // jobs whose buffers the consumer has returned to the budget
+	arena *storage.SpillArena
+	runs  []*storage.File
 }
-
-// flushJob is one parallel run-formation unit: sort one memory batch of an
-// oversized segment and write it to the segment's arena. The job owns the
-// batch's store — the collector handed over the whole block list — and
-// returns its blocks when the run is written (or the attempt has failed);
-// memBytes, what the store held at dispatch, leaves the sort's accounting
-// when the consumer reaps the job. All fields other than store/memBytes are
-// written by the worker before close(done) and read by the consumer only
-// after <-done.
-type flushJob struct {
-	store    *rowStore
-	memBytes int64
-	done     chan struct{}
-	run      *storage.File
-	tally    sortTally
-	err      error
-}
-
-// inflight counts dispatched jobs whose completion the consumer has not yet
-// observed.
-func (sp *spillState) inflight() int { return len(sp.jobs) - sp.reaped }
 
 // segment is a collected segment queued for emission. In-memory segments
 // sorted on a worker publish their work tally through done; the consumer
@@ -234,7 +195,6 @@ func NewMRS(input iter.Iterator, schema *types.Schema, target, given sortord.Ord
 		ky:          &keyer{codec: codec, width: entryWidth(codec, prefix, cfg.Disk.PageSize())},
 		prefix:      prefix,
 		par:         cfg.parallelism(),
-		spar:        cfg.spillParallelism(),
 		out:         rowEmitter{ncols: schema.Len()},
 		guard:       iter.NewGuard(cfg.Abort),
 		passthrough: prefix == target.Len(),
@@ -387,7 +347,7 @@ func (m *MRS) emit() (types.Tuple, bool, error) {
 
 // adopt makes seg the current emission head: waits for an asynchronous sort
 // to finish (folding its work tally into the stats) or, for a spilled
-// segment, reduces and opens its run merge.
+// segment, reduces its runs and opens their merge.
 func (m *MRS) adopt(seg *segment) error {
 	if seg.done != nil {
 		<-seg.done
@@ -407,13 +367,10 @@ func (m *MRS) adopt(seg *segment) error {
 		adopted := false
 		defer func() {
 			if !adopted {
-				m.releaseSpill(seg.sp)
+				seg.sp.release()
 			}
 		}()
-		runs, err := m.segmentRuns(seg.sp)
-		if err == nil {
-			runs, err = reduceRuns(m.cfg, seg.sp.arena, runs, seg.ky, seg.keep, &m.stats)
-		}
+		runs, err := reduceRuns(m.cfg, seg.sp.arena, seg.sp.runs, seg.ky, seg.keep, &m.stats)
 		if err == nil {
 			seg.sp.runs = runs
 			seg.merging, err = newRunMerger(runs, seg.ky, &m.stats.Comparisons)
@@ -427,146 +384,13 @@ func (m *MRS) adopt(seg *segment) error {
 	return nil
 }
 
-// segmentRuns produces the full ordered run list of a spilled segment. In
-// serial mode the runs are already on disk. In parallel mode it performs
-// the pipelined harvest: when the segment holds more runs than the merge
-// fan-in, the first reduction pass is dispatched group by group as member
-// runs land, overlapping reduction with the tail of run formation — the
-// planned groups are the earliest runs, so a partial pass merges while the
-// runs it leaves alone are still being written; the remaining passes (rare)
-// fall to reduceRuns afterwards. Comparison counts fold in deterministic
-// order — formation jobs first (dispatch order), then merge groups (group
-// order) — so totals equal the serial path's.
-func (m *MRS) segmentRuns(sp *spillState) ([]*storage.File, error) {
-	if len(sp.jobs) == 0 {
-		return sp.runs, nil
-	}
-	var groups []runGroup
-	if fanIn := m.cfg.fanIn(); len(sp.jobs) > fanIn {
-		m.stats.MergePasses++
-		groups = reductionPass(len(sp.jobs), fanIn)
-	}
-
-	// Each planned group of formation jobs merges as soon as its members
-	// land, while later jobs may still be running.
-	type groupRes struct {
-		out   *storage.File
-		tally mergeTally
-		err   error
-		done  chan struct{}
-	}
-	results := make([]*groupRes, len(groups))
-	sem := make(chan struct{}, m.spar)
-	for g, grp := range groups {
-		res := &groupRes{done: make(chan struct{})}
-		results[g] = res
-		go func(jobs []*flushJob, res *groupRes) {
-			defer close(res.done)
-			defer recoverWorker(&res.err)
-			runs := make([]*storage.File, 0, len(jobs))
-			for _, j := range jobs {
-				<-j.done
-				if j.err != nil {
-					res.err = j.err
-					return
-				}
-				runs = append(runs, j.run)
-			}
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			res.out, res.tally, res.err = mergeGroup(sp.arena, m.cfg.TempPrefix, runs, sp.ky, sp.keep, m.cfg.Abort)
-		}(sp.jobs[grp.lo:grp.hi], res)
-	}
-
-	// Fold formation tallies in dispatch order, then group merges in
-	// group order; wait everything out even on error so the arena can be
-	// released without racing in-flight writers.
-	err := m.harvestJobs(sp)
-	runs := make([]*storage.File, 0, len(sp.jobs))
-	for _, res := range results {
-		<-res.done
-		res.tally.addTo(&m.stats)
-		if res.err != nil && err == nil {
-			err = res.err
-		}
-		runs = append(runs, res.out)
-	}
-	if err != nil {
-		return nil, err
-	}
-	// Jobs behind the last group reach the next stage unmerged.
-	passed := 0
-	if len(groups) > 0 {
-		passed = groups[len(groups)-1].hi
-	}
-	for _, j := range sp.jobs[passed:] {
-		runs = append(runs, j.run)
-	}
-	return runs, nil
-}
-
-// reapJob observes job i's completion (blocking until the worker is done)
-// and returns its buffer bytes to the memory budget exactly once — the
-// reaped index is the single guard for that invariant; every wait-and-reap
-// site goes through here.
-func (m *MRS) reapJob(sp *spillState, i int) *flushJob {
-	j := sp.jobs[i]
-	<-j.done
-	if i >= sp.reaped {
-		m.liveBytes -= j.memBytes
-		sp.reaped = i + 1
-	}
-	return j
-}
-
-// harvestJobs waits out every formation job in dispatch order, folding its
-// work tally and returning its buffer bytes to the memory budget.
-// The first job error is returned after all jobs have completed.
-func (m *MRS) harvestJobs(sp *spillState) error {
-	var firstErr error
-	for i := range sp.jobs {
-		j := m.reapJob(sp, i)
-		j.tally.addTo(&m.stats)
-		if j.err != nil && firstErr == nil {
-			firstErr = j.err
-		}
-	}
-	return firstErr
-}
-
-// reapDone returns the buffers of already-completed jobs (in dispatch
-// order, without blocking) to the memory budget, so read-ahead is gated on
-// actual buffered bytes rather than on batches a worker has already spilled.
-func (m *MRS) reapDone(sp *spillState) {
-	if sp == nil {
-		return
-	}
-	for sp.reaped < len(sp.jobs) {
-		select {
-		case <-sp.jobs[sp.reaped].done:
-			m.reapJob(sp, sp.reaped)
-		default:
-			return
-		}
-	}
-}
-
-// releaseSpill waits out any in-flight spill work and releases the
-// segment's arena, dropping its files and merging its I/O ledger into the
-// disk's. Waiting first is what makes release safe: an arena must not
-// disappear under a worker still writing runs into it.
-func (m *MRS) releaseSpill(sp *spillState) {
-	if sp == nil {
-		return
-	}
-	for i := range sp.jobs {
-		m.reapJob(sp, i)
-	}
-	if sp.arena != nil {
+// release drops the segment's arena, and with it every run file formed or
+// merged into it, folding the arena's I/O ledger into the disk's.
+func (sp *spillState) release() {
+	if sp != nil && sp.arena != nil {
 		sp.arena.Release()
-		sp.arena = nil
+		sp.arena, sp.runs = nil, nil
 	}
-	sp.runs = nil
 }
 
 // release drops a segment — exhausted, abandoned or failed: its blocks go
@@ -580,7 +404,7 @@ func (m *MRS) release(seg *segment) {
 		m.spare = seg.store // segments come and go; their bookkeeping need not
 	}
 	seg.store, seg.order = nil, nil
-	m.releaseSpill(seg.sp)
+	seg.sp.release()
 	seg.sp = nil
 }
 
@@ -612,16 +436,6 @@ func (m *MRS) resized(st *rowStore, before int64) {
 func (m *MRS) pump() error {
 	if m.par <= 1 || !m.havePending || len(m.segq) >= m.par {
 		return nil
-	}
-	// Buffers that spill workers have already written out no longer hold
-	// memory; reap them — for the collecting segment and for queued spilled
-	// segments awaiting adoption — before consulting the budget gate, or
-	// phantom bytes would throttle read-ahead until the next adopt.
-	for _, seg := range m.segq {
-		m.reapDone(seg.sp)
-	}
-	if m.col != nil {
-		m.reapDone(m.col.sp)
 	}
 	if m.liveBytes >= m.cfg.memoryBytes() {
 		return nil
@@ -700,51 +514,23 @@ func (m *MRS) collect(limit int) (*segment, error) {
 	}
 }
 
-// flush turns the collector's buffered tuples into one run of the
-// (oversized) segment, written into the segment's spill arena. With
-// SpillParallelism 1 the batch is sorted and written inline on the consumer
-// goroutine (the paper's serial algorithm); otherwise the batch is handed
-// to a flush job on the worker pool and the consumer keeps reading, with at
-// most SpillParallelism jobs in flight.
+// flush sorts the collector's buffered tuples and writes them as one run of
+// the (oversized) segment into the segment's spill arena, on the consumer
+// goroutine, then gives the store's blocks back; the collector goes on
+// buffering into the emptied store.
 func (m *MRS) flush(c *segCollector) error {
 	if c.sp == nil {
-		c.sp = &spillState{arena: m.cfg.Disk.NewArenaTapped(m.cfg.Tap), ky: c.ky, keep: c.keep}
+		c.sp = &spillState{arena: m.cfg.Disk.NewArenaTapped(m.cfg.Tap)}
 	}
-	if m.spar <= 1 {
-		run, tally, err := formRun(c.sp.arena, m.cfg.TempPrefix, c.store, c.ky, c.keep)
-		tally.addTo(&m.stats)
-		if err != nil {
-			return err
-		}
-		c.sp.runs = append(c.sp.runs, run)
-		m.stats.RunsGenerated++
-		m.stats.SpillRunsSerial++
-		m.dropStore(c.store)
-		return nil
+	run, tally, err := formRun(c.sp.arena, m.cfg.TempPrefix, c.store, c.ky, c.keep)
+	tally.addTo(&m.stats)
+	if err != nil {
+		return err
 	}
-
-	// Backpressure: with SpillParallelism jobs already in flight, wait for
-	// the oldest before dispatching another, bounding transient memory at
-	// SpillParallelism batches.
-	m.reapDone(c.sp)
-	for c.sp.inflight() >= m.spar {
-		m.reapJob(c.sp, c.sp.reaped)
-	}
-	// The job takes the whole block list; its bytes stay in liveBytes until
-	// the job completes and is reaped. The collector goes on with a fresh
-	// store.
-	job := &flushJob{store: c.store, memBytes: c.store.bytes(), done: make(chan struct{})}
-	c.store = newRowStore(m.cfg.Disk, m.ky.width, m.cfg.Limit > 0)
-	c.sp.jobs = append(c.sp.jobs, job)
+	c.sp.runs = append(c.sp.runs, run)
 	m.stats.RunsGenerated++
-	m.stats.SpillRunsParallel++
-	arena, prefix, ky, keep := c.sp.arena, m.cfg.TempPrefix, c.ky, c.keep
-	go func() {
-		defer close(job.done)
-		defer recoverWorker(&job.err)
-		defer job.store.release() // the batch is on disk, or the attempt is over
-		job.run, job.tally, job.err = formRun(arena, prefix, job.store, ky, keep)
-	}()
+	m.stats.SpillRunsSerial++
+	m.dropStore(c.store)
 	return nil
 }
 
@@ -764,7 +550,7 @@ func (m *MRS) finish(c *segCollector) (*segment, error) {
 		}
 		m.dropStore(c.store) // empty, or unwritten after a failed flush
 		if err != nil {
-			m.releaseSpill(c.sp)
+			c.sp.release()
 			return nil, err
 		}
 		return &segment{spilled: true, sp: c.sp, ky: c.ky, keep: c.keep}, nil
@@ -875,8 +661,8 @@ func (m *MRS) advance() error {
 
 // Close gives back everything the sort still holds — the blocks and spill
 // arenas of the emitting segment, of queued segments and of a partially
-// collected one — waiting out in-flight segment sorts and flush jobs first,
-// and closes the input.
+// collected one — waiting out in-flight segment sorts first, and closes the
+// input.
 func (m *MRS) Close() error {
 	if m.closed {
 		return nil
@@ -892,7 +678,7 @@ func (m *MRS) Close() error {
 	m.segq = nil
 	if m.col != nil {
 		m.dropStore(m.col.store)
-		m.releaseSpill(m.col.sp)
+		m.col.sp.release()
 		m.col = nil
 	}
 	if m.src != nil {

@@ -66,16 +66,15 @@ func TestMRSParallelMatchesSerial(t *testing.T) {
 			if serialStats.RunsGenerated != parStats.RunsGenerated || serialStats.MergePasses != parStats.MergePasses {
 				t.Fatalf("run structure diverges: serial %+v, parallel %+v", serialStats, parStats)
 			}
-			// Parallel spilling must charge exactly the serial path's I/O.
+			// The pool must charge exactly the serial path's I/O.
 			if serialIO != parIO {
 				t.Fatalf("IOStats diverge: serial %+v, parallel %+v", serialIO, parIO)
 			}
-			// Regime counters: every spill run is serial at P=1, parallel at P>1.
-			if serialStats.SpillRunsParallel != 0 || serialStats.SpillRunsSerial != serialStats.RunsGenerated {
-				t.Fatalf("serial spill regime miscounted: %+v", serialStats)
-			}
-			if parStats.SpillRunsSerial != 0 || parStats.SpillRunsParallel != parStats.RunsGenerated {
-				t.Fatalf("parallel spill regime miscounted: %+v", parStats)
+			// Every spill run is formed on the consumer goroutine, at any P.
+			for _, st := range []*SortStats{serialStats, parStats} {
+				if st.SpillRunsParallel != 0 || st.SpillRunsSerial != st.RunsGenerated {
+					t.Fatalf("spill runs not all serial: %+v", st)
+				}
 			}
 		})
 	}
@@ -248,8 +247,7 @@ func TestSortsOnNullTypedKeyColumn(t *testing.T) {
 }
 
 // TestMRSParallelismValidation: negative parallelism is rejected; 0 resolves
-// to GOMAXPROCS; spill parallelism inherits the resolved segment
-// parallelism unless set explicitly.
+// to GOMAXPROCS.
 func TestMRSParallelismValidation(t *testing.T) {
 	cfg, _ := smallCfg(t, 4)
 	cfg.Parallelism = -1
@@ -257,53 +255,7 @@ func TestMRSParallelismValidation(t *testing.T) {
 		t.Fatal("negative parallelism should error")
 	}
 	cfg.Parallelism = 0
-	cfg.SpillParallelism = -1
-	if _, err := NewMRS(iter.FromSlice(nil), sortSchema, sortord.New("c1"), sortord.Empty, cfg); err == nil {
-		t.Fatal("negative spill parallelism should error")
-	}
-	if _, err := NewSRS(iter.FromSlice(nil), sortSchema, sortord.New("c1"), cfg); err == nil {
-		t.Fatal("negative spill parallelism should error for SRS too")
-	}
-	cfg.SpillParallelism = 0
 	if cfg.parallelism() < 1 {
 		t.Fatalf("default parallelism resolved to %d", cfg.parallelism())
-	}
-	if cfg.spillParallelism() != cfg.parallelism() {
-		t.Fatalf("spill parallelism %d should inherit parallelism %d",
-			cfg.spillParallelism(), cfg.parallelism())
-	}
-	cfg.SpillParallelism = 3
-	if cfg.spillParallelism() != 3 {
-		t.Fatalf("explicit spill parallelism ignored: %d", cfg.spillParallelism())
-	}
-}
-
-// TestMRSSpillParallelismOverride: SpillParallelism=1 pins the spill path
-// to the consumer goroutine even when segment sorts run on the pool — the
-// regime counters must show it, and output/stats must still match.
-func TestMRSSpillParallelismOverride(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	rows := genRows(6000, 3, rng)
-	cfg, d := smallCfg(t, 8)
-	cfg.Parallelism = 4
-	cfg.SpillParallelism = 1
-	m, err := NewMRS(iter.FromSlice(rows), sortSchema, sortord.New("c1", "c2"), sortord.New("c1"), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := iter.Drain(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	isSorted(t, out, sortord.New("c1", "c2"))
-	st := m.Stats()
-	if st.SpilledSegs == 0 {
-		t.Fatal("workload must spill for this test to mean anything")
-	}
-	if st.SpillRunsParallel != 0 || st.SpillRunsSerial != st.RunsGenerated {
-		t.Fatalf("SpillParallelism=1 must keep spilling serial: %+v", st)
-	}
-	if names := d.FileNames(); len(names) != 0 {
-		t.Fatalf("leaked run files %v", names)
 	}
 }

@@ -149,7 +149,7 @@ func TestReductionScheduleKeepsOutputBytes(t *testing.T) {
 			cfg, d := smallCfg(t, blocks)
 			cfg.Budget = fixedBudget(3)
 			cfg.Limit = limit // SRS ignores it
-			cfg.Parallelism, cfg.SpillParallelism = par, par
+			cfg.Parallelism = par
 			var op interface {
 				iter.Iterator
 				Stats() *SortStats
@@ -167,9 +167,7 @@ func TestReductionScheduleKeepsOutputBytes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st := *op.Stats()
-			st.PeakMemBytes = 0 // schedule-dependent under parallel spill
-			return rows, scheduleResult{encodeAll(rows), st, d.Stats()}
+			return rows, scheduleResult{encodeAll(rows), *op.Stats(), d.Stats()}
 		}
 
 		for _, mrs := range []bool{false, true} {
@@ -233,16 +231,15 @@ func TestReductionScheduleKeepsOutputBytes(t *testing.T) {
 	}
 }
 
-// sameAsSerial holds a run at spill parallelism par to the serial run of the
-// same configuration — stats, I/O and output bytes — remembering the serial
-// one when it comes by.
+// sameAsSerial holds a run at parallelism par to the serial run of the same
+// configuration — stats, I/O and output bytes — remembering the serial one
+// when it comes by.
 func sameAsSerial(t *testing.T, at string, par int, serial *scheduleResult, got scheduleResult) {
 	t.Helper()
 	if par == 1 {
 		*serial = got
 		return
 	}
-	got.stats.SpillRunsSerial, got.stats.SpillRunsParallel = serial.stats.SpillRunsSerial, serial.stats.SpillRunsParallel
 	if got.stats != serial.stats || got.io != serial.io || !bytes.Equal(got.out, serial.out) {
 		t.Errorf("%s: diverges from the serial run\n stats %+v io %+v\nserial %+v io %+v", at, got.stats, got.io, serial.stats, serial.io)
 	}
@@ -255,7 +252,7 @@ func sameAsSerial(t *testing.T, at string, par int, serial *scheduleResult, got 
 func TestRunsArePayloadFiles(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	cfg, d := smallCfg(t, 4) // fan-in 3
-	cfg.SpillParallelism, cfg.TempPrefix = 2, "t"
+	cfg.TempPrefix = "t"
 	arena := d.NewArena()
 	defer arena.Release()
 	target := sortord.New("c2", "c1")

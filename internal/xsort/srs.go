@@ -18,11 +18,10 @@ import (
 //
 // Each input tuple's sort key is normalized once on entry; every heap
 // comparison is then a byte-string compare, and a merge keys the rows it reads
-// back from their bytes. Run formation is inherently sequential (one
-// replacement-selection heap), but the run-reduction passes merge independent
-// groups concurrently when SpillParallelism > 1. All spill files live in one
-// SpillArena, whose release on Close (or error) both cleans them up and folds
-// their I/O into the disk's global ledger.
+// back from their bytes. Run formation (one replacement-selection heap),
+// reduction and the final merge all run on the consumer goroutine. All spill
+// files live in one SpillArena, whose release on Close (or error) both cleans
+// them up and folds their I/O into the disk's global ledger.
 //
 // The phase-1 fill is sorted like any other buffer (radixEligible): when radix
 // pays, the initial memory load is byte-bucket sorted and seeds the heap as a
@@ -246,8 +245,7 @@ func (s *SRS) open() error {
 	}
 	s.store.release()
 
-	// Phase 3: reduce runs to fan-in and set up the final merge. Groups
-	// within a pass merge concurrently under SpillParallelism.
+	// Phase 3: reduce runs to fan-in and set up the final merge.
 	runs, err := reduceRuns(s.cfg, s.arena, s.runs, s.ky, noLimit, &s.stats)
 	if err != nil {
 		return err

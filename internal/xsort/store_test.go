@@ -291,7 +291,7 @@ func checkSortCase(t *testing.T, c sortCase) {
 
 	d := storage.NewDisk(512)
 	defer storage.AssertNoLeaks(t, d)
-	cfg := Config{Disk: d, MemoryBlocks: c.blocks, Parallelism: c.par, SpillParallelism: c.par, BatchSize: c.batch}
+	cfg := Config{Disk: d, MemoryBlocks: c.blocks, Parallelism: c.par, BatchSize: c.batch}
 	var in iter.Iterator = iter.FromSlice(rows)
 	if c.batch > 1 {
 		in = &chunkedRows{rows: rows, encoded: c.encoded}
@@ -359,8 +359,8 @@ func encodedMultiset(rows []types.Tuple) map[string]int {
 }
 
 // TestStoreBackedSortsMatchStableSort is the seeded property: SRS, MRS in
-// memory, MRS spilled and the bounded collector, at Parallelism and
-// SpillParallelism 1/2/4 × batch 1/64/1024, rows arriving as tuples, as
+// memory, MRS spilled and the bounded collector, at Parallelism 1/2/4 ×
+// batch 1/64/1024, rows arriving as tuples, as
 // decoded chunks and as encoded spans.
 func TestStoreBackedSortsMatchStableSort(t *testing.T) {
 	r := rand.New(rand.NewSource(222))
@@ -485,7 +485,7 @@ func TestShrinkMidSegmentReleasesBlocks(t *testing.T) {
 		}
 	}
 	var err error
-	m, err = NewMRS(in, sortSchema, target, given, Config{Disk: d, MemoryBlocks: 64, Budget: b, Parallelism: 1, SpillParallelism: 1})
+	m, err = NewMRS(in, sortSchema, target, given, Config{Disk: d, MemoryBlocks: 64, Budget: b, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

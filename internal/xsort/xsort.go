@@ -63,21 +63,17 @@
 // replacement-selection heap promises them no order.
 //
 // MRS additionally sorts independent in-memory segments on a bounded worker
-// pool (Config.Parallelism); see mrs.go for the pipelining contract. The
-// spill path is concurrent too (Config.SpillParallelism): an oversized MRS
-// segment's memory batches are sorted and written as runs by worker
-// goroutines, each into a per-segment storage.SpillArena, and run reduction
-// overlaps run formation; SRS parallelizes its run-reduction merge passes
-// the same way. With SpillParallelism 1 both operators run the paper's
-// serial algorithm bit for bit.
+// pool (Config.Parallelism); see mrs.go for the pipelining contract. Spilling
+// is serial, as in the paper: either operator forms, reduces and merges its
+// runs on the consumer goroutine, into a storage.SpillArena per spilled sort
+// or segment.
 //
 // Both operators charge every run-file page transfer to the disk's IOStats
-// (attributed to KindRun, accumulated lock-free in per-arena ledgers that
-// merge into the global ledger) and count key comparisons in SortStats.
-// Comparison and I/O totals are identical at every parallelism level: the
-// same batches form the same runs, the same groups merge in the same pass
-// structure, and per-job counts fold into SortStats in deterministic order
-// on the consumer goroutine.
+// (attributed to KindRun, accumulated in per-arena ledgers that merge into
+// the global ledger) and count key comparisons in SortStats. Every counter,
+// PeakMemBytes aside, is identical at every parallelism level: the pool
+// changes when an in-memory segment is sorted, never how, and each worker's
+// tally folds into SortStats on the consumer goroutine in segment order.
 package xsort
 
 import (
@@ -85,10 +81,7 @@ import (
 	"math"
 	"runtime"
 
-	"pyro/internal/iter"
-	"pyro/internal/sortord"
 	"pyro/internal/storage"
-	"pyro/internal/types"
 )
 
 // SortStats records the work done by one sort operator instance.
@@ -127,14 +120,11 @@ type SortStats struct {
 	// identical at every parallelism.
 	RunsMerged int
 
-	// SpillRunsSerial and SpillRunsParallel split MRS spill-run formation
-	// by regime: runs sorted and written inline on the consumer goroutine
-	// (SpillParallelism 1, the paper's serial algorithm) versus runs formed
-	// by worker-pool flush jobs into per-segment spill arenas. Before the
-	// spill subsystem went concurrent, an oversized segment silently
-	// serialized the whole pipeline even with Parallelism > 1; benchmarks
-	// read these counters to tell the two regimes apart instead of
-	// guessing from wall-clock shape.
+	// SpillRunsSerial counts the runs MRS formed on the consumer goroutine:
+	// all of them, so it equals an MRS's RunsGenerated. SpillRunsParallel is
+	// always 0: it counted runs formed by spill workers, which are gone. Both
+	// are read by cmd/pyro-perf and leave with its probes, like
+	// MergeBucketSkips.
 	SpillRunsSerial   int
 	SpillRunsParallel int
 }
@@ -143,9 +133,8 @@ type SortStats struct {
 // it at every buffering decision (per tuple collected, per fill-loop
 // iteration), so an external governor can shrink a running sort's memory
 // mid-query and the sort starts spilling at the new bound from its next
-// tuple on. Implementations must be safe for concurrent use — a sort's
-// spill workers and the governor read and write it from different
-// goroutines.
+// tuple on. Implementations must be safe for concurrent use: the governor
+// changes it from another goroutine while the sort reads it.
 type Budget interface {
 	// Blocks returns the current allowance in disk blocks.
 	Blocks() int
@@ -184,7 +173,7 @@ type Config struct {
 	// its spill state on Close as usual. This is how streaming execution
 	// threads context cancellation into a sort that would otherwise block
 	// for its whole input; nil means the sort only stops at EOF or error.
-	// Must be safe for concurrent use — spill workers poll it too.
+	// Only the consumer goroutine polls it.
 	Abort func() error
 	// Tap, when non-nil, observes every spill-file block transfer this sort
 	// causes (run formation, reduction merges, final merge reads) in
@@ -202,18 +191,6 @@ type Config struct {
 	// every batch size. 0 or 1 means row-at-a-time collection (the legacy
 	// path, exactly).
 	BatchSize int
-	// SpillParallelism bounds each stage of spill work independently: at
-	// most this many run-forming sorts of an oversized segment's memory
-	// batches in flight, and at most this many run-reduction group merges
-	// at once (during the pipelined harvest the two stages overlap, so up
-	// to twice this many spill goroutines can briefly coexist). 0 inherits
-	// the resolved Parallelism; 1 keeps the entire spill path on the
-	// consumer goroutine (the paper's serial algorithm, and the pre-arena
-	// behaviour). Values above 1 let each worker form runs into its own
-	// spill arena, multiplying transient sort memory by up to the same
-	// factor (each in-flight flush owns one MemoryBlocks-sized store until
-	// its run is written).
-	SpillParallelism int
 	// Limit, when positive, is a hard bound on the rows the consumer will
 	// ever read — a LIMIT k sitting on the sort, never a row-target hint: MRS
 	// emits at most Limit rows and does only the work those rows need. Each
@@ -276,13 +253,6 @@ func (c Config) parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-func (c Config) spillParallelism() int {
-	if c.SpillParallelism > 0 {
-		return c.SpillParallelism
-	}
-	return c.parallelism()
-}
-
 // validate checks configuration invariants shared by SRS and MRS.
 func (c Config) validate() error {
 	if c.Disk == nil {
@@ -294,9 +264,6 @@ func (c Config) validate() error {
 	if c.Parallelism < 0 {
 		return fmt.Errorf("xsort: Parallelism must be non-negative, got %d", c.Parallelism)
 	}
-	if c.SpillParallelism < 0 {
-		return fmt.Errorf("xsort: SpillParallelism must be non-negative, got %d", c.SpillParallelism)
-	}
 	if c.BatchSize < 0 {
 		return fmt.Errorf("xsort: BatchSize must be non-negative, got %d", c.BatchSize)
 	}
@@ -306,12 +273,11 @@ func (c Config) validate() error {
 	return nil
 }
 
-// recoverWorker converts a panic on a sort worker goroutine into an error at
-// *dst. Worker pools run run formation, segment sorts and group merges off
-// the consumer goroutine, where an unrecovered panic — a bug, or an injected
-// panic fault — would kill the process before any cursor boundary could
-// contain it; with this deferred on every worker it instead propagates as
-// the sort's first error through the normal abort plumbing.
+// recoverWorker converts a panic on a segment-sort worker goroutine into an
+// error at *dst. Off the consumer goroutine an unrecovered panic — a bug, or
+// an injected panic fault — would kill the process before any cursor boundary
+// could contain it; with this deferred on every worker it instead propagates
+// as the sort's first error through the normal abort plumbing.
 func recoverWorker(dst *error) {
 	if r := recover(); r != nil {
 		// Keep the chain when the panic value is an error, so sentinels
@@ -323,18 +289,4 @@ func recoverWorker(dst *error) {
 			*dst = fmt.Errorf("xsort: worker panic: %v", r)
 		}
 	}
-}
-
-// NewSorted is a convenience that fully sorts the input under order o and
-// returns the result (test/tool helper; not used on query paths).
-func NewSorted(input iter.Iterator, schema *types.Schema, o sortord.Order, cfg Config) ([]types.Tuple, *SortStats, error) {
-	s, err := NewSRS(input, schema, o, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	out, err := iter.Drain(s)
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, s.Stats(), nil
 }

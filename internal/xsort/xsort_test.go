@@ -472,6 +472,20 @@ func TestMRSRunCleanupOnClose(t *testing.T) {
 	}
 }
 
+// NewSorted fully sorts the input under order o with SRS and returns the
+// result.
+func NewSorted(input iter.Iterator, schema *types.Schema, o sortord.Order, cfg Config) ([]types.Tuple, *SortStats, error) {
+	s, err := NewSRS(input, schema, o, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	out, err := iter.Drain(s)
+	if err != nil {
+		return nil, nil, err
+	}
+	return out, s.Stats(), nil
+}
+
 func TestNewSortedHelper(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	rows := shuffled(genRows(300, 5, rng), rng)

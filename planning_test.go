@@ -189,7 +189,7 @@ func TestWithRowTargetReplansWithoutTruncating(t *testing.T) {
 func TestPushedDownLimitMatchesEarlyClose(t *testing.T) {
 	db := segmentedDB(t, 50_000, 500) // 100 segments
 	const k = 10
-	serial := []ExecOption{WithSortParallelism(1), WithSortSpillParallelism(1)}
+	serial := []ExecOption{WithSortParallelism(1)}
 
 	// Arm 1: unlimited plan, consumer pulls k rows and closes.
 	unlimited, err := db.Optimize(db.Scan("big").OrderBy("g", "v"))

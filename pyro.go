@@ -86,26 +86,12 @@ type Config struct {
 	// SortMemoryBlocks is M, the sort memory budget in blocks (default
 	// 10000 blocks = 40 MB at the default page size, as in the paper).
 	SortMemoryBlocks int
-	// SortParallelism bounds how many partial-sort segments an MRS
-	// enforcer sorts concurrently (0 = GOMAXPROCS, 1 = serial).
+	// SortParallelism bounds how many in-memory partial-sort segments an
+	// MRS enforcer sorts concurrently (0 = GOMAXPROCS, 1 = serial). Spilling
+	// is serial at every setting, and the optimizer never reads it: results,
+	// I/O, plan choice and every sort counter but PeakMemBytes (read-ahead
+	// holds more segments) are the same at every value.
 	SortParallelism int
-	// SortSpillParallelism bounds how many spill jobs — run-forming sorts
-	// of an oversized sort's memory batches and run-reduction merges — run
-	// concurrently per enforcer (0 = inherit SortParallelism, 1 = the
-	// paper's serial spill algorithm). Spill files live in per-sort
-	// storage arenas with lock-free I/O accounting, so I/O totals are
-	// identical at every parallelism level.
-	//
-	// The optimizer's cost model also reads this knob: an explicitly
-	// configured spill parallelism above 1 — this field, or an explicit
-	// SortParallelism it would inherit at execution time — prices
-	// external-sort merge passes as overlapped
-	// (cost.Model.SpillParallelism), which can legitimately flip plan
-	// choice toward sort-based operators on multi-core targets. With both
-	// fields 0 the executor inherits GOMAXPROCS but pricing stays serial,
-	// deliberately: plan choice must never depend on the machine the
-	// optimizer happens to run on.
-	SortSpillParallelism int
 
 	// GlobalSortMemoryBlocks is the database-wide sort-memory pool, in
 	// blocks, shared by all concurrently executing queries through the
@@ -403,17 +389,6 @@ func (db *Database) Optimize(q *Query, opts ...OptimizeOption) (*Plan, error) {
 		if expect := db.gov.ExpectedGrant(db.cfg.SortMemoryBlocks); expect > 0 {
 			options.Model.MemoryBlocks = int64(expect)
 		}
-	}
-	// Price the spill parallelism execution will actually use, but only
-	// when it is explicitly configured: SortSpillParallelism, or the
-	// SortParallelism it inherits from when unset. 0 means GOMAXPROCS at
-	// execution time and stays serially priced (see Config).
-	spillPar := db.cfg.SortSpillParallelism
-	if spillPar == 0 {
-		spillPar = db.cfg.SortParallelism
-	}
-	if spillPar > 1 {
-		options.Model.SpillParallelism = spillPar
 	}
 	inner, stats, err := db.optimize(q.node, options)
 	if err != nil {

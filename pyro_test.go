@@ -316,67 +316,11 @@ func TestExprBuilders(t *testing.T) {
 	}
 }
 
-// TestSpillParallelismEndToEnd drives the public API through a spilling
-// ORDER BY at serial and parallel spill settings: identical rows in
-// identical order, identical I/O totals — the whole-stack version of the
-// xsort golden tests.
-func TestSpillParallelismEndToEnd(t *testing.T) {
-	run := func(spillPar int) (*resultRows, IOStats) {
-		db := Open(Config{
-			SortMemoryBlocks:     2, // force the sort to spill
-			SortParallelism:      4,
-			SortSpillParallelism: spillPar,
-		})
-		var rows [][]any
-		for i := 0; i < 4000; i++ {
-			rows = append(rows, []any{int64(i / 2000), int64((i * 7919) % 4000), "pad-pad-pad"})
-		}
-		if err := db.CreateTable("t", []Column{
-			{Name: "a", Type: Int64},
-			{Name: "b", Type: Int64},
-			{Name: "c", Type: String, Width: 12},
-		}, ClusterOn("a"), rows); err != nil {
-			t.Fatal(err)
-		}
-		q := db.Scan("t").OrderBy("a", "b")
-		plan, err := db.Optimize(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		db.ResetIOStats()
-		out, err := queryAll(db, plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out, db.IOStats()
-	}
-	serialRows, serialIO := run(1)
-	parRows, parIO := run(4)
-	if len(serialRows.Data) != 4000 || len(parRows.Data) != len(serialRows.Data) {
-		t.Fatalf("row counts: serial %d, parallel %d", len(serialRows.Data), len(parRows.Data))
-	}
-	for i := range serialRows.Data {
-		for j := range serialRows.Data[i] {
-			if serialRows.Data[i][j] != parRows.Data[i][j] {
-				t.Fatalf("row %d col %d diverges: %v vs %v", i, j,
-					serialRows.Data[i][j], parRows.Data[i][j])
-			}
-		}
-	}
-	if serialIO.RunTotal() == 0 {
-		t.Fatal("workload must spill for this test to mean anything")
-	}
-	if serialIO != parIO {
-		t.Fatalf("IOStats diverge: serial %+v, parallel %+v", serialIO, parIO)
-	}
-}
-
+// TestSpillAwarePlanPricing: no execution setting reaches the optimizer. A
+// spilling ORDER BY is priced — and planned — the same whatever sort
+// parallelism the database runs with.
 func TestSpillAwarePlanPricing(t *testing.T) {
-	// The optimizer must price the spill parallelism execution will
-	// actually use: explicit SortSpillParallelism, or the explicit
-	// SortParallelism it inherits from — but never the GOMAXPROCS default
-	// (plan choice must not depend on the optimizing machine).
-	cost := func(cfg Config) float64 {
+	plan := func(cfg Config) *Plan {
 		// Small enough that the ORDER BY sort prices as external, large
 		// enough that log_{M-1} stays meaningful.
 		cfg.SortMemoryBlocks = 8
@@ -392,22 +336,21 @@ func TestSpillAwarePlanPricing(t *testing.T) {
 		}, ClusterOn("a"), rows); err != nil {
 			t.Fatal(err)
 		}
-		plan, err := db.Optimize(db.Scan("t").OrderBy("b", "a"))
+		p, err := db.Optimize(db.Scan("t").OrderBy("b", "a"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return plan.EstimatedCost()
+		return p
 	}
-	serial := cost(Config{})
-	explicit := cost(Config{SortSpillParallelism: 4})
-	inherited := cost(Config{SortParallelism: 4})
-	if !(explicit < serial) {
-		t.Fatalf("explicit spill parallelism must cheapen a spilling sort: serial %f, explicit %f", serial, explicit)
+	ref := plan(Config{})
+	if !strings.Contains(ref.Explain(), "Sort") {
+		t.Fatalf("the ORDER BY must sort:\n%s", ref.Explain())
 	}
-	if inherited != explicit {
-		t.Fatalf("SortParallelism=4 inherits into spilling at execution time and must price the same: inherited %f, explicit %f", inherited, explicit)
-	}
-	if defaulted := cost(Config{SortSpillParallelism: 1}); defaulted != serial {
-		t.Fatalf("SpillParallelism=1 must price serially: %f vs %f", defaulted, serial)
+	for _, par := range []int{1, 4} {
+		got := plan(Config{SortParallelism: par})
+		if got.EstimatedCost() != ref.EstimatedCost() || got.Explain() != ref.Explain() {
+			t.Fatalf("SortParallelism %d changed the plan: cost %f vs %f\n%s\nvs\n%s",
+				par, got.EstimatedCost(), ref.EstimatedCost(), got.Explain(), ref.Explain())
+		}
 	}
 }

@@ -47,7 +47,6 @@ func TestSpillingSortGoldenMatrix(t *testing.T) {
 		t.Helper()
 		cur, err := db.Query(context.Background(), plan,
 			WithSortParallelism(par),
-			WithSortSpillParallelism(par),
 			WithExecBatchSize(batch))
 		if err != nil {
 			t.Fatal(err)
@@ -62,10 +61,6 @@ func TestSpillingSortGoldenMatrix(t *testing.T) {
 		}
 		st := cur.Stats()
 		r.sorts, r.io = st.Sorts, st.IO
-		for i := range r.sorts {
-			r.sorts[i].SpillRunsSerial, r.sorts[i].SpillRunsParallel = 0, 0 // the regime is what par selects
-			r.sorts[i].PeakMemBytes = 0                                     // schedule-dependent under parallel spill
-		}
 		return r
 	}
 
@@ -76,6 +71,9 @@ func TestSpillingSortGoldenMatrix(t *testing.T) {
 	}
 	if ref.sorts[0].FlatRunPages != 0 || ref.sorts[0].MergeBucketSkips != 0 {
 		t.Fatalf("runs are payload pages merged by one heap, yet: %+v", ref.sorts[0])
+	}
+	if ref.sorts[0].SpillRunsParallel != 0 {
+		t.Fatalf("spilling is serial, yet: %+v", ref.sorts[0])
 	}
 	if len(ref.rows) != 12_000 {
 		t.Fatalf("%d rows out, want 12000", len(ref.rows))

@@ -188,7 +188,7 @@ func TestLimitInsideFirstSegmentDoesOneSegmentsWork(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, st := drainStats(t, db, plan, WithSortParallelism(par), WithSortSpillParallelism(par))
+			got, st := drainStats(t, db, plan, WithSortParallelism(par))
 			if len(got) != k {
 				t.Fatalf("par=%d: %d rows, want %d", par, len(got), k)
 			}
