@@ -91,168 +91,110 @@ func BenchmarkFigure16Scalability(b *testing.B) { benchExperiment(b, "scalabilit
 // timing (31-node trees, 10 attributes per node, paper: < 6 ms).
 func BenchmarkPhase2Refinement31Nodes(b *testing.B) { benchExperiment(b, "refine") }
 
-// reportCursorCounters runs the plan once outside the timed loop — pinned
-// to the serial sort algorithm so the mid-flight counters of an
-// early-closed cursor are exact — and reports the arm's deterministic work
-// counters: key comparisons, radix passes, and total/run page I/O. These
-// are the numbers `make bench-gate` diffs against testdata/bench-baseline.txt:
-// wall-clock is noise on shared CI runners, but the counters replicate
-// bit-for-bit on any machine (the golden tests pin their parallelism
-// invariance), so a plan-shape or engine regression moves them
-// reproducibly and fails the gate.
-func reportCursorCounters(b *testing.B, db *Database, plan *Plan, pull int, opts ...ExecOption) {
-	b.Helper()
-	b.StopTimer()
-	defer b.StartTimer()
-	opts = append(opts, WithSortParallelism(1))
-	cur, err := db.Query(context.Background(), plan, opts...)
+// cursorArm is one public-API benchmark arm: a plan, the rows its consumer
+// pulls before closing (all of them when pull < 0) and the rows it must get.
+type cursorArm struct {
+	name string
+	plan *Plan
+	pull int
+	rows int64
+}
+
+// pullArm runs arm once: Query, pull, Close. It returns the query's stats.
+func pullArm(tb testing.TB, db *Database, arm cursorArm, opts ...ExecOption) ExecStats {
+	cur, err := db.Query(context.Background(), arm.plan, opts...)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	for i := 0; pull < 0 || i < pull; i++ {
-		if !cur.Next() {
-			break
-		}
+	for i := 0; (arm.pull < 0 || i < arm.pull) && cur.Next(); i++ {
 	}
 	if err := cur.Close(); err != nil {
-		b.Fatal(err)
-	}
-	if err := cur.Err(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	st := cur.Stats()
-	var comps, radix int64
-	for _, s := range st.Sorts {
-		comps += s.Comparisons
-		radix += s.RadixPasses
+	if st.Rows != arm.rows {
+		tb.Fatalf("%s: %d rows, want %d", arm.name, st.Rows, arm.rows)
 	}
-	b.ReportMetric(float64(comps), "comparisons/op")
-	b.ReportMetric(float64(radix), "radix-passes/op")
-	b.ReportMetric(float64(st.IO.PageReads+st.IO.PageWrites), "io-pages/op")
-	b.ReportMetric(float64(st.IO.RunPageReads+st.IO.RunPageWrites), "run-pages/op")
+	return st
 }
 
-// reportSortCounters is the xsort-level twin of reportCursorCounters: the
-// benchmark loop hands in the last iteration's enforcer stats and device
-// ledger (every iteration does identical work, so the last one is as good
-// as any).
-func reportSortCounters(b *testing.B, st xsort.SortStats, io storage.IOStats) {
-	b.Helper()
-	b.ReportMetric(float64(st.Comparisons), "comparisons/op")
-	b.ReportMetric(float64(st.RadixPasses), "radix-passes/op")
-	b.ReportMetric(float64(io.PageReads+io.PageWrites), "io-pages/op")
-	b.ReportMetric(float64(io.RunPageReads+io.RunPageWrites), "run-pages/op")
+// benchCursorArms times each arm as a sub-benchmark.
+func benchCursorArms(b *testing.B, db *Database, arms []cursorArm) {
+	for _, arm := range arms {
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				pullArm(b, db, arm)
+			}
+			b.ReportMetric(float64(arm.rows), "rows/op")
+		})
+	}
 }
 
-// BenchmarkTimeToFirstRow measures first-Next latency at the public
-// boundary: each iteration opens a cursor, pulls one row and closes. The
-// baseline arm streams a pipelined partial-sort plan (first segment only);
-// the full-sort arm must consume the entire input inside Query before the
-// first row exists. `make bench-ab` feeds these arms through
-// cmd/pyro-abdiff, so the first-row deltas land in the CI table.
-func BenchmarkTimeToFirstRow(b *testing.B) {
-	db := segmentedDB(b, 50_000, 500) // the workload TestCursorEarlyCloseAbandonsWork pins
+// optimize plans q or fails tb.
+func optimize(tb testing.TB, db *Database, q *Query, opts ...OptimizeOption) *Plan {
+	tb.Helper()
+	p, err := db.Optimize(q, opts...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p
+}
+
+// timeToFirstRowArms measure first-Next latency at the public boundary:
+// open a cursor, pull one row, close. The partial arm streams a pipelined
+// partial-sort plan (first segment only); the full-sort arm must consume
+// the entire input inside Query before the first row exists. db is
+// segmentedDB(50 000, 500), the workload TestCursorEarlyCloseAbandonsWork
+// pins.
+func timeToFirstRowArms(tb testing.TB, db *Database) []cursorArm {
 	q := db.Scan("big").OrderBy("g", "v")
-	partial, err := db.Optimize(q)
-	if err != nil {
-		b.Fatal(err)
+	return []cursorArm{
+		{"partial-cursor", optimize(tb, db, q), 1, 1},
+		{"full-cursor", optimize(tb, db, q, WithoutPartialSort()), 1, 1},
 	}
-	full, err := db.Optimize(q, WithoutPartialSort())
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-
-	firstRow := func(b *testing.B, plan *Plan) {
-		cur, err := db.Query(ctx, plan)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !cur.Next() {
-			b.Fatal(cur.Err())
-		}
-		if err := cur.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Run("partial-cursor", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			firstRow(b, partial)
-		}
-		reportCursorCounters(b, db, partial, 1)
-	})
-	b.Run("full-cursor", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			firstRow(b, full)
-		}
-		reportCursorCounters(b, db, full, 1)
-	})
 }
 
-// BenchmarkTopKPlanned A/Bs the two ways a consumer gets Top-K early exit:
-// a planned Limit(k) — the optimizer's row budget picks the pipelined plan
-// and the exec.Limit operator closes the sort at k — drained to completion,
-// versus the unlimited plan with a consumer that pulls k rows and closes
-// the cursor by hand (PR 4's only early-exit path). The two arms shed the
-// same work (TestPushedDownLimitMatchesEarlyClose pins that), so their
-// delta in `make bench-ab` is the overhead of each exit path, and a
-// regression in either early-exit mechanism is visible in CI.
+// topKArms are the two ways a consumer gets Top-K early exit: a planned
+// Limit(k) — the optimizer's row budget picks the pipelined plan and the
+// exec.Limit operator closes the sort at k — drained to completion, versus
+// the unlimited plan with a consumer that pulls k rows and closes the cursor
+// by hand. The two arms shed the same work
+// (TestPushedDownLimitMatchesEarlyClose pins that), so their delta is the
+// overhead of each exit path.
+func topKArms(tb testing.TB, db *Database) []cursorArm {
+	const k = 10
+	return []cursorArm{
+		{"planned-limit", optimize(tb, db, db.Scan("big").OrderBy("g", "v").Limit(k)), -1, k},
+		{"early-close", optimize(tb, db, db.Scan("big").OrderBy("g", "v")), k, k},
+	}
+}
+
+// scanFilterArm is the chunked executor's target pipeline: a full drain of
+// scan→filter, where each operator call moves one page's tuples — the scan
+// decodes into pooled column vectors, the filter marks a selection vector in
+// a tight loop, and the cursor serves rows out of a reused buffer.
+func scanFilterArm(tb testing.TB, db *Database) cursorArm {
+	return cursorArm{"scan-filter", optimize(tb, db, db.Scan("big").Filter(Gt(Col("v"), Int(100)))), -1, 49_495}
+}
+
+// scanSortLimitArm is batching under a blocking enforcer:
+// scan→full-sort→limit, where the sort's input collection reads chunks off
+// each page and key-encodes one chunk at a time.
+func scanSortLimitArm(tb testing.TB, db *Database) cursorArm {
+	return cursorArm{"scan-sort-limit", optimize(tb, db, db.Scan("big").OrderBy("v", "pad").Limit(1_000)), -1, 1_000}
+}
+
+// BenchmarkTimeToFirstRow times timeToFirstRowArms.
+func BenchmarkTimeToFirstRow(b *testing.B) {
+	db := segmentedDB(b, 50_000, 500)
+	benchCursorArms(b, db, timeToFirstRowArms(b, db))
+}
+
+// BenchmarkTopKPlanned times topKArms.
 func BenchmarkTopKPlanned(b *testing.B) {
 	db := segmentedDB(b, 50_000, 500)
-	const k = 10
-	planned, err := db.Optimize(db.Scan("big").OrderBy("g", "v").Limit(k))
-	if err != nil {
-		b.Fatal(err)
-	}
-	unlimited, err := db.Optimize(db.Scan("big").OrderBy("g", "v"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-
-	b.Run("planned-limit", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			cur, err := db.Query(ctx, planned)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rows := 0
-			for cur.Next() {
-				rows++
-			}
-			if err := cur.Err(); err != nil {
-				b.Fatal(err)
-			}
-			if err := cur.Close(); err != nil {
-				b.Fatal(err)
-			}
-			if rows != k {
-				b.Fatalf("rows = %d", rows)
-			}
-		}
-		reportCursorCounters(b, db, planned, -1)
-	})
-	b.Run("early-close", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			cur, err := db.Query(ctx, unlimited)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for j := 0; j < k; j++ {
-				if !cur.Next() {
-					b.Fatal(cur.Err())
-				}
-			}
-			if err := cur.Close(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		reportCursorCounters(b, db, unlimited, k)
-	})
+	benchCursorArms(b, db, topKArms(b, db))
 }
 
 // BenchmarkConcurrentTopK drives the serving layer at its design point:
@@ -333,96 +275,17 @@ func BenchmarkConcurrentTopK(b *testing.B) {
 	}
 }
 
-// chunkArms runs a benchmark once per executor mode: the legacy
-// row-at-a-time path (WithExecBatchSize(1)) against the default chunked
-// path. Both arms drain identical plans with identical counters (the
-// differential tests pin that), so the wall-clock and allocs/op deltas in
-// `make bench-ab` are pure per-row overhead removed by batching.
-func chunkArms(b *testing.B, run func(b *testing.B, opts ...ExecOption)) {
-	for _, arm := range []struct {
-		name string
-		opts []ExecOption
-	}{{"row", []ExecOption{WithExecBatchSize(1)}}, {"chunk", nil}} {
-		b.Run(arm.name, func(b *testing.B) {
-			b.ReportAllocs()
-			run(b, arm.opts...)
-		})
-	}
-}
-
-// BenchmarkScanFilterThroughput measures the vectorized executor on its
-// target pipeline: a full drain of scan→filter, where the chunked path
-// moves one page's tuples per operator call — the scan decodes into pooled
-// column vectors, the filter marks a selection vector in a tight loop, and
-// the cursor serves rows out of a reused buffer. rows/op is the drained row
-// count (throughput = rows/op ÷ ns/op); the deterministic work counters
-// feed the bench gate and must be identical across arms.
+// BenchmarkScanFilterThroughput times scanFilterArm; throughput is
+// rows/op ÷ ns/op.
 func BenchmarkScanFilterThroughput(b *testing.B) {
 	db := segmentedDB(b, 50_000, 500)
-	plan, err := db.Optimize(db.Scan("big").Filter(Gt(Col("v"), Int(100))))
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	chunkArms(b, func(b *testing.B, opts ...ExecOption) {
-		var rows int64
-		for i := 0; i < b.N; i++ {
-			cur, err := db.Query(ctx, plan, opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rows = 0
-			for cur.Next() {
-				rows++
-			}
-			if err := cur.Err(); err != nil {
-				b.Fatal(err)
-			}
-			if err := cur.Close(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(rows), "rows/op")
-		reportCursorCounters(b, db, plan, -1, opts...)
-	})
+	benchCursorArms(b, db, []cursorArm{scanFilterArm(b, db)})
 }
 
-// BenchmarkScanSortLimitThroughput measures batching under a blocking
-// enforcer: scan→full-sort→limit, where the chunked arm batches the sort's
-// input collection (chunk reads off each page, one batched key encode per
-// chunk) while the tuple-level sort algorithm and its counters stay
-// untouched.
+// BenchmarkScanSortLimitThroughput times scanSortLimitArm.
 func BenchmarkScanSortLimitThroughput(b *testing.B) {
 	db := segmentedDB(b, 50_000, 500)
-	plan, err := db.Optimize(db.Scan("big").OrderBy("v", "pad").Limit(1_000))
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	chunkArms(b, func(b *testing.B, opts ...ExecOption) {
-		var rows int64
-		for i := 0; i < b.N; i++ {
-			cur, err := db.Query(ctx, plan, opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rows = 0
-			for cur.Next() {
-				rows++
-			}
-			if err := cur.Err(); err != nil {
-				b.Fatal(err)
-			}
-			if err := cur.Close(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if rows != 1_000 {
-			b.Fatalf("rows = %d, want 1000", rows)
-		}
-		b.ReportMetric(float64(rows), "rows/op")
-		reportCursorCounters(b, db, plan, -1, opts...)
-	})
+	benchCursorArms(b, db, []cursorArm{scanSortLimitArm(b, db)})
 }
 
 // --- Micro-benchmarks for the core mechanisms -----------------------------
@@ -508,119 +371,146 @@ func keyBenchRows(n int, segments int64) []types.Tuple {
 	return rows
 }
 
-// The RunFormation benchmarks cover the four regimes run formation works in
-// — MRS segments in memory, MRS spilled batches, the SRS in-memory fast path
-// and the SRS phase-1 fill ahead of replacement selection — and report the
-// deterministic work counters bench-gate pins. How a buffer is sorted is the
-// sort's own choice (radix or comparison, by buffer size and key width);
-// TestGoldenRadixAgrees / TestRunFormationModesAgree hold both sides to the
-// same output.
+// countedSort is an xsort enforcer with its work counters.
+type countedSort interface {
+	iter.Iterator
+	Stats() *xsort.SortStats
+}
 
-// BenchmarkMRSPartialSortRunFormation is the MRS hot path the radix engine
-// targets: in-memory partial-sort segments on a composite (string, int)
-// suffix key. Parallelism is pinned to 1 so the time is the segment sorts
-// alone.
-func BenchmarkMRSPartialSortRunFormation(b *testing.B) {
-	rows := keyBenchRows(50_000, 100)
+// runFormation is one of the four regimes run formation works in — MRS
+// segments in memory, MRS spilled batches, the SRS in-memory fast path and
+// the SRS phase-1 fill ahead of replacement selection — over keyBenchRows.
+// How a buffer is sorted is the sort's own choice (radix or comparison, by
+// buffer size and key width); TestGoldenRadixAgrees /
+// TestRunFormationModesAgree hold both sides to the same output.
+type runFormation struct {
+	segments int64 // of keyBenchRows(50 000, segments)
+	spills   bool
+	build    func(in iter.Iterator, d *storage.Disk) (countedSort, error)
+}
+
+// run sorts rows once on a fresh disk and returns the sort's counters and
+// the disk's I/O.
+func (rf runFormation) run(tb testing.TB, rows []types.Tuple) (xsort.SortStats, storage.IOStats) {
+	d := storage.NewDisk(0)
+	s, err := rf.build(iter.FromSlice(rows), d)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := iter.Drain(s); err != nil {
+		tb.Fatal(err)
+	}
+	if spilled := s.Stats().RunsGenerated > 0; spilled != rf.spills {
+		tb.Fatalf("spilled = %v, the workload is built for %v", spilled, rf.spills)
+	}
+	return *s.Stats(), d.Stats()
+}
+
+// bench times rf.run.
+func (rf runFormation) bench(b *testing.B) {
+	rows := keyBenchRows(50_000, rf.segments)
 	b.ReportAllocs()
 	b.ResetTimer()
-	var st xsort.SortStats
-	var io storage.IOStats
 	for i := 0; i < b.N; i++ {
-		d := storage.NewDisk(0)
-		m, err := xsort.NewMRS(iter.FromSlice(rows), sortBenchSchema,
-			sortord.New("c1", "c3", "c2"), sortord.New("c1"),
+		rf.run(b, rows)
+	}
+}
+
+var (
+	// mrsPartialRunFormation is the MRS hot path the radix engine targets:
+	// in-memory partial-sort segments on a composite (string, int) suffix
+	// key. Parallelism is pinned to 1 so the time is the segment sorts alone.
+	mrsPartialRunFormation = runFormation{100, false, func(in iter.Iterator, d *storage.Disk) (countedSort, error) {
+		return xsort.NewMRS(in, sortBenchSchema, sortord.New("c1", "c3", "c2"), sortord.New("c1"),
 			xsort.Config{Disk: d, MemoryBlocks: 2048, Parallelism: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := iter.Drain(m); err != nil {
-			b.Fatal(err)
-		}
-		st, io = *m.Stats(), d.Stats()
-	}
-	reportSortCounters(b, st, io)
-}
-
-// BenchmarkMRSSpilledSortRunFormation measures run formation where runs
-// actually hit disk: oversized segments whose memory batches are sorted and
-// spilled, then merged, serially.
-func BenchmarkMRSSpilledSortRunFormation(b *testing.B) {
-	rows := keyBenchRows(50_000, 4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var st xsort.SortStats
-	var io storage.IOStats
-	for i := 0; i < b.N; i++ {
-		d := storage.NewDisk(0)
-		m, err := xsort.NewMRS(iter.FromSlice(rows), sortBenchSchema,
-			sortord.New("c1", "c3", "c2"), sortord.New("c1"),
+	}}
+	// mrsSpilledRunFormation: oversized segments whose memory batches are
+	// sorted and spilled, then merged, serially.
+	mrsSpilledRunFormation = runFormation{4, true, func(in iter.Iterator, d *storage.Disk) (countedSort, error) {
+		return xsort.NewMRS(in, sortBenchSchema, sortord.New("c1", "c3", "c2"), sortord.New("c1"),
 			xsort.Config{Disk: d, MemoryBlocks: 64, Parallelism: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := iter.Drain(m); err != nil {
-			b.Fatal(err)
-		}
-		st, io = *m.Stats(), d.Stats()
-	}
-	reportSortCounters(b, st, io)
-}
-
-// BenchmarkSRSSortRunFormation measures the SRS in-memory fast path: the
-// whole input fits, so the fill is byte-bucket sorted and emitted directly,
-// with no replacement-selection heap built or drained.
-func BenchmarkSRSSortRunFormation(b *testing.B) {
-	rows := keyBenchRows(50_000, 100)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var st xsort.SortStats
-	var io storage.IOStats
-	for i := 0; i < b.N; i++ {
-		d := storage.NewDisk(0)
-		s, err := xsort.NewSRS(iter.FromSlice(rows), sortBenchSchema,
-			sortord.New("c3", "c2", "c1"),
+	}}
+	// srsRunFormation is the SRS in-memory fast path: the whole input fits,
+	// so the fill is byte-bucket sorted and emitted directly, with no
+	// replacement-selection heap built or drained.
+	srsRunFormation = runFormation{100, false, func(in iter.Iterator, d *storage.Disk) (countedSort, error) {
+		return xsort.NewSRS(in, sortBenchSchema, sortord.New("c3", "c2", "c1"),
 			xsort.Config{Disk: d, MemoryBlocks: 4096})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := iter.Drain(s); err != nil {
-			b.Fatal(err)
-		}
-		if s.Stats().RunsGenerated != 0 {
-			b.Fatal("workload must stay in memory")
-		}
-		st, io = *s.Stats(), d.Stats()
-	}
-	reportSortCounters(b, st, io)
+	}}
+	// srsSpilledRunFormation: spilled SRS, where radix only seeds the initial
+	// heap fill (replacement selection itself stays comparison-based).
+	srsSpilledRunFormation = runFormation{100, true, func(in iter.Iterator, d *storage.Disk) (countedSort, error) {
+		return xsort.NewSRS(in, sortBenchSchema, sortord.New("c3", "c2", "c1"),
+			xsort.Config{Disk: d, MemoryBlocks: 256})
+	}}
+)
+
+func BenchmarkMRSPartialSortRunFormation(b *testing.B) { mrsPartialRunFormation.bench(b) }
+func BenchmarkMRSSpilledSortRunFormation(b *testing.B) { mrsSpilledRunFormation.bench(b) }
+func BenchmarkSRSSortRunFormation(b *testing.B)        { srsRunFormation.bench(b) }
+func BenchmarkSRSSpilledSortRunFormation(b *testing.B) { srsSpilledRunFormation.bench(b) }
+
+// workCounters are the deterministic work counters of one arm: sort key
+// comparisons and radix passes, total page I/O and run-page I/O.
+type workCounters struct {
+	comparisons, radixPasses, ioPages, runPages int64
 }
 
-// BenchmarkSRSSpilledSortRunFormation: spilled SRS, where radix only seeds
-// the initial heap fill (replacement selection itself stays comparison-
-// based).
-func BenchmarkSRSSpilledSortRunFormation(b *testing.B) {
-	rows := keyBenchRows(50_000, 100)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var st xsort.SortStats
-	var io storage.IOStats
-	for i := 0; i < b.N; i++ {
-		d := storage.NewDisk(0)
-		s, err := xsort.NewSRS(iter.FromSlice(rows), sortBenchSchema,
-			sortord.New("c3", "c2", "c1"),
-			xsort.Config{Disk: d, MemoryBlocks: 256})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := iter.Drain(s); err != nil {
-			b.Fatal(err)
-		}
-		if s.Stats().RunsGenerated == 0 {
-			b.Fatal("workload must spill")
-		}
-		st, io = *s.Stats(), d.Stats()
+// TestWorkCounters pins the work counters of the cursor and run-formation
+// benchmark arms exactly. The counters replicate bit-for-bit on any machine
+// — sort parallelism is pinned to 1 and the golden tests pin parallelism
+// invariance — so a plan-shape or engine change that moves any of them
+// fails here; a change that means to move them updates this table and says
+// why.
+func TestWorkCounters(t *testing.T) {
+	db := segmentedDB(t, 50_000, 500)
+	want := map[string]workCounters{
+		"TimeToFirstRow/partial-cursor": {500, 15, 4, 0},
+		"TimeToFirstRow/full-cursor":    {1_202_375, 140, 759, 380},
+		"TopKPlanned/planned-limit":     {1_008, 0, 4, 0},
+		"TopKPlanned/early-close":       {500, 15, 4, 0},
+		"ScanFilterThroughput":          {0, 0, 379, 0},
+		"ScanSortLimitThroughput":       {101_804, 72, 379, 0},
+		"MRSPartialSortRunFormation":    {140_507, 1_100, 0, 0},
+		"MRSSpilledSortRunFormation":    {237_010, 1_769, 1_096, 1_096},
+		"SRSSortRunFormation":           {91_014, 1_111, 0, 0},
+		"SRSSpilledSortRunFormation":    {1_107_470, 189, 1_078, 1_078},
 	}
-	reportSortCounters(b, st, io)
+	got := map[string]workCounters{}
+	cursor := func(name string, arm cursorArm) {
+		st := pullArm(t, db, arm, WithSortParallelism(1))
+		var c workCounters
+		for _, s := range st.Sorts {
+			c.comparisons += s.Comparisons
+			c.radixPasses += s.RadixPasses
+		}
+		c.ioPages = st.IO.PageReads + st.IO.PageWrites
+		c.runPages = st.IO.RunPageReads + st.IO.RunPageWrites
+		got[name] = c
+	}
+	for _, arm := range timeToFirstRowArms(t, db) {
+		cursor("TimeToFirstRow/"+arm.name, arm)
+	}
+	for _, arm := range topKArms(t, db) {
+		cursor("TopKPlanned/"+arm.name, arm)
+	}
+	cursor("ScanFilterThroughput", scanFilterArm(t, db))
+	cursor("ScanSortLimitThroughput", scanSortLimitArm(t, db))
+	for name, rf := range map[string]runFormation{
+		"MRSPartialSortRunFormation": mrsPartialRunFormation,
+		"MRSSpilledSortRunFormation": mrsSpilledRunFormation,
+		"SRSSortRunFormation":        srsRunFormation,
+		"SRSSpilledSortRunFormation": srsSpilledRunFormation,
+	} {
+		st, io := rf.run(t, keyBenchRows(50_000, rf.segments))
+		got[name] = workCounters{st.Comparisons, st.RadixPasses,
+			io.PageReads + io.PageWrites, io.RunPageReads + io.RunPageWrites}
+	}
+	for name, w := range want {
+		if got[name] != w {
+			t.Errorf("%s: got %+v, want %+v", name, got[name], w)
+		}
+	}
 }
 
 // BenchmarkMRSSortParallelism measures the bounded worker pool on MRS's

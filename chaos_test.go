@@ -11,6 +11,7 @@ import (
 
 	"pyro/internal/storage"
 	"pyro/internal/storage/faulttest"
+	"pyro/internal/types"
 )
 
 // chaosDB builds a compact database whose workloads exercise every fault
@@ -147,9 +148,15 @@ func checkPartialReduction(t *testing.T, db *Database, plan *Plan) {
 
 // runChaosQuery executes plan and returns the rows read (rendered, limited
 // to limit when nonzero), the query's tap-attributed I/O and its first
-// error from any stage — Query, Next or Close.
+// error from any stage — Query, Next or Close. batch is how many rows the
+// cursor pulls from the plan's root per call: 1 drains it through Next,
+// types.DefaultChunkCapacity through NextChunk.
 func runChaosQuery(db *Database, plan *Plan, batch, limit int) ([]string, IOStats, error) {
-	cur, err := db.Query(context.Background(), plan, WithExecBatchSize(batch))
+	query := queryChunked
+	if batch == 1 {
+		query = queryRowDrained
+	}
+	cur, err := query(db, plan)
 	if err != nil {
 		return nil, IOStats{}, err
 	}
@@ -206,8 +213,8 @@ func sameRows(a, b []string) bool {
 }
 
 // TestChaosFaultSweep is the fault-sweep harness: for every scenario of the
-// plan matrix at chunked batch sizes 1, 64 and 1024, it observes the
-// workload's page transfers per fault class, enumerates fault points across
+// plan matrix, with its root drained a row and a chunk per call, it observes
+// the workload's page transfers per fault class, enumerates fault points across
 // them (every transfer under PYRO_CHAOS_FULL=1, a strided sample otherwise,
 // plus a panic-mode point per class), injects each one and asserts the
 // robustness contract: the fault surfaces as an error — never a panic or a
@@ -227,7 +234,7 @@ func TestChaosFaultSweep(t *testing.T) {
 		if sc.reduces {
 			checkPartialReduction(t, db, plan)
 		}
-		for _, batch := range []int{1, 64, 1024} {
+		for _, batch := range []int{1, types.DefaultChunkCapacity} {
 			// An early-closed pipelined query abandons in-flight read-ahead
 			// and spill work at whatever point Close catches it, so only a
 			// full drain has scheduling-independent I/O totals to pin.
@@ -329,12 +336,12 @@ func TestChaosTempQuotaENOSPC(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		baseRows, baseIO, err := runChaosQuery(db, plan, 64, 0)
+		baseRows, baseIO, err := runChaosQuery(db, plan, types.DefaultChunkCapacity, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		db.disk.SetTempQuotaPages(2)
-		_, _, err = runChaosQuery(db, plan, 64, 0)
+		_, _, err = runChaosQuery(db, plan, types.DefaultChunkCapacity, 0)
 		if err == nil {
 			t.Fatalf("%s: spilling sort succeeded under a 2-page temp quota", name)
 		}
@@ -343,7 +350,7 @@ func TestChaosTempQuotaENOSPC(t *testing.T) {
 		}
 		checkServingRestored(t, db, name+" after quota failure")
 		db.disk.SetTempQuotaPages(0)
-		rows, io, err := runChaosQuery(db, plan, 64, 0)
+		rows, io, err := runChaosQuery(db, plan, types.DefaultChunkCapacity, 0)
 		if err != nil {
 			t.Fatalf("%s: re-run after lifting the quota failed: %v", name, err)
 		}
@@ -363,7 +370,7 @@ func TestQueryTimeoutAbortsSort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = runChaosQuery(db, plan, 64, 0)
+	_, _, err = runChaosQuery(db, plan, types.DefaultChunkCapacity, 0)
 	if err == nil {
 		t.Fatal("query outran a 1µs timeout")
 	}
@@ -372,7 +379,7 @@ func TestQueryTimeoutAbortsSort(t *testing.T) {
 	}
 	checkServingRestored(t, db, "after timeout")
 	db.cfg.QueryTimeout = 0
-	if _, _, err := runChaosQuery(db, plan, 64, 0); err != nil {
+	if _, _, err := runChaosQuery(db, plan, types.DefaultChunkCapacity, 0); err != nil {
 		t.Fatalf("re-run without the timeout failed: %v", err)
 	}
 }
@@ -425,7 +432,7 @@ func TestDeadlineWhileQueuedAtGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkServingRestored(t, db, "after gate-queued deadline")
-	if _, _, err := runChaosQuery(db, plan, 64, 0); err != nil {
+	if _, _, err := runChaosQuery(db, plan, types.DefaultChunkCapacity, 0); err != nil {
 		t.Fatalf("query after the holder closed failed: %v", err)
 	}
 }
@@ -472,7 +479,7 @@ func TestDeadlineWhileBlockedInGovernor(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkServingRestored(t, db, "after governor-blocked deadline")
-	if _, _, err := runChaosQuery(db, plan, 64, 0); err != nil {
+	if _, _, err := runChaosQuery(db, plan, types.DefaultChunkCapacity, 0); err != nil {
 		t.Fatalf("query after the holder closed failed: %v", err)
 	}
 }

@@ -3,19 +3,48 @@ package pyro
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
+
+	"pyro/internal/exec"
+	"pyro/internal/sortord"
+	"pyro/internal/storage"
+	"pyro/internal/types"
+	"pyro/internal/xsort"
 )
 
-// chunkBatchSizes are the executor batch sizes the differential tests sweep:
-// 1 is the exact legacy row-at-a-time path (the reference), 7 forces many
-// partially-filled chunks and odd chunk boundaries, 64 exercises mid-size
-// refills, 1024 is the default capacity.
-var chunkBatchSizes = []int{1, 7, 64, 1024}
+// queryRowDrained is Query with the cursor served from the root operator's
+// row Next instead of its NextChunk: the same core.Build tree, drained a
+// row at a time. It is the reference the chunked cursor must match.
+func queryRowDrained(db *Database, plan *Plan, opts ...ExecOption) (*Cursor, error) {
+	cur, err := db.Query(context.Background(), plan, opts...)
+	if err != nil {
+		return nil, err
+	}
+	cur.chunkOp = nil
+	return cur, nil
+}
 
-// chunkDiffPlans builds the plan corpus for the batch-vs-row differential
+// queryChunked is Query: the cursor pulls the root's NextChunk whenever the
+// root serves chunks.
+func queryChunked(db *Database, plan *Plan, opts ...ExecOption) (*Cursor, error) {
+	return db.Query(context.Background(), plan, opts...)
+}
+
+// drainModes are the two ways a cursor can pull its root: "row" (the
+// reference) and "chunk".
+var drainModes = []struct {
+	name  string
+	query func(db *Database, plan *Plan, opts ...ExecOption) (*Cursor, error)
+}{
+	{"row", queryRowDrained},
+	{"chunk", queryChunked},
+}
+
+// chunkDiffPlans builds the plan corpus for the chunk-vs-row differential
 // tests: every operator family of the engine — scans (table and covering
 // index), filters, projections, hash and merge joins, sort- and hash-based
 // aggregation, distinct, union, order-by (full and partial sort), limit —
@@ -67,74 +96,79 @@ func chunkDiffPlans(t *testing.T, db *Database) map[string]*Plan {
 	return plans
 }
 
-// chunkDiffOpts pins serial sort execution so every counter in SortStats is
-// bit-deterministic and the only variable across runs is the batch size.
-func chunkDiffOpts(batch int) []ExecOption {
-	return []ExecOption{
-		WithExecBatchSize(batch),
-		WithSortParallelism(1),
+// drained is what a cursor served and froze: rows, sort counters and the
+// query's tap-attributed I/O.
+type drained struct {
+	rows  [][]any
+	sorts []SortStats
+	io    IOStats
+}
+
+// drainStop pulls up to stop rows (all of them when stop < 0) from a cursor
+// opened by query, closes it and returns what it froze. Sort parallelism is
+// pinned to 1 so every SortStats counter is bit-deterministic.
+func drainStop(t *testing.T, db *Database, plan *Plan, stop int,
+	query func(*Database, *Plan, ...ExecOption) (*Cursor, error), opts ...ExecOption) drained {
+	t.Helper()
+	cur, err := query(db, plan, append(opts, WithSortParallelism(1))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d drained
+	for stop < 0 || len(d.rows) < stop {
+		if !cur.Next() {
+			break
+		}
+		d.rows = append(d.rows, cur.Row())
+	}
+	if err := cur.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := cur.Err(); err != nil {
+		t.Fatal(err)
+	}
+	st := cur.Stats()
+	d.sorts, d.io = st.Sorts, st.IO
+	return d
+}
+
+// sameDrain fails t when got differs from the reference want in rows, sort
+// counters or I/O.
+func sameDrain(t *testing.T, at string, got, want drained) {
+	t.Helper()
+	if !reflect.DeepEqual(got.rows, want.rows) {
+		t.Fatalf("%s: rows diverge from the row drain (%d vs %d rows)", at, len(got.rows), len(want.rows))
+	}
+	if !reflect.DeepEqual(got.sorts, want.sorts) {
+		t.Fatalf("%s: sort stats diverge:\n got %+v\nwant %+v", at, got.sorts, want.sorts)
+	}
+	if got.io != want.io {
+		t.Fatalf("%s: per-query I/O diverges:\n got %+v\nwant %+v — a chunk refill did non-free work",
+			at, got.io, want.io)
 	}
 }
 
-// TestChunkMatchesRowAtATime is the tentpole's differential property test:
-// for every plan shape and every batch size, the chunked executor must be
-// indistinguishable from the row-at-a-time engine — identical rows in
-// identical order, identical sort counters, identical per-query I/O.
-// Batching may only remove per-row overhead, never change what the engine
-// reads or computes.
+// TestChunkMatchesRowAtATime is the chunked executor's differential
+// property test: for every plan shape, serving the cursor from the root's
+// NextChunk must be indistinguishable from draining the same operator tree
+// through the root's Next — identical rows in identical order, identical
+// sort counters, identical per-query I/O. Chunks may only remove per-row
+// overhead, never change what the engine reads or computes.
 func TestChunkMatchesRowAtATime(t *testing.T) {
 	db := openTestDB(t)
 	for name, plan := range chunkDiffPlans(t, db) {
 		t.Run(name, func(t *testing.T) {
-			type result struct {
-				rows  [][]any
-				sorts []SortStats
-				io    IOStats
-			}
-			drain := func(batch int) result {
-				t.Helper()
-				cur, err := db.Query(context.Background(), plan, chunkDiffOpts(batch)...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer cur.Close()
-				var r result
-				for cur.Next() {
-					r.rows = append(r.rows, cur.Row())
-				}
-				if err := cur.Err(); err != nil {
-					t.Fatal(err)
-				}
-				st := cur.Stats()
-				r.sorts, r.io = st.Sorts, st.IO
-				return r
-			}
-
-			want := drain(1) // the untouched legacy row path
-			for _, batch := range chunkBatchSizes[1:] {
-				got := drain(batch)
-				if !reflect.DeepEqual(got.rows, want.rows) {
-					t.Fatalf("batch %d: rows diverge from row path (%d vs %d rows)",
-						batch, len(got.rows), len(want.rows))
-				}
-				if !reflect.DeepEqual(got.sorts, want.sorts) {
-					t.Fatalf("batch %d: sort stats diverge:\n got %+v\nwant %+v",
-						batch, got.sorts, want.sorts)
-				}
-				if got.io != want.io {
-					t.Fatalf("batch %d: per-query I/O diverges:\n got %+v\nwant %+v",
-						batch, got.io, want.io)
-				}
-			}
+			want := drainStop(t, db, plan, -1, queryRowDrained)
+			sameDrain(t, "full drain", drainStop(t, db, plan, -1, queryChunked), want)
 		})
 	}
 }
 
 // TestChunkMatchesRowAtATimeEarlyClose extends the differential property to
-// mid-stream Close: stopping after j rows must freeze identical stats at
-// every batch size. This is the "free work only" invariant — a chunk refill
-// may only do the work the row path's next Next would have done, plus work
-// that is free (rows co-resident on an already-read page), so an early stop
+// mid-stream Close: stopping after j rows must freeze identical stats under
+// both drains. This is the "free work only" invariant — a chunk refill may
+// only do the work the row path's next Next would have done, plus work that
+// is free (rows co-resident on an already-read page), so an early stop
 // observes the same pages read and the same sort segments touched.
 func TestChunkMatchesRowAtATimeEarlyClose(t *testing.T) {
 	db := openTestDB(t)
@@ -143,53 +177,133 @@ func TestChunkMatchesRowAtATimeEarlyClose(t *testing.T) {
 		plan := plans[name]
 		t.Run(name, func(t *testing.T) {
 			for _, j := range []int{1, 13} {
-				type frozen struct {
-					rows  [][]any
-					sorts []SortStats
-					io    IOStats
+				want := drainStop(t, db, plan, j, queryRowDrained)
+				if len(want.rows) != j {
+					t.Fatalf("stop %d: only %d rows", j, len(want.rows))
 				}
-				take := func(batch int) frozen {
-					t.Helper()
-					cur, err := db.Query(context.Background(), plan, chunkDiffOpts(batch)...)
-					if err != nil {
-						t.Fatal(err)
-					}
-					var f frozen
-					for i := 0; i < j; i++ {
-						if !cur.Next() {
-							t.Fatalf("row %d: %v", i, cur.Err())
-						}
-						f.rows = append(f.rows, cur.Row())
-					}
-					if err := cur.Close(); err != nil {
-						t.Fatal(err)
-					}
-					st := cur.Stats()
-					f.sorts, f.io = st.Sorts, st.IO
-					return f
-				}
-				want := take(1)
-				for _, batch := range chunkBatchSizes[1:] {
-					got := take(batch)
-					if !reflect.DeepEqual(got.rows, want.rows) {
-						t.Fatalf("batch %d, stop %d: served rows diverge", batch, j)
-					}
-					if !reflect.DeepEqual(got.sorts, want.sorts) {
-						t.Fatalf("batch %d, stop %d: frozen sort stats diverge:\n got %+v\nwant %+v",
-							batch, j, got.sorts, want.sorts)
-					}
-					if got.io != want.io {
-						t.Fatalf("batch %d, stop %d: frozen I/O diverges:\n got %+v\nwant %+v — batching did non-free work",
-							batch, j, got.io, want.io)
-					}
-				}
+				sameDrain(t, fmt.Sprintf("stop %d", j), drainStop(t, db, plan, j, queryChunked), want)
 			}
 		})
 	}
 }
 
+// midPageDB holds one table whose 32 KiB pages carry more rows than a
+// chunk, so a chunk fills up partway through a page and the next refill
+// resumes on the same page. k groups ten rows; v is a permutation.
+func midPageDB(t *testing.T, n int) *Database {
+	t.Helper()
+	db := Open(Config{PageSize: 32 << 10, SortMemoryBlocks: 64})
+	t.Cleanup(func() { storage.AssertNoLeaks(t, db.disk) })
+	rows := make([][]any, n)
+	for i := range rows {
+		rows[i] = []any{int64(i / 10), int64(i * 7919 % n)}
+	}
+	if err := db.CreateTable("wide", []Column{
+		{Name: "k", Type: Int64},
+		{Name: "v", Type: Int64},
+	}, ClusterOn("k"), rows); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// rowOnly hides an operator's chunk path: embedding the Operator interface
+// promotes only its row methods, so a consumer reads it a row at a time.
+type rowOnly struct{ exec.Operator }
+
+// TestChunkBoundaryMidPage covers the chunk that fills in the middle of a
+// page (storage.TupleReader.ReadChunk stopping partway through it): the
+// table's pages hold more than types.DefaultChunkCapacity rows, and each
+// plan stops on both sides of the chunk boundary, on the first page and on
+// the second. scan→filter→limit is checked against the row drain of its
+// root; scan→sort against the same partial sort fed by the scan a row at a
+// time, since a sort root is drained by rows either way and only its input
+// collection batches.
+func TestChunkBoundaryMidPage(t *testing.T) {
+	const n = 6_000
+	db := midPageDB(t, n)
+	capacity := types.DefaultChunkCapacity
+	stops := []int{1, capacity - 1, capacity, capacity + 1, 2*capacity - 1, 2 * capacity, 2*capacity + 1, -1}
+
+	scanPlan, err := db.Optimize(db.Scan("wide"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if io := drainStop(t, db, scanPlan, capacity+1, queryRowDrained).io; io.PageReads != 1 {
+		t.Fatalf("%d rows span %d pages; the test needs more than a chunk on one page", capacity+1, io.PageReads)
+	}
+	if io := drainStop(t, db, scanPlan, 2*capacity+1, queryRowDrained).io; io.PageReads != 2 {
+		t.Fatalf("%d rows span %d pages; the last stops must land mid-way on page 2", 2*capacity+1, io.PageReads)
+	}
+
+	t.Run("scan-filter-limit", func(t *testing.T) {
+		plan, err := db.Optimize(db.Scan("wide").Filter(Gt(Col("v"), Int(100))).Limit(5_000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, stop := range stops {
+			want := drainStop(t, db, plan, stop, queryRowDrained)
+			sameDrain(t, fmt.Sprintf("stop %d", stop), drainStop(t, db, plan, stop, queryChunked), want)
+		}
+	})
+
+	t.Run("scan-sort", func(t *testing.T) {
+		target, given := sortord.New("k", "v"), sortord.New("k")
+		plan, err := db.Optimize(db.Scan("wide").OrderBy("k", "v"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		table, err := db.cat.Table("wide")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// rowFed drains the reference: the same MRS over a scan that serves
+		// it rows only, under the budget Query is pinned to below.
+		rowFed := func(stop int) drained {
+			t.Helper()
+			tap := storage.NewTap()
+			scan := exec.NewTableScan(table)
+			scan.SetIOTap(tap)
+			sort, err := exec.NewSortMRS(rowOnly{scan}, target, given, xsort.Config{
+				Disk: db.disk, MemoryBlocks: 64, Parallelism: 1, Tap: tap,
+				BatchSize: types.DefaultChunkCapacity,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sort.Open(); err != nil {
+				t.Fatal(err)
+			}
+			var d drained
+			for stop < 0 || len(d.rows) < stop {
+				row, ok, err := sort.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					break
+				}
+				vals := make([]any, len(row))
+				for i, v := range row {
+					vals[i] = datumValue(v)
+				}
+				d.rows = append(d.rows, vals)
+			}
+			if err := sort.Close(); err != nil {
+				t.Fatal(err)
+			}
+			d.sorts, d.io = []SortStats{*sort.SortStats()}, tap.Stats()
+			return d
+		}
+		for _, stop := range stops {
+			got := drainStop(t, db, plan, stop, queryChunked, WithSortMemoryBlocks(64))
+			sameDrain(t, fmt.Sprintf("stop %d", stop), got, rowFed(stop))
+		}
+	})
+}
+
 // TestChunkContextAbort: cancellation mid-stream must surface
-// context.Canceled and close cleanly at every batch size, including from
+// context.Canceled and close cleanly under both drains, including from
 // inside a chunk refill.
 func TestChunkContextAbort(t *testing.T) {
 	db := segmentedDB(t, 50_000, 500)
@@ -197,40 +311,30 @@ func TestChunkContextAbort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, batch := range chunkBatchSizes {
+	for _, mode := range drainModes {
 		ctx, cancel := context.WithCancel(context.Background())
-		cur, err := db.Query(ctx, plan, WithExecBatchSize(batch))
+		cur, err := db.Query(ctx, plan)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if mode.name == "row" {
+			cur.chunkOp = nil
+		}
 		for i := 0; i < 5; i++ {
 			if !cur.Next() {
-				t.Fatalf("batch %d row %d: %v", batch, i, cur.Err())
+				t.Fatalf("%s drain row %d: %v", mode.name, i, cur.Err())
 			}
 		}
 		cancel()
 		if cur.Next() {
-			t.Fatalf("batch %d: Next after cancellation returned a row", batch)
+			t.Fatalf("%s drain: Next after cancellation returned a row", mode.name)
 		}
 		if !errors.Is(cur.Err(), context.Canceled) {
-			t.Fatalf("batch %d: Err = %v, want context.Canceled", batch, cur.Err())
+			t.Fatalf("%s drain: Err = %v, want context.Canceled", mode.name, cur.Err())
 		}
 		if err := cur.Close(); err != nil {
-			t.Fatalf("batch %d: Close: %v", batch, err)
+			t.Fatalf("%s drain: Close: %v", mode.name, err)
 		}
-	}
-}
-
-// TestChunkInvalidBatchSize: a negative batch size is a caller bug and is
-// rejected up front.
-func TestChunkInvalidBatchSize(t *testing.T) {
-	db := openTestDB(t)
-	plan, err := db.Optimize(db.Scan("orders"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Query(context.Background(), plan, WithExecBatchSize(-1)); err == nil {
-		t.Fatal("Query accepted a negative exec batch size")
 	}
 }
 
@@ -280,8 +384,8 @@ func TestChunkTTFRMeasuresFirstRow(t *testing.T) {
 
 // TestConcurrentChunkCursors drains the chunked path from several cursors
 // on one Database at once (the race-serve CI job gates the chunk pool and
-// shared-plan plumbing underneath) — each at a different batch size, all
-// required to agree exactly.
+// shared-plan plumbing underneath), alternating with row-drained cursors —
+// all required to agree exactly.
 func TestConcurrentChunkCursors(t *testing.T) {
 	db := segmentedDB(t, 20_000, 2_000)
 	plan, err := db.Optimize(db.Scan("big").Filter(Gt(Col("v"), Int(5_000))))
@@ -293,8 +397,7 @@ func TestConcurrentChunkCursors(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	const perBatch = 2
-	workers := len(chunkBatchSizes) * perBatch
+	const workers = 8
 	results := make([][][]any, workers)
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
@@ -302,8 +405,7 @@ func TestConcurrentChunkCursors(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			batch := chunkBatchSizes[w%len(chunkBatchSizes)]
-			cur, err := db.Query(context.Background(), plan, WithExecBatchSize(batch))
+			cur, err := drainModes[w%len(drainModes)].query(db, plan)
 			if err != nil {
 				errs[w] = err
 				return
@@ -321,8 +423,8 @@ func TestConcurrentChunkCursors(t *testing.T) {
 			t.Fatalf("cursor %d: %v", w, errs[w])
 		}
 		if !reflect.DeepEqual(results[w], want.Data) {
-			t.Fatalf("cursor %d (batch %d) diverged from the reference drain",
-				w, chunkBatchSizes[w%len(chunkBatchSizes)])
+			t.Fatalf("cursor %d (%s drain) diverged from the reference drain",
+				w, drainModes[w%len(drainModes)].name)
 		}
 	}
 }

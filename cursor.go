@@ -56,16 +56,6 @@ func WithSortMemoryBlocks(n int) ExecOption {
 	}
 }
 
-// WithExecBatchSize overrides the vectorized executor's chunk capacity for
-// this query (see Config.ExecBatchSize): 0 picks the default
-// (types.DefaultChunkCapacity), 1 runs the exact legacy row-at-a-time
-// path, and n > 1 moves up to n rows per chunk through chunk-capable
-// operator subtrees. Results, sort counters and per-query I/O are
-// identical at every setting; only the per-row constant factor changes.
-func WithExecBatchSize(n int) ExecOption {
-	return func(c *execConfig) { c.ExecBatchSize = n }
-}
-
 // WithDeadline imposes an absolute deadline on this query. Reaching it
 // aborts the query wherever it is — queued at the admission gate, blocked
 // on a sort-memory grant, or deep in a sort or spill loop — and surfaces as
@@ -174,15 +164,14 @@ type Cursor struct {
 	firstRow time.Duration
 	rows     int64
 
-	// Batch-path state: when the plan's top subtree is chunk-capable and
-	// batching is on, Next drains pooled chunks internally and serves rows
-	// out of them — the public row semantics (TTFR at the first row, early
-	// Close shedding, ctx polling per Next) are unchanged.
-	chunkOp    exec.ChunkOperator
-	chunkBatch int
-	chunk      *types.Chunk
-	chunkPos   int
-	rowBuf     types.Tuple
+	// Batch-path state: when the plan's root is chunk-capable, Next drains
+	// pooled chunks internally and serves rows out of them — the public row
+	// semantics (TTFR at the first row, early Close shedding, ctx polling
+	// per Next) are those of a row-only root.
+	chunkOp  exec.ChunkOperator
+	chunk    *types.Chunk
+	chunkPos int
+	rowBuf   types.Tuple
 
 	cur      types.Tuple
 	err      error
@@ -217,9 +206,6 @@ func (db *Database) Query(ctx context.Context, p *Plan, opts ...ExecOption) (*Cu
 	}
 	if cfg.rowTarget < 0 {
 		return nil, fmt.Errorf("pyro: negative row target %d", cfg.rowTarget)
-	}
-	if cfg.ExecBatchSize < 0 {
-		return nil, fmt.Errorf("pyro: negative exec batch size %d", cfg.ExecBatchSize)
 	}
 	if cfg.rowTarget != 0 && p.node == nil {
 		return nil, fmt.Errorf("pyro: plan carries no query to re-optimize for a row target")
@@ -297,10 +283,6 @@ func (db *Database) Query(ctx context.Context, p *Plan, opts ...ExecOption) (*Cu
 		budget = g
 	}
 
-	batch := cfg.ExecBatchSize
-	if batch <= 0 {
-		batch = types.DefaultChunkCapacity
-	}
 	op, err := core.Build(inner, core.BuildConfig{
 		Disk:             db.disk,
 		SortMemoryBlocks: buildBlocks,
@@ -308,7 +290,6 @@ func (db *Database) Query(ctx context.Context, p *Plan, opts ...ExecOption) (*Cu
 		SortParallelism:  cfg.SortParallelism,
 		SortAbort:        abort,
 		IOTap:            tap,
-		ExecBatchSize:    batch,
 	})
 	if err != nil {
 		return nil, err
@@ -326,9 +307,8 @@ func (db *Database) Query(ctx context.Context, p *Plan, opts ...ExecOption) (*Cu
 		grant:    grant,
 		start:    time.Now(),
 	}
-	if batch > 1 && exec.ChunkCapable(op) {
+	if exec.ChunkCapable(op) {
 		c.chunkOp = op.(exec.ChunkOperator)
-		c.chunkBatch = batch
 	}
 	ok = true // c.finish releases the slot and grant from here on
 	if err := openOp(op); err != nil {
@@ -470,7 +450,7 @@ func (c *Cursor) Next() bool {
 func (c *Cursor) nextChunked() bool {
 	for c.chunk == nil || c.chunkPos >= c.chunk.Rows() {
 		if c.chunk == nil {
-			c.chunk = types.GetChunk(len(c.cols), c.chunkBatch)
+			c.chunk = types.GetChunk(len(c.cols), types.DefaultChunkCapacity)
 		}
 		if err := c.safeNextChunk(); err != nil {
 			c.fail(err)

@@ -38,13 +38,6 @@ type BuildConfig struct {
 	// decisions (merge fan-in) and should be set to the allowance's initial
 	// value. Nil means the static SortMemoryBlocks budget.
 	SortBudget xsort.Budget
-	// ExecBatchSize is the chunk capacity of the vectorized executor:
-	// chunk-capable operator subtrees move batches of up to this many rows
-	// (exec.ChunkOperator), sort enforcers batch their input collection
-	// (xsort.Config.BatchSize), and blocking consumers drain through the
-	// row/chunk bridge. 0 picks types.DefaultChunkCapacity; 1 disables
-	// batching entirely — every operator runs its legacy row path.
-	ExecBatchSize int
 }
 
 // Build compiles a physical plan into an executable operator tree.
@@ -54,9 +47,6 @@ func Build(p *Plan, cfg BuildConfig) (exec.Operator, error) {
 	}
 	if cfg.SortMemoryBlocks <= 0 {
 		cfg.SortMemoryBlocks = 1000
-	}
-	if cfg.ExecBatchSize <= 0 {
-		cfg.ExecBatchSize = types.DefaultChunkCapacity
 	}
 	root, err := build(p, cfg)
 	if err != nil {
@@ -86,7 +76,7 @@ func build(p *Plan, cfg BuildConfig) (exec.Operator, error) {
 		Parallelism:  cfg.SortParallelism,
 		Abort:        cfg.SortAbort,
 		Tap:          cfg.IOTap,
-		BatchSize:    cfg.ExecBatchSize,
+		BatchSize:    types.DefaultChunkCapacity,
 	}
 
 	switch p.Kind {
@@ -117,12 +107,7 @@ func build(p *Plan, cfg BuildConfig) (exec.Operator, error) {
 	case OpMergeJoin:
 		return exec.NewMergeJoin(children[0], children[1], p.LeftKey, p.RightKey, p.JoinType)
 	case OpHashJoin:
-		hj, err := exec.NewHashJoin(children[0], children[1], p.LeftKeys, p.RightKeys, p.JoinType)
-		if err != nil {
-			return nil, err
-		}
-		hj.SetExecBatch(cfg.ExecBatchSize)
-		return hj, nil
+		return exec.NewHashJoin(children[0], children[1], p.LeftKeys, p.RightKeys, p.JoinType)
 	case OpNLJoin:
 		nl, err := exec.NewNLJoin(children[0], children[1], p.Pred, p.JoinType, cfg.Disk, cfg.SortMemoryBlocks)
 		if err != nil {
@@ -131,19 +116,9 @@ func build(p *Plan, cfg BuildConfig) (exec.Operator, error) {
 		nl.SetIOTap(cfg.IOTap)
 		return nl, nil
 	case OpGroupAgg:
-		ga, err := exec.NewGroupAggregate(children[0], p.GroupCols, p.Aggs)
-		if err != nil {
-			return nil, err
-		}
-		ga.SetExecBatch(cfg.ExecBatchSize)
-		return ga, nil
+		return exec.NewGroupAggregate(children[0], p.GroupCols, p.Aggs)
 	case OpHashAgg:
-		ha, err := exec.NewHashAggregate(children[0], p.GroupCols, p.Aggs)
-		if err != nil {
-			return nil, err
-		}
-		ha.SetExecBatch(cfg.ExecBatchSize)
-		return ha, nil
+		return exec.NewHashAggregate(children[0], p.GroupCols, p.Aggs)
 	case OpMergeUnion:
 		return exec.NewMergeUnion(children[0], children[1], p.UnionOrder, p.DedupRows)
 	case OpUnionAll:

@@ -182,7 +182,7 @@ type GroupAggregate struct {
 	opened  bool
 
 	// in is the stream the aggregate actually pulls: the child itself, or
-	// a rowAdapter over it when batching is on (the aggregate retains its
+	// a rowAdapter over it when it serves chunks (the aggregate retains its
 	// lookahead, so it needs owned rows either way).
 	in iter.Iterator
 
@@ -205,17 +205,8 @@ func NewGroupAggregate(child Operator, groupCols []string, aggs []AggSpec) (*Gro
 	}
 	return &GroupAggregate{
 		child: child, groupCols: append([]string(nil), groupCols...), groupOrds: ords,
-		aggs: aggs, bound: bound, schema: schema, in: child,
+		aggs: aggs, bound: bound, schema: schema, in: rowInput(child),
 	}, nil
-}
-
-// SetExecBatch switches the aggregate's input collection to the batch path
-// (n rows per chunk) when the child supports it. Must be called before
-// Open; n <= 1 keeps the legacy row path.
-func (g *GroupAggregate) SetExecBatch(n int) {
-	if a := newRowAdapter(g.child, n); a != nil {
-		g.in = a
-	}
 }
 
 // Schema returns group columns followed by aggregate columns.
@@ -227,11 +218,11 @@ func (g *GroupAggregate) Children() []Operator { return []Operator{g.child} }
 // GroupCols returns the grouping columns.
 func (g *GroupAggregate) GroupCols() []string { return g.groupCols }
 
-// Open opens the input and primes the lookahead.
 // SetAbort installs the abort hook the group-fold loop polls: one giant
 // group is folded inside a single Next call.
 func (g *GroupAggregate) SetAbort(poll func() error) { g.guard = iter.NewGuard(poll) }
 
+// Open opens the input and primes the lookahead.
 func (g *GroupAggregate) Open() error {
 	g.opened = true
 	if err := g.in.Open(); err != nil {
@@ -307,7 +298,7 @@ func (g *GroupAggregate) Next() (types.Tuple, bool, error) {
 	return out, true, nil
 }
 
-// Close closes the input (the adapter, when batching, closes the child).
+// Close closes the input (an adapter closes the child).
 func (g *GroupAggregate) Close() error { return g.in.Close() }
 
 // HashAggregate accumulates all groups in a hash table and emits them after
@@ -324,7 +315,6 @@ type HashAggregate struct {
 
 	results []types.Tuple
 	pos     int
-	batch   int
 	guard   iter.Guard // strided abort poll for the ingest loops
 }
 
@@ -354,19 +344,14 @@ func (h *HashAggregate) Schema() *types.Schema { return h.schema }
 // Children returns the aggregated input.
 func (h *HashAggregate) Children() []Operator { return []Operator{h.child} }
 
-// SetExecBatch makes Open drain its input through the batch path (n rows
-// per chunk) when the child supports it. Must be called before Open; n <= 1
-// keeps the legacy row path.
-func (h *HashAggregate) SetExecBatch(n int) { h.batch = n }
-
-// Open consumes the entire input, building all groups. With batching on it
-// folds chunk row views directly (consuming any selection) and clones a
-// tuple only for each group's first-seen representative — one allocation
-// per group instead of one per input row.
 // SetAbort installs the abort hook the ingest loops poll: the hash
 // aggregate drains its whole input inside Open.
 func (h *HashAggregate) SetAbort(poll func() error) { h.guard = iter.NewGuard(poll) }
 
+// Open consumes the entire input, building all groups. Over a chunk-capable
+// child it folds chunk row views directly (consuming any selection) and
+// clones a tuple only for each group's first-seen representative — one
+// allocation per group instead of one per input row.
 func (h *HashAggregate) Open() error {
 	if err := h.child.Open(); err != nil {
 		return err
@@ -408,9 +393,9 @@ func (h *HashAggregate) Open() error {
 			}
 		}
 	}
-	if h.batch > 1 && ChunkCapable(h.child) {
+	if ChunkCapable(h.child) {
 		child := h.child.(ChunkOperator)
-		c := types.GetChunk(h.child.Schema().Len(), h.batch)
+		c := types.GetChunk(h.child.Schema().Len(), types.DefaultChunkCapacity)
 		defer types.PutChunk(c)
 		var view types.Tuple
 		for {

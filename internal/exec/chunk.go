@@ -1,15 +1,19 @@
 package exec
 
 import (
+	"pyro/internal/iter"
 	"pyro/internal/types"
 )
 
 // ChunkOperator is the batch half of the executor's hybrid protocol.
 // Operators that can deliver their output a chunk at a time implement it
-// alongside the row Operator interface; everything else stays row-only and
-// is reached through newRowAdapter. The row API is never removed — with a
-// batch size of 1 the executor uses the legacy row path exclusively, so
-// that configuration reproduces pre-vectorization behaviour exactly.
+// alongside the row Operator interface. Chunks hold up to
+// types.DefaultChunkCapacity rows; there is no other setting. Row-only
+// operators (sorts, merge and nested-loops joins, aggregate output, fetch)
+// keep Next, and so does every operator above one of them: a Filter over a
+// Sort runs row at a time. A row consumer over a chunk-capable child — an
+// aggregate's input, a hash join's build side — reads it through a
+// rowAdapter (see rowInput).
 //
 // The protocol's I/O-identity contract: a NextChunk call may perform only
 // the work the row path's next Next call would perform, plus free work —
@@ -47,20 +51,18 @@ func ChunkCapable(op Operator) bool {
 // unchanged tree.
 type rowAdapter struct {
 	src   ChunkOperator
-	batch int
 	chunk *types.Chunk
 	pos   int
 	done  bool
 }
 
-// newRowAdapter wraps op when batching is on and op supports it; it
-// returns nil otherwise, in which case the consumer keeps pulling rows
-// from op directly.
-func newRowAdapter(op Operator, batch int) *rowAdapter {
-	if batch <= 1 || !ChunkCapable(op) {
-		return nil
+// rowInput is the row stream a consumer pulls from op: op itself when it
+// is row-only, a rowAdapter over it when it serves chunks.
+func rowInput(op Operator) iter.Iterator {
+	if !ChunkCapable(op) {
+		return op
 	}
-	return &rowAdapter{src: op.(ChunkOperator), batch: batch}
+	return &rowAdapter{src: op.(ChunkOperator)}
 }
 
 // Open opens the underlying operator.
@@ -79,7 +81,7 @@ func (a *rowAdapter) Next() (types.Tuple, bool, error) {
 	}
 	for a.chunk == nil || a.pos >= a.chunk.Rows() {
 		if a.chunk == nil {
-			a.chunk = types.GetChunk(a.src.Schema().Len(), a.batch)
+			a.chunk = types.GetChunk(a.src.Schema().Len(), types.DefaultChunkCapacity)
 		}
 		if err := a.src.NextChunk(a.chunk); err != nil {
 			return nil, false, err

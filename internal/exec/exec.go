@@ -12,8 +12,6 @@
 package exec
 
 import (
-	"fmt"
-
 	"pyro/internal/expr"
 	"pyro/internal/iter"
 	"pyro/internal/types"
@@ -117,14 +115,4 @@ func CollectSorts(root Operator) []*Sort {
 		}
 	})
 	return sorts
-}
-
-// Validate walks nothing — it simply checks an operator tree was assembled
-// with non-nil children; constructors enforce the rest. Exposed for plan
-// builders that assemble trees dynamically.
-func Validate(op Operator) error {
-	if op == nil {
-		return fmt.Errorf("exec: nil operator")
-	}
-	return nil
 }

@@ -853,15 +853,6 @@ func TestInferKind(t *testing.T) {
 	}
 }
 
-func TestValidateHelper(t *testing.T) {
-	if err := Validate(nil); err == nil {
-		t.Fatal("nil operator should fail validation")
-	}
-	if err := Validate(sliceOp(t, abSchema, nil)); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMergeJoinPropagatesOrder(t *testing.T) {
 	// The join output must be sorted on the left key — the property §4
 	// exploits ("merge-join produces the same order on its output").

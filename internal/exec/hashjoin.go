@@ -29,8 +29,8 @@ type HashJoin struct {
 	keyBuf     []byte
 
 	// buildIn is the build input as pulled: the right child itself, or a
-	// rowAdapter over it when batching is on (build tuples are retained in
-	// the table, so they must be owned either way).
+	// rowAdapter over it when it serves chunks (build tuples are retained
+	// in the table, so they must be owned either way).
 	buildIn iter.Iterator
 
 	guard iter.Guard // strided abort poll for the build and probe loops
@@ -67,17 +67,8 @@ func NewHashJoin(left, right Operator, leftKeys, rightKeys []string, jt JoinType
 		joinType:   jt,
 		schema:     left.Schema().Concat(right.Schema()),
 		rightWidth: right.Schema().Len(),
-		buildIn:    right,
+		buildIn:    rowInput(right),
 	}, nil
-}
-
-// SetExecBatch switches the build-side drain to the batch path (n rows per
-// chunk) when the build input supports it. Must be called before Open;
-// n <= 1 keeps the legacy row path.
-func (h *HashJoin) SetExecBatch(n int) {
-	if a := newRowAdapter(h.right, n); a != nil {
-		h.buildIn = a
-	}
 }
 
 // Schema returns the concatenated output schema.
@@ -178,7 +169,7 @@ func (h *HashJoin) Next() (types.Tuple, bool, error) {
 }
 
 // Close closes both inputs and drops the table. The build side is closed
-// through buildIn so the adapter (when batching) can return its buffer.
+// through buildIn so an adapter can return its buffer.
 func (h *HashJoin) Close() error {
 	h.table = nil
 	errL := h.left.Close()

@@ -26,7 +26,7 @@ var Determinism = &Analyzer{
 	Run: runDeterminism,
 }
 
-// determinismScope lists the packages whose outputs feed the bench-gated
+// determinismScope lists the packages whose outputs feed the pinned work
 // counters or plan choice.
 var determinismScope = []string{"internal/core", "internal/cost", "internal/xsort"}
 

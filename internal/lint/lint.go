@@ -3,7 +3,7 @@
 // spill arena released on every path, every unbounded tuple loop polling
 // its abort guard, error wrapping that keeps sentinel errors reachable,
 // page I/O routed through the ledger-charging storage layer, and no
-// nondeterminism feeding the bench-gated counters or plan choice.
+// nondeterminism feeding the pinned work counters or plan choice.
 //
 // The contracts encoded here are exactly the ones the Go type checker
 // cannot see and that previously rested on reviewer vigilance: the PR 8

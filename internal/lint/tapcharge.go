@@ -11,7 +11,7 @@ import (
 // internal/storage. The engine's "disk" is a simulated block device — the
 // paper's experiments compare plans by counted block transfers — so any
 // direct use of the os file API inside an engine package is I/O the
-// ledger, the per-query taps, the bench-gate counters and the fault plane
+// ledger, the per-query taps, the pinned work counters and the fault plane
 // all miss.
 //
 // Scope: every package in the module except the designated boundary and

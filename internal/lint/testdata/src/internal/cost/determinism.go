@@ -1,6 +1,6 @@
 // Package cost exercises the determinism analyzer. The fixture lives at
 // the scoped import-path suffix internal/cost, where wall-clock,
-// randomness and map iteration order must not feed the bench-gated
+// randomness and map iteration order must not feed the pinned work
 // counters or plan choice.
 package cost
 

@@ -6,8 +6,9 @@ import (
 	"sync"
 )
 
-// DefaultChunkCapacity is the batch size of the vectorized executor when the
-// caller does not choose one: large enough to amortize per-batch dispatch
+// DefaultChunkCapacity is the vectorized executor's chunk capacity, the only
+// one it runs at (xsort.Config.BatchSize can still pick another for a sort
+// driven directly): large enough to amortize per-batch dispatch
 // over a full storage page of tuples, small enough that a chunk of the
 // widest workload tuples stays cache-resident.
 const DefaultChunkCapacity = 1024

@@ -116,16 +116,6 @@ type Config struct {
 	// Query calls queue (cancellably) and report their wait in
 	// ExecStats.QueuedTime. 0 means unlimited (no admission gate).
 	MaxConcurrentQueries int
-	// ExecBatchSize is the vectorized executor's chunk capacity: operators
-	// that support the chunked protocol (scans, filters, projections,
-	// unions, dedup, limit — and the inputs of sorts, aggregates and hash
-	// joins) move batches of up to this many rows per call instead of one
-	// tuple per call. Results, sort statistics and per-query I/O are
-	// byte-identical at every setting; batching only removes per-row
-	// interface-call and allocation overhead. 0 picks the default (1024);
-	// 1 disables batching entirely and runs the exact legacy
-	// row-at-a-time path. Per-query override: WithExecBatchSize.
-	ExecBatchSize int
 	// QueryTimeout bounds every query's wall-clock lifetime, measured from
 	// the Query call (0 = unlimited). It rides the same abort path as
 	// context cancellation — polled inside sort and spill loops, while

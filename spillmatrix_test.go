@@ -27,10 +27,9 @@ func spillDB(t *testing.T) *Database {
 }
 
 // TestSpillingSortGoldenMatrix is the end-to-end pin of the spill path: across
-// sort parallelism 1/2/4/8 and executor batch sizes 1/64/1024, a spilling
-// ORDER BY returns the same rows in the same order — the ORDER BY's — with
-// the same work counters and the same per-query I/O attribution, and every
-// run page it moves is a page of rows.
+// sort parallelism 1/2/4/8, a spilling ORDER BY returns the same rows in the
+// same order — the ORDER BY's — with the same work counters and the same
+// per-query I/O attribution, and every run page it moves is a page of rows.
 func TestSpillingSortGoldenMatrix(t *testing.T) {
 	db := spillDB(t)
 	plan, err := db.Optimize(db.Scan("t").OrderBy("b", "a"))
@@ -43,11 +42,9 @@ func TestSpillingSortGoldenMatrix(t *testing.T) {
 		sorts []SortStats
 		io    IOStats
 	}
-	drain := func(par, batch int) result {
+	drain := func(par int) result {
 		t.Helper()
-		cur, err := db.Query(context.Background(), plan,
-			WithSortParallelism(par),
-			WithExecBatchSize(batch))
+		cur, err := db.Query(context.Background(), plan, WithSortParallelism(par))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,8 +61,8 @@ func TestSpillingSortGoldenMatrix(t *testing.T) {
 		return r
 	}
 
-	// Reference: serial, row-at-a-time.
-	ref := drain(1, 1)
+	// Reference: serial.
+	ref := drain(1)
 	if len(ref.sorts) != 1 || ref.sorts[0].RunsGenerated == 0 || ref.sorts[0].MergePasses == 0 {
 		t.Fatalf("workload must spill and reduce for this test to mean anything: %+v", ref.sorts)
 	}
@@ -86,19 +83,16 @@ func TestSpillingSortGoldenMatrix(t *testing.T) {
 		}
 	}
 
-	for _, par := range []int{1, 2, 4, 8} {
-		for _, batch := range []int{1, 64, 1024} {
-			name := fmt.Sprintf("par%d-batch%d", par, batch)
-			r := drain(par, batch)
-			if !reflect.DeepEqual(r.rows, ref.rows) {
-				t.Fatalf("%s: output diverges from the serial row-at-a-time reference", name)
-			}
-			if !reflect.DeepEqual(r.sorts, ref.sorts) {
-				t.Fatalf("%s: sort counters vary:\n got %+v\nwant %+v", name, r.sorts, ref.sorts)
-			}
-			if r.io != ref.io {
-				t.Fatalf("%s: IO attribution varies: got %+v want %+v", name, r.io, ref.io)
-			}
+	for _, par := range []int{2, 4, 8} {
+		r := drain(par)
+		if !reflect.DeepEqual(r.rows, ref.rows) {
+			t.Fatalf("par%d: output diverges from the serial reference", par)
+		}
+		if !reflect.DeepEqual(r.sorts, ref.sorts) {
+			t.Fatalf("par%d: sort counters vary:\n got %+v\nwant %+v", par, r.sorts, ref.sorts)
+		}
+		if r.io != ref.io {
+			t.Fatalf("par%d: IO attribution varies: got %+v want %+v", par, r.io, ref.io)
 		}
 	}
 }
