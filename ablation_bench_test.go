@@ -10,7 +10,7 @@ import (
 
 	"pyro/internal/catalog"
 	"pyro/internal/core"
-	"pyro/internal/iter"
+	"pyro/internal/exec"
 	"pyro/internal/storage"
 	"pyro/internal/workload"
 )
@@ -55,7 +55,7 @@ func benchQ3ExecutionCfg(b *testing.B, mutate func(*core.Options), mutateBuild f
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := iter.Drain(op); err != nil {
+		if _, err := exec.Drain(op); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -105,7 +105,7 @@ func benchQ4Execution(b *testing.B, disablePhase2 bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := iter.Drain(op); err != nil {
+		if _, err := exec.Drain(op); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -326,7 +326,7 @@ func BenchmarkSRSSort(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := iter.Drain(s); err != nil {
+		if _, err := iter.Drain(s, sortBenchSchema.Len()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -345,7 +345,7 @@ func BenchmarkMRSSort(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := iter.Drain(m); err != nil {
+		if _, err := iter.Drain(m, sortBenchSchema.Len()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -397,7 +397,7 @@ func (rf runFormation) run(tb testing.TB, rows []types.Tuple) (xsort.SortStats, 
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if _, err := iter.Drain(s); err != nil {
+	if _, err := iter.Drain(s, sortBenchSchema.Len()); err != nil {
 		tb.Fatal(err)
 	}
 	if spilled := s.Stats().RunsGenerated > 0; spilled != rf.spills {
@@ -532,7 +532,7 @@ func BenchmarkMRSSortParallelism(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := iter.Drain(m); err != nil {
+				if _, err := iter.Drain(m, sortBenchSchema.Len()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -558,7 +558,7 @@ func BenchmarkSRSHeapReplacementSelection(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := iter.Drain(s); err != nil {
+		if _, err := iter.Drain(s, sortBenchSchema.Len()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -578,7 +578,7 @@ func BenchmarkMRSSortPerSegmentAblation(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := iter.Drain(m); err != nil {
+		if _, err := iter.Drain(m, sortBenchSchema.Len()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -668,7 +668,7 @@ func BenchmarkMergeJoinExec(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := iter.Drain(mj); err != nil {
+		if _, err := exec.Drain(mj); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -148,13 +148,14 @@ func checkPartialReduction(t *testing.T, db *Database, plan *Plan) {
 
 // runChaosQuery executes plan and returns the rows read (rendered, limited
 // to limit when nonzero), the query's tap-attributed I/O and its first
-// error from any stage — Query, Next or Close. batch is how many rows the
-// cursor pulls from the plan's root per call: 1 drains it through Next,
-// types.DefaultChunkCapacity through NextChunk.
+// error from any stage — Query, Next or Close. batch is the capacity of the
+// chunks the cursor drains the plan's root in, and so of every chunk below
+// it down to the sort enforcers: 1 runs the tree one row per call above
+// them, types.DefaultChunkCapacity is the default drain.
 func runChaosQuery(db *Database, plan *Plan, batch, limit int) ([]string, IOStats, error) {
 	query := queryChunked
 	if batch == 1 {
-		query = queryRowDrained
+		query = queryOneRow
 	}
 	cur, err := query(db, plan)
 	if err != nil {

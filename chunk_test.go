@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"pyro/internal/core"
 	"pyro/internal/exec"
 	"pyro/internal/sortord"
 	"pyro/internal/storage"
@@ -16,35 +17,37 @@ import (
 	"pyro/internal/xsort"
 )
 
-// queryRowDrained is Query with the cursor served from the root operator's
-// row Next instead of its NextChunk: the same core.Build tree, drained a
-// row at a time. It is the reference the chunked cursor must match.
-func queryRowDrained(db *Database, plan *Plan, opts ...ExecOption) (*Cursor, error) {
+// queryOneRow is Query with the cursor draining the plan's root in chunks of
+// one row. Every operator sizes the chunks it pulls from the chunk it is
+// asked to fill, so the tree runs one row per call down to its sorts (which
+// pull their input in xsort.Config.BatchSize chunks): this is the reference
+// the default drain must match.
+func queryOneRow(db *Database, plan *Plan, opts ...ExecOption) (*Cursor, error) {
 	cur, err := db.Query(context.Background(), plan, opts...)
 	if err != nil {
 		return nil, err
 	}
-	cur.chunkOp = nil
+	cur.chunk = types.GetChunk(len(cur.cols), 1)
 	return cur, nil
 }
 
-// queryChunked is Query: the cursor pulls the root's NextChunk whenever the
-// root serves chunks.
+// queryChunked is Query: the cursor drains chunks of
+// types.DefaultChunkCapacity rows.
 func queryChunked(db *Database, plan *Plan, opts ...ExecOption) (*Cursor, error) {
 	return db.Query(context.Background(), plan, opts...)
 }
 
-// drainModes are the two ways a cursor can pull its root: "row" (the
-// reference) and "chunk".
+// drainModes are the two chunk capacities a cursor drains its root at: one
+// row (the reference) and the default.
 var drainModes = []struct {
 	name  string
 	query func(db *Database, plan *Plan, opts ...ExecOption) (*Cursor, error)
 }{
-	{"row", queryRowDrained},
-	{"chunk", queryChunked},
+	{"cap=1", queryOneRow},
+	{"cap=1024", queryChunked},
 }
 
-// chunkDiffPlans builds the plan corpus for the chunk-vs-row differential
+// chunkDiffPlans builds the plan corpus for the chunk-capacity differential
 // tests: every operator family of the engine — scans (table and covering
 // index), filters, projections, hash and merge joins, sort- and hash-based
 // aggregation, distinct, union, order-by (full and partial sort), limit —
@@ -96,6 +99,18 @@ func chunkDiffPlans(t *testing.T, db *Database) map[string]*Plan {
 	return plans
 }
 
+// checkInteriorOrders fails t unless every order plan's nodes claim holds
+// on what each of those subtrees produces alone (core.CheckOrders), at db's
+// sort budget: the plan's root order and every order §4 propagates below
+// it.
+func checkInteriorOrders(t testing.TB, db *Database, plan *Plan) {
+	t.Helper()
+	cfg := core.BuildConfig{Disk: db.disk, SortMemoryBlocks: db.cfg.SortMemoryBlocks}
+	if err := core.CheckOrders(plan.inner, cfg); err != nil {
+		t.Fatalf("%v\n%s", err, plan.Explain())
+	}
+}
+
 // drained is what a cursor served and froze: rows, sort counters and the
 // query's tap-attributed I/O.
 type drained struct {
@@ -136,11 +151,18 @@ func drainStop(t *testing.T, db *Database, plan *Plan, stop int,
 // counters or I/O.
 func sameDrain(t *testing.T, at string, got, want drained) {
 	t.Helper()
-	if !reflect.DeepEqual(got.rows, want.rows) {
-		t.Fatalf("%s: rows diverge from the row drain (%d vs %d rows)", at, len(got.rows), len(want.rows))
-	}
+	sameRowsAndIO(t, at, got, want)
 	if !reflect.DeepEqual(got.sorts, want.sorts) {
 		t.Fatalf("%s: sort stats diverge:\n got %+v\nwant %+v", at, got.sorts, want.sorts)
+	}
+}
+
+// sameRowsAndIO fails t when got differs from the reference want in rows or
+// I/O.
+func sameRowsAndIO(t *testing.T, at string, got, want drained) {
+	t.Helper()
+	if !reflect.DeepEqual(got.rows, want.rows) {
+		t.Fatalf("%s: rows diverge from the one-row drain (%d vs %d rows)", at, len(got.rows), len(want.rows))
 	}
 	if got.io != want.io {
 		t.Fatalf("%s: per-query I/O diverges:\n got %+v\nwant %+v — a chunk refill did non-free work",
@@ -148,40 +170,104 @@ func sameDrain(t *testing.T, at string, got, want drained) {
 	}
 }
 
-// TestChunkMatchesRowAtATime is the chunked executor's differential
-// property test: for every plan shape, serving the cursor from the root's
-// NextChunk must be indistinguishable from draining the same operator tree
-// through the root's Next — identical rows in identical order, identical
-// sort counters, identical per-query I/O. Chunks may only remove per-row
-// overhead, never change what the engine reads or computes.
+// sameStop is sameDrain for drains stopped mid-stream. Rows and I/O must
+// match the one-row reference exactly. A sort may have handed out more rows
+// than the reference's — the rest of the chunk its consumer asked for, rows
+// in memory or on run pages already read — but at most one chunk more, and
+// TuplesOut and Comparisons (which a spilled sort's final merge spends per
+// row handed out) are the only counters that may differ. They are pinned
+// too: every sort's counters must be exactly replay(i, n), those of sort i
+// stopped one row at a time after the n rows it handed out, so run
+// formation and merging are checked to the comparison. replay must give the
+// reference's counters at the reference's row count; that is checked too.
+func sameStop(t *testing.T, at string, got, want drained, replay func(i int, n int64) SortStats) {
+	t.Helper()
+	sameRowsAndIO(t, at, got, want)
+	if len(got.sorts) != len(want.sorts) {
+		t.Fatalf("%s: %d sorts, want %d", at, len(got.sorts), len(want.sorts))
+	}
+	for i, g := range got.sorts {
+		w := want.sorts[i]
+		if extra := g.TuplesOut - w.TuplesOut; extra < 0 || extra > types.DefaultChunkCapacity {
+			t.Fatalf("%s: sort %d handed out %d rows, the one-row drain %d: want at most one chunk more",
+				at, i, g.TuplesOut, w.TuplesOut)
+		}
+		if g.Comparisons < w.Comparisons {
+			t.Fatalf("%s: sort %d made %d comparisons, fewer than the one-row drain's %d", at, i, g.Comparisons, w.Comparisons)
+		}
+		rest := g
+		rest.TuplesOut, rest.Comparisons = w.TuplesOut, w.Comparisons
+		if rest != w {
+			t.Fatalf("%s: sort %d stats diverge beyond TuplesOut and Comparisons:\n got %+v\nwant %+v", at, i, g, w)
+		}
+		if r := replay(i, w.TuplesOut); r != w {
+			t.Fatalf("%s: sort %d replayed to the one-row drain's %d rows is not that drain's sort:\n got %+v\nwant %+v",
+				at, i, w.TuplesOut, r, w)
+		}
+		if r := replay(i, g.TuplesOut); r != g {
+			t.Fatalf("%s: sort %d stats differ from the same sort stopped one row at a time after %d rows:\n got %+v\nwant %+v",
+				at, i, g.TuplesOut, g, r)
+		}
+	}
+}
+
+// planReplay is sameStop's replay for the plans Query runs: it builds plan
+// under a budget of blocks, as a cursor with that budget and sort
+// parallelism 1 does, and drains its i-th sort enforcer (pre-order, as
+// QueryStats.Sorts lists them) alone, one row per chunk, for n rows.
+func planReplay(t *testing.T, db *Database, plan *Plan, blocks int) func(int, int64) SortStats {
+	return func(i int, n int64) SortStats {
+		t.Helper()
+		op, err := core.Build(plan.inner, core.BuildConfig{Disk: db.disk, SortMemoryBlocks: blocks, SortParallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sort := exec.CollectSorts(op)[i]
+		drainOp(t, sort, 1, int(n))
+		return *sort.SortStats()
+	}
+}
+
+// TestChunkMatchesRowAtATime is the executor's differential property test:
+// for every plan shape, draining the cursor in default-capacity chunks must
+// be indistinguishable from draining the same operator tree one row per
+// call — identical rows in identical order, identical sort counters,
+// identical per-query I/O. Chunks may only remove per-row overhead, never
+// change what the engine reads or computes.
 func TestChunkMatchesRowAtATime(t *testing.T) {
 	db := openTestDB(t)
 	for name, plan := range chunkDiffPlans(t, db) {
 		t.Run(name, func(t *testing.T) {
-			want := drainStop(t, db, plan, -1, queryRowDrained)
+			checkInteriorOrders(t, db, plan)
+			want := drainStop(t, db, plan, -1, queryOneRow)
 			sameDrain(t, "full drain", drainStop(t, db, plan, -1, queryChunked), want)
 		})
 	}
 }
 
 // TestChunkMatchesRowAtATimeEarlyClose extends the differential property to
-// mid-stream Close: stopping after j rows must freeze identical stats under
-// both drains. This is the "free work only" invariant — a chunk refill may
-// only do the work the row path's next Next would have done, plus work that
-// is free (rows co-resident on an already-read page), so an early stop
-// observes the same pages read and the same sort segments touched.
+// mid-stream Close: stopping after j rows must freeze the same I/O under
+// both drains, and sort counters that differ only by the rows a sort handed
+// to a chunk past the stop (sameStop). This is the "free work only"
+// invariant — a chunk refill may only do the work its first row needs, plus
+// work that is free (rows co-resident on an already-read page), so an early
+// stop observes the same pages read and the same sort segments touched. The
+// budget is set explicitly so the replayed sorts get the cursor's, not a
+// governed grant.
 func TestChunkMatchesRowAtATimeEarlyClose(t *testing.T) {
 	db := openTestDB(t)
 	plans := chunkDiffPlans(t, db)
+	mem := WithSortMemoryBlocks(db.cfg.SortMemoryBlocks)
 	for _, name := range []string{"scan-filter", "join-orderby", "union-all", "orderby-limit"} {
 		plan := plans[name]
 		t.Run(name, func(t *testing.T) {
 			for _, j := range []int{1, 13} {
-				want := drainStop(t, db, plan, j, queryRowDrained)
+				want := drainStop(t, db, plan, j, queryOneRow, mem)
 				if len(want.rows) != j {
 					t.Fatalf("stop %d: only %d rows", j, len(want.rows))
 				}
-				sameDrain(t, fmt.Sprintf("stop %d", j), drainStop(t, db, plan, j, queryChunked), want)
+				sameStop(t, fmt.Sprintf("stop %d", j), drainStop(t, db, plan, j, queryChunked, mem), want,
+					planReplay(t, db, plan, db.cfg.SortMemoryBlocks))
 			}
 		})
 	}
@@ -207,18 +293,46 @@ func midPageDB(t *testing.T, n int) *Database {
 	return db
 }
 
-// rowOnly hides an operator's chunk path: embedding the Operator interface
-// promotes only its row methods, so a consumer reads it a row at a time.
-type rowOnly struct{ exec.Operator }
+// drainOp opens op, pulls up to stop rows (all of them when stop < 0) in
+// chunks of the given capacity, closes it and returns the rows.
+func drainOp(t *testing.T, op exec.Operator, capacity, stop int) [][]any {
+	t.Helper()
+	if err := op.Open(); err != nil {
+		t.Fatal(err)
+	}
+	c := types.NewChunk(op.Schema().Len(), capacity)
+	var rows [][]any
+	var row types.Tuple
+	for stop < 0 || len(rows) < stop {
+		if err := op.NextChunk(c); err != nil {
+			t.Fatal(err)
+		}
+		if c.Rows() == 0 {
+			break
+		}
+		for i := 0; i < c.Rows() && (stop < 0 || len(rows) < stop); i++ {
+			row = c.CopyRow(row, i)
+			vals := make([]any, len(row))
+			for j, v := range row {
+				vals[j] = datumValue(v)
+			}
+			rows = append(rows, vals)
+		}
+	}
+	if err := op.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
 
 // TestChunkBoundaryMidPage covers the chunk that fills in the middle of a
 // page (storage.TupleReader.ReadChunk stopping partway through it): the
 // table's pages hold more than types.DefaultChunkCapacity rows, and each
 // plan stops on both sides of the chunk boundary, on the first page and on
-// the second. scan→filter→limit is checked against the row drain of its
-// root; scan→sort against the same partial sort fed by the scan a row at a
-// time, since a sort root is drained by rows either way and only its input
-// collection batches.
+// the second. scan→filter→limit is checked against its one-row drain;
+// scan→sort against the same partial sort that also pulls its input one row
+// per chunk, since the sort's input batch is a setting of its own
+// (xsort.Config.BatchSize), not the capacity its consumer asks for.
 func TestChunkBoundaryMidPage(t *testing.T) {
 	const n = 6_000
 	db := midPageDB(t, n)
@@ -229,10 +343,10 @@ func TestChunkBoundaryMidPage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if io := drainStop(t, db, scanPlan, capacity+1, queryRowDrained).io; io.PageReads != 1 {
+	if io := drainStop(t, db, scanPlan, capacity+1, queryOneRow).io; io.PageReads != 1 {
 		t.Fatalf("%d rows span %d pages; the test needs more than a chunk on one page", capacity+1, io.PageReads)
 	}
-	if io := drainStop(t, db, scanPlan, 2*capacity+1, queryRowDrained).io; io.PageReads != 2 {
+	if io := drainStop(t, db, scanPlan, 2*capacity+1, queryOneRow).io; io.PageReads != 2 {
 		t.Fatalf("%d rows span %d pages; the last stops must land mid-way on page 2", 2*capacity+1, io.PageReads)
 	}
 
@@ -242,7 +356,7 @@ func TestChunkBoundaryMidPage(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, stop := range stops {
-			want := drainStop(t, db, plan, stop, queryRowDrained)
+			want := drainStop(t, db, plan, stop, queryOneRow)
 			sameDrain(t, fmt.Sprintf("stop %d", stop), drainStop(t, db, plan, stop, queryChunked), want)
 		}
 	})
@@ -257,47 +371,29 @@ func TestChunkBoundaryMidPage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// rowFed drains the reference: the same MRS over a scan that serves
-		// it rows only, under the budget Query is pinned to below.
+		// rowFed drains the reference: the same MRS fed and drained one row
+		// per chunk, under the budget Query is pinned to below.
 		rowFed := func(stop int) drained {
 			t.Helper()
 			tap := storage.NewTap()
 			scan := exec.NewTableScan(table)
 			scan.SetIOTap(tap)
-			sort, err := exec.NewSortMRS(rowOnly{scan}, target, given, xsort.Config{
-				Disk: db.disk, MemoryBlocks: 64, Parallelism: 1, Tap: tap,
-				BatchSize: types.DefaultChunkCapacity,
+			sort, err := exec.NewSortMRS(scan, target, given, xsort.Config{
+				Disk: db.disk, MemoryBlocks: 64, Parallelism: 1, Tap: tap, BatchSize: 1,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := sort.Open(); err != nil {
-				t.Fatal(err)
-			}
-			var d drained
-			for stop < 0 || len(d.rows) < stop {
-				row, ok, err := sort.Next()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !ok {
-					break
-				}
-				vals := make([]any, len(row))
-				for i, v := range row {
-					vals[i] = datumValue(v)
-				}
-				d.rows = append(d.rows, vals)
-			}
-			if err := sort.Close(); err != nil {
-				t.Fatal(err)
-			}
-			d.sorts, d.io = []SortStats{*sort.SortStats()}, tap.Stats()
-			return d
+			return drained{rows: drainOp(t, sort, 1, stop), sorts: []SortStats{*sort.SortStats()}, io: tap.Stats()}
 		}
+		replay := func(_ int, n int64) SortStats { return rowFed(int(n)).sorts[0] }
 		for _, stop := range stops {
 			got := drainStop(t, db, plan, stop, queryChunked, WithSortMemoryBlocks(64))
-			sameDrain(t, fmt.Sprintf("stop %d", stop), got, rowFed(stop))
+			if stop < 0 {
+				sameDrain(t, "full drain", got, rowFed(stop))
+			} else {
+				sameStop(t, fmt.Sprintf("stop %d", stop), got, rowFed(stop), replay)
+			}
 		}
 	})
 }
@@ -317,8 +413,8 @@ func TestChunkContextAbort(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if mode.name == "row" {
-			cur.chunkOp = nil
+		if mode.name == "cap=1" {
+			cur.chunk = types.GetChunk(len(cur.cols), 1)
 		}
 		for i := 0; i < 5; i++ {
 			if !cur.Next() {
@@ -345,7 +441,7 @@ func TestChunkContextAbort(t *testing.T) {
 // row into time-to-first-chunk-of-the-whole-result.
 func TestChunkTTFRMeasuresFirstRow(t *testing.T) {
 	db := segmentedDB(t, 50_000, 500)
-	// A selective filter over a big scan: chunk-capable top-of-plan, first
+	// A selective filter over a big scan: a filter at the top of the plan, first
 	// row after a handful of pages, full drain reads all ~379.
 	plan, err := db.Optimize(db.Scan("big").Filter(Gt(Col("pad"), Int(10))))
 	if err != nil {
@@ -382,10 +478,10 @@ func TestChunkTTFRMeasuresFirstRow(t *testing.T) {
 	}
 }
 
-// TestConcurrentChunkCursors drains the chunked path from several cursors
-// on one Database at once (the race-serve CI job gates the chunk pool and
-// shared-plan plumbing underneath), alternating with row-drained cursors —
-// all required to agree exactly.
+// TestConcurrentChunkCursors drains several cursors on one Database at once
+// (the race-serve CI job gates the chunk pool and shared-plan plumbing
+// underneath), alternating the default capacity with cursors drained one
+// row per chunk — all required to agree exactly.
 func TestConcurrentChunkCursors(t *testing.T) {
 	db := segmentedDB(t, 20_000, 2_000)
 	plan, err := db.Optimize(db.Scan("big").Filter(Gt(Col("v"), Int(5_000))))
@@ -427,4 +523,111 @@ func TestConcurrentChunkCursors(t *testing.T) {
 				w, drainModes[w%len(drainModes)].name)
 		}
 	}
+}
+
+// TestChunkStopsInSpilledMerge pins the merge's page rule: a chunk served
+// from a spilled sort's final merge stops before any row whose load would
+// read a new run page, so its rows stay spans over pages already read and a
+// consumer that stops mid-chunk has read no page a one-row consumer would
+// not have. Draining at capacity 1 and at the default capacity must charge
+// the same I/O and sort counters at every stop — for a spilled SRS at the
+// plan's root and for a merge join reading two of them.
+func TestChunkStopsInSpilledMerge(t *testing.T) {
+	const n = 8_000
+	db := segmentedDB(t, n, n)
+	stops := []int{1, 2, 100, 1023, 1024, 1025, 4_000, -1}
+	spilled := func(t *testing.T, sorts []SortStats) {
+		t.Helper()
+		for _, st := range sorts {
+			if st.Segments != 0 || st.RunsGenerated < 3 {
+				t.Fatalf("want SRS sorts spilling several runs, got %+v", sorts)
+			}
+		}
+	}
+
+	t.Run("root-srs", func(t *testing.T) {
+		plan, err := db.Optimize(db.Scan("big").OrderBy("v", "pad"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mem := WithSortMemoryBlocks(4)
+		spilled(t, drainStop(t, db, plan, -1, queryChunked, mem).sorts)
+		for _, stop := range stops {
+			got, want := drainStop(t, db, plan, stop, queryChunked, mem), drainStop(t, db, plan, stop, queryOneRow, mem)
+			if stop < 0 {
+				sameDrain(t, "full drain", got, want)
+			} else {
+				sameStop(t, fmt.Sprintf("stop %d", stop), got, want, planReplay(t, db, plan, 4))
+			}
+		}
+	})
+
+	t.Run("merge-join", func(t *testing.T) {
+		rows := make([][]any, n)
+		for i := range rows {
+			rows[i] = []any{int64(i * 7 % 10_000), int64(i)}
+		}
+		if err := db.CreateTable("other", []Column{
+			{Name: "w", Type: Int64},
+			{Name: "id", Type: Int64},
+		}, ClusterOn("id"), rows); err != nil {
+			t.Fatal(err)
+		}
+		// side builds the SRS that sorts one join input (big on v, other on
+		// w), pulling its input in chunks of the given capacity.
+		side := func(tap *storage.Tap, i, capacity int) *exec.Sort {
+			t.Helper()
+			name, key := "big", "v"
+			if i == 1 {
+				name, key = "other", "w"
+			}
+			table, err := db.cat.Table(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scan := exec.NewTableScan(table)
+			scan.SetIOTap(tap)
+			s, err := exec.NewSortSRS(scan, sortord.New(key), xsort.Config{
+				Disk: db.disk, MemoryBlocks: 4, Parallelism: 1, Tap: tap, BatchSize: capacity,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+		// join drains big ⋈ other on v = w, every operator pulling chunks of
+		// the given capacity.
+		join := func(capacity, stop int) drained {
+			t.Helper()
+			tap := storage.NewTap()
+			left, right := side(tap, 0, capacity), side(tap, 1, capacity)
+			mj, err := exec.NewMergeJoin(left, right, sortord.New("v"), sortord.New("w"), exec.InnerJoin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := drained{rows: drainOp(t, mj, capacity, stop), io: tap.Stats()}
+			d.sorts = []SortStats{*left.SortStats(), *right.SortStats()}
+			return d
+		}
+		// replay stops side i alone after n rows, one row at a time.
+		replay := func(i int, n int64) SortStats {
+			t.Helper()
+			s := side(storage.NewTap(), i, 1)
+			drainOp(t, s, 1, int(n))
+			return *s.SortStats()
+		}
+		full := join(types.DefaultChunkCapacity, -1)
+		spilled(t, full.sorts)
+		if len(full.rows) != n {
+			t.Fatalf("join served %d rows, want %d", len(full.rows), n)
+		}
+		for _, stop := range stops {
+			got, want := join(types.DefaultChunkCapacity, stop), join(1, stop)
+			if stop < 0 {
+				sameDrain(t, "full drain", got, want)
+			} else {
+				sameStop(t, fmt.Sprintf("stop %d", stop), got, want, replay)
+			}
+		}
+	})
 }

@@ -164,11 +164,11 @@ type Cursor struct {
 	firstRow time.Duration
 	rows     int64
 
-	// Batch-path state: when the plan's root is chunk-capable, Next drains
-	// pooled chunks internally and serves rows out of them — the public row
-	// semantics (TTFR at the first row, early Close shedding, ctx polling
-	// per Next) are those of a row-only root.
-	chunkOp  exec.ChunkOperator
+	// Next drains pooled chunks of types.DefaultChunkCapacity from the root
+	// and serves rows out of them — TTFR is stamped at the first row, early
+	// Close sheds the rest, ctx is polled per Next. The chunk is allocated on
+	// the first Next; one installed before it sets the capacity the tree
+	// runs at down to its sorts (tests drain at capacity 1 that way).
 	chunk    *types.Chunk
 	chunkPos int
 	rowBuf   types.Tuple
@@ -307,9 +307,6 @@ func (db *Database) Query(ctx context.Context, p *Plan, opts ...ExecOption) (*Cu
 		grant:    grant,
 		start:    time.Now(),
 	}
-	if exec.ChunkCapable(op) {
-		c.chunkOp = op.(exec.ChunkOperator)
-	}
 	ok = true // c.finish releases the slot and grant from here on
 	if err := openOp(op); err != nil {
 		if cerr := c.Close(); cerr != nil {
@@ -421,33 +418,6 @@ func (c *Cursor) Next() bool {
 		c.fail(err)
 		return false
 	}
-	if c.chunkOp != nil {
-		return c.nextChunked()
-	}
-	t, ok, err := c.safeNext()
-	if err != nil {
-		c.fail(err)
-		return false
-	}
-	if !ok {
-		c.finish()
-		return false
-	}
-	if c.rows == 0 {
-		c.firstRow = time.Since(c.start)
-	}
-	c.rows++
-	c.cur = t
-	return true
-}
-
-// nextChunked serves the next row out of the cursor's chunk, refilling it
-// from the operator tree at batch boundaries. The current row lives in a
-// reused buffer (Row and Scan copy values out), so steady-state draining
-// allocates nothing per row. TimeToFirstRow is stamped when the first row
-// is surfaced to the caller — after the chunk refill, so batching cannot
-// claim a first row it has not yet served.
-func (c *Cursor) nextChunked() bool {
 	for c.chunk == nil || c.chunkPos >= c.chunk.Rows() {
 		if c.chunk == nil {
 			c.chunk = types.GetChunk(len(c.cols), types.DefaultChunkCapacity)
@@ -462,6 +432,8 @@ func (c *Cursor) nextChunked() bool {
 			return false
 		}
 	}
+	// The current row lives in a reused buffer (Row and Scan copy values
+	// out), so steady-state draining allocates nothing per row.
 	c.rowBuf = c.chunk.CopyRow(c.rowBuf, c.chunkPos)
 	c.chunkPos++
 	if c.rows == 0 {
@@ -472,16 +444,10 @@ func (c *Cursor) nextChunked() bool {
 	return true
 }
 
-// safeNext pulls one row with panic containment.
-func (c *Cursor) safeNext() (t types.Tuple, ok bool, err error) {
-	defer recoverQuery(&err)
-	return c.op.Next()
-}
-
 // safeNextChunk refills the cursor's chunk with panic containment.
 func (c *Cursor) safeNextChunk() (err error) {
 	defer recoverQuery(&err)
-	return c.chunkOp.NextChunk(c.chunk)
+	return c.op.NextChunk(c.chunk)
 }
 
 // Row returns the current row (the one the last successful Next moved to)

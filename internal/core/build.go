@@ -20,7 +20,7 @@ type BuildConfig struct {
 	// SortAbort, when non-nil, is polled by the sort enforcers'
 	// long-running loops (input consumption, segment collection, spill
 	// merges); its first error aborts the enforcer, which surfaces it from
-	// Open or Next. Streaming execution supplies the query context's Err
+	// Open or NextChunk. Streaming execution supplies the query context's Err
 	// here so a cancellation reaches a sort that would otherwise block for
 	// its entire input. Must be safe for concurrent use.
 	SortAbort func() error
@@ -53,7 +53,7 @@ func Build(p *Plan, cfg BuildConfig) (exec.Operator, error) {
 		return nil, err
 	}
 	// Sort enforcers receive the abort hook through xsort.Config.Abort;
-	// every other operator whose tuple loops can outlive a Next call
+	// every other operator whose tuple loops can outlive a NextChunk call
 	// (filters, joins, aggregates, dedup) polls the same hook through its
 	// own strided guard.
 	exec.InstallAbort(root, cfg.SortAbort)

@@ -7,7 +7,6 @@ import (
 	"pyro/internal/catalog"
 	"pyro/internal/exec"
 	"pyro/internal/expr"
-	"pyro/internal/iter"
 	"pyro/internal/logical"
 	"pyro/internal/sortord"
 	"pyro/internal/storage"
@@ -114,7 +113,7 @@ func execPlan(t *testing.T, f *fixture, p *Plan) []types.Tuple {
 	if err != nil {
 		t.Fatalf("Build: %v\n%s", err, p.Format())
 	}
-	rows, err := iter.Drain(op)
+	rows, err := exec.Drain(op)
 	if err != nil {
 		t.Fatalf("execute: %v\n%s", err, p.Format())
 	}

@@ -65,6 +65,17 @@ func TestFigure10bPlanShape(t *testing.T) {
 	if partials != 2 {
 		t.Fatalf("expected 2 partial sorts, got %d", partials)
 	}
+	checkOrders(t, res.Plan, disk)
+}
+
+// checkOrders fails t unless every order the plan's nodes claim holds on
+// what those subtrees produce (CheckOrders), at the 32-block budget the
+// plan was optimized for.
+func checkOrders(t *testing.T, p *Plan, disk *storage.Disk) {
+	t.Helper()
+	if err := CheckOrders(p, BuildConfig{Disk: disk, SortMemoryBlocks: 32}); err != nil {
+		t.Fatalf("%v\n%s", err, p.Format())
+	}
 }
 
 // TestFigure14PlanShape pins the PYRO-O Query 4 plan: two merge full outer
@@ -113,4 +124,5 @@ func TestFigure14PlanShape(t *testing.T) {
 			}
 		}
 	})
+	checkOrders(t, res.Plan, disk)
 }

@@ -6,7 +6,6 @@ import (
 
 	"pyro/internal/exec"
 	"pyro/internal/expr"
-	"pyro/internal/iter"
 	"pyro/internal/logical"
 	"pyro/internal/sortord"
 )
@@ -305,7 +304,7 @@ func TestLimitBoundReachesOnlyTheSortItSitsOn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := iter.Drain(op)
+	rows, err := exec.Drain(op)
 	if err != nil || len(rows) != 5 {
 		t.Fatalf("bounded full sort: %d rows, err %v", len(rows), err)
 	}

@@ -8,7 +8,6 @@ import (
 	"pyro/internal/catalog"
 	"pyro/internal/exec"
 	"pyro/internal/expr"
-	"pyro/internal/iter"
 	"pyro/internal/logical"
 	"pyro/internal/sortord"
 	"pyro/internal/storage"
@@ -136,7 +135,7 @@ func TestRandomQueriesAgreeAcrossHeuristics(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d %v: build: %v\n%s", trial, h, err, res.Plan.Format())
 			}
-			rows, err := iter.Drain(op)
+			rows, err := exec.Drain(op)
 			if err != nil {
 				t.Fatalf("trial %d %v: execute: %v\n%s", trial, h, err, res.Plan.Format())
 			}

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"sort"
 
 	"pyro/internal/expr"
 	"pyro/internal/iter"
@@ -170,6 +169,7 @@ func bindAggs(child *types.Schema, aggs []AggSpec) ([]boundAgg, error) {
 // soon as the next group begins — which is why feeding it a merge join's
 // output order is profitable (the paper's Query 3 plan).
 type GroupAggregate struct {
+	rowView
 	child     Operator
 	groupCols []string
 	groupOrds []int
@@ -177,16 +177,11 @@ type GroupAggregate struct {
 	bound     []boundAgg
 	schema    *types.Schema
 
-	pending types.Tuple
-	done    bool
-	opened  bool
-
-	// in is the stream the aggregate actually pulls: the child itself, or
-	// a rowAdapter over it when it serves chunks (the aggregate retains its
-	// lookahead, so it needs owned rows either way).
-	in iter.Iterator
-
-	guard iter.Guard // strided abort poll for the group-fold loop
+	in    rowReader
+	first types.Tuple // the current group's first row, owned; nil before the first row
+	accs  []accumulator
+	out   types.Tuple // output row scratch
+	guard iter.Guard  // strided abort poll for the group-fold loop
 }
 
 // NewGroupAggregate builds a sort-based aggregate over contiguous groups.
@@ -203,10 +198,11 @@ func NewGroupAggregate(child Operator, groupCols []string, aggs []AggSpec) (*Gro
 	for i, g := range groupCols {
 		ords[i] = child.Schema().MustOrdinal(g)
 	}
-	return &GroupAggregate{
+	return lend(&GroupAggregate{
 		child: child, groupCols: append([]string(nil), groupCols...), groupOrds: ords,
-		aggs: aggs, bound: bound, schema: schema, in: rowInput(child),
-	}, nil
+		aggs: aggs, bound: bound, schema: schema, in: rowReader{src: child},
+		accs: make([]accumulator, len(bound)),
+	}), nil
 }
 
 // Schema returns group columns followed by aggregate columns.
@@ -219,26 +215,11 @@ func (g *GroupAggregate) Children() []Operator { return []Operator{g.child} }
 func (g *GroupAggregate) GroupCols() []string { return g.groupCols }
 
 // SetAbort installs the abort hook the group-fold loop polls: one giant
-// group is folded inside a single Next call.
+// group is folded inside a single call.
 func (g *GroupAggregate) SetAbort(poll func() error) { g.guard = iter.NewGuard(poll) }
 
-// Open opens the input and primes the lookahead.
-func (g *GroupAggregate) Open() error {
-	g.opened = true
-	if err := g.in.Open(); err != nil {
-		return err
-	}
-	t, ok, err := g.in.Next()
-	if err != nil {
-		return err
-	}
-	if !ok {
-		g.done = true
-		return nil
-	}
-	g.pending = t
-	return nil
-}
+// Open opens the input.
+func (g *GroupAggregate) Open() error { return g.child.Open() }
 
 func (g *GroupAggregate) sameGroup(a, b types.Tuple) bool {
 	for _, o := range g.groupOrds {
@@ -249,63 +230,71 @@ func (g *GroupAggregate) sameGroup(a, b types.Tuple) bool {
 	return true
 }
 
-// Next aggregates one group and returns its row.
-func (g *GroupAggregate) Next() (types.Tuple, bool, error) {
-	if g.done && g.pending == nil {
-		return nil, false, nil
-	}
-	first := g.pending
-	accs := make([]accumulator, len(g.bound))
-	for i := range accs {
-		accs[i].fn = g.bound[i].fn
-	}
-	fold := func(t types.Tuple) {
+// NextChunk fills c with the rows of the next groups. A group's row is
+// emitted when the next group's first row (or the input's end) is read, and
+// once c holds a row the aggregate ends the chunk rather than pull an input
+// chunk: a group may be folded across calls.
+func (g *GroupAggregate) NextChunk(c *types.Chunk) error {
+	c.Reset()
+	for !c.Full() {
+		if err := g.guard.Check(); err != nil {
+			return err
+		}
+		if c.Rows() > 0 && !g.in.buffered() {
+			return nil
+		}
+		t, ok, err := g.in.next(c.Cap())
+		if err != nil {
+			return err
+		}
+		if g.first != nil && (!ok || !g.sameGroup(g.first, t)) {
+			g.emit(c)
+		}
+		if !ok {
+			g.first = nil
+			return nil
+		}
+		if g.first == nil || !g.sameGroup(g.first, t) {
+			g.first = append(g.first[:0], t...)
+			for i := range g.accs {
+				g.accs[i] = accumulator{fn: g.bound[i].fn}
+			}
+		}
 		for i, b := range g.bound {
 			if b.ev == nil {
-				accs[i].addRow()
+				g.accs[i].addRow()
 			} else {
-				accs[i].add(b.ev(t))
+				g.accs[i].add(b.ev(t))
 			}
 		}
 	}
-	fold(first)
-	for {
-		if err := g.guard.Check(); err != nil {
-			return nil, false, err
-		}
-		t, ok, err := g.in.Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			g.done = true
-			g.pending = nil
-			break
-		}
-		if !g.sameGroup(first, t) {
-			g.pending = t
-			break
-		}
-		fold(t)
-	}
-	out := make(types.Tuple, 0, g.schema.Len())
-	for _, o := range g.groupOrds {
-		out = append(out, first[o])
-	}
-	for i := range accs {
-		out = append(out, accs[i].result())
-	}
-	return out, true, nil
+	return nil
 }
 
-// Close closes the input (an adapter closes the child).
-func (g *GroupAggregate) Close() error { return g.in.Close() }
+// emit appends the current group's row to c.
+func (g *GroupAggregate) emit(c *types.Chunk) {
+	g.out = g.out[:0]
+	for _, o := range g.groupOrds {
+		g.out = append(g.out, g.first[o])
+	}
+	for i := range g.accs {
+		g.out = append(g.out, g.accs[i].result())
+	}
+	c.AppendRow(g.out)
+}
+
+// Close closes the input.
+func (g *GroupAggregate) Close() error {
+	g.in.release()
+	return g.child.Close()
+}
 
 // HashAggregate accumulates all groups in a hash table and emits them after
 // the input is exhausted (blocking). Output group order is the groups'
 // first-seen order, which carries no guarantee — the reason the paper's
 // Query 3 Postgres plan needed an extra sort above its hash aggregate.
 type HashAggregate struct {
+	rowView
 	child     Operator
 	groupCols []string
 	groupOrds []int
@@ -313,9 +302,17 @@ type HashAggregate struct {
 	bound     []boundAgg
 	schema    *types.Schema
 
-	results []types.Tuple
-	pos     int
-	guard   iter.Guard // strided abort poll for the ingest loops
+	groups []*groupState // first-seen order; nil until the first NextChunk ingests
+	pos    int
+	out    types.Tuple // output row scratch
+	guard  iter.Guard  // strided abort poll for the ingest loop
+}
+
+// groupState is one hash-aggregate group: its first-seen row, owned, and its
+// accumulators.
+type groupState struct {
+	rep  types.Tuple
+	accs []accumulator
 }
 
 // NewHashAggregate builds a hash aggregate; input order is irrelevant.
@@ -332,10 +329,10 @@ func NewHashAggregate(child Operator, groupCols []string, aggs []AggSpec) (*Hash
 	for i, g := range groupCols {
 		ords[i] = child.Schema().MustOrdinal(g)
 	}
-	return &HashAggregate{
+	return lend(&HashAggregate{
 		child: child, groupCols: append([]string(nil), groupCols...), groupOrds: ords,
 		aggs: aggs, bound: bound, schema: schema,
-	}, nil
+	}), nil
 }
 
 // Schema returns group columns followed by aggregate columns.
@@ -344,123 +341,85 @@ func (h *HashAggregate) Schema() *types.Schema { return h.schema }
 // Children returns the aggregated input.
 func (h *HashAggregate) Children() []Operator { return []Operator{h.child} }
 
-// SetAbort installs the abort hook the ingest loops poll: the hash
-// aggregate drains its whole input inside Open.
+// SetAbort installs the abort hook the ingest loop polls: the hash
+// aggregate drains its whole input inside its first call.
 func (h *HashAggregate) SetAbort(poll func() error) { h.guard = iter.NewGuard(poll) }
 
-// Open consumes the entire input, building all groups. Over a chunk-capable
-// child it folds chunk row views directly (consuming any selection) and
-// clones a tuple only for each group's first-seen representative — one
-// allocation per group instead of one per input row.
-func (h *HashAggregate) Open() error {
-	if err := h.child.Open(); err != nil {
-		return err
-	}
-	type groupState struct {
-		rep  types.Tuple
-		accs []accumulator
-		seq  int
-	}
-	groups := make(map[string]*groupState)
+// Open opens the child.
+func (h *HashAggregate) Open() error { return h.child.Open() }
+
+// ingest consumes the entire input, pulled in chunks of the given capacity,
+// building all groups. It folds chunk row views directly (consuming any
+// selection) and clones a row only for each group's first-seen
+// representative — one allocation per group instead of one per input row.
+func (h *HashAggregate) ingest(capacity int) error {
+	h.groups = []*groupState{}
+	index := make(map[string]*groupState)
 	var keyBuf []byte
-	seq := 0
-	// ingest folds one row; owned says whether t may be retained as a
-	// group representative or must be cloned first (chunk views are
-	// overwritten on refill).
-	ingest := func(t types.Tuple, owned bool) {
-		keyBuf = keyBuf[:0]
+	c := types.GetChunk(h.child.Schema().Len(), capacity)
+	defer types.PutChunk(c)
+	var view types.Tuple
+	for {
+		if err := h.guard.Check(); err != nil {
+			return err
+		}
+		if err := h.child.NextChunk(c); err != nil {
+			return err
+		}
+		if c.Rows() == 0 {
+			return nil
+		}
+		for i := 0; i < c.Rows(); i++ {
+			view = c.CopyRow(view, i)
+			keyBuf = keyBuf[:0]
+			for _, o := range h.groupOrds {
+				keyBuf = view[o : o+1].Encode(keyBuf)
+			}
+			gs, found := index[string(keyBuf)]
+			if !found {
+				gs = &groupState{rep: view.Clone(), accs: make([]accumulator, len(h.bound))}
+				for j := range gs.accs {
+					gs.accs[j].fn = h.bound[j].fn
+				}
+				index[string(keyBuf)] = gs
+				h.groups = append(h.groups, gs)
+			}
+			for j, b := range h.bound {
+				if b.ev == nil {
+					gs.accs[j].addRow()
+				} else {
+					gs.accs[j].add(b.ev(view))
+				}
+			}
+		}
+	}
+}
+
+// NextChunk fills c with the next group rows; the first call ingests the
+// whole input.
+func (h *HashAggregate) NextChunk(c *types.Chunk) error {
+	c.Reset()
+	if h.groups == nil {
+		if err := h.ingest(c.Cap()); err != nil {
+			return err
+		}
+	}
+	for ; h.pos < len(h.groups) && !c.Full(); h.pos++ {
+		gs := h.groups[h.pos]
+		h.out = h.out[:0]
 		for _, o := range h.groupOrds {
-			keyBuf = t[o : o+1].Encode(keyBuf)
-		}
-		gs, found := groups[string(keyBuf)]
-		if !found {
-			rep := t
-			if !owned {
-				rep = t.Clone()
-			}
-			gs = &groupState{rep: rep, accs: make([]accumulator, len(h.bound)), seq: seq}
-			seq++
-			for i := range gs.accs {
-				gs.accs[i].fn = h.bound[i].fn
-			}
-			groups[string(keyBuf)] = gs
-		}
-		for i, b := range h.bound {
-			if b.ev == nil {
-				gs.accs[i].addRow()
-			} else {
-				gs.accs[i].add(b.ev(t))
-			}
-		}
-	}
-	if ChunkCapable(h.child) {
-		child := h.child.(ChunkOperator)
-		c := types.GetChunk(h.child.Schema().Len(), types.DefaultChunkCapacity)
-		defer types.PutChunk(c)
-		var view types.Tuple
-		for {
-			if err := h.guard.Check(); err != nil {
-				return err
-			}
-			if err := child.NextChunk(c); err != nil {
-				return err
-			}
-			live := c.Rows()
-			if live == 0 {
-				break
-			}
-			for i := 0; i < live; i++ {
-				view = c.CopyRow(view, i)
-				ingest(view, false)
-			}
-		}
-	} else {
-		for {
-			if err := h.guard.Check(); err != nil {
-				return err
-			}
-			t, ok, err := h.child.Next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			ingest(t, true)
-		}
-	}
-	ordered := make([]*groupState, 0, len(groups))
-	for _, gs := range groups {
-		ordered = append(ordered, gs)
-	}
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].seq < ordered[j].seq })
-	h.results = make([]types.Tuple, len(ordered))
-	for i, gs := range ordered {
-		out := make(types.Tuple, 0, h.schema.Len())
-		for _, o := range h.groupOrds {
-			out = append(out, gs.rep[o])
+			h.out = append(h.out, gs.rep[o])
 		}
 		for j := range gs.accs {
-			out = append(out, gs.accs[j].result())
+			h.out = append(h.out, gs.accs[j].result())
 		}
-		h.results[i] = out
+		c.AppendRow(h.out)
 	}
-	h.pos = 0
 	return nil
 }
 
-// Next emits the next group row.
-func (h *HashAggregate) Next() (types.Tuple, bool, error) {
-	if h.pos >= len(h.results) {
-		return nil, false, nil
-	}
-	t := h.results[h.pos]
-	h.pos++
-	return t, true, nil
-}
-
-// Close closes the child.
+// Close drops the groups and closes the child.
 func (h *HashAggregate) Close() error {
-	h.results = nil
+	h.groups = nil
 	return h.child.Close()
 }

@@ -1,112 +1,92 @@
 package exec
 
-import (
-	"pyro/internal/iter"
-	"pyro/internal/types"
-)
+import "pyro/internal/types"
 
-// ChunkOperator is the batch half of the executor's hybrid protocol.
-// Operators that can deliver their output a chunk at a time implement it
-// alongside the row Operator interface. Chunks hold up to
-// types.DefaultChunkCapacity rows; there is no other setting. Row-only
-// operators (sorts, merge and nested-loops joins, aggregate output, fetch)
-// keep Next, and so does every operator above one of them: a Filter over a
-// Sort runs row at a time. A row consumer over a chunk-capable child — an
-// aggregate's input, a hash join's build side — reads it through a
-// rowAdapter (see rowInput).
-//
-// The protocol's I/O-identity contract: a NextChunk call may perform only
-// the work the row path's next Next call would perform, plus free work —
-// decoding rows co-resident on a page that call already read, or copying
-// rows already materialized in memory. Chunks therefore never cross a page
-// boundary, and a consumer that stops mid-stream has charged exactly the
-// row path's I/O and sort counters.
-type ChunkOperator interface {
-	Operator
+// ChunkOperator is Operator. It is kept, like ChunkCapable, only because
+// cmd/pyro-perf's drain names it; both go when that drain does.
+type ChunkOperator = Operator
 
-	// CanChunk reports whether the batch path is available for this
-	// operator instance. Interior operators cascade: a Filter can chunk
-	// iff its child can.
-	CanChunk() bool
+// ChunkCapable reports true: every operator serves chunks. Kept only for
+// cmd/pyro-perf (see ChunkOperator).
+func ChunkCapable(Operator) bool { return true }
 
-	// NextChunk overwrites c with the operator's next batch, possibly
-	// with a selection vector installed. Rows() == 0 means end of
-	// stream. The chunk's contents are valid only until the next call
-	// that refills it.
-	NextChunk(c *types.Chunk) error
-}
-
-// ChunkCapable reports whether op offers the batch path.
-func ChunkCapable(op Operator) bool {
-	co, ok := op.(ChunkOperator)
-	return ok && co.CanChunk()
-}
-
-// rowAdapter bridges a chunk-capable subtree to a row-at-a-time consumer:
-// it drains chunks from src and serves them one owned tuple per Next.
-// Consumers that retain rows (aggregates, join builds) need ownership
-// anyway, so the per-row copy here costs what the row path's DecodeTuple
-// already paid. The adapter is plumbing, not a plan node — consumers keep
-// the real child for Children(), so Walk and CollectSorts see the
-// unchanged tree.
-type rowAdapter struct {
-	src   ChunkOperator
+// rowReader lends the rows of an operator's chunks one at a time: it
+// refills a pooled chunk of its own from src.NextChunk and copies each row
+// into one reused tuple, valid until the next call. Consumers that keep a
+// row clone what they keep. It is how an operator that works a row at a time
+// — a merge join advancing its inputs, an aggregate folding its groups —
+// reads its children, and, as rowView, how a caller reads an operator.
+type rowReader struct {
+	src   Operator
 	chunk *types.Chunk
 	pos   int
-	done  bool
+	row   types.Tuple
 }
 
-// rowInput is the row stream a consumer pulls from op: op itself when it
-// is row-only, a rowAdapter over it when it serves chunks.
-func rowInput(op Operator) iter.Iterator {
-	if !ChunkCapable(op) {
-		return op
-	}
-	return &rowAdapter{src: op.(ChunkOperator)}
-}
+// buffered reports whether next can lend a row without asking src for a
+// chunk. An operator whose chunk already holds a row stops before a pull:
+// the pull may read a page the rows it has do not need.
+func (r *rowReader) buffered() bool { return r.chunk != nil && r.pos < r.chunk.Rows() }
 
-// Open opens the underlying operator.
-func (a *rowAdapter) Open() error {
-	a.pos = 0
-	a.done = false
-	a.release()
-	return a.src.Open()
-}
-
-// Next serves the next row of the current chunk, refilling at chunk
-// boundaries.
-func (a *rowAdapter) Next() (types.Tuple, bool, error) {
-	if a.done {
-		return nil, false, nil
-	}
-	for a.chunk == nil || a.pos >= a.chunk.Rows() {
-		if a.chunk == nil {
-			a.chunk = types.GetChunk(a.src.Schema().Len(), types.DefaultChunkCapacity)
+// next lends src's next row; ok=false at its end. capacity sizes the chunk
+// the first pull allocates: the capacity of the chunk the caller was asked
+// to fill, so a consumer's chunk size reaches every operator below it.
+func (r *rowReader) next(capacity int) (types.Tuple, bool, error) {
+	for !r.buffered() {
+		if r.chunk == nil {
+			r.chunk = types.GetChunk(r.src.Schema().Len(), capacity)
 		}
-		if err := a.src.NextChunk(a.chunk); err != nil {
+		if err := r.src.NextChunk(r.chunk); err != nil {
 			return nil, false, err
 		}
-		a.pos = 0
-		if a.chunk.Rows() == 0 {
-			a.done = true
-			a.release()
+		r.pos = 0
+		if r.chunk.Rows() == 0 {
 			return nil, false, nil
 		}
 	}
-	t := a.chunk.OwnedRow(a.pos)
-	a.pos++
-	return t, true, nil
+	r.row = r.chunk.CopyRow(r.row, r.pos)
+	r.pos++
+	return r.row, true, nil
 }
 
-// Close returns the buffered chunk to the pool and closes the operator.
-func (a *rowAdapter) Close() error {
-	a.release()
-	return a.src.Close()
+// release returns the chunk to the pool; rows lent from it are dead after.
+func (r *rowReader) release() {
+	types.PutChunk(r.chunk)
+	r.chunk = nil
 }
 
-func (a *rowAdapter) release() {
-	if a.chunk != nil {
-		types.PutChunk(a.chunk)
-		a.chunk = nil
+// carve copies a lent row t into storage the caller keeps, cut from *slab.
+// A spent slab is replaced by a fresh one of n rows, so rows carved earlier
+// stay valid; truncating *slab to zero length recycles it once they are
+// dead.
+func carve(slab *[]types.Datum, t types.Tuple, n int) types.Tuple {
+	if cap(*slab)-len(*slab) < len(t) {
+		*slab = make([]types.Datum, 0, n*len(t))
 	}
+	start := len(*slab)
+	*slab = append(*slab, t...)
+	return (*slab)[start:len(*slab):len(*slab)]
+}
+
+// rowView is Operator.Next, the one row-at-a-time view of an operator. Every
+// operator embeds it and is wired to it by lend; it reads the operator's own
+// NextChunk through a rowReader at types.DefaultChunkCapacity and lends each
+// row until the next call.
+type rowView struct{ rows rowReader }
+
+// Next lends the operator's next row; ok=false at its end.
+func (v *rowView) Next() (types.Tuple, bool, error) {
+	return v.rows.next(types.DefaultChunkCapacity)
+}
+
+func (v *rowView) lendTo(op Operator) { v.rows.src = op }
+
+// lend wires op's row view to op's own NextChunk. Every constructor returns
+// its operator through it.
+func lend[O interface {
+	Operator
+	lendTo(Operator)
+}](op O) O {
+	op.lendTo(op)
+	return op
 }

@@ -1,14 +1,25 @@
-// Package exec implements the Volcano-style iterator execution engine: scans
-// over tables and covering indices, filters, projections, sort enforcers
+// Package exec implements the demand-driven execution engine: scans over
+// tables and covering indices, filters, projections, sort enforcers
 // (standard and partial-order-exploiting), merge and hash joins, merge full
 // outer join, nested-loops join, sort- and hash-based aggregation, merge
-// union, duplicate elimination and limit.
+// union, duplicate elimination, deferred fetch and limit.
 //
-// Every operator implements iter.Iterator and carries the schema of the
-// tuples it produces. Physical properties (the sort order an operator
-// guarantees) are tracked by the optimizer, not the operators; operators
-// that require sorted inputs document the requirement and the optimizer's
-// plan builder is responsible for satisfying it.
+// Every operator implements one protocol, iter.Iterator: NextChunk fills the
+// chunk its consumer hands it, and sizes the chunks it pulls from its own
+// inputs from that chunk's capacity — except a Sort, which reads its input
+// before it is asked for output and pulls it in chunks of its
+// xsort.Config.BatchSize. A NextChunk does the work its first row
+// needs and, for the rest, only free work — once its chunk holds a row an
+// operator stops before pulling a child chunk, reading a page, collecting a
+// sort segment or fetching a row — so a consumer that stops mid-stream has
+// done the I/O a consumer pulling one row at a time would have done. Next is
+// a row view derived from NextChunk (rowView), for callers that read rows.
+//
+// Operators carry the schema of the tuples they produce. Physical
+// properties (the sort order an operator guarantees) are tracked by the
+// optimizer, not the operators; operators that require sorted inputs
+// document the requirement and the optimizer's plan builder is responsible
+// for satisfying it.
 package exec
 
 import (
@@ -17,10 +28,12 @@ import (
 	"pyro/internal/types"
 )
 
-// Operator is an executable iterator with a known output schema.
+// Operator is an executable chunk iterator with a known output schema.
 type Operator interface {
 	iter.Iterator
 	Schema() *types.Schema
+	// Next lends the next row, valid until the next call (rowView).
+	Next() (types.Tuple, bool, error)
 }
 
 // inferKind derives the result kind of a scalar expression against a schema,
@@ -51,11 +64,11 @@ func inferKind(e expr.Expr, s *types.Schema) types.Kind {
 
 // Drain pulls all tuples from an operator (helper for tests and tools).
 func Drain(op Operator) ([]types.Tuple, error) {
-	return iter.Drain(op)
+	return iter.Drain(op, op.Schema().Len())
 }
 
 // Aborter is implemented by operators whose tuple loops poll an abort
-// hook. The cursor checks the context between Next calls, but an operator
+// hook. The cursor checks the context between its calls, but an operator
 // can consume its entire input inside one call — a filter rejecting every
 // row, a hash-join build, a nested-loops spool — so those inner loops
 // carry their own strided iter.Guard, exactly like the sort and spill

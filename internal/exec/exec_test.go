@@ -703,24 +703,30 @@ func TestDedupAndLimit(t *testing.T) {
 }
 
 // closeTracker wraps an operator and records when Close is called and how
-// many tuples were pulled.
+// many rows were pulled.
 type closeTracker struct {
 	Operator
 	closes int
 	pulls  int
 }
 
-func (c *closeTracker) Next() (types.Tuple, bool, error) {
-	t, ok, err := c.Operator.Next()
-	if ok {
-		c.pulls++
-	}
-	return t, ok, err
+func (c *closeTracker) NextChunk(ch *types.Chunk) error {
+	err := c.Operator.NextChunk(ch)
+	c.pulls += ch.Rows()
+	return err
 }
 
 func (c *closeTracker) Close() error {
 	c.closes++
 	return c.Operator.Close()
+}
+
+// pull1 asks op for a chunk of one row — the row-at-a-time consumer — and
+// reports whether it got one.
+func pull1(op Operator) (bool, error) {
+	c := types.NewChunk(op.Schema().Len(), 1)
+	err := op.NextChunk(c)
+	return c.Rows() == 1, err
 }
 
 // TestLimitClosesChildEagerly pins the pushed-down Top-K contract: the
@@ -737,14 +743,14 @@ func TestLimitClosesChildEagerly(t *testing.T) {
 	if err := l.Open(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, _ := l.Next(); !ok {
+	if ok, _ := pull1(l); !ok {
 		t.Fatal("first row missing")
 	}
 	if child.closes != 0 {
 		t.Fatal("child closed before the limit was reached")
 	}
 	// The K-th row closes the child as it is handed out.
-	if _, ok, _ := l.Next(); !ok {
+	if ok, _ := pull1(l); !ok {
 		t.Fatal("second row missing")
 	}
 	if child.closes != 1 {
@@ -754,7 +760,7 @@ func TestLimitClosesChildEagerly(t *testing.T) {
 		t.Fatalf("child pulls = %d, want exactly K", child.pulls)
 	}
 	// Exhaustion and Close stay clean and never double-close.
-	if _, ok, err := l.Next(); ok || err != nil {
+	if ok, err := pull1(l); ok || err != nil {
 		t.Fatalf("Next past limit: ok=%v err=%v", ok, err)
 	}
 	if err := l.Close(); err != nil {

@@ -14,6 +14,7 @@ import (
 
 // faultyOp yields n good tuples and then fails, or fails at Open.
 type faultyOp struct {
+	rowView
 	schema   *types.Schema
 	n        int
 	failOpen bool
@@ -30,12 +31,16 @@ func (f *faultyOp) Open() error {
 	}
 	return nil
 }
-func (f *faultyOp) Next() (types.Tuple, bool, error) {
-	if f.emitted >= f.n {
-		return nil, false, errInjected
+func (f *faultyOp) NextChunk(c *types.Chunk) error {
+	c.Reset()
+	for ; f.emitted < f.n && !c.Full(); f.emitted++ {
+		e := int64(f.emitted + 1)
+		c.AppendRow(types.NewTuple(types.NewInt(e), types.NewInt(e%3)))
 	}
-	f.emitted++
-	return types.NewTuple(types.NewInt(int64(f.emitted)), types.NewInt(int64(f.emitted%3))), true, nil
+	if c.Rows() == 0 {
+		return errInjected
+	}
+	return nil
 }
 func (f *faultyOp) Close() error { return nil }
 
@@ -141,7 +146,7 @@ func TestMidStreamErrorsPropagate(t *testing.T) {
 		types.Column{Name: "a", Kind: types.KindInt},
 		types.Column{Name: "b", Kind: types.KindInt},
 	)
-	mk := func() Operator { return &faultyOp{schema: schema, n: 5} }
+	mk := func() Operator { return lend(&faultyOp{schema: schema, n: 5}) }
 	for i, op := range operatorsUnder(t, mk) {
 		err := drainUntilError(op)
 		if !errors.Is(err, errInjected) {
@@ -155,7 +160,7 @@ func TestOpenErrorsPropagate(t *testing.T) {
 		types.Column{Name: "a", Kind: types.KindInt},
 		types.Column{Name: "b", Kind: types.KindInt},
 	)
-	mk := func() Operator { return &faultyOp{schema: schema, failOpen: true} }
+	mk := func() Operator { return lend(&faultyOp{schema: schema, failOpen: true}) }
 	for i, op := range operatorsUnder(t, mk) {
 		err := drainUntilError(op)
 		if !errors.Is(err, errInjected) {
@@ -171,7 +176,7 @@ func TestSortCleanupAfterMidStreamError(t *testing.T) {
 		types.Column{Name: "b", Kind: types.KindInt},
 	)
 	d := storage.NewDisk(0)
-	big := &bigFaulty{schema: schema, n: 50_000}
+	big := lend(&bigFaulty{schema: schema, n: 50_000})
 	s, err := NewSortSRS(big, sortord.New("a"), xsort.Config{Disk: d, MemoryBlocks: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -186,6 +191,7 @@ func TestSortCleanupAfterMidStreamError(t *testing.T) {
 
 // bigFaulty emits enough tuples to force spilling, then fails.
 type bigFaulty struct {
+	rowView
 	schema  *types.Schema
 	n       int
 	emitted int
@@ -193,11 +199,15 @@ type bigFaulty struct {
 
 func (f *bigFaulty) Schema() *types.Schema { return f.schema }
 func (f *bigFaulty) Open() error           { f.emitted = 0; return nil }
-func (f *bigFaulty) Next() (types.Tuple, bool, error) {
-	if f.emitted >= f.n {
-		return nil, false, fmt.Errorf("big: %w", errInjected)
+func (f *bigFaulty) NextChunk(c *types.Chunk) error {
+	c.Reset()
+	for ; f.emitted < f.n && !c.Full(); f.emitted++ {
+		e := int64(f.emitted + 1)
+		c.AppendRow(types.NewTuple(types.NewInt(e*7%1000), types.NewInt(e)))
 	}
-	f.emitted++
-	return types.NewTuple(types.NewInt(int64(f.emitted*7%1000)), types.NewInt(int64(f.emitted))), true, nil
+	if c.Rows() == 0 {
+		return fmt.Errorf("big: %w", errInjected)
+	}
+	return nil
 }
 func (f *bigFaulty) Close() error { return nil }

@@ -23,11 +23,14 @@ import (
 // for them). Duplicate clustering keys are supported — all matches are
 // returned — but the common use is unique keys.
 type Fetch struct {
+	rowView
 	child    Operator
 	table    *catalog.Table
 	tap      *storage.Tap
 	file     *storage.File // tapped heap view, bound once in Open
 	keyOrds  []int         // child ordinals of the clustering-key columns
+	in       rowReader
+	key      types.Tuple // the clustering key being looked up
 	queue    []types.Tuple
 	queuePos int
 	fetches  int64
@@ -58,7 +61,7 @@ func NewFetch(child Operator, table *catalog.Table, childKeyCols []string) (*Fet
 	if err != nil {
 		return nil, err
 	}
-	return &Fetch{child: child, table: table, keyOrds: ords, ks: ks}, nil
+	return lend(&Fetch{child: child, table: table, keyOrds: ords, ks: ks, in: rowReader{src: child}}), nil
 }
 
 // Schema returns the full table schema (the fetch completes the row).
@@ -85,31 +88,37 @@ func (f *Fetch) Open() error {
 	return f.child.Open()
 }
 
-// Next fetches the heap row(s) for the next child tuple.
-func (f *Fetch) Next() (types.Tuple, bool, error) {
-	for {
+// NextChunk fills c with the heap rows of the next child rows' keys. Every
+// lookup reads a page, so once c holds a row the fetch ends the chunk rather
+// than look up another key: a chunk holds one key's matches.
+func (f *Fetch) NextChunk(c *types.Chunk) error {
+	c.Reset()
+	for !c.Full() {
 		if err := f.guard.Check(); err != nil {
-			return nil, false, err
+			return err
 		}
 		if f.queuePos < len(f.queue) {
-			t := f.queue[f.queuePos]
+			c.AppendRow(f.queue[f.queuePos])
 			f.queuePos++
-			return t, true, nil
+			continue
+		}
+		if c.Rows() > 0 {
+			return nil
 		}
 		f.queue, f.queuePos = f.queue[:0], 0
-
-		ct, ok, err := f.child.Next()
+		ct, ok, err := f.in.next(c.Cap())
 		if err != nil || !ok {
-			return nil, false, err
+			return err
 		}
-		key := make(types.Tuple, len(f.keyOrds))
-		for i, o := range f.keyOrds {
-			key[i] = ct[o]
+		f.key = f.key[:0]
+		for _, o := range f.keyOrds {
+			f.key = append(f.key, ct[o])
 		}
-		if err := f.lookup(key); err != nil {
-			return nil, false, err
+		if err := f.lookup(f.key); err != nil {
+			return err
 		}
 	}
+	return nil
 }
 
 // lookup reads the heap page(s) holding key and queues every matching row.
@@ -163,4 +172,7 @@ func (f *Fetch) compareRowToKey(row, key types.Tuple) int {
 }
 
 // Close closes the child.
-func (f *Fetch) Close() error { return f.child.Close() }
+func (f *Fetch) Close() error {
+	f.in.release()
+	return f.child.Close()
+}

@@ -8,12 +8,13 @@ import (
 
 // Filter passes through tuples satisfying a predicate. Order-preserving.
 type Filter struct {
+	rowView
 	child   Operator
 	pred    func(types.Tuple) bool
 	text    string
 	in      int64
 	out     int64
-	scratch types.Tuple // batch-path row view, reused across rows
+	scratch types.Tuple // row view, reused across rows
 	guard   iter.Guard  // strided abort poll for the reject-all drain
 }
 
@@ -23,7 +24,7 @@ func NewFilter(child Operator, pred expr.Expr) (*Filter, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Filter{child: child, pred: p, text: pred.String()}, nil
+	return lend(&Filter{child: child, pred: p, text: pred.String()}), nil
 }
 
 // Schema returns the child schema (filtering is schema-preserving).
@@ -43,47 +44,25 @@ func (f *Filter) Selectivity() float64 {
 	return float64(f.out) / float64(f.in)
 }
 
-// SetAbort installs the abort hook the filter loops poll: a filter that
-// rejects every row consumes its whole input inside one Next call, so the
-// loop must poll rather than rely on the cursor's between-Next check.
+// SetAbort installs the abort hook the filter loop polls: a filter that
+// rejects every row consumes its whole input inside one call, so the loop
+// must poll rather than rely on the cursor's between-call check.
 func (f *Filter) SetAbort(poll func() error) { f.guard = iter.NewGuard(poll) }
 
 // Open opens the child.
 func (f *Filter) Open() error { return f.child.Open() }
 
-// Next returns the next qualifying tuple.
-func (f *Filter) Next() (types.Tuple, bool, error) {
-	for {
-		if err := f.guard.Check(); err != nil {
-			return nil, false, err
-		}
-		t, ok, err := f.child.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		f.in++
-		if f.pred(t) {
-			f.out++
-			return t, true, nil
-		}
-	}
-}
-
-// CanChunk reports whether the batch path is available (iff the child's is).
-func (f *Filter) CanChunk() bool { return ChunkCapable(f.child) }
-
 // NextChunk pulls child chunks into c and marks the survivors in a
-// selection vector — rows are never moved. It keeps pulling while a batch
-// has zero survivors, exactly the pages the row path would read before
-// its next qualifying row, so stopping after any served row charges
+// selection vector — rows are never moved. It pulls again only while a batch
+// has zero survivors, exactly the pages a one-row consumer would have read
+// before its next qualifying row, so stopping after any served row charges
 // identical I/O.
 func (f *Filter) NextChunk(c *types.Chunk) error {
-	child := f.child.(ChunkOperator)
 	for {
 		if err := f.guard.Check(); err != nil {
 			return err
 		}
-		if err := child.NextChunk(c); err != nil {
+		if err := f.child.NextChunk(c); err != nil {
 			return err
 		}
 		live := c.Rows()
@@ -116,13 +95,14 @@ func (f *Filter) Close() error { return f.child.Close() }
 // a named scalar expression; plain column references make it a classical
 // projection (which preserves any input order on surviving columns).
 type Project struct {
+	rowView
 	child  Operator
 	schema *types.Schema
 	evals  []expr.Evaluator
 
-	// Batch-path buffers: the child's chunk (lazily pooled), an input row
-	// view and an output row, all reused so projection allocates nothing
-	// per row.
+	// The child's chunk (lazily pooled, at the capacity of the chunk the
+	// projection fills), an input row view and an output row, all reused so
+	// projection allocates nothing per row.
 	in         *types.Chunk
 	inScratch  types.Tuple
 	outScratch types.Tuple
@@ -153,7 +133,7 @@ func NewProject(child Operator, cols []ProjCol) (*Project, error) {
 		}
 		outCols[i] = types.Column{Name: c.Name, Kind: kind, Width: width}
 	}
-	return &Project{child: child, schema: types.NewSchema(outCols...), evals: evals}, nil
+	return lend(&Project{child: child, schema: types.NewSchema(outCols...), evals: evals}), nil
 }
 
 // NewProjectNames is a convenience for plain column projections keeping the
@@ -175,31 +155,14 @@ func (p *Project) Children() []Operator { return []Operator{p.child} }
 // Open opens the child.
 func (p *Project) Open() error { return p.child.Open() }
 
-// Next computes the next projected tuple.
-func (p *Project) Next() (types.Tuple, bool, error) {
-	t, ok, err := p.child.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	out := make(types.Tuple, len(p.evals))
-	for i, ev := range p.evals {
-		out[i] = ev(t)
-	}
-	return out, true, nil
-}
-
-// CanChunk reports whether the batch path is available (iff the child's is).
-func (p *Project) CanChunk() bool { return ChunkCapable(p.child) }
-
 // NextChunk pulls one child chunk and evaluates the projection into c's
 // column vectors, consuming the child's selection: the output chunk is
 // dense.
 func (p *Project) NextChunk(c *types.Chunk) error {
-	child := p.child.(ChunkOperator)
 	if p.in == nil {
 		p.in = types.GetChunk(p.child.Schema().Len(), c.Cap())
 	}
-	if err := child.NextChunk(p.in); err != nil {
+	if err := p.child.NextChunk(p.in); err != nil {
 		return err
 	}
 	c.Reset()
@@ -218,8 +181,7 @@ func (p *Project) NextChunk(c *types.Chunk) error {
 	return nil
 }
 
-// Close returns the batch-path input buffer to the pool and closes the
-// child.
+// Close returns the input chunk to the pool and closes the child.
 func (p *Project) Close() error {
 	if p.in != nil {
 		types.PutChunk(p.in)

@@ -13,6 +13,7 @@ import (
 // the competitor that sort-based plans must beat in the paper's experiments
 // (e.g. SYS1's default plan for Query 3).
 type HashJoin struct {
+	rowView
 	left, right Operator
 	leftKeys    []string
 	rightKeys   []string
@@ -20,18 +21,17 @@ type HashJoin struct {
 	rightOrds   []int
 	joinType    JoinType // InnerJoin or LeftOuterJoin
 	schema      *types.Schema
+	rightWidth  int
 
-	table      map[string][]types.Tuple
-	buildRows  int64
-	outQueue   []types.Tuple
-	outPos     int
-	rightWidth int
-	keyBuf     []byte
-
-	// buildIn is the build input as pulled: the right child itself, or a
-	// rowAdapter over it when it serves chunks (build tuples are retained
-	// in the table, so they must be owned either way).
-	buildIn iter.Iterator
+	table     map[string][]types.Tuple // nil until the first NextChunk builds it
+	slab      []types.Datum            // build rows are carved from it
+	buildRows int64
+	probe     lookahead
+	lt        types.Tuple   // the probe row being joined
+	matches   []types.Tuple // its build matches, emitted from mi on
+	mi        int
+	out       types.Tuple // output row scratch
+	keyBuf    []byte
 
 	guard iter.Guard // strided abort poll for the build and probe loops
 }
@@ -60,15 +60,15 @@ func NewHashJoin(left, right Operator, leftKeys, rightKeys []string, jt JoinType
 		}
 		ro[i] = j
 	}
-	return &HashJoin{
+	return lend(&HashJoin{
 		left: left, right: right,
 		leftKeys: append([]string(nil), leftKeys...), rightKeys: append([]string(nil), rightKeys...),
 		leftOrds: lo, rightOrds: ro,
 		joinType:   jt,
 		schema:     left.Schema().Concat(right.Schema()),
 		rightWidth: right.Schema().Len(),
-		buildIn:    rowInput(right),
-	}, nil
+		probe:      lookahead{rows: rowReader{src: left}},
+	}), nil
 }
 
 // Schema returns the concatenated output schema.
@@ -96,86 +96,86 @@ func (h *HashJoin) hashKey(t types.Tuple, ords []int) (string, bool) {
 }
 
 // SetAbort installs the abort hook the build and probe loops poll: the
-// build drains the whole right input inside Open, and a probe phase with
-// no matches drains the left inside one Next call.
+// build drains the whole right input inside one call, and a probe phase
+// with no matches may drain the left.
 func (h *HashJoin) SetAbort(poll func() error) { h.guard = iter.NewGuard(poll) }
 
-// Open builds the hash table from the right input.
+// Open opens both inputs.
 func (h *HashJoin) Open() error {
 	if err := h.left.Open(); err != nil {
 		return err
 	}
-	if err := h.buildIn.Open(); err != nil {
-		return err
-	}
+	return h.right.Open()
+}
+
+// build loads the right input into the hash table, pulling it in chunks of
+// the given capacity.
+func (h *HashJoin) build(capacity int) error {
 	h.table = make(map[string][]types.Tuple)
+	in := types.GetChunk(h.rightWidth, capacity)
+	defer types.PutChunk(in)
+	var row types.Tuple
 	for {
 		if err := h.guard.Check(); err != nil {
 			return err
 		}
-		t, ok, err := h.buildIn.Next()
-		if err != nil {
+		if err := h.right.NextChunk(in); err != nil {
 			return err
 		}
-		if !ok {
-			break
+		if in.Rows() == 0 {
+			return nil
 		}
-		h.buildRows++
-		k, valid := h.hashKey(t, h.rightOrds)
-		if !valid {
-			continue // NULL build keys can never match
+		for i := 0; i < in.Rows(); i++ {
+			row = in.CopyRow(row, i)
+			h.buildRows++
+			k, valid := h.hashKey(row, h.rightOrds)
+			if !valid {
+				continue // NULL build keys can never match
+			}
+			h.table[k] = append(h.table[k], carve(&h.slab, row, capacity))
 		}
-		h.table[k] = append(h.table[k], t)
+	}
+}
+
+// NextChunk fills c with joined rows: the first call builds the hash table
+// from the right input, then left rows probe it in order. Once c holds a
+// row the join ends the chunk rather than pull a probe chunk.
+func (h *HashJoin) NextChunk(c *types.Chunk) error {
+	c.Reset()
+	if h.table == nil {
+		if err := h.build(c.Cap()); err != nil {
+			return err
+		}
+	}
+	for !c.Full() {
+		if err := h.guard.Check(); err != nil {
+			return err
+		}
+		if h.mi < len(h.matches) {
+			h.out = append(append(h.out[:0], h.lt...), h.matches[h.mi]...)
+			c.AppendRow(h.out)
+			h.mi++
+			continue
+		}
+		if ok, err := h.probe.load(c); !ok || h.probe.done {
+			return err
+		}
+		h.lt = h.probe.take()
+		h.matches, h.mi = nil, 0
+		if k, valid := h.hashKey(h.lt, h.leftOrds); valid {
+			h.matches = h.table[k]
+		}
+		if len(h.matches) == 0 && h.joinType == LeftOuterJoin {
+			h.out = padNulls(append(h.out[:0], h.lt...), h.rightWidth)
+			c.AppendRow(h.out)
+		}
 	}
 	return nil
 }
 
-// Next probes the next left tuple.
-func (h *HashJoin) Next() (types.Tuple, bool, error) {
-	for {
-		if err := h.guard.Check(); err != nil {
-			return nil, false, err
-		}
-		if h.outPos < len(h.outQueue) {
-			t := h.outQueue[h.outPos]
-			h.outPos++
-			return t, true, nil
-		}
-		h.outQueue = h.outQueue[:0]
-		h.outPos = 0
-
-		lt, ok, err := h.left.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		k, valid := h.hashKey(lt, h.leftOrds)
-		var matches []types.Tuple
-		if valid {
-			matches = h.table[k]
-		}
-		if len(matches) == 0 {
-			if h.joinType == LeftOuterJoin {
-				return lt.Concat(nullPad(h.rightWidth)), true, nil
-			}
-			continue
-		}
-		if len(matches) == 1 {
-			return lt.Concat(matches[0]), true, nil
-		}
-		for _, rt := range matches {
-			h.outQueue = append(h.outQueue, lt.Concat(rt))
-		}
-	}
-}
-
-// Close closes both inputs and drops the table. The build side is closed
-// through buildIn so an adapter can return its buffer.
+// Close closes both inputs and drops the table.
 func (h *HashJoin) Close() error {
-	h.table = nil
-	errL := h.left.Close()
-	errR := h.buildIn.Close()
-	if errL != nil {
-		return errL
-	}
-	return errR
+	h.table, h.slab, h.matches = nil, nil, nil
+	h.probe.rows.release()
+	return closeBoth(h.left, h.right)
 }

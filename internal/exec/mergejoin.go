@@ -48,6 +48,7 @@ func (j JoinType) String() string {
 // plans, which partial-sort a full outer join's output, are exactly the
 // consolidation (USING-style) setting.
 type MergeJoin struct {
+	rowView
 	left, right Operator
 	leftKey     sortord.Order
 	rightKey    sortord.Order
@@ -55,17 +56,33 @@ type MergeJoin struct {
 	rightOrds   []int
 	joinType    JoinType
 	schema      *types.Schema
+	leftWidth   int
+	rightWidth  int
 
-	lt, rt       types.Tuple
-	lDone, rDone bool
-	outQueue     []types.Tuple
-	outPos       int
-	comparisons  int64
-	rowsOut      int64
-	leftWidth    int
-	rightWidth   int
-	guard        iter.Guard // strided abort poll for the advance loop
+	l, r lookahead
+	// A matching key's groups: gathered left then right (phase), their rows
+	// cloned into slabs, then emitted pair (gi, gj) by pair. key is the
+	// group's first left row.
+	phase          joinPhase
+	key            types.Tuple
+	lgroup, rgroup []types.Tuple
+	lslab, rslab   []types.Datum
+	gi, gj         int
+
+	out         types.Tuple // output row scratch
+	comparisons int64
+	guard       iter.Guard // strided abort poll for the advance loop
 }
+
+// joinPhase is where a merge join is within a matching key.
+type joinPhase uint8
+
+const (
+	scanning joinPhase = iota
+	gatherLeft
+	gatherRight
+	emitting
+)
 
 // NewMergeJoin builds a merge join. leftKey and rightKey must be the same
 // length; position i of each names the i-th join attribute on that side.
@@ -91,7 +108,7 @@ func NewMergeJoin(left, right Operator, leftKey, rightKey sortord.Order, jt Join
 		}
 		ro[i] = j
 	}
-	return &MergeJoin{
+	return lend(&MergeJoin{
 		left: left, right: right,
 		leftKey: leftKey.Clone(), rightKey: rightKey.Clone(),
 		leftOrds: lo, rightOrds: ro,
@@ -99,7 +116,9 @@ func NewMergeJoin(left, right Operator, leftKey, rightKey sortord.Order, jt Join
 		schema:     left.Schema().Concat(right.Schema()),
 		leftWidth:  left.Schema().Len(),
 		rightWidth: right.Schema().Len(),
-	}, nil
+		l:          lookahead{rows: rowReader{src: left}},
+		r:          lookahead{rows: rowReader{src: right}},
+	}), nil
 }
 
 // Schema returns the concatenated output schema.
@@ -118,49 +137,59 @@ func (m *MergeJoin) LeftKey() sortord.Order { return m.leftKey }
 // Comparisons returns the number of key comparisons made.
 func (m *MergeJoin) Comparisons() int64 { return m.comparisons }
 
-// Open opens both inputs and primes the lookaheads.
+// Open opens both inputs.
 func (m *MergeJoin) Open() error {
 	if err := m.left.Open(); err != nil {
 		return err
 	}
-	if err := m.right.Open(); err != nil {
-		return err
-	}
-	if err := m.advanceLeft(); err != nil {
-		return err
-	}
-	return m.advanceRight()
+	return m.right.Open()
 }
 
-func (m *MergeJoin) advanceLeft() error {
-	t, ok, err := m.left.Next()
+// lookahead is an input read a row at a time — a merge's sorted input, a
+// hash join's probe side: its rows lent one at a time, the current one held
+// until taken.
+type lookahead struct {
+	rows rowReader
+	row  types.Tuple // the current row; nil once taken, and at the end
+	done bool
+}
+
+// load makes row the input's next row unless one is held or the input is
+// exhausted. It reports false, loading nothing, when that needs a chunk
+// pull while c already holds a row: the caller then ends the chunk.
+func (in *lookahead) load(c *types.Chunk) (bool, error) {
+	if in.row != nil || in.done {
+		return true, nil
+	}
+	if c.Rows() > 0 && !in.rows.buffered() {
+		return false, nil
+	}
+	t, ok, err := in.rows.next(c.Cap())
 	if err != nil {
-		return err
+		return false, err
 	}
-	if !ok {
-		m.lt, m.lDone = nil, true
-		return nil
-	}
-	m.lt = t
-	return nil
+	in.row, in.done = t, !ok
+	return true, nil
 }
 
-func (m *MergeJoin) advanceRight() error {
-	t, ok, err := m.right.Next()
-	if err != nil {
-		return err
-	}
-	if !ok {
-		m.rt, m.rDone = nil, true
-		return nil
-	}
-	m.rt = t
-	return nil
+// take hands out the current row, valid until the next load.
+func (in *lookahead) take() types.Tuple {
+	t := in.row
+	in.row = nil
+	return t
 }
 
-// compareKeys compares the current lookaheads on the join key. SQL join
-// semantics: NULL keys match nothing, so NULL sorts are handled by the
-// caller treating NULL-key tuples as unmatched.
+// loadBoth loads the current rows of both inputs, left first (see load).
+func loadBoth(c *types.Chunk, l, r *lookahead) (bool, error) {
+	if ok, err := l.load(c); !ok {
+		return false, err
+	}
+	return r.load(c)
+}
+
+// compareKeys compares a left and a right row on the join key, NULL first
+// as the sorts below order it. SQL join semantics: NULL keys match nothing,
+// so the caller treats equal keys holding a NULL as unmatched.
 func (m *MergeJoin) compareKeys(l, r types.Tuple) int {
 	m.comparisons++
 	for i := range m.leftOrds {
@@ -180,149 +209,127 @@ func (m *MergeJoin) keyHasNull(t types.Tuple, ords []int) bool {
 	return false
 }
 
-func nullPad(n int) types.Tuple {
-	t := make(types.Tuple, n)
-	for i := range t {
-		t[i] = types.Null
+// padNulls appends n NULLs to t.
+func padNulls(t types.Tuple, n int) types.Tuple {
+	for ; n > 0; n-- {
+		t = append(t, types.Null)
 	}
 	return t
 }
 
-// padLeft emits a left tuple with a NULL-padded right side; for full outer
-// joins the right key columns receive the left key values (coalescing).
-func (m *MergeJoin) padLeft(lt types.Tuple) types.Tuple {
-	out := lt.Concat(nullPad(m.rightWidth))
-	if m.joinType == FullOuterJoin {
-		for i := range m.leftOrds {
-			out[m.leftWidth+m.rightOrds[i]] = lt[m.leftOrds[i]]
-		}
-	}
-	return out
+// emit appends the joined row l ++ r to c.
+func (m *MergeJoin) emit(c *types.Chunk, l, r types.Tuple) {
+	m.out = append(append(m.out[:0], l...), r...)
+	c.AppendRow(m.out)
 }
 
-// padRight emits a right tuple with a NULL-padded left side, coalescing the
-// key columns (full outer only; callers only invoke it for full outer).
-func (m *MergeJoin) padRight(rt types.Tuple) types.Tuple {
-	out := nullPad(m.leftWidth).Concat(rt)
-	for i := range m.rightOrds {
-		out[m.leftOrds[i]] = rt[m.rightOrds[i]]
+// padLeft appends a left row with a NULL-padded right side; for full outer
+// joins the right key columns receive the left key values (coalescing).
+func (m *MergeJoin) padLeft(c *types.Chunk, lt types.Tuple) {
+	m.out = padNulls(append(m.out[:0], lt...), m.rightWidth)
+	if m.joinType == FullOuterJoin {
+		for i := range m.leftOrds {
+			m.out[m.leftWidth+m.rightOrds[i]] = lt[m.leftOrds[i]]
+		}
 	}
-	return out
+	c.AppendRow(m.out)
+}
+
+// padRight appends a right row with a NULL-padded left side, coalescing the
+// key columns (full outer only; callers only invoke it for full outer).
+func (m *MergeJoin) padRight(c *types.Chunk, rt types.Tuple) {
+	m.out = append(padNulls(m.out[:0], m.leftWidth), rt...)
+	for i := range m.rightOrds {
+		m.out[m.leftOrds[i]] = rt[m.rightOrds[i]]
+	}
+	c.AppendRow(m.out)
 }
 
 // SetAbort installs the abort hook the advance loop polls: with disjoint
-// key ranges the join can drain both inputs inside one Next call.
+// key ranges the join can drain both inputs inside one call.
 func (m *MergeJoin) SetAbort(poll func() error) { m.guard = iter.NewGuard(poll) }
 
-// Next returns the next joined tuple.
-func (m *MergeJoin) Next() (types.Tuple, bool, error) {
-	for {
+// NextChunk fills c with the next joined rows. Inputs advance lazily, and
+// once c holds a row the join ends the chunk rather than pull an input
+// chunk (lookahead.load): a matching key's groups may be gathered across
+// calls.
+func (m *MergeJoin) NextChunk(c *types.Chunk) error {
+	c.Reset()
+	for !c.Full() {
 		if err := m.guard.Check(); err != nil {
-			return nil, false, err
+			return err
 		}
-		if m.outPos < len(m.outQueue) {
-			t := m.outQueue[m.outPos]
-			m.outPos++
-			m.rowsOut++
-			return t, true, nil
+		switch m.phase {
+		case emitting:
+			m.emit(c, m.lgroup[m.gi], m.rgroup[m.gj])
+			if m.gj++; m.gj == len(m.rgroup) {
+				m.gj = 0
+				if m.gi++; m.gi == len(m.lgroup) {
+					m.phase = scanning
+				}
+			}
+			continue
+		case gatherLeft:
+			if ok, err := m.l.load(c); !ok {
+				return err
+			}
+			if !m.l.done && m.sameLeftKey(m.key, m.l.row) {
+				m.lgroup = append(m.lgroup, carve(&m.lslab, m.l.take(), c.Cap()))
+			} else {
+				m.phase = gatherRight
+			}
+			continue
+		case gatherRight:
+			if ok, err := m.r.load(c); !ok {
+				return err
+			}
+			if !m.r.done && m.compareKeys(m.key, m.r.row) == 0 {
+				m.rgroup = append(m.rgroup, carve(&m.rslab, m.r.take(), c.Cap()))
+			} else {
+				m.phase, m.gi, m.gj = emitting, 0, 0 // the key matched, so rgroup holds a row
+			}
+			continue
 		}
-		m.outQueue = m.outQueue[:0]
-		m.outPos = 0
 
+		if ok, err := loadBoth(c, &m.l, &m.r); !ok {
+			return err
+		}
 		switch {
-		case m.lDone && m.rDone:
-			return nil, false, nil
+		case m.l.done && m.r.done:
+			return nil
 
-		case m.lDone:
+		case m.l.done:
 			// Remaining right tuples are unmatched.
-			if m.joinType == FullOuterJoin {
-				m.outQueue = append(m.outQueue, m.padRight(m.rt))
+			if rt := m.r.take(); m.joinType == FullOuterJoin {
+				m.padRight(c, rt)
 			}
-			if err := m.advanceRight(); err != nil {
-				return nil, false, err
-			}
-			if m.joinType != FullOuterJoin && m.rDone {
-				return nil, false, nil
-			}
-			continue
 
-		case m.rDone:
-			if m.joinType == FullOuterJoin || m.joinType == LeftOuterJoin {
-				m.outQueue = append(m.outQueue, m.padLeft(m.lt))
+		case m.r.done:
+			if lt := m.l.take(); m.joinType != InnerJoin {
+				m.padLeft(c, lt)
 			}
-			if err := m.advanceLeft(); err != nil {
-				return nil, false, err
-			}
-			if m.joinType == InnerJoin && m.lDone {
-				return nil, false, nil
-			}
-			continue
-		}
 
-		// NULL join keys never match.
-		if m.keyHasNull(m.lt, m.leftOrds) {
-			if m.joinType != InnerJoin {
-				m.outQueue = append(m.outQueue, m.padLeft(m.lt))
-			}
-			if err := m.advanceLeft(); err != nil {
-				return nil, false, err
-			}
-			continue
-		}
-		if m.keyHasNull(m.rt, m.rightOrds) {
-			if m.joinType == FullOuterJoin {
-				m.outQueue = append(m.outQueue, m.padRight(m.rt))
-			}
-			if err := m.advanceRight(); err != nil {
-				return nil, false, err
-			}
-			continue
-		}
-
-		c := m.compareKeys(m.lt, m.rt)
-		switch {
-		case c < 0:
-			if m.joinType != InnerJoin {
-				m.outQueue = append(m.outQueue, m.padLeft(m.lt))
-			}
-			if err := m.advanceLeft(); err != nil {
-				return nil, false, err
-			}
-		case c > 0:
-			if m.joinType == FullOuterJoin {
-				m.outQueue = append(m.outQueue, m.padRight(m.rt))
-			}
-			if err := m.advanceRight(); err != nil {
-				return nil, false, err
-			}
 		default:
-			if err := m.emitMatchGroups(); err != nil {
-				return nil, false, err
+			// NULL join keys never match, but they still take their place in
+			// the order: equal keys holding a NULL serve the left row
+			// unmatched, the right one once the left has moved past it.
+			switch cmp := m.compareKeys(m.l.row, m.r.row); {
+			case cmp < 0 || cmp == 0 && m.keyHasNull(m.l.row, m.leftOrds):
+				if lt := m.l.take(); m.joinType != InnerJoin {
+					m.padLeft(c, lt)
+				}
+			case cmp > 0:
+				if rt := m.r.take(); m.joinType == FullOuterJoin {
+					m.padRight(c, rt)
+				}
+			default:
+				// Gather the equal-key groups on both sides, then emit
+				// their cross product.
+				m.key = append(m.key[:0], m.l.row...)
+				m.lgroup, m.rgroup = m.lgroup[:0], m.rgroup[:0]
+				m.lslab, m.rslab = m.lslab[:0], m.rslab[:0]
+				m.phase = gatherLeft
 			}
-		}
-	}
-}
-
-// emitMatchGroups gathers the equal-key groups on both sides and enqueues
-// their cross product.
-func (m *MergeJoin) emitMatchGroups() error {
-	key := m.lt
-	var leftGroup, rightGroup []types.Tuple
-	for !m.lDone && m.sameLeftKey(key, m.lt) {
-		leftGroup = append(leftGroup, m.lt)
-		if err := m.advanceLeft(); err != nil {
-			return err
-		}
-	}
-	for !m.rDone && m.compareKeys(key, m.rt) == 0 {
-		rightGroup = append(rightGroup, m.rt)
-		if err := m.advanceRight(); err != nil {
-			return err
-		}
-	}
-	for _, l := range leftGroup {
-		for _, r := range rightGroup {
-			m.outQueue = append(m.outQueue, l.Concat(r))
 		}
 	}
 	return nil
@@ -340,10 +347,7 @@ func (m *MergeJoin) sameLeftKey(a, b types.Tuple) bool {
 
 // Close closes both inputs.
 func (m *MergeJoin) Close() error {
-	errL := m.left.Close()
-	errR := m.right.Close()
-	if errL != nil {
-		return errL
-	}
-	return errR
+	m.l.rows.release()
+	m.r.rows.release()
+	return closeBoth(m.left, m.right)
 }

@@ -19,6 +19,7 @@ import (
 // one-block outer, so the optimizer treats NLJoin as order-propagating only
 // when the outer fits in memory.
 type NLJoin struct {
+	rowView
 	left, right Operator
 	pred        func(types.Tuple) bool
 	predText    string
@@ -27,18 +28,31 @@ type NLJoin struct {
 	disk        *storage.Disk
 	tap         *storage.Tap
 	memBlocks   int
+	rightWidth  int
 
-	spool      *storage.File
-	block      []types.Tuple
-	blockPos   int
-	matchedCur bool
-	rreader    *storage.TupleReader
-	outQueue   []types.Tuple
-	outPos     int
-	leftDone   bool
-	rightWidth int
-	guard      iter.Guard // strided abort poll for spool, join and pad loops
+	spool    *storage.File // nil until the first NextChunk spools the inner
+	phase    nlPhase
+	outer    rowReader
+	block    []types.Tuple // the outer block, carved from slab
+	slab     []types.Datum
+	leftDone bool
+	rreader  *storage.TupleReader // the block's pass over the spool
+	rt       types.Tuple          // the inner row being joined, against block[bi:]
+	bi       int
+	pads     []types.Tuple // left outer: the block's unmatched rows, emitted from pi on
+	pi       int
+	out      types.Tuple // output row scratch
+	guard    iter.Guard  // strided abort poll for spool, join and pad loops
 }
+
+// nlPhase is where a nested-loops join is within its current outer block.
+type nlPhase uint8
+
+const (
+	nlLoad nlPhase = iota // load the next outer block
+	nlJoin                // pass over the spool, joining each inner row to the block
+	nlPad                 // left outer: find and emit the block's unmatched rows
+)
 
 // NewNLJoin builds a block nested-loops join with an arbitrary predicate
 // (nil means cross join). memBlocks bounds the outer block buffer.
@@ -60,11 +74,12 @@ func NewNLJoin(left, right Operator, pred expr.Expr, jt JoinType, disk *storage.
 		p = bp
 		text = pred.String()
 	}
-	return &NLJoin{
+	return lend(&NLJoin{
 		left: left, right: right, pred: p, predText: text, joinType: jt,
 		schema: schema, disk: disk, memBlocks: memBlocks,
 		rightWidth: right.Schema().Len(),
-	}, nil
+		outer:      rowReader{src: left},
+	}), nil
 }
 
 // Schema returns the concatenated output schema.
@@ -77,127 +92,146 @@ func (n *NLJoin) Children() []Operator { return []Operator{n.left, n.right} }
 // tap (nil taps nothing). Must be called before Open.
 func (n *NLJoin) SetIOTap(t *storage.Tap) { n.tap = t }
 
-// SetAbort installs the abort hook the spool, join and pad loops poll:
-// Open drains the whole inner input into the spool before the first row.
+// SetAbort installs the abort hook the spool, join and pad loops poll: the
+// first call drains the whole inner input into the spool before any row.
 func (n *NLJoin) SetAbort(poll func() error) { n.guard = iter.NewGuard(poll) }
 
-// Open spools the inner input to a temp file.
+// Open opens both inputs.
 func (n *NLJoin) Open() error {
 	if err := n.left.Open(); err != nil {
 		return err
 	}
-	if err := n.right.Open(); err != nil {
-		return err
-	}
+	return n.right.Open()
+}
+
+// spoolInner writes the inner input to a temp file, pulling it in chunks of
+// the given capacity.
+func (n *NLJoin) spoolInner(capacity int) error {
 	n.spool = n.disk.CreateTemp("nljoin", storage.KindRun).Tapped(n.tap)
 	w := storage.NewTupleWriter(n.spool)
+	in := types.GetChunk(n.rightWidth, capacity)
+	defer types.PutChunk(in)
+	var row types.Tuple
 	for {
 		if err := n.guard.Check(); err != nil {
 			return err
 		}
-		t, ok, err := n.right.Next()
-		if err != nil {
+		if err := n.right.NextChunk(in); err != nil {
 			return err
 		}
-		if !ok {
-			break
+		if in.Rows() == 0 {
+			return w.Close()
 		}
-		if err := w.Write(t); err != nil {
-			return err
+		for i := 0; i < in.Rows(); i++ {
+			row = in.CopyRow(row, i)
+			if err := w.Write(row); err != nil {
+				return err
+			}
 		}
 	}
-	if err := w.Close(); err != nil {
-		return err
-	}
-	return n.loadBlock()
 }
 
-// loadBlock buffers the next block of outer tuples and rewinds the inner.
-func (n *NLJoin) loadBlock() error {
-	n.block = n.block[:0]
+// loadBlock buffers the next block of outer rows and starts a pass over the
+// spool; it reports false when the outer input has no rows left.
+func (n *NLJoin) loadBlock(capacity int) (bool, error) {
+	n.block, n.slab = n.block[:0], n.slab[:0]
 	budget := int64(n.memBlocks) * int64(n.disk.PageSize())
 	var used int64
-	for used < budget {
-		t, ok, err := n.left.Next()
+	for used < budget && !n.leftDone {
+		t, ok, err := n.outer.next(capacity)
 		if err != nil {
-			return err
+			return false, err
 		}
 		if !ok {
 			n.leftDone = true
 			break
 		}
-		n.block = append(n.block, t)
+		n.block = append(n.block, carve(&n.slab, t, capacity))
 		used += int64(t.MemSize())
 	}
 	if len(n.block) == 0 {
-		n.rreader = nil
-		return nil
+		return false, nil
 	}
 	n.rreader = storage.NewTupleReader(n.spool)
-	n.blockPos = 0
-	n.matchedCur = false
+	n.rt, n.bi = nil, len(n.block)
+	return true, nil
+}
+
+// NextChunk fills c with joined rows. The iteration order is: for each
+// inner row, scan the current outer block (classical block NL), so the
+// inner is read once per outer block. The first call spools the inner. Once
+// c holds a row the join ends the chunk rather than read a new spool page,
+// load a block or start a padding pass.
+func (n *NLJoin) NextChunk(c *types.Chunk) error {
+	c.Reset()
+	if n.spool == nil {
+		if err := n.spoolInner(c.Cap()); err != nil {
+			return err
+		}
+	}
+	for !c.Full() {
+		if err := n.guard.Check(); err != nil {
+			return err
+		}
+		switch n.phase {
+		case nlLoad:
+			if n.leftDone || c.Rows() > 0 {
+				return nil
+			}
+			if ok, err := n.loadBlock(c.Cap()); !ok {
+				return err
+			}
+			n.phase = nlJoin
+		case nlJoin:
+			if n.bi < len(n.block) {
+				n.out = append(append(n.out[:0], n.block[n.bi]...), n.rt...)
+				if n.pred == nil || n.pred(n.out) {
+					c.AppendRow(n.out)
+				}
+				n.bi++
+				continue
+			}
+			if c.Rows() > 0 && !n.rreader.Buffered() {
+				return nil
+			}
+			rt, ok, err := n.rreader.Next()
+			if err != nil {
+				return err
+			}
+			if ok {
+				n.rt, n.bi = rt, 0
+				continue
+			}
+			// Inner exhausted for this block.
+			n.phase, n.pads = nlLoad, nil
+			if n.joinType == LeftOuterJoin {
+				n.phase = nlPad
+			}
+		case nlPad:
+			if n.pads == nil {
+				if c.Rows() > 0 {
+					return nil
+				}
+				if err := n.findUnmatched(); err != nil {
+					return err
+				}
+			}
+			if n.pi == len(n.pads) {
+				n.phase = nlLoad
+				continue
+			}
+			n.out = padNulls(append(n.out[:0], n.pads[n.pi]...), n.rightWidth)
+			c.AppendRow(n.out)
+			n.pi++
+		}
+	}
 	return nil
 }
 
-// Next returns the next joined tuple. The iteration order is: for each
-// inner tuple, scan the current outer block (classical block NL), so the
-// inner is read once per outer block.
-func (n *NLJoin) Next() (types.Tuple, bool, error) {
-	for {
-		if err := n.guard.Check(); err != nil {
-			return nil, false, err
-		}
-		if n.outPos < len(n.outQueue) {
-			t := n.outQueue[n.outPos]
-			n.outPos++
-			return t, true, nil
-		}
-		n.outQueue = n.outQueue[:0]
-		n.outPos = 0
-
-		if len(n.block) == 0 {
-			return nil, false, nil
-		}
-		// Advance the inner cursor; join it against every outer tuple in
-		// the block.
-		rt, ok, err := n.rreader.Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if ok {
-			for _, lt := range n.block {
-				joined := lt.Concat(rt)
-				if n.pred == nil || n.pred(joined) {
-					n.outQueue = append(n.outQueue, joined)
-				}
-			}
-			continue
-		}
-		// Inner exhausted for this block. Left-outer padding is handled by
-		// tracking matches per block pass; with block-at-a-time matching we
-		// must know which outer tuples matched. Recompute via a match set.
-		if n.joinType == LeftOuterJoin {
-			if err := n.padUnmatched(); err != nil {
-				return nil, false, err
-			}
-		}
-		if n.leftDone {
-			n.block = n.block[:0]
-			if n.outPos < len(n.outQueue) || len(n.outQueue) > 0 {
-				continue
-			}
-			return nil, false, nil
-		}
-		if err := n.loadBlock(); err != nil {
-			return nil, false, err
-		}
-	}
-}
-
-// padUnmatched rescans the spool to find unmatched outer tuples in the
-// current block and enqueues them NULL-padded. This extra pass is charged
-// honestly — left-outer block NL pays for it.
-func (n *NLJoin) padUnmatched() error {
+// findUnmatched rescans the spool to find the current block's outer rows
+// that match no inner row, and queues them for NULL padding. This extra pass
+// is charged honestly — left-outer block NL pays for it.
+func (n *NLJoin) findUnmatched() error {
 	matched := make([]bool, len(n.block))
 	r := storage.NewTupleReader(n.spool)
 	for {
@@ -215,15 +249,16 @@ func (n *NLJoin) padUnmatched() error {
 			if matched[i] {
 				continue
 			}
-			joined := lt.Concat(rt)
-			if n.pred == nil || n.pred(joined) {
+			n.out = append(append(n.out[:0], lt...), rt...)
+			if n.pred == nil || n.pred(n.out) {
 				matched[i] = true
 			}
 		}
 	}
+	n.pads, n.pi = make([]types.Tuple, 0, len(n.block)), 0
 	for i, lt := range n.block {
 		if !matched[i] {
-			n.outQueue = append(n.outQueue, lt.Concat(nullPad(n.rightWidth)))
+			n.pads = append(n.pads, lt)
 		}
 	}
 	return nil
@@ -235,10 +270,6 @@ func (n *NLJoin) Close() error {
 		n.disk.Remove(n.spool.Name())
 		n.spool = nil
 	}
-	errL := n.left.Close()
-	errR := n.right.Close()
-	if errL != nil {
-		return errL
-	}
-	return errR
+	n.outer.release()
+	return closeBoth(n.left, n.right)
 }

@@ -13,6 +13,7 @@ import (
 // "clustering index scan" when that order is wanted, a plain table scan
 // otherwise; the I/O cost is identical (one sequential pass).
 type TableScan struct {
+	rowView
 	table  *catalog.Table
 	tap    *storage.Tap
 	reader *storage.TupleReader
@@ -21,7 +22,7 @@ type TableScan struct {
 
 // NewTableScan returns a scan over the table heap.
 func NewTableScan(t *catalog.Table) *TableScan {
-	return &TableScan{table: t}
+	return lend(&TableScan{table: t})
 }
 
 // SetIOTap attributes this scan's page reads to a per-query tap (nil taps
@@ -47,21 +48,9 @@ func (s *TableScan) Open() error {
 	return nil
 }
 
-// Next returns the next heap tuple.
-func (s *TableScan) Next() (types.Tuple, bool, error) {
-	t, ok, err := s.reader.Next()
-	if ok {
-		s.rows++
-	}
-	return t, ok, err
-}
-
-// CanChunk reports that the scan fills chunks directly from heap pages.
-func (s *TableScan) CanChunk() bool { return true }
-
 // NextChunk fills c with the tuples remaining on the current heap page,
-// decoding straight into the chunk's column vectors. A chunk never spans
-// pages, so batch and row consumers charge identical I/O at any stop point.
+// framing its rows as spans decoded on first use. A chunk never spans pages,
+// so consumers of any chunk capacity charge identical I/O at any stop point.
 func (s *TableScan) NextChunk(c *types.Chunk) error {
 	c.Reset()
 	n, err := s.reader.ReadChunk(c)
@@ -81,6 +70,7 @@ func (s *TableScan) Close() error {
 // very efficient to obtain desired sort orders without accessing the data
 // pages").
 type IndexScan struct {
+	rowView
 	index  *catalog.Index
 	tap    *storage.Tap
 	reader *storage.TupleReader
@@ -90,7 +80,7 @@ type IndexScan struct {
 // NewIndexScan returns a scan over the index file. The caller must have
 // verified the index covers the attributes the query needs above this scan.
 func NewIndexScan(ix *catalog.Index) *IndexScan {
-	return &IndexScan{index: ix}
+	return lend(&IndexScan{index: ix})
 }
 
 // Schema returns the stored index schema (key columns then includes).
@@ -116,18 +106,6 @@ func (s *IndexScan) Open() error {
 	return nil
 }
 
-// Next returns the next index entry.
-func (s *IndexScan) Next() (types.Tuple, bool, error) {
-	t, ok, err := s.reader.Next()
-	if ok {
-		s.rows++
-	}
-	return t, ok, err
-}
-
-// CanChunk reports that the scan fills chunks directly from index pages.
-func (s *IndexScan) CanChunk() bool { return true }
-
 // NextChunk fills c with the tuples remaining on the current index page.
 func (s *IndexScan) NextChunk(c *types.Chunk) error {
 	c.Reset()
@@ -144,6 +122,7 @@ func (s *IndexScan) Close() error {
 
 // Values is a leaf operator over literal rows (tests, tools, VALUES lists).
 type Values struct {
+	rowView
 	schema *types.Schema
 	rows   []types.Tuple
 	pos    int
@@ -156,7 +135,7 @@ func NewValues(schema *types.Schema, rows []types.Tuple) (*Values, error) {
 			return nil, fmt.Errorf("exec: values row %d has arity %d, schema wants %d", i, len(r), schema.Len())
 		}
 	}
-	return &Values{schema: schema, rows: rows}, nil
+	return lend(&Values{schema: schema, rows: rows}), nil
 }
 
 // Schema returns the declared schema.
@@ -167,19 +146,6 @@ func (v *Values) Children() []Operator { return nil }
 
 // Open resets the cursor.
 func (v *Values) Open() error { v.pos = 0; return nil }
-
-// Next returns the next literal row.
-func (v *Values) Next() (types.Tuple, bool, error) {
-	if v.pos >= len(v.rows) {
-		return nil, false, nil
-	}
-	t := v.rows[v.pos]
-	v.pos++
-	return t, true, nil
-}
-
-// CanChunk reports that literal rows batch trivially.
-func (v *Values) CanChunk() bool { return true }
 
 // NextChunk fills c to capacity from the literal rows (already in memory,
 // so batching them costs no extra work at any stop point).

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"pyro/internal/iter"
 	"pyro/internal/sortord"
 	"pyro/internal/types"
 	"pyro/internal/xsort"
@@ -12,9 +13,7 @@ import (
 // for MRS) created from the Config's Disk, so multiple enforcers in one
 // plan never contend on temp names or a ledger mutex.
 type sorter interface {
-	Open() error
-	Next() (types.Tuple, bool, error)
-	Close() error
+	iter.Iterator
 	Stats() *xsort.SortStats
 }
 
@@ -25,6 +24,7 @@ type sorter interface {
 // enforcer" of §3.2). The wrapped sort takes the Config's memory and
 // parallelism knobs unchanged.
 type Sort struct {
+	rowView
 	child  Operator
 	target sortord.Order
 	given  sortord.Order
@@ -39,7 +39,7 @@ func NewSortSRS(child Operator, target sortord.Order, cfg xsort.Config) (*Sort, 
 	if err != nil {
 		return nil, err
 	}
-	return &Sort{child: child, target: target.Clone(), given: sortord.Empty, impl: s}, nil
+	return lend(&Sort{child: child, target: target.Clone(), given: sortord.Empty, impl: s}), nil
 }
 
 // NewSortMRS builds a partial sort: given is the order known to hold on the
@@ -50,7 +50,7 @@ func NewSortMRS(child Operator, target, given sortord.Order, cfg xsort.Config) (
 	if err != nil {
 		return nil, err
 	}
-	return &Sort{child: child, target: target.Clone(), given: given.Clone(), impl: m}, nil
+	return lend(&Sort{child: child, target: target.Clone(), given: given.Clone(), impl: m}), nil
 }
 
 // Schema returns the child schema (sorting is schema-preserving).
@@ -81,8 +81,8 @@ func (s *Sort) Spilled() bool { return s.impl.Stats().RunsGenerated > 0 }
 // Open opens the underlying sort (for SRS this consumes the whole input).
 func (s *Sort) Open() error { return s.impl.Open() }
 
-// Next returns the next tuple in target order.
-func (s *Sort) Next() (types.Tuple, bool, error) { return s.impl.Next() }
+// NextChunk fills c with the next rows in target order.
+func (s *Sort) NextChunk(c *types.Chunk) error { return s.impl.NextChunk(c) }
 
 // Close releases sort resources and closes the child.
 func (s *Sort) Close() error { return s.impl.Close() }

@@ -13,16 +13,16 @@ import (
 // ALL that preserves the shared order. This is the "requirement of same
 // sort order from multiple inputs" operator class from §1 of the paper.
 type MergeUnion struct {
+	rowView
 	left, right Operator
 	order       sortord.Order
 	ks          types.KeySpec
 	dedup       bool
 	schema      *types.Schema
 
-	lt, rt       types.Tuple
-	lDone, rDone bool
-	lastOut      types.Tuple
-	guard        iter.Guard // strided abort poll for the merge loop
+	l, r  lookahead
+	last  types.Tuple // dedup: the last row emitted, owned
+	guard iter.Guard  // strided abort poll for the merge loop
 }
 
 // NewMergeUnion builds a merge union over inputs sorted on order. Schemas
@@ -42,7 +42,8 @@ func NewMergeUnion(left, right Operator, order sortord.Order, dedup bool) (*Merg
 	if err != nil {
 		return nil, err
 	}
-	return &MergeUnion{left: left, right: right, order: order.Clone(), ks: ks, dedup: dedup, schema: ls}, nil
+	return lend(&MergeUnion{left: left, right: right, order: order.Clone(), ks: ks, dedup: dedup, schema: ls,
+		l: lookahead{rows: rowReader{src: left}}, r: lookahead{rows: rowReader{src: right}}}), nil
 }
 
 // Schema returns the output schema (the left input's).
@@ -54,80 +55,48 @@ func (u *MergeUnion) Children() []Operator { return []Operator{u.left, u.right} 
 // Order returns the shared input/output sort order.
 func (u *MergeUnion) Order() sortord.Order { return u.order }
 
-// Open opens both inputs and primes lookaheads.
+// Open opens both inputs.
 func (u *MergeUnion) Open() error {
 	if err := u.left.Open(); err != nil {
 		return err
 	}
-	if err := u.right.Open(); err != nil {
-		return err
-	}
-	var err error
-	if u.lt, u.lDone, err = u.pull(u.left); err != nil {
-		return err
-	}
-	u.rt, u.rDone, err = u.pull(u.right)
-	return err
-}
-
-func (u *MergeUnion) pull(op Operator) (types.Tuple, bool, error) {
-	t, ok, err := op.Next()
-	if err != nil {
-		return nil, false, err
-	}
-	if !ok {
-		return nil, true, nil
-	}
-	return t, false, nil
+	return u.right.Open()
 }
 
 // SetAbort installs the abort hook the merge loop polls: with dedup on,
-// a long run of duplicates is consumed inside one Next call.
+// a long run of duplicates is consumed inside one call.
 func (u *MergeUnion) SetAbort(poll func() error) { u.guard = iter.NewGuard(poll) }
 
-// Next returns the next tuple in the shared order.
-func (u *MergeUnion) Next() (types.Tuple, bool, error) {
-	for {
+// NextChunk fills c with the next rows in the shared order.
+func (u *MergeUnion) NextChunk(c *types.Chunk) error {
+	c.Reset()
+	for !c.Full() {
 		if err := u.guard.Check(); err != nil {
-			return nil, false, err
+			return err
 		}
-		var t types.Tuple
+		if ok, err := loadBoth(c, &u.l, &u.r); !ok {
+			return err
+		}
+		in := &u.l
 		switch {
-		case u.lDone && u.rDone:
-			return nil, false, nil
-		case u.lDone:
-			t = u.rt
-			var err error
-			if u.rt, u.rDone, err = u.pull(u.right); err != nil {
-				return nil, false, err
-			}
-		case u.rDone:
-			t = u.lt
-			var err error
-			if u.lt, u.lDone, err = u.pull(u.left); err != nil {
-				return nil, false, err
-			}
-		default:
-			if u.ks.Compare(u.lt, u.rt) <= 0 {
-				t = u.lt
-				var err error
-				if u.lt, u.lDone, err = u.pull(u.left); err != nil {
-					return nil, false, err
-				}
-			} else {
-				t = u.rt
-				var err error
-				if u.rt, u.rDone, err = u.pull(u.right); err != nil {
-					return nil, false, err
-				}
-			}
+		case u.l.done && u.r.done:
+			return nil
+		case u.l.done:
+			in = &u.r
+		case u.r.done:
+		case u.ks.Compare(u.l.row, u.r.row) > 0:
+			in = &u.r
 		}
-		if u.dedup && u.lastOut != nil && tupleEqual(u.lastOut, t) {
-			continue
+		t := in.take()
+		if u.dedup {
+			if u.last != nil && tupleEqual(u.last, t) {
+				continue
+			}
+			u.last = append(u.last[:0], t...)
 		}
-		u.lastOut = t
-		return t, true, nil
+		c.AppendRow(t)
 	}
+	return nil
 }
 
 func tupleEqual(a, b types.Tuple) bool {
@@ -144,17 +113,15 @@ func tupleEqual(a, b types.Tuple) bool {
 
 // Close closes both inputs.
 func (u *MergeUnion) Close() error {
-	errL := u.left.Close()
-	errR := u.right.Close()
-	if errL != nil {
-		return errL
-	}
-	return errR
+	u.l.rows.release()
+	u.r.rows.release()
+	return closeBoth(u.left, u.right)
 }
 
 // UnionAll concatenates two union-compatible inputs: all left tuples, then
 // all right tuples. No order guarantee.
 type UnionAll struct {
+	rowView
 	left, right Operator
 	onRight     bool
 }
@@ -170,7 +137,7 @@ func NewUnionAll(left, right Operator) (*UnionAll, error) {
 			return nil, fmt.Errorf("exec: union-all column %d kind mismatch", i)
 		}
 	}
-	return &UnionAll{left: left, right: right}, nil
+	return lend(&UnionAll{left: left, right: right}), nil
 }
 
 // Schema returns the left input's schema.
@@ -188,30 +155,11 @@ func (u *UnionAll) Open() error {
 	return u.right.Open()
 }
 
-// Next drains the left input, then the right.
-func (u *UnionAll) Next() (types.Tuple, bool, error) {
-	if !u.onRight {
-		t, ok, err := u.left.Next()
-		if err != nil || ok {
-			return t, ok, err
-		}
-		u.onRight = true
-	}
-	return u.right.Next()
-}
-
-// CanChunk reports whether the batch path is available (both inputs must
-// offer it).
-func (u *UnionAll) CanChunk() bool {
-	return ChunkCapable(u.left) && ChunkCapable(u.right)
-}
-
 // NextChunk drains the left input's chunks, then the right's. Detecting
-// left EOF and pulling the first right chunk happen in one call, just as
-// the row path's Next falls through.
+// left EOF and pulling the first right chunk happen in one call.
 func (u *UnionAll) NextChunk(c *types.Chunk) error {
 	if !u.onRight {
-		if err := u.left.(ChunkOperator).NextChunk(c); err != nil {
+		if err := u.left.NextChunk(c); err != nil {
 			return err
 		}
 		if c.Rows() > 0 {
@@ -219,13 +167,17 @@ func (u *UnionAll) NextChunk(c *types.Chunk) error {
 		}
 		u.onRight = true
 	}
-	return u.right.(ChunkOperator).NextChunk(c)
+	return u.right.NextChunk(c)
 }
 
 // Close closes both inputs.
-func (u *UnionAll) Close() error {
-	errL := u.left.Close()
-	errR := u.right.Close()
+func (u *UnionAll) Close() error { return closeBoth(u.left, u.right) }
+
+// closeBoth closes a binary operator's inputs, reporting the left's error
+// first.
+func closeBoth(left, right Operator) error {
+	errL := left.Close()
+	errR := right.Close()
 	if errL != nil {
 		return errL
 	}
@@ -236,14 +188,15 @@ func (u *UnionAll) Close() error {
 // columns this is SQL DISTINCT — the sort-based duplicate elimination the
 // paper lists among operators with factorially many interesting orders.
 type Dedup struct {
+	rowView
 	child   Operator
 	last    types.Tuple
-	scratch types.Tuple // batch-path row view, reused across rows
+	scratch types.Tuple // row view, reused across rows
 	guard   iter.Guard  // strided abort poll for the duplicate-skip loops
 }
 
 // NewDedup builds a duplicate eliminator over (assumed) sorted input.
-func NewDedup(child Operator) *Dedup { return &Dedup{child: child} }
+func NewDedup(child Operator) *Dedup { return lend(&Dedup{child: child}) }
 
 // Schema returns the child schema.
 func (d *Dedup) Schema() *types.Schema { return d.child.Schema() }
@@ -257,41 +210,20 @@ func (d *Dedup) Open() error {
 	return d.child.Open()
 }
 
-// SetAbort installs the abort hook the duplicate-skip loops poll: a long
-// run of duplicates is consumed inside one Next call.
+// SetAbort installs the abort hook the duplicate-skip loop polls: a long
+// run of duplicates is consumed inside one call.
 func (d *Dedup) SetAbort(poll func() error) { d.guard = iter.NewGuard(poll) }
-
-// Next returns the next distinct tuple.
-func (d *Dedup) Next() (types.Tuple, bool, error) {
-	for {
-		if err := d.guard.Check(); err != nil {
-			return nil, false, err
-		}
-		t, ok, err := d.child.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		if d.last != nil && tupleEqual(d.last, t) {
-			continue
-		}
-		d.last = t
-		return t, true, nil
-	}
-}
-
-// CanChunk reports whether the batch path is available (iff the child's is).
-func (d *Dedup) CanChunk() bool { return ChunkCapable(d.child) }
 
 // NextChunk marks the distinct rows of each child chunk in a selection
 // vector, pulling further chunks while a batch yields no distinct row —
-// the same pages the row path would read before its next distinct tuple.
+// the same pages a one-row consumer would read before its next distinct
+// tuple.
 func (d *Dedup) NextChunk(c *types.Chunk) error {
-	child := d.child.(ChunkOperator)
 	for {
 		if err := d.guard.Check(); err != nil {
 			return err
 		}
-		if err := child.NextChunk(c); err != nil {
+		if err := d.child.NextChunk(c); err != nil {
 			return err
 		}
 		live := c.Rows()
@@ -330,6 +262,7 @@ func (d *Dedup) Close() error { return d.child.Close() }
 // A planned Top-K query therefore sheds the tail work even when its
 // consumer drains the cursor to completion.
 type Limit struct {
+	rowView
 	child       Operator
 	k           int64
 	n           int64
@@ -342,7 +275,7 @@ func NewLimit(child Operator, k int64) (*Limit, error) {
 	if k < 0 {
 		return nil, fmt.Errorf("exec: negative limit %d", k)
 	}
-	return &Limit{child: child, k: k}, nil
+	return lend(&Limit{child: child, k: k}), nil
 }
 
 // Schema returns the child schema.
@@ -377,41 +310,17 @@ func (l *Limit) closeChild() error {
 	return l.closeErr
 }
 
-// Next returns the next tuple while under the limit. Producing the K-th
-// tuple closes the child before the tuple is returned; a close failure
-// there surfaces from Close (and from any further Next call), never eating
-// the row itself.
-func (l *Limit) Next() (types.Tuple, bool, error) {
-	if l.n >= l.k {
-		if err := l.closeChild(); err != nil {
-			return nil, false, err
-		}
-		return nil, false, nil
-	}
-	t, ok, err := l.child.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	l.n++
-	if l.n >= l.k {
-		l.closeChild()
-	}
-	return t, true, nil
-}
-
-// CanChunk reports whether the batch path is available (iff the child's is).
-func (l *Limit) CanChunk() bool { return ChunkCapable(l.child) }
-
 // NextChunk passes the child's chunk through, truncating the batch that
-// carries the K-th live row and closing the child at that point — the same
-// early-exit the row path performs, at the same page boundary (the
-// truncated rows were co-resident on an already-read page).
+// carries the K-th live row and closing the child at that point — at the
+// page boundary a one-row consumer would close it at (the truncated rows
+// were co-resident on an already-read page). A close failure there surfaces
+// from Close or a later call, never eating the rows themselves.
 func (l *Limit) NextChunk(c *types.Chunk) error {
 	if l.n >= l.k {
 		c.Reset()
 		return l.closeChild()
 	}
-	if err := l.child.(ChunkOperator).NextChunk(c); err != nil {
+	if err := l.child.NextChunk(c); err != nil {
 		return err
 	}
 	live := int64(c.Rows())
@@ -420,9 +329,8 @@ func (l *Limit) NextChunk(c *types.Chunk) error {
 	}
 	if l.n+live >= l.k {
 		c.Truncate(int(l.k - l.n))
+		c.Detach() // the rows may be spans over buffers the close frees
 		l.n = l.k
-		// As in the row path, a close failure here surfaces from Close or
-		// a later call, never eating the rows themselves.
 		_ = l.closeChild()
 		return nil
 	}

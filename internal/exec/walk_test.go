@@ -68,14 +68,14 @@ func TestWalkAndCollectSorts(t *testing.T) {
 	}
 
 	// Operators from outside the package are leaves, not a panic.
-	if cs := Children(fakeLeaf{}); cs != nil {
+	if cs := Children(&fakeLeaf{}); cs != nil {
 		t.Fatalf("foreign operator should walk as a leaf, got children %v", cs)
 	}
 }
 
-type fakeLeaf struct{}
+type fakeLeaf struct{ rowView }
 
-func (fakeLeaf) Open() error                      { return nil }
-func (fakeLeaf) Next() (types.Tuple, bool, error) { return nil, false, nil }
-func (fakeLeaf) Close() error                     { return nil }
-func (fakeLeaf) Schema() *types.Schema            { return types.NewSchema() }
+func (*fakeLeaf) Open() error                    { return nil }
+func (*fakeLeaf) NextChunk(c *types.Chunk) error { c.Reset(); return nil }
+func (*fakeLeaf) Close() error                   { return nil }
+func (*fakeLeaf) Schema() *types.Schema          { return types.NewSchema() }

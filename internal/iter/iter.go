@@ -1,9 +1,9 @@
-// Package iter defines the Volcano-style pull iterator contract shared by
-// the execution engine and the external sort operators, plus the
-// cancellation plumbing streaming execution threads through them: a Guard
-// polls an abort function at a bounded stride so per-tuple loops deep
-// inside a sort can honor a context cancellation or an early Close without
-// paying a function call per tuple.
+// Package iter defines the demand-driven pull contract shared by the
+// execution engine and the external sort operators — a stream of row
+// chunks — plus the cancellation plumbing streaming execution threads
+// through them: a Guard polls an abort function at a bounded stride so
+// per-tuple loops deep inside a sort can honor a context cancellation or an
+// early Close without paying a function call per tuple.
 package iter
 
 import (
@@ -12,19 +12,28 @@ import (
 	"pyro/internal/types"
 )
 
-// Iterator is a demand-driven tuple stream. The contract is:
+// Iterator is a demand-driven stream of rows served a chunk at a time. The
+// contract is:
 //
-//	Open  — acquire resources; must be called exactly once before Next.
-//	Next  — return the next tuple; ok=false signals exhaustion (no error).
-//	Close — release resources; safe to call once after Open, even mid-stream.
+//	Open      — acquire resources; must be called exactly once before NextChunk.
+//	NextChunk — overwrite c with the next rows, at most c.Cap() of them and
+//	            possibly with a selection vector installed; c.Rows() == 0
+//	            signals exhaustion (and stays so on further calls). The rows
+//	            are valid only until the next call.
+//	Close     — release resources; safe to call once after Open, even mid-stream.
+//
+// A NextChunk does only the work its first row needs plus free work —
+// decoding rows co-resident on a page it already read, copying rows already
+// in memory — so a consumer that stops mid-stream has done the I/O a
+// consumer asking for one row at a time would have done at the same row.
 type Iterator interface {
 	Open() error
-	Next() (types.Tuple, bool, error)
+	NextChunk(c *types.Chunk) error
 	Close() error
 }
 
 // SliceIterator adapts an in-memory tuple slice to the Iterator contract.
-// It is used by tests and by operators that buffer intermediate results.
+// It is used by tests and tools that feed a sort literal rows.
 type SliceIterator struct {
 	Tuples []types.Tuple
 	pos    int
@@ -41,40 +50,42 @@ func (s *SliceIterator) Open() error {
 	return nil
 }
 
-// Next returns the next buffered tuple.
-func (s *SliceIterator) Next() (types.Tuple, bool, error) {
-	if s.pos >= len(s.Tuples) {
-		return nil, false, nil
+// NextChunk copies the next buffered tuples into c, up to its capacity.
+func (s *SliceIterator) NextChunk(c *types.Chunk) error {
+	c.Reset()
+	for ; s.pos < len(s.Tuples) && !c.Full(); s.pos++ {
+		c.AppendRow(s.Tuples[s.pos])
 	}
-	t := s.Tuples[s.pos]
-	s.pos++
-	return t, true, nil
+	return nil
 }
 
 // Close is a no-op.
 func (s *SliceIterator) Close() error { return nil }
 
-// Drain opens it, pulls every tuple, closes it, and returns the tuples.
-// Close is called on every path, including failed Opens, so operators can
-// rely on it for resource cleanup. When both a pull and the subsequent
-// Close fail, the errors are joined — a Close failure (a leaked resource, a
-// poisoned spill arena) must not vanish behind the Next error that
-// triggered the cleanup; when only one side fails that error is returned
-// unwrapped.
-func Drain(it Iterator) ([]types.Tuple, error) {
+// Drain opens it, pulls every row as an owned tuple of ncols datums, closes
+// it, and returns the tuples. Close is called on every path, including
+// failed Opens, so operators can rely on it for resource cleanup. When both
+// a pull and the subsequent Close fail, the errors are joined — a Close
+// failure (a leaked resource, a poisoned spill arena) must not vanish behind
+// the pull error that triggered the cleanup; when only one side fails that
+// error is returned unwrapped.
+func Drain(it Iterator, ncols int) ([]types.Tuple, error) {
 	if err := it.Open(); err != nil {
 		return nil, closeAfter(it, err)
 	}
+	c := types.GetChunk(ncols, types.DefaultChunkCapacity)
+	defer types.PutChunk(c)
 	var out []types.Tuple
 	for {
-		t, ok, err := it.Next()
-		if err != nil {
+		if err := it.NextChunk(c); err != nil {
 			return nil, closeAfter(it, err)
 		}
-		if !ok {
+		if c.Rows() == 0 {
 			break
 		}
-		out = append(out, t)
+		for i := 0; i < c.Rows(); i++ {
+			out = append(out, c.OwnedRow(i))
+		}
 	}
 	if err := it.Close(); err != nil {
 		return nil, err

@@ -19,13 +19,14 @@ type faultIterator struct {
 
 func (f *faultIterator) Open() error { return f.openErr }
 
-func (f *faultIterator) Next() (types.Tuple, bool, error) {
+func (f *faultIterator) NextChunk(c *types.Chunk) error {
+	c.Reset()
 	if f.pos >= len(f.tuples) {
-		return nil, false, f.nextErr
+		return f.nextErr
 	}
-	t := f.tuples[f.pos]
+	c.AppendRow(f.tuples[f.pos])
 	f.pos++
-	return t, true, nil
+	return nil
 }
 
 func (f *faultIterator) Close() error {
@@ -38,7 +39,7 @@ func TestDrainJoinsNextAndCloseErrors(t *testing.T) {
 	closeErr := errors.New("close failed")
 	it := &faultIterator{nextErr: nextErr, closeErr: closeErr,
 		tuples: []types.Tuple{types.NewTuple(types.NewInt(1))}}
-	_, err := Drain(it)
+	_, err := Drain(it, 1)
 	if !errors.Is(err, nextErr) {
 		t.Fatalf("Drain error %v does not wrap the Next error", err)
 	}
@@ -53,12 +54,12 @@ func TestDrainJoinsNextAndCloseErrors(t *testing.T) {
 func TestDrainPreservesErrorIdentityOnCleanClose(t *testing.T) {
 	nextErr := errors.New("next failed")
 	it := &faultIterator{nextErr: nextErr}
-	if _, err := Drain(it); err != nextErr {
+	if _, err := Drain(it, 1); err != nextErr {
 		t.Fatalf("Drain returned %v, want the untouched Next error", err)
 	}
 	closeErr := errors.New("close failed")
 	it2 := &faultIterator{closeErr: closeErr}
-	if _, err := Drain(it2); err != closeErr {
+	if _, err := Drain(it2, 1); err != closeErr {
 		t.Fatalf("Drain returned %v, want the untouched Close error", err)
 	}
 }
@@ -67,7 +68,7 @@ func TestDrainJoinsOpenAndCloseErrors(t *testing.T) {
 	openErr := errors.New("open failed")
 	closeErr := errors.New("close failed")
 	it := &faultIterator{openErr: openErr, closeErr: closeErr}
-	_, err := Drain(it)
+	_, err := Drain(it, 1)
 	if !errors.Is(err, openErr) || !errors.Is(err, closeErr) {
 		t.Fatalf("Drain error %v should wrap both the Open and Close errors", err)
 	}
@@ -75,7 +76,7 @@ func TestDrainJoinsOpenAndCloseErrors(t *testing.T) {
 
 func TestDrainHappyPath(t *testing.T) {
 	in := []types.Tuple{types.NewTuple(types.NewInt(1)), types.NewTuple(types.NewInt(2))}
-	out, err := Drain(FromSlice(in))
+	out, err := Drain(FromSlice(in), 1)
 	if err != nil || len(out) != 2 {
 		t.Fatalf("Drain = %d tuples, err %v", len(out), err)
 	}

@@ -104,12 +104,11 @@ func (w *TupleWriter) TuplesWritten() int64 { return w.tuples }
 // TupleReader scans a tuple file sequentially, page by page. Each page read
 // charges one block read to the disk.
 type TupleReader struct {
-	file    *File
-	page    int
-	data    []byte
-	pos     int
-	left    int
-	started bool
+	file *File
+	page int
+	data []byte
+	pos  int
+	left int
 }
 
 // NewTupleReader positions a reader at the start of f.
@@ -139,6 +138,11 @@ func (r *TupleReader) fill() (bool, error) {
 	}
 	return true, nil
 }
+
+// Buffered reports whether the next tuple is on the page the reader holds,
+// so reading it reads no page. A chunk producer that must not cross a page
+// (see ReadChunk) stops before a read it does not report.
+func (r *TupleReader) Buffered() bool { return r.left > 0 }
 
 // Next returns the next tuple, or ok=false at end of file.
 func (r *TupleReader) Next() (types.Tuple, bool, error) {
@@ -178,9 +182,9 @@ func (r *TupleReader) NextRaw() ([]byte, bool, error) {
 //
 // The fill discipline is the batch executor's I/O-identity invariant: a
 // chunk never crosses a page boundary. The reader advances to the next
-// page only when no tuple of the current one remains — exactly when the
-// row path's Next would — so a consumer that stops after row j has read
-// precisely the pages the row path would have read to serve row j.
+// page only when no tuple of the current one remains — exactly when Next
+// would — so a consumer that stops after row j has read precisely the
+// pages a reader of one row at a time would have read to serve row j.
 func (r *TupleReader) ReadChunk(c *types.Chunk) (int, error) {
 	if ok, err := r.fill(); !ok {
 		return 0, err

@@ -6,18 +6,20 @@ import (
 	"sync"
 )
 
-// DefaultChunkCapacity is the vectorized executor's chunk capacity, the only
-// one it runs at (xsort.Config.BatchSize can still pick another for a sort
-// driven directly): large enough to amortize per-batch dispatch
-// over a full storage page of tuples, small enough that a chunk of the
-// widest workload tuples stays cache-resident.
+// DefaultChunkCapacity is the capacity of the chunks a query's cursor asks
+// its plan's root for; every operator below sizes the chunks it pulls from
+// its own inputs from the chunk it was asked to fill, so the tree runs at it
+// down to its sort enforcers, which pull their input in chunks of their own
+// xsort.Config.BatchSize (core.Build sets it to this). It is large enough to amortize per-batch dispatch over a full
+// storage page of tuples, small enough that a chunk of the widest workload
+// tuples stays cache-resident.
 const DefaultChunkCapacity = 1024
 
 // Chunk is a batch of up to Cap rows in columnar form: one datum vector per
-// schema column plus an optional selection vector. Operators pass chunks
-// through the executor's batch protocol (exec.ChunkOperator) so that the
-// per-row interface dispatch and per-tuple allocation of the Volcano row
-// path are paid once per batch instead of once per row.
+// schema column plus an optional selection vector. It is the unit of the
+// executor's one protocol (iter.Iterator's NextChunk): every operator fills
+// the chunk it is handed, so per-row interface dispatch and per-tuple
+// allocation are paid once per batch instead of once per row.
 //
 // A filter does not move rows: it marks the surviving physical row indices
 // in the selection vector, and downstream consumers iterate live rows
@@ -28,10 +30,12 @@ const DefaultChunkCapacity = 1024
 // so consumers that retain rows must copy them out (OwnedRow).
 //
 // Rows that arrive encoded (AppendEncoded — a scan filling the chunk from a
-// page) are framed and remembered as spans, and decoded into the column
-// vectors only when a consumer first asks for a datum. A consumer that wants
-// the rows in their page format anyway — a sort enforcer buffers them
-// encoded — reads the spans (EncodedRow) and the decode never happens.
+// page, a sort emitting from its row store or a run page) are framed and
+// remembered as spans, and decoded into the column vectors only when a
+// consumer first asks for a datum of that row or a later one: a consumer
+// that reads only the first row of a full chunk decodes one row. A consumer
+// that wants the rows in their page format anyway — a sort enforcer buffers
+// them encoded — reads the spans (EncodedRow) and the decode never happens.
 type Chunk struct {
 	cols     [][]Datum
 	enc      [][]byte // encoded spans of the first len(enc) physical rows (see EncodedRow)
@@ -86,9 +90,10 @@ func (c *Chunk) Reset() {
 	c.sel = nil
 }
 
-// materialize decodes the rows held as spans only into the column vectors.
-func (c *Chunk) materialize() {
-	for ; c.decoded < c.n; c.decoded++ {
+// materialize decodes the rows held as spans only, up to physical row phys,
+// into the column vectors.
+func (c *Chunk) materialize(phys int) {
+	for ; c.decoded <= phys; c.decoded++ {
 		c.decodeRow(c.enc[c.decoded])
 	}
 }
@@ -144,17 +149,18 @@ func (c *Chunk) RowIndex(i int) int {
 
 // DatumAt returns the datum of column col at live row i.
 func (c *Chunk) DatumAt(col, i int) Datum {
-	if c.decoded < c.n {
-		c.materialize()
+	phys := c.RowIndex(i)
+	if phys >= c.decoded {
+		c.materialize(phys)
 	}
-	return c.cols[col][c.RowIndex(i)]
+	return c.cols[col][phys]
 }
 
 // AppendRow appends one physical row. The tuple's arity must match the
 // chunk's column count and the chunk must not be full.
 func (c *Chunk) AppendRow(t Tuple) {
 	if c.decoded < c.n {
-		c.materialize()
+		c.materialize(c.n - 1)
 	}
 	c.decoded++
 	for j := range c.cols {
@@ -168,10 +174,10 @@ func (c *Chunk) AppendRow(t Tuple) {
 // stays valid after the chunk is refilled, but a second CopyRow into the
 // same dst overwrites it.
 func (c *Chunk) CopyRow(dst Tuple, i int) Tuple {
-	if c.decoded < c.n {
-		c.materialize()
-	}
 	phys := c.RowIndex(i)
+	if phys >= c.decoded {
+		c.materialize(phys)
+	}
 	if cap(dst) < len(c.cols) {
 		dst = make(Tuple, len(c.cols))
 	}
@@ -234,6 +240,17 @@ func (c *Chunk) AppendEncoded(buf []byte) (int, error) {
 	}
 	c.n++
 	return pos, nil
+}
+
+// Detach decodes the rows held as spans and drops the spans, so the chunk no
+// longer refers to its producer's buffers. A consumer that closes the
+// producer while its rows are still in flight — a Limit closing its child at
+// the K-th row — detaches them first.
+func (c *Chunk) Detach() {
+	if c.decoded < c.n {
+		c.materialize(c.n - 1)
+	}
+	c.enc = c.enc[:0]
 }
 
 // EncodedRow returns the Tuple.Encode bytes live row i was decoded from, or

@@ -43,8 +43,8 @@ func TestChunkKeepsSpansAndDecodesLazily(t *testing.T) {
 	if got := c.DatumAt(1, 2); got.Str() != "three" {
 		t.Fatalf("DatumAt(1, 2) = %v", got)
 	}
-	if c.decoded != 4 {
-		t.Fatalf("first datum access decoded %d rows, want all 4", c.decoded)
+	if c.decoded != 3 {
+		t.Fatalf("first datum access of row 2 decoded %d rows, want rows 0-2", c.decoded)
 	}
 	for i, r := range rows {
 		if got := c.OwnedRow(i); !reflect.DeepEqual(got, r) {
@@ -98,6 +98,38 @@ func TestChunkKeepsSpansAndDecodesLazily(t *testing.T) {
 	}
 	if c.Rows() != before {
 		t.Fatal("a refused row changed the chunk")
+	}
+}
+
+// TestChunkDetachOwnsItsRows: a detached chunk keeps its rows but no spans,
+// so overwriting the buffer they were framed from changes nothing.
+func TestChunkDetachOwnsItsRows(t *testing.T) {
+	rows := []Tuple{NewTuple(NewInt(1), NewString("one")), NewTuple(NewInt(2), NewString("two"))}
+	var page []byte
+	for _, r := range rows {
+		page = r.Encode(page)
+	}
+	c := NewChunk(2, 4)
+	for pos := 0; pos < len(page); {
+		n, err := c.AppendEncoded(page[pos:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		pos += n
+	}
+	c.Detach()
+	clear(page)
+	for i, r := range rows {
+		if c.EncodedRow(i) != nil {
+			t.Fatalf("row %d still has a span after Detach", i)
+		}
+		if got := c.OwnedRow(i); !reflect.DeepEqual(got, r) {
+			t.Fatalf("row %d = %v after Detach, want %v", i, got, r)
+		}
+	}
+	c.AppendRow(NewTuple(NewInt(3), Null))
+	if c.Rows() != 3 || c.DatumAt(0, 2).Int() != 3 {
+		t.Fatal("a detached chunk takes further rows")
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 
 	"pyro/internal/catalog"
 	"pyro/internal/core"
-	"pyro/internal/iter"
+	"pyro/internal/exec"
 	"pyro/internal/logical"
 	"pyro/internal/storage"
 )
@@ -80,7 +80,7 @@ func runsAndReturnsRows(t *testing.T, cat *catalog.Catalog, q logical.Node, minR
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := iter.Drain(op)
+	rows, err := exec.Drain(op)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,7 +68,7 @@ func TestMRSAbortInterruptsCollect(t *testing.T) {
 	}
 	var sawErr error
 	for i := 0; i < 30_000; i++ {
-		_, ok, err := m.Next()
+		ok, err := pull1(m)
 		if err != nil {
 			sawErr = err
 			break
@@ -109,7 +109,7 @@ func TestMRSAbortWithParallelSpill(t *testing.T) {
 	}
 	var sawErr error
 	for i := 0; i < 30_000; i++ {
-		_, ok, err := m.Next()
+		ok, err := pull1(m)
 		if err != nil {
 			sawErr = err
 			break
@@ -155,7 +155,7 @@ func TestMRSLimitAbortReleasesEverything(t *testing.T) {
 					t.Fatal(err)
 				}
 				// A late enough abort never fires: the bounded sort is done first.
-				if _, err = iter.Drain(m); err != nil {
+				if _, err = drain(m); err != nil {
 					if !errors.Is(err, errCanceled) {
 						t.Fatalf("%s par=%d polls=%d: drain returned %v, want the abort error", tc.name, par, polls, err)
 					}
@@ -184,7 +184,7 @@ func TestNilAbortSortsNormally(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := iter.Drain(s)
+	out, err := drain(s)
 	if err != nil || len(out) != len(rows) {
 		t.Fatalf("drain: %d rows, err %v", len(out), err)
 	}

@@ -130,7 +130,7 @@ func sortGolden(t *testing.T, mrs bool, par int, comparisons bool) *SortStats {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := iter.Drain(op)
+	out, err := drain(op)
 	if err != nil {
 		t.Fatal(err)
 	}

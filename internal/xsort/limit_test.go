@@ -52,7 +52,7 @@ func limitedMRS(t testing.TB, rows []types.Tuple, given sortord.Order, cfg Confi
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := iter.Drain(m)
+	out, err := drain(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestMRSLimitReadsOnlyCoveringSegments(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				out, err := iter.Drain(m)
+				out, err := drain(m)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -261,7 +261,7 @@ func TestMRSLimitPassthroughAndValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := iter.Drain(m)
+	out, err := drain(m)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"pyro/internal/iter"
 	"pyro/internal/storage"
+	"pyro/internal/types"
 )
 
 // A spilled run is one file of encoded rows — the bytes the store held, page
@@ -163,6 +164,28 @@ func (m *runMerger) next() ([]byte, bool, error) {
 	}
 	m.taken = true
 	return m.cursors[0].row, true, nil
+}
+
+// fill appends the merge's next rows to c, at most limit of them, as spans
+// over the run pages they sit on, and returns how many it appended. Once c
+// holds a row it stops before any row whose load would read a new run page:
+// the chunk does only the I/O its first row needs, and every span in it stays
+// on its cursor's current page — valid until the next call reads past it.
+func (m *runMerger) fill(c *types.Chunk, limit int64) (int64, error) {
+	var n int64
+	for ; n < limit && !c.Full(); n++ {
+		if c.Rows() > 0 && m.taken && !m.cursors[0].r.Buffered() {
+			break
+		}
+		row, ok, err := m.next()
+		if err != nil || !ok {
+			return n, err
+		}
+		if err := appendEncoded(c, row); err != nil {
+			return n, err
+		}
+	}
+	return n, nil
 }
 
 // mergeGroup merges a group of runs into one fresh run in ns, removing the

@@ -81,10 +81,9 @@ type MRS struct {
 	havePending bool
 	src         *tupleSource
 	inputDone   bool
-	passthrough bool  // given == target: nothing to do
-	owed        int64 // Config.Limit minus the rows of collected segments
-	out         rowEmitter
-	left        int64     // Config.Limit minus the rows emitted: sizes the emitter's slabs
+	passthrough bool      // given == target: nothing to do
+	owed        int64     // Config.Limit minus the rows of collected segments
+	consumed    bool      // passthrough: pending was emitted, the next row not yet read
 	spare       *rowStore // the last released segment's store, empty, for the next collector
 
 	// Segment pipeline: col accumulates the segment currently being read;
@@ -95,7 +94,7 @@ type MRS struct {
 	cur  *segment
 
 	liveBytes int64      // blocks held, in bytes, across all live segments
-	pumpErr   error      // read-ahead failure, surfaced on the next Next call
+	pumps     int64      // read-ahead quanta the rows already emitted bought (see pump)
 	guard     iter.Guard // strided Config.Abort poll (consumer goroutine only)
 
 	opened bool
@@ -195,11 +194,9 @@ func NewMRS(input iter.Iterator, schema *types.Schema, target, given sortord.Ord
 		ky:          &keyer{codec: codec, width: entryWidth(codec, prefix, cfg.Disk.PageSize())},
 		prefix:      prefix,
 		par:         cfg.parallelism(),
-		out:         rowEmitter{ncols: schema.Len()},
 		guard:       iter.NewGuard(cfg.Abort),
 		passthrough: prefix == target.Len(),
 		owed:        cfg.limit(),
-		left:        cfg.limit(),
 	}, nil
 }
 
@@ -251,27 +248,31 @@ func (m *MRS) samePrefix(c *segCollector, r inputRow) bool {
 	return len(r.key) >= len(c.prefix) && bytes.Equal(r.key[:len(c.prefix)], c.prefix)
 }
 
-// Next returns the next tuple of the target order.
-func (m *MRS) Next() (types.Tuple, bool, error) {
-	if m.pumpErr != nil {
-		return nil, false, m.pumpErr
+// NextChunk fills c with the next rows of the target order. A chunk holds
+// rows of one segment only: it stops at the end of the segment being
+// emitted, and the next segment is adopted — collected, sorted or merged —
+// on the following call, so a consumer that stops mid-segment never pays for
+// the next one. A spilled segment's chunk also stops where its merge would
+// read a new run page (runMerger.fill).
+func (m *MRS) NextChunk(c *types.Chunk) error {
+	c.Reset()
+	// The read-ahead the previous chunk's rows bought is paid now, before
+	// this chunk's first row: a chunk never starts the next segment's
+	// collection on its own rows' account.
+	for ; m.pumps > 0; m.pumps-- {
+		if err := m.pump(); err != nil {
+			return err
+		}
 	}
-	//pyro:bounded(each iteration emits a tuple or retires/adopts one segment, and emit/pump poll the abort guard internally)
+	if m.passthrough {
+		return m.passThrough(c)
+	}
+	//pyro:bounded(each iteration fills the chunk or retires/adopts/collects one segment, and emit/collect poll the abort guard internally)
 	for {
 		// Serve from the segment at the head of the pipeline.
 		if m.cur != nil {
-			t, ok, err := m.emit()
-			if err != nil {
-				return nil, false, err
-			}
-			if ok {
-				m.stats.TuplesOut++
-				m.left--
-				// A read-ahead failure must not swallow the tuple already
-				// taken from the current segment: deliver t now, surface
-				// the error on the next call.
-				m.pumpErr = m.pump()
-				return t, true, nil
+			if err := m.emit(c); err != nil || c.Rows() > 0 {
+				return err
 			}
 			m.release(m.cur)
 			m.cur = nil
@@ -281,31 +282,17 @@ func (m *MRS) Next() (types.Tuple, bool, error) {
 			seg := m.segq[0]
 			m.segq = m.segq[1:]
 			if err := m.adopt(seg); err != nil {
-				return nil, false, err
+				return err
 			}
 			continue
 		}
 		if !m.havePending {
-			return nil, false, nil
-		}
-		if m.passthrough {
-			t := m.pending.t
-			if m.src.cs != nil {
-				t = m.out.own(t, m.left) // a batch row is a view; the consumer keeps what it gets
-			}
-			m.left--
-			if m.owed--; m.owed == 0 {
-				m.stopInput()
-			} else if err := m.advance(); err != nil {
-				return nil, false, err
-			}
-			m.stats.TuplesOut++
-			return t, true, nil
+			return nil
 		}
 		// Nothing in flight: collect the next segment demand-driven.
 		seg, err := m.collect(-1)
 		if err != nil {
-			return nil, false, err
+			return err
 		}
 		if seg != nil {
 			m.segq = append(m.segq, seg)
@@ -313,36 +300,59 @@ func (m *MRS) Next() (types.Tuple, bool, error) {
 	}
 }
 
-// emit serves the next tuple of the current segment, from its sorted buffer
-// or its per-segment run merge.
-func (m *MRS) emit() (types.Tuple, bool, error) {
+// passThrough serves an input already in target order (given == target) as
+// it arrives. The lookahead is taken lazily, on the call that needs it, so a
+// chunk ends where the input's buffered rows do: it never asks the input for
+// more once it holds a row.
+func (m *MRS) passThrough(c *types.Chunk) error {
+	for !c.Full() {
+		if m.consumed {
+			if c.Rows() > 0 && !m.src.buffered() {
+				return nil
+			}
+			m.consumed = false
+			if err := m.advance(); err != nil {
+				return err
+			}
+		}
+		if !m.havePending {
+			return nil
+		}
+		if err := appendRow(c, m.pending); err != nil {
+			return err
+		}
+		m.stats.TuplesOut++
+		if m.owed--; m.owed == 0 {
+			m.stopInput()
+		} else {
+			m.consumed = true
+		}
+	}
+	return nil
+}
+
+// emit appends the current segment's next rows to c, from its sorted buffer
+// or its per-segment run merge; it appends none once the segment is
+// exhausted. Each emitted row buys the pool its read-ahead quantum, paid on
+// the next call (pump).
+func (m *MRS) emit(c *types.Chunk) error {
 	s := m.cur
 	if s.merging != nil {
-		if s.pos >= s.keep {
-			return nil, false, nil
-		}
-		// The final merge is where a spilled row is decoded, once.
-		row, ok, err := s.merging.next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		t, err := m.out.emit(row, m.left)
-		if err != nil {
-			return nil, false, err
-		}
-		s.pos++
-		return t, true, nil
+		// The final merge hands out run-page spans; the consumer decodes.
+		n, err := s.merging.fill(c, s.keep-s.pos)
+		s.pos += n
+		m.stats.TuplesOut += n
+		m.pumps += n
+		return err
 	}
-	if s.pos >= int64(len(s.order)) {
-		return nil, false, nil
+	for ; s.pos < int64(len(s.order)) && !c.Full(); s.pos++ {
+		if err := appendEncoded(c, s.store.rowAt(s.store.entry(s.order[s.pos]))); err != nil {
+			return err
+		}
+		m.stats.TuplesOut++
+		m.pumps++
 	}
-	e := s.store.entry(s.order[s.pos])
-	t, err := m.out.emit(s.store.rowAt(e), m.left)
-	if err != nil {
-		return nil, false, err
-	}
-	s.pos++
-	return t, true, nil
+	return nil
 }
 
 // adopt makes seg the current emission head: waits for an asynchronous sort
@@ -425,11 +435,12 @@ func (m *MRS) resized(st *rowStore, before int64) {
 	}
 }
 
-// pump advances read-ahead in parallel mode: after each emitted tuple the
-// consumer reads up to pumpQuantum more input tuples, dispatching completed
-// segments to the worker pool, as long as fewer than Parallelism segments
-// are queued beyond the one being emitted AND the buffered tuples across
-// all live segments stay under the memory budget. The budget gate keeps
+// pump advances read-ahead in parallel mode: for each emitted tuple the
+// consumer reads up to pumpQuantum more input tuples — on its next call, so
+// the rows in hand are served first — dispatching completed segments to the
+// worker pool, as long as fewer than Parallelism segments are queued beyond
+// the one being emitted AND the buffered tuples across all live segments
+// stay under the memory budget. The budget gate keeps
 // total sort memory at roughly M even with a deep pool: lookahead stops
 // growing once M is reached, so only the demand-driven path (one emitting
 // plus one collecting segment) can exceed it, as in the serial algorithm.

@@ -36,7 +36,7 @@ func TestMRSParallelMatchesSerial(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				out, err := iter.Drain(m)
+				out, err := drain(m)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -108,7 +108,7 @@ func TestMRSParallelPipelining(t *testing.T) {
 	}
 	emitted := 0
 	for {
-		_, ok, err := m.Next()
+		ok, err := pull1(m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func TestMRSParallelCleanup(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		if _, ok, err := m.Next(); !ok || err != nil {
+		if ok, err := pull1(m); !ok || err != nil {
 			t.Fatalf("Next %d: ok=%v err=%v", i, ok, err)
 		}
 	}
@@ -177,7 +177,7 @@ func TestEncodedAndComparatorKeysAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := iter.Drain(s)
+		out, err := drain(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +197,7 @@ func TestEncodedAndComparatorKeysAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := iter.Drain(m)
+		out, err := drain(m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +228,7 @@ func TestSortsOnNullTypedKeyColumn(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSRS: %v", err)
 	}
-	out, err := iter.Drain(s)
+	out, err := drain(s)
 	if err != nil || len(out) != 3 || out[0][0].Int() != 1 || out[2][0].Int() != 3 {
 		t.Fatalf("SRS out=%v err=%v", out, err)
 	}
@@ -237,7 +237,7 @@ func TestSortsOnNullTypedKeyColumn(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewMRS: %v", err)
 	}
-	out, err = iter.Drain(m)
+	out, err = drain(m)
 	if err != nil || len(out) != 3 || out[0][0].Int() != 1 || out[2][0].Int() != 3 {
 		t.Fatalf("MRS out=%v err=%v", out, err)
 	}

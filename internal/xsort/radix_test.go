@@ -181,7 +181,7 @@ func TestRunFormationModesAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out, err := iter.Drain(m)
+			out, err := drain(m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -193,7 +193,7 @@ func TestRunFormationModesAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out, err := iter.Drain(s)
+			out, err := drain(s)
 			if err != nil {
 				t.Fatal(err)
 			}

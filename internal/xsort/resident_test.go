@@ -80,7 +80,7 @@ func TestAccountedIsResident(t *testing.T) {
 				if err := m.Open(); err != nil {
 					t.Fatal(err)
 				}
-				if _, ok, err := m.Next(); !ok || err != nil {
+				if ok, err := pull1(m); !ok || err != nil {
 					t.Fatalf("first row: %v %v", ok, err)
 				}
 				heap, peak := base(), m.stats.PeakMemBytes
@@ -109,7 +109,7 @@ func TestAccountedIsResident(t *testing.T) {
 				if err := m.Open(); err != nil {
 					t.Fatal(err)
 				}
-				if _, _, err := m.Next(); err != nil {
+				if _, err := pull1(m); err != nil {
 					t.Fatal(err)
 				}
 				if m.stats.RunsGenerated < 3 {

@@ -163,7 +163,7 @@ func TestReductionScheduleKeepsOutputBytes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rows, err := iter.Drain(op)
+			rows, err := drain(op)
 			if err != nil {
 				t.Fatal(err)
 			}

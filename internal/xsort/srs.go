@@ -13,7 +13,7 @@ import (
 // SRS is the standard replacement-selection external sort. It is blocking:
 // Open consumes the entire input, forming runs (averaging twice the memory
 // size for random input, one run for sorted input), reduces them to at most
-// fan-in runs, and Next serves tuples from the final merge. When the whole
+// fan-in runs, and NextChunk serves rows from the final merge. When the whole
 // input fits in memory no run is written and the sort is CPU-only.
 //
 // Each input tuple's sort key is normalized once on entry; every heap
@@ -46,12 +46,11 @@ type SRS struct {
 	memOrder []uint32
 	memPos   int
 	inMem    bool
-	out      rowEmitter
 
 	merger *runMerger
 	runs   []*storage.File
 	arena  *storage.SpillArena // lazily created spill namespace; owns all temps
-	src    *tupleSource        // input collection (batched when configured)
+	src    *tupleSource        // input collection
 	opened bool
 	closed bool
 }
@@ -78,7 +77,6 @@ func NewSRS(input iter.Iterator, schema *types.Schema, o sortord.Order, cfg Conf
 		order:  o.Clone(),
 		cfg:    cfg,
 		ky:     &keyer{codec: codec, width: entryWidth(codec, 0, cfg.Disk.PageSize())},
-		out:    rowEmitter{ncols: schema.Len()},
 	}, nil
 }
 
@@ -285,32 +283,22 @@ func (s *SRS) trackPeak(b int64) {
 	}
 }
 
-// Next returns the next tuple in sorted order.
-func (s *SRS) Next() (types.Tuple, bool, error) {
-	if s.inMem {
-		if s.memPos >= len(s.memOrder) {
-			return nil, false, nil
+// NextChunk fills c with the next rows in sorted order, as spans over the
+// store or the final merge's run pages (runMerger.fill).
+func (s *SRS) NextChunk(c *types.Chunk) error {
+	c.Reset()
+	if !s.inMem {
+		n, err := s.merger.fill(c, s.stats.TuplesIn-s.stats.TuplesOut)
+		s.stats.TuplesOut += n
+		return err
+	}
+	for ; s.memPos < len(s.memOrder) && !c.Full(); s.memPos++ {
+		if err := appendEncoded(c, s.store.rowAt(s.store.entry(s.memOrder[s.memPos]))); err != nil {
+			return err
 		}
-		e := s.store.entry(s.memOrder[s.memPos])
-		t, err := s.out.emit(s.store.rowAt(e), int64(len(s.memOrder)-s.memPos))
-		if err != nil {
-			return nil, false, err
-		}
-		s.memPos++
 		s.stats.TuplesOut++
-		return t, true, nil
 	}
-	// The final merge is where a spilled row is decoded, once.
-	row, ok, err := s.merger.next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	t, err := s.out.emit(row, s.stats.TuplesIn-s.stats.TuplesOut)
-	if err != nil {
-		return nil, false, err
-	}
-	s.stats.TuplesOut++
-	return t, true, nil
+	return nil
 }
 
 // Close releases run files and closes the input.

@@ -219,14 +219,6 @@ type chunkedRows struct {
 
 func (c *chunkedRows) Open() error  { c.pos = 0; return nil }
 func (c *chunkedRows) Close() error { return nil }
-func (c *chunkedRows) Next() (types.Tuple, bool, error) {
-	if c.pos >= len(c.rows) {
-		return nil, false, nil
-	}
-	c.pos++
-	return c.rows[c.pos-1], true, nil
-}
-func (c *chunkedRows) CanChunk() bool { return true }
 func (c *chunkedRows) NextChunk(ch *types.Chunk) error {
 	ch.Reset()
 	for c.pos < len(c.rows) && !ch.Full() {
@@ -306,13 +298,13 @@ func checkSortCase(t *testing.T, c sortCase) {
 		}
 		var s *SRS
 		if s, err = NewSRS(in, schema, target, cfg); err == nil {
-			got, err = iter.Drain(s)
+			got, err = drain(s)
 		}
 	} else {
 		cfg.Limit = c.limit
 		var m *MRS
 		if m, err = NewMRS(in, schema, target, given, cfg); err == nil {
-			if got, err = iter.Drain(m); err == nil && m.liveBytes != 0 {
+			if got, err = drain(m); err == nil && m.liveBytes != 0 {
 				t.Fatalf("%v: the closed sort still accounts for %d bytes of memory", c, m.liveBytes)
 			}
 		}
@@ -424,7 +416,7 @@ func TestRowLargerThanABlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := iter.Drain(m)
+	got, err := drain(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,7 +481,7 @@ func TestShrinkMidSegmentReleasesBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := iter.Drain(m)
+	got, err := drain(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,7 +493,7 @@ func TestShrinkMidSegmentReleasesBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := iter.Drain(ref)
+	want, err := drain(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -535,7 +527,7 @@ func TestSRSShrinkDrainsAndRefills(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := iter.Drain(s)
+	got, err := drain(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -611,15 +603,15 @@ type genIter struct {
 }
 
 func (g *genIter) Open() error { return nil }
-func (g *genIter) Next() (types.Tuple, bool, error) {
-	if g.i >= g.n {
-		return nil, false, nil
+func (g *genIter) NextChunk(c *types.Chunk) error {
+	c.Reset()
+	for ; g.i < g.n && !c.Full(); g.i++ {
+		if g.probe != nil {
+			g.probe(g.i)
+		}
+		c.AppendRow(g.row(g.i))
 	}
-	if g.probe != nil {
-		g.probe(g.i)
-	}
-	g.i++
-	return g.row(g.i - 1), true, nil
+	return nil
 }
 func (g *genIter) Close() error { return nil }
 
@@ -781,7 +773,7 @@ func TestSRSSpillsLongStringKeys(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := iter.Drain(s)
+		got, err := drain(s)
 		if err != nil {
 			t.Fatal(err)
 		}

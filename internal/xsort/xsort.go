@@ -1,4 +1,4 @@
-// Package xsort implements external sorting as Volcano iterators:
+// Package xsort implements external sorting as chunk iterators (iter.Iterator):
 //
 //   - SRS — standard replacement selection (Knuth '73): heap-based run
 //     formation producing runs averaging twice the memory size, followed by
@@ -29,7 +29,9 @@
 // outside them is the 4-byte-a-row permutation a sort orders or the
 // replacement-selection heap. Input that arrives as chunks filled from a
 // scan is buffered by copying its encoded spans — the chunk is never decoded
-// — and each emitted row is decoded once, into datum arrays carved per batch.
+// — and output leaves the same way: NextChunk hands the consumer's chunk the
+// rows' bytes as spans over the store or the run page, decoded only when the
+// consumer reads a datum.
 //
 // Keys are normalized: each tuple's sort key is encoded once (package keys)
 // into an order-preserving byte string, so a comparison is a bytes.Compare of
@@ -54,7 +56,7 @@
 //
 // A spilled run is one file of encoded rows: a spill copies row bytes out of
 // the store, an intermediate merge copies the winner's bytes from page to
-// page, and only the final merge decodes — once per emitted row. Merges key
+// page, and the final merge hands them out as chunk spans. Merges key
 // each row they read from its bytes and break full-key ties by run ordinal;
 // runs are formed in arrival order by stable sorts and reductions keep merged
 // outputs in place, so MRS is a stable sort and the output bytes of either
@@ -169,7 +171,7 @@ type Config struct {
 	// by the sort's long-running loops: SRS's input consumption inside
 	// Open, MRS's segment collection, and the run-formation and
 	// run-reduction merge loops of the spill path. The first non-nil error
-	// aborts the sort, which surfaces it from Open or Next and releases
+	// aborts the sort, which surfaces it from Open or NextChunk and releases
 	// its spill state on Close as usual. This is how streaming execution
 	// threads context cancellation into a sort that would otherwise block
 	// for its whole input; nil means the sort only stops at EOF or error.
@@ -182,14 +184,12 @@ type Config struct {
 	// here so ExecStats.IO attributes spill I/O to the right query even
 	// under concurrent cursors.
 	Tap *storage.Tap
-	// BatchSize, when > 1, batches the sort's *input* collection: tuples
-	// are pulled from a chunk-capable input (see source.go) a chunk at a
-	// time and their sort keys encoded per batch (keys.Codec.EncodeBatch).
-	// The sort's tuple-level algorithm — segment boundaries, budget checks,
-	// abort polling, emission — is untouched, and a chunk never crosses a
-	// storage page, so output bytes, SortStats and I/O are identical at
-	// every batch size. 0 or 1 means row-at-a-time collection (the legacy
-	// path, exactly).
+	// BatchSize is the capacity of the chunks the sort pulls its input in
+	// (see source.go); 0 or 1 pulls one row per chunk. Sort keys are encoded
+	// per batch (keys.Codec.EncodeBatch). The sort's tuple-level algorithm —
+	// segment boundaries, budget checks, abort polling, emission — is
+	// untouched, and a chunk never crosses a storage page, so output bytes,
+	// SortStats and I/O are identical at every batch size.
 	BatchSize int
 	// Limit, when positive, is a hard bound on the rows the consumer will
 	// ever read — a LIMIT k sitting on the sort, never a row-target hint: MRS

@@ -1,6 +1,7 @@
 package xsort
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -52,14 +53,34 @@ type countingIter struct {
 }
 
 func (c *countingIter) Open() error { return c.inner.Open() }
-func (c *countingIter) Next() (types.Tuple, bool, error) {
-	t, ok, err := c.inner.Next()
-	if ok {
-		c.pulled++
-	}
-	return t, ok, err
+func (c *countingIter) NextChunk(ch *types.Chunk) error {
+	err := c.inner.NextChunk(ch)
+	c.pulled += ch.Rows()
+	return err
 }
 func (c *countingIter) Close() error { return c.inner.Close() }
+
+// width is the row width of a sort's output.
+func width(op iter.Iterator) int {
+	switch s := op.(type) {
+	case *MRS:
+		return s.schema.Len()
+	case *SRS:
+		return s.schema.Len()
+	}
+	panic(fmt.Sprintf("not a sort: %T", op))
+}
+
+// drain drains a sort.
+func drain(op iter.Iterator) ([]types.Tuple, error) { return iter.Drain(op, width(op)) }
+
+// pull1 asks a sort for a chunk of one row — the row-at-a-time consumer —
+// and reports whether it got one.
+func pull1(op iter.Iterator) (bool, error) {
+	c := types.NewChunk(width(op), 1)
+	err := op.NextChunk(c)
+	return c.Rows() == 1, err
+}
 
 func isSorted(t *testing.T, rows []types.Tuple, o sortord.Order) {
 	t.Helper()
@@ -120,7 +141,7 @@ func TestSRSInMemoryNoIO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := iter.Drain(s)
+	out, err := drain(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +165,7 @@ func TestSRSSpillsAndMerges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := iter.Drain(s)
+	out, err := drain(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +195,7 @@ func TestSRSSortedInputStillDoesIO(t *testing.T) {
 	})
 	cfg, d := smallCfg(t, 4)
 	s, _ := NewSRS(iter.FromSlice(rows), sortSchema, sortord.New("c1", "c2"), cfg)
-	out, err := iter.Drain(s)
+	out, err := drain(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +229,7 @@ func TestSRSEmptyInputAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := iter.Drain(s)
+	out, err := drain(s)
 	if err != nil || len(out) != 0 {
 		t.Fatalf("empty input: %v, %d tuples", err, len(out))
 	}
@@ -234,7 +255,7 @@ func TestMRSPipelinedNoIO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := iter.Drain(m)
+	out, err := drain(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +287,7 @@ func TestMRSEarlyOutput(t *testing.T) {
 	if err := m.Open(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := m.Next(); !ok || err != nil {
+	if ok, err := pull1(m); !ok || err != nil {
 		t.Fatalf("Next: ok=%v err=%v", ok, err)
 	}
 	// After one output tuple, only the first segment (plus one lookahead)
@@ -286,7 +307,7 @@ func TestMRSSpilledSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := iter.Drain(m)
+	out, err := drain(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +331,7 @@ func TestMRSPassthrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := iter.Drain(m)
+	out, err := drain(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +355,7 @@ func TestMRSSinglSegmentDegeneratesToFullSort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := iter.Drain(m)
+	out, err := drain(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +383,7 @@ func TestMRSValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := iter.Drain(m)
+	out, err := drain(m)
 	if err != nil || len(out) != 0 {
 		t.Fatalf("empty input: %v, %d", err, len(out))
 	}
@@ -373,12 +394,12 @@ func TestMRSFewerComparisonsThanSRS(t *testing.T) {
 	rows := genRows(5000, 100, rng) // sorted on c1
 	cfg1, _ := smallCfg(t, 16)
 	srs, _ := NewSRS(iter.FromSlice(rows), sortSchema, sortord.New("c1", "c2"), cfg1)
-	if _, err := iter.Drain(srs); err != nil {
+	if _, err := drain(srs); err != nil {
 		t.Fatal(err)
 	}
 	cfg2, _ := smallCfg(t, 16)
 	mrs, _ := NewMRS(iter.FromSlice(rows), sortSchema, sortord.New("c1", "c2"), sortord.New("c1"), cfg2)
-	if _, err := iter.Drain(mrs); err != nil {
+	if _, err := drain(mrs); err != nil {
 		t.Fatal(err)
 	}
 	if mrs.Stats().Comparisons >= srs.Stats().Comparisons {
@@ -419,7 +440,7 @@ func TestQuickSRSAndMRSAgreeWithReference(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		gotS, err := iter.Drain(srs)
+		gotS, err := drain(srs)
 		if err != nil {
 			return false
 		}
@@ -428,7 +449,7 @@ func TestQuickSRSAndMRSAgreeWithReference(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		gotM, err := iter.Drain(mrs)
+		gotM, err := drain(mrs)
 		if err != nil {
 			return false
 		}
@@ -457,7 +478,7 @@ func TestMRSRunCleanupOnClose(t *testing.T) {
 	}
 	// Pull a few tuples mid-segment, then abandon.
 	for i := 0; i < 5; i++ {
-		if _, ok, err := m.Next(); !ok || err != nil {
+		if ok, err := pull1(m); !ok || err != nil {
 			t.Fatalf("Next %d: ok=%v err=%v", i, ok, err)
 		}
 	}
@@ -479,7 +500,7 @@ func NewSorted(input iter.Iterator, schema *types.Schema, o sortord.Order, cfg C
 	if err != nil {
 		return nil, nil, err
 	}
-	out, err := iter.Drain(s)
+	out, err := drain(s)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -9,7 +9,7 @@
 // resources. Tables are bulk-loaded, optionally clustered and indexed with
 // covering secondary indices; queries are assembled with the Query builder,
 // optimized under a selectable heuristic (PYRO, PYRO-O⁻, PYRO-P, PYRO-O,
-// PYRO-E) and executed on the Volcano-style iterator engine:
+// PYRO-E) and executed on the demand-driven chunked engine:
 //
 //	db := pyro.Open(pyro.Config{})
 //	db.CreateTable("t", []pyro.Column{{Name: "a", Type: pyro.Int64}, ...},

@@ -36,6 +36,7 @@ func TestSpillingSortGoldenMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkInteriorOrders(t, db, plan)
 
 	type result struct {
 		rows  [][]any

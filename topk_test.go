@@ -21,6 +21,7 @@ func TestTopKCorrectness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkInteriorOrders(t, db, full)
 	fullRows, err := queryAll(db, full)
 	if err != nil {
 		t.Fatal(err)
@@ -29,6 +30,7 @@ func TestTopKCorrectness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkInteriorOrders(t, db, topk)
 	kRows, err := queryAll(db, topk)
 	if err != nil {
 		t.Fatal(err)
@@ -67,6 +69,7 @@ func TestTopKEarlyTermination(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkInteriorOrders(t, db, partial)
 	db.ResetIOStats()
 	if _, err := queryAll(db, partial); err != nil {
 		t.Fatal(err)
@@ -77,6 +80,7 @@ func TestTopKEarlyTermination(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkInteriorOrders(t, db, fullSort)
 	db.ResetIOStats()
 	if _, err := queryAll(db, fullSort); err != nil {
 		t.Fatal(err)
@@ -99,6 +103,7 @@ func TestLimitValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkInteriorOrders(t, db, plan)
 	rows, err := queryAll(db, plan)
 	if err != nil || len(rows.Data) != 0 {
 		t.Fatalf("limit 0: %d rows, err %v", len(rows.Data), err)
@@ -108,6 +113,7 @@ func TestLimitValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkInteriorOrders(t, db, plan2)
 	rows2, err := queryAll(db, plan2)
 	if err != nil || len(rows2.Data) != 200 {
 		t.Fatalf("oversized limit: %d rows", len(rows2.Data))
@@ -188,6 +194,7 @@ func TestLimitInsideFirstSegmentDoesOneSegmentsWork(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			checkInteriorOrders(t, db, plan)
 			got, st := drainStats(t, db, plan, WithSortParallelism(par))
 			if len(got) != k {
 				t.Fatalf("par=%d: %d rows, want %d", par, len(got), k)
@@ -247,6 +254,7 @@ func TestLimitIsPrefixOfUnlimited(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
+							checkInteriorOrders(t, db, plan)
 							check := func(got [][]any) error {
 								if len(got) != min(k, n) {
 									return fmt.Errorf("%s: %d rows, want %d", at, len(got), min(k, n))
@@ -332,6 +340,7 @@ func TestLimitBoundsOnlyItsOwnOrderBy(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
+							checkInteriorOrders(t, db, plan)
 							got, _ := drainStats(t, db, plan)
 							if !reflect.DeepEqual(got, want) {
 								t.Fatalf("%s %s: got %d rows %v…, want %d rows %v…\n%s", at, what,
@@ -372,6 +381,7 @@ func TestExplainShowsPushedBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkInteriorOrders(t, db, plan)
 		return plan.Explain()
 	}
 	direct := explain(db.Scan("big").OrderBy("g", "v").Limit(7))
@@ -408,6 +418,7 @@ func TestExplainShowsPushedBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkInteriorOrders(t, db, plan)
 	got, st := drainStats(t, db, plan, WithRowTarget(7))
 	if len(got) != 5000 || st.Sorts[0].TuplesOut != 5000 {
 		t.Fatalf("WithRowTarget(7) truncated the stream: %d rows, sort emitted %d", len(got), st.Sorts[0].TuplesOut)
@@ -425,6 +436,7 @@ func TestBoundedSortAsksForLittleMemory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkInteriorOrders(t, db, plan)
 		_, st := drainStats(t, db, plan)
 		return st.GrantedBlocks
 	}
