@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race race-serve chaos bench perf-ab fmt vet lint-pyro ci
+.PHONY: build test race race-serve chaos bench fuzz-smoke perf-ab fmt vet lint-pyro ci
 
 build:
 	$(GO) build ./...
@@ -18,6 +18,26 @@ race:
 # harness itself stays healthy, not a measurement.
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# Every fuzz target for 10 s each, past its seed corpus: a smoke pass that
+# the codec, store, limit, page-format and spill-plan invariants still hold
+# on inputs nobody wrote down, not a campaign. `go test -fuzz` takes one
+# target per run, so they run one after another.
+FUZZ_TARGETS = \
+	./internal/keys:FuzzFixedPrefixAgreesWithFullCompare \
+	./internal/keys:FuzzCodecAgreesWithComparator \
+	./internal/keys:FuzzAppendEncoded \
+	./internal/xsort:FuzzStoreBackedSort \
+	./internal/xsort:FuzzMRSLimit \
+	./internal/xsort:FuzzSpillPlan \
+	./internal/storage:FuzzReadChunk \
+	./internal/types:FuzzDecodeTuple \
+	./internal/types:FuzzEncodedTupleLen
+fuzz-smoke:
+	@for t in $(FUZZ_TARGETS); do \
+		echo "fuzz-smoke: $${t#*:}"; \
+		$(GO) test -run '^$$' -fuzz "^$${t#*:}$$" -fuzztime 10s "$${t%%:*}" || exit 1; \
+	done
 
 # Paired end-to-end A/B of the benchmark (cmd/pyro-perf): BASE's committed
 # files against the working tree, PAIRS alternating pairs at seeds 1..PAIRS,
@@ -66,4 +86,4 @@ vet:
 lint-pyro:
 	$(GO) run ./cmd/pyro-lint -max-suppressions 0 ./...
 
-ci: build vet fmt lint-pyro test race race-serve chaos bench
+ci: build vet fmt lint-pyro test race race-serve chaos bench fuzz-smoke

@@ -395,8 +395,7 @@ func sortMemoryAsk(p *core.Plan, cfg Config) int {
 		case q.Kind == core.OpNLJoin, q.Kind == core.OpSort && q.SortLimit == 0:
 			ask = full
 		case q.Kind == core.OpSort:
-			// More rows than the full budget has bytes never fit; clamping
-			// there also keeps the footprint's products from overflowing.
+			// More rows than the full budget has bytes never fit.
 			rows := 2 * min(q.SortLimit, full*int64(cfg.PageSize))
 			need := xsort.FootprintBlocks(q.Schema, q.SortTarget, q.SortGiven, rows, cfg.PageSize)
 			ask = max(ask, min(full, need))

@@ -97,9 +97,7 @@ func build(p *Plan, cfg BuildConfig) (exec.Operator, error) {
 		}
 		return exec.NewProject(children[0], cols)
 	case OpSort:
-		// A bounded full sort is MRS over an empty prefix — one segment, the
-		// same bounded collector — not a second implementation in SRS.
-		if p.SortGiven.IsEmpty() && p.SortLimit == 0 {
+		if xsort.ReplacementSelection(p.SortGiven, p.SortLimit) {
 			return exec.NewSortSRS(children[0], p.SortTarget, xcfg)
 		}
 		xcfg.Limit = p.SortLimit

@@ -483,11 +483,13 @@ func (opt *Optimizer) enforce(plan *Plan, required sortord.Order, props logical.
 		opt.boundSort(node, segments, bound)
 		return node
 	}
-	sortCost := opt.opts.Model.PartialSort(plan.Rows, plan.Blocks, segments, required.Len()-prefix.Len())
+	spec := xsort.Spec{Schema: plan.Schema, Target: node.SortTarget, Given: node.SortGiven}
+	var sortCost cost.Cost
 	var startup float64
 	if node.SortSegments > 1 {
 		// Partial sort: pipelined. First row after one segment of input and
 		// one segment sort.
+		sortCost = opt.opts.Model.PartialSort(spec, plan.Rows, segments)
 		perSegRows := plan.Rows / segments
 		if perSegRows < 1 {
 			perSegRows = 1
@@ -498,7 +500,8 @@ func (opt *Optimizer) enforce(plan *Plan, required sortord.Order, props logical.
 		// one full sort of everything): the whole input is consumed before
 		// the first row, then the sort's own blocking phase runs (an
 		// external sort still streams its final merge read).
-		startup = plan.Cost.Total + opt.opts.Model.FullSort(plan.Rows, plan.Blocks).Startup
+		sortCost = opt.opts.Model.FullSort(spec, plan.Rows)
+		startup = plan.Cost.Total + sortCost.Startup
 	}
 	node.Cost = cost.Cost{
 		Startup: startup,
@@ -518,16 +521,22 @@ func (opt *Optimizer) enforce(plan *Plan, required sortord.Order, props logical.
 // consumer can ask of it.
 func (opt *Optimizer) boundSort(node *Plan, segments, bound int64) {
 	m, plan := opt.opts.Model, node.Children[0]
-	segRows, segBlocks := plan.Rows, plan.Blocks
+	spec := xsort.Spec{Schema: plan.Schema, Target: node.SortTarget, Given: node.SortGiven}
+	segRows := plan.Rows
 	if segments > 1 {
-		segRows, segBlocks = max(plan.Rows/segments, 1), max(plan.Blocks/segments, 1)
+		segRows = max(plan.Rows/segments, 1)
 	}
 	covering := ordersel.SegmentBudget(bound, plan.Rows, segments)
 	inRows := min(covering*segRows, plan.Rows)
 	owed := bound - (covering-1)*segRows // of the last covering segment
-	owedBlocks := xsort.FootprintBlocks(plan.Schema, node.SortTarget, node.SortGiven, owed, m.PageSize)
-	full := m.FullSort(segRows, segBlocks)
-	last := m.BoundedSort(segRows, segBlocks, owed, owedBlocks)
+	// Segments before the last are cut at rows they never reach, but are
+	// sorted by the same bounded collector. A single covering segment has
+	// none, and its sort is planned once.
+	var full cost.Cost
+	if covering > 1 {
+		full = m.BoundedSort(spec, segRows, bound)
+	}
+	last := m.BoundedSort(spec, segRows, owed)
 
 	total := plan.PrefixCost(inRows) + float64(covering-1)*full.Total + last.Total
 	// First row: one segment of input and that segment's sort — the bounded

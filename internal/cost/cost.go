@@ -8,6 +8,13 @@
 //	                 where e' = one partial-sort segment of e
 //	                 (N(e') = N/D, B(e') = B/D, uniformity assumed)
 //
+// The external case's pages come from xsort.PlanSpill, the sorter's own
+// spill plan, not from the logarithm: what fits M is what its row store
+// holds, runs are one memory load (MRS) or about two (replacement
+// selection), and a pass rewrites only what the final merge cannot take.
+// With memory-load runs and n = F^k of them that is B·(2p+1) less the input
+// read the scan below the sort already pays (TestFullSortExternalFormula).
+//
 // CPU work is translated into I/O units by per-operation weights, as the
 // paper does ("CPU cost is appropriately translated into I/O cost units").
 //
@@ -115,127 +122,70 @@ func (m Model) SortCPU(rows int64) float64 {
 	return float64(rows) * math.Log2(float64(rows)) * m.CmpWeight
 }
 
-// FullSort is coe(e, ε, o): the cost of sorting from scratch. The paper's
-// external formula B·(2p + 1) charges two block transfers per intermediate
-// pass plus the final read.
-//
-// The split: an in-memory sort blocks on its entire CPU cost (the buffer
-// must be full and sorted before the smallest key is known). An external
-// sort blocks on run formation and the intermediate passes (B·2p) but
-// streams the final merge read (B) one block at a time.
-//
-// The spill term prices blocks per transfer plus KeyEncodeWeight per tuple
-// per merge read — a pass over a run re-normalizes every key. With that
-// weight zeroed it is the paper's B·(2p + 1).
-//
-// The pass count's logarithm is taken to the sorter's own merge fan-in
-// (xsort.MergeFanIn: M−1, never below 2), not to a bare M−1: the governor
-// can hand a contended query a 1- or 2-block ExpectedGrant, where base M−1
-// would price the sort at one pass or at +Inf.
-func (m Model) FullSort(rows, blocks int64) Cost {
-	if rows <= 1 || blocks <= 0 {
+// FullSort is coe(e, ε, o) for rows rows of s: a sort from scratch or, when s
+// has a given prefix, one segment of a partial sort. See sortCost.
+func (m Model) FullSort(s xsort.Spec, rows int64) Cost {
+	return m.sortCost(s, rows, 0, m.SortCPU(rows))
+}
+
+// BoundedSort is the cost of a sort of rows rows of s whose consumer reads
+// only the first keep of them — a LIMIT sitting on the sort
+// (xsort.Config.Limit, §7 Top-K). The sort becomes a bounded selection:
+// every input row costs log₂ keep comparisons instead of log₂ rows and, the
+// point, it spills nothing while keep rows fit M, however large the input —
+// rows past the cut-off are dropped, never buffered. When they do not fit,
+// its runs and merges are cut at keep rows. keep ≥ rows cuts nothing, but the
+// sort is still the bounded one; keep ≤ 0 is a FullSort. The result's Rows is
+// at most keep: the bounded sort emits no more.
+func (m Model) BoundedSort(s xsort.Spec, rows, keep int64) Cost {
+	if keep <= 0 {
+		return m.FullSort(s, rows)
+	}
+	cpu := m.SortCPU(rows)
+	if keep < rows {
+		cpu = float64(rows) * math.Log2(math.Max(float64(keep), 2)) * m.CmpWeight
+	}
+	c := m.sortCost(s, rows, keep, cpu)
+	c.Rows = min(rows, keep)
+	return c
+}
+
+// sortCost prices one sort bounded by limit (0: none) from its spill plan,
+// xsort.PlanSpill at M = MemoryBlocks: cpu, plus one unit per run page moved
+// and KeyEncodeWeight per row a merge reads back (runs hold rows only, so a
+// merge keys every row it reads). An in-memory sort blocks on all of it: the
+// buffer must be full and sorted before the smallest key is known. An external
+// one blocks on run formation and the intermediate passes and streams its
+// final merge read.
+func (m Model) sortCost(s xsort.Spec, rows, limit int64, cpu float64) Cost {
+	if rows <= 1 {
 		return Cost{Rows: rows}
 	}
-	if blocks <= m.MemoryBlocks {
-		return Cost{Startup: m.SortCPU(rows), Total: m.SortCPU(rows), Rows: rows}
-	}
-	fanIn := xsort.MergeFanIn(int(m.MemoryBlocks))
-	passes := math.Ceil(logBase(float64(fanIn), float64(blocks)/float64(m.MemoryBlocks)))
-	if passes < 1 {
-		passes = 1
-	}
-	spillBlocks, passCPU := m.spillShape(rows, blocks)
-	startup := passes * (spillBlocks*2 + passCPU)
+	p := xsort.PlanSpill(s, rows, limit, int(m.MemoryBlocks), m.PageSize)
+	startup := cpu + float64(p.Written+p.Read) + float64(p.MergedRows)*m.KeyEncodeWeight
 	return Cost{
 		Startup: startup,
-		Total:   startup + spillBlocks + passCPU, // final merge read
+		Total:   startup + float64(p.FinalRead) + float64(p.FinalRows)*m.KeyEncodeWeight,
 		Rows:    rows,
 	}
 }
 
-// spillShape is what one full transfer of a sort's rows to or from its run
-// files costs: the blocks moved and the per-read key work (a merge keys every
-// row it reads back).
-func (m Model) spillShape(rows, blocks int64) (spillBlocks, passCPU float64) {
-	return float64(blocks), float64(rows) * m.KeyEncodeWeight
-}
-
-// BoundedSort is the cost of a sort whose consumer reads only the first keep
-// of its output rows — a LIMIT sitting on the sort (xsort.Config.Limit, §7
-// Top-K). The sort becomes a bounded selection: every input row costs
-// log₂ keep comparisons instead of log₂ rows and, the point, there is no
-// spill term when the kept rows fit in memory, however large the input —
-// rows past the cut-off are dropped, never buffered. keepBlocks is the sort
-// memory the kept rows take, in blocks (xsort.FootprintBlocks: the blocks of
-// their encoded bytes plus the blocks of their sort entries — what the
-// sorter's row store would hold), which is what decides "fit".
-//
-// Only when the kept rows themselves exceed M does the sort go external, and
-// then it moves less than a full sort does: the input is written once as
-// formation runs (one per M of in-memory input, each shorter than keep
-// rows), every reduction merge rewrites at most keep rows, and the final
-// merge reads keep rows' worth plus the first page of every run.
-// keep ≥ rows is a plain FullSort. The result's Rows is keep: the bounded
-// sort emits no more.
-func (m Model) BoundedSort(rows, blocks, keep, keepBlocks int64) Cost {
-	if keep <= 0 || keep >= rows {
-		return m.FullSort(rows, blocks)
-	}
-	cpu := float64(rows) * math.Log2(math.Max(float64(keep), 2)) * m.CmpWeight
-	if keepBlocks <= m.MemoryBlocks {
-		return Cost{Startup: cpu, Total: cpu, Rows: keep}
-	}
-	spillBlocks, passCPU := m.spillShape(rows, blocks)
-	frac := float64(keep) / float64(rows)
-	keepSpill, keepCPU := spillBlocks*frac, passCPU*frac
-	runs := math.Ceil(float64(keepBlocks) / frac / float64(m.MemoryBlocks))
-	startup := cpu + spillBlocks // run formation writes everything once
-	for fanIn := float64(xsort.MergeFanIn(int(m.MemoryBlocks))); runs > fanIn; {
-		groups := math.Ceil(runs / fanIn)
-		pass := math.Min(spillBlocks, groups*keepSpill)
-		startup += 2*pass + math.Min(passCPU, groups*keepCPU)
-		runs = groups
-	}
-	return Cost{
-		Startup: startup,
-		Total:   startup + math.Min(spillBlocks, keepSpill+runs) + keepCPU,
-		Rows:    keep,
-	}
-}
-
-func logBase(base, x float64) float64 {
-	if x <= 1 {
-		return 0
-	}
-	return math.Log(x) / math.Log(base)
-}
-
-// PartialSort is coe(e, o1, o2) expressed via the segment count: the caller
-// computes D = D(e, attrs(o2 ∧ o1)) and passes it along with N(e) and B(e).
-// Each of the D segments sorts independently (N/D rows, B/D blocks); if the
-// suffix order is empty (o2 ≤ o1) the cost is zero.
+// PartialSort is coe(e, o1, o2) for rows rows of s expressed via the segment
+// count: the caller computes D = D(e, attrs(o2 ∧ o1)) and passes it along
+// with N(e). Each of the D segments is a FullSort of N/D rows; if s.Given
+// covers s.Target (o2 ≤ o1) the cost is zero.
 //
 // The split: only the first segment must be collected and sorted before the
 // first row exists (Startup = one segment's full sort), and each further
 // block of N/D rows costs one more segment sort — the property that makes
 // Prefix(k) charge ≈ ⌈k·D/N⌉ segment sorts and a Top-K plan comparison
 // favor the pipelined enforcer.
-func (m Model) PartialSort(rows, blocks, segments int64, suffixLen int) Cost {
-	if suffixLen == 0 || rows <= 1 {
+func (m Model) PartialSort(s xsort.Spec, rows, segments int64) Cost {
+	if s.Given.Len() >= s.Target.Len() || rows <= 1 {
 		return Cost{Rows: rows}
 	}
-	if segments <= 0 {
-		segments = 1
-	}
-	segRows := rows / segments
-	if segRows < 1 {
-		segRows = 1
-	}
-	segBlocks := blocks / segments
-	if segBlocks < 1 {
-		segBlocks = 1
-	}
-	seg := m.FullSort(segRows, segBlocks)
+	segments = max(segments, 1)
+	seg := m.FullSort(s, max(rows/segments, 1))
 	return Cost{
 		Startup: seg.Total,
 		Total:   float64(segments) * seg.Total,

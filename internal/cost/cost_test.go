@@ -1,14 +1,34 @@
 package cost
 
 import (
+	"fmt"
 	"math"
 	"testing"
+
+	"pyro/internal/sortord"
+	"pyro/internal/types"
+	"pyro/internal/xsort"
+)
+
+// threeInts encodes every row in 31 bytes, 132 rows to a 4 KiB run page.
+var threeInts = types.NewSchema(
+	types.Column{Name: "a", Kind: types.KindInt},
+	types.Column{Name: "b", Kind: types.KindInt},
+	types.Column{Name: "c", Kind: types.KindInt},
+)
+
+// fullSpec sorts threeInts from scratch (replacement selection); segSpec
+// sorts it within segments of equal a (MRS batches), the sort a partial sort
+// prices per segment.
+var (
+	fullSpec = xsort.Spec{Schema: threeInts, Target: sortord.New("b", "a")}
+	segSpec  = xsort.Spec{Schema: threeInts, Target: sortord.New("a", "b"), Given: sortord.New("a")}
 )
 
 func TestFullSortInMemory(t *testing.T) {
 	m := DefaultModel()
 	// Fits in memory: CPU only, and fully blocking (Startup == Total).
-	got := m.FullSort(1000, 100)
+	got := m.FullSort(fullSpec, 1000)
 	want := m.SortCPU(1000)
 	if got.Total != want {
 		t.Fatalf("in-memory sort = %f, want cpu %f", got.Total, want)
@@ -17,85 +37,128 @@ func TestFullSortInMemory(t *testing.T) {
 		t.Fatalf("in-memory sort must block on its whole CPU cost: startup %f, total %f",
 			got.Startup, got.Total)
 	}
-	if m.FullSort(0, 0).Total != 0 || m.FullSort(1, 1).Total != 0 {
+	if m.FullSort(fullSpec, 0).Total != 0 || m.FullSort(fullSpec, 1).Total != 0 {
 		t.Fatal("degenerate sorts are free")
 	}
 }
 
-// paperModel zeroes the merge reads' key work so FullSort reduces to the
-// paper's bare B·(2p + 1); that term is pinned separately in
+// paperModel zeroes the CPU weights, so a spilling sort's price is its run
+// pages alone; the merge reads' key work is pinned separately in
 // TestSpillLayoutPricing.
 func paperModel() Model {
 	m := DefaultModel()
-	m.KeyEncodeWeight = 0
+	m.CmpWeight, m.KeyEncodeWeight = 0, 0
 	return m
 }
 
+// TestFullSortExternalFormula is §3.2's external sort, B·(2p+1), checked on
+// the spill plan. With runs of one memory load (MRS batches) and n = F^k of
+// them, the sort writes its B run pages, rewrites all of them in each of k−1
+// intermediate passes and reads them in the final merge: 2k·B run pages —
+// the paper's B·(2⌈log_F n⌉+1) less the one read of the input that the scan
+// below the sort already pays. At M = 3 and M = 5 a memory load of three-int
+// rows is exactly 2 and 3 run pages (264 and 396 rows), so merged runs pack
+// without slack and the identity holds to the page.
 func TestFullSortExternalFormula(t *testing.T) {
-	m := paperModel()
-	// B = 50000, M = 10000: one merge pass => B*(2*1+1) = 150000, of which
-	// the final pipelined merge read (B) streams and the passes (2B) block.
-	if got := m.FullSort(2_000_000, 50_000); got.Total != 150_000 {
-		t.Fatalf("external sort = %f, want 150000", got.Total)
-	} else if got.Startup != 100_000 {
-		t.Fatalf("external sort startup = %f, want the 2pB pass term 100000", got.Startup)
-	}
-	// B = M+1: still one pass.
-	if got := m.FullSort(1_000_000, 10_001); got.Total != 3*10_001 {
-		t.Fatalf("barely external = %f", got.Total)
-	}
-	// Very large: log_{M-1}(B/M) grows. B = M * (M-1)^2 needs 2 passes.
-	b := m.MemoryBlocks * (m.MemoryBlocks - 1) * (m.MemoryBlocks - 1)
-	if got := m.FullSort(b*10, b); got.Total != float64(b)*5 {
-		t.Fatalf("two-pass sort = %f, want %f", got.Total, float64(b)*5)
-	}
-	// In-memory sorts pay no spill term.
-	if got := m.FullSort(1000, 100); got != DefaultModel().FullSort(1000, 100) || got.Total != m.SortCPU(1000) {
-		t.Fatalf("in-memory sort = %+v, want cpu %f", got, m.SortCPU(1000))
+	for _, c := range []struct{ mem, load, fanIn, maxK int64 }{{3, 264, 2, 5}, {5, 396, 4, 3}} {
+		m := paperModel()
+		m.MemoryBlocks = c.mem
+		n := int64(1)
+		for k := int64(1); k <= c.maxK; k++ {
+			n *= c.fanIn
+			rows, b := n*c.load, n*c.load/132
+			at := fmt.Sprintf("M=%d, %d runs", c.mem, n)
+			p := xsort.PlanSpill(segSpec, rows, 0, int(c.mem), m.PageSize)
+			if p.InMemory || int64(p.Runs) != n || int64(p.Passes) != k-1 || int64(p.FanIn) != c.fanIn {
+				t.Fatalf("%s: %+v, want %d runs, %d passes, fan-in %d", at, p, n, k-1, c.fanIn)
+			}
+			if p.Pages() != 2*k*b {
+				t.Fatalf("%s: %d run pages, want 2k·B = %d", at, p.Pages(), 2*k*b)
+			}
+			// FullSort prices exactly those: run formation and the passes
+			// block, the final merge read (B) streams.
+			if got := m.FullSort(segSpec, rows); got.Total != float64(2*k*b) || got.Startup != float64((2*k-1)*b) {
+				t.Fatalf("%s: FullSort = %+v, want total %d, startup %d", at, got, 2*k*b, (2*k-1)*b)
+			}
+		}
 	}
 	// PartialSort prices its oversized segments through FullSort: two
-	// segments of 25000 blocks, each one pass, B·3 apiece.
-	if got := m.PartialSort(2_000_000, 50_000, 2, 1); got.Total != 2*75_000 || got.Total != 2*m.FullSort(1_000_000, 25_000).Total {
-		t.Fatalf("spilling partial sort = %f, want 2 × 75000", got.Total)
+	// segments of 16 memory loads, the same plan apiece.
+	m := paperModel()
+	m.MemoryBlocks = 5
+	seg := m.FullSort(segSpec, 16*396)
+	if got := m.PartialSort(segSpec, 2*16*396, 2); seg.Total == 0 || got.Total != 2*seg.Total {
+		t.Fatalf("spilling partial sort = %f, want 2 × %f", got.Total, seg.Total)
 	}
 }
 
-// TestFullSortFiniteAndMonotoneInMemory: more sort memory never prices a
-// sort higher, and no budget prices it at infinity. The governor's
-// ExpectedGrant reaches 1 and 2 blocks under contention, where a merge base
-// of M−1 used to give one pass (M=1: 3 600 for this input, below M=3's
-// 22 800) and +Inf (M=2).
-func TestFullSortFiniteAndMonotoneInMemory(t *testing.T) {
-	m := DefaultModel()
-	prev := math.Inf(1)
-	for mem := int64(1); mem <= 64; mem++ {
-		m.MemoryBlocks = mem
-		c := m.FullSort(100_000, 1_000)
-		if math.IsInf(c.Total, 0) || math.IsNaN(c.Total) || c.Total <= 0 || c.Startup > c.Total {
-			t.Fatalf("M=%d: cost %+v is not a finite positive two-phase cost", mem, c)
+// TestSpillPlanOrdering is the spill plan's ordering over rows × M × bounds:
+//   - more memory never prices more run pages;
+//   - more rows never price fewer;
+//   - a bound never prices more than no bound, and a larger bound never
+//     less;
+//   - at the one- and two-block grants the governor can hand out, the merge
+//     fan-in is two and the price finite (a merge base of M − 1 once priced
+//     M = 1 at one pass and M = 2 at +Inf).
+//
+// "Never" holds to the page a run file rounds up to: the sorter writes every
+// run as whole pages, so a change that moves the same rows through other
+// files can move a page each way per file (1 000 rows sorted from scratch
+// move 16 run pages at M = 4 and 18 at M = 5). Each comparison allows two
+// pages per run file of the plan it holds to be the dearer, and no more.
+//
+// Every bounded sort is MRS, so bounds compare with each other on both specs.
+// Against no bound, a full sort is held to bounds of at most a quarter of its
+// rows: the unbounded full sort is replacement selection, whose runs are two
+// memory loads, and from about k ≈ N/2 the bounded sort's memory-load runs
+// need a pass more than they do — a real cost of that operator, which the
+// plan prices.
+func TestSpillPlanOrdering(t *testing.T) {
+	const page = 4096
+	slack := func(p xsort.SpillPlan) int64 { return int64(2 * (p.Runs + p.RunsMerged)) }
+	for _, s := range []xsort.Spec{fullSpec, segSpec} {
+		plan := func(rows, limit int64, mem int) xsort.SpillPlan { return xsort.PlanSpill(s, rows, limit, mem, page) }
+		for _, rows := range []int64{1_000, 7_000, 40_000, 250_000} {
+			for mem := 1; mem <= 48; mem++ {
+				at := fmt.Sprintf("%v rows=%d M=%d", s.Target, rows, mem)
+				p := plan(rows, 0, mem)
+				if more := plan(rows, 0, mem+1); more.Pages() > p.Pages()+slack(more) {
+					t.Errorf("%s: one more block prices %d run pages, %d before", at, more.Pages(), p.Pages())
+				}
+				if bigger := plan(2*rows, 0, mem); bigger.Pages()+slack(p) < p.Pages() {
+					t.Errorf("%s: twice the rows price %d run pages, %d before", at, bigger.Pages(), p.Pages())
+				}
+				prev := xsort.SpillPlan{}
+				for _, keep := range []int64{rows / 100, rows / 10, rows / 4, rows / 2} {
+					b := plan(rows, keep, mem)
+					if (!s.Given.IsEmpty() || keep <= rows/4) && b.Pages() > p.Pages()+slack(b) {
+						t.Errorf("%s: keep %d prices %d run pages, no bound %d", at, keep, b.Pages(), p.Pages())
+					}
+					if b.Pages()+slack(prev) < prev.Pages() {
+						t.Errorf("%s: keep %d prices %d run pages, a smaller bound %d", at, keep, b.Pages(), prev.Pages())
+					}
+					prev = b
+				}
+			}
 		}
-		if c.Total > prev {
-			t.Fatalf("M=%d costs %.0f, more than M=%d's %.0f", mem, c.Total, mem-1, prev)
-		}
-		prev = c.Total
-	}
-	// Budgets of 1..3 blocks all merge two runs at a time: ⌈log2(B/M)⌉ passes
-	// of 2·1 000 transfers plus the final read, each read keying 100 000
-	// rows (2 units).
-	for mem, want := range map[int64]float64{1: 10*2002 + 1002, 2: 9*2002 + 1002, 3: 9*2002 + 1002} {
-		m.MemoryBlocks = mem
-		if got := m.FullSort(100_000, 1_000).Total; math.Abs(got-want) > 1e-6 {
-			t.Errorf("M=%d: cost %.1f, want %.1f", mem, got, want)
+		for _, mem := range []int64{1, 2} {
+			m := DefaultModel()
+			m.MemoryBlocks = mem
+			p := plan(100_000, 0, int(mem))
+			c := m.FullSort(s, 100_000)
+			if p.FanIn != 2 || math.IsInf(c.Total, 0) || math.IsNaN(c.Total) || c.Total <= 0 || c.Startup > c.Total {
+				t.Errorf("%v M=%d: fan-in %d, cost %+v", s.Target, mem, p.FanIn, c)
+			}
 		}
 	}
 }
 
 func TestPartialSort(t *testing.T) {
 	m := DefaultModel()
-	// 2M rows, 50k blocks, 1000 segments: each segment 2000 rows, 50
-	// blocks => in-memory per segment. Cost = 1000 * cpu(2000), and only
-	// the first segment's sort blocks the first row.
-	got := m.PartialSort(2_000_000, 50_000, 1000, 2)
+	// 2M rows, 1000 segments: each segment 2000 rows, in memory. Cost =
+	// 1000 * cpu(2000), and only the first segment's sort blocks the first
+	// row.
+	got := m.PartialSort(segSpec, 2_000_000, 1000)
 	want := 1000 * m.SortCPU(2000)
 	if math.Abs(got.Total-want) > 1e-9 {
 		t.Fatalf("partial sort = %f, want %f", got.Total, want)
@@ -104,20 +167,24 @@ func TestPartialSort(t *testing.T) {
 		t.Fatalf("partial sort startup = %f, want one segment sort %f", got.Startup, m.SortCPU(2000))
 	}
 	// Full-order-satisfied: zero.
-	if m.PartialSort(2_000_000, 50_000, 1000, 0).Total != 0 {
+	sorted := xsort.Spec{Schema: threeInts, Target: sortord.New("a"), Given: sortord.New("a")}
+	if m.PartialSort(sorted, 2_000_000, 1000).Total != 0 {
 		t.Fatal("satisfied order costs nothing")
 	}
 	// Partial sort must beat a full external sort here.
-	if full := m.FullSort(2_000_000, 50_000); got.Total >= full.Total {
+	if full := m.FullSort(fullSpec, 2_000_000); got.Total >= full.Total {
 		t.Fatalf("partial (%f) should beat full (%f)", got.Total, full.Total)
 	}
 }
 
 func TestPartialSortSegmentsExceedMemory(t *testing.T) {
 	m := DefaultModel()
-	// 2 segments of 25000 blocks each: still external per segment.
-	got := m.PartialSort(2_000_000, 50_000, 2, 1)
-	perSeg := m.FullSort(1_000_000, 25_000)
+	// 2 segments of a million rows each: still external per segment.
+	if xsort.PlanSpill(segSpec, 1_000_000, 0, int(m.MemoryBlocks), m.PageSize).InMemory {
+		t.Fatal("a million-row segment should spill at the default M")
+	}
+	got := m.PartialSort(segSpec, 2_000_000, 2)
+	perSeg := m.FullSort(segSpec, 1_000_000)
 	if got.Total != 2*perSeg.Total {
 		t.Fatalf("oversized segments = %f, want %f", got.Total, 2*perSeg.Total)
 	}
@@ -125,10 +192,10 @@ func TestPartialSortSegmentsExceedMemory(t *testing.T) {
 		t.Fatalf("oversized segments startup = %f, want one full segment %f", got.Startup, perSeg.Total)
 	}
 	// Degenerate inputs.
-	if m.PartialSort(1, 1, 0, 1).Total != 0 {
+	if m.PartialSort(segSpec, 1, 0).Total != 0 {
 		t.Fatal("single row free")
 	}
-	if got := m.PartialSort(100, 10, 0, 1); got.Total != m.FullSort(100, 10).Total {
+	if got := m.PartialSort(segSpec, 100, 0); got.Total != m.FullSort(segSpec, 100).Total {
 		t.Fatal("zero segments clamps to 1")
 	}
 }
@@ -139,7 +206,7 @@ func TestMonotonicity(t *testing.T) {
 	// in time-to-first-row.
 	prevTotal, prevStartup := math.Inf(1), math.Inf(1)
 	for _, segs := range []int64{1, 10, 100, 1000, 10000} {
-		c := m.PartialSort(10_000_000, 300_000, segs, 3)
+		c := m.PartialSort(segSpec, 10_000_000, segs)
 		if c.Total > prevTotal {
 			t.Fatalf("partial sort not monotone at %d segments: %f > %f", segs, c.Total, prevTotal)
 		}
@@ -208,9 +275,9 @@ func TestPrefixInterpolation(t *testing.T) {
 // segment sorts are charged while the full sort blocks on everything.
 func TestPrefixTopKSortFlip(t *testing.T) {
 	m := DefaultModel()
-	rows, blocks := int64(10_000_000), int64(300_000)
-	full := m.FullSort(rows, blocks)
-	partial := m.PartialSort(rows, blocks, 10_000, 1)
+	rows := int64(10_000_000)
+	full := m.FullSort(fullSpec, rows)
+	partial := m.PartialSort(segSpec, rows, 10_000)
 	for _, k := range []int64{1, 100} {
 		f, p := full.Prefix(k), partial.Prefix(k)
 		if p*100 > f {
@@ -285,51 +352,59 @@ func TestSortCheaperWithPartialPrefixRealScenario(t *testing.T) {
 	// on (partkey, suppkey) vs partially from (suppkey) to (suppkey,
 	// partkey). D(suppkey) = 10000 segments.
 	m := DefaultModel()
-	rows, blocks := int64(6_000_000), int64(30_000)
-	full := m.FullSort(rows, blocks)
-	partial := m.PartialSort(rows, blocks, 10_000, 1)
+	rows := int64(6_000_000)
+	full := m.FullSort(fullSpec, rows)
+	partial := m.PartialSort(segSpec, rows, 10_000)
 	if partial.Total >= full.Total/10 {
 		t.Fatalf("partial (%f) should be at least 10x cheaper than full (%f)", partial.Total, full.Total)
 	}
 }
 
-// TestSpillLayoutPricing pins what a spilled sort pays per transfer: the
-// run's blocks — runs hold rows and nothing else — plus, on every merge read,
-// one key encode per row; with that weight zeroed it is the paper's formula.
+// TestSpillLayoutPricing pins what a spilled sort pays beyond its pages: runs
+// hold rows and nothing else, so every row a merge reads back is keyed again
+// (KeyEncodeWeight) — on the reduction pass, which blocks, and on the final
+// merge read, which streams. With the weights zeroed the price is the run
+// pages alone.
 func TestSpillLayoutPricing(t *testing.T) {
-	rows, blocks := int64(2_000_000), int64(50_000)
 	m := DefaultModel()
-	// One pass: bare I/O B·3 = 150000 plus the key work — rows ·
-	// KeyEncodeWeight on the reduction pass and again on the final merge
-	// read: 2·2M·2e-5 = 80.
-	got := m.FullSort(rows, blocks)
-	if got.Total != 150_080 {
-		t.Fatalf("external sort = %f, want 150080", got.Total)
+	m.CmpWeight, m.MemoryBlocks = 0, 5
+	const rows = 16 * 396 // 16 memory loads, all merged once at fan-in 4
+	p := xsort.PlanSpill(segSpec, rows, 0, 5, m.PageSize)
+	if p.MergedRows != rows || p.FinalRows != rows {
+		t.Fatalf("merges read %d and %d rows, want all %d twice", p.MergedRows, p.FinalRows, rows)
 	}
-	// The key work blocks with its pass and streams with the final merge,
-	// exactly like the I/O it rides on.
-	if got.Startup != 100_040 {
-		t.Fatalf("external sort startup = %f, want 100040", got.Startup)
+	key := rows * m.KeyEncodeWeight
+	got := m.FullSort(segSpec, rows)
+	if want := float64(p.Written+p.Read) + key; got.Startup != want {
+		t.Fatalf("external sort startup = %f, want %f", got.Startup, want)
+	}
+	if want := float64(p.Pages()) + 2*key; math.Abs(got.Total-want) > 1e-9 {
+		t.Fatalf("external sort = %f, want %f", got.Total, want)
+	}
+	bare := paperModel()
+	bare.MemoryBlocks = 5
+	if bare.FullSort(segSpec, rows).Total != float64(p.Pages()) {
+		t.Fatal("zeroed weights must leave the bare run pages")
 	}
 	// In-memory sorts never read a run.
-	if m.FullSort(1000, 100) != paperModel().FullSort(1000, 100) {
+	noKey := DefaultModel()
+	noKey.KeyEncodeWeight = 0
+	if DefaultModel().FullSort(fullSpec, 1000) != noKey.FullSort(fullSpec, 1000) {
 		t.Fatal("merge-read key work must not reprice in-memory sorts")
-	}
-	if paperModel().FullSort(rows, blocks).Total != 150_000 {
-		t.Fatal("a zeroed KeyEncodeWeight must recover B·(2p+1)")
 	}
 }
 
-// TestBoundedSort pins the Top-K pricing: no spill term when the kept rows
-// fit M, however large the input; a truncated spill, cheaper than the full
-// sort's, when they do not; and exactly FullSort when the bound is no bound.
+// TestBoundedSort pins the Top-K pricing: while the kept rows fit M a bounded
+// sort pays no spill term, however large its input — n·log₂k selection CPU
+// alone — and emits keep rows; when they do not fit it writes its whole input
+// as runs once; keep ≤ 0 is no bound. How those prices order against each
+// other is TestSpillPlanOrdering's.
 func TestBoundedSort(t *testing.T) {
 	m := DefaultModel()
 	m.MemoryBlocks = 16
-	const rows, blocks = 200_000, 1500 // ≈ 94 × M: FullSort is deep external
+	const rows = 200_000 // ≈ 140 memory loads: the full sort is deep external
 
-	full := m.FullSort(rows, blocks)
-	fits := m.BoundedSort(rows, blocks, 100, 6)
+	fits := m.BoundedSort(fullSpec, rows, 100)
 	if fits.Rows != 100 {
 		t.Fatalf("a bounded sort emits keep rows, got %d", fits.Rows)
 	}
@@ -340,34 +415,18 @@ func TestBoundedSort(t *testing.T) {
 		t.Fatalf("selecting 100 of %d rows must undercut sorting them: %f vs %f", rows, fits.Total, m.SortCPU(rows))
 	}
 
-	// 20 000 kept rows, 600 blocks in memory: they do not fit 16 blocks.
-	spills := m.BoundedSort(rows, blocks, 20_000, 600)
-	written := float64(blocks)
-	if spills.Startup < written {
-		t.Fatalf("a spilling bounded sort still writes its input once: startup %f < %f", spills.Startup, written)
+	// 20 000 kept rows do not fit 16 blocks.
+	spills := m.BoundedSort(fullSpec, rows, 20_000)
+	p := xsort.PlanSpill(fullSpec, rows, 20_000, 16, m.PageSize)
+	if p.InMemory || p.Written < rows/132 || spills.Startup < float64(p.Written) {
+		t.Fatalf("a spilling bounded sort still writes its input once: %+v, startup %f", p, spills.Startup)
 	}
-	if spills.Total >= full.Total {
-		t.Fatalf("truncated runs must cost less than the full external sort: %f vs %f", spills.Total, full.Total)
+	if spills.Startup > spills.Total || spills.Rows != 20_000 {
+		t.Fatalf("spilling bounded sort = %+v", spills)
 	}
-	if spills.Startup > spills.Total {
-		t.Fatalf("Startup %f exceeds Total %f", spills.Startup, spills.Total)
-	}
-	// More kept rows never cost less.
-	if more := m.BoundedSort(rows, blocks, 40_000, 1200); more.Total < spills.Total {
-		t.Fatalf("keeping more rows got cheaper: %f < %f", more.Total, spills.Total)
-	}
-
-	for _, keep := range []int64{0, rows, rows + 1} {
-		if got := m.BoundedSort(rows, blocks, keep, 1); got != full {
-			t.Fatalf("keep=%d is no bound: %+v, want FullSort %+v", keep, got, full)
-		}
-	}
-
-	// The governor can hand out a 1- or 2-block grant; the price stays finite.
-	for _, mem := range []int64{1, 2, 3} {
-		m.MemoryBlocks = mem
-		if c := m.BoundedSort(rows, blocks, 20_000, 600); math.IsInf(c.Total, 0) || math.IsNaN(c.Total) || c.Total <= 0 {
-			t.Fatalf("M=%d: bounded sort priced at %f", mem, c.Total)
+	for _, keep := range []int64{0, -1} {
+		if got := m.BoundedSort(fullSpec, rows, keep); got != m.FullSort(fullSpec, rows) {
+			t.Fatalf("keep=%d is no bound: %+v", keep, got)
 		}
 	}
 }

@@ -22,9 +22,19 @@ type TupleWriter struct {
 	err    error   // first page-write failure; poisons the writer
 }
 
+// tupleHeader is the bytes of a tuple page's u16 tuple count.
+const tupleHeader = 2
+
+// TuplesPerPage is how many tuples of sz encoded bytes a TupleWriter packs on
+// one pageSize-byte page — never fewer than one. It is reserve's rule in
+// closed form, for a caller that sizes tuple files without writing them.
+func TuplesPerPage(sz, pageSize int64) int64 {
+	return max((pageSize-tupleHeader)/max(sz, 1), 1)
+}
+
 // NewTupleWriter starts writing at the end of f.
 func NewTupleWriter(f *File) *TupleWriter {
-	return &TupleWriter{file: f, buf: make([]byte, 2, f.pageSize)}
+	return &TupleWriter{file: f, buf: make([]byte, tupleHeader, f.pageSize)}
 }
 
 // PageStarts returns, for each page written so far, the index of its first
@@ -60,8 +70,8 @@ func (w *TupleWriter) reserve(sz int) error {
 	if w.err != nil {
 		return w.err
 	}
-	if 2+sz > w.file.pageSize {
-		return fmt.Errorf("storage: tuple of %d bytes exceeds page capacity %d", sz, w.file.pageSize-2)
+	if tupleHeader+sz > w.file.pageSize {
+		return fmt.Errorf("storage: tuple of %d bytes exceeds page capacity %d", sz, w.file.pageSize-tupleHeader)
 	}
 	if len(w.buf)+sz > w.file.pageSize {
 		if err := w.flush(); err != nil {
@@ -77,13 +87,13 @@ func (w *TupleWriter) flush() error {
 	if w.count == 0 {
 		return nil
 	}
-	binary.BigEndian.PutUint16(w.buf[:2], uint16(w.count))
+	binary.BigEndian.PutUint16(w.buf[:tupleHeader], uint16(w.count))
 	if _, err := w.file.AppendPage(w.buf); err != nil {
 		w.err = err
 		return err
 	}
 	w.starts = append(w.starts, w.tuples-int64(w.count))
-	w.buf = w.buf[:2]
+	w.buf = w.buf[:tupleHeader]
 	w.count = 0
 	return nil
 }
@@ -129,12 +139,12 @@ func (r *TupleReader) fill() (bool, error) {
 			return false, err
 		}
 		r.page++
-		if len(data) < 2 {
+		if len(data) < tupleHeader {
 			return false, fmt.Errorf("storage: malformed page in %q", r.file.Name())
 		}
 		r.data = data
-		r.left = int(binary.BigEndian.Uint16(data[:2]))
-		r.pos = 2
+		r.left = int(binary.BigEndian.Uint16(data[:tupleHeader]))
+		r.pos = tupleHeader
 	}
 	return true, nil
 }

@@ -35,26 +35,47 @@ func entryWidth(codec *keys.Codec, prefixCols, pageSize int) int {
 }
 
 // FootprintBlocks estimates the sort memory, in blocks of pageSize bytes, that
-// buffering rows rows of schema takes a sort to target whose input already
-// carries given: the blocks their encoded bytes fill (average width) plus the
-// blocks their store entries fill — never fewer than one of each. It is the
-// one definition of "do these rows fit M": the governor's ask for a bounded
-// sort, the optimizer's owed-rows test and the cost model's BoundedSort all
-// go through it, and it is how a rowStore holding those rows would count
-// itself. The entry is sized from the kinds of the key columns past given,
-// as entryWidth sizes it from the codec; a target attribute schema lacks —
-// no sort can be built for such a plan — adds nothing. rows must be small
-// enough for rows × width not to overflow.
+// buffering rows rows of schema takes a bounded sort to target whose input
+// already carries given, as its slot-recycling store packs them
+// (footprint.blocks). It is what the governor asks for a bounded sort.
 func FootprintBlocks(schema *types.Schema, target, given sortord.Order, rows int64, pageSize int) int64 {
+	return Spec{Schema: schema, Target: target, Given: given}.footprint().blocks(rows, true, pageSize)
+}
+
+// footprint is what one buffered row takes in sort memory, in bytes: its
+// encoded row and its store entry.
+type footprint struct{ row, entry int64 }
+
+// footprint returns the footprint of a row of s: its encoded row at the
+// schema's average width, and its store entry, sized from the kinds of the
+// key columns past Given as entryWidth sizes it from the codec. A target
+// attribute the schema lacks — no sort can be built for such a plan — adds
+// nothing.
+func (s Spec) footprint() footprint {
 	var buf [8]types.Kind
 	kinds := buf[:0]
-	for _, a := range target[min(given.Len(), target.Len()):] {
-		if ord, ok := schema.Ordinal(a); ok {
-			kinds = append(kinds, schema.Col(ord).Kind)
+	for _, a := range s.Target[min(s.Given.Len(), s.Target.Len()):] {
+		if ord, ok := s.Schema.Ordinal(a); ok {
+			kinds = append(kinds, s.Schema.Col(ord).Kind)
 		}
 	}
-	entry := int64(entryOverhead + keys.FixedWidth(kinds...))
+	return footprint{int64(s.Schema.AvgEncodedWidth()), int64(entryOverhead + keys.FixedWidth(kinds...))}
+}
+
+// blocks is the one answer to "how much sort memory do rows rows take": the
+// blocks of pageSize bytes a store fills with their rows — each rounded up to
+// the slot granule when the store recycles slots — and their entries, each
+// packed whole into a block, never fewer than one of each. The governor's ask
+// (FootprintBlocks) and PlanSpill's memory load both go through it.
+func (f footprint) blocks(rows int64, recycles bool, pageSize int) int64 {
+	row := f.row
+	if recycles {
+		row = (row + slotGranule - 1) / slotGranule * slotGranule
+	}
 	page := int64(pageSize)
-	blocks := func(width int64) int64 { return max((rows*width+page-1)/page, 1) }
-	return blocks(int64(schema.AvgEncodedWidth())) + blocks(entry)
+	packed := func(width int64) int64 {
+		per := max(page/max(width, 1), 1)
+		return max((rows+per-1)/per, 1)
+	}
+	return packed(row) + packed(f.entry)
 }

@@ -287,12 +287,7 @@ type runGroup struct{ lo, hi int }
 // then merges everything F at a time (a trailing lone run passes through) and
 // the caller re-plans over the ⌈n/F⌉ survivors.
 func reductionPass(n, fanIn int) []runGroup {
-	m, first := (n+fanIn-1)/fanIn, fanIn // full pass: everything, F at a time
-	if m <= fanIn {                      // n ≤ F²: one partial pass reaches F
-		excess := n - fanIn
-		m = (excess + fanIn - 2) / (fanIn - 1)
-		first = excess - (m-1)*(fanIn-1) + 1
-	}
+	m, first := passShape(n, fanIn)
 	groups := make([]runGroup, 0, m)
 	lo, hi := 0, first
 	for g := 0; g < m; g++ {
@@ -305,4 +300,18 @@ func reductionPass(n, fanIn int) []runGroup {
 		lo, hi = hi, hi+fanIn
 	}
 	return groups
+}
+
+// passShape is reductionPass's schedule without the groups: m groups, the
+// first first runs wide and the rest fanIn, the last clipped at n and dropped
+// if that leaves it a lone run. PlanSpill walks it over runs it counts rather
+// than lists.
+func passShape(n, fanIn int) (m, first int) {
+	m, first = (n+fanIn-1)/fanIn, fanIn // full pass: everything, F at a time
+	if m <= fanIn {                     // n ≤ F²: one partial pass reaches F
+		excess := n - fanIn
+		m = (excess + fanIn - 2) / (fanIn - 1)
+		first = excess - (m-1)*(fanIn-1) + 1
+	}
+	return m, first
 }

@@ -639,8 +639,7 @@ var residentShapes = []struct {
 
 // TestFootprintPricesTheStoresEntry: the planner's footprint sizes an entry
 // from column kinds alone and must land on the entry the sort resolves from
-// its codec — with rows = page size the entry term of FootprintBlocks is the
-// entry size itself.
+// its codec.
 func TestFootprintPricesTheStoresEntry(t *testing.T) {
 	const page = 4096
 	for _, c := range []struct{ target, given sortord.Order }{
@@ -655,8 +654,7 @@ func TestFootprintPricesTheStoresEntry(t *testing.T) {
 			t.Fatal(err)
 		}
 		size := entryWidth(codec, c.given.Len(), page) + entryOverhead
-		got := FootprintBlocks(sortSchema, c.target, c.given, page, page) - int64(sortSchema.AvgEncodedWidth())
-		if got != int64(size) {
+		if got := (Spec{Schema: sortSchema, Target: c.target, Given: c.given}).footprint().entry; got != int64(size) {
 			t.Errorf("sort to %v given %v: footprint prices %d-byte entries, the store holds %d-byte ones", c.target, c.given, got, size)
 		}
 	}

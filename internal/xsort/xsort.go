@@ -70,6 +70,11 @@
 // runs on the consumer goroutine, into a storage.SpillArena per spilled sort
 // or segment.
 //
+// PlanSpill (spill.go) predicts how a sort spills — runs formed, passes, run
+// pages written and read — without sorting, from these same rules: what a
+// store admits, the formation ReplacementSelection picks, and reductionPass.
+// The cost model prices sorts from it.
+//
 // Both operators charge every run-file page transfer to the disk's IOStats
 // (attributed to KindRun, accumulated in per-arena ledgers that merge into
 // the global ledger) and count key comparisons in SortStats. Every counter,
@@ -232,14 +237,14 @@ func (c Config) memoryBytes() int64 {
 	return int64(c.memoryBlocks()) * int64(c.Disk.PageSize())
 }
 
-func (c Config) fanIn() int { return MergeFanIn(c.MemoryBlocks) }
+func (c Config) fanIn() int { return mergeFanIn(c.MemoryBlocks) }
 
-// MergeFanIn is the merge fan-in of a sort with memoryBlocks blocks of
+// mergeFanIn is the merge fan-in of a sort with memoryBlocks blocks of
 // memory: one block per input run plus one for the output, and never fewer
-// than two inputs — a narrower merge reduces nothing. The cost model prices
-// merge passes through the same function (cost.Model.FullSort), so estimate
-// and execution cannot disagree at tiny budgets.
-func MergeFanIn(memoryBlocks int) int {
+// than two inputs — a narrower merge reduces nothing. PlanSpill plans merge
+// passes through the same function, so the cost model and execution cannot
+// disagree at tiny budgets.
+func mergeFanIn(memoryBlocks int) int {
 	if memoryBlocks < 3 {
 		return 2
 	}

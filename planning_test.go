@@ -292,16 +292,16 @@ func TestLimitZeroSemantics(t *testing.T) {
 // TestContendedPoolFlipsPlanChoice pins the governor-aware cost model: the
 // optimizer prices sorts at the grant the sort-memory pool would issue
 // right now, so the same query flips plans under contention. Alone, the
-// pool's full 512 blocks hold the hash aggregate's group state and the
-// blocking Sort(HashAggregate) wins on full-drain cost; with another
-// cursor pinning the pool the expected grant halves, the modeled hash
-// aggregate spills its group state, and the optimizer switches to the
-// pipelined GroupAggregate(PartialSort) — whose per-segment memory it can
-// actually afford. Releasing the contention restores the original choice
+// pool's full 1 200 blocks hold the sort of the hash aggregate's 10 000
+// groups (31-byte rows and 23-byte entries: ≈ 1 080 blocks of sort memory)
+// and the blocking Sort(HashAggregate) wins on full-drain cost; with another
+// cursor pinning the pool the expected grant halves, that sort spills, and
+// the optimizer switches to the pipelined GroupAggregate(PartialSort) —
+// whose per-segment memory it can actually afford. Releasing the contention restores the original choice
 // (the two plans cache under different model keys, so neither pollutes
 // the other).
 func TestContendedPoolFlipsPlanChoice(t *testing.T) {
-	db := Open(Config{PageSize: 512, SortMemoryBlocks: 512})
+	db := Open(Config{PageSize: 512, SortMemoryBlocks: 1200})
 	rows := make([][]any, 50_000)
 	for i := range rows {
 		rows[i] = []any{int64(i / 500), int64((i * 7 % 10_000) / 100), int64(i)}
@@ -325,7 +325,7 @@ func TestContendedPoolFlipsPlanChoice(t *testing.T) {
 
 	// Pin the pool: a concurrent sorting cursor holds a grant from Query
 	// until Close, so the optimizer now sees two claimants and expects a
-	// fair-share grant of 256 blocks.
+	// fair-share grant of 600 blocks.
 	holdPlan, err := db.Optimize(db.Scan("big").OrderBy("g", "v"))
 	if err != nil {
 		t.Fatal(err)
