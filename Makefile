@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race race-serve chaos bench fuzz-smoke perf-ab fmt vet lint-pyro ci
+.PHONY: build test race race-serve chaos bench fuzz-smoke perf-ab fmt vet lint-pyro loc ci
 
 build:
 	$(GO) build ./...
@@ -85,5 +85,16 @@ vet:
 # the Go toolchain.
 lint-pyro:
 	$(GO) run ./cmd/pyro-lint -max-suppressions 0 ./...
+
+# Go source lines per package, non-test and test files apart, and in total
+# (`go list` names each package's files, `wc` counts them): the size a change
+# adds or removes, package by package.
+loc:
+	@printf '%-32s %8s %8s\n' package non-test test
+	@$(GO) list -f '{{.ImportPath}}|{{.Dir}}|{{join .GoFiles " "}}|{{join .TestGoFiles " "}} {{join .XTestGoFiles " "}}' ./... | \
+	while IFS='|' read -r pkg dir src tst; do \
+		printf '%-32s %8d %8d\n' "$$pkg" \
+			"$$(cd "$$dir" && cat $$src /dev/null | wc -l)" "$$(cd "$$dir" && cat $$tst /dev/null | wc -l)"; \
+	done | awk '{ print; s += $$2; t += $$3 } END { printf "%-32s %8d %8d\n", "total", s, t }'
 
 ci: build vet fmt lint-pyro test race race-serve chaos bench fuzz-smoke

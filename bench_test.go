@@ -144,7 +144,7 @@ func optimize(tb testing.TB, db *Database, q *Query, opts ...OptimizeOption) *Pl
 // timeToFirstRowArms measure first-Next latency at the public boundary:
 // open a cursor, pull one row, close. The partial arm streams a pipelined
 // partial-sort plan (first segment only); the full-sort arm must consume
-// the entire input inside Query before the first row exists. db is
+// the entire input on the first Next before the first row exists. db is
 // segmentedDB(50 000, 500), the workload TestCursorEarlyCloseAbandonsWork
 // pins.
 func timeToFirstRowArms(tb testing.TB, db *Database) []cursorArm {
@@ -321,8 +321,8 @@ func BenchmarkSRSSort(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d := storage.NewDisk(0)
-		s, err := xsort.NewSRS(iter.FromSlice(rows), sortBenchSchema,
-			sortord.New("c1", "c2"), xsort.Config{Disk: d, MemoryBlocks: 64})
+		s, err := xsort.NewMRS(iter.FromSlice(rows), sortBenchSchema,
+			sortord.New("c1", "c2"), sortord.Empty, xsort.Config{Disk: d, MemoryBlocks: 64})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -434,14 +434,12 @@ var (
 	// so the fill is byte-bucket sorted and emitted directly, with no
 	// replacement-selection heap built or drained.
 	srsRunFormation = runFormation{100, false, func(in iter.Iterator, d *storage.Disk) (countedSort, error) {
-		return xsort.NewSRS(in, sortBenchSchema, sortord.New("c3", "c2", "c1"),
-			xsort.Config{Disk: d, MemoryBlocks: 4096})
+		return xsort.NewMRS(in, sortBenchSchema, sortord.New("c3", "c2", "c1"), sortord.Empty, xsort.Config{Disk: d, MemoryBlocks: 4096})
 	}}
 	// srsSpilledRunFormation: spilled SRS, where radix only seeds the initial
 	// heap fill (replacement selection itself stays comparison-based).
 	srsSpilledRunFormation = runFormation{100, true, func(in iter.Iterator, d *storage.Disk) (countedSort, error) {
-		return xsort.NewSRS(in, sortBenchSchema, sortord.New("c3", "c2", "c1"),
-			xsort.Config{Disk: d, MemoryBlocks: 256})
+		return xsort.NewMRS(in, sortBenchSchema, sortord.New("c3", "c2", "c1"), sortord.Empty, xsort.Config{Disk: d, MemoryBlocks: 256})
 	}}
 )
 
@@ -462,6 +460,11 @@ type workCounters struct {
 // invariance — so a plan-shape or engine change that moves any of them
 // fails here; a change that means to move them updates this table and says
 // why.
+//
+// ScanSortLimitThroughput's comparisons went 101 804 → 51 805 when a sort
+// with nothing given stopped counting a segment-boundary comparison per
+// lookahead row (49 999 of them): every row is of the one segment, and no key
+// bytes are compared to know it.
 func TestWorkCounters(t *testing.T) {
 	db := segmentedDB(t, 50_000, 500)
 	want := map[string]workCounters{
@@ -470,7 +473,7 @@ func TestWorkCounters(t *testing.T) {
 		"TopKPlanned/planned-limit":     {1_008, 0, 4, 0},
 		"TopKPlanned/early-close":       {500, 15, 4, 0},
 		"ScanFilterThroughput":          {0, 0, 379, 0},
-		"ScanSortLimitThroughput":       {101_804, 72, 379, 0},
+		"ScanSortLimitThroughput":       {51_805, 72, 379, 0},
 		"MRSPartialSortRunFormation":    {140_507, 1_100, 0, 0},
 		"MRSSpilledSortRunFormation":    {237_010, 1_769, 1_096, 1_096},
 		"SRSSortRunFormation":           {91_014, 1_111, 0, 0},
@@ -541,7 +544,7 @@ func BenchmarkMRSSortParallelism(b *testing.B) {
 }
 
 // BenchmarkSRSHeapReplacementSelection isolates the replacement-selection
-// heap: a spill-heavy SRS whose Open-phase cost is dominated by heap
+// heap: a spill-heavy full sort whose run formation is dominated by heap
 // push/pop traffic (every input tuple passes through the heap once).
 // The heap permutes int32 slots over stable entry storage rather than
 // swapping 56-byte entries; this benchmark guards that win.
@@ -553,32 +556,12 @@ func BenchmarkSRSHeapReplacementSelection(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d := storage.NewDisk(0)
-		s, err := xsort.NewSRS(iter.FromSlice(rows), sortBenchSchema,
-			sortord.New("c2", "c1"), xsort.Config{Disk: d, MemoryBlocks: 256})
+		s, err := xsort.NewMRS(iter.FromSlice(rows), sortBenchSchema,
+			sortord.New("c2", "c1"), sortord.Empty, xsort.Config{Disk: d, MemoryBlocks: 256})
 		if err != nil {
 			b.Fatal(err)
 		}
 		if _, err := iter.Drain(s, sortBenchSchema.Len()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMRSSortPerSegmentAblation replaces the shared replacement-
-// selection machinery with MRS's per-segment sort on ε known order
-// (single-segment degenerate case), isolating the cost of segmentation.
-func BenchmarkMRSSortPerSegmentAblation(b *testing.B) {
-	rows := sortBenchRows(50_000, 100)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d := storage.NewDisk(0)
-		m, err := xsort.NewMRS(iter.FromSlice(rows), sortBenchSchema,
-			sortord.New("c1", "c2"), sortord.Empty, xsort.Config{Disk: d, MemoryBlocks: 64})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := iter.Drain(m, sortBenchSchema.Len()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -245,6 +245,50 @@ func TestChunkMatchesRowAtATime(t *testing.T) {
 	}
 }
 
+// TestNothingSortsInOpen: opening a plan sorts nothing. Over the chunk
+// corpus and the spill matrix's spilling ORDER BY, every sort — a full sort
+// included — has read at most its one lookahead row once core.Build's tree is
+// open, and the query's tap has seen no run page written: the sorting waits
+// for the first NextChunk.
+func TestNothingSortsInOpen(t *testing.T) {
+	check := func(t *testing.T, db *Database, plan *Plan) (full bool) {
+		t.Helper()
+		tap := storage.NewTap()
+		op, err := core.Build(plan.inner, core.BuildConfig{Disk: db.disk, SortMemoryBlocks: db.cfg.SortMemoryBlocks, IOTap: tap})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer op.Close()
+		if err := op.Open(); err != nil {
+			t.Fatal(err)
+		}
+		for i, s := range exec.CollectSorts(op) {
+			if in := s.SortStats().TuplesIn; in > 1 {
+				t.Errorf("sort %d (given %v) read %d rows in Open, want at most 1", i, s.Given(), in)
+			}
+			full = full || !s.IsPartial()
+		}
+		if w := tap.Stats().RunPageWrites; w != 0 {
+			t.Errorf("Open wrote %d run pages", w)
+		}
+		return full
+	}
+	db := openTestDB(t)
+	for name, plan := range chunkDiffPlans(t, db) {
+		t.Run(name, func(t *testing.T) { check(t, db, plan) })
+	}
+	t.Run("spill-matrix", func(t *testing.T) {
+		sdb := spillDB(t)
+		plan, err := sdb.Optimize(sdb.Scan("t").OrderBy("b", "a"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !check(t, sdb, plan) {
+			t.Fatalf("the spilling ORDER BY was meant to be a full sort:\n%s", plan.Explain())
+		}
+	})
+}
+
 // TestChunkMatchesRowAtATimeEarlyClose extends the differential property to
 // mid-stream Close: stopping after j rows must freeze the same I/O under
 // both drains, and sort counters that differ only by the rows a sort handed
@@ -539,7 +583,7 @@ func TestChunkStopsInSpilledMerge(t *testing.T) {
 	spilled := func(t *testing.T, sorts []SortStats) {
 		t.Helper()
 		for _, st := range sorts {
-			if st.Segments != 0 || st.RunsGenerated < 3 {
+			if st.Segments != 1 || st.RunsGenerated < 3 {
 				t.Fatalf("want SRS sorts spilling several runs, got %+v", sorts)
 			}
 		}

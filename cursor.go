@@ -184,9 +184,10 @@ type Cursor struct {
 // Execution resources come from the Database's Config, overridden per
 // query by any ExecOptions. The context is checked before each Next and
 // polled inside the sort enforcers' long loops; once it is done the cursor
-// fails with its error. Note that a blocking full-sort plan does its
-// sorting inside Query — a pipelined partial-sort plan is what makes the
-// first row arrive early.
+// fails with its error. Query opens the plan but sorts nothing: a blocking
+// full-sort plan does its sorting on the first Next (its errors surface from
+// Cursor.Err) — a pipelined partial-sort plan is what makes the first row
+// arrive early.
 func (db *Database) Query(ctx context.Context, p *Plan, opts ...ExecOption) (*Cursor, error) {
 	if p == nil {
 		return nil, fmt.Errorf("pyro: nil plan")

@@ -77,6 +77,7 @@ func build(p *Plan, cfg BuildConfig) (exec.Operator, error) {
 		Abort:        cfg.SortAbort,
 		Tap:          cfg.IOTap,
 		BatchSize:    types.DefaultChunkCapacity,
+		Limit:        p.SortLimit,
 	}
 
 	switch p.Kind {
@@ -97,10 +98,6 @@ func build(p *Plan, cfg BuildConfig) (exec.Operator, error) {
 		}
 		return exec.NewProject(children[0], cols)
 	case OpSort:
-		if xsort.ReplacementSelection(p.SortGiven, p.SortLimit) {
-			return exec.NewSortSRS(children[0], p.SortTarget, xcfg)
-		}
-		xcfg.Limit = p.SortLimit
 		return exec.NewSortMRS(children[0], p.SortTarget, p.SortGiven, xcfg)
 	case OpMergeJoin:
 		return exec.NewMergeJoin(children[0], children[1], p.LeftKey, p.RightKey, p.JoinType)

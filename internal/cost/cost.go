@@ -21,7 +21,7 @@
 // Costs are two-phase: every operator formula is split into the blocking
 // work that must happen before the first output row exists (Startup — an
 // external sort's run formation and reduction passes, a hash join's build,
-// SRS's phase-1 fill) and the full-drain total (Total). Cost.Prefix(k)
+// a full sort's input consumption) and the full-drain total (Total). Cost.Prefix(k)
 // interpolates the cost of producing only the first k rows, which is what a
 // Top-K consumer pays under a pipelined plan: a partial sort's prefix cost
 // grows one segment sort at a time, while a blocking operator charges its
@@ -76,7 +76,7 @@ func Streaming(work float64, rows int64) Cost {
 }
 
 // Blocking builds the cost of a phase that completes entirely before the
-// first output row (hash build, SRS input consumption).
+// first output row (hash build, a full sort's input consumption).
 func Blocking(work float64) Cost {
 	return Cost{Startup: work, Total: work}
 }

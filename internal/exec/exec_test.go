@@ -700,6 +700,28 @@ func TestDedupAndLimit(t *testing.T) {
 	if len(got3) != 5 {
 		t.Fatal("limit above input size returns all")
 	}
+
+	// A limit the full sort carries itself (xsort.Config.Limit) bounds it to
+	// exactly the first rows of the unbounded sort.
+	cfg := xsort.Config{Disk: storage.NewDisk(512), MemoryBlocks: 16}
+	desc := []types.Tuple{ab(2, 3), ab(2, 2), ab(1, 9), ab(1, 1), ab(2, 1)}
+	all, err := NewSortSRS(sliceOp(t, abSchema, desc), sortord.New("a", "b"), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Drain(all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Limit = 3
+	s, err := NewSortSRS(sliceOp(t, abSchema, desc), sortord.New("a", "b"), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got4, err := Drain(s)
+	if err != nil || !eqInts(intsOf(t, got4, 1), intsOf(t, want[:3], 1)) || len(got4) != 3 {
+		t.Fatalf("sort limited to 3 rows = %v, want %v (err %v)", got4, want[:3], err)
+	}
 }
 
 // closeTracker wraps an operator and records when Close is called and how

@@ -1,50 +1,38 @@
 package exec
 
 import (
-	"pyro/internal/iter"
 	"pyro/internal/sortord"
 	"pyro/internal/types"
 	"pyro/internal/xsort"
 )
 
-// sorter is the common surface of the xsort operators the enforcer wraps.
-// Construction is arena-aware: both implementations spill through private
-// storage.SpillArena namespaces (per sort for SRS, per oversized segment
-// for MRS) created from the Config's Disk, so multiple enforcers in one
-// plan never contend on temp names or a ledger mutex.
-type sorter interface {
-	iter.Iterator
-	Stats() *xsort.SortStats
-}
-
-// Sort is the order-enforcer operator. It wraps either SRS (standard
-// replacement selection, used when nothing is known about the input order)
-// or MRS (the paper's modified replacement selection, used when the input
-// is known to carry a prefix of the target order — the "partial sort
-// enforcer" of §3.2). The wrapped sort takes the Config's memory and
-// parallelism knobs unchanged.
+// Sort is the order-enforcer operator: it wraps the one sort, xsort.MRS (the
+// paper's modified replacement selection). With a given order — a prefix of
+// the target known to hold on the input — it is the "partial sort enforcer"
+// of §3.2; with none it is the full sort, whose oversized input spills by
+// standard replacement selection unless a Limit bounds it. The sort takes the
+// Config's memory, parallelism and limit unchanged, and spills through
+// private storage.SpillArena namespaces (one per oversized segment) created
+// from the Config's Disk, so multiple enforcers in one plan never contend on
+// temp names or a ledger mutex.
 type Sort struct {
 	rowView
 	child  Operator
 	target sortord.Order
 	given  sortord.Order
-	impl   sorter
+	impl   *xsort.MRS
 }
 
-// NewSortSRS builds a full sort using standard replacement selection,
-// ignoring any order the input may already have (what Postgres, SYS1 and
-// SYS2 did in the paper's experiments).
+// NewSortSRS builds a full sort, ignoring any order the input may already
+// have (what Postgres, SYS1 and SYS2 did in the paper's experiments): the
+// sort with nothing given, NewSortMRS over ε.
 func NewSortSRS(child Operator, target sortord.Order, cfg xsort.Config) (*Sort, error) {
-	s, err := xsort.NewSRS(child, child.Schema(), target, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return lend(&Sort{child: child, target: target.Clone(), given: sortord.Empty, impl: s}), nil
+	return NewSortMRS(child, target, sortord.Empty, cfg)
 }
 
-// NewSortMRS builds a partial sort: given is the order known to hold on the
-// input (must be a prefix of target). An empty given with cfg.Limit set is
-// the bounded full sort: one segment, kept down to the Limit's rows.
+// NewSortMRS builds a sort: given is the order known to hold on the input
+// (must be a prefix of target; ε for a full sort). cfg.Limit, when set,
+// bounds the sort to its first Limit rows.
 func NewSortMRS(child Operator, target, given sortord.Order, cfg xsort.Config) (*Sort, error) {
 	m, err := xsort.NewMRS(child, child.Schema(), target, given, cfg)
 	if err != nil {
@@ -62,11 +50,11 @@ func (s *Sort) Children() []Operator { return []Operator{s.child} }
 // Target returns the produced sort order.
 func (s *Sort) Target() sortord.Order { return s.target }
 
-// Given returns the input order the enforcer exploits (ε for SRS).
+// Given returns the input order the enforcer exploits (ε for a full sort).
 func (s *Sort) Given() sortord.Order { return s.given }
 
-// IsPartial reports whether this is a partial-sort enforcer: only
-// NewSortMRS records a non-empty given order.
+// IsPartial reports whether this is a partial-sort enforcer: one that
+// exploits a non-empty given order.
 func (s *Sort) IsPartial() bool { return !s.given.IsEmpty() }
 
 // SortStats exposes the underlying sort's work counters.
@@ -78,7 +66,8 @@ func (s *Sort) SortStats() *xsort.SortStats { return s.impl.Stats() }
 // measurement exercised.
 func (s *Sort) Spilled() bool { return s.impl.Stats().RunsGenerated > 0 }
 
-// Open opens the underlying sort (for SRS this consumes the whole input).
+// Open opens the underlying sort, which reads one lookahead row; a full
+// sort consumes the rest of its input on the first NextChunk.
 func (s *Sort) Open() error { return s.impl.Open() }
 
 // NextChunk fills c with the next rows in target order.

@@ -105,8 +105,8 @@ func closeAfter(it Iterator, err error) error {
 }
 
 // Guard polls an abort function at a bounded stride. Long-running
-// per-tuple loops — an SRS consuming its whole input inside Open, an MRS
-// segment collection, a run-reduction merge — call Check once per tuple;
+// per-tuple loops — a sort collecting a segment or forming runs by
+// replacement selection, a run-reduction merge — call Check once per tuple;
 // every stride-th call actually polls, so a context cancellation reaches
 // the loop within a bounded amount of work at negligible per-tuple cost.
 //

@@ -24,20 +24,24 @@ func abortAfter(n int) func() error {
 	}
 }
 
-// TestSRSAbortInterruptsOpen: SRS blocks inside Open for its whole input;
-// an abort firing partway through must surface from Open, and Close must
-// leave no spill files behind.
+// TestSRSAbortInterruptsOpen: the full sort blocks for its whole input on
+// its first NextChunk (Open reads one lookahead row); an abort firing partway
+// through must surface from that NextChunk, and Close must leave no spill
+// file or block of sort memory behind.
 func TestSRSAbortInterruptsOpen(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	rows := shuffled(genRows(20_000, 10, rng), rng)
 	cfg, d := smallCfg(t, 4) // tiny memory: the abort lands in the spill loop
 	cfg.Abort = abortAfter(3)
-	s, err := NewSRS(iter.FromSlice(rows), sortSchema, sortord.New("c1", "c2"), cfg)
+	s, err := NewMRS(iter.FromSlice(rows), sortSchema, sortord.New("c1", "c2"), sortord.Empty, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Open(); !errors.Is(err, errCanceled) {
-		t.Fatalf("Open returned %v, want the abort error", err)
+	if err := s.Open(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pull1(s); !errors.Is(err, errCanceled) {
+		t.Fatalf("the first NextChunk returned %v, want the abort error", err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -180,7 +184,7 @@ func TestNilAbortSortsNormally(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	rows := shuffled(genRows(500, 10, rng), rng)
 	cfg, _ := smallCfg(t, 1000)
-	s, err := NewSRS(iter.FromSlice(rows), sortSchema, sortord.New("c1", "c2"), cfg)
+	s, err := NewMRS(iter.FromSlice(rows), sortSchema, sortord.New("c1", "c2"), sortord.Empty, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

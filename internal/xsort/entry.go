@@ -26,7 +26,7 @@ const entryOverhead = 5
 
 // entryWidth fixes a sort's entry prefix width at construction. codec is the
 // sort's key codec and prefixCols the number of leading key columns every key
-// the sort compares is known to share (MRS's `given` prefix; 0 for SRS): the
+// the sort compares is known to share (the `given` prefix; 0 for a full sort): the
 // width is sized for the suffix columns the entries actually discriminate on,
 // and capped so that at least one entry fits a block. On a page too small for
 // that every key counts as truncated.

@@ -4,8 +4,8 @@ package xsort
 // (run, key) of the rows buffered in a rowStore. The heap order is a
 // permutation of entry handles — every sift swaps one 4-byte handle, and
 // the entries (which hold the key prefixes the comparisons read) stay where
-// they are. That handle array, 4 bytes a row, is the one part of SRS's
-// memory outside the store's blocks.
+// they are. That handle array, 4 bytes a row, is the one part of
+// replacement selection's memory outside the store's blocks.
 //
 // A row's run rides in its entry's flag byte as one parity bit: the heap
 // only ever holds rows of the current run and of the next, so parity tells
@@ -72,10 +72,10 @@ func (h *runHeap) pop() uint32 {
 	return top
 }
 
-// seed adopts a pre-sorted phase-1 fill without any comparisons: the heap
-// order is the ascending permutation the run-formation sort produced — a
-// sorted array is a valid binary min-heap, so subsequent push/pop traffic
-// works unchanged. Must be called on an empty heap.
+// seed adopts a sorted fill without any comparisons: the heap order is the
+// ascending permutation the run-formation sort produced — a sorted array is
+// a valid binary min-heap, so subsequent push/pop traffic works unchanged.
+// Must be called on an empty heap.
 func (h *runHeap) seed(order []uint32) {
 	h.heap = order
 }

@@ -14,8 +14,8 @@ import (
 // material: whoever reads a run back keys each row again from its bytes.
 
 // runWriter streams one sorted run into ns, the caller's spill arena.
-// Streaming matters: SRS's replacement selection and merge outputs don't know
-// a run's length up front. On error the caller abandons the writer or
+// Streaming matters: replacement selection and merge outputs don't know a
+// run's length up front. On error the caller abandons the writer or
 // releases the whole arena.
 type runWriter struct {
 	ns   storage.TempSpace
@@ -68,12 +68,12 @@ type mergeCursor struct {
 
 // runMerger merges sorted runs into one sorted stream of encoded rows with a
 // binary heap of cursors; comparisons are counted. Heads are compared on their
-// keys past the keyer's skip — a spilled MRS segment's runs all share the
+// keys past the keyer's skip — a spilled segment's runs all share the
 // encoded bytes of the segment's `given` prefix — and rows that tie on the
 // whole key come out in run order. Runs are formed in arrival order by stable
 // sorts and every reduction keeps merged outputs in their groups' place
-// (reductionPass), so that tie-break is what makes MRS a stable sort and the
-// output bytes of either operator independent of the reduction schedule.
+// (reductionPass), so that tie-break is what makes the sort stable and its
+// output bytes independent of the reduction schedule.
 type runMerger struct {
 	cursors     []*mergeCursor
 	ky          *keyer

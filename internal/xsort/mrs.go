@@ -11,21 +11,24 @@ import (
 	"pyro/internal/types"
 )
 
-// MRS is the paper's modified replacement selection (§3.1): an external
-// sort that exploits a known partial sort order of its input. Given target
-// order o = (a1..an) and input order o' = (a1..ak), k < n, the input is
-// consumed segment by segment (maximal groups equal on a1..ak). Each
-// segment is sorted independently on the suffix (ak+1..an):
+// MRS is the sort operator: the paper's modified replacement selection
+// (§3.1), an external sort that exploits a known partial sort order of its
+// input. Given target order o = (a1..an) and input order o' = (a1..ak),
+// k < n, the input is consumed segment by segment (maximal groups equal on
+// a1..ak). Each segment is sorted independently on the suffix (ak+1..an):
 //
 //   - a segment that fits in memory is sorted with zero disk I/O and its
 //     tuples are emitted as soon as the segment's end is seen — pipelined,
 //     early output;
-//   - a segment larger than memory spills per-memory-batch runs and merges
-//     just those runs.
+//   - a segment larger than memory spills runs and merges just those runs.
 //
-// With k = 0 (no known prefix) the whole input is a single segment and MRS
-// degenerates to a load-sort-merge external sort, matching the paper's
-// observation that MRS converges to SRS at the one-segment extreme (Fig 9).
+// With k = 0 (nothing given) the whole input is a single segment: the full
+// sort, the paper's observation that MRS converges to SRS at the one-segment
+// extreme (Fig 9). How an oversized segment forms its runs is the one thing
+// replacementSelection decides: with nothing given and no Limit it is
+// standard replacement selection (Knuth '73; SRS in the paper), runs of about
+// twice the memory; otherwise every filled memory batch is sorted and written
+// as one run.
 //
 // Because segments are mutually independent, their sorts are embarrassingly
 // parallel. With Config.Parallelism = P > 1, in-memory segment sorts run on
@@ -43,9 +46,9 @@ import (
 //
 // Oversized (spilling) segments run the paper's serial algorithm on the
 // consumer goroutine at every P. Each owns a storage.SpillArena — an
-// isolated temp namespace with its own I/O ledger — into which every filled
-// memory batch is sorted and written as a run; when the segment reaches the
-// head of the emission queue its runs are reduced and merged there.
+// isolated temp namespace with its own I/O ledger — into which its runs are
+// formed; when the segment reaches the head of the emission queue its runs
+// are reduced and merged there.
 //
 // Config.Limit bounds all of it by the rows a LIMIT on the sort will read
 // (§7 Top-K). owed is the bound minus the rows of the segments already
@@ -71,6 +74,7 @@ type MRS struct {
 	ky     *keyer // full-key keyer; segments bind per-segment skips
 	prefix int    // |given|
 	par    int    // resolved segment-sort parallelism
+	rs     bool   // replacementSelection(given, Limit): oversized segments form runs by replacement selection
 	stats  SortStats
 
 	// Input state. pending is the lookahead row — the first of the next
@@ -116,6 +120,9 @@ type segCollector struct {
 	store   *rowStore // the rows buffered so far; its blocks are the segment's memory
 	spilled bool
 	sp      *spillState // non-nil once the segment has spilled
+	heap    *runHeap    // replacement selection over store, once the segment has spilled under it
+	run     *runWriter  // the replacement-selection run being written
+	last    bound       // the key last written to run
 
 	// Bounded selection (see MRS): keep is the owed rows this segment can
 	// contribute, rows the tuples seen so far, cut the key of the keep-th
@@ -157,9 +164,9 @@ type segment struct {
 // and the early-output property stays tight.
 const pumpQuantum = 64
 
-// NewMRS builds a partial-order-exploiting sort. given must be a prefix of
-// target (ε is allowed and yields single-segment behaviour); if given equals
-// target the operator is a passthrough.
+// NewMRS builds a sort of input into target order. given must be a prefix of
+// target: ε is the full sort, one segment; if given equals target the
+// operator is a passthrough.
 func NewMRS(input iter.Iterator, schema *types.Schema, target, given sortord.Order, cfg Config) (*MRS, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -194,6 +201,7 @@ func NewMRS(input iter.Iterator, schema *types.Schema, target, given sortord.Ord
 		ky:          &keyer{codec: codec, width: entryWidth(codec, prefix, cfg.Disk.PageSize())},
 		prefix:      prefix,
 		par:         cfg.parallelism(),
+		rs:          replacementSelection(given, cfg.Limit),
 		guard:       iter.NewGuard(cfg.Abort),
 		passthrough: prefix == target.Len(),
 		owed:        cfg.limit(),
@@ -207,7 +215,7 @@ func NewMRS(input iter.Iterator, schema *types.Schema, target, given sortord.Ord
 func (m *MRS) startSegment() *segCollector {
 	c := &segCollector{store: m.spare, keep: m.owed}
 	if m.spare = nil; c.store == nil {
-		c.store = newRowStore(m.cfg.Disk, m.ky.width, m.cfg.Limit > 0)
+		c.store = newRowStore(m.cfg.Disk, m.ky.width, recyclesSlots(m.given, m.cfg.Limit))
 	}
 	skip := m.ky.codec.KeyPrefixLen(m.pending.key, m.prefix)
 	c.prefix, c.ky = append([]byte(nil), m.pending.key[:skip]...), m.ky.withSkip(skip)
@@ -220,8 +228,8 @@ func (m *MRS) Stats() *SortStats { return &m.stats }
 // Order returns the produced sort order.
 func (m *MRS) Order() sortord.Order { return m.target }
 
-// Open opens the input. Unlike SRS, no input is consumed here beyond one
-// lookahead tuple — MRS is pipelined.
+// Open opens the input and reads one lookahead tuple; nothing is sorted
+// here. Even a full sort reads the rest of its input on the first NextChunk.
 func (m *MRS) Open() error {
 	if m.opened {
 		return fmt.Errorf("xsort: MRS opened twice")
@@ -242,8 +250,12 @@ func (m *MRS) Open() error {
 
 // samePrefix reports whether r belongs to segment c: its `given`-prefix
 // values are the segment's. Keys are prefix-free column by column, so that is
-// one comparison of the leading key bytes.
+// one comparison of the leading key bytes — none with nothing given, where
+// every row is of the one segment.
 func (m *MRS) samePrefix(c *segCollector, r inputRow) bool {
+	if m.prefix == 0 {
+		return true
+	}
 	m.stats.Comparisons++
 	return len(r.key) >= len(c.prefix) && bytes.Equal(r.key[:len(c.prefix)], c.prefix)
 }
@@ -490,21 +502,23 @@ func (m *MRS) collect(limit int) (*segment, error) {
 			// mid-segment under spill pressure, and the next buffering
 			// decision must see it. When the store may not take the row, a
 			// bounded segment first sheds the rows nobody will read and spills
-			// only what is still too big; a spill empties the store, which
-			// then takes anything.
+			// only what is still too big. A flush empties the store, which then
+			// takes anything; replacement selection writes one row at a time
+			// until the row fits, and a store over a shrunk allowance takes
+			// nothing until the heap has drained.
 			before := c.store.bytes()
-			//pyro:bounded(a failed add is followed by one shed at most, then by a flush, and an emptied store takes any row)
+			//pyro:bounded(a failed add is followed by one shed at most, then by a flush or a replacement-selection write, and an emptied store takes any row)
 			for {
-				if _, ok := c.store.add(m.pending, c.ky.suffix(m.pending), 0, m.cfg.memoryBlocks()); ok {
+				if m.admit(c) {
 					break
 				}
 				if !m.shed(c) {
 					c.spilled = true
-					if err := m.flush(c); err != nil {
+					if err := m.spill(c); err != nil {
 						return nil, err
 					}
 				}
-				before = c.store.bytes() // shed and flush have settled their own accounts
+				before = c.store.bytes() // shed and spill have settled their own accounts
 			}
 			m.resized(c.store, before)
 			if int64(c.store.len())/2 >= c.keep {
@@ -515,8 +529,11 @@ func (m *MRS) collect(limit int) (*segment, error) {
 			return nil, err
 		}
 		if !m.havePending || !m.samePrefix(c, m.pending) {
+			// The collector is the sort's to release until finish returns:
+			// a panic while its last rows spill unwinds to Close.
+			seg, err := m.finish(c)
 			m.col = nil
-			return m.finish(c)
+			return seg, err
 		}
 		read++
 		if limit >= 0 && read >= limit {
@@ -525,24 +542,101 @@ func (m *MRS) collect(limit int) (*segment, error) {
 	}
 }
 
-// flush sorts the collector's buffered tuples and writes them as one run of
-// the (oversized) segment into the segment's spill arena, on the consumer
-// goroutine, then gives the store's blocks back; the collector goes on
-// buffering into the emptied store.
-func (m *MRS) flush(c *segCollector) error {
+// admit buffers the pending row in the collector's store if it fits. Under
+// replacement selection the row joins the heap, in the current run if it can
+// still be written in order after the last row written, else in the next —
+// decided again, against a later key, on every attempt until it fits — at
+// one comparison per row admitted.
+func (m *MRS) admit(c *segCollector) bool {
+	var run byte
+	if c.heap != nil {
+		run = c.heap.runFlag(c.ky.compareBound(m.pending, &c.last) < 0)
+	}
+	e, ok := c.store.add(m.pending, c.ky.suffix(m.pending), run, m.cfg.memoryBlocks())
+	if ok && c.heap != nil {
+		m.stats.Comparisons++
+		c.heap.push(e)
+	}
+	return ok
+}
+
+// spill makes room in an oversized segment's store, on the consumer
+// goroutine, in the segment's spill arena: a batch is written whole as one
+// run (flush), or replacement selection writes its next row.
+func (m *MRS) spill(c *segCollector) error {
 	if c.sp == nil {
 		c.sp = &spillState{arena: m.cfg.Disk.NewArenaTapped(m.cfg.Tap)}
 	}
+	if !m.rs {
+		return m.flush(c)
+	}
+	if c.heap == nil {
+		// The fill is sorted like any other buffer, and the ascending order
+		// seeds the heap: a sorted array is a valid min-heap.
+		order, tally := formOrder(c.store, c.ky)
+		tally.addTo(&m.stats)
+		c.heap = newRunHeap(c.store, c.ky, &m.stats.Comparisons)
+		c.heap.seed(order)
+		c.run = newRunWriter(c.sp.arena, m.cfg.TempPrefix)
+	}
+	return m.replace(c)
+}
+
+// flush sorts the collector's buffered tuples and writes them as one run of
+// the segment, then gives the store's blocks back; the collector goes on
+// buffering into the emptied store.
+func (m *MRS) flush(c *segCollector) error {
 	run, tally, err := formRun(c.sp.arena, m.cfg.TempPrefix, c.store, c.ky, c.keep)
 	tally.addTo(&m.stats)
 	if err != nil {
 		return err
 	}
+	m.addRun(c, run)
+	m.dropStore(c.store)
+	return nil
+}
+
+// replace is one step of replacement selection: the heap's minimum is
+// written to the current run — finished first, and the next one started,
+// when the minimum belongs to the next run — and its slot given back, for
+// the row that did not fit.
+func (m *MRS) replace(c *segCollector) error {
+	if err := m.guard.Check(); err != nil {
+		return err
+	}
+	if c.heap.topDeferred() {
+		if err := m.finishRun(c); err != nil {
+			return err
+		}
+		c.heap.nextRun()
+		c.run = newRunWriter(c.sp.arena, m.cfg.TempPrefix)
+	}
+	e := c.heap.pop()
+	if err := c.run.write(c.store.rowBytes(c.store.entry(e))); err != nil {
+		return err
+	}
+	c.ky.lift(&c.last, c.store, c.store.entry(e))
+	before := c.store.bytes()
+	c.store.free(e)
+	m.resized(c.store, before)
+	return nil
+}
+
+// finishRun closes the replacement-selection run being written.
+func (m *MRS) finishRun(c *segCollector) error {
+	run, err := c.run.close()
+	if err != nil {
+		return err
+	}
+	m.addRun(c, run)
+	return nil
+}
+
+// addRun records a run formed for the segment.
+func (m *MRS) addRun(c *segCollector, run *storage.File) {
 	c.sp.runs = append(c.sp.runs, run)
 	m.stats.RunsGenerated++
 	m.stats.SpillRunsSerial++
-	m.dropStore(c.store)
-	return nil
 }
 
 // finish turns a fully read collector into a queued segment, dispatching
@@ -556,10 +650,18 @@ func (m *MRS) finish(c *segCollector) (*segment, error) {
 	if c.spilled {
 		m.stats.SpilledSegs++
 		var err error
-		if c.store.len() > 0 {
+		switch {
+		case c.heap != nil:
+			for err == nil && c.heap.len() > 0 {
+				err = m.replace(c)
+			}
+			if err == nil {
+				err = m.finishRun(c)
+			}
+		case c.store.len() > 0:
 			err = m.flush(c)
 		}
-		m.dropStore(c.store) // empty, or unwritten after a failed flush
+		m.dropStore(c.store) // empty, or unwritten after a failed spill
 		if err != nil {
 			c.sp.release()
 			return nil, err

@@ -173,7 +173,7 @@ func TestEncodedAndComparatorKeysAgree(t *testing.T) {
 
 	t.Run("srs", func(t *testing.T) {
 		cfg, _ := smallCfg(t, 8)
-		s, err := NewSRS(iter.FromSlice(shuffled(rows, rand.New(rand.NewSource(25)))), sortSchema, target, cfg)
+		s, err := NewMRS(iter.FromSlice(shuffled(rows, rand.New(rand.NewSource(25)))), sortSchema, target, sortord.Empty, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,9 +224,9 @@ func TestSortsOnNullTypedKeyColumn(t *testing.T) {
 		types.NewTuple(types.NewInt(2), types.Null),
 	}
 	cfg, _ := smallCfg(t, 16)
-	s, err := NewSRS(iter.FromSlice(rows), schema, sortord.New("k", "n"), cfg)
+	s, err := NewMRS(iter.FromSlice(rows), schema, sortord.New("k", "n"), sortord.Empty, cfg)
 	if err != nil {
-		t.Fatalf("NewSRS: %v", err)
+		t.Fatalf("NewMRS: %v", err)
 	}
 	out, err := drain(s)
 	if err != nil || len(out) != 3 || out[0][0].Int() != 1 || out[2][0].Int() != 3 {

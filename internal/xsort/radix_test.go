@@ -174,36 +174,26 @@ func TestRunFormationModesAgree(t *testing.T) {
 			stats SortStats
 			io    storage.IOStats
 		}
-		runMRS := func() result {
-			cfg, d := smallCfg(t, blocks)
-			cfg.Parallelism = par
-			m, err := NewMRS(iter.FromSlice(rows), sortSchema, target, sortord.New("c1"), cfg)
-			if err != nil {
-				t.Fatal(err)
+		sorter := func(in []types.Tuple, given sortord.Order, par int) func() result {
+			return func() result {
+				cfg, d := smallCfg(t, blocks)
+				cfg.Parallelism = par
+				m, err := NewMRS(iter.FromSlice(in), sortSchema, target, given, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out, err := drain(m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return result{out, *m.Stats(), d.Stats()}
 			}
-			out, err := drain(m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return result{out, *m.Stats(), d.Stats()}
-		}
-		runSRS := func() result {
-			cfg, d := smallCfg(t, blocks)
-			s, err := NewSRS(iter.FromSlice(shuffledRows), sortSchema, target, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out, err := drain(s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return result{out, *s.Stats(), d.Stats()}
 		}
 
 		for _, op := range []struct {
 			name string
 			run  func() result
-		}{{"mrs", runMRS}, {"srs", runSRS}} {
+		}{{"mrs", sorter(rows, sortord.New("c1"), par)}, {"srs", sorter(shuffledRows, sortord.Empty, 0)}} {
 			adaptiveMinTuples = math.MaxInt
 			base := op.run()
 			if base.stats.RadixPasses != 0 || base.stats.RadixBucketScans != 0 {

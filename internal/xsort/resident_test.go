@@ -9,6 +9,7 @@ import (
 
 	"pyro/internal/sortord"
 	"pyro/internal/storage"
+	"pyro/internal/types"
 )
 
 // liveHeap is the heap in use by reachable objects. The second collection
@@ -44,7 +45,7 @@ func TestAccountedIsResident(t *testing.T) {
 		full := func(st *rowStore) bool { return st != nil && st.held() >= blocks-1 }
 		srs := func(after int) func(*testing.T, *storage.Disk, *genIter, func() int64) (int64, int64) {
 			return func(t *testing.T, d *storage.Disk, in *genIter, base func() int64) (heap, peak int64) {
-				s, err := NewSRS(in, sh.schema, sortord.New("c2", "c1"), Config{Disk: d, MemoryBlocks: blocks})
+				s, err := NewMRS(in, sh.schema, sortord.New("c2", "c1"), sortord.Empty, Config{Disk: d, MemoryBlocks: blocks})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -53,13 +54,16 @@ func TestAccountedIsResident(t *testing.T) {
 					// The store is at its budget from the end of the fill on;
 					// `after` more rows in, replacement selection is in its
 					// steady state.
-					if heap == 0 && full(s.store) {
+					if heap == 0 && full(collecting(s)) {
 						if fills++; fills > after {
 							heap, peak = base(), s.stats.PeakMemBytes
 						}
 					}
 				}
 				if err := s.Open(); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := pull1(s); err != nil {
 					t.Fatal(err)
 				}
 				if err := s.Close(); err != nil {
@@ -93,7 +97,16 @@ func TestAccountedIsResident(t *testing.T) {
 				return heap, peak
 			}},
 			{"mrs-oversized", func(t *testing.T, d *storage.Disk, in *genIter, base func() int64) (heap, peak int64) {
-				m, err := NewMRS(in, sh.schema, sortord.New("c2", "c1"), sortord.Empty, Config{Disk: d, MemoryBlocks: blocks, Parallelism: 1})
+				// One oversized segment of a partial sort (c1 is made
+				// constant), which spills in batches: with nothing given it
+				// would be replacement selection, the srs phases.
+				row := in.row
+				in.row = func(i int) types.Tuple {
+					t := row(i)
+					t[0] = types.NewInt(0)
+					return t
+				}
+				m, err := NewMRS(in, sh.schema, sortord.New("c1", "c2"), sortord.New("c1"), Config{Disk: d, MemoryBlocks: blocks, Parallelism: 1})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -148,18 +148,13 @@ func TestReductionScheduleKeepsOutputBytes(t *testing.T) {
 			t.Helper()
 			cfg, d := smallCfg(t, blocks)
 			cfg.Budget = fixedBudget(3)
-			cfg.Limit = limit // SRS ignores it
+			cfg.Limit = limit
 			cfg.Parallelism = par
-			var op interface {
-				iter.Iterator
-				Stats() *SortStats
-			}
-			var err error
+			input, given := mixed, sortord.Empty
 			if mrs {
-				op, err = NewMRS(iter.FromSlice(in.rows), in.schema, in.target, in.given, cfg)
-			} else {
-				op, err = NewSRS(iter.FromSlice(mixed), in.schema, in.target, cfg)
+				input, given = in.rows, in.given
 			}
+			op, err := NewMRS(iter.FromSlice(input), in.schema, in.target, given, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

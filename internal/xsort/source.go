@@ -31,12 +31,12 @@ type inputRow struct {
 //
 // The batch size never changes what the sort observes: tuples arrive in the
 // same order, and a chunk never spans a storage page, so the demand-driven
-// I/O of MRS (read exactly as far as the served segment requires) and every
-// SortStats counter are identical at every batch size. The sort reads its
-// input before it is asked for output — SRS all of it in Open, MRS its
-// lookahead — which is why the batch is a setting and not the consumer's
-// chunk capacity. The caller still counts TuplesIn and polls its abort
-// guard per served tuple.
+// I/O of the sort (read exactly as far as the served segment requires) and
+// every SortStats counter are identical at every batch size. The sort reads
+// input the consumer did not ask for — a lookahead row in Open, a whole
+// segment before its first row — which is why the batch is a setting and not
+// the consumer's chunk capacity. The caller still counts TuplesIn and polls
+// its abort guard per served tuple.
 type tupleSource struct {
 	it    iter.Iterator
 	codec *keys.Codec // nil: rows are served unkeyed (an MRS with nothing to sort)

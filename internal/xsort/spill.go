@@ -15,14 +15,22 @@ type Spec struct {
 	Given  sortord.Order
 }
 
-// ReplacementSelection reports whether the enforcer of a sort over an input
-// carrying given, bounded by limit rows (0: unbounded), is SRS. Everything
-// else is MRS: a bounded full sort is MRS over an empty prefix — one segment,
-// the same bounded collector — not a second implementation in SRS. core.Build
-// picks the operator with it and PlanSpill the run formation, so the two
-// cannot disagree.
-func ReplacementSelection(given sortord.Order, limit int64) bool {
+// replacementSelection reports whether a sort over an input carrying given,
+// bounded by limit rows (0: unbounded), forms the runs of its oversized
+// segment by replacement selection (SRS in the paper): nothing given, no
+// limit. Every other spilling segment writes one run per memory batch — a
+// bounded full sort is one segment under the bounded collector. MRS forms
+// runs by it and PlanSpill prices them by it, so the two cannot disagree.
+func replacementSelection(given sortord.Order, limit int64) bool {
 	return given.IsEmpty() && limit == 0
+}
+
+// recyclesSlots reports whether the store of such a sort frees rows while it
+// fills — replacement selection, or a bounded collector's selection — and so
+// keeps its row slots recyclable (newRowStore). MRS builds its stores by it and
+// PlanSpill's memoryLoad counts rows by it.
+func recyclesSlots(given sortord.Order, limit int64) bool {
+	return given.IsEmpty() || limit > 0
 }
 
 // SpillPlan is how one sort — a full sort, or one segment of a partial sort —
@@ -55,10 +63,10 @@ func (p SpillPlan) Pages() int64 { return p.Written + p.Read + p.FinalRead }
 //
 //   - a store holds what rowStore.add lets it (memoryLoad): as many rows as
 //     footprint.blocks — the governor's own measure — fits in memoryBlocks;
-//   - ReplacementSelection chooses the run formation: an MRS batch is one
-//     memory load (cut at limit rows), SRS's replacement selection forms runs
-//     of about two; a bounded MRS spills only when limit rows do not fit,
-//     since its collector selects whenever the store is full with more;
+//   - replacementSelection chooses the run formation: a batch is one memory
+//     load (cut at limit rows), replacement selection forms runs of about
+//     two; a bounded sort spills only when limit rows do not fit, since its
+//     collector selects whenever the store is full with more;
 //   - every pass is reductionPass at mergeFanIn, and every intermediate
 //     merge's output is cut at limit rows, as is the final merge's read;
 //   - a run of r rows takes the pages a TupleWriter fills with r rows of the
@@ -75,9 +83,9 @@ func (p SpillPlan) Pages() int64 { return p.Written + p.Read + p.FinalRead }
 // outputs, so planning takes time and memory in the passes, not in the runs:
 // an estimate of 10¹² rows at M = 2 is some 35 passes of work.
 func PlanSpill(s Spec, rows, limit int64, memoryBlocks, pageSize int) SpillPlan {
-	srs := ReplacementSelection(s.Given, limit)
+	srs := replacementSelection(s.Given, limit)
 	f := s.footprint()
-	load := memoryLoad(f, srs || limit > 0, memoryBlocks, pageSize)
+	load := memoryLoad(f, recyclesSlots(s.Given, limit), memoryBlocks, pageSize)
 	keep := int64(noLimit)
 	if limit > 0 {
 		keep = limit

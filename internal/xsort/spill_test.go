@@ -72,24 +72,14 @@ func mix(i int) uint64 {
 	return z ^ z>>31
 }
 
-// sortActual runs the sort PlanSpill plans — the operator
-// ReplacementSelection picks, as core.Build does — over n rows at parallelism
-// 1 and returns its counters and the disk's I/O.
+// sortActual runs the sort PlanSpill plans over n rows at parallelism 1 and
+// returns its counters and the disk's I/O.
 func sortActual(t *testing.T, c spillCase, n int, limit int64, blocks int) (SortStats, storage.IOStats) {
 	t.Helper()
 	d := storage.NewDisk(spillPage)
 	cfg := Config{Disk: d, MemoryBlocks: blocks, Parallelism: 1, Limit: limit, BatchSize: 1024}
 	in := &genIter{n: n, row: c.row}
-	var op interface {
-		iter.Iterator
-		Stats() *SortStats
-	}
-	var err error
-	if ReplacementSelection(c.spec.Given, limit) {
-		op, err = NewSRS(in, c.spec.Schema, c.spec.Target, cfg)
-	} else {
-		op, err = NewMRS(in, c.spec.Schema, c.spec.Target, c.spec.Given, cfg)
-	}
+	op, err := NewMRS(in, c.spec.Schema, c.spec.Target, c.spec.Given, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +102,7 @@ func TestPricedInMemoryIffNoRunPages(t *testing.T) {
 	for _, c := range spillCases(threeInts.schema, threeInts.row) {
 		for _, blocks := range []int{1, 2, 4, 16} {
 			for _, limit := range []int64{0, 10, 60, 400} {
-				recycles := ReplacementSelection(c.spec.Given, limit) || limit > 0
+				recycles := recyclesSlots(c.spec.Given, limit)
 				load := memoryLoad(c.spec.footprint(), recycles, blocks, spillPage)
 				for _, n := range []int64{1, load - 1, load, load + 1, 200, 3 * load} {
 					if n < 1 {
@@ -182,7 +172,7 @@ func TestSpillPlanMatchesSorter(t *testing.T) {
 								t.Errorf("%s: %d run pages %s, planned %d (%.1f %% off)", at, e.actual, e.what, e.planned, 100*off)
 							}
 						}
-						if sh.fixed && !ReplacementSelection(c.spec.Given, limit) &&
+						if sh.fixed && !replacementSelection(c.spec.Given, limit) &&
 							(p.Runs != st.RunsGenerated || p.Passes != st.MergePasses || p.RunsMerged != st.RunsMerged) {
 							t.Errorf("%s: planned %d runs, %d passes, %d merged; sorted %d, %d, %d", at,
 								p.Runs, p.Passes, p.RunsMerged, st.RunsGenerated, st.MergePasses, st.RunsMerged)
@@ -255,7 +245,7 @@ func FuzzSpillPlan(f *testing.F) {
 func TestSpillPlanCostsPassesNotRuns(t *testing.T) {
 	const rows int64 = 1e12
 	for _, c := range spillCases(threeInts.schema, threeInts.row) {
-		srs := ReplacementSelection(c.spec.Given, 0)
+		srs := replacementSelection(c.spec.Given, 0)
 		runLen := memoryLoad(c.spec.footprint(), srs, 2, spillPage)
 		if srs {
 			runLen *= 2

@@ -200,7 +200,7 @@ func (s *rowStore) overflow(e []byte) ([]byte, int) {
 // suffix — the row's sort key past the sorter's shared-prefix skip; when
 // suffix is longer the tie flag is set and the rest goes into the slot as the
 // row's overflow. run is the replacement-selection run parity (0 outside
-// SRS). It reports false, buffering nothing, when the store may not hold the
+// replacement selection). It reports false, buffering nothing, when the store may not hold the
 // row: the blocks it has plus the ones the row would add exceed maxBlocks
 // (never counted below one row block and one entry block). A store over its
 // allowance — a governor shrink — therefore refuses every row until its owner

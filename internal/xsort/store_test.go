@@ -253,11 +253,13 @@ func (c sortCase) String() string {
 }
 
 // checkSortCase sorts one drawn input — random schema with every kind, NULLs,
-// empty and over-long strings — through SRS or MRS and holds the output to
-// sort.SliceStable over the decoded tuples: the exact sequence for MRS (whose
-// order is stable, with a Limit its first rows), the key sequence and the
-// row multiset for SRS (whose replacement-selection heap may reorder rows
-// that tie on the whole key).
+// empty and over-long strings — given c0, or shuffled with nothing given (the
+// srs arm: unbounded, so an oversized input spills by replacement selection),
+// and holds the output to sort.SliceStable over the decoded tuples: the exact
+// sequence (with a Limit its first rows) wherever the sort is stable — an
+// in-memory full sort included — and the key sequence and the row multiset
+// for a spilled replacement selection, whose heap may reorder rows that tie
+// on the whole key.
 func checkSortCase(t *testing.T, c sortCase) {
 	t.Helper()
 	r := rand.New(rand.NewSource(c.seed))
@@ -277,48 +279,38 @@ func checkSortCase(t *testing.T, c sortCase) {
 		names = append(names, cols[j+1].Name)
 	}
 	target, given := sortord.New(names...), sortord.New("c0")
+	d := storage.NewDisk(512)
+	defer storage.AssertNoLeaks(t, d)
+	cfg := Config{Disk: d, MemoryBlocks: c.blocks, Parallelism: c.par, BatchSize: c.batch, Limit: c.limit}
+	if c.srs {
+		rows, given, cfg.Limit = shuffled(rows, r), sortord.Empty, 0
+	}
 	ks := types.MustKeySpec(schema, target)
 	want := append([]types.Tuple(nil), rows...)
 	sort.SliceStable(want, func(i, j int) bool { return ks.Compare(want[i], want[j]) < 0 })
+	if cfg.Limit > 0 && int64(len(want)) > cfg.Limit {
+		want = want[:cfg.Limit]
+	}
 
-	d := storage.NewDisk(512)
-	defer storage.AssertNoLeaks(t, d)
-	cfg := Config{Disk: d, MemoryBlocks: c.blocks, Parallelism: c.par, BatchSize: c.batch}
 	var in iter.Iterator = iter.FromSlice(rows)
 	if c.batch > 1 {
 		in = &chunkedRows{rows: rows, encoded: c.encoded}
 	}
-	var got []types.Tuple
-	var err error
-	if c.srs {
-		shuffledRows := shuffled(rows, r)
-		in = iter.FromSlice(shuffledRows)
-		if c.batch > 1 {
-			in = &chunkedRows{rows: shuffledRows, encoded: c.encoded}
-		}
-		var s *SRS
-		if s, err = NewSRS(in, schema, target, cfg); err == nil {
-			got, err = drain(s)
-		}
-	} else {
-		cfg.Limit = c.limit
-		var m *MRS
-		if m, err = NewMRS(in, schema, target, given, cfg); err == nil {
-			if got, err = drain(m); err == nil && m.liveBytes != 0 {
-				t.Fatalf("%v: the closed sort still accounts for %d bytes of memory", c, m.liveBytes)
-			}
-		}
-		if c.limit > 0 && int64(len(want)) > c.limit {
-			want = want[:c.limit]
-		}
-	}
+	m, err := NewMRS(in, schema, target, given, cfg)
 	if err != nil {
 		t.Fatalf("%v: %v", c, err)
+	}
+	got, err := drain(m)
+	if err != nil {
+		t.Fatalf("%v: %v", c, err)
+	}
+	if m.liveBytes != 0 {
+		t.Fatalf("%v: the closed sort still accounts for %d bytes of memory", c, m.liveBytes)
 	}
 	if len(got) != len(want) {
 		t.Fatalf("%v: %d rows out, want %d", c, len(got), len(want))
 	}
-	if c.srs {
+	if c.srs && m.Stats().RunsGenerated > 0 {
 		for i := range got {
 			if ks.Compare(got[i], want[i]) != 0 {
 				t.Fatalf("%v: key sequence diverges at %d: %v, want %v", c, i, got[i], want[i])
@@ -512,18 +504,18 @@ func TestSRSShrinkDrainsAndRefills(t *testing.T) {
 	d := storage.NewDisk(512)
 	defer storage.AssertNoLeaks(t, d)
 	b := &shrinkingBudget{blocks: 32, then: 6}
-	var s *SRS
+	var s *MRS
 	var heldAfter []int
 	in := &genIter{n: len(rows), row: func(i int) types.Tuple { return rows[i] }}
 	in.probe = func(i int) {
 		if i == 3000 {
 			b.shrunk = true
 		}
-		if i > 3000 && s.store != nil {
-			heldAfter = append(heldAfter, s.store.held())
+		if st := collecting(s); i > 3000 && st != nil {
+			heldAfter = append(heldAfter, st.held())
 		}
 	}
-	s, err := NewSRS(in, sortSchema, sortord.New("c2", "c1"), Config{Disk: d, MemoryBlocks: 32, Budget: b})
+	s, err := NewMRS(in, sortSchema, sortord.New("c2", "c1"), sortord.Empty, Config{Disk: d, MemoryBlocks: 32, Budget: b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -560,20 +552,23 @@ func TestSRSRunsAverageTwiceTheFill(t *testing.T) {
 			d := storage.NewDisk(0)
 			defer storage.AssertNoLeaks(t, d)
 			in := &genIter{n: n, row: sh.row}
-			s, err := NewSRS(in, sh.schema, sortord.New("c2", "c1"), Config{Disk: d, MemoryBlocks: blocks})
+			s, err := NewMRS(in, sh.schema, sortord.New("c2", "c1"), sortord.Empty, Config{Disk: d, MemoryBlocks: blocks})
 			if err != nil {
 				t.Fatal(err)
 			}
 			fill := 0
 			in.probe = func(i int) {
 				// The first row the store has no room for ends the fill.
-				if fill == 0 && s.store != nil && s.store.held() == blocks {
-					if _, rowPages := s.store.place(sh.row(i).EncodedSize()); rowPages > 0 {
-						fill = s.store.len()
+				if st := collecting(s); fill == 0 && st != nil && st.held() == blocks {
+					if _, rowPages := st.place(sh.row(i).EncodedSize()); rowPages > 0 {
+						fill = st.len()
 					}
 				}
 			}
 			if err := s.Open(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := pull1(s); err != nil {
 				t.Fatal(err)
 			}
 			runs := s.Stats().RunsGenerated
@@ -614,6 +609,15 @@ func (g *genIter) NextChunk(c *types.Chunk) error {
 	return nil
 }
 func (g *genIter) Close() error { return nil }
+
+// collecting returns the store of the segment m is collecting, nil between
+// segments.
+func collecting(m *MRS) *rowStore {
+	if m.col == nil {
+		return nil
+	}
+	return m.col.store
+}
 
 // residentShapes are the two row shapes the memory tests run on.
 var residentShapes = []struct {
@@ -767,7 +771,7 @@ func TestSRSSpillsLongStringKeys(t *testing.T) {
 		if batch > 1 {
 			in = &chunkedRows{rows: rows, encoded: true}
 		}
-		s, err := NewSRS(in, sortSchema, target, Config{Disk: d, MemoryBlocks: 12, BatchSize: batch})
+		s, err := NewMRS(in, sortSchema, target, sortord.Empty, Config{Disk: d, MemoryBlocks: 12, BatchSize: batch})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,22 +1,24 @@
-// Package xsort implements external sorting as chunk iterators (iter.Iterator):
+// Package xsort implements external sorting as one chunk iterator
+// (iter.Iterator), MRS — the paper's modified replacement selection (§3.1).
+// When the input is known to carry a partial sort order (a prefix of the
+// target order, the given order), tuples are grouped into partial-sort
+// segments and each segment is sorted independently. If a segment fits in
+// memory the sort does no I/O at all and emits tuples as soon as the
+// segment's last tuple has been read, giving pipelined execution, early
+// output, and fewer comparisons (suffix-only within a segment).
 //
-//   - SRS — standard replacement selection (Knuth '73): heap-based run
-//     formation producing runs averaging twice the memory size, followed by
-//     multiway merging. With fully sorted input it still writes one big run
-//     to disk and reads it back, breaking the pipeline — the deficiency the
-//     paper highlights.
-//
-//   - MRS — the paper's modified replacement selection (§3.1): when the
-//     input is known to carry a partial sort order (a prefix of the target
-//     order), tuples are grouped into partial-sort segments and each segment
-//     is sorted independently. If a segment fits in memory the sort does no
-//     I/O at all and emits tuples as soon as the segment's last tuple has
-//     been read, giving pipelined execution, early output, and fewer
-//     comparisons (suffix-only within a segment).
+// With nothing given the input is one segment: the full sort. The paper's
+// SRS — standard replacement selection (Knuth '73) — is how that segment
+// spills when no Limit bounds it: heap-based run formation producing runs
+// averaging twice the memory size, followed by multiway merging. With fully
+// sorted input it still writes one big run to disk and reads it back,
+// breaking the pipeline — the deficiency the paper highlights. SRS and MRS
+// differ in that algorithm only (replacementSelection decides it), not in
+// the operator: both read their input on the first NextChunk, never in Open.
 //
 // Sort memory is one thing: a row store (store.go). Every row a sort buffers
-// — an MRS segment or spill batch, SRS's fill and replacement-selection heap,
-// a bounded collector's selection — lives encoded, in the page row format it
+// — a segment or spill batch, the replacement-selection heap, a bounded
+// collector's selection — lives encoded, in the page row format it
 // arrived in and will spill as, in page-sized blocks drawn one at a time from
 // the disk's block pool, with a fixed-width entry beside it: the first bytes
 // of its normalized key, a tie flag and the row's offset. The budget
@@ -40,42 +42,40 @@
 // resolvable order has such an encoding (a NULL-typed column is its marker
 // byte), so there is no second key representation.
 //
-// Run formation — producing the sorted order of a store's entries, be it an
-// MRS segment, a spill batch, or SRS's initial heap fill — additionally
-// exploits that byte order IS key order: buffers large enough, on keys wide
-// enough, are sorted by MSD radix partitioning over the entry prefixes (see
-// radix.go) instead of the comparison sort; the sort decides per buffer from
-// those two things it can observe. The radix order is bit-identical to the
-// stable comparison order, so MRS output bytes, run/pass structure and I/O
-// totals do not depend on the choice, and SRS agrees on all of those except
-// that tuples tied on the full sort key may emit in a different relative order
-// (a heap built by pushes and one seeded from a sorted fill drain ties
-// differently — the key sequence is identical). Otherwise only the work
+// Run formation — producing the sorted order of a store's entries, be it a
+// segment, a spill batch, or the fill that seeds the replacement-selection
+// heap — additionally exploits that byte order IS key order: buffers large
+// enough, on keys wide enough, are sorted by MSD radix partitioning over the
+// entry prefixes (see radix.go) instead of the comparison sort; the sort
+// decides per buffer from those two things it can observe. The radix order is
+// bit-identical to the stable comparison order, so output bytes, run/pass
+// structure and I/O totals do not depend on the choice; only the work
 // accounting changes (RadixPasses and RadixBucketScans alongside a smaller
-// Comparisons).
+// Comparisons). Replacement selection itself is comparison-based: its
+// incremental push/pop structure is what produces the 2M-sized runs, and a
+// heap has no radix equivalent.
 //
 // A spilled run is one file of encoded rows: a spill copies row bytes out of
 // the store, an intermediate merge copies the winner's bytes from page to
 // page, and the final merge hands them out as chunk spans. Merges key
 // each row they read from its bytes and break full-key ties by run ordinal;
 // runs are formed in arrival order by stable sorts and reductions keep merged
-// outputs in place, so MRS is a stable sort and the output bytes of either
-// operator do not depend on the reduction schedule (merge.go). SRS is stable
-// up to the emission order of rows with duplicate full sort keys: its
-// replacement-selection heap promises them no order.
+// outputs in place, so the sort is stable and its output bytes do not depend
+// on the reduction schedule (merge.go). The one exception is a segment
+// spilled by replacement selection: its heap promises rows with duplicate
+// full sort keys no order.
 //
-// MRS additionally sorts independent in-memory segments on a bounded worker
-// pool (Config.Parallelism); see mrs.go for the pipelining contract. Spilling
-// is serial, as in the paper: either operator forms, reduces and merges its
-// runs on the consumer goroutine, into a storage.SpillArena per spilled sort
-// or segment.
+// Independent in-memory segments are sorted on a bounded worker pool
+// (Config.Parallelism); see mrs.go for the pipelining contract. Spilling is
+// serial, as in the paper: runs are formed, reduced and merged on the
+// consumer goroutine, into a storage.SpillArena per spilled segment.
 //
 // PlanSpill (spill.go) predicts how a sort spills — runs formed, passes, run
 // pages written and read — without sorting, from these same rules: what a
-// store admits, the formation ReplacementSelection picks, and reductionPass.
+// store admits, the formation replacementSelection picks, and reductionPass.
 // The cost model prices sorts from it.
 //
-// Both operators charge every run-file page transfer to the disk's IOStats
+// The sort charges every run-file page transfer to the disk's IOStats
 // (attributed to KindRun, accumulated in per-arena ledgers that merge into
 // the global ledger) and count key comparisons in SortStats. Every counter,
 // PeakMemBytes aside, is identical at every parallelism level: the pool
@@ -96,8 +96,8 @@ type SortStats struct {
 	Comparisons   int64 // key comparisons performed
 	RunsGenerated int   // runs written to disk
 	MergePasses   int   // intermediate merge passes (excluding the final pipelined merge)
-	Segments      int   // MRS: partial-sort segments processed
-	SpilledSegs   int   // MRS: segments that did not fit in memory
+	Segments      int   // partial-sort segments processed (a full sort's input is one)
+	SpilledSegs   int   // segments that did not fit in memory
 	PeakMemBytes  int64 // high-water mark of the sort-memory blocks held, in bytes (see store.go)
 	TuplesIn      int64
 	TuplesOut     int64
@@ -127,8 +127,8 @@ type SortStats struct {
 	// identical at every parallelism.
 	RunsMerged int
 
-	// SpillRunsSerial counts the runs MRS formed on the consumer goroutine:
-	// all of them, so it equals an MRS's RunsGenerated. SpillRunsParallel is
+	// SpillRunsSerial counts the runs formed on the consumer goroutine: all
+	// of them, so it equals RunsGenerated. SpillRunsParallel is
 	// always 0: it counted runs formed by spill workers, which are gone. Both
 	// are read by cmd/pyro-perf and leave with its probes, like
 	// MergeBucketSkips.
@@ -164,23 +164,21 @@ type Config struct {
 	Budget Budget
 	// TempPrefix names the run files for debuggability.
 	TempPrefix string
-	// Parallelism bounds how many MRS in-memory segments may be sorted
+	// Parallelism bounds how many in-memory segments may be sorted
 	// concurrently. 0 means runtime.GOMAXPROCS(0); 1 means fully serial,
 	// strictly demand-driven reading (the paper's original behaviour).
 	// Read-ahead stops once buffered tuples reach the MemoryBlocks budget,
-	// so parallelism deepens the pipeline without multiplying M.
-	// SRS run formation is unaffected: its replacement-selection heap is
-	// inherently sequential.
+	// so parallelism deepens the pipeline without multiplying M. A full sort
+	// is one segment, and spilling is serial, so it is unaffected.
 	Parallelism int
 	// Abort, when non-nil, is polled (at a bounded stride, via iter.Guard)
-	// by the sort's long-running loops: SRS's input consumption inside
-	// Open, MRS's segment collection, and the run-formation and
-	// run-reduction merge loops of the spill path. The first non-nil error
-	// aborts the sort, which surfaces it from Open or NextChunk and releases
-	// its spill state on Close as usual. This is how streaming execution
-	// threads context cancellation into a sort that would otherwise block
-	// for its whole input; nil means the sort only stops at EOF or error.
-	// Only the consumer goroutine polls it.
+	// by the sort's long-running loops: segment collection, replacement
+	// selection, and the run-reduction merge loops of the spill path. The
+	// first non-nil error aborts the sort, which surfaces it from NextChunk
+	// and releases its spill state on Close as usual. This is how streaming
+	// execution threads context cancellation into a sort that would otherwise
+	// block for its whole input; nil means the sort only stops at EOF or
+	// error. Only the consumer goroutine polls it.
 	Abort func() error
 	// Tap, when non-nil, observes every spill-file block transfer this sort
 	// causes (run formation, reduction merges, final merge reads) in
@@ -197,15 +195,15 @@ type Config struct {
 	// SortStats and I/O are identical at every batch size.
 	BatchSize int
 	// Limit, when positive, is a hard bound on the rows the consumer will
-	// ever read — a LIMIT k sitting on the sort, never a row-target hint: MRS
-	// emits at most Limit rows and does only the work those rows need. Each
-	// segment keeps a bounded selection of the rows still owed instead of
-	// the whole segment (spilling only if those rows themselves exceed the
-	// budget, and then as runs cut at that many rows), and the sort stops
-	// reading input at the first segment boundary at or past the bound — see
-	// mrs.go. The emitted rows are the first Limit rows of the unlimited
-	// sort. 0 means unbounded. SRS ignores it: a limited full sort is an MRS
-	// with an empty given order.
+	// ever read — a LIMIT k sitting on the sort, never a row-target hint: the
+	// sort emits at most Limit rows and does only the work those rows need.
+	// Each segment keeps a bounded selection of the rows still owed instead
+	// of the whole segment (spilling only if those rows themselves exceed the
+	// budget, and then as batch runs cut at that many rows, never by
+	// replacement selection), and the sort stops reading input at the first
+	// segment boundary at or past the bound — see mrs.go. The emitted rows
+	// are the first Limit rows of the unlimited sort, a full sort's included.
+	// 0 means unbounded.
 	Limit int64
 }
 
@@ -258,7 +256,7 @@ func (c Config) parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// validate checks configuration invariants shared by SRS and MRS.
+// validate checks the configuration's invariants.
 func (c Config) validate() error {
 	if c.Disk == nil {
 		return fmt.Errorf("xsort: Config.Disk is nil")

@@ -62,10 +62,7 @@ func (c *countingIter) Close() error { return c.inner.Close() }
 
 // width is the row width of a sort's output.
 func width(op iter.Iterator) int {
-	switch s := op.(type) {
-	case *MRS:
-		return s.schema.Len()
-	case *SRS:
+	if s, ok := op.(*MRS); ok {
 		return s.schema.Len()
 	}
 	panic(fmt.Sprintf("not a sort: %T", op))
@@ -137,7 +134,7 @@ func TestSRSInMemoryNoIO(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	rows := shuffled(genRows(100, 10, rng), rng)
 	cfg, d := smallCfg(t, 1000) // plenty of memory
-	s, err := NewSRS(iter.FromSlice(rows), sortSchema, sortord.New("c1", "c2"), cfg)
+	s, err := NewMRS(iter.FromSlice(rows), sortSchema, sortord.New("c1", "c2"), sortord.Empty, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +158,7 @@ func TestSRSSpillsAndMerges(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	rows := shuffled(genRows(3000, 10, rng), rng)
 	cfg, d := smallCfg(t, 4) // tiny memory: force many runs and merge passes
-	s, err := NewSRS(iter.FromSlice(rows), sortSchema, sortord.New("c1", "c2"), cfg)
+	s, err := NewMRS(iter.FromSlice(rows), sortSchema, sortord.New("c1", "c2"), sortord.Empty, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +191,7 @@ func TestSRSSortedInputStillDoesIO(t *testing.T) {
 		return types.MustKeySpec(sortSchema, sortord.New("c1", "c2")).Compare(rows[i], rows[j]) < 0
 	})
 	cfg, d := smallCfg(t, 4)
-	s, _ := NewSRS(iter.FromSlice(rows), sortSchema, sortord.New("c1", "c2"), cfg)
+	s, _ := NewMRS(iter.FromSlice(rows), sortSchema, sortord.New("c1", "c2"), sortord.Empty, cfg)
 	out, err := drain(s)
 	if err != nil {
 		t.Fatal(err)
@@ -208,24 +205,32 @@ func TestSRSSortedInputStillDoesIO(t *testing.T) {
 	}
 }
 
+// TestSRSBlockingBehaviour: the full sort blocks for its whole input before
+// its first row — on the first NextChunk; Open reads one lookahead row.
 func TestSRSBlockingBehaviour(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	rows := shuffled(genRows(1000, 10, rng), rng)
 	ci := &countingIter{inner: iter.FromSlice(rows)}
 	cfg, _ := smallCfg(t, 4)
-	s, _ := NewSRS(ci, sortSchema, sortord.New("c1", "c2"), cfg)
+	s, _ := NewMRS(ci, sortSchema, sortord.New("c1", "c2"), sortord.Empty, cfg)
 	if err := s.Open(); err != nil {
 		t.Fatal(err)
 	}
+	if ci.pulled != 1 {
+		t.Fatalf("Open should read one lookahead row, pulled %d", ci.pulled)
+	}
+	if ok, err := pull1(s); !ok || err != nil {
+		t.Fatalf("first row: ok=%v err=%v", ok, err)
+	}
 	if ci.pulled != len(rows) {
-		t.Fatalf("SRS.Open should consume the whole input, pulled %d of %d", ci.pulled, len(rows))
+		t.Fatalf("the first row should need the whole input, pulled %d of %d", ci.pulled, len(rows))
 	}
 	s.Close()
 }
 
 func TestSRSEmptyInputAndErrors(t *testing.T) {
 	cfg, _ := smallCfg(t, 4)
-	s, err := NewSRS(iter.FromSlice(nil), sortSchema, sortord.New("c1"), cfg)
+	s, err := NewMRS(iter.FromSlice(nil), sortSchema, sortord.New("c1"), sortord.Empty, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,16 +238,16 @@ func TestSRSEmptyInputAndErrors(t *testing.T) {
 	if err != nil || len(out) != 0 {
 		t.Fatalf("empty input: %v, %d tuples", err, len(out))
 	}
-	if _, err := NewSRS(iter.FromSlice(nil), sortSchema, sortord.Empty, cfg); err == nil {
+	if _, err := NewMRS(iter.FromSlice(nil), sortSchema, sortord.Empty, sortord.Empty, cfg); err == nil {
 		t.Fatal("empty order should error")
 	}
-	if _, err := NewSRS(iter.FromSlice(nil), sortSchema, sortord.New("zz"), cfg); err == nil {
+	if _, err := NewMRS(iter.FromSlice(nil), sortSchema, sortord.New("zz"), sortord.Empty, cfg); err == nil {
 		t.Fatal("unknown attr should error")
 	}
-	if _, err := NewSRS(iter.FromSlice(nil), sortSchema, sortord.New("c1"), Config{}); err == nil {
+	if _, err := NewMRS(iter.FromSlice(nil), sortSchema, sortord.New("c1"), sortord.Empty, Config{}); err == nil {
 		t.Fatal("nil disk should error")
 	}
-	if _, err := NewSRS(iter.FromSlice(nil), sortSchema, sortord.New("c1"), Config{Disk: storage.NewDisk(0)}); err == nil {
+	if _, err := NewMRS(iter.FromSlice(nil), sortSchema, sortord.New("c1"), sortord.Empty, Config{Disk: storage.NewDisk(0)}); err == nil {
 		t.Fatal("zero memory should error")
 	}
 }
@@ -393,7 +398,7 @@ func TestMRSFewerComparisonsThanSRS(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	rows := genRows(5000, 100, rng) // sorted on c1
 	cfg1, _ := smallCfg(t, 16)
-	srs, _ := NewSRS(iter.FromSlice(rows), sortSchema, sortord.New("c1", "c2"), cfg1)
+	srs, _ := NewMRS(iter.FromSlice(rows), sortSchema, sortord.New("c1", "c2"), sortord.Empty, cfg1)
 	if _, err := drain(srs); err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +441,7 @@ func TestQuickSRSAndMRSAgreeWithReference(t *testing.T) {
 		sort.SliceStable(ref, func(i, j int) bool { return ks.Compare(ref[i], ref[j]) < 0 })
 
 		c1, _ := smallCfg(t, blocks)
-		srs, err := NewSRS(iter.FromSlice(rows), sortSchema, target, c1)
+		srs, err := NewMRS(iter.FromSlice(rows), sortSchema, target, sortord.Empty, c1)
 		if err != nil {
 			return false
 		}
@@ -493,10 +498,9 @@ func TestMRSRunCleanupOnClose(t *testing.T) {
 	}
 }
 
-// NewSorted fully sorts the input under order o with SRS and returns the
-// result.
+// NewSorted fully sorts the input under order o and returns the result.
 func NewSorted(input iter.Iterator, schema *types.Schema, o sortord.Order, cfg Config) ([]types.Tuple, *SortStats, error) {
-	s, err := NewSRS(input, schema, o, cfg)
+	s, err := NewMRS(input, schema, o, sortord.Empty, cfg)
 	if err != nil {
 		return nil, nil, err
 	}

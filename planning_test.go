@@ -149,17 +149,17 @@ func TestWithRowTargetReplansWithoutTruncating(t *testing.T) {
 		return rows, cur.Stats()
 	}
 
-	// Without a row target the blocking plan runs: its enforcer is an SRS
-	// full sort (no partial-sort segments).
+	// Without a row target the blocking plan runs: its enforcer is a full
+	// sort (its whole input one segment).
 	base, baseStats := drain()
-	if len(baseStats.Sorts) != 1 || baseStats.Sorts[0].Segments != 0 {
+	if len(baseStats.Sorts) != 1 || baseStats.Sorts[0].Segments != 1 {
 		t.Fatalf("expected one full-sort enforcer, got %+v", baseStats.Sorts)
 	}
 
 	// With a row target the pipelined plan runs — the enforcer is an MRS
 	// partial sort — and the full drain still returns everything.
 	targeted, targetStats := drain(WithRowTarget(10))
-	if len(targetStats.Sorts) != 1 || targetStats.Sorts[0].Segments == 0 {
+	if len(targetStats.Sorts) != 1 || targetStats.Sorts[0].Segments <= 1 {
 		t.Fatalf("WithRowTarget did not re-plan to a partial sort: %+v", targetStats.Sorts)
 	}
 	if targetStats.Rows != int64(len(want.Data)) {
