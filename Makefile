@@ -88,13 +88,10 @@ lint-pyro:
 
 # Go source lines per package, non-test and test files apart, and in total
 # (`go list` names each package's files, `wc` counts them): the size a change
-# adds or removes, package by package.
+# adds or removes, package by package. With BASE given, e.g.
+#   make loc BASE=HEAD~1
+# it also prints each package's change against BASE's committed files.
 loc:
-	@printf '%-32s %8s %8s\n' package non-test test
-	@$(GO) list -f '{{.ImportPath}}|{{.Dir}}|{{join .GoFiles " "}}|{{join .TestGoFiles " "}} {{join .XTestGoFiles " "}}' ./... | \
-	while IFS='|' read -r pkg dir src tst; do \
-		printf '%-32s %8d %8d\n' "$$pkg" \
-			"$$(cd "$$dir" && cat $$src /dev/null | wc -l)" "$$(cd "$$dir" && cat $$tst /dev/null | wc -l)"; \
-	done | awk '{ print; s += $$2; t += $$3 } END { printf "%-32s %8d %8d\n", "total", s, t }'
+	@GO="$(GO)" scripts/loc.sh $(if $(filter command line environment,$(origin BASE)),$(BASE))
 
 ci: build vet fmt lint-pyro test race race-serve chaos bench fuzz-smoke

@@ -54,7 +54,7 @@ func Build(p *Plan, cfg BuildConfig) (exec.Operator, error) {
 	}
 	// Sort enforcers receive the abort hook through xsort.Config.Abort;
 	// every other operator whose tuple loops can outlive a NextChunk call
-	// (filters, joins, aggregates, dedup) polls the same hook through its
+	// (filters, joins, aggregates, unions) polls the same hook through its
 	// own strided guard.
 	exec.InstallAbort(root, cfg.SortAbort)
 	return root, nil
@@ -115,11 +115,9 @@ func build(p *Plan, cfg BuildConfig) (exec.Operator, error) {
 	case OpHashAgg:
 		return exec.NewHashAggregate(children[0], p.GroupCols, p.Aggs)
 	case OpMergeUnion:
-		return exec.NewMergeUnion(children[0], children[1], p.UnionOrder, p.DedupRows)
+		return exec.NewMergeUnion(children[0], children[1], p.UnionOrder)
 	case OpUnionAll:
 		return exec.NewUnionAll(children[0], children[1])
-	case OpDedup:
-		return exec.NewDedup(children[0]), nil
 	case OpLimit:
 		if len(children) == 0 {
 			// LIMIT 0: planned without a child (defined semantics — an

@@ -442,9 +442,9 @@ func TestDistinctAndUnionPlans(t *testing.T) {
 	f.buildQ3World(t, 10, 3)
 	ps := mustTable(f.cat, "partsupp")
 
-	// DISTINCT over a projection.
+	// DISTINCT over a projection: a group-by over every column.
 	proj := logical.NewProjectNames(logical.NewScan(ps), []string{"ps_suppkey", "ps_partkey"})
-	dist := logical.NewDistinct(proj)
+	dist := logical.NewGroupBy(proj, proj.Schema().Names(), nil)
 	root := logical.NewOrderBy(dist, sortord.New("ps_suppkey"))
 	res := mustOptimize(t, root, DefaultOptions(HeuristicFavorable))
 	rows := execPlan(t, f, res.Plan)
@@ -458,10 +458,11 @@ func TestDistinctAndUnionPlans(t *testing.T) {
 		}
 	}
 
-	// UNION (dedup) of two projections of the same table.
+	// UNION of two projections of the same table: DISTINCT over UNION ALL.
 	l := logical.NewProjectNames(logical.NewScan(ps), []string{"ps_partkey", "ps_suppkey"})
 	r := logical.NewProjectNames(logical.NewScan(ps), []string{"ps_partkey", "ps_suppkey"})
-	u := logical.NewUnion(l, r, true)
+	ua := logical.NewUnion(l, r)
+	u := logical.NewGroupBy(ua, ua.Schema().Names(), nil)
 	uRes := mustOptimize(t, logical.NewOrderBy(u, sortord.New("ps_partkey")), DefaultOptions(HeuristicFavorable))
 	uRows := execPlan(t, f, uRes.Plan)
 	if len(uRows) != 30 {
@@ -472,7 +473,6 @@ func TestDistinctAndUnionPlans(t *testing.T) {
 	}
 
 	// UNION ALL.
-	ua := logical.NewUnion(l, r, false)
 	uaRes := mustOptimize(t, ua, DefaultOptions(HeuristicFavorable))
 	uaRows := execPlan(t, f, uaRes.Plan)
 	if len(uaRows) != 60 {

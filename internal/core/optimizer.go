@@ -15,8 +15,8 @@ import (
 )
 
 // Heuristic selects the interesting-order strategy for operators with
-// flexible order requirements (merge join, sort aggregate, merge union,
-// duplicate elimination). Names follow the paper's §6.2/§6.3 variants.
+// flexible order requirements (merge join, sort aggregate — DISTINCT
+// included — and merge union). Names follow the paper's §6.2/§6.3 variants.
 type Heuristic uint8
 
 const (
@@ -297,8 +297,6 @@ func (opt *Optimizer) boundedPlan(n logical.Node, required sortord.Order, budget
 		canon = t.CanonicalizeOrder
 	case *logical.GroupBy:
 		candidates, err = opt.groupByCandidates(t, required, budget)
-	case *logical.Distinct:
-		candidates, err = opt.distinctCandidates(t, required, budget)
 	case *logical.Union:
 		candidates, err = opt.unionCandidates(t, required, budget)
 	case *logical.Limit:
@@ -1070,72 +1068,18 @@ func (opt *Optimizer) groupByCandidates(g *logical.GroupBy, required sortord.Ord
 	return plans, nil
 }
 
-func (opt *Optimizer) distinctCandidates(d *logical.Distinct, required sortord.Order, budget int64) ([]*Plan, error) {
-	props := d.Props()
-	attrs := d.Child.Schema().AttrSet()
-	reqRestricted := required.LongestPrefixIn(attrs)
-	afms := [][]sortord.Order{opt.fc.AFM(d.Child)}
-	streamBudget := scaleBudget(budget, props.Rows, d.Child.Props().Rows)
-	var plans []*Plan
-	for _, p := range opt.interestingOrders(attrs, afms, reqRestricted) {
-		child, err := opt.bestPlan(d.Child, p, streamBudget)
-		if err != nil {
-			return nil, err
-		}
-		plans = append(plans, &Plan{
-			Kind:     OpDedup,
-			Children: []*Plan{child},
-			Schema:   d.Schema(),
-			OutOrder: p.Clone(),
-			Rows:     props.Rows,
-			Blocks:   opt.blocksFor(props.Rows, d.Schema().AvgTupleWidth()),
-			Cost: cost.Cost{
-				Startup: child.Cost.Startup,
-				Total:   child.Cost.Total + opt.opts.Model.GroupAggCPU(child.Rows),
-				Rows:    props.Rows,
-			},
-			Logical: d,
-		})
-	}
-	if !opt.opts.DisableHashAgg {
-		child, err := opt.bestPlan(d.Child, sortord.Empty, 0)
-		if err != nil {
-			return nil, err
-		}
-		outBlocks := opt.blocksFor(props.Rows, d.Schema().AvgTupleWidth())
-		ha := opt.opts.Model.HashAggCost(child.Rows, outBlocks)
-		plans = append(plans, &Plan{
-			Kind:      OpHashAgg,
-			Children:  []*Plan{child},
-			GroupCols: d.Child.Schema().Names(),
-			Schema:    d.Schema(),
-			OutOrder:  sortord.Empty,
-			Rows:      props.Rows,
-			Blocks:    outBlocks,
-			Cost: cost.Cost{
-				Startup: child.Cost.Total + ha.Total,
-				Total:   child.Cost.Total + ha.Total,
-				Rows:    props.Rows,
-			},
-			Logical: d,
-		})
-	}
-	return plans, nil
-}
-
 func (opt *Optimizer) unionCandidates(u *logical.Union, required sortord.Order, budget int64) ([]*Plan, error) {
 	props := u.Props()
 	var plans []*Plan
 	attrs := u.Left.Schema().AttrSet()
 
-	// Both union forms stream their inputs; the budget scales through by
-	// each side's share of the output.
-	lBudget := scaleBudget(budget, props.Rows, u.Left.Props().Rows)
-	rBudget := scaleBudget(budget, props.Rows, u.Right.Props().Rows)
-
 	// Merge union: both inputs sorted on the same permutation — the
-	// coordinated choice SYS2 lacked in Experiment B2.
-	if u.Dedup || !required.IsEmpty() {
+	// coordinated choice SYS2 lacked in Experiment B2. It streams both
+	// inputs, so the budget scales through by each side's share of the
+	// output.
+	if !required.IsEmpty() {
+		lBudget := scaleBudget(budget, props.Rows, u.Left.Props().Rows)
+		rBudget := scaleBudget(budget, props.Rows, u.Right.Props().Rows)
 		reqRestricted := required.LongestPrefixIn(attrs)
 		afms := [][]sortord.Order{opt.fc.AFM(u.Left), opt.translateRightUnion(u, opt.fc.AFM(u.Right))}
 		for _, p := range opt.interestingOrders(attrs, afms, reqRestricted) {
@@ -1152,7 +1096,6 @@ func (opt *Optimizer) unionCandidates(u *logical.Union, required sortord.Order, 
 				Kind:       OpMergeUnion,
 				Children:   []*Plan{lp, rp},
 				UnionOrder: p.Clone(),
-				DedupRows:  u.Dedup,
 				Schema:     u.Schema(),
 				OutOrder:   p.Clone(),
 				Rows:       props.Rows,
@@ -1166,42 +1109,40 @@ func (opt *Optimizer) unionCandidates(u *logical.Union, required sortord.Order, 
 			})
 		}
 	}
-	if !u.Dedup {
-		// UNION ALL emits the left stream to exhaustion before touching
-		// the right, so the first budget rows come entirely from the left;
-		// the right serves only whatever remains past the left's rows.
-		allLeft := budget
-		var allRight int64
-		if budget > 0 {
-			if lr := u.Left.Props().Rows; budget > lr {
-				allRight = budget - lr
-			}
+	// Concatenation emits the left stream to exhaustion before touching the
+	// right, so the first budget rows come entirely from the left; the right
+	// serves only whatever remains past the left's rows.
+	allLeft := budget
+	var allRight int64
+	if budget > 0 {
+		if lr := u.Left.Props().Rows; budget > lr {
+			allRight = budget - lr
 		}
-		lp, err := opt.bestPlan(u.Left, sortord.Empty, allLeft)
-		if err != nil {
-			return nil, err
-		}
-		rp, err := opt.bestPlan(u.Right, sortord.Empty, allRight)
-		if err != nil {
-			return nil, err
-		}
-		plans = append(plans, &Plan{
-			Kind:     OpUnionAll,
-			Children: []*Plan{lp, rp},
-			Schema:   u.Schema(),
-			OutOrder: sortord.Empty,
-			Rows:     props.Rows,
-			Blocks:   opt.blocksFor(props.Rows, u.Schema().AvgTupleWidth()),
-			Cost: cost.Cost{
-				// UNION ALL emits the left stream first: the right side's
-				// startup is not on the first row's path.
-				Startup: lp.Cost.Startup,
-				Total:   lp.Cost.Total + rp.Cost.Total,
-				Rows:    props.Rows,
-			},
-			Logical: u,
-		})
 	}
+	lp, err := opt.bestPlan(u.Left, sortord.Empty, allLeft)
+	if err != nil {
+		return nil, err
+	}
+	rp, err := opt.bestPlan(u.Right, sortord.Empty, allRight)
+	if err != nil {
+		return nil, err
+	}
+	plans = append(plans, &Plan{
+		Kind:     OpUnionAll,
+		Children: []*Plan{lp, rp},
+		Schema:   u.Schema(),
+		OutOrder: sortord.Empty,
+		Rows:     props.Rows,
+		Blocks:   opt.blocksFor(props.Rows, u.Schema().AvgTupleWidth()),
+		Cost: cost.Cost{
+			// UNION ALL emits the left stream first: the right side's
+			// startup is not on the first row's path.
+			Startup: lp.Cost.Startup,
+			Total:   lp.Cost.Total + rp.Cost.Total,
+			Rows:    props.Rows,
+		},
+		Logical: u,
+	})
 	return plans, nil
 }
 

@@ -41,7 +41,6 @@ const (
 	OpHashAgg
 	OpMergeUnion
 	OpUnionAll
-	OpDedup
 	OpLimit
 	OpFetch
 )
@@ -72,8 +71,6 @@ func (k OpKind) String() string {
 		return "MergeUnion"
 	case OpUnionAll:
 		return "UnionAll"
-	case OpDedup:
-		return "Dedup"
 	case OpLimit:
 		return "Limit"
 	case OpFetch:
@@ -106,7 +103,6 @@ type Plan struct {
 	GroupCols  []string
 	Aggs       []exec.AggSpec
 	UnionOrder sortord.Order // OpMergeUnion
-	DedupRows  bool          // OpMergeUnion: duplicate-eliminating
 	LimitK     int64         // OpLimit
 	FetchKeys  []string      // OpFetch: child columns carrying the cluster key
 	// SortSegments is the estimated partial-sort segment count D (OpSort
@@ -238,7 +234,7 @@ func (p *Plan) describe() string {
 	case OpGroupAgg, OpHashAgg:
 		fmt.Fprintf(&b, " by (%s)", strings.Join(p.GroupCols, ", "))
 	case OpMergeUnion:
-		fmt.Fprintf(&b, " on %v dedup=%v", p.UnionOrder, p.DedupRows)
+		fmt.Fprintf(&b, " on %v", p.UnionOrder)
 	case OpLimit:
 		fmt.Fprintf(&b, " %d", p.LimitK)
 	case OpFetch:

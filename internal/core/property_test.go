@@ -86,7 +86,7 @@ func randQuery(cat *catalog.Catalog, rng *rand.Rand) logical.Node {
 				{Name: "mx", Func: exec.AggMax, Arg: expr.Col("x2")},
 			})
 	case 1:
-		node = logical.NewDistinct(logical.NewProjectNames(node, []string{"x0", "x1"}))
+		node = logical.NewGroupBy(logical.NewProjectNames(node, []string{"x0", "x1"}), []string{"x0", "x1"}, nil)
 	default:
 		// SELECT with an explicit column list: without it the output
 		// column order would legitimately vary with the chosen access

@@ -371,10 +371,7 @@ func (h *HashAggregate) ingest(capacity int) error {
 		}
 		for i := 0; i < c.Rows(); i++ {
 			view = c.CopyRow(view, i)
-			keyBuf = keyBuf[:0]
-			for _, o := range h.groupOrds {
-				keyBuf = view[o : o+1].Encode(keyBuf)
-			}
+			keyBuf = appendHashKey(keyBuf[:0], view, h.groupOrds)
 			gs, found := index[string(keyBuf)]
 			if !found {
 				gs = &groupState{rep: view.Clone(), accs: make([]accumulator, len(h.bound))}

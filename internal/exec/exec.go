@@ -1,8 +1,9 @@
 // Package exec implements the demand-driven execution engine: scans over
 // tables and covering indices, filters, projections, sort enforcers
 // (standard and partial-order-exploiting), merge and hash joins, merge full
-// outer join, nested-loops join, sort- and hash-based aggregation, merge
-// union, duplicate elimination, deferred fetch and limit.
+// outer join, nested-loops join, sort- and hash-based aggregation (which
+// are also DISTINCT and UNION: a group-by over every column), merge and
+// concatenating union, deferred fetch and limit.
 //
 // Every operator implements one protocol, iter.Iterator: NextChunk fills the
 // chunk its consumer hands it, and sizes the chunks it pulls from its own
@@ -60,6 +61,24 @@ func inferKind(e expr.Expr, s *types.Schema) types.Kind {
 	default:
 		return types.KindNull
 	}
+}
+
+// posZero is +0.0 as a one-column tuple: the key every float zero hashes as.
+var posZero = types.Tuple{types.NewFloat(0)}
+
+// appendHashKey appends the hash-table key of t's columns ords to buf: their
+// Tuple.Encode bytes, with -0.0 written as +0.0. Datum.Compare and the sort
+// key (keys.appendFloat) treat the two zeros as equal, so a hash plan must
+// too, or a hash and a sort plan of one grouping or join disagree.
+func appendHashKey(buf []byte, t types.Tuple, ords []int) []byte {
+	for _, o := range ords {
+		if d := t[o]; d.Kind() == types.KindFloat && d.Float() == 0 {
+			buf = posZero.Encode(buf)
+			continue
+		}
+		buf = t[o : o+1].Encode(buf)
+	}
+	return buf
 }
 
 // Drain pulls all tuples from an operator (helper for tests and tools).

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"testing"
 
@@ -432,6 +433,68 @@ func TestHashJoinNullsAndValidation(t *testing.T) {
 	}
 }
 
+// fSchema is a one-column float schema named name.
+func fSchema(name string) *types.Schema {
+	return types.NewSchema(types.Column{Name: name, Kind: types.KindFloat})
+}
+
+// signedZeros are -0.0 and +0.0, which Datum.Compare calls equal.
+var signedZeros = []types.Tuple{
+	types.NewTuple(types.NewFloat(math.Copysign(0, -1))),
+	types.NewTuple(types.NewFloat(0)),
+}
+
+// TestHashJoinMatchesSignedZeros: a hash join matches -0.0 with +0.0 exactly
+// as a merge join does, in either build/probe arrangement.
+func TestHashJoinMatchesSignedZeros(t *testing.T) {
+	for _, probe := range []int{0, 1} {
+		left := signedZeros[probe : probe+1]
+		right := signedZeros[1-probe : 2-probe]
+		hj, err := NewHashJoin(sliceOp(t, fSchema("a"), left), sliceOp(t, fSchema("c"), right),
+			[]string{"a"}, []string{"c"}, InnerJoin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mj, err := NewMergeJoin(sliceOp(t, fSchema("a"), left), sliceOp(t, fSchema("c"), right),
+			sortord.New("a"), sortord.New("c"), InnerJoin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range []Operator{hj, mj} {
+			got, err := Drain(op)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != 1 {
+				t.Fatalf("probe %v: %T matched %d times, want 1", left[0], op, len(got))
+			}
+		}
+	}
+}
+
+// TestHashAggregateGroupsSignedZeros: -0.0 and +0.0 are one group under a
+// hash aggregate, as under a sort-based one.
+func TestHashAggregateGroupsSignedZeros(t *testing.T) {
+	aggs := []AggSpec{{Name: "n", Func: AggCount}}
+	ha, err := NewHashAggregate(sliceOp(t, fSchema("a"), signedZeros), []string{"a"}, aggs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ga, err := NewGroupAggregate(sliceOp(t, fSchema("a"), signedZeros), []string{"a"}, aggs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []Operator{ha, ga} {
+		got, err := Drain(op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 1 || got[0][1].Int() != 2 {
+			t.Fatalf("%T groups = %v, want one group of 2", op, got)
+		}
+	}
+}
+
 func TestNLJoin(t *testing.T) {
 	d := storage.NewDisk(256)
 	rightSchema := types.NewSchema(
@@ -628,8 +691,7 @@ func TestHashAggregateMatchesGroupAggregate(t *testing.T) {
 func TestMergeUnion(t *testing.T) {
 	left := []types.Tuple{ab(1, 1), ab(3, 3), ab(5, 5)}
 	right := []types.Tuple{ab(2, 2), ab(3, 3), ab(6, 6)}
-	u, err := NewMergeUnion(sliceOp(t, abSchema, left), sliceOp(t, abSchema, right),
-		sortord.New("a"), true)
+	u, err := NewMergeUnion(sliceOp(t, abSchema, left), sliceOp(t, abSchema, right), sortord.New("a"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -637,17 +699,8 @@ func TestMergeUnion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !eqInts(intsOf(t, got, 0), []int64{1, 2, 3, 5, 6}) {
-		t.Fatalf("union dedup = %v", intsOf(t, got, 0))
-	}
-	u2, _ := NewMergeUnion(sliceOp(t, abSchema, left), sliceOp(t, abSchema, right),
-		sortord.New("a"), false)
-	got2, err := Drain(u2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !eqInts(intsOf(t, got2, 0), []int64{1, 2, 3, 3, 5, 6}) {
-		t.Fatalf("union all = %v", intsOf(t, got2, 0))
+	if !eqInts(intsOf(t, got, 0), []int64{1, 2, 3, 3, 5, 6}) {
+		t.Fatalf("union all = %v", intsOf(t, got, 0))
 	}
 	if !u.Order().Equal(sortord.New("a")) {
 		t.Fatal("Order accessor")
@@ -657,7 +710,7 @@ func TestMergeUnion(t *testing.T) {
 func TestMergeUnionValidation(t *testing.T) {
 	other := types.NewSchema(types.Column{Name: "x", Kind: types.KindString})
 	if _, err := NewMergeUnion(sliceOp(t, abSchema, nil), sliceOp(t, other, nil),
-		sortord.New("a"), true); err == nil {
+		sortord.New("a")); err == nil {
 		t.Fatal("arity mismatch should error")
 	}
 	otherKinds := types.NewSchema(
@@ -665,18 +718,23 @@ func TestMergeUnionValidation(t *testing.T) {
 		types.Column{Name: "y", Kind: types.KindString},
 	)
 	if _, err := NewMergeUnion(sliceOp(t, abSchema, nil), sliceOp(t, otherKinds, nil),
-		sortord.New("a"), true); err == nil {
+		sortord.New("a")); err == nil {
 		t.Fatal("kind mismatch should error")
 	}
 	if _, err := NewMergeUnion(sliceOp(t, abSchema, nil), sliceOp(t, abSchema, nil),
-		sortord.New("zz"), true); err == nil {
+		sortord.New("zz")); err == nil {
 		t.Fatal("bad order should error")
 	}
 }
 
 func TestDedupAndLimit(t *testing.T) {
+	// Duplicate elimination is a group-by over every column with no
+	// aggregates.
 	rows := []types.Tuple{ab(1, 1), ab(1, 1), ab(2, 2), ab(2, 2), ab(2, 3)}
-	d := NewDedup(sliceOp(t, abSchema, rows))
+	d, err := NewGroupAggregate(sliceOp(t, abSchema, rows), []string{"a", "b"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	got, err := Drain(d)
 	if err != nil {
 		t.Fatal(err)

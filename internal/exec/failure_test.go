@@ -82,7 +82,6 @@ func operatorsUnder(t *testing.T, mk func() Operator) []Operator {
 	} else {
 		t.Fatal(err)
 	}
-	ops = append(ops, NewDedup(mk()))
 	if l, err := NewLimit(mk(), 100); err == nil {
 		ops = append(ops, l)
 	} else {
@@ -111,7 +110,7 @@ func operatorsUnder(t *testing.T, mk func() Operator) []Operator {
 	} else {
 		t.Fatal(err)
 	}
-	if u, err := NewMergeUnion(mk(), mk(), sortord.New("a"), false); err == nil {
+	if u, err := NewMergeUnion(mk(), mk(), sortord.New("a")); err == nil {
 		ops = append(ops, u)
 	} else {
 		t.Fatal(err)

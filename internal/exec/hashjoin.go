@@ -83,15 +83,15 @@ func (h *HashJoin) Type() JoinType { return h.joinType }
 // BuildRows returns the number of build-side tuples hashed.
 func (h *HashJoin) BuildRows() int64 { return h.buildRows }
 
-// hashKey encodes the key columns; NULL keys return ok=false (never match).
+// hashKey encodes the key columns (appendHashKey); NULL keys return
+// ok=false (never match).
 func (h *HashJoin) hashKey(t types.Tuple, ords []int) (string, bool) {
-	h.keyBuf = h.keyBuf[:0]
 	for _, o := range ords {
 		if t[o].IsNull() {
 			return "", false
 		}
-		h.keyBuf = t[o : o+1].Encode(h.keyBuf)
 	}
+	h.keyBuf = appendHashKey(h.keyBuf[:0], t, ords)
 	return string(h.keyBuf), true
 }
 

@@ -8,26 +8,25 @@ import (
 	"pyro/internal/types"
 )
 
-// MergeUnion merges two inputs sorted on the same order. With Dedup it
-// implements UNION (duplicate-eliminating); without, it is a sorted UNION
-// ALL that preserves the shared order. This is the "requirement of same
-// sort order from multiple inputs" operator class from §1 of the paper.
+// MergeUnion is a sorted UNION ALL: it merges two inputs sorted on the same
+// order and preserves that order — the "requirement of same sort order from
+// multiple inputs" operator class from §1 of the paper. Duplicate
+// elimination is not its job: UNION is a GroupAggregate or HashAggregate
+// over every column above it.
 type MergeUnion struct {
 	rowView
 	left, right Operator
 	order       sortord.Order
 	ks          types.KeySpec
-	dedup       bool
 	schema      *types.Schema
 
 	l, r  lookahead
-	last  types.Tuple // dedup: the last row emitted, owned
-	guard iter.Guard  // strided abort poll for the merge loop
+	guard iter.Guard // strided abort poll for the merge loop
 }
 
 // NewMergeUnion builds a merge union over inputs sorted on order. Schemas
 // must have identical arity and kinds; the left schema names the output.
-func NewMergeUnion(left, right Operator, order sortord.Order, dedup bool) (*MergeUnion, error) {
+func NewMergeUnion(left, right Operator, order sortord.Order) (*MergeUnion, error) {
 	ls, rs := left.Schema(), right.Schema()
 	if ls.Len() != rs.Len() {
 		return nil, fmt.Errorf("exec: union arity mismatch: %d vs %d", ls.Len(), rs.Len())
@@ -42,7 +41,7 @@ func NewMergeUnion(left, right Operator, order sortord.Order, dedup bool) (*Merg
 	if err != nil {
 		return nil, err
 	}
-	return lend(&MergeUnion{left: left, right: right, order: order.Clone(), ks: ks, dedup: dedup, schema: ls,
+	return lend(&MergeUnion{left: left, right: right, order: order.Clone(), ks: ks, schema: ls,
 		l: lookahead{rows: rowReader{src: left}}, r: lookahead{rows: rowReader{src: right}}}), nil
 }
 
@@ -63,8 +62,7 @@ func (u *MergeUnion) Open() error {
 	return u.right.Open()
 }
 
-// SetAbort installs the abort hook the merge loop polls: with dedup on,
-// a long run of duplicates is consumed inside one call.
+// SetAbort installs the abort hook the merge loop polls.
 func (u *MergeUnion) SetAbort(poll func() error) { u.guard = iter.NewGuard(poll) }
 
 // NextChunk fills c with the next rows in the shared order.
@@ -87,28 +85,9 @@ func (u *MergeUnion) NextChunk(c *types.Chunk) error {
 		case u.ks.Compare(u.l.row, u.r.row) > 0:
 			in = &u.r
 		}
-		t := in.take()
-		if u.dedup {
-			if u.last != nil && tupleEqual(u.last, t) {
-				continue
-			}
-			u.last = append(u.last[:0], t...)
-		}
-		c.AppendRow(t)
+		c.AppendRow(in.take())
 	}
 	return nil
-}
-
-func tupleEqual(a, b types.Tuple) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Compare(b[i]) != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Close closes both inputs.
@@ -183,72 +162,6 @@ func closeBoth(left, right Operator) error {
 	}
 	return errR
 }
-
-// Dedup eliminates adjacent duplicate tuples; over input sorted on all its
-// columns this is SQL DISTINCT — the sort-based duplicate elimination the
-// paper lists among operators with factorially many interesting orders.
-type Dedup struct {
-	rowView
-	child   Operator
-	last    types.Tuple
-	scratch types.Tuple // row view, reused across rows
-	guard   iter.Guard  // strided abort poll for the duplicate-skip loops
-}
-
-// NewDedup builds a duplicate eliminator over (assumed) sorted input.
-func NewDedup(child Operator) *Dedup { return lend(&Dedup{child: child}) }
-
-// Schema returns the child schema.
-func (d *Dedup) Schema() *types.Schema { return d.child.Schema() }
-
-// Children returns the deduplicated input.
-func (d *Dedup) Children() []Operator { return []Operator{d.child} }
-
-// Open opens the child.
-func (d *Dedup) Open() error {
-	d.last = nil
-	return d.child.Open()
-}
-
-// SetAbort installs the abort hook the duplicate-skip loop polls: a long
-// run of duplicates is consumed inside one call.
-func (d *Dedup) SetAbort(poll func() error) { d.guard = iter.NewGuard(poll) }
-
-// NextChunk marks the distinct rows of each child chunk in a selection
-// vector, pulling further chunks while a batch yields no distinct row —
-// the same pages a one-row consumer would read before its next distinct
-// tuple.
-func (d *Dedup) NextChunk(c *types.Chunk) error {
-	for {
-		if err := d.guard.Check(); err != nil {
-			return err
-		}
-		if err := d.child.NextChunk(c); err != nil {
-			return err
-		}
-		live := c.Rows()
-		if live == 0 {
-			return nil
-		}
-		sel := c.SelScratch()
-		for i := 0; i < live; i++ {
-			d.scratch = c.CopyRow(d.scratch, i)
-			if d.last != nil && tupleEqual(d.last, d.scratch) {
-				continue
-			}
-			sel = append(sel, int32(c.RowIndex(i)))
-			// Own the datums: the chunk is refilled underneath us.
-			d.last = append(d.last[:0], d.scratch...)
-		}
-		if len(sel) > 0 {
-			c.SetSel(sel)
-			return nil
-		}
-	}
-}
-
-// Close closes the child.
-func (d *Dedup) Close() error { return d.child.Close() }
 
 // Limit passes through the first K tuples (LIMIT / the paper's Top-K
 // discussion: with MRS below it, the first results arrive without sorting

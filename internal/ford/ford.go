@@ -88,7 +88,7 @@ func collectUsedAttrs(n logical.Node, into sortord.AttrSet) {
 		for _, a := range t.Order {
 			into.Add(a)
 		}
-	case *logical.Union, *logical.Distinct, *logical.Scan:
+	case *logical.Union, *logical.Scan:
 	}
 	for _, ch := range n.Children() {
 		collectUsedAttrs(ch, into)
@@ -122,8 +122,6 @@ func (c *Computer) AFM(n logical.Node) []sortord.Order {
 		orders = c.afmJoin(t)
 	case *logical.GroupBy:
 		orders = extendThrough(c.AFM(t.Child), sortord.NewAttrSet(t.GroupCols...))
-	case *logical.Distinct:
-		orders = extendThrough(c.AFM(t.Child), t.Child.Schema().AttrSet())
 	case *logical.Union:
 		orders = extendThrough(
 			append(append([]sortord.Order{}, c.AFM(t.Left)...), translateUnion(t, c.AFM(t.Right))...),
@@ -208,9 +206,10 @@ func (c *Computer) afmJoin(j *logical.Join) []sortord.Order {
 	return out
 }
 
-// extendThrough applies the group-by/distinct rule: for each input order
-// (and ε), keep the prefix within L and extend with the remaining L
-// attributes in arbitrary order.
+// extendThrough applies the group-by rule: for each input order (and ε),
+// keep the prefix within L and extend with the remaining L attributes in
+// arbitrary order. DISTINCT is a group-by over every column, so it takes
+// this rule through the GroupBy case; a union applies it over its columns.
 func extendThrough(input []sortord.Order, l sortord.AttrSet) []sortord.Order {
 	var out []sortord.Order
 	for _, o := range append(append([]sortord.Order{}, input...), sortord.Empty) {

@@ -292,7 +292,7 @@ func TestAFMUnion(t *testing.T) {
 	c := buildQ3Catalog(t)
 	l := logical.NewProjectNames(logical.NewScan(mustTable(c, "partsupp")), []string{"ps_partkey", "ps_suppkey"})
 	r := logical.NewProjectNames(logical.NewScan(mustTable(c, "partsupp")), []string{"ps_partkey", "ps_suppkey"})
-	u := logical.NewUnion(l, r, true)
+	u := logical.NewUnion(l, r)
 	root := logical.NewOrderBy(u, sortord.New("ps_partkey"))
 	fc := NewComputer(root)
 	orders := fc.AFM(u)

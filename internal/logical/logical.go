@@ -1,9 +1,9 @@
 // Package logical defines the logical query algebra the optimizer works on:
-// scans, selections, projections, (outer) joins, grouping, duplicate
-// elimination, union and order-by. Each node derives an output schema and
-// estimated properties (cardinality, width, per-column distinct counts)
-// under the uniformity and independence assumptions of the paper's cost
-// model (§3.2).
+// scans, selections, projections, (outer) joins, grouping (duplicate
+// elimination is grouping over every column), union and order-by. Each node
+// derives an output schema and estimated properties (cardinality, width,
+// per-column distinct counts) under the uniformity and independence
+// assumptions of the paper's cost model (§3.2).
 //
 // Queries are built programmatically (the paper's workloads are fixed
 // query shapes); the join order is taken as given — the paper optimizes
@@ -468,33 +468,15 @@ func (g *GroupBy) describe() string {
 	return "GroupBy " + strings.Join(g.GroupCols, ", ")
 }
 
-// Distinct eliminates duplicate rows.
-type Distinct struct {
-	Child Node
-	props Props
-}
-
-// NewDistinct estimates output cardinality as D over all columns.
-func NewDistinct(child Node) *Distinct {
-	cp := child.Props()
-	rows := cp.DistinctOn(child.Schema().Names())
-	return &Distinct{Child: child, props: Props{Rows: rows, Width: cp.Width, Distinct: capDistinct(cp.Distinct, rows), FDs: cp.FDs}}
-}
-
-func (d *Distinct) Schema() *types.Schema { return d.Child.Schema() }
-func (d *Distinct) Children() []Node      { return []Node{d.Child} }
-func (d *Distinct) Props() Props          { return d.props }
-func (d *Distinct) describe() string      { return "Distinct" }
-
-// Union combines two union-compatible inputs.
+// Union is UNION ALL: it combines two union-compatible inputs and keeps
+// duplicates. UNION is a GroupBy over every column above it.
 type Union struct {
 	Left, Right Node
-	Dedup       bool
 	props       Props
 }
 
-// NewUnion builds a union; Dedup selects UNION vs UNION ALL.
-func NewUnion(left, right Node, dedup bool) *Union {
+// NewUnion builds a bag union.
+func NewUnion(left, right Node) *Union {
 	lp, rp := left.Props(), right.Props()
 	rows := lp.Rows + rp.Rows
 	dist := make(map[string]int64)
@@ -503,7 +485,7 @@ func NewUnion(left, right Node, dedup bool) *Union {
 		dist[name] = min64(lp.Distinct[name]+rp.Distinct[rightName], rows)
 	}
 	return &Union{
-		Left: left, Right: right, Dedup: dedup,
+		Left: left, Right: right,
 		props: Props{Rows: rows, Width: lp.Width, Distinct: dist},
 	}
 }
@@ -511,12 +493,7 @@ func NewUnion(left, right Node, dedup bool) *Union {
 func (u *Union) Schema() *types.Schema { return u.Left.Schema() }
 func (u *Union) Children() []Node      { return []Node{u.Left, u.Right} }
 func (u *Union) Props() Props          { return u.props }
-func (u *Union) describe() string {
-	if u.Dedup {
-		return "Union"
-	}
-	return "UnionAll"
-}
+func (u *Union) describe() string      { return "UnionAll" }
 
 // Limit caps the result at K rows. Combined with an order requirement this
 // is the Top-K pattern of the paper's §7: with a pipelined partial sort

@@ -1,6 +1,7 @@
 package logical
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -220,11 +221,15 @@ func TestGroupByProps(t *testing.T) {
 func TestDistinctAndUnionProps(t *testing.T) {
 	_, tb := testTable(t, "t", 100)
 	proj := NewProjectNames(NewScan(tb), []string{"t_grp"})
-	d := NewDistinct(proj)
+	// DISTINCT is a group-by over every column with no aggregates.
+	d := NewGroupBy(proj, proj.Schema().Names(), nil)
 	if d.Props().Rows != 10 {
 		t.Fatalf("distinct rows = %d", d.Props().Rows)
 	}
-	u := NewUnion(proj, proj, true)
+	if !reflect.DeepEqual(d.Schema().Columns(), proj.Schema().Columns()) {
+		t.Fatalf("distinct schema = %v, want %v", d.Schema().Names(), proj.Schema().Names())
+	}
+	u := NewUnion(proj, proj)
 	if u.Props().Rows != 200 {
 		t.Fatalf("union rows = %d (upper bound before dedup)", u.Props().Rows)
 	}

@@ -11,7 +11,7 @@ import (
 // whose Project and GroupBy lines print only output column names — the
 // signature includes every semantically relevant detail: projection
 // expressions, aggregate functions and arguments, join types and
-// predicates, union duplicate handling and limit counts.
+// predicates and limit counts.
 func Signature(n Node) string {
 	var b strings.Builder
 	writeSignature(&b, n)
@@ -49,10 +49,8 @@ func writeSignature(b *strings.Builder, n Node) {
 			b.WriteByte(')')
 		}
 		b.WriteByte(']')
-	case *Distinct:
-		b.WriteString("distinct")
 	case *Union:
-		fmt.Fprintf(b, "union[dedup=%v]", x.Dedup)
+		b.WriteString("unionall")
 	case *Limit:
 		fmt.Fprintf(b, "limit[%d]", x.K)
 	case *OrderBy:

@@ -7,25 +7,18 @@ import (
 )
 
 // SpillArena is an isolated temp-file namespace handed to one spill
-// producer (a sort worker or one spilled segment). Files created in an
-// arena charge the arena's own lock-free ledger and are invisible to other
-// arenas, so concurrent run formation across workers shares no mutable
-// state beyond atomic counters. Releasing the arena merges its ledger into
-// the disk's global one and drops its files; because the counters are
-// monotone sums, the global totals after release equal what a serial
-// execution charging the global ledger directly would have produced — the
-// property that keeps the paper's I/O-count assertions valid under
-// parallelism.
+// producer (a sort, or one spilled segment of one). Its files are invisible
+// to the disk's global namespace and to other arenas, so their names never
+// collide, and releasing the arena drops whatever files it still holds — a
+// failure path cannot leak a run. Arena files charge the disk's ledger like
+// any other file; what one query spilled is its Tap's to tell.
 //
 // The holder may share one arena across goroutines (CreateTemp/Remove are
-// mutex-guarded, page I/O is lock-free), but Release must not race with
-// in-flight I/O on the arena's files: late charges would land in a ledger
-// that has already merged and be lost.
+// mutex-guarded, page I/O is lock-free).
 type SpillArena struct {
-	disk  *Disk
-	id    int64
-	stats ledger
-	tap   *ledger // optional per-query observer inherited by arena files
+	disk *Disk
+	id   int64
+	tap  *ledger // optional per-query observer inherited by arena files
 
 	mu       sync.Mutex
 	files    map[string]*File
@@ -39,9 +32,7 @@ func (d *Disk) NewArena() *SpillArena {
 }
 
 // NewArenaTapped registers a fresh spill arena whose files additionally
-// charge the given query Tap (nil taps nothing). Release semantics are
-// unchanged: the arena's ledger merges into the disk's global one, while
-// the tap has already observed every charge live and is never merged.
+// charge the given query Tap (nil taps nothing).
 func (d *Disk) NewArenaTapped(t *Tap) *SpillArena {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -54,10 +45,6 @@ func (d *Disk) NewArenaTapped(t *Tap) *SpillArena {
 // PageSize returns the disk's block size.
 func (a *SpillArena) PageSize() int { return a.disk.pageSize }
 
-// Stats returns a snapshot of this arena's ledger (its share of the disk
-// totals while live; zeroed into the global ledger on release).
-func (a *SpillArena) Stats() IOStats { return a.stats.snapshot() }
-
 // CreateTemp creates a uniquely named temp file inside the arena. Names
 // carry the arena id so concurrent arenas can never collide with each other
 // or with the disk's global temp namespace.
@@ -69,7 +56,7 @@ func (a *SpillArena) CreateTemp(prefix string, kind FileKind) *File {
 	}
 	a.nextTemp++
 	name := fmt.Sprintf("%s.a%d.tmp%d", prefix, a.id, a.nextTemp)
-	f := a.disk.newFile(name, kind, &a.stats)
+	f := a.disk.newFile(name, kind)
 	f.tap = a.tap
 	a.files[name] = f
 	return f
@@ -82,9 +69,9 @@ func (a *SpillArena) Remove(name string) {
 	delete(a.files, name)
 }
 
-// Release merges the arena's ledger into the disk's global one, drops any
-// remaining files (spill files are transient by definition) and deregisters
-// the arena. Idempotent; a released arena must not be used again.
+// Release drops any remaining files (spill files are transient by
+// definition) and deregisters the arena. Idempotent; a released arena must
+// not be used again.
 func (a *SpillArena) Release() {
 	a.disk.mu.Lock()
 	if _, live := a.disk.arenas[a.id]; !live {
@@ -92,7 +79,6 @@ func (a *SpillArena) Release() {
 		return
 	}
 	delete(a.disk.arenas, a.id)
-	a.disk.stats.add(a.stats.snapshot())
 	a.disk.mu.Unlock()
 
 	a.mu.Lock()

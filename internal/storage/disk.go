@@ -5,12 +5,11 @@
 // exact accounting of block transfers — not wall-clock disk latency — is the
 // property the substitution must preserve (see DESIGN.md).
 //
-// The device is a thin sharded front-end: page I/O charges a lock-free
-// atomic ledger and never takes the device-wide mutex (which guards only
-// the file registry). Spill producers — a sort, or one oversized segment of
-// one — get their own SpillArenas: isolated temp namespaces with their own
-// atomic ledgers that merge back into the global ledger on release, so
-// concurrent queries' external sorts contend on nothing.
+// Page I/O charges one lock-free atomic ledger and never takes the
+// device-wide mutex (which guards only the file registry). Spill producers
+// — a sort, or one oversized segment of one — get their own SpillArenas:
+// isolated temp namespaces whose files release together. Per-query
+// attribution is a Tap's job.
 //
 // The default page size is 4 KiB, matching the paper's setup ("We assume a
 // disk block size of 4K bytes").
@@ -109,14 +108,6 @@ func (l *ledger) snapshot() IOStats {
 	}
 }
 
-func (l *ledger) add(s IOStats) {
-	l.pageReads.Add(s.PageReads)
-	l.pageWrites.Add(s.PageWrites)
-	l.runPageReads.Add(s.RunPageReads)
-	l.runPageWrites.Add(s.RunPageWrites)
-	l.seeks.Add(s.Seeks)
-}
-
 func (l *ledger) reset() {
 	l.pageReads.Store(0)
 	l.pageWrites.Store(0)
@@ -138,8 +129,8 @@ const (
 // TempSpace is the capability to create and remove temporary files — the
 // surface external sorting needs from the storage layer. It is satisfied by
 // the Disk itself (global namespace) and by SpillArena (an isolated
-// per-worker namespace), so run formation and merging code is agnostic to
-// which shard its spill files land in.
+// per-sort namespace), so run formation and merging code is agnostic to
+// which namespace its spill files land in.
 type TempSpace interface {
 	CreateTemp(prefix string, kind FileKind) *File
 	Remove(name string)
@@ -149,8 +140,8 @@ type TempSpace interface {
 // Disk is a simulated block device: a set of named paged files plus an
 // IOStats ledger. A Disk is safe for concurrent use by multiple goroutines;
 // page transfers charge a lock-free atomic ledger, and the mutex guards only
-// the file/arena registry. Stats reports the global ledger plus every live
-// arena's, so I/O-count assertions hold no matter which shard did the work.
+// the file/arena registry. Every file charges the ledger, arena files
+// included.
 type Disk struct {
 	pageSize   int
 	stats      ledger
@@ -180,40 +171,22 @@ func NewDisk(pageSize int) *Disk {
 // PageSize returns the block size in bytes.
 func (d *Disk) PageSize() int { return d.pageSize }
 
-// Stats returns a snapshot of the I/O counters: the global ledger plus the
-// ledgers of all live arenas (released arenas have already merged in).
-// The whole snapshot happens under the registry mutex so it cannot race an
-// arena Release into counting that arena's I/O zero or two times.
-func (d *Disk) Stats() IOStats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	s := d.stats.snapshot()
-	for _, a := range d.arenas {
-		s.Add(a.stats.snapshot())
-	}
-	return s
-}
+// Stats returns a snapshot of the I/O counters.
+func (d *Disk) Stats() IOStats { return d.stats.snapshot() }
 
-// ResetStats zeroes the I/O counters, including live arenas'.
-func (d *Disk) ResetStats() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.stats.reset()
-	for _, a := range d.arenas {
-		a.stats.reset()
-	}
-}
+// ResetStats zeroes the I/O counters.
+func (d *Disk) ResetStats() { d.stats.reset() }
 
-// newFile builds a file charging the given ledger.
-func (d *Disk) newFile(name string, kind FileKind, l *ledger) *File {
-	return &File{disk: d, ledger: l, pageSize: d.pageSize, name: name, kind: kind, data: &pageStore{}}
+// newFile builds a file of the disk.
+func (d *Disk) newFile(name string, kind FileKind) *File {
+	return &File{disk: d, pageSize: d.pageSize, name: name, kind: kind, data: &pageStore{}}
 }
 
 // Create creates (or truncates) a named file of the given kind.
 func (d *Disk) Create(name string, kind FileKind) *File {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	f := d.newFile(name, kind, &d.stats)
+	f := d.newFile(name, kind)
 	d.files[name] = f
 	return f
 }
@@ -224,7 +197,7 @@ func (d *Disk) CreateTemp(prefix string, kind FileKind) *File {
 	defer d.mu.Unlock()
 	d.nextTemp++
 	name := fmt.Sprintf("%s.tmp%d", prefix, d.nextTemp)
-	f := d.newFile(name, kind, &d.stats)
+	f := d.newFile(name, kind)
 	d.files[name] = f
 	return f
 }
@@ -309,13 +282,11 @@ func (d *Disk) LiveTempFiles() []string {
 }
 
 // File is a paged file on the simulated disk. Its transfers charge the
-// ledger it was created under — the disk's global one, or a SpillArena's —
-// plus, for tapped views (File.Tapped), one query's observation Tap. Views
-// share the underlying page store, so a tapped view and the registry's
-// original are the same file with different attribution.
+// disk's ledger plus, for tapped views (File.Tapped), one query's
+// observation Tap. Views share the underlying page store, so a tapped view
+// and the registry's original are the same file with different attribution.
 type File struct {
-	disk     *Disk // owning device, consulted for fault plan and temp quota
-	ledger   *ledger
+	disk     *Disk   // owning device: its ledger, fault plan and temp quota
 	tap      *ledger // optional per-query observer; nil on untapped files
 	pageSize int
 	name     string
@@ -344,7 +315,7 @@ func (f *File) Tapped(t *Tap) *File {
 // charge records block transfers on the device ledger and, when this is a
 // tapped view, mirrors them onto the query's tap.
 func (f *File) charge(reads, writes int64, seek bool) {
-	f.ledger.charge(f.kind, reads, writes, seek)
+	f.disk.stats.charge(f.kind, reads, writes, seek)
 	if f.tap != nil {
 		f.tap.charge(f.kind, reads, writes, seek)
 	}
@@ -378,7 +349,7 @@ func (f *File) AppendPage(data []byte) (int, error) {
 	if err := f.faultCheck(OpWrite); err != nil {
 		return 0, err
 	}
-	if f.kind == KindRun && f.disk != nil {
+	if f.kind == KindRun {
 		if err := f.disk.checkTempQuota(); err != nil {
 			return 0, err
 		}

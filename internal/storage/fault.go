@@ -225,9 +225,6 @@ func (d *Disk) checkTempQuota() error {
 // rules panic here — at the exact storage call site — so containment is
 // tested where a real library bug would surface.
 func (f *File) faultCheck(op FaultOp) error {
-	if f.disk == nil {
-		return nil
-	}
 	s := f.disk.fault.Load()
 	if s == nil || s.plan == nil {
 		return nil

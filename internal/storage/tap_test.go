@@ -72,8 +72,7 @@ func TestTappedArenaAttributesSpills(t *testing.T) {
 	if got := d.Stats(); got != want {
 		t.Fatalf("disk stats with live arena = %+v, want %+v", got, want)
 	}
-	// Release merges the arena ledger into the disk exactly once; the tap
-	// observed the charges live and must not change.
+	// Release moves no charge: the disk and the tap observed them live.
 	a.Release()
 	if got := d.Stats(); got != want {
 		t.Fatalf("disk stats after release = %+v, want %+v", got, want)

@@ -250,6 +250,7 @@ func TestRunsArePayloadFiles(t *testing.T) {
 	cfg.TempPrefix = "t"
 	arena := d.NewArena()
 	defer arena.Release()
+	base := d.Stats()
 	target := sortord.New("c2", "c1")
 
 	var runs []*storage.File
@@ -275,7 +276,7 @@ func TestRunsArePayloadFiles(t *testing.T) {
 		if d.TotalPages() != live {
 			t.Fatalf("%s: the arena's files take %d pages, the live runs %d", stage, d.TotalPages(), live)
 		}
-		if io := arena.Stats(); io.RunPageWrites != written || io.PageWrites != written {
+		if io := d.Stats().Sub(base); io.RunPageWrites != written || io.PageWrites != written {
 			t.Fatalf("%s: %d pages written (%d to runs), the runs' payload pages are %d", stage, io.PageWrites, io.RunPageWrites, written)
 		}
 		if stats.FlatRunPages != 0 {

@@ -76,8 +76,7 @@
 // The cost model prices sorts from it.
 //
 // The sort charges every run-file page transfer to the disk's IOStats
-// (attributed to KindRun, accumulated in per-arena ledgers that merge into
-// the global ledger) and count key comparisons in SortStats. Every counter,
+// (attributed to KindRun) and counts key comparisons in SortStats. Every counter,
 // PeakMemBytes aside, is identical at every parallelism level: the pool
 // changes when an in-memory segment is sorted, never how, and each worker's
 // tally folds into SortStats on the consumer goroutine in segment order.

@@ -201,21 +201,22 @@ func (q *Query) GroupBy(cols []string, aggs ...Agg) *Query {
 	return &Query{db: q.db, node: logical.NewGroupBy(q.node, cols, specs)}
 }
 
-// Distinct eliminates duplicate rows.
+// Distinct eliminates duplicate rows. It is a GROUP BY over every column
+// with no aggregates, so it is planned and run as one: a sort-based or a
+// hash-based aggregate.
 func (q *Query) Distinct() *Query {
 	if q.err != nil {
 		return q
 	}
-	return &Query{db: q.db, node: logical.NewDistinct(q.node)}
+	return &Query{db: q.db, node: logical.NewGroupBy(q.node, q.node.Schema().Names(), nil)}
 }
 
-// Union combines two queries, eliminating duplicates.
-func (q *Query) Union(other *Query) *Query { return q.union(other, true) }
+// Union combines two queries, eliminating duplicates: DISTINCT over UNION
+// ALL.
+func (q *Query) Union(other *Query) *Query { return q.UnionAll(other).Distinct() }
 
 // UnionAll combines two queries, keeping duplicates.
-func (q *Query) UnionAll(other *Query) *Query { return q.union(other, false) }
-
-func (q *Query) union(other *Query, dedup bool) *Query {
+func (q *Query) UnionAll(other *Query) *Query {
 	if q.err != nil {
 		return q
 	}
@@ -226,7 +227,7 @@ func (q *Query) union(other *Query, dedup bool) *Query {
 	if ls.Len() != rs.Len() {
 		return q.fail(fmt.Errorf("pyro: union arity mismatch: %d vs %d", ls.Len(), rs.Len()))
 	}
-	return &Query{db: q.db, node: logical.NewUnion(q.node, other.node, dedup)}
+	return &Query{db: q.db, node: logical.NewUnion(q.node, other.node)}
 }
 
 // OrderBy requires the output sorted on the given columns.
