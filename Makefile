@@ -20,9 +20,9 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Every fuzz target for 10 s each, past its seed corpus: a smoke pass that
-# the codec, store, limit, page-format and spill-plan invariants still hold
-# on inputs nobody wrote down, not a campaign. `go test -fuzz` takes one
-# target per run, so they run one after another.
+# the codec, store, limit, page-format, spill-plan and governor-level
+# invariants still hold on inputs nobody wrote down, not a campaign.
+# `go test -fuzz` takes one target per run, so they run one after another.
 FUZZ_TARGETS = \
 	./internal/keys:FuzzFixedPrefixAgreesWithFullCompare \
 	./internal/keys:FuzzCodecAgreesWithComparator \
@@ -30,6 +30,7 @@ FUZZ_TARGETS = \
 	./internal/xsort:FuzzStoreBackedSort \
 	./internal/xsort:FuzzMRSLimit \
 	./internal/xsort:FuzzSpillPlan \
+	./internal/govern:FuzzGovernorLevel \
 	./internal/storage:FuzzReadChunk \
 	./internal/types:FuzzDecodeTuple \
 	./internal/types:FuzzEncodedTupleLen

@@ -112,8 +112,8 @@ type ExecStats struct {
 	// Config.MaxConcurrentQueries is unlimited).
 	QueuedTime time.Duration
 	// GrantedBlocks is the sort-memory grant this query received from the
-	// global governor, in blocks, as initially issued (spill-pressure
-	// reclaim may have shrunk it since). Zero when the query took no grant:
+	// global governor, in blocks, as initially issued (a later query's
+	// arrival may have shrunk it since). Zero when the query took no grant:
 	// the governor is disabled, the budget was pinned with
 	// WithSortMemoryBlocks, or the plan has no memory-consuming operator.
 	GrantedBlocks int
@@ -267,15 +267,16 @@ func (db *Database) Query(ctx context.Context, p *Plan, opts ...ExecOption) (*Cu
 	// is bounded by a Limit, for the little those bounds need
 	// (sortMemoryAsk). A lone query gets its full ask (single-cursor
 	// execution is identical to the ungoverned engine); under contention
-	// the grant is a fair share and may be shrunk further while the query
-	// spills. The grant doubles as the live xsort.Budget every sort
-	// enforcer re-reads, and the tap lets the governor see this query's
-	// spill writes. Explicit WithSortMemoryBlocks bypasses all of this, as
-	// does a plan with no sort or spool operator.
+	// the grant is the ask capped at the pool's max-min fair level, so a
+	// small neighbour's ask leaves the rest of the pool to this query, and
+	// it is shrunk to a later, lower level when another query arrives. The
+	// grant doubles as the live xsort.Budget every sort enforcer re-reads.
+	// Explicit WithSortMemoryBlocks bypasses all of this, as does a plan
+	// with no sort or spool operator.
 	buildBlocks := cfg.SortMemoryBlocks
 	var budget xsort.Budget
 	if ask := sortMemoryAsk(inner, cfg.Config); db.gov != nil && !cfg.memoryOverride && ask > 0 {
-		g, err := db.gov.Acquire(min(max(ask, db.gov.MinGrant()), cfg.SortMemoryBlocks), tap, abort)
+		g, err := db.gov.Acquire(min(max(ask, db.gov.MinGrant()), cfg.SortMemoryBlocks), nil, abort)
 		if err != nil {
 			return nil, err
 		}

@@ -8,14 +8,15 @@
 //   - Governor — a global sort-memory pool. Queries acquire a Grant before
 //     building their operator tree; the grant's live block count flows into
 //     xsort.Config as the sort budget (xsort.Budget) in place of the static
-//     per-sort M. A lone query always receives its full ask, so
-//     single-cursor execution is byte-identical to the ungoverned engine;
-//     concurrent queries share the pool by fair shares. Spill pressure
-//     feeds back: a grant whose storage.Tap ledger shows run-page writes is
-//     already external-sorting, gains little from hoarded memory, and is
-//     shrunk toward its fair share while other queries wait — so one huge
-//     spilling sort cannot pin the pool against a queue of small Top-K
-//     cursors.
+//     per-sort M. The pool is shared max-min fairly: every claimant — the
+//     live grants at the blocks they asked for, each blocked Acquire at the
+//     whole pool, and the newcomer at its ask — fills up to one water
+//     level, so a claimant asking less than the level gets all it asked and
+//     the rest split what remains. A lone query always receives its full
+//     ask, so single-cursor execution is byte-identical to the ungoverned
+//     engine. When the free blocks do not cover a newcomer's share, every
+//     live grant above the level is shrunk to it, spilling or not: memory a
+//     query holds only because it arrived first is not its share.
 //
 //   - Gate — bounded query admission. At most Max queries run at once;
 //     excess callers queue, and their queue time is reported so ExecStats
@@ -41,15 +42,14 @@ type Config struct {
 	// TotalBlocks is the global sort-memory pool in disk blocks. Must be
 	// positive.
 	TotalBlocks int
-	// MinGrantBlocks is the smallest grant worth running a sort with: a
-	// waiter is granted as soon as this much is free (even if its fair
-	// share is larger), and pressure-shrinking never takes a grant below
-	// it. 0 defaults to TotalBlocks/256, at least 1.
+	// MinGrantBlocks is the smallest grant worth running a sort with: the
+	// water level never falls below it, so reclaim never shrinks a grant
+	// under it, and a newcomer whose share the pool cannot free even then
+	// waits. 0 defaults to TotalBlocks/256, at least 1.
 	MinGrantBlocks int
 	// PollInterval bounds how long a blocked Acquire waits between abort
-	// polls and spill-pressure re-checks (0 = 200µs). Releases wake
-	// waiters immediately; the poll is the backstop that notices abort and
-	// tap-observed spill writes, which have no wakeup of their own.
+	// polls (0 = 200µs). Releases wake waiters immediately; the poll only
+	// notices an abort, which has no wakeup of its own.
 	PollInterval time.Duration
 }
 
@@ -77,8 +77,9 @@ type Stats struct {
 	Grants int64
 	// GrantWaits is how many of those had to block for capacity.
 	GrantWaits int64
-	// Shrinks is how many live grants were shrunk by spill-pressure
-	// reclaim; ReclaimedBlocks totals the blocks taken back.
+	// Shrinks is how many times a live grant was shrunk to the water level
+	// to make room for a newcomer; ReclaimedBlocks totals the blocks taken
+	// back.
 	Shrinks         int64
 	ReclaimedBlocks int64
 	// GrantedBlocks is the currently outstanding total; PeakGrantedBlocks
@@ -135,13 +136,14 @@ func (g *Governor) Stats() Stats {
 
 // Grant is one query's share of the pool. Its live block count is read by
 // every sort enforcer of the query's plan (it implements xsort.Budget), so
-// a pressure shrink reaches the sorts at their next buffering decision.
+// a reclaim shrink reaches the sorts at their next buffering decision.
 type Grant struct {
 	g      *Governor
-	tap    *storage.Tap // the query's I/O tap; run-page writes mean spilling
 	blocks atomic.Int64
-	// initial and waited are written before the grant is returned and
-	// read-only afterwards.
+	// want, initial and waited are written before the grant is returned
+	// and read-only afterwards. want is the ask (clamped to the pool) the
+	// grant keeps claiming in every later water level.
+	want     int
 	initial  int
 	waited   time.Duration
 	waits    int64
@@ -183,19 +185,15 @@ func (gr *Grant) Release() {
 	g.signalLocked()
 }
 
-// spilling reports whether the grant's query has written sort-run pages —
-// the tap-ledger signal that its sorts are already external.
-func (gr *Grant) spilling() bool {
-	return gr.tap != nil && gr.tap.Stats().RunPageWrites > 0
-}
-
-// Acquire grants sort memory: up to want blocks, the whole pool when the
-// query is alone, a fair share under contention. It blocks while the pool
-// is exhausted, polling abort (nil = wait indefinitely) so a context
-// cancellation reaches the wait; spill-pressure reclaim runs on every
-// attempt, shrinking live spilling grants toward their fair share to free
-// capacity for the queue. tap may be nil (the grant is then never
-// considered spilling).
+// Acquire grants sort memory: min(want, level), where level is the
+// max-min fair water level over every claimant of the pool (levelLocked) —
+// the whole ask when the query is alone or the asks all fit. When the free
+// blocks fall short of that, every live grant above the level is shrunk to
+// it first. Acquire blocks only while even that cannot free the share
+// (more claimants than the minimum grant lets the pool serve), polling
+// abort (nil = wait indefinitely) so a context cancellation reaches the
+// wait. tap is not consulted: a grant's size depends on the claimants'
+// asks alone.
 func (g *Governor) Acquire(want int, tap *storage.Tap, abort func() error) (*Grant, error) {
 	if want <= 0 {
 		return nil, fmt.Errorf("govern: non-positive grant ask %d", want)
@@ -207,25 +205,13 @@ func (g *Governor) Acquire(want int, tap *storage.Tap, abort func() error) (*Gra
 	waited := false
 	g.mu.Lock()
 	for {
-		n := len(g.grants) + g.waiters + 1
-		ask := want
-		if n > 1 {
-			if fair := g.fairShare(n); ask > fair {
-				ask = fair
-			}
+		level := g.levelLocked(want)
+		give := min(want, level)
+		if g.free < give {
+			g.reclaimLocked(level)
 		}
-		if g.free < ask {
-			g.reclaimLocked(n)
-		}
-		give := ask
-		if give > g.free {
-			// A partial grant keeps small queries moving: anything at
-			// least MinGrantBlocks (or the full ask, if smaller) is
-			// worth running with rather than queueing for.
-			give = g.free
-		}
-		if min := g.cfg.minGrant(); give >= ask || (give >= min && give > 0) {
-			gr := &Grant{g: g, tap: tap, initial: give, waits: 0}
+		if g.free >= give {
+			gr := &Grant{g: g, want: want, initial: give}
 			gr.blocks.Store(int64(give))
 			if waited {
 				gr.waited = time.Since(start)
@@ -268,15 +254,15 @@ func (g *Governor) Acquire(want int, tap *storage.Tap, abort func() error) (*Gra
 }
 
 // ExpectedGrant predicts what Acquire(want, ...) would be granted under
-// the pool's current contention, without taking anything: the ask capped
-// at the fair share among the current claimants plus this one. The
-// optimizer feeds the prediction into the cost model's M so plan choice
-// anticipates contention-induced spilling — a sort that will only be
-// granted a quarter of its ask should be priced as the external sort it
-// becomes, not the in-memory sort it would be alone. The prediction
-// mirrors Acquire's sizing, not its waiting: an exhausted pool still
-// predicts the fair share, because that is what the query eventually runs
-// with once reclaim and releases make room.
+// the pool's current contention, without taking anything: min(want, level)
+// from the same water level Acquire computes. The optimizer feeds the
+// prediction into the cost model's M so plan choice anticipates
+// contention-induced spilling — a sort that will only be granted a quarter
+// of its ask should be priced as the external sort it becomes, not the
+// in-memory sort it would be alone. The prediction mirrors Acquire's
+// sizing, not its waiting: an over-claimed pool still predicts the level,
+// because that is what the query eventually runs with once releases make
+// room.
 func (g *Governor) ExpectedGrant(want int) int {
 	if want <= 0 {
 		return 0
@@ -286,49 +272,56 @@ func (g *Governor) ExpectedGrant(want int) int {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	n := len(g.grants) + g.waiters + 1
-	if n > 1 {
-		if fair := g.fairShare(n); want > fair {
-			want = fair
+	return min(want, g.levelLocked(want))
+}
+
+// levelLocked is the max-min fair water level of the pool among its
+// claimants: every live grant at its ask, every blocked Acquire at the
+// whole pool (its ask is not recorded), and a newcomer at want. It is the
+// largest L with Σ min(ask, L) ≤ TotalBlocks — the whole pool when every
+// ask fits — floored at the minimum grant. Claimants asking less than L get
+// their ask; the others get L, and what the integer level leaves over is
+// less than their number.
+func (g *Governor) levelLocked(want int) int {
+	total := g.cfg.TotalBlocks
+	fill := func(level int) int {
+		n := min(want, level) + g.waiters*level
+		for _, gr := range g.grants {
+			n += min(gr.want, level)
+		}
+		return n
+	}
+	if fill(total) <= total {
+		return total
+	}
+	// fill is non-decreasing: search the last level that fits.
+	lo, hi := 0, total // fill(lo) ≤ total < fill(hi)
+	for hi-lo > 1 {
+		mid := (lo + hi) / 2
+		if fill(mid) <= total {
+			lo = mid
+		} else {
+			hi = mid
 		}
 	}
-	return want
+	return max(lo, g.cfg.minGrant())
 }
 
-// fairShare is the per-query share of the pool among n claimants, floored
-// at the minimum useful grant and capped at the pool.
-func (g *Governor) fairShare(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	fair := g.cfg.TotalBlocks / n
-	if min := g.cfg.minGrant(); fair < min {
-		fair = min
-	}
-	if fair > g.cfg.TotalBlocks {
-		fair = g.cfg.TotalBlocks
-	}
-	return fair
-}
-
-// reclaimLocked shrinks live spilling grants toward the fair share among n
-// claimants. A spilling grant's sorts are already paying external-sort
-// I/O — the run-page writes on its tap are the evidence — so the memory
-// above its fair share mostly delays the queue, not the spill. Non-spilling
-// grants are left alone: their memory is what keeps them from spilling, and
-// they return it at release.
-func (g *Governor) reclaimLocked(n int) {
-	fair := g.fairShare(n)
+// reclaimLocked shrinks every live grant above level to it. The level is
+// each claimant's fair share, so a grant above it holds memory only
+// because it was issued when the pool had fewer claimants; whether its
+// sorts are spilling does not change that.
+func (g *Governor) reclaimLocked(level int) {
 	freed := false
 	for _, gr := range g.grants {
 		b := int(gr.blocks.Load())
-		if b <= fair || !gr.spilling() {
+		if b <= level {
 			continue
 		}
-		gr.blocks.Store(int64(fair))
-		g.free += b - fair
+		gr.blocks.Store(int64(level))
+		g.free += b - level
 		g.stats.Shrinks++
-		g.stats.ReclaimedBlocks += int64(b - fair)
+		g.stats.ReclaimedBlocks += int64(b - level)
 		freed = true
 	}
 	if freed {

@@ -2,6 +2,8 @@ package govern
 
 import (
 	"errors"
+	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -190,52 +192,251 @@ func TestSpillPressureShrinksHoarder(t *testing.T) {
 	big.Release()
 }
 
-func TestNonSpillingGrantIsNotShrunk(t *testing.T) {
-	g, _ := New(Config{TotalBlocks: 100, MinGrantBlocks: 10, PollInterval: 100 * time.Microsecond})
-	// In-memory (non-spilling) holder of the whole pool.
-	mem, err := g.Acquire(100, storage.NewTap(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A waiter must NOT be able to steal from it; it waits until release.
-	done := make(chan *Grant, 1)
-	go func() {
-		gr, err := g.Acquire(100, nil, nil)
-		if err != nil {
-			t.Error(err)
+// refLevel is progressive filling done the textbook way, independently of
+// levelLocked: the asks in ascending order each take their ask while it is
+// no more than an equal split of what is left, and the first that is not
+// sets the level. With every ask served the level is the whole pool.
+func refLevel(total int, asks []int) int {
+	sorted := slices.Sorted(slices.Values(asks))
+	left := total
+	for i, a := range sorted {
+		share := left / (len(sorted) - i)
+		if a > share {
+			return share
 		}
-		done <- gr
-	}()
-	select {
-	case <-done:
-		t.Fatal("waiter acquired while a non-spilling grant held the pool")
-	case <-time.After(20 * time.Millisecond):
+		left -= a
 	}
-	if mem.Blocks() != 100 {
-		t.Fatalf("non-spilling grant shrunk to %d blocks", mem.Blocks())
-	}
-	mem.Release()
-	gr := <-done
-	gr.Release()
+	return total
 }
 
-func TestPartialGrantAboveMinimum(t *testing.T) {
-	g, _ := New(Config{TotalBlocks: 100, MinGrantBlocks: 5})
-	hold, err := g.Acquire(90, nil, nil)
-	if err != nil {
-		t.Fatal(err)
+// holdAsks acquires each ask in turn on g and returns the grants.
+func holdAsks(t *testing.T, g *Governor, asks []int) []*Grant {
+	t.Helper()
+	var held []*Grant
+	for _, a := range asks {
+		gr, err := g.Acquire(a, nil, mustNotWait(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, gr)
 	}
-	defer hold.Release()
-	// 10 blocks free, fair share would be 50: the second query takes the
-	// partial 10 rather than queueing.
-	gr, err := g.Acquire(100, nil, nil)
-	if err != nil {
-		t.Fatal(err)
+	return held
+}
+
+// mustNotWait is an abort function that fails the test: Acquire only polls
+// abort after it has blocked.
+func mustNotWait(t *testing.T) func() error {
+	return func() error {
+		t.Error("Acquire blocked")
+		return errors.New("blocked")
 	}
-	defer gr.Release()
-	if gr.Blocks() != 10 {
-		t.Fatalf("partial grant %d, want the 10 free blocks", gr.Blocks())
+}
+
+// TestWaterLevelGrants: the newcomer's grant and every holder's size after
+// it arrives are min(ask, level) for the max-min fair level of the pool. A
+// small holder leaves the rest of the pool to a large newcomer; two large
+// asks split it; a blocked Acquire claims the whole pool.
+func TestWaterLevelGrants(t *testing.T) {
+	cases := []struct {
+		name    string
+		held    []int // asks acquired first, in order
+		waiters int   // Acquire calls blocked while the newcomer arrives
+		want    int   // the newcomer's ask
+		blocks  []int // the holders' sizes, then the newcomer's grant
+	}{
+		{"small holder", []int{2}, 0, 16, []int{2, 14}},
+		{"three-block holder", []int{3}, 0, 16, []int{3, 13}},
+		{"equal asks", []int{16}, 0, 16, []int{8, 8}},
+		{"small newcomer", []int{16}, 0, 2, []int{14, 2}},
+		{"all fit", []int{4, 5}, 0, 7, []int{4, 5, 7}},
+		{"three-way", []int{2, 16}, 0, 16, []int{2, 7, 7}},
+		{"with a waiter", []int{2}, 1, 16, []int{2, 7}},
 	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			g, _ := New(Config{TotalBlocks: 16})
+			held := holdAsks(t, g, c.held)
+			g.mu.Lock()
+			g.waiters = c.waiters
+			g.mu.Unlock()
+			if got, want := g.ExpectedGrant(c.want), c.blocks[len(c.blocks)-1]; got != want {
+				t.Errorf("ExpectedGrant(%d) = %d, want %d", c.want, got, want)
+			}
+			held = append(held, holdAsks(t, g, []int{c.want})...)
+			for i, gr := range held {
+				if gr.Blocks() != c.blocks[i] {
+					t.Errorf("grant %d (ask %d) holds %d blocks, want %d", i, gr.want, gr.Blocks(), c.blocks[i])
+				}
+			}
+			if s := g.Stats(); s.GrantedBlocks > 16 || s.PeakGrantedBlocks > 16 {
+				t.Errorf("pool overcommitted: %+v", s)
+			}
+			g.mu.Lock()
+			g.waiters = 0
+			g.mu.Unlock()
+			for _, gr := range held {
+				gr.Release()
+			}
+		})
+	}
+}
+
+// TestHolderAboveLevelShrunkOnArrival: a newcomer whose share is not free
+// shrinks every holder above the level to it, whether the holder's sorts
+// spill or run in memory — the holder's size came from arriving first, not
+// from its share.
+func TestHolderAboveLevelShrunkOnArrival(t *testing.T) {
+	for _, spilling := range []bool{false, true} {
+		g, _ := New(Config{TotalBlocks: 100})
+		tap := storage.NewTap()
+		if spilling {
+			tap = spillingTap(t)
+		}
+		holder, err := g.Acquire(100, tap, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		small := holdAsks(t, g, []int{30})[0]
+		if holder.Blocks() != 70 || small.Blocks() != 30 {
+			t.Fatalf("spilling=%v: holder %d, newcomer %d; want 70 and 30", spilling, holder.Blocks(), small.Blocks())
+		}
+		if s := g.Stats(); s.Shrinks != 1 || s.ReclaimedBlocks != 30 {
+			t.Fatalf("spilling=%v: reclaim recorded as %+v, want one shrink of 30 blocks", spilling, s)
+		}
+		small.Release()
+		holder.Release()
+	}
+}
+
+// TestRandomScheduleGrantsAtLevel drives seeded random schedules of
+// acquires and releases. At every issue the grant is min(want, level) for
+// the level progressive filling computes over the live asks and the
+// newcomer's, ExpectedGrant predicted exactly that, and the pool is never
+// overcommitted.
+func TestRandomScheduleGrantsAtLevel(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		total := 1 + rng.Intn(64)
+		g, _ := New(Config{TotalBlocks: total})
+		var held []*Grant
+		for step := 0; step < 400; step++ {
+			if len(held) > 0 && (len(held) == total || rng.Intn(3) == 0) {
+				i := rng.Intn(len(held))
+				held[i].Release()
+				held = slices.Delete(held, i, i+1)
+			} else {
+				want := 1 + rng.Intn(total+total/4)
+				asks := []int{min(want, total)}
+				for _, gr := range held {
+					asks = append(asks, gr.want)
+				}
+				level := refLevel(total, asks)
+				expect := g.ExpectedGrant(want)
+				gr := holdAsks(t, g, []int{want})[0]
+				if gr.Initial() != expect || gr.Initial() != min(want, level) {
+					t.Fatalf("seed %d step %d: ask %d granted %d, ExpectedGrant said %d, min(want, level %d) is %d",
+						seed, step, want, gr.Initial(), expect, level, min(want, level))
+				}
+				held = append(held, gr)
+			}
+			if s := g.Stats(); s.GrantedBlocks > total {
+				t.Fatalf("seed %d step %d: %d of %d blocks granted", seed, step, s.GrantedBlocks, total)
+			}
+		}
+		for _, gr := range held {
+			gr.Release()
+		}
+		if s := g.Stats(); s.PeakGrantedBlocks > total || s.GrantedBlocks != 0 {
+			t.Fatalf("seed %d: %+v", seed, s)
+		}
+	}
+}
+
+// TestLevelAllocatesNothing: the water level is computed in place over the
+// live grants, however many there are.
+func TestLevelAllocatesNothing(t *testing.T) {
+	g, _ := New(Config{TotalBlocks: 64})
+	for _, a := range []int{3, 64, 10, 64, 1} {
+		if _, err := g.Acquire(a, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { g.ExpectedGrant(64) }); n != 0 {
+		t.Fatalf("ExpectedGrant allocated %v times per call", n)
+	}
+}
+
+// FuzzGovernorLevel holds the water level to its definition on arbitrary
+// claimant sets: the claimants' shares min(ask, level) fit the pool, every
+// claimant short of its ask holds at least as much as any other (so its
+// share can rise only by lowering one no larger), and the blocks left over
+// are fewer than the claimants at the level (so the level cannot rise).
+// It then acquires the same asks in turn and checks each grant is
+// min(want, level) with the pool never overcommitted.
+func FuzzGovernorLevel(f *testing.F) {
+	f.Add(uint8(16), uint8(0), []byte{2, 16})
+	f.Add(uint8(16), uint8(0), []byte{16, 16, 16})
+	f.Add(uint8(16), uint8(1), []byte{2, 16})
+	f.Add(uint8(7), uint8(2), []byte{1, 1, 9})
+	f.Fuzz(func(t *testing.T, poolByte, waiterByte uint8, askBytes []byte) {
+		total := 1 + int(poolByte)%128
+		var asks []int
+		for _, b := range askBytes {
+			asks = append(asks, min(1+int(b), total))
+		}
+		waiters := int(waiterByte) % 4
+		if n := total - waiters; len(asks) > n {
+			asks = asks[:max(n, 0)]
+		}
+		if len(asks) == 0 {
+			return
+		}
+
+		g, _ := New(Config{TotalBlocks: total})
+		for _, a := range asks[:len(asks)-1] {
+			g.grants = append(g.grants, &Grant{g: g, want: a})
+		}
+		g.waiters = waiters
+		level := g.levelLocked(asks[len(asks)-1])
+		claims := slices.Clone(asks)
+		for range waiters {
+			claims = append(claims, total)
+		}
+		sum, atLevel, top := 0, 0, 0
+		for _, a := range claims {
+			sum += min(a, level)
+			top = max(top, min(a, level))
+			if a > level {
+				atLevel++
+			}
+		}
+		if sum > total {
+			t.Fatalf("pool %d, claims %v: level %d assigns %d blocks", total, claims, level, sum)
+		}
+		if atLevel > 0 && (top != level || total-sum >= atLevel) {
+			t.Fatalf("pool %d, claims %v: level %d is not max-min fair (%d left over, %d claimants at the level)",
+				total, claims, level, total-sum, atLevel)
+		}
+		if ref := refLevel(total, claims); level != ref {
+			t.Fatalf("pool %d, claims %v: level %d, progressive filling gives %d", total, claims, level, ref)
+		}
+
+		g, _ = New(Config{TotalBlocks: total})
+		var live []int
+		for _, a := range asks {
+			gr, err := g.Acquire(a, nil, mustNotWait(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			live = append(live, a)
+			if want := min(a, refLevel(total, live)); gr.Initial() != want {
+				t.Fatalf("pool %d, asks %v: last grant %d, want %d", total, live, gr.Initial(), want)
+			}
+			if s := g.Stats(); s.GrantedBlocks > total {
+				t.Fatalf("pool %d, asks %v: %d blocks granted", total, live, s.GrantedBlocks)
+			}
+		}
+	})
 }
 
 func TestReleaseIdempotent(t *testing.T) {

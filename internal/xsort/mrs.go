@@ -499,7 +499,7 @@ func (m *MRS) collect(limit int) (*segment, error) {
 		if !m.pastCut(c, m.pending) {
 			// The budget is re-read per attempt, not cached across the loop:
 			// a governed query's live allowance (xsort.Budget) can shrink
-			// mid-segment under spill pressure, and the next buffering
+			// mid-segment when another query arrives, and the next buffering
 			// decision must see it. When the store may not take the row, a
 			// bounded segment first sheds the rows nobody will read and spills
 			// only what is still too big. A flush empties the store, which then

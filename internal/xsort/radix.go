@@ -113,8 +113,10 @@ func radixSortEntriesCutoff(st *rowStore, ky *keyer, cutoff int) ([]uint32, sort
 	r := radixSorter{st: st, ky: ky, cutoff: cutoff}
 	r.order = st.handles(make([]uint32, 0, st.appended))
 	if len(r.order) > 1 {
-		r.scratch = make([]uint32, len(r.order))
+		buf := permScratch.get(len(r.order))
+		r.scratch = *buf
 		r.sort(0, len(r.order), 0)
+		permScratch.put(buf)
 	}
 	return r.order, r.tally
 }

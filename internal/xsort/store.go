@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
 
 	"pyro/internal/storage"
 	"pyro/internal/types"
@@ -385,7 +386,8 @@ func (s *rowStore) keepOnly(kept, dropped []uint32) {
 	for _, h := range dropped {
 		s.freeRow(s.entry(h))
 	}
-	tmp := make([]byte, 0, len(kept)*s.size)
+	buf := entryScratch.get(len(kept) * s.size)
+	tmp := (*buf)[:0]
 	for _, h := range kept {
 		tmp = append(tmp, s.entry(h)...)
 	}
@@ -393,6 +395,7 @@ func (s *rowStore) keepOnly(kept, dropped []uint32) {
 	for i := range kept {
 		copy(s.entBufs[i/s.perBlock][i%s.perBlock*s.size:], tmp[i*s.size:(i+1)*s.size])
 	}
+	entryScratch.put(buf)
 	for need := (len(kept) + s.perBlock - 1) / s.perBlock; len(s.ents) > need; {
 		last := len(s.ents) - 1
 		s.disk.PutBlock(s.ents[last])
@@ -400,6 +403,32 @@ func (s *rowStore) keepOnly(kept, dropped []uint32) {
 		s.pages--
 	}
 }
+
+// scratch recycles the buffers a sort step fills and drops within one call
+// — the radix sorter's distribution scratch, keepOnly's entry copy — across
+// sorts and queries, as storage's block pool recycles sort memory. Nothing
+// is kept on a store between calls, so what a sort holds stays its
+// accounted blocks.
+type scratch[T any] struct{ pool sync.Pool }
+
+var (
+	permScratch  scratch[uint32]
+	entryScratch scratch[byte]
+)
+
+// get returns a buffer of length n, recycled when the pool has one that
+// large.
+func (p *scratch[T]) get(n int) *[]T {
+	if b, _ := p.pool.Get().(*[]T); b != nil && cap(*b) >= n {
+		*b = (*b)[:n]
+		return b
+	}
+	b := make([]T, n)
+	return &b
+}
+
+// put hands a buffer from get back; the caller must not use it again.
+func (p *scratch[T]) put(b *[]T) { p.pool.Put(b) }
 
 // release returns every block. The store is empty and reusable afterwards
 // (it keeps its bookkeeping slices, so refilling it allocates nothing);

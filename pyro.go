@@ -97,20 +97,21 @@ type Config struct {
 	// blocks, shared by all concurrently executing queries through the
 	// sort-memory governor. Each query asks for SortMemoryBlocks; a lone
 	// query is granted its full ask (making single-cursor execution
-	// identical to the ungoverned engine), concurrent queries share the
-	// pool by fair shares, and a query already spilling (observed through
-	// its per-query I/O tap) is shrunk toward its fair share while others
-	// wait. 0 defaults to SortMemoryBlocks — the pool admits one
-	// full-budget sort's worth of memory in total. Negative disables the
-	// governor: every query gets the static per-sort budget, as before.
-	// Queries that override their budget with WithSortMemoryBlocks bypass
-	// the governor entirely (the explicit value is taken literally, as
-	// documented there).
+	// identical to the ungoverned engine), and concurrent queries share the
+	// pool max-min fairly: each is granted its ask capped at one water
+	// level over all claimants' asks, and a newcomer whose share is not
+	// free shrinks every grant above the level to it. 0 defaults to
+	// SortMemoryBlocks — the pool admits one full-budget sort's worth of
+	// memory in total. Negative disables the governor: every query gets
+	// the static per-sort budget, as before. Queries that override their
+	// budget with WithSortMemoryBlocks bypass the governor entirely (the
+	// explicit value is taken literally, as documented there).
 	GlobalSortMemoryBlocks int
-	// MinSortGrantBlocks is the smallest sort-memory grant the governor
-	// will issue or shrink to (0 defaults to GlobalSortMemoryBlocks/256,
-	// at least 1). Raising it bounds how far contention can squeeze a
-	// query's sorts.
+	// MinSortGrantBlocks is the floor of the governor's fair water level:
+	// no grant is shrunk below it, and a query whose share would fall
+	// under it waits instead (0 defaults to GlobalSortMemoryBlocks/256, at
+	// least 1). Raising it bounds how far contention can squeeze a query's
+	// sorts.
 	MinSortGrantBlocks int
 	// MaxConcurrentQueries bounds how many queries execute at once; excess
 	// Query calls queue (cancellably) and report their wait in
@@ -371,7 +372,8 @@ func (db *Database) Optimize(q *Query, opts ...OptimizeOption) (*Plan, error) {
 	options.Model.MemoryBlocks = int64(db.cfg.SortMemoryBlocks)
 	// Governor-aware pricing: under contention the executor will not be
 	// granted the full static budget, so price sorts at the grant the pool
-	// would issue right now — fair share among live claimants. The model is
+	// would issue right now — the ask capped at the max-min fair level
+	// among the live claimants. The model is
 	// part of the plan-cache key, so plans optimized under different
 	// contention levels cache separately and an uncontended replan is never
 	// served a contention-shaped plan (or vice versa).

@@ -1,7 +1,12 @@
 package pyro
 
 import (
+	"cmp"
 	"context"
+	"errors"
+	"math/rand"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -128,8 +133,8 @@ func TestScanOnlyPlanTakesNoGrant(t *testing.T) {
 // one huge spilling sort holding the whole pool must not starve a queue of
 // small Top-K cursors. The big cursor spills its first oversized segment
 // and then sits mid-stream, pinning its grant; the small queries must all
-// complete promptly because spill-pressure reclaim shrinks the hoarder to
-// its fair share.
+// complete promptly because each arrival's reclaim shrinks the hoarder to
+// the pool's water level.
 func TestGovernorStarvationFairness(t *testing.T) {
 	db := servingDB(t, Config{})
 	bigPlan, err := db.Optimize(db.Scan("big").OrderBy("g", "v"))
@@ -216,6 +221,74 @@ func TestGovernorStarvationFairness(t *testing.T) {
 	}
 	if rows := big.Stats().Rows; rows != 20_000 {
 		t.Fatalf("big cursor returned %d rows after reclaim, want 20000", rows)
+	}
+}
+
+// TestGrantAtWaterLevelKeepsTopKInMemory is topk_serve's contended case,
+// deterministically: a Top-K of 1000 over 2000-row segments asks for the
+// whole 16-block pool. Beside a 2-block neighbour the max-min fair level
+// leaves it 14 blocks, on which it selects its rows without writing a run;
+// beside a neighbour asking the whole pool it gets the even split of 8 and
+// spills. Either way its rows are the first 1000 of a naive sort.
+func TestGrantAtWaterLevelKeepsTopKInMemory(t *testing.T) {
+	const k = 1000
+	rng := rand.New(rand.NewSource(1))
+	rows := make([][]any, 6000)
+	for i := range rows {
+		rows[i] = []any{int64(i / 2000), rng.Int63n(1_000_000), int64(i)}
+	}
+	want := slices.Clone(rows)
+	slices.SortStableFunc(want, func(a, b []any) int {
+		return cmp.Or(cmp.Compare(a[0].(int64), b[0].(int64)), cmp.Compare(a[1].(int64), b[1].(int64)))
+	})
+	want = want[:k]
+
+	for _, c := range []struct {
+		neighbour, granted int
+		spills             bool
+	}{
+		{2, 14, false},
+		{16, 8, true},
+	} {
+		db := Open(Config{SortMemoryBlocks: 16, GlobalSortMemoryBlocks: 16})
+		if err := db.CreateTable("events", []Column{
+			{Name: "g", Type: Int64},
+			{Name: "v", Type: Int64},
+			{Name: "pad", Type: Int64},
+		}, ClusterOn("g"), rows); err != nil {
+			t.Fatal(err)
+		}
+		hold, err := db.gov.Acquire(c.neighbour, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := db.Optimize(db.Scan("events").OrderBy("g", "v").Limit(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur, err := db.Query(context.Background(), plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got [][]any
+		for cur.Next() {
+			got = append(got, cur.Row())
+		}
+		if err := errors.Join(cur.Err(), cur.Close()); err != nil {
+			t.Fatal(err)
+		}
+		hold.Release()
+		st := cur.Stats()
+		if st.GrantedBlocks != c.granted {
+			t.Errorf("beside a %d-block neighbour: granted %d blocks, want %d", c.neighbour, st.GrantedBlocks, c.granted)
+		}
+		if spilled := st.IO.RunPageWrites > 0; spilled != c.spills {
+			t.Errorf("beside a %d-block neighbour: %d run-page writes, want spilling=%v", c.neighbour, st.IO.RunPageWrites, c.spills)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("beside a %d-block neighbour: %d rows differ from the reference's first %d", c.neighbour, len(got), k)
+		}
+		storage.AssertNoLeaks(t, db.disk)
 	}
 }
 
