@@ -361,42 +361,57 @@ func TestChaosTempQuotaENOSPC(t *testing.T) {
 	}
 }
 
-// TestQueryTimeoutAbortsSort pins Config.QueryTimeout: a sort too slow for
-// the configured budget surfaces context.DeadlineExceeded and releases
-// everything it held.
+// TestQueryTimeoutAbortsSort: a query whose context times out before its
+// full sort has run surfaces context.DeadlineExceeded from the cursor and
+// releases everything it held — the slot, the grant and the opened plan.
 func TestQueryTimeoutAbortsSort(t *testing.T) {
 	db := chaosDB(t)
-	db.cfg.QueryTimeout = time.Microsecond
 	plan, err := db.Optimize(db.Scan("big").OrderBy("v"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = runChaosQuery(db, plan, types.DefaultChunkCapacity, 0)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	cur, err := db.Query(ctx, plan)
 	if err == nil {
-		t.Fatal("query outran a 1µs timeout")
+		<-ctx.Done()
+		for cur.Next() {
+		}
+		err = cur.Err()
+		if cerr := cur.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err == nil {
+		t.Fatal("query outran its context's timeout")
 	}
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("timeout surfaced as %v, want context.DeadlineExceeded", err)
 	}
 	checkServingRestored(t, db, "after timeout")
-	db.cfg.QueryTimeout = 0
 	if _, _, err := runChaosQuery(db, plan, types.DefaultChunkCapacity, 0); err != nil {
 		t.Fatalf("re-run without the timeout failed: %v", err)
 	}
 }
 
-// TestWithDeadlineInPast rejects the query before it takes any resource.
+// TestWithDeadlineInPast rejects a query whose context deadline has passed
+// before it takes any resource.
 func TestWithDeadlineInPast(t *testing.T) {
 	db := chaosDB(t)
 	plan, err := db.Optimize(db.Scan("big").OrderBy("v"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = db.Query(context.Background(), plan, WithDeadline(time.Now().Add(-time.Second)))
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	_, err = db.Query(ctx, plan)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("past deadline surfaced as %v, want context.DeadlineExceeded", err)
 	}
 	checkServingRestored(t, db, "after past deadline")
+	if _, _, err := runChaosQuery(db, plan, types.DefaultChunkCapacity, 0); err != nil {
+		t.Fatalf("re-run without the deadline failed: %v", err)
+	}
 }
 
 // TestDeadlineWhileQueuedAtGate covers a query whose whole life is spent
@@ -425,8 +440,7 @@ func TestDeadlineWhileQueuedAtGate(t *testing.T) {
 	if !holder.Next() {
 		t.Fatalf("holder produced no rows: %v", holder.Err())
 	}
-	_, err = db.Query(context.Background(), plan, WithDeadline(time.Now().Add(20*time.Millisecond)))
-	if !errors.Is(err, context.DeadlineExceeded) {
+	if err := queryWithTimeout(db, plan, 20*time.Millisecond); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("queued query's deadline surfaced as %v, want context.DeadlineExceeded", err)
 	}
 	if err := holder.Close(); err != nil {
@@ -438,14 +452,14 @@ func TestDeadlineWhileQueuedAtGate(t *testing.T) {
 	}
 }
 
-// TestDeadlineWhileBlockedInGovernor covers the other blocking point: the
-// pool is fully granted to a live cursor and the minimum grant equals the
-// pool, so a second query can only wait — its deadline must reach it there.
+// TestDeadlineWhileBlockedInGovernor covers the other blocking point: a
+// 2-block pool held by two live cursors, one block each, is at its
+// minimum grant for every claimant, so a third query can only wait — its
+// deadline must reach it there.
 func TestDeadlineWhileBlockedInGovernor(t *testing.T) {
 	db := Open(Config{
 		SortMemoryBlocks:       8,
-		GlobalSortMemoryBlocks: 8,
-		MinSortGrantBlocks:     8,
+		GlobalSortMemoryBlocks: 2,
 	})
 	rows := make([][]any, 2000)
 	for i := range rows {
@@ -462,25 +476,46 @@ func TestDeadlineWhileBlockedInGovernor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	holder, err := db.Query(context.Background(), plan)
-	if err != nil {
-		t.Fatal(err)
+	var holders []*Cursor
+	for range 2 {
+		holder, err := db.Query(context.Background(), plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !holder.Next() {
+			t.Fatalf("holder produced no rows: %v", holder.Err())
+		}
+		holders = append(holders, holder)
 	}
-	if !holder.Next() {
-		t.Fatalf("holder produced no rows: %v", holder.Err())
+	if s := db.ServingStats().Governor; s.LiveGrants != 2 || s.GrantedBlocks != 2 {
+		t.Fatalf("holders hold %d blocks across %d grants; the test needs the 2-block pool split between both",
+			s.GrantedBlocks, s.LiveGrants)
 	}
-	if holder.Stats().GrantedBlocks == 0 {
-		t.Fatal("holder took no grant; the test cannot block the pool")
-	}
-	_, err = db.Query(context.Background(), plan, WithDeadline(time.Now().Add(20*time.Millisecond)))
-	if !errors.Is(err, context.DeadlineExceeded) {
+	if err := queryWithTimeout(db, plan, 20*time.Millisecond); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("grant-blocked query's deadline surfaced as %v, want context.DeadlineExceeded", err)
 	}
-	if err := holder.Close(); err != nil {
-		t.Fatal(err)
+	if w := db.ServingStats().Governor.GrantWaits; w != 1 {
+		t.Fatalf("governor recorded %d grant waits, want the third query's 1", w)
+	}
+	for _, holder := range holders {
+		if err := holder.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	checkServingRestored(t, db, "after governor-blocked deadline")
 	if _, _, err := runChaosQuery(db, plan, types.DefaultChunkCapacity, 0); err != nil {
-		t.Fatalf("query after the holder closed failed: %v", err)
+		t.Fatalf("query after the holders closed failed: %v", err)
 	}
+}
+
+// queryWithTimeout runs Query under a context that times out after d and
+// returns its error; a cursor it opens is closed at once.
+func queryWithTimeout(db *Database, plan *Plan, d time.Duration) error {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	defer cancel()
+	cur, err := db.Query(ctx, plan)
+	if err != nil {
+		return err
+	}
+	return cur.Close()
 }

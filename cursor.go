@@ -24,7 +24,6 @@ type SortStats = xsort.SortStats
 type execConfig struct {
 	Config
 	rowTarget int64
-	deadline  time.Time
 	// memoryOverride records that WithSortMemoryBlocks pinned the budget
 	// explicitly, which bypasses the sort-memory governor.
 	memoryOverride bool
@@ -54,17 +53,6 @@ func WithSortMemoryBlocks(n int) ExecOption {
 		c.SortMemoryBlocks = n
 		c.memoryOverride = true
 	}
-}
-
-// WithDeadline imposes an absolute deadline on this query. Reaching it
-// aborts the query wherever it is — queued at the admission gate, blocked
-// on a sort-memory grant, or deep in a sort or spill loop — and surfaces as
-// context.DeadlineExceeded from Cursor.Err. The effective deadline is the
-// earlier of this and Config.QueryTimeout; a zero time means none. Unlike
-// context.WithDeadline this needs no goroutine or timer, and it keeps
-// working for callers who pass context.Background().
-func WithDeadline(t time.Time) ExecOption {
-	return func(c *execConfig) { c.deadline = t }
 }
 
 // WithRowTarget declares that this consumer wants the first k rows fast —
@@ -140,15 +128,15 @@ type ExecStats struct {
 // enforcer over a clustered or indexed prefix) the engine reads only as
 // much input as the rows consumed require, and Close mid-stream abandons
 // the rest — unsorted MRS segments are never sorted, unread spill runs are
-// dropped with their arenas. Context cancellation is honored between Next
-// calls and polled inside long-running sort and spill loops.
+// dropped with their arenas. The query's context is its one cancellation
+// signal, deadlines included: ctx.Err is checked before each Next and
+// polled inside long-running sort and spill loops.
 //
 // A Cursor is not safe for concurrent use; separate cursors on one
 // Database are (they share only the concurrency-safe storage layer).
 type Cursor struct {
 	db    *Database
 	ctx   context.Context
-	abort func() error // ctx.Err, extended with the query deadline
 	op    exec.Operator
 	cols  []string
 	sorts []*exec.Sort
@@ -182,12 +170,16 @@ type Cursor struct {
 
 // Query compiles a plan and returns a streaming cursor over its results.
 // Execution resources come from the Database's Config, overridden per
-// query by any ExecOptions. The context is checked before each Next and
-// polled inside the sort enforcers' long loops; once it is done the cursor
-// fails with its error. Query opens the plan but sorts nothing: a blocking
-// full-sort plan does its sorting on the first Next (its errors surface from
-// Cursor.Err) — a pipelined partial-sort plan is what makes the first row
-// arrive early.
+// query by any ExecOptions. The context is the query's one cancellation
+// signal, and a deadline is a context deadline (context.WithTimeout): while
+// the query queues at the admission gate or waits for sort memory, its end
+// wakes the wait; once the query runs, ctx.Err is checked before each Next
+// and polled inside the sort enforcers' long loops. Either way the query
+// fails with the context's error (context.Canceled or
+// context.DeadlineExceeded) and gives back all it held. Query opens the
+// plan but sorts nothing: a blocking full-sort plan does its sorting on the
+// first Next (its errors surface from Cursor.Err) — a pipelined
+// partial-sort plan is what makes the first row arrive early.
 func (db *Database) Query(ctx context.Context, p *Plan, opts ...ExecOption) (*Cursor, error) {
 	if p == nil {
 		return nil, fmt.Errorf("pyro: nil plan")
@@ -212,23 +204,13 @@ func (db *Database) Query(ctx context.Context, p *Plan, opts ...ExecOption) (*Cu
 		return nil, fmt.Errorf("pyro: plan carries no query to re-optimize for a row target")
 	}
 
-	// The abort check every blocking point of this query polls: context
-	// cancellation, extended with the effective deadline when one is set.
-	abort := ctx.Err
-	if dl, has := queryDeadline(cfg, time.Now()); has {
-		abort = deadlineAbort(ctx, dl)
-		if err := abort(); err != nil {
-			return nil, err
-		}
-	}
-
-	// Admission: with a bounded gate the query queues (cancellably) for an
-	// execution slot before any optimizer or build work happens.
+	// Admission: with a bounded gate the query queues, until ctx ends, for
+	// an execution slot before any optimizer or build work happens.
 	var queued time.Duration
 	admitted := false
 	if db.gate != nil {
 		var err error
-		queued, err = db.gate.Enter(abort)
+		queued, err = db.gate.Enter(ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -276,7 +258,7 @@ func (db *Database) Query(ctx context.Context, p *Plan, opts ...ExecOption) (*Cu
 	buildBlocks := cfg.SortMemoryBlocks
 	var budget xsort.Budget
 	if ask := sortMemoryAsk(inner, cfg.Config); db.gov != nil && !cfg.memoryOverride && ask > 0 {
-		g, err := db.gov.Acquire(min(max(ask, db.gov.MinGrant()), cfg.SortMemoryBlocks), nil, abort)
+		g, err := db.gov.Acquire(min(max(ask, db.gov.MinGrant()), cfg.SortMemoryBlocks), nil, ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -290,7 +272,7 @@ func (db *Database) Query(ctx context.Context, p *Plan, opts ...ExecOption) (*Cu
 		SortMemoryBlocks: buildBlocks,
 		SortBudget:       budget,
 		SortParallelism:  cfg.SortParallelism,
-		SortAbort:        abort,
+		SortAbort:        ctx.Err,
 		IOTap:            tap,
 	})
 	if err != nil {
@@ -299,7 +281,6 @@ func (db *Database) Query(ctx context.Context, p *Plan, opts ...ExecOption) (*Cu
 	c := &Cursor{
 		db:       db,
 		ctx:      ctx,
-		abort:    abort,
 		op:       op,
 		cols:     inner.Schema.Names(),
 		sorts:    exec.CollectSorts(op),
@@ -317,35 +298,6 @@ func (db *Database) Query(ctx context.Context, p *Plan, opts ...ExecOption) (*Cu
 		return nil, err
 	}
 	return c, nil
-}
-
-// queryDeadline resolves the query's effective absolute deadline: the
-// earlier of WithDeadline and now + Config.QueryTimeout.
-func queryDeadline(cfg execConfig, now time.Time) (time.Time, bool) {
-	dl := cfg.deadline
-	if cfg.QueryTimeout > 0 {
-		if t := now.Add(cfg.QueryTimeout); dl.IsZero() || t.Before(dl) {
-			dl = t
-		}
-	}
-	return dl, !dl.IsZero()
-}
-
-// deadlineAbort builds a query abort check that reports context
-// cancellation first and then the absolute deadline. The one function feeds
-// every blocking point — admission, the memory governor, sort and spill
-// loops, Next — so a query blocked anywhere observes its deadline exactly
-// the way a cancelled one observes cancellation.
-func deadlineAbort(ctx context.Context, dl time.Time) func() error {
-	return func() error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if time.Now().After(dl) {
-			return fmt.Errorf("pyro: query deadline %s exceeded: %w", dl.Format(time.RFC3339Nano), context.DeadlineExceeded)
-		}
-		return nil
-	}
 }
 
 // recoverQuery converts a panic escaping the operator tree into an error at
@@ -415,7 +367,7 @@ func (c *Cursor) Next() bool {
 	if c.finished {
 		return false
 	}
-	if err := c.abort(); err != nil {
+	if err := c.ctx.Err(); err != nil {
 		c.fail(err)
 		return false
 	}

@@ -1,6 +1,7 @@
 package govern
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -10,7 +11,7 @@ import (
 type GateStats struct {
 	// Admitted is how many Enter calls have succeeded.
 	Admitted int64
-	// Waits is how many of those had to queue for a slot.
+	// Waits is how many Enter calls had to queue for a slot.
 	Waits int64
 	// Live is the current number of admitted queries; PeakLive its
 	// high-water mark (never exceeds Max).
@@ -20,100 +21,87 @@ type GateStats struct {
 	Queued int
 }
 
-// Gate is a bounded concurrent-query admission gate. At most Max queries
-// hold a slot at once; excess Enter calls queue. All methods are safe for
-// concurrent use.
+// Gate is a bounded concurrent-query admission gate: a semaphore of Max
+// slots held in one buffered channel. Excess Enter calls block sending to
+// it, the runtime queues them in arrival order, and each Leave's receive
+// hands its slot straight to the longest-queued one. All methods are safe
+// for concurrent use.
 type Gate struct {
-	max  int
-	poll time.Duration
+	slots chan struct{} // one element per held slot
 
-	mu     sync.Mutex
-	live   int
-	queued int
-	gen    chan struct{}
-	stats  GateStats
+	mu    sync.Mutex
+	stats GateStats // Live is read off slots
 }
 
 // NewGate returns a gate admitting at most max concurrent queries. max
 // must be positive (callers model "unlimited" by not using a gate at all).
-// poll bounds how long a queued Enter waits between abort polls
-// (0 = 200µs).
-func NewGate(max int, poll time.Duration) (*Gate, error) {
+// The duration is not used.
+func NewGate(max int, _ time.Duration) (*Gate, error) {
 	if max <= 0 {
 		return nil, fmt.Errorf("govern: gate max must be positive, got %d", max)
 	}
-	if poll <= 0 {
-		poll = 200 * time.Microsecond
-	}
-	return &Gate{max: max, poll: poll, gen: make(chan struct{})}, nil
+	return &Gate{slots: make(chan struct{}, max)}, nil
 }
 
 // Max returns the gate's concurrency bound.
-func (t *Gate) Max() int { return t.max }
+func (t *Gate) Max() int { return cap(t.slots) }
 
 // Stats returns a snapshot of the gate's counters.
 func (t *Gate) Stats() GateStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	s := t.stats
-	s.Live = t.live
-	s.Queued = t.queued
+	s.Live = len(t.slots)
 	return s
 }
 
-// Enter blocks until a slot is free, polling abort (nil = wait
-// indefinitely) so a context cancellation reaches a queued query. It
-// returns how long the caller queued (0 when admitted immediately). Every
-// successful Enter must be paired with exactly one Leave.
-func (t *Gate) Enter(abort func() error) (time.Duration, error) {
+// Enter takes a slot, queueing behind earlier callers while every slot is
+// held, and returns how long it queued (0 when admitted immediately). It
+// waits for a Leave or ctx, whichever comes first, and returns ctx.Err()
+// if ctx ends the wait. ctx is consulted only then, and a nil ctx queues
+// until a Leave admits it. Every successful Enter must be paired with
+// exactly one Leave.
+func (t *Gate) Enter(ctx context.Context) (time.Duration, error) {
+	select {
+	case t.slots <- struct{}{}:
+		t.admitted(false)
+		return 0, nil
+	default:
+	}
 	start := time.Now()
-	waited := false
 	t.mu.Lock()
-	for {
-		if t.live < t.max {
-			t.live++
-			t.stats.Admitted++
-			if t.live > t.stats.PeakLive {
-				t.stats.PeakLive = t.live
-			}
-			t.mu.Unlock()
-			if waited {
-				return time.Since(start), nil
-			}
-			return 0, nil
-		}
-		if !waited {
-			waited = true
-			t.stats.Waits++
-		}
-		t.queued++
-		ch := t.gen
-		t.mu.Unlock()
-		select {
-		case <-ch:
-		case <-time.After(t.poll):
-		}
-		var aerr error
-		if abort != nil {
-			aerr = abort()
-		}
+	t.stats.Waits++
+	t.stats.Queued++
+	t.mu.Unlock()
+	select {
+	case t.slots <- struct{}{}:
+		t.admitted(true)
+		return time.Since(start), nil
+	case <-done(ctx):
 		t.mu.Lock()
-		t.queued--
-		if aerr != nil {
-			t.mu.Unlock()
-			return 0, aerr
-		}
+		t.stats.Queued--
+		t.mu.Unlock()
+		return 0, ctx.Err()
 	}
 }
 
-// Leave releases a slot taken by a successful Enter and wakes the queue.
-func (t *Gate) Leave() {
+// admitted records an admission; queued says whether it left the queue.
+func (t *Gate) admitted(queued bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.live <= 0 {
+	t.stats.Admitted++
+	if queued {
+		t.stats.Queued--
+	}
+	t.stats.PeakLive = max(t.stats.PeakLive, len(t.slots))
+}
+
+// Leave gives back a slot taken by a successful Enter; the longest-queued
+// Enter, if any, holds it from that moment.
+func (t *Gate) Leave() {
+	select {
+	case <-t.slots:
+	default:
 		panic("govern: Gate.Leave without matching Enter")
 	}
-	t.live--
-	close(t.gen)
-	t.gen = make(chan struct{})
 }

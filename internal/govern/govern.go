@@ -22,13 +22,15 @@
 //     excess callers queue, and their queue time is reported so ExecStats
 //     can surface it.
 //
-// Blocked Acquire and Enter calls poll the caller's abort function (the
-// same context-derived poll that iter.Guard threads through the sort
-// loops), so a context cancellation reaches a query stuck waiting for
-// memory or admission exactly as it reaches one stuck inside a sort.
+// Blocked Acquire and Enter calls wait in one select on their wakeup
+// channel and the caller's context, so a cancellation or deadline reaches
+// a query stuck waiting for memory or admission the moment it happens,
+// exactly as its ctx.Err poll reaches one stuck inside a sort. Nothing
+// here runs a timer.
 package govern
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -42,33 +44,6 @@ type Config struct {
 	// TotalBlocks is the global sort-memory pool in disk blocks. Must be
 	// positive.
 	TotalBlocks int
-	// MinGrantBlocks is the smallest grant worth running a sort with: the
-	// water level never falls below it, so reclaim never shrinks a grant
-	// under it, and a newcomer whose share the pool cannot free even then
-	// waits. 0 defaults to TotalBlocks/256, at least 1.
-	MinGrantBlocks int
-	// PollInterval bounds how long a blocked Acquire waits between abort
-	// polls (0 = 200µs). Releases wake waiters immediately; the poll only
-	// notices an abort, which has no wakeup of its own.
-	PollInterval time.Duration
-}
-
-func (c Config) minGrant() int {
-	if c.MinGrantBlocks > 0 {
-		return c.MinGrantBlocks
-	}
-	m := c.TotalBlocks / 256
-	if m < 1 {
-		m = 1
-	}
-	return m
-}
-
-func (c Config) poll() time.Duration {
-	if c.PollInterval > 0 {
-		return c.PollInterval
-	}
-	return 200 * time.Microsecond
 }
 
 // Stats is a snapshot of the governor's counters.
@@ -111,18 +86,16 @@ func New(cfg Config) (*Governor, error) {
 	if cfg.TotalBlocks <= 0 {
 		return nil, fmt.Errorf("govern: TotalBlocks must be positive, got %d", cfg.TotalBlocks)
 	}
-	if cfg.MinGrantBlocks < 0 {
-		return nil, fmt.Errorf("govern: negative MinGrantBlocks %d", cfg.MinGrantBlocks)
-	}
 	return &Governor{cfg: cfg, free: cfg.TotalBlocks, gen: make(chan struct{})}, nil
 }
 
 // Total returns the pool size in blocks.
 func (g *Governor) Total() int { return g.cfg.TotalBlocks }
 
-// MinGrant returns the smallest grant the governor issues or shrinks to;
-// callers sizing a small ask floor it here.
-func (g *Governor) MinGrant() int { return g.cfg.minGrant() }
+// MinGrant returns the floor of the water level, TotalBlocks/256 and at
+// least 1: no grant is shrunk below it, and a newcomer whose share the pool
+// cannot free even then waits. Callers sizing a small ask floor it here.
+func (g *Governor) MinGrant() int { return max(g.cfg.TotalBlocks/256, 1) }
 
 // Stats returns a snapshot of the governor's counters.
 func (g *Governor) Stats() Stats {
@@ -190,11 +163,13 @@ func (gr *Grant) Release() {
 // the whole ask when the query is alone or the asks all fit. When the free
 // blocks fall short of that, every live grant above the level is shrunk to
 // it first. Acquire blocks only while even that cannot free the share
-// (more claimants than the minimum grant lets the pool serve), polling
-// abort (nil = wait indefinitely) so a context cancellation reaches the
-// wait. tap is not consulted: a grant's size depends on the claimants'
-// asks alone.
-func (g *Governor) Acquire(want int, tap *storage.Tap, abort func() error) (*Grant, error) {
+// (more claimants than MinGrant lets the pool serve): it waits for a
+// release or ctx, whichever comes first, and returns ctx.Err() if ctx
+// ends the wait. ctx is consulted only then — an Acquire that need not
+// wait is granted whatever its context says — and a nil ctx waits until a
+// release makes room. tap is not consulted: a grant's size depends on the
+// claimants' asks alone.
+func (g *Governor) Acquire(want int, tap *storage.Tap, ctx context.Context) (*Grant, error) {
 	if want <= 0 {
 		return nil, fmt.Errorf("govern: non-positive grant ask %d", want)
 	}
@@ -234,23 +209,33 @@ func (g *Governor) Acquire(want int, tap *storage.Tap, abort func() error) (*Gra
 			g.stats.GrantWaits++
 		}
 		g.waiters++
-		ch := g.gen
+		wake := g.gen
 		g.mu.Unlock()
+		var err error
 		select {
-		case <-ch:
-		case <-time.After(g.cfg.poll()):
-		}
-		var aerr error
-		if abort != nil {
-			aerr = abort()
+		case <-wake:
+		case <-done(ctx):
+			err = ctx.Err()
 		}
 		g.mu.Lock()
 		g.waiters--
-		if aerr != nil {
+		// A waiter that leaves raises the others' level, which only raises
+		// their shares and frees less by reclaim: none of them fits
+		// because of it, so it wakes no one.
+		if err != nil {
 			g.mu.Unlock()
-			return nil, aerr
+			return nil, err
 		}
 	}
+}
+
+// done is ctx's Done channel, or nil — a wait no cancellation ends — for a
+// nil ctx.
+func done(ctx context.Context) <-chan struct{} {
+	if ctx == nil {
+		return nil
+	}
+	return ctx.Done()
 }
 
 // ExpectedGrant predicts what Acquire(want, ...) would be granted under
@@ -304,7 +289,7 @@ func (g *Governor) levelLocked(want int) int {
 			hi = mid
 		}
 	}
-	return max(lo, g.cfg.minGrant())
+	return max(lo, g.MinGrant())
 }
 
 // reclaimLocked shrinks every live grant above level to it. The level is

@@ -1,9 +1,12 @@
 package govern
 
 import (
+	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -64,7 +67,7 @@ func TestAskClampedToPool(t *testing.T) {
 
 func TestConcurrentGrantsNeverOvercommit(t *testing.T) {
 	const total = 64
-	g, _ := New(Config{TotalBlocks: total, PollInterval: 50 * time.Microsecond})
+	g, _ := New(Config{TotalBlocks: total})
 	var wg sync.WaitGroup
 	for i := 0; i < 32; i++ {
 		wg.Add(1)
@@ -93,26 +96,47 @@ func TestConcurrentGrantsNeverOvercommit(t *testing.T) {
 	}
 }
 
-func TestReleaseUnblocksWaiter(t *testing.T) {
-	g, _ := New(Config{TotalBlocks: 10, MinGrantBlocks: 10})
-	first, err := g.Acquire(10, nil, nil)
-	if err != nil {
-		t.Fatal(err)
+// fullPool returns a 2-block pool held by two grants of one block each:
+// every claimant is at the minimum grant, so a third Acquire must wait.
+func fullPool(t *testing.T) (*Governor, []*Grant) {
+	t.Helper()
+	g, _ := New(Config{TotalBlocks: 2})
+	held := holdAsks(t, g, []int{2, 2})
+	if s := g.Stats(); s.GrantedBlocks != 2 || held[0].Blocks() != 1 || held[1].Blocks() != 1 {
+		t.Fatalf("pool not split 1/1 between two holders: %+v", s)
 	}
+	return g, held
+}
+
+// waitUntil yields until cond holds, failing the test after 10 s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for start := time.Now(); !cond(); runtime.Gosched() {
+		if time.Since(start) > 10*time.Second {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+	}
+}
+
+func TestReleaseUnblocksWaiter(t *testing.T) {
+	g, held := fullPool(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	got := make(chan *Grant, 1)
 	go func() {
-		gr, err := g.Acquire(10, nil, nil)
+		gr, err := g.Acquire(2, nil, ctx)
 		if err != nil {
 			t.Error(err)
 		}
 		got <- gr
 	}()
+	waitUntil(t, "the third Acquire waits", func() bool { return g.Stats().GrantWaits == 1 })
 	select {
 	case <-got:
-		t.Fatal("second acquire succeeded while the pool was exhausted")
-	case <-time.After(20 * time.Millisecond):
+		t.Fatal("third acquire succeeded while the pool was exhausted")
+	default:
 	}
-	first.Release()
+	held[0].Release()
 	select {
 	case gr := <-got:
 		if gr.Blocks() == 0 {
@@ -125,45 +149,37 @@ func TestReleaseUnblocksWaiter(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("waiter not woken by release")
 	}
+	held[1].Release()
 }
 
 func TestAbortReachesBlockedAcquire(t *testing.T) {
-	g, _ := New(Config{TotalBlocks: 10, MinGrantBlocks: 10, PollInterval: 100 * time.Microsecond})
-	hold, err := g.Acquire(10, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hold.Release()
-	boom := errors.New("canceled")
-	var fired atomic.Bool
-	abort := func() error {
-		if fired.Load() {
-			return boom
-		}
-		return nil
-	}
+	g, held := fullPool(t)
+	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := g.Acquire(10, nil, abort)
+		_, err := g.Acquire(2, nil, ctx)
 		done <- err
 	}()
-	time.Sleep(5 * time.Millisecond)
-	fired.Store(true)
+	waitUntil(t, "the third Acquire waits", func() bool { return g.Stats().GrantWaits == 1 })
+	cancel()
 	select {
 	case err := <-done:
-		if !errors.Is(err, boom) {
-			t.Fatalf("blocked acquire returned %v, want the abort error", err)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("blocked acquire returned %v, want context.Canceled", err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("abort did not reach the blocked acquire")
+		t.Fatal("cancellation did not reach the blocked acquire")
 	}
-	if s := g.Stats(); s.GrantedBlocks != 10 {
-		t.Fatalf("aborted waiter disturbed the pool: %+v", s)
+	if s := g.Stats(); s.GrantedBlocks != 2 || s.LiveGrants != 2 {
+		t.Fatalf("cancelled waiter disturbed the pool: %+v", s)
+	}
+	for _, gr := range held {
+		gr.Release()
 	}
 }
 
 func TestSpillPressureShrinksHoarder(t *testing.T) {
-	g, _ := New(Config{TotalBlocks: 100, MinGrantBlocks: 1, PollInterval: 100 * time.Microsecond})
+	g, _ := New(Config{TotalBlocks: 100})
 	// The first query takes the whole pool and is spilling.
 	big, err := g.Acquire(100, spillingTap(t), nil)
 	if err != nil {
@@ -174,7 +190,7 @@ func TestSpillPressureShrinksHoarder(t *testing.T) {
 	}
 	// A second query arrives: reclaim must shrink the spilling holder to
 	// the fair share instead of blocking behind it.
-	small, err := g.Acquire(100, nil, func() error { return errors.New("had to wait: reclaim failed") })
+	small, err := g.Acquire(100, nil, cancelled())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +230,7 @@ func holdAsks(t *testing.T, g *Governor, asks []int) []*Grant {
 	t.Helper()
 	var held []*Grant
 	for _, a := range asks {
-		gr, err := g.Acquire(a, nil, mustNotWait(t))
+		gr, err := g.Acquire(a, nil, cancelled())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,13 +239,13 @@ func holdAsks(t *testing.T, g *Governor, asks []int) []*Grant {
 	return held
 }
 
-// mustNotWait is an abort function that fails the test: Acquire only polls
-// abort after it has blocked.
-func mustNotWait(t *testing.T) func() error {
-	return func() error {
-		t.Error("Acquire blocked")
-		return errors.New("blocked")
-	}
+// cancelled is an already-cancelled context. Acquire and Enter consult
+// their context only when they must wait, so under it a call that would
+// wait fails with context.Canceled and one that need not wait succeeds.
+func cancelled() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
 }
 
 // TestWaterLevelGrants: the newcomer's grant and every holder's size after
@@ -424,7 +440,7 @@ func FuzzGovernorLevel(f *testing.F) {
 		g, _ = New(Config{TotalBlocks: total})
 		var live []int
 		for _, a := range asks {
-			gr, err := g.Acquire(a, nil, mustNotWait(t))
+			gr, err := g.Acquire(a, nil, cancelled())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -464,9 +480,6 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	if _, err := New(Config{TotalBlocks: 0}); err == nil {
 		t.Fatal("New accepted a zero pool")
 	}
-	if _, err := New(Config{TotalBlocks: 10, MinGrantBlocks: -1}); err == nil {
-		t.Fatal("New accepted a negative min grant")
-	}
 	if _, err := NewGate(0, 0); err == nil {
 		t.Fatal("NewGate accepted max 0")
 	}
@@ -474,7 +487,7 @@ func TestNewRejectsBadConfig(t *testing.T) {
 
 func TestGateBoundsConcurrency(t *testing.T) {
 	const max = 4
-	gt, err := NewGate(max, 50*time.Microsecond)
+	gt, err := NewGate(max, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -520,26 +533,124 @@ func TestGateBoundsConcurrency(t *testing.T) {
 }
 
 func TestGateAbortWhileQueued(t *testing.T) {
-	gt, _ := NewGate(1, 100*time.Microsecond)
+	gt, _ := NewGate(1, 0)
 	if _, err := gt.Enter(nil); err != nil {
 		t.Fatal(err)
 	}
-	boom := errors.New("canceled")
-	done := make(chan error, 1)
-	go func() {
-		_, err := gt.Enter(func() error { return boom })
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if !errors.Is(err, boom) {
-			t.Fatalf("queued Enter returned %v, want abort error", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("abort did not reach the queued Enter")
+	before := gt.Stats()
+	if _, err := gt.Enter(cancelled()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("queued Enter returned %v, want context.Canceled", err)
+	}
+	if s := gt.Stats(); s.Live != before.Live || s.Queued != before.Queued || s.Admitted != before.Admitted {
+		t.Fatalf("cancelled Enter changed the gate: %+v, was %+v", s, before)
 	}
 	gt.Leave()
 	if s := gt.Stats(); s.Live != 0 {
 		t.Fatalf("gate corrupted after aborted wait: %+v", s)
 	}
+}
+
+// parkedIn reports how many goroutines are parked in a select inside fn:
+// blocked on its channels, not merely on their way there.
+func parkedIn(fn string) int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, " [select") && strings.Contains(g, fn) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestGateAdmitsInArrivalOrder: with the one slot held, A queues and then
+// B; a Leave hands the slot to A, and B stays queued until A leaves. Queued
+// counts a caller just before it blocks on the channel, so B starts only
+// once A is parked there.
+func TestGateAdmitsInArrivalOrder(t *testing.T) {
+	gt, _ := NewGate(1, 0)
+	if _, err := gt.Enter(nil); err != nil {
+		t.Fatal(err)
+	}
+	admitted := make(chan string, 2)
+	for i, name := range []string{"A", "B"} {
+		go func() {
+			if _, err := gt.Enter(context.Background()); err != nil {
+				t.Error(err)
+			}
+			admitted <- name
+		}()
+		waitUntil(t, name+" queues", func() bool { return parkedIn("(*Gate).Enter") == i+1 })
+	}
+	gt.Leave()
+	if first := <-admitted; first != "A" {
+		t.Fatalf("Leave admitted %s ahead of A, which queued first", first)
+	}
+	if s := gt.Stats(); s.Live != 1 || s.Queued != 1 {
+		t.Fatalf("after one Leave: %+v, want A live and B queued", s)
+	}
+	select {
+	case name := <-admitted:
+		t.Fatalf("%s admitted while A holds the one slot", name)
+	default:
+	}
+	gt.Leave()
+	if second := <-admitted; second != "B" {
+		t.Fatalf("second admission %s, want B", second)
+	}
+	gt.Leave()
+	if s := gt.Stats(); s.Live != 0 || s.Queued != 0 || s.Admitted != 3 || s.Waits != 2 {
+		t.Fatalf("gate not drained: %+v", s)
+	}
+}
+
+// TestGateAndGrantWaitOnNilContext: a nil context is a wait no cancellation
+// ends — Enter waits for a Leave and Acquire for a Release, the form the
+// benchmark's serving probes call.
+func TestGateAndGrantWaitOnNilContext(t *testing.T) {
+	t.Run("Enter", func(t *testing.T) {
+		gt, _ := NewGate(1, 0)
+		if _, err := gt.Enter(nil); err != nil {
+			t.Fatal(err)
+		}
+		got := make(chan error, 1)
+		go func() {
+			_, err := gt.Enter(nil)
+			got <- err
+		}()
+		waitUntil(t, "Enter queues", func() bool { return gt.Stats().Queued == 1 })
+		select {
+		case err := <-got:
+			t.Fatalf("Enter returned %v while the slot was held", err)
+		default:
+		}
+		gt.Leave()
+		if err := <-got; err != nil {
+			t.Fatal(err)
+		}
+		gt.Leave()
+	})
+	t.Run("Acquire", func(t *testing.T) {
+		g, held := fullPool(t)
+		got := make(chan error, 1)
+		go func() {
+			gr, err := g.Acquire(2, nil, nil)
+			if err == nil {
+				gr.Release()
+			}
+			got <- err
+		}()
+		waitUntil(t, "Acquire waits", func() bool { return g.Stats().GrantWaits == 1 })
+		select {
+		case err := <-got:
+			t.Fatalf("Acquire returned %v while the pool was full", err)
+		default:
+		}
+		held[0].Release()
+		if err := <-got; err != nil {
+			t.Fatal(err)
+		}
+		held[1].Release()
+	})
 }

@@ -32,7 +32,6 @@ package pyro
 
 import (
 	"fmt"
-	"time"
 
 	"pyro/internal/catalog"
 	"pyro/internal/core"
@@ -78,7 +77,8 @@ type Column struct {
 	Width int
 }
 
-// Config sizes a Database.
+// Config sizes a Database. It holds no time limit: a query's deadline is
+// its context's.
 type Config struct {
 	// PageSize is the simulated disk block size (default 4096, matching
 	// the paper's setup).
@@ -100,30 +100,20 @@ type Config struct {
 	// identical to the ungoverned engine), and concurrent queries share the
 	// pool max-min fairly: each is granted its ask capped at one water
 	// level over all claimants' asks, and a newcomer whose share is not
-	// free shrinks every grant above the level to it. 0 defaults to
+	// free shrinks every grant above the level to it. The level never falls
+	// below 1/256 of the pool (at least one block): a query whose share
+	// would, waits until a release makes room. 0 defaults to
 	// SortMemoryBlocks — the pool admits one full-budget sort's worth of
 	// memory in total. Negative disables the governor: every query gets
 	// the static per-sort budget, as before. Queries that override their
 	// budget with WithSortMemoryBlocks bypass the governor entirely (the
 	// explicit value is taken literally, as documented there).
 	GlobalSortMemoryBlocks int
-	// MinSortGrantBlocks is the floor of the governor's fair water level:
-	// no grant is shrunk below it, and a query whose share would fall
-	// under it waits instead (0 defaults to GlobalSortMemoryBlocks/256, at
-	// least 1). Raising it bounds how far contention can squeeze a query's
-	// sorts.
-	MinSortGrantBlocks int
 	// MaxConcurrentQueries bounds how many queries execute at once; excess
-	// Query calls queue (cancellably) and report their wait in
-	// ExecStats.QueuedTime. 0 means unlimited (no admission gate).
+	// Query calls queue in arrival order until their context ends and
+	// report their wait in ExecStats.QueuedTime. 0 means unlimited (no
+	// admission gate).
 	MaxConcurrentQueries int
-	// QueryTimeout bounds every query's wall-clock lifetime, measured from
-	// the Query call (0 = unlimited). It rides the same abort path as
-	// context cancellation — polled inside sort and spill loops, while
-	// queued at the admission gate, and while blocked on a sort-memory
-	// grant — and surfaces as context.DeadlineExceeded from Cursor.Err.
-	// WithDeadline tightens it per query.
-	QueryTimeout time.Duration
 	// PlanCacheSize bounds the database's plan cache, which lets repeated
 	// Optimize calls and WithRowTarget re-optimizations of the same query
 	// shape skip the optimizer: entries are keyed by (logical query
@@ -163,12 +153,8 @@ func Open(cfg Config) *Database {
 		if total == 0 {
 			total = cfg.SortMemoryBlocks
 		}
-		// Config errors are impossible here: total is positive and the min
-		// grant non-negative by the clamps above.
-		db.gov, _ = govern.New(govern.Config{
-			TotalBlocks:    total,
-			MinGrantBlocks: cfg.MinSortGrantBlocks,
-		})
+		// total is positive by the clamp above, so New cannot fail.
+		db.gov, _ = govern.New(govern.Config{TotalBlocks: total})
 	}
 	if cfg.MaxConcurrentQueries > 0 {
 		db.gate, _ = govern.NewGate(cfg.MaxConcurrentQueries, 0)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -457,10 +458,11 @@ func TestAdmissionGateQueuesSecondQuery(t *testing.T) {
 		err = cur.Close()
 		got <- result{stats: cur.Stats(), err: err}
 	}()
+	waitUntil(t, "the second query queues", func() bool { return db.ServingStats().Admission.Queued == 1 })
 	select {
 	case r := <-got:
 		t.Fatalf("second query ran through a full 1-slot gate: %+v", r)
-	case <-time.After(20 * time.Millisecond):
+	default:
 	}
 	if err := first.Close(); err != nil {
 		t.Fatal(err)
@@ -502,7 +504,7 @@ func TestAdmissionGateHonorsCancellation(t *testing.T) {
 		_, err := db.Query(ctx, plan)
 		got <- err
 	}()
-	time.Sleep(10 * time.Millisecond)
+	waitUntil(t, "the second query queues", func() bool { return db.ServingStats().Admission.Queued == 1 })
 	cancel()
 	select {
 	case err := <-got:
@@ -511,6 +513,68 @@ func TestAdmissionGateHonorsCancellation(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("cancellation did not reach the queued query")
+	}
+}
+
+// waitUntil yields until cond holds, failing the test after 10 s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for start := time.Now(); !cond(); runtime.Gosched() {
+		if time.Since(start) > 10*time.Second {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+	}
+}
+
+// TestServingCancelWhileQueuedLeavesCounters: a query cancelled while it
+// queues at the admission gate, or while it waits for sort memory, leaves
+// the gate's Queued and Live and the governor's GrantedBlocks as they were
+// before its Query call.
+func TestServingCancelWhileQueuedLeavesCounters(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		cfg     Config
+		holders int
+		queued  func(s ServingStats) bool
+	}{
+		{"at the gate", Config{MaxConcurrentQueries: 1}, 1,
+			func(s ServingStats) bool { return s.Admission.Queued == 1 }},
+		// Two holders split a 2-block pool 1/1, so a third query waits.
+		{"in the governor", Config{GlobalSortMemoryBlocks: 2, MaxConcurrentQueries: 3}, 2,
+			func(s ServingStats) bool { return s.Governor.GrantWaits == 1 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			db := servingDB(t, c.cfg)
+			plan, err := db.Optimize(db.Scan("small").OrderBy("v"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for range c.holders {
+				cur, err := db.Query(context.Background(), plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer cur.Close()
+			}
+			before := db.ServingStats()
+			ctx, cancel := context.WithCancel(context.Background())
+			got := make(chan error, 1)
+			go func() {
+				_, err := db.Query(ctx, plan)
+				got <- err
+			}()
+			waitUntil(t, "the query waits", func() bool { return c.queued(db.ServingStats()) })
+			cancel()
+			if err := <-got; !errors.Is(err, context.Canceled) {
+				t.Fatalf("waiting query returned %v, want context.Canceled", err)
+			}
+			after := db.ServingStats()
+			if after.Admission.Queued != before.Admission.Queued || after.Admission.Live != before.Admission.Live ||
+				after.Governor.GrantedBlocks != before.Governor.GrantedBlocks {
+				t.Fatalf("cancelled query moved the counters: gate %+v → %+v, granted blocks %d → %d",
+					before.Admission, after.Admission, before.Governor.GrantedBlocks, after.Governor.GrantedBlocks)
+			}
+		})
 	}
 }
 
