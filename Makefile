@@ -65,11 +65,11 @@ race-serve:
 
 # Fault-sweep harness at full resolution: every page transfer of every
 # plan-matrix arm is failed (and panicked) in turn, under the race
-# detector with GOMAXPROCS forced, plus the temp-quota ENOSPC arm and the
-# four context-deadline tests. The default `make test` runs the same sweep
-# strided.
+# detector with GOMAXPROCS forced, plus the temp-quota ENOSPC arm, the
+# four context-deadline tests and the in-call abort of every looping
+# operator. The default `make test` runs the same sweep strided.
 chaos:
-	PYRO_CHAOS_FULL=1 GOMAXPROCS=8 $(GO) test -race -count=1 -run 'Chaos|QueryTimeoutAbortsSort|WithDeadlineInPast|DeadlineWhile' .
+	PYRO_CHAOS_FULL=1 GOMAXPROCS=8 $(GO) test -race -count=1 -run 'Chaos|QueryTimeoutAbortsSort|WithDeadlineInPast|DeadlineWhile|InCallAbortReachesEveryLoop' .
 
 fmt:
 	@out=$$(gofmt -l .); \

@@ -9,9 +9,13 @@ import (
 	"testing"
 	"time"
 
+	"pyro/internal/exec"
+	"pyro/internal/iter"
+	"pyro/internal/sortord"
 	"pyro/internal/storage"
 	"pyro/internal/storage/faulttest"
 	"pyro/internal/types"
+	"pyro/internal/xsort"
 )
 
 // chaosDB builds a compact database whose workloads exercise every fault
@@ -518,4 +522,114 @@ func queryWithTimeout(db *Database, plan *Plan, d time.Duration) error {
 		return err
 	}
 	return cur.Close()
+}
+
+// TestInCallAbortReachesEveryLoop: the cursor checks its context only
+// between NextChunk calls, so every operator loop that can run for an
+// input-sized number of iterations inside one call must poll the abort the
+// query binds (exec.Bind). Each tree's abort passes its first poll and fails
+// its second — a guard polls on its first check and then once a stride — so
+// the first NextChunk must return the abort having polled exactly twice, and
+// Close must then leave nothing behind. A loop that checks once per input
+// chunk is driven at capacity 1; one that checks once per output row fills a
+// full chunk.
+func TestInCallAbortReachesEveryLoop(t *testing.T) {
+	const n = 2000 // rows per input: several guard strides
+	db := Open(Config{})
+	t.Cleanup(func() { storage.AssertNoLeaks(t, db.disk) })
+	dup := make([][]any, n)
+	for i := range dup {
+		dup[i] = []any{int64(7), int64(i)}
+	}
+	if err := db.CreateTable("dup", []Column{{Name: "k", Type: Int64}, {Name: "v", Type: Int64}}, ClusterOn("k"), dup); err != nil {
+		t.Fatal(err)
+	}
+	dupTable, err := db.cat.Table("dup")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// ints is a one-column input of rows f(0), …, f(rows-1).
+	ints := func(col string, rows int, f func(i int) int64) exec.Operator {
+		data := make([]types.Tuple, rows)
+		for i := range data {
+			data[i] = types.Tuple{types.NewInt(f(i))}
+		}
+		v, err := exec.NewValues(types.NewSchema(types.Column{Name: col, Kind: types.KindInt}), data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	id := func(i int) int64 { return int64(i) }
+	never := Lt(Col("k"), Int(-1))
+	count := []exec.AggSpec{{Name: "n", Func: exec.AggCount}}
+	cases := []struct {
+		name     string
+		capacity int
+		build    func() (exec.Operator, error)
+	}{
+		{"filter rejecting every row", 1, func() (exec.Operator, error) {
+			return exec.NewFilter(ints("k", n, id), never)
+		}},
+		{"hash-join build", 1, func() (exec.Operator, error) {
+			return exec.NewHashJoin(ints("k", 1, id), ints("j", n, id), []string{"k"}, []string{"j"}, exec.InnerJoin)
+		}},
+		{"hash-aggregate ingest", 1, func() (exec.Operator, error) {
+			return exec.NewHashAggregate(ints("k", n, id), []string{"k"}, count)
+		}},
+		{"group-aggregate over one group", 1, func() (exec.Operator, error) {
+			return exec.NewGroupAggregate(ints("g", n, func(int) int64 { return 0 }), []string{"g"}, count)
+		}},
+		{"merge join on disjoint keys", 1, func() (exec.Operator, error) {
+			return exec.NewMergeJoin(ints("k", n, id), ints("j", n, func(i int) int64 { return int64(n + i) }),
+				sortord.New("k"), sortord.New("j"), exec.InnerJoin)
+		}},
+		{"merge union", types.DefaultChunkCapacity, func() (exec.Operator, error) {
+			return exec.NewMergeUnion(ints("k", n, func(i int) int64 { return int64(2 * i) }),
+				ints("k", n, func(i int) int64 { return int64(2*i + 1) }), sortord.New("k"))
+		}},
+		{"nested-loops spool", 1, func() (exec.Operator, error) {
+			return exec.NewNLJoin(ints("k", 1, id), ints("j", n, id), never, exec.InnerJoin, db.disk, 64)
+		}},
+		{"nested-loops join", types.DefaultChunkCapacity, func() (exec.Operator, error) {
+			return exec.NewNLJoin(ints("k", n, id), ints("j", 10, id), never, exec.InnerJoin, db.disk, 64)
+		}},
+		{"fetch", types.DefaultChunkCapacity, func() (exec.Operator, error) {
+			return exec.NewFetch(ints("ref", 1, func(int) int64 { return 7 }), dupTable, []string{"ref"})
+		}},
+		{"sort collect", 1, func() (exec.Operator, error) {
+			return exec.NewSortSRS(ints("k", n, func(i int) int64 { return int64(i * 7919 % n) }), sortord.New("k"),
+				xsort.Config{Disk: db.disk, MemoryBlocks: 64, BatchSize: types.DefaultChunkCapacity})
+		}},
+	}
+	errAbort := errors.New("aborted")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			op, err := tc.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			polls := 0
+			exec.Bind(op, iter.Binding{Abort: func() error {
+				if polls++; polls >= 2 {
+					return errAbort
+				}
+				return nil
+			}})
+			if err := op.Open(); err != nil {
+				t.Fatal(err)
+			}
+			c := types.GetChunk(op.Schema().Len(), tc.capacity)
+			defer types.PutChunk(c)
+			if err := op.NextChunk(c); !errors.Is(err, errAbort) {
+				t.Errorf("the first NextChunk returned %v (%d rows) after %d polls, want the abort", err, c.Rows(), polls)
+			}
+			if polls != 2 {
+				t.Errorf("%d polls, want 2", polls)
+			}
+			if err := op.Close(); err != nil {
+				t.Fatalf("Close after the abort: %v", err)
+			}
+		})
+	}
 }

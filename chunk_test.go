@@ -11,6 +11,7 @@ import (
 
 	"pyro/internal/core"
 	"pyro/internal/exec"
+	"pyro/internal/iter"
 	"pyro/internal/sortord"
 	"pyro/internal/storage"
 	"pyro/internal/types"
@@ -254,7 +255,7 @@ func TestNothingSortsInOpen(t *testing.T) {
 	check := func(t *testing.T, db *Database, plan *Plan) (full bool) {
 		t.Helper()
 		tap := storage.NewTap()
-		op, err := core.Build(plan.inner, core.BuildConfig{Disk: db.disk, SortMemoryBlocks: db.cfg.SortMemoryBlocks, IOTap: tap})
+		op, err := core.Build(plan.inner, core.BuildConfig{Disk: db.disk, SortMemoryBlocks: db.cfg.SortMemoryBlocks, Query: iter.Binding{Tap: tap}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -420,14 +421,13 @@ func TestChunkBoundaryMidPage(t *testing.T) {
 		rowFed := func(stop int) drained {
 			t.Helper()
 			tap := storage.NewTap()
-			scan := exec.NewTableScan(table)
-			scan.SetIOTap(tap)
-			sort, err := exec.NewSortMRS(scan, target, given, xsort.Config{
-				Disk: db.disk, MemoryBlocks: 64, Parallelism: 1, Tap: tap, BatchSize: 1,
+			sort, err := exec.NewSortMRS(exec.NewTableScan(table), target, given, xsort.Config{
+				Disk: db.disk, MemoryBlocks: 64, Parallelism: 1, BatchSize: 1,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
+			exec.Bind(sort, iter.Binding{Tap: tap})
 			return drained{rows: drainOp(t, sort, 1, stop), sorts: []SortStats{*sort.SortStats()}, io: tap.Stats()}
 		}
 		replay := func(_ int, n int64) SortStats { return rowFed(int(n)).sorts[0] }
@@ -629,14 +629,13 @@ func TestChunkStopsInSpilledMerge(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			scan := exec.NewTableScan(table)
-			scan.SetIOTap(tap)
-			s, err := exec.NewSortSRS(scan, sortord.New(key), xsort.Config{
-				Disk: db.disk, MemoryBlocks: 4, Parallelism: 1, Tap: tap, BatchSize: capacity,
+			s, err := exec.NewSortSRS(exec.NewTableScan(table), sortord.New(key), xsort.Config{
+				Disk: db.disk, MemoryBlocks: 4, Parallelism: 1, BatchSize: capacity,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
+			exec.Bind(s, iter.Binding{Tap: tap})
 			return s
 		}
 		// join drains big ⋈ other on v = w, every operator pulling chunks of

@@ -9,6 +9,7 @@ import (
 	"pyro/internal/core"
 	"pyro/internal/exec"
 	"pyro/internal/govern"
+	"pyro/internal/iter"
 	"pyro/internal/storage"
 	"pyro/internal/types"
 	"pyro/internal/xsort"
@@ -102,8 +103,8 @@ type ExecStats struct {
 	// GrantedBlocks is the sort-memory grant this query received from the
 	// global governor, in blocks, as initially issued (a later query's
 	// arrival may have shrunk it since). Zero when the query took no grant:
-	// the governor is disabled, the budget was pinned with
-	// WithSortMemoryBlocks, or the plan has no memory-consuming operator.
+	// the budget was pinned with WithSortMemoryBlocks, or the plan has no
+	// memory-consuming operator.
 	GrantedBlocks int
 	// GrantWait is how long the query blocked waiting for sort memory;
 	// GrantWaits is 1 when it blocked at all (per-query grants block at
@@ -244,37 +245,35 @@ func (db *Database) Query(ctx context.Context, p *Plan, opts ...ExecOption) (*Cu
 	}
 	tap := storage.NewTap()
 
-	// Sort-memory grant: governed queries whose plan buffers sort memory
-	// ask the global pool for their configured budget — or, when every sort
-	// is bounded by a Limit, for the little those bounds need
+	// Sort-memory grant: a query whose plan buffers sort memory asks the
+	// global pool for its configured budget — or, when every sort is
+	// bounded by a Limit, for the little those bounds need
 	// (sortMemoryAsk). A lone query gets its full ask (single-cursor
-	// execution is identical to the ungoverned engine); under contention
-	// the grant is the ask capped at the pool's max-min fair level, so a
-	// small neighbour's ask leaves the rest of the pool to this query, and
-	// it is shrunk to a later, lower level when another query arrives. The
-	// grant doubles as the live xsort.Budget every sort enforcer re-reads.
-	// Explicit WithSortMemoryBlocks bypasses all of this, as does a plan
-	// with no sort or spool operator.
-	buildBlocks := cfg.SortMemoryBlocks
-	var budget xsort.Budget
-	if ask := sortMemoryAsk(inner, cfg.Config); db.gov != nil && !cfg.memoryOverride && ask > 0 {
+	// execution is identical to a static budget of that size); under
+	// contention the grant is the ask capped at the pool's max-min fair
+	// level, so a small neighbour's ask leaves the rest of the pool to this
+	// query, and it is shrunk to a later, lower level when another query
+	// arrives. The grant doubles as the query's live budget (iter.Budget),
+	// which every sort and nested-loops join re-reads. Explicit
+	// WithSortMemoryBlocks bypasses all of this, as does a plan with no sort
+	// or spool operator. The context's Err, the tap and the grant reach the
+	// plan in one binding (exec.Bind).
+	bcfg := core.BuildConfig{
+		Disk:             db.disk,
+		SortMemoryBlocks: cfg.SortMemoryBlocks,
+		SortParallelism:  cfg.SortParallelism,
+		Query:            iter.Binding{Abort: ctx.Err, Tap: tap},
+	}
+	if ask := sortMemoryAsk(inner, cfg.Config); !cfg.memoryOverride && ask > 0 {
 		g, err := db.gov.Acquire(min(max(ask, db.gov.MinGrant()), cfg.SortMemoryBlocks), nil, ctx)
 		if err != nil {
 			return nil, err
 		}
 		grant = g
-		buildBlocks = g.Initial()
-		budget = g
+		bcfg.Query.Budget = g
 	}
 
-	op, err := core.Build(inner, core.BuildConfig{
-		Disk:             db.disk,
-		SortMemoryBlocks: buildBlocks,
-		SortBudget:       budget,
-		SortParallelism:  cfg.SortParallelism,
-		SortAbort:        ctx.Err,
-		IOTap:            tap,
-	})
+	op, err := core.Build(inner, bcfg)
 	if err != nil {
 		return nil, err
 	}

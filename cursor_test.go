@@ -392,71 +392,115 @@ func TestConcurrentCursors(t *testing.T) {
 // running concurrently on one Database report exact, disjoint I/O — each
 // equals the solo run of the same plan transfer for transfer, and the
 // device-level delta is exactly their sum. (`make race` gates the tap
-// plumbing underneath.) Spilling is forced so arena taps are exercised;
-// serial sort knobs keep each cursor's I/O bit-deterministic.
+// plumbing underneath.) There is one plan per kind of operator that charges
+// I/O — a scan under a spilling sort (its arenas), a covering index scan, a
+// nested-loops spool and a deferred fetch — run four cursors to a plan and
+// then one cursor each; serial sort knobs keep each cursor's I/O
+// bit-deterministic.
 func TestPerQueryIOAttribution(t *testing.T) {
 	db := segmentedDB(t, 20_000, 10_000)
-	plan, err := db.Optimize(db.Scan("big").OrderBy("g", "v"))
-	if err != nil {
+	var wide, probe [][]any
+	for i := 0; i < 6000; i++ {
+		wide = append(wide, []any{int64(i), int64(i % 1000), "wide-payload-wide-payload-wide-payload-wide-payload"})
+	}
+	for a := 0; a < 10; a++ {
+		probe = append(probe, []any{int64(a)})
+	}
+	if err := db.CreateTable("wide", []Column{
+		{Name: "id", Type: Int64},
+		{Name: "tag", Type: Int64},
+		{Name: "payload", Type: String, Width: 50},
+	}, ClusterOn("id"), wide); err != nil {
 		t.Fatal(err)
+	}
+	if err := db.CreateIndex("wide_tag", "wide", []string{"tag"}, []string{"id"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateTable("probe", []Column{{Name: "a", Type: Int64}}, nil, probe); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name, op string
+		q        *Query
+		charged  func(IOStats) bool // the kind's own charge is there
+	}{
+		{"spilling sort", "Sort", db.Scan("big").OrderBy("g", "v"),
+			func(io IOStats) bool { return io.RunTotal() > 0 }},
+		{"covering index scan", "IndexScan", db.Scan("wide").Select("tag", "id").OrderBy("tag"),
+			func(io IOStats) bool { return io.PageReads > 0 }},
+		{"nested-loops spool", "NestedLoopsJoin", db.Scan("probe").Join(db.Scan("big"), Lt(Col("pad"), Col("a"))),
+			func(io IOStats) bool { return io.RunPageWrites > 0 && io.RunPageReads > 0 }},
+		{"deferred fetch", "Fetch", db.Scan("wide").Filter(Eq(Col("tag"), Int(7))),
+			func(io IOStats) bool { return io.Seeks > 0 }},
 	}
 	opts := []ExecOption{WithSortMemoryBlocks(8), WithSortParallelism(1)}
 
-	drain := func() ExecStats {
-		t.Helper()
+	drain := func(plan *Plan) (ExecStats, error) {
 		cur, err := db.Query(context.Background(), plan, opts...)
+		if err != nil {
+			return ExecStats{}, err
+		}
+		defer cur.Close()
+		for cur.Next() {
+		}
+		return cur.Stats(), cur.Err()
+	}
+	plans := make([]*Plan, len(cases))
+	solo := make([]IOStats, len(cases))
+	for i, c := range cases {
+		plan, err := db.Optimize(c.q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for cur.Next() {
+		if !strings.Contains(plan.Explain(), c.op) {
+			t.Fatalf("%s: the plan has no %s:\n%s", c.name, c.op, plan.Explain())
 		}
-		if err := cur.Err(); err != nil {
+		st, err := drain(plan)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return cur.Stats()
-	}
-	want := drain().IO
-	if want.RunTotal() == 0 {
-		t.Fatal("workload must spill for arena taps to be exercised")
+		if !c.charged(st.IO) {
+			t.Fatalf("%s: the solo run's I/O %+v lacks the %s's own charge", c.name, st.IO, c.op)
+		}
+		plans[i], solo[i] = plan, st.IO
 	}
 
-	before := db.IOStats()
-	const workers = 4
-	stats := make([]ExecStats, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			cur, err := db.Query(context.Background(), plan, opts...)
-			if err != nil {
-				errs[w] = err
-				return
-			}
-			defer cur.Close()
-			for cur.Next() {
-			}
-			errs[w] = cur.Err()
-			stats[w] = cur.Stats()
-		}(w)
-	}
-	wg.Wait()
+	// concurrently runs four cursors at once, cursor w on plans[planOf(w)].
+	concurrently := func(round string, planOf func(w int) int) {
+		t.Helper()
+		before := db.IOStats()
+		const workers = 4
+		stats := make([]ExecStats, workers)
+		errs := make([]error, workers)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				stats[w], errs[w] = drain(plans[planOf(w)])
+			}(w)
+		}
+		wg.Wait()
 
-	var sum IOStats
-	for w := 0; w < workers; w++ {
-		if errs[w] != nil {
-			t.Fatalf("cursor %d: %v", w, errs[w])
+		var sum IOStats
+		for w := 0; w < workers; w++ {
+			if errs[w] != nil {
+				t.Fatalf("%s: cursor %d: %v", round, w, errs[w])
+			}
+			if want := solo[planOf(w)]; stats[w].IO != want {
+				t.Fatalf("%s: cursor %d IO = %+v, want the solo run's exact %+v — attribution overlapped",
+					round, w, stats[w].IO, want)
+			}
+			sum.Add(stats[w].IO)
 		}
-		if stats[w].IO != want {
-			t.Fatalf("cursor %d IO = %+v, want the solo run's exact %+v — attribution overlapped",
-				w, stats[w].IO, want)
+		if delta := db.IOStats().Sub(before); delta != sum {
+			t.Fatalf("%s: device delta %+v != sum of per-query taps %+v", round, delta, sum)
 		}
-		sum.Add(stats[w].IO)
 	}
-	if delta := db.IOStats().Sub(before); delta != sum {
-		t.Fatalf("device delta %+v != sum of per-query taps %+v", delta, sum)
+	for i, c := range cases {
+		concurrently(c.name, func(int) int { return i })
 	}
+	concurrently("one cursor a plan", func(w int) int { return w % len(cases) })
 }
 
 func TestQueryRejectsForeignPlan(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pyro/internal/exec"
+	"pyro/internal/iter"
 	"pyro/internal/storage"
 	"pyro/internal/types"
 	"pyro/internal/xsort"
@@ -12,32 +13,19 @@ import (
 // BuildConfig carries the execution resources for compiling a plan.
 type BuildConfig struct {
 	Disk *storage.Disk
-	// SortMemoryBlocks is the per-sort memory budget (M).
+	// SortMemoryBlocks is M, the static memory budget of every sort and of
+	// a nested-loops join's outer block; it must be positive. Under a live
+	// Query.Budget, Build takes M as the budget's value at build time when
+	// that is lower, which also fixes what is structural — a merge's fan-in.
 	SortMemoryBlocks int
 	// SortParallelism bounds concurrent MRS segment sorts per enforcer
 	// (0 = GOMAXPROCS, 1 = serial).
 	SortParallelism int
-	// SortAbort, when non-nil, is polled by the sort enforcers'
-	// long-running loops (input consumption, segment collection, spill
-	// merges); its first error aborts the enforcer, which surfaces it from
-	// Open or NextChunk. Streaming execution supplies the query context's Err
-	// here so a cancellation reaches a sort that would otherwise block for
-	// its entire input. Must be safe for concurrent use.
-	SortAbort func() error
-	// IOTap, when non-nil, receives a copy of every I/O charge this plan's
-	// operators cause — scans, deferred fetches, nested-loops spools, and
-	// sort spill arenas all charge it alongside the device ledger. The
-	// streaming cursor hands each query its own tap, so concurrent queries
-	// on one Database get exact, disjoint I/O attribution instead of
-	// overlapping windows over the shared device counters.
-	IOTap *storage.Tap
-	// SortBudget, when non-nil, is the query's live sort-memory allowance:
-	// every sort enforcer re-reads it at its buffering decisions, so a
-	// global governor can shrink a running query's memory and its sorts
-	// spill at the new bound. SortMemoryBlocks still fixes the structural
-	// decisions (merge fan-in) and should be set to the allowance's initial
-	// value. Nil means the static SortMemoryBlocks budget.
-	SortBudget xsort.Budget
+	// Query is the query's run-time binding — its context's abort, its I/O
+	// tap, its governor grant as the live budget — which Build hands to the
+	// tree through exec.Bind. The zero value builds an unbound tree: no
+	// abort, no tap, the static budget.
+	Query iter.Binding
 }
 
 // Build compiles a physical plan into an executable operator tree.
@@ -45,18 +33,12 @@ func Build(p *Plan, cfg BuildConfig) (exec.Operator, error) {
 	if cfg.Disk == nil {
 		return nil, fmt.Errorf("core: BuildConfig.Disk is nil")
 	}
-	if cfg.SortMemoryBlocks <= 0 {
-		cfg.SortMemoryBlocks = 1000
-	}
+	cfg.SortMemoryBlocks = cfg.Query.MemoryBlocks(cfg.SortMemoryBlocks)
 	root, err := build(p, cfg)
 	if err != nil {
 		return nil, err
 	}
-	// Sort enforcers receive the abort hook through xsort.Config.Abort;
-	// every other operator whose tuple loops can outlive a NextChunk call
-	// (filters, joins, aggregates, unions) polls the same hook through its
-	// own strided guard.
-	exec.InstallAbort(root, cfg.SortAbort)
+	exec.Bind(root, cfg.Query)
 	return root, nil
 }
 
@@ -72,23 +54,16 @@ func build(p *Plan, cfg BuildConfig) (exec.Operator, error) {
 	xcfg := xsort.Config{
 		Disk:         cfg.Disk,
 		MemoryBlocks: cfg.SortMemoryBlocks,
-		Budget:       cfg.SortBudget,
 		Parallelism:  cfg.SortParallelism,
-		Abort:        cfg.SortAbort,
-		Tap:          cfg.IOTap,
 		BatchSize:    types.DefaultChunkCapacity,
 		Limit:        p.SortLimit,
 	}
 
 	switch p.Kind {
 	case OpTableScan:
-		scan := exec.NewTableScan(p.Table)
-		scan.SetIOTap(cfg.IOTap)
-		return scan, nil
+		return exec.NewTableScan(p.Table), nil
 	case OpIndexScan:
-		scan := exec.NewIndexScan(p.Index)
-		scan.SetIOTap(cfg.IOTap)
-		return scan, nil
+		return exec.NewIndexScan(p.Index), nil
 	case OpFilter:
 		return exec.NewFilter(children[0], p.Pred)
 	case OpProject:
@@ -104,12 +79,7 @@ func build(p *Plan, cfg BuildConfig) (exec.Operator, error) {
 	case OpHashJoin:
 		return exec.NewHashJoin(children[0], children[1], p.LeftKeys, p.RightKeys, p.JoinType)
 	case OpNLJoin:
-		nl, err := exec.NewNLJoin(children[0], children[1], p.Pred, p.JoinType, cfg.Disk, cfg.SortMemoryBlocks)
-		if err != nil {
-			return nil, err
-		}
-		nl.SetIOTap(cfg.IOTap)
-		return nl, nil
+		return exec.NewNLJoin(children[0], children[1], p.Pred, p.JoinType, cfg.Disk, cfg.SortMemoryBlocks)
 	case OpGroupAgg:
 		return exec.NewGroupAggregate(children[0], p.GroupCols, p.Aggs)
 	case OpHashAgg:
@@ -127,12 +97,7 @@ func build(p *Plan, cfg BuildConfig) (exec.Operator, error) {
 		}
 		return exec.NewLimit(children[0], p.LimitK)
 	case OpFetch:
-		fetch, err := exec.NewFetch(children[0], p.Table, p.FetchKeys)
-		if err != nil {
-			return nil, err
-		}
-		fetch.SetIOTap(cfg.IOTap)
-		return fetch, nil
+		return exec.NewFetch(children[0], p.Table, p.FetchKeys)
 	default:
 		return nil, fmt.Errorf("core: cannot build operator for %v", p.Kind)
 	}

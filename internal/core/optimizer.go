@@ -822,10 +822,6 @@ func (opt *Optimizer) joinCandidates(j *logical.Join, required sortord.Order, bu
 		if err != nil {
 			return nil, err
 		}
-		out := sortord.Empty
-		if lp.Blocks <= opt.opts.Model.MemoryBlocks {
-			out = lp.OutOrder // one outer block: order propagates
-		}
 		nl := opt.opts.Model.NLJoinCost(lp.Blocks, rp.Blocks)
 		return []*Plan{{
 			Kind:     OpNLJoin,
@@ -833,7 +829,8 @@ func (opt *Optimizer) joinCandidates(j *logical.Join, required sortord.Order, bu
 			Pred:     j.Pred,
 			JoinType: j.Type,
 			Schema:   lp.Schema.Concat(rp.Schema),
-			OutOrder: out,
+			// No order: the join is inner-major within each outer block.
+			OutOrder: sortord.Empty,
 			Rows:     props.Rows,
 			Blocks:   opt.blocksFor(props.Rows, lp.Schema.AvgTupleWidth()+rp.Schema.AvgTupleWidth()),
 			Cost: cost.Cost{

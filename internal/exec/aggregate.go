@@ -214,10 +214,6 @@ func (g *GroupAggregate) Children() []Operator { return []Operator{g.child} }
 // GroupCols returns the grouping columns.
 func (g *GroupAggregate) GroupCols() []string { return g.groupCols }
 
-// SetAbort installs the abort hook the group-fold loop polls: one giant
-// group is folded inside a single call.
-func (g *GroupAggregate) SetAbort(poll func() error) { g.guard = iter.NewGuard(poll) }
-
 // Open opens the input.
 func (g *GroupAggregate) Open() error { return g.child.Open() }
 
@@ -340,10 +336,6 @@ func (h *HashAggregate) Schema() *types.Schema { return h.schema }
 
 // Children returns the aggregated input.
 func (h *HashAggregate) Children() []Operator { return []Operator{h.child} }
-
-// SetAbort installs the abort hook the ingest loop polls: the hash
-// aggregate drains its whole input inside its first call.
-func (h *HashAggregate) SetAbort(poll func() error) { h.guard = iter.NewGuard(poll) }
 
 // Open opens the child.
 func (h *HashAggregate) Open() error { return h.child.Open() }

@@ -16,6 +16,11 @@
 // done the I/O a consumer pulling one row at a time would have done. Next is
 // a row view derived from NextChunk (rowView), for callers that read rows.
 //
+// A query's run-time state — its context's abort, its I/O tap, its live
+// memory budget (iter.Binding) — reaches the tree in one walk, Bind, before
+// Open; an operator built and run without it never aborts, taps nothing and
+// holds its static budget.
+//
 // Operators carry the schema of the tuples they produce. Physical
 // properties (the sort order an operator guarantees) are tracked by the
 // optimizer, not the operators; operators that require sorted inputs
@@ -86,28 +91,46 @@ func Drain(op Operator) ([]types.Tuple, error) {
 	return iter.Drain(op, op.Schema().Len())
 }
 
-// Aborter is implemented by operators whose tuple loops poll an abort
-// hook. The cursor checks the context between its calls, but an operator
-// can consume its entire input inside one call — a filter rejecting every
-// row, a hash-join build, a nested-loops spool — so those inner loops
-// carry their own strided iter.Guard, exactly like the sort and spill
-// loops in internal/xsort.
-type Aborter interface {
-	// SetAbort installs the poll function (ctx.Err from the cursor). Must
-	// be called before Open; nil leaves the operator non-aborting.
-	SetAbort(poll func() error)
-}
-
-// InstallAbort walks the tree and installs poll on every operator that
-// polls an abort guard in its tuple loops. Sort enforcers are not wired
-// here — they receive the same hook through xsort.Config.Abort.
-func InstallAbort(root Operator, poll func() error) {
-	if poll == nil {
-		return
-	}
+// Bind hands one query's binding to its operator tree, and is the one place
+// that knows which operator takes which part of it:
+//   - the abort, through a strided iter.Guard, to every loop that can
+//     outlive one NextChunk — a filter rejecting every row, a hash build or
+//     ingest, a giant group, a merge join or union over disjoint keys, a
+//     nested-loops spool, a fetch — since the cursor checks its context only
+//     between calls;
+//   - the tap to every operator that charges I/O: scans, fetches, the
+//     nested-loops spool and the sorts' spill arenas;
+//   - the live budget to the sorts' row stores and the nested-loops join's
+//     outer block.
+//
+// A sort takes all three through xsort.MRS.Bind. Must be called before Open;
+// an unbound tree never aborts, taps nothing and holds its static budgets.
+func Bind(root Operator, b iter.Binding) {
+	guard := iter.NewGuard(b.Abort)
 	Walk(root, func(op Operator) {
-		if a, ok := op.(Aborter); ok {
-			a.SetAbort(poll)
+		switch o := op.(type) {
+		case *TableScan:
+			o.SetIOTap(b.Tap)
+		case *IndexScan:
+			o.tap = b.Tap
+		case *Fetch:
+			o.tap, o.guard = b.Tap, guard
+		case *NLJoin:
+			o.bind, o.guard = b, guard
+		case *Sort:
+			o.impl.Bind(b)
+		case *Filter:
+			o.guard = guard
+		case *HashJoin:
+			o.guard = guard
+		case *HashAggregate:
+			o.guard = guard
+		case *GroupAggregate:
+			o.guard = guard
+		case *MergeJoin:
+			o.guard = guard
+		case *MergeUnion:
+			o.guard = guard
 		}
 	})
 }

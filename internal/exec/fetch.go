@@ -74,13 +74,6 @@ func (f *Fetch) Children() []Operator { return []Operator{f.child} }
 // Fetches returns the number of heap lookups performed.
 func (f *Fetch) Fetches() int64 { return f.fetches }
 
-// SetIOTap attributes this fetch's heap page reads and seeks to a per-query
-// tap (nil taps nothing). Must be called before Open.
-func (f *Fetch) SetIOTap(t *storage.Tap) { f.tap = t }
-
-// SetAbort installs the abort hook the fetch loop polls.
-func (f *Fetch) SetAbort(poll func() error) { f.guard = iter.NewGuard(poll) }
-
 // Open opens the child and binds the (tapped) heap file.
 func (f *Fetch) Open() error {
 	f.queue, f.queuePos, f.fetches = nil, 0, 0

@@ -44,11 +44,6 @@ func (f *Filter) Selectivity() float64 {
 	return float64(f.out) / float64(f.in)
 }
 
-// SetAbort installs the abort hook the filter loop polls: a filter that
-// rejects every row consumes its whole input inside one call, so the loop
-// must poll rather than rely on the cursor's between-call check.
-func (f *Filter) SetAbort(poll func() error) { f.guard = iter.NewGuard(poll) }
-
 // Open opens the child.
 func (f *Filter) Open() error { return f.child.Open() }
 

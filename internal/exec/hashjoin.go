@@ -95,11 +95,6 @@ func (h *HashJoin) hashKey(t types.Tuple, ords []int) (string, bool) {
 	return string(h.keyBuf), true
 }
 
-// SetAbort installs the abort hook the build and probe loops poll: the
-// build drains the whole right input inside one call, and a probe phase
-// with no matches may drain the left.
-func (h *HashJoin) SetAbort(poll func() error) { h.guard = iter.NewGuard(poll) }
-
 // Open opens both inputs.
 func (h *HashJoin) Open() error {
 	if err := h.left.Open(); err != nil {

@@ -245,10 +245,6 @@ func (m *MergeJoin) padRight(c *types.Chunk, rt types.Tuple) {
 	c.AppendRow(m.out)
 }
 
-// SetAbort installs the abort hook the advance loop polls: with disjoint
-// key ranges the join can drain both inputs inside one call.
-func (m *MergeJoin) SetAbort(poll func() error) { m.guard = iter.NewGuard(poll) }
-
 // NextChunk fills c with the next joined rows. Inputs advance lazily, and
 // once c holds a row the join ends the chunk rather than pull an input
 // chunk (lookahead.load): a matching key's groups may be gathered across

@@ -13,11 +13,10 @@ import (
 // to a temporary file once, then rescanned for each memory-sized block of
 // outer tuples, charging the rescan I/O the classical cost model predicts
 // (B(R) + ceil(B(R)/M)·B(S)). It accepts an arbitrary join predicate, which
-// is what makes it the fallback for non-equijoins. Output preserves the
-// outer input's order within each block — the "nested loops joins propagate
-// the sort order of the outer" property §5.1.2 relies on holds only for a
-// one-block outer, so the optimizer treats NLJoin as order-propagating only
-// when the outer fits in memory.
+// is what makes it the fallback for non-equijoins. Output has no order: for
+// each inner row the join scans the whole outer block, so rows come out
+// inner-major within a block even when the outer fits in one, and the
+// optimizer claims no order for it.
 type NLJoin struct {
 	rowView
 	left, right Operator
@@ -26,7 +25,7 @@ type NLJoin struct {
 	joinType    JoinType // InnerJoin or LeftOuterJoin
 	schema      *types.Schema
 	disk        *storage.Disk
-	tap         *storage.Tap
+	bind        iter.Binding // the spool's tap and the outer block's live budget (Bind)
 	memBlocks   int
 	rightWidth  int
 
@@ -42,7 +41,7 @@ type NLJoin struct {
 	pads     []types.Tuple // left outer: the block's unmatched rows, emitted from pi on
 	pi       int
 	out      types.Tuple // output row scratch
-	guard    iter.Guard  // strided abort poll for spool, join and pad loops
+	guard    iter.Guard  // strided abort poll for the spool, join and pad loops
 }
 
 // nlPhase is where a nested-loops join is within its current outer block.
@@ -55,7 +54,8 @@ const (
 )
 
 // NewNLJoin builds a block nested-loops join with an arbitrary predicate
-// (nil means cross join). memBlocks bounds the outer block buffer.
+// (nil means cross join). memBlocks bounds the outer block buffer, or the
+// query's live budget while it is lower (Bind).
 func NewNLJoin(left, right Operator, pred expr.Expr, jt JoinType, disk *storage.Disk, memBlocks int) (*NLJoin, error) {
 	if jt == FullOuterJoin {
 		return nil, fmt.Errorf("exec: nested-loops join does not support full outer join")
@@ -88,14 +88,6 @@ func (n *NLJoin) Schema() *types.Schema { return n.schema }
 // Children returns the outer and inner inputs.
 func (n *NLJoin) Children() []Operator { return []Operator{n.left, n.right} }
 
-// SetIOTap attributes the spool's writes, rescans and seeks to a per-query
-// tap (nil taps nothing). Must be called before Open.
-func (n *NLJoin) SetIOTap(t *storage.Tap) { n.tap = t }
-
-// SetAbort installs the abort hook the spool, join and pad loops poll: the
-// first call drains the whole inner input into the spool before any row.
-func (n *NLJoin) SetAbort(poll func() error) { n.guard = iter.NewGuard(poll) }
-
 // Open opens both inputs.
 func (n *NLJoin) Open() error {
 	if err := n.left.Open(); err != nil {
@@ -107,7 +99,7 @@ func (n *NLJoin) Open() error {
 // spoolInner writes the inner input to a temp file, pulling it in chunks of
 // the given capacity.
 func (n *NLJoin) spoolInner(capacity int) error {
-	n.spool = n.disk.CreateTemp("nljoin", storage.KindRun).Tapped(n.tap)
+	n.spool = n.disk.CreateTemp("nljoin", storage.KindRun).Tapped(n.bind.Tap)
 	w := storage.NewTupleWriter(n.spool)
 	in := types.GetChunk(n.rightWidth, capacity)
 	defer types.PutChunk(in)
@@ -135,7 +127,7 @@ func (n *NLJoin) spoolInner(capacity int) error {
 // spool; it reports false when the outer input has no rows left.
 func (n *NLJoin) loadBlock(capacity int) (bool, error) {
 	n.block, n.slab = n.block[:0], n.slab[:0]
-	budget := int64(n.memBlocks) * int64(n.disk.PageSize())
+	budget := int64(n.bind.MemoryBlocks(n.memBlocks)) * int64(n.disk.PageSize())
 	var used int64
 	for used < budget && !n.leftDone {
 		t, ok, err := n.outer.next(capacity)

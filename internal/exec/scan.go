@@ -95,10 +95,6 @@ func (s *IndexScan) Index() *catalog.Index { return s.index }
 // Rows returns the number of tuples produced so far.
 func (s *IndexScan) Rows() int64 { return s.rows }
 
-// SetIOTap attributes this scan's page reads to a per-query tap (nil taps
-// nothing). Must be called before Open.
-func (s *IndexScan) SetIOTap(t *storage.Tap) { s.tap = t }
-
 // Open positions the scan at the first index page.
 func (s *IndexScan) Open() error {
 	s.reader = storage.NewTupleReader(s.index.File().Tapped(s.tap))

@@ -62,9 +62,6 @@ func (u *MergeUnion) Open() error {
 	return u.right.Open()
 }
 
-// SetAbort installs the abort hook the merge loop polls.
-func (u *MergeUnion) SetAbort(poll func() error) { u.guard = iter.NewGuard(poll) }
-
 // NextChunk fills c with the next rows in the shared order.
 func (u *MergeUnion) NextChunk(c *types.Chunk) error {
 	c.Reset()

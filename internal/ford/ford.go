@@ -181,8 +181,9 @@ func (c *Computer) afmProject(p *logical.Project) []sortord.Order {
 func (c *Computer) afmJoin(j *logical.Join) []sortord.Order {
 	leftAFM := c.AFM(j.Left)
 	rightAFM := c.AFM(j.Right)
-	// T: input favorable orders pass through (nested-loops joins propagate
-	// the outer's order; merge joins propagate the key order).
+	// T: input favorable orders pass through (§5.1.2: a merge join
+	// propagates its key order; the paper's nested-loops join the outer's,
+	// though pyro's block NL join emits none).
 	t := make([]sortord.Order, 0, len(leftAFM)+len(rightAFM))
 	t = append(t, leftAFM...)
 	t = append(t, rightAFM...)

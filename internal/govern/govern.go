@@ -6,17 +6,18 @@
 // The package provides the two serving-side arbiters:
 //
 //   - Governor — a global sort-memory pool. Queries acquire a Grant before
-//     building their operator tree; the grant's live block count flows into
-//     xsort.Config as the sort budget (xsort.Budget) in place of the static
-//     per-sort M. The pool is shared max-min fairly: every claimant — the
+//     building their operator tree; the grant is the query's live budget
+//     (iter.Budget, bound to the tree by exec.Bind), which every sort's row
+//     store and every nested-loops join's outer block read in place of the
+//     static M. The pool is shared max-min fairly: every claimant — the
 //     live grants at the blocks they asked for, each blocked Acquire at the
 //     whole pool, and the newcomer at its ask — fills up to one water
 //     level, so a claimant asking less than the level gets all it asked and
 //     the rest split what remains. A lone query always receives its full
-//     ask, so single-cursor execution is byte-identical to the ungoverned
-//     engine. When the free blocks do not cover a newcomer's share, every
-//     live grant above the level is shrunk to it, spilling or not: memory a
-//     query holds only because it arrived first is not its share.
+//     ask, so single-cursor execution is byte-identical to a static budget
+//     of that size. When the free blocks do not cover a newcomer's share,
+//     every live grant above the level is shrunk to it, spilling or not:
+//     memory a query holds only because it arrived first is not its share.
 //
 //   - Gate — bounded query admission. At most Max queries run at once;
 //     excess callers queue, and their queue time is reported so ExecStats
@@ -108,8 +109,9 @@ func (g *Governor) Stats() Stats {
 }
 
 // Grant is one query's share of the pool. Its live block count is read by
-// every sort enforcer of the query's plan (it implements xsort.Budget), so
-// a reclaim shrink reaches the sorts at their next buffering decision.
+// every sort and nested-loops join of the query's plan (it implements
+// iter.Budget), so a reclaim shrink reaches them at their next buffering
+// decision.
 type Grant struct {
 	g      *Governor
 	blocks atomic.Int64

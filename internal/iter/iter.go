@@ -1,14 +1,15 @@
 // Package iter defines the demand-driven pull contract shared by the
 // execution engine and the external sort operators — a stream of row
-// chunks — plus the cancellation plumbing streaming execution threads
-// through them: a Guard polls an abort function at a bounded stride so
-// per-tuple loops deep inside a sort can honor a context cancellation or an
-// early Close without paying a function call per tuple.
+// chunks — plus what one query hands its operators at run time: a Binding
+// (abort poll, I/O tap, live memory budget), whose abort a Guard polls at a
+// bounded stride so per-tuple loops deep inside a sort can honor a context
+// cancellation without paying a function call per tuple.
 package iter
 
 import (
 	"errors"
 
+	"pyro/internal/storage"
 	"pyro/internal/types"
 )
 
@@ -102,6 +103,49 @@ func closeAfter(it Iterator, err error) error {
 		return errors.Join(err, cerr)
 	}
 	return err
+}
+
+// Binding is one query's run-time state, handed to its operator tree in one
+// walk (exec.Bind) before Open. The zero Binding is an unbound tree: nothing
+// aborts, nothing is tapped, every buffer holds its static budget.
+type Binding struct {
+	// Abort, when non-nil, is polled through a Guard by every loop that can
+	// outlive one NextChunk — a filter rejecting every row, a hash build, a
+	// spool, a sort collecting a segment, a merge — and its first error
+	// aborts the operator. The cursor supplies its context's Err. Must be
+	// safe for concurrent use.
+	Abort func() error
+	// Tap, when non-nil, receives a copy of every I/O charge the plan
+	// causes — scans, deferred fetches, nested-loops spools, sort spill
+	// arenas — beside the device ledger, so concurrent queries on one disk
+	// get exact, disjoint attribution.
+	Tap *storage.Tap
+	// Budget, when non-nil, is the query's live memory allowance (its
+	// governor grant), read by MemoryBlocks.
+	Budget Budget
+}
+
+// Budget is a live memory allowance in disk blocks. Its holders re-read it
+// at every buffering decision, so a governor can shrink a running query's
+// memory and its buffers obey the new bound from then on. Implementations
+// must be safe for concurrent use: the governor changes it from another
+// goroutine while operators read it.
+type Budget interface {
+	// Blocks returns the current allowance in disk blocks.
+	Blocks() int
+}
+
+// MemoryBlocks is what an operator built with static blocks of memory may
+// hold right now: the live budget when it is positive and smaller, static
+// otherwise. A sort's row store and a nested-loops join's outer block both
+// size themselves from it, so one grant bounds both.
+func (b Binding) MemoryBlocks(static int) int {
+	if b.Budget != nil {
+		if n := b.Budget.Blocks(); n > 0 && n < static {
+			return n
+		}
+	}
+	return static
 }
 
 // Guard polls an abort function at a bounded stride. Long-running

@@ -10,7 +10,7 @@ import (
 // a context cancellation, a query deadline or an early cursor Close
 // reaches the engine within a bounded amount of work; that promise holds
 // only if every loop that can run for an input-sized number of iterations
-// consults iter.Guard.Check (or invokes Config.Abort directly).
+// consults iter.Guard.Check (or invokes the iter.Binding.Abort poll directly).
 //
 // Scope: internal/xsort and internal/exec. Flagged loop shapes are the
 // unbounded ones — `for { ... }` with no condition, and ranges over
@@ -20,7 +20,7 @@ import (
 var AbortPoll = &Analyzer{
 	Name: "abortpoll",
 	Doc: "unbounded loops in internal/xsort and internal/exec must poll the abort " +
-		"guard (iter.Guard.Check / Config.Abort) or carry //pyro:bounded(reason)",
+		"guard (iter.Guard.Check / iter.Binding.Abort) or carry //pyro:bounded(reason)",
 	Run: runAbortPoll,
 }
 
@@ -57,7 +57,7 @@ func runAbortPoll(pass *Pass) error {
 			if annotated || pollsAbort(info, body) {
 				return true
 			}
-			pass.Reportf(n.Pos(), "unbounded loop does not poll the abort guard: call iter.Guard.Check (or Config.Abort) in the loop body, or annotate //pyro:bounded(reason)")
+			pass.Reportf(n.Pos(), "unbounded loop does not poll the abort guard: call iter.Guard.Check (or iter.Binding.Abort) in the loop body, or annotate //pyro:bounded(reason)")
 			return true
 		})
 	}
@@ -89,7 +89,7 @@ func pollsAbort(info *types.Info, body *ast.BlockStmt) bool {
 					found = true
 				}
 			case "Abort":
-				// cfg.Abort() — invoking the abort hook is itself a poll.
+				// b.Abort() — invoking the abort poll is itself a poll.
 				found = true
 			}
 		}

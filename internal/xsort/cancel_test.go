@@ -32,11 +32,11 @@ func TestSRSAbortInterruptsOpen(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	rows := shuffled(genRows(20_000, 10, rng), rng)
 	cfg, d := smallCfg(t, 4) // tiny memory: the abort lands in the spill loop
-	cfg.Abort = abortAfter(3)
 	s, err := NewMRS(iter.FromSlice(rows), sortSchema, sortord.New("c1", "c2"), sortord.Empty, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.Bind(iter.Binding{Abort: abortAfter(3)})
 	if err := s.Open(); err != nil {
 		t.Fatal(err)
 	}
@@ -62,11 +62,11 @@ func TestMRSAbortInterruptsCollect(t *testing.T) {
 	rows := genRows(20_000, 2, rng) // two oversized segments
 	cfg, d := smallCfg(t, 4)
 	cfg.Parallelism = 1
-	cfg.Abort = abortAfter(3)
 	m, err := NewMRS(iter.FromSlice(rows), sortSchema, sortord.New("c1", "c2"), sortord.New("c1"), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.Bind(iter.Binding{Abort: abortAfter(3)})
 	if err := m.Open(); err != nil {
 		t.Fatal(err) // MRS Open reads one lookahead tuple; abort lands later
 	}
@@ -103,11 +103,11 @@ func TestMRSAbortWithParallelSpill(t *testing.T) {
 	rows := genRows(20_000, 2, rng)
 	cfg, d := smallCfg(t, 4)
 	cfg.Parallelism = 2
-	cfg.Abort = abortAfter(10)
 	m, err := NewMRS(iter.FromSlice(rows), sortSchema, sortord.New("c1", "c2"), sortord.New("c1"), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.Bind(iter.Binding{Abort: abortAfter(10)})
 	if err := m.Open(); err != nil {
 		t.Fatal(err)
 	}
@@ -153,11 +153,11 @@ func TestMRSLimitAbortReleasesEverything(t *testing.T) {
 				cfg, d := smallCfg(t, 4)
 				cfg.Parallelism = par
 				cfg.Limit = tc.limit
-				cfg.Abort = abortAfter(polls)
 				m, err := NewMRS(iter.FromSlice(rows), sortSchema, sortord.New("c1", "c2"), sortord.New("c1"), cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
+				m.Bind(iter.Binding{Abort: abortAfter(polls)})
 				// A late enough abort never fires: the bounded sort is done first.
 				if _, err = drain(m); err != nil {
 					if !errors.Is(err, errCanceled) {
@@ -179,7 +179,8 @@ func TestMRSLimitAbortReleasesEverything(t *testing.T) {
 	}
 }
 
-// TestNilAbortSortsNormally pins that the zero-value Abort changes nothing.
+// TestNilAbortSortsNormally pins that an unbound sort (no Bind, so no abort)
+// sorts as usual.
 func TestNilAbortSortsNormally(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	rows := shuffled(genRows(500, 10, rng), rng)

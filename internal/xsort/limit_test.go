@@ -226,11 +226,17 @@ func TestMRSLimitUnderShrinkingBudget(t *testing.T) {
 	cfg, _ := smallCfg(t, 64)
 	cfg.Parallelism = 1
 	cfg.Limit = k
-	b := &countdownBudget{blocks: 64, after: 150, then: 8}
-	cfg.Budget = b
-	out, st := limitedMRS(t, rows, sortord.New("c1"), cfg)
+	m, err := NewMRS(iter.FromSlice(rows), sortSchema, limitTarget, sortord.New("c1"), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Bind(iter.Binding{Budget: &countdownBudget{blocks: 64, after: 150, then: 8}})
+	out, err := drain(m)
+	if err != nil {
+		t.Fatal(err)
+	}
 	checkLimited(t, out, rows, k)
-	if st.RunsGenerated == 0 {
+	if st := m.Stats(); st.RunsGenerated == 0 {
 		t.Fatalf("the shrunk budget (8 blocks ≈ 32 rows < k) should have forced a spill: %+v", st)
 	}
 }

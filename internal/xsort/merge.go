@@ -23,8 +23,12 @@ type runWriter struct {
 	w    *storage.TupleWriter
 }
 
-func newRunWriter(ns storage.TempSpace, prefix string) *runWriter {
-	f := ns.CreateTemp(prefix, storage.KindRun)
+// runPrefix names every run file; the arena a run lives in already keeps
+// one sort's runs apart from another's.
+const runPrefix = "mrs"
+
+func newRunWriter(ns storage.TempSpace) *runWriter {
+	f := ns.CreateTemp(runPrefix, storage.KindRun)
 	return &runWriter{ns: ns, file: f, w: storage.NewTupleWriter(f)}
 }
 
@@ -44,8 +48,8 @@ func (w *runWriter) close() (*storage.File, error) {
 func (w *runWriter) abandon() { w.ns.Remove(w.file.Name()) }
 
 // writeRun writes the rows of st, in emission order, as one run in ns.
-func writeRun(ns storage.TempSpace, prefix string, st *rowStore, order []uint32) (*storage.File, error) {
-	w := newRunWriter(ns, prefix)
+func writeRun(ns storage.TempSpace, st *rowStore, order []uint32) (*storage.File, error) {
+	w := newRunWriter(ns)
 	for _, h := range order {
 		if err := w.write(st.rowBytes(st.entry(h))); err != nil {
 			w.abandon()
@@ -190,8 +194,8 @@ func (m *runMerger) fill(c *types.Chunk, limit int64) (int64, error) {
 
 // mergeGroup merges a group of runs into one fresh run in ns, removing the
 // consumed inputs on success, and counts its comparisons and the runs it
-// consumed into stats. cfg.Abort is polled per merged row at the guard
-// stride.
+// consumed into stats. abort (the query's, see MRS.Bind) is polled per
+// merged row at the guard stride.
 //
 // keep bounds the output: a limit-bounded sort (Config.Limit) will never
 // read past the first keep rows of the merged order, so the merge stops
@@ -201,10 +205,10 @@ func (m *runMerger) fill(c *types.Chunk, limit int64) (int64, error) {
 // The merge moves bytes, not tuples: the winning row is copied from its input
 // page to the output page undecoded. A spilled row is decoded once — by the
 // final merge, as it is emitted — no matter how many passes rewrite its run.
-func mergeGroup(cfg Config, ns storage.TempSpace, group []*storage.File, ky *keyer, keep int64, stats *SortStats) (*storage.File, error) {
-	guard := iter.NewGuard(cfg.Abort)
+func mergeGroup(abort func() error, ns storage.TempSpace, group []*storage.File, ky *keyer, keep int64, stats *SortStats) (*storage.File, error) {
+	guard := iter.NewGuard(abort)
 	stats.RunsMerged += len(group)
-	w := newRunWriter(ns, cfg.TempPrefix)
+	w := newRunWriter(ns)
 	fail := func(err error) (*storage.File, error) {
 		w.abandon()
 		return nil, err
@@ -240,10 +244,10 @@ func mergeGroup(cfg Config, ns storage.TempSpace, group []*storage.File, ky *key
 
 // reduceRuns merges runs until at most fanIn remain, so the final merge can
 // proceed with one input buffer per run, one reducePass at a time.
-func reduceRuns(cfg Config, ns storage.TempSpace, runs []*storage.File, ky *keyer, keep int64, stats *SortStats) ([]*storage.File, error) {
-	for len(runs) > cfg.fanIn() {
+func reduceRuns(fanIn int, abort func() error, ns storage.TempSpace, runs []*storage.File, ky *keyer, keep int64, stats *SortStats) ([]*storage.File, error) {
+	for len(runs) > fanIn {
 		var err error
-		if runs, err = reducePass(cfg, ns, runs, ky, keep, stats); err != nil {
+		if runs, err = reducePass(fanIn, abort, ns, runs, ky, keep, stats); err != nil {
 			return nil, err
 		}
 	}
@@ -255,13 +259,13 @@ func reduceRuns(cfg Config, ns storage.TempSpace, runs []*storage.File, ky *keye
 // cannot take as they are — and increments stats.MergePasses; consumed run
 // files are removed from ns, untouched runs keep their place behind the
 // merged ones. Every merged output is cut at keep rows (see mergeGroup).
-func reducePass(cfg Config, ns storage.TempSpace, runs []*storage.File, ky *keyer, keep int64, stats *SortStats) ([]*storage.File, error) {
+func reducePass(fanIn int, abort func() error, ns storage.TempSpace, runs []*storage.File, ky *keyer, keep int64, stats *SortStats) ([]*storage.File, error) {
 	stats.MergePasses++
-	groups := reductionPass(len(runs), cfg.fanIn())
+	groups := reductionPass(len(runs), fanIn)
 	outs := make([]*storage.File, len(groups))
 	for g, grp := range groups {
 		var err error
-		if outs[g], err = mergeGroup(cfg, ns, runs[grp.lo:grp.hi], ky, keep, stats); err != nil {
+		if outs[g], err = mergeGroup(abort, ns, runs[grp.lo:grp.hi], ky, keep, stats); err != nil {
 			return nil, err
 		}
 	}

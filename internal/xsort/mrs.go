@@ -71,10 +71,11 @@ type MRS struct {
 	target sortord.Order
 	given  sortord.Order // known input order; must be a prefix of target
 	cfg    Config
-	ky     *keyer // full-key keyer; segments bind per-segment skips
-	prefix int    // |given|
-	par    int    // resolved segment-sort parallelism
-	rs     bool   // replacementSelection(given, Limit): oversized segments form runs by replacement selection
+	ky     *keyer       // full-key keyer; segments bind per-segment skips
+	prefix int          // |given|
+	par    int          // resolved segment-sort parallelism
+	bind   iter.Binding // the query's abort, tap and live budget (Bind)
+	rs     bool         // replacementSelection(given, Limit): oversized segments form runs by replacement selection
 	stats  SortStats
 
 	// Input state. pending is the lookahead row — the first of the next
@@ -99,7 +100,7 @@ type MRS struct {
 
 	liveBytes int64      // blocks held, in bytes, across all live segments
 	pumps     int64      // read-ahead quanta the rows already emitted bought (see pump)
-	guard     iter.Guard // strided Config.Abort poll (consumer goroutine only)
+	guard     iter.Guard // strided poll of bind.Abort (consumer goroutine only)
 
 	opened bool
 	closed bool
@@ -181,9 +182,6 @@ func NewMRS(input iter.Iterator, schema *types.Schema, target, given sortord.Ord
 	if err != nil {
 		return nil, err
 	}
-	if cfg.TempPrefix == "" {
-		cfg.TempPrefix = "mrs"
-	}
 	prefix := given.Len()
 	// Keys are full target-order encodings; each segment binds a keyer
 	// whose skip covers the encoded `given` prefix (constant within the
@@ -202,7 +200,6 @@ func NewMRS(input iter.Iterator, schema *types.Schema, target, given sortord.Ord
 		prefix:      prefix,
 		par:         cfg.parallelism(),
 		rs:          replacementSelection(given, cfg.Limit),
-		guard:       iter.NewGuard(cfg.Abort),
 		passthrough: prefix == target.Len(),
 		owed:        cfg.limit(),
 	}, nil
@@ -220,6 +217,23 @@ func (m *MRS) startSegment() *segCollector {
 	skip := m.ky.codec.KeyPrefixLen(m.pending.key, m.prefix)
 	c.prefix, c.ky = append([]byte(nil), m.pending.key[:skip]...), m.ky.withSkip(skip)
 	return c
+}
+
+// Bind hands the sort its query's binding: segment collection, replacement
+// selection and every reduction merge poll its abort, every spill arena is
+// created on its tap, and its budget is the live allowance memoryBlocks
+// reads. Must be called before Open; an unbound sort never aborts, taps
+// nothing and holds its static MemoryBlocks.
+func (m *MRS) Bind(b iter.Binding) {
+	m.bind, m.guard = b, iter.NewGuard(b.Abort)
+}
+
+// memoryBlocks is the live memory allowance in blocks: what a row store may
+// hold right now. Buffering decisions call it per row.
+func (m *MRS) memoryBlocks() int { return m.bind.MemoryBlocks(m.cfg.MemoryBlocks) }
+
+func (m *MRS) memoryBytes() int64 {
+	return int64(m.memoryBlocks()) * int64(m.cfg.Disk.PageSize())
 }
 
 // Stats returns the operator's work counters.
@@ -392,7 +406,7 @@ func (m *MRS) adopt(seg *segment) error {
 				seg.sp.release()
 			}
 		}()
-		runs, err := reduceRuns(m.cfg, seg.sp.arena, seg.sp.runs, seg.ky, seg.keep, &m.stats)
+		runs, err := reduceRuns(m.cfg.fanIn(), m.bind.Abort, seg.sp.arena, seg.sp.runs, seg.ky, seg.keep, &m.stats)
 		if err == nil {
 			seg.sp.runs = runs
 			seg.merging, err = newRunMerger(runs, seg.ky, &m.stats.Comparisons)
@@ -460,7 +474,7 @@ func (m *MRS) pump() error {
 	if m.par <= 1 || !m.havePending || len(m.segq) >= m.par {
 		return nil
 	}
-	if m.liveBytes >= m.cfg.memoryBytes() {
+	if m.liveBytes >= m.memoryBytes() {
 		return nil
 	}
 	seg, err := m.collect(pumpQuantum)
@@ -498,7 +512,7 @@ func (m *MRS) collect(limit int) (*segment, error) {
 		c.rows++
 		if !m.pastCut(c, m.pending) {
 			// The budget is re-read per attempt, not cached across the loop:
-			// a governed query's live allowance (xsort.Budget) can shrink
+			// a governed query's live allowance (iter.Budget) can shrink
 			// mid-segment when another query arrives, and the next buffering
 			// decision must see it. When the store may not take the row, a
 			// bounded segment first sheds the rows nobody will read and spills
@@ -552,7 +566,7 @@ func (m *MRS) admit(c *segCollector) bool {
 	if c.heap != nil {
 		run = c.heap.runFlag(c.ky.compareBound(m.pending, &c.last) < 0)
 	}
-	e, ok := c.store.add(m.pending, c.ky.suffix(m.pending), run, m.cfg.memoryBlocks())
+	e, ok := c.store.add(m.pending, c.ky.suffix(m.pending), run, m.memoryBlocks())
 	if ok && c.heap != nil {
 		m.stats.Comparisons++
 		c.heap.push(e)
@@ -565,7 +579,7 @@ func (m *MRS) admit(c *segCollector) bool {
 // run (flush), or replacement selection writes its next row.
 func (m *MRS) spill(c *segCollector) error {
 	if c.sp == nil {
-		c.sp = &spillState{arena: m.cfg.Disk.NewArenaTapped(m.cfg.Tap)}
+		c.sp = &spillState{arena: m.cfg.Disk.NewArenaTapped(m.bind.Tap)}
 	}
 	if !m.rs {
 		return m.flush(c)
@@ -577,7 +591,7 @@ func (m *MRS) spill(c *segCollector) error {
 		tally.addTo(&m.stats)
 		c.heap = newRunHeap(c.store, c.ky, &m.stats.Comparisons)
 		c.heap.seed(order)
-		c.run = newRunWriter(c.sp.arena, m.cfg.TempPrefix)
+		c.run = newRunWriter(c.sp.arena)
 	}
 	return m.replace(c)
 }
@@ -586,7 +600,7 @@ func (m *MRS) spill(c *segCollector) error {
 // the segment, then gives the store's blocks back; the collector goes on
 // buffering into the emptied store.
 func (m *MRS) flush(c *segCollector) error {
-	run, tally, err := formRun(c.sp.arena, m.cfg.TempPrefix, c.store, c.ky, c.keep)
+	run, tally, err := formRun(c.sp.arena, c.store, c.ky, c.keep)
 	tally.addTo(&m.stats)
 	if err != nil {
 		return err
@@ -609,7 +623,7 @@ func (m *MRS) replace(c *segCollector) error {
 			return err
 		}
 		c.heap.nextRun()
-		c.run = newRunWriter(c.sp.arena, m.cfg.TempPrefix)
+		c.run = newRunWriter(c.sp.arena)
 	}
 	e := c.heap.pop()
 	if err := c.run.write(c.store.rowBytes(c.store.entry(e))); err != nil {
@@ -697,9 +711,9 @@ func firstRows(order []uint32, keep int64) []uint32 {
 // formRun sorts one memory batch of an oversized segment and copies its
 // first keep rows to a run in arena (everything, for an unbounded sort). The
 // store is the caller's to release.
-func formRun(arena *storage.SpillArena, prefix string, st *rowStore, ky *keyer, keep int64) (*storage.File, sortTally, error) {
+func formRun(arena *storage.SpillArena, st *rowStore, ky *keyer, keep int64) (*storage.File, sortTally, error) {
 	order, tally := formOrder(st, ky)
-	run, err := writeRun(arena, prefix, st, firstRows(order, keep))
+	run, err := writeRun(arena, st, firstRows(order, keep))
 	return run, tally, err
 }
 
@@ -725,7 +739,7 @@ func (m *MRS) shed(c *segCollector) bool {
 		return false
 	}
 	m.selectTop(c)
-	return c.store.held() <= max(m.cfg.memoryBlocks(), 2)
+	return c.store.held() <= max(m.memoryBlocks(), 2)
 }
 
 // selectTop cuts the collector's store down to its keep smallest rows, their

@@ -147,7 +147,6 @@ func TestReductionScheduleKeepsOutputBytes(t *testing.T) {
 		run := func(t *testing.T, mrs bool, blocks, par int, limit int64) ([]types.Tuple, scheduleResult) {
 			t.Helper()
 			cfg, d := smallCfg(t, blocks)
-			cfg.Budget = fixedBudget(3)
 			cfg.Limit = limit
 			cfg.Parallelism = par
 			input, given := mixed, sortord.Empty
@@ -158,6 +157,7 @@ func TestReductionScheduleKeepsOutputBytes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			op.Bind(iter.Binding{Budget: fixedBudget(3)})
 			rows, err := drain(op)
 			if err != nil {
 				t.Fatal(err)
@@ -247,7 +247,6 @@ func sameAsSerial(t *testing.T, at string, par int, serial *scheduleResult, got 
 func TestRunsArePayloadFiles(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	cfg, d := smallCfg(t, 4) // fan-in 3
-	cfg.TempPrefix = "t"
 	arena := d.NewArena()
 	defer arena.Release()
 	base := d.Stats()
@@ -287,7 +286,7 @@ func TestRunsArePayloadFiles(t *testing.T) {
 	for batch := 0; batch < 40; batch++ {
 		var st *rowStore
 		st, ky = fillStore(t, d, target, 0, genRows(30, 1, rng))
-		run, tally, err := formRun(arena, cfg.TempPrefix, st, ky, noLimit)
+		run, tally, err := formRun(arena, st, ky, noLimit)
 		st.release()
 		if err != nil {
 			t.Fatal(err)
@@ -302,7 +301,7 @@ func TestRunsArePayloadFiles(t *testing.T) {
 			before[f] = true
 		}
 		var err error
-		if runs, err = reducePass(cfg, arena, runs, ky, noLimit, &stats); err != nil {
+		if runs, err = reducePass(cfg.fanIn(), nil, arena, runs, ky, noLimit, &stats); err != nil {
 			t.Fatal(err)
 		}
 		var fresh []*storage.File

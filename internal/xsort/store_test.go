@@ -469,10 +469,11 @@ func TestShrinkMidSegmentReleasesBlocks(t *testing.T) {
 		}
 	}
 	var err error
-	m, err = NewMRS(in, sortSchema, target, given, Config{Disk: d, MemoryBlocks: 64, Budget: b, Parallelism: 1})
+	m, err = NewMRS(in, sortSchema, target, given, Config{Disk: d, MemoryBlocks: 64, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.Bind(iter.Binding{Budget: b})
 	got, err := drain(m)
 	if err != nil {
 		t.Fatal(err)
@@ -515,10 +516,11 @@ func TestSRSShrinkDrainsAndRefills(t *testing.T) {
 			heldAfter = append(heldAfter, st.held())
 		}
 	}
-	s, err := NewMRS(in, sortSchema, sortord.New("c2", "c1"), sortord.Empty, Config{Disk: d, MemoryBlocks: 32, Budget: b})
+	s, err := NewMRS(in, sortSchema, sortord.New("c2", "c1"), sortord.Empty, Config{Disk: d, MemoryBlocks: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.Bind(iter.Binding{Budget: b})
 	got, err := drain(s)
 	if err != nil {
 		t.Fatal(err)

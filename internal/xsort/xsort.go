@@ -22,8 +22,9 @@
 // arrived in and will spill as, in page-sized blocks drawn one at a time from
 // the disk's block pool, with a fixed-width entry beside it: the first bytes
 // of its normalized key, a tie flag and the row's offset. The budget
-// (Config.MemoryBlocks, or the live Config.Budget) is compared to the blocks
-// a store holds, SortStats.PeakMemBytes is their high-water mark, a spill
+// (Config.MemoryBlocks, or the query's live iter.Budget while it is lower) is
+// compared to the blocks a store holds, SortStats.PeakMemBytes is their
+// high-water mark, a spill
 // copies row bytes to the run file and hands the blocks back, and a Close —
 // early, after an error, after a worker panic — returns every block
 // (storage.Disk.LiveBlocks is the leak check). M blocks of budget are M
@@ -74,6 +75,12 @@
 // pages written and read — without sorting, from these same rules: what a
 // store admits, the formation replacementSelection picks, and reductionPass.
 // The cost model prices sorts from it.
+//
+// A sort's query reaches it through MRS.Bind (exec.Bind calls it): the
+// binding's abort is polled by segment collection, replacement selection and
+// every reduction merge, its tap observes every spill arena, and its budget
+// is the live allowance. An unbound sort never aborts, taps nothing and holds
+// its static MemoryBlocks.
 //
 // The sort charges every run-file page transfer to the disk's IOStats
 // (attributed to KindRun) and counts key comparisons in SortStats. Every counter,
@@ -135,34 +142,17 @@ type SortStats struct {
 	SpillRunsParallel int
 }
 
-// Budget is a live sort-memory allowance in disk blocks. A sort consults
-// it at every buffering decision (per tuple collected, per fill-loop
-// iteration), so an external governor can shrink a running sort's memory
-// mid-query and the sort starts spilling at the new bound from its next
-// tuple on. Implementations must be safe for concurrent use: the governor
-// changes it from another goroutine while the sort reads it.
-type Budget interface {
-	// Blocks returns the current allowance in disk blocks.
-	Blocks() int
-}
-
 // Config carries the resources available to a sort operator.
 type Config struct {
 	Disk *storage.Disk
 	// MemoryBlocks is M, the number of disk blocks worth of main memory
 	// available for sorting (the paper uses M = 10000 blocks = 40 MB): the
 	// page-sized blocks of encoded rows and sort entries a sort may hold at
-	// once — never fewer than one of each.
+	// once — never fewer than one of each. A budget bound by MRS.Bind may
+	// lower the allowance while the sort runs; MemoryBlocks still sizes what
+	// is fixed at build time — the merge fan-in — so a governor shrink
+	// changes where the sort spills, never the shape of its merge.
 	MemoryBlocks int
-	// Budget, when non-nil, overrides MemoryBlocks as the live memory
-	// allowance: buffering decisions re-read it, so it may shrink (or grow)
-	// while the sort runs. MemoryBlocks still sizes the structural choices
-	// fixed at build time — the merge fan-in and the cost model's M — so a
-	// governor shrink changes where the sort spills, never the shape of its
-	// merge. With Budget nil behaviour is exactly the static budget.
-	Budget Budget
-	// TempPrefix names the run files for debuggability.
-	TempPrefix string
 	// Parallelism bounds how many in-memory segments may be sorted
 	// concurrently. 0 means runtime.GOMAXPROCS(0); 1 means fully serial,
 	// strictly demand-driven reading (the paper's original behaviour).
@@ -170,22 +160,6 @@ type Config struct {
 	// so parallelism deepens the pipeline without multiplying M. A full sort
 	// is one segment, and spilling is serial, so it is unaffected.
 	Parallelism int
-	// Abort, when non-nil, is polled (at a bounded stride, via iter.Guard)
-	// by the sort's long-running loops: segment collection, replacement
-	// selection, and the run-reduction merge loops of the spill path. The
-	// first non-nil error aborts the sort, which surfaces it from NextChunk
-	// and releases its spill state on Close as usual. This is how streaming
-	// execution threads context cancellation into a sort that would otherwise
-	// block for its whole input; nil means the sort only stops at EOF or
-	// error. Only the consumer goroutine polls it.
-	Abort func() error
-	// Tap, when non-nil, observes every spill-file block transfer this sort
-	// causes (run formation, reduction merges, final merge reads) in
-	// addition to the normal device accounting: the sort's spill arenas are
-	// created tapped. Streaming execution passes the query's storage.Tap
-	// here so ExecStats.IO attributes spill I/O to the right query even
-	// under concurrent cursors.
-	Tap *storage.Tap
 	// BatchSize is the capacity of the chunks the sort pulls its input in
 	// (see source.go); 0 or 1 pulls one row per chunk. Sort keys are encoded
 	// per batch (keys.Codec.EncodeBatch). The sort's tuple-level algorithm —
@@ -216,22 +190,6 @@ func (c Config) limit() int64 {
 		return c.Limit
 	}
 	return noLimit
-}
-
-// memoryBlocks is the live memory allowance in blocks: what a row store may
-// hold right now. Buffering decisions call it per row.
-func (c Config) memoryBlocks() int {
-	blocks := c.MemoryBlocks
-	if c.Budget != nil {
-		if b := c.Budget.Blocks(); b > 0 && b < blocks {
-			blocks = b
-		}
-	}
-	return blocks
-}
-
-func (c Config) memoryBytes() int64 {
-	return int64(c.memoryBlocks()) * int64(c.Disk.PageSize())
 }
 
 func (c Config) fanIn() int { return mergeFanIn(c.MemoryBlocks) }

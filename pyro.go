@@ -97,17 +97,16 @@ type Config struct {
 	// blocks, shared by all concurrently executing queries through the
 	// sort-memory governor. Each query asks for SortMemoryBlocks; a lone
 	// query is granted its full ask (making single-cursor execution
-	// identical to the ungoverned engine), and concurrent queries share the
-	// pool max-min fairly: each is granted its ask capped at one water
-	// level over all claimants' asks, and a newcomer whose share is not
-	// free shrinks every grant above the level to it. The level never falls
+	// identical to a static budget of that size), and concurrent queries
+	// share the pool max-min fairly: each is granted its ask capped at one
+	// water level over all claimants' asks, and a newcomer whose share is
+	// not free shrinks every grant above the level to it. The level never falls
 	// below 1/256 of the pool (at least one block): a query whose share
-	// would, waits until a release makes room. 0 defaults to
+	// would, waits until a release makes room. 0 or less defaults to
 	// SortMemoryBlocks — the pool admits one full-budget sort's worth of
-	// memory in total. Negative disables the governor: every query gets
-	// the static per-sort budget, as before. Queries that override their
-	// budget with WithSortMemoryBlocks bypass the governor entirely (the
-	// explicit value is taken literally, as documented there).
+	// memory in total. Queries that override their budget with
+	// WithSortMemoryBlocks bypass the governor entirely (the explicit value
+	// is taken literally, as documented there).
 	GlobalSortMemoryBlocks int
 	// MaxConcurrentQueries bounds how many queries execute at once; excess
 	// Query calls queue in arrival order until their context ends and
@@ -130,9 +129,9 @@ type Database struct {
 	cfg  Config
 
 	// Serving layer: shared across every concurrent query of this
-	// database. gov arbitrates the global sort-memory pool (nil when
-	// disabled), gate bounds concurrent queries (nil = unlimited), plans
-	// caches optimization results (nil when disabled).
+	// database. gov arbitrates the global sort-memory pool, gate bounds
+	// concurrent queries (nil = unlimited), plans caches optimization
+	// results (nil when disabled).
 	gov   *govern.Governor
 	gate  *govern.Gate
 	plans *planCache
@@ -146,16 +145,13 @@ func Open(cfg Config) *Database {
 	if cfg.SortMemoryBlocks <= 0 {
 		cfg.SortMemoryBlocks = 10000
 	}
+	if cfg.GlobalSortMemoryBlocks <= 0 {
+		cfg.GlobalSortMemoryBlocks = cfg.SortMemoryBlocks
+	}
 	disk := storage.NewDisk(cfg.PageSize)
 	db := &Database{disk: disk, cat: catalog.New(disk), cfg: cfg}
-	if cfg.GlobalSortMemoryBlocks >= 0 {
-		total := cfg.GlobalSortMemoryBlocks
-		if total == 0 {
-			total = cfg.SortMemoryBlocks
-		}
-		// total is positive by the clamp above, so New cannot fail.
-		db.gov, _ = govern.New(govern.Config{TotalBlocks: total})
-	}
+	// The pool is positive by the clamps above, so New cannot fail.
+	db.gov, _ = govern.New(govern.Config{TotalBlocks: cfg.GlobalSortMemoryBlocks})
 	if cfg.MaxConcurrentQueries > 0 {
 		db.gate, _ = govern.NewGate(cfg.MaxConcurrentQueries, 0)
 	}
@@ -170,8 +166,7 @@ func Open(cfg Config) *Database {
 // ServingStats aggregates the database's serving-layer counters: the
 // sort-memory governor, the admission gate and the plan cache.
 type ServingStats struct {
-	// Governor reports sort-memory grant activity. Zero when the governor
-	// is disabled (GlobalSortMemoryBlocks < 0).
+	// Governor reports sort-memory grant activity.
 	Governor govern.Stats
 	// Admission reports the concurrent-query gate. Zero when unlimited
 	// (MaxConcurrentQueries == 0).
@@ -183,10 +178,7 @@ type ServingStats struct {
 
 // ServingStats returns a snapshot of the serving layer's counters.
 func (db *Database) ServingStats() ServingStats {
-	var s ServingStats
-	if db.gov != nil {
-		s.Governor = db.gov.Stats()
-	}
+	s := ServingStats{Governor: db.gov.Stats()}
 	if db.gate != nil {
 		s.Admission = db.gate.Stats()
 	}
@@ -363,10 +355,8 @@ func (db *Database) Optimize(q *Query, opts ...OptimizeOption) (*Plan, error) {
 	// part of the plan-cache key, so plans optimized under different
 	// contention levels cache separately and an uncontended replan is never
 	// served a contention-shaped plan (or vice versa).
-	if db.gov != nil {
-		if expect := db.gov.ExpectedGrant(db.cfg.SortMemoryBlocks); expect > 0 {
-			options.Model.MemoryBlocks = int64(expect)
-		}
+	if expect := db.gov.ExpectedGrant(db.cfg.SortMemoryBlocks); expect > 0 {
+		options.Model.MemoryBlocks = int64(expect)
 	}
 	inner, stats, err := db.optimize(q.node, options)
 	if err != nil {

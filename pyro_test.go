@@ -3,6 +3,7 @@ package pyro
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -352,5 +353,47 @@ func TestSpillAwarePlanPricing(t *testing.T) {
 			t.Fatalf("SortParallelism %d changed the plan: cost %f vs %f\n%s\nvs\n%s",
 				par, got.EstimatedCost(), ref.EstimatedCost(), got.Explain(), ref.Explain())
 		}
+	}
+}
+
+// TestNLJoinEmitsNoOuterOrder: a block nested-loops join is inner-major
+// within each outer block (for each inner row it scans the block), so even a
+// one-block outer comes out in inner order, not outer order. The plan must
+// not claim the outer's order: the ORDER BY above it sorts.
+func TestNLJoinEmitsNoOuterOrder(t *testing.T) {
+	db := Open(Config{SortMemoryBlocks: 64})
+	t.Cleanup(func() { storage.AssertNoLeaks(t, db.disk) })
+	var as, bs [][]any
+	for x := 0; x < 5; x++ {
+		as = append(as, []any{int64(x)})
+	}
+	for _, y := range []int64{0, 10, 20, 30} {
+		bs = append(bs, []any{y})
+	}
+	if err := db.CreateTable("a", []Column{{Name: "x", Type: Int64}}, ClusterOn("x"), as); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateTable("b", []Column{{Name: "y", Type: Int64}}, nil, bs); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := db.Optimize(db.Scan("a").Join(db.Scan("b"), Lt(Col("x"), Col("y"))).OrderBy("x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(plan.Explain(), "NestedLoopsJoin") {
+		t.Fatalf("a non-equijoin must plan a nested-loops join:\n%s", plan.Explain())
+	}
+	checkInteriorOrders(t, db, plan)
+	res, err := queryAll(db, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var xs []int64
+	for _, r := range res.Data {
+		xs = append(xs, r[0].(int64))
+	}
+	want := []int64{0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4}
+	if !reflect.DeepEqual(xs, want) {
+		t.Fatalf("x = %v, want %v\n%s", xs, want, plan.Explain())
 	}
 }

@@ -8,11 +8,14 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"pyro/internal/govern"
 	"pyro/internal/storage"
+	"pyro/internal/types"
 )
 
 // servingDB builds a database with a deliberately small sort budget, a big
@@ -69,8 +72,8 @@ func TestSingleCursorGetsFullGrant(t *testing.T) {
 	}
 	st := cur.Stats()
 	// A lone governed query gets exactly the configured per-sort budget —
-	// the guarantee that keeps single-cursor execution identical to the
-	// ungoverned engine.
+	// the guarantee that keeps single-cursor execution identical to a
+	// static budget of that size.
 	if st.GrantedBlocks != 64 {
 		t.Fatalf("lone cursor granted %d blocks, want the full SortMemoryBlocks=64", st.GrantedBlocks)
 	}
@@ -290,6 +293,91 @@ func TestGrantAtWaterLevelKeepsTopKInMemory(t *testing.T) {
 			t.Errorf("beside a %d-block neighbour: %d rows differ from the reference's first %d", c.neighbour, len(got), k)
 		}
 		storage.AssertNoLeaks(t, db.disk)
+	}
+}
+
+// TestNLJoinOuterBlocksFollowGrant: a nested-loops join sizes every outer
+// block from its query's live grant, like a sort's row store. A lone query
+// loads its first block at its full 16-block grant; a newcomer asking the
+// whole pool then shrinks the grant to 8, and every later block holds half
+// the rows, so the spool is rescanned once per smaller block. The passes
+// are counted from the query's own I/O: each pass reads the whole spool.
+func TestNLJoinOuterBlocksFollowGrant(t *testing.T) {
+	const outer, inner, pool = 4000, 20, 16
+	var os, is [][]any
+	for x := 0; x < outer; x++ {
+		os = append(os, []any{int64(x), int64(x)})
+	}
+	for y := 0; y < inner; y++ {
+		is = append(is, []any{int64(outer + y)})
+	}
+	db := Open(Config{SortMemoryBlocks: pool, GlobalSortMemoryBlocks: pool})
+	t.Cleanup(func() { storage.AssertNoLeaks(t, db.disk) })
+	if err := db.CreateTable("o", []Column{{Name: "x", Type: Int64}, {Name: "w", Type: Int64}}, ClusterOn("x"), os); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateTable("i", []Column{{Name: "y", Type: Int64}}, nil, is); err != nil {
+		t.Fatal(err)
+	}
+	// Every pair matches: x < y throughout.
+	plan, err := db.Optimize(db.Scan("o").Join(db.Scan("i"), Lt(Col("x"), Col("y"))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex := plan.Explain(); !strings.HasPrefix(ex, "NestedLoopsJoin") || !strings.Contains(ex, "\n  TableScan o") {
+		t.Fatalf("want a nested-loops join with o outer:\n%s", ex)
+	}
+	// An outer block takes rows until their in-memory size reaches the
+	// budget, so it holds perBlock(b) rows at b blocks.
+	rowMem := types.Tuple{types.NewInt(0), types.NewInt(0)}.MemSize()
+	perBlock := func(blocks int) int { return (blocks*db.cfg.PageSize + rowMem - 1) / rowMem }
+	ceilDiv := func(a, b int) int { return (a + b - 1) / b }
+	passes := func(io IOStats) int64 {
+		if io.RunPageWrites == 0 {
+			t.Fatal("the join wrote no spool")
+		}
+		return io.RunPageReads / io.RunPageWrites
+	}
+
+	for _, shrink := range []bool{false, true} {
+		cur, err := db.Query(context.Background(), plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !cur.Next() { // spools the inner, loads the first block at 16
+			t.Fatalf("no first row: %v", cur.Err())
+		}
+		var hold *govern.Grant
+		if shrink {
+			if hold, err = db.gov.Acquire(pool, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			if got := hold.Initial(); got != pool/2 {
+				t.Fatalf("the newcomer was granted %d blocks, want %d", got, pool/2)
+			}
+		}
+		rows := int64(1)
+		for cur.Next() {
+			rows++
+		}
+		if err := errors.Join(cur.Err(), cur.Close()); err != nil {
+			t.Fatal(err)
+		}
+		if hold != nil {
+			hold.Release()
+		}
+		st := cur.Stats()
+		if rows != outer*inner || st.GrantedBlocks != pool {
+			t.Fatalf("shrink=%v: %d rows on a %d-block grant, want %d on %d", shrink, rows, st.GrantedBlocks, outer*inner, pool)
+		}
+		want := ceilDiv(outer, perBlock(pool))
+		if shrink {
+			want = 1 + ceilDiv(outer-perBlock(pool), perBlock(pool/2))
+		}
+		if got := passes(st.IO); got != int64(want) {
+			t.Errorf("shrink=%v: %d spool passes, want %d (%d rows a block at %d blocks, %d at %d)",
+				shrink, got, want, perBlock(pool), pool, perBlock(pool/2), pool/2)
+		}
 	}
 }
 

@@ -230,7 +230,7 @@ func TestLimitIsPrefixOfUnlimited(t *testing.T) {
 	orders := map[string][]string{"prefix": {"g", "v"}, "noprefix": {"v", "g"}}
 	for _, blocks := range []int{4, 16, 1000} {
 		for _, par := range []int{1, 2} {
-			for _, pool := range []int{-1, 16} { // ungoverned; two cursors share 16 blocks
+			for _, pool := range []int{0, 16} { // one cursor at the static budget; two cursors share 16 blocks
 				db, rows := boundDB(t, Config{
 					SortMemoryBlocks: blocks, SortParallelism: par, GlobalSortMemoryBlocks: pool,
 				}, segs, segSize)
@@ -271,10 +271,16 @@ func TestLimitIsPrefixOfUnlimited(t *testing.T) {
 								return nil
 							}
 							// Under a shared pool two cursors run at once, so
-							// grants are partial and shrink mid-query.
+							// grants are partial and shrink mid-query. Without
+							// one, a single cursor pins the sort budget to M,
+							// bypassing the governor, so a Limit sort runs at
+							// the static M and not at its small ask.
 							cursors := 1
+							var opts []ExecOption
 							if pool > 0 {
 								cursors = 2
+							} else {
+								opts = append(opts, WithSortMemoryBlocks(blocks))
 							}
 							errs := make([]error, cursors)
 							var wg sync.WaitGroup
@@ -282,7 +288,7 @@ func TestLimitIsPrefixOfUnlimited(t *testing.T) {
 								wg.Add(1)
 								go func() {
 									defer wg.Done()
-									got, _, err := queryRows(db, plan)
+									got, _, err := queryRows(db, plan, opts...)
 									if err == nil {
 										err = check(got)
 									}
