@@ -20,8 +20,8 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Every fuzz target for 10 s each, past its seed corpus: a smoke pass that
-# the codec, store, limit, page-format, spill-plan and governor-level
-# invariants still hold on inputs nobody wrote down, not a campaign.
+# the codec, store, limit, page-format, spill-plan, kept-tail cut and
+# governor-level invariants still hold on inputs nobody wrote down, not a campaign.
 # `go test -fuzz` takes one target per run, so they run one after another.
 FUZZ_TARGETS = \
 	./internal/keys:FuzzFixedPrefixAgreesWithFullCompare \
@@ -30,6 +30,7 @@ FUZZ_TARGETS = \
 	./internal/xsort:FuzzStoreBackedSort \
 	./internal/xsort:FuzzMRSLimit \
 	./internal/xsort:FuzzSpillPlan \
+	./internal/xsort:FuzzTailCut \
 	./internal/govern:FuzzGovernorLevel \
 	./internal/storage:FuzzReadChunk \
 	./internal/types:FuzzDecodeTuple \

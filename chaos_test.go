@@ -70,6 +70,21 @@ func chaosDB(t testing.TB) *Database {
 	}, ClusterOn("g"), deep); err != nil {
 		t.Fatal(err)
 	}
+	// One g value, v scrambled, a little over one memory load: its sorts
+	// spill a run or two and keep the rows they still hold at input end
+	// for the final merge — a partial sort all of its last batch, a full
+	// sort its replacement-selection heap less a few evicted row blocks.
+	tail := make([][]any, 1000)
+	for i := range tail {
+		tail[i] = []any{int64(0), int64(i * 7919 % 1000), int64(i)}
+	}
+	if err := db.CreateTable("tail", []Column{
+		{Name: "g", Type: Int64},
+		{Name: "v", Type: Int64},
+		{Name: "pad", Type: Int64},
+	}, ClusterOn("g"), tail); err != nil {
+		t.Fatal(err)
+	}
 	return db
 }
 
@@ -82,6 +97,10 @@ type chaosScenario struct {
 	// — some runs merged, the others passed through to the final merge —
 	// so the sweep fails transfers on both sides of that split.
 	reduces bool
+	// keepsTail marks a scenario whose sort must spill and keep its tail
+	// for a final merge with no pass, so the sweep fails the run writes, the
+	// eviction's and the final merge's reads beside the tail in memory.
+	keepsTail bool
 }
 
 func chaosScenarios() []chaosScenario {
@@ -126,7 +145,39 @@ func chaosScenarios() []chaosScenario {
 		{name: "topk-bounded-spills", build: func(db *Database) *Query {
 			return db.Scan("deep").OrderBy("g", "v").Limit(900)
 		}, reduces: true},
+		// A sort a little over one memory load: one run or two, the rest
+		// merged from memory.
+		{name: "tail-segment", build: func(db *Database) *Query {
+			return db.Scan("tail").OrderBy("g", "v")
+		}, keepsTail: true},
+		{name: "tail-full-sort", build: func(db *Database) *Query {
+			return db.Scan("tail").OrderBy("v")
+		}, keepsTail: true},
 	}
+}
+
+// checkKeptTail asserts that plan's sort spilled one or two runs and merged
+// them with no pass beside a tail it kept: it wrote fewer run pages than the
+// data pages it read.
+func checkKeptTail(t *testing.T, db *Database, plan *Plan) {
+	t.Helper()
+	cur, err := db.Query(context.Background(), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cur.Next() {
+	}
+	if err := cur.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st := cur.Stats()
+	data := st.IO.PageReads - st.IO.RunPageReads
+	for _, s := range st.Sorts {
+		if s.RunsGenerated >= 1 && s.RunsGenerated <= 2 && s.MergePasses == 0 && st.IO.RunPageWrites < data {
+			return
+		}
+	}
+	t.Fatalf("no sort kept its tail: %d run pages written for %d data pages, %+v", st.IO.RunPageWrites, data, st.Sorts)
 }
 
 // checkPartialReduction asserts that plan's sort ran an intermediate merge
@@ -238,6 +289,9 @@ func TestChaosFaultSweep(t *testing.T) {
 		}
 		if sc.reduces {
 			checkPartialReduction(t, db, plan)
+		}
+		if sc.keepsTail {
+			checkKeptTail(t, db, plan)
 		}
 		for _, batch := range []int{1, types.DefaultChunkCapacity} {
 			// An early-closed pipelined query abandons in-flight read-ahead

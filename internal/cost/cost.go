@@ -14,6 +14,9 @@
 // selection), and a pass rewrites only what the final merge cannot take.
 // With memory-load runs and n = F^k of them that is B·(2p+1) less the input
 // read the scan below the sort already pays (TestFullSortExternalFormula).
+// B·(2p+1) holds only when a reduction runs: a sort whose final merge needs
+// no pass keeps the rows its store holds at input end for that merge, so
+// only the rest — B less about a memory load — is written and read back.
 //
 // CPU work is translated into I/O units by per-operation weights, as the
 // paper does ("CPU cost is appropriately translated into I/O cost units").

@@ -36,10 +36,10 @@ func entryWidth(codec *keys.Codec, prefixCols, pageSize int) int {
 
 // FootprintBlocks estimates the sort memory, in blocks of pageSize bytes, that
 // buffering rows rows of schema takes a bounded sort to target whose input
-// already carries given, as its slot-recycling store packs them
-// (footprint.blocks). It is what the governor asks for a bounded sort.
+// already carries given, as its store packs them (footprint.blocks). It is
+// what the governor asks for a bounded sort.
 func FootprintBlocks(schema *types.Schema, target, given sortord.Order, rows int64, pageSize int) int64 {
-	return Spec{Schema: schema, Target: target, Given: given}.footprint().blocks(rows, true, pageSize)
+	return Spec{Schema: schema, Target: target, Given: given}.footprint().blocks(rows, false, pageSize)
 }
 
 // footprint is what one buffered row takes in sort memory, in bytes: its
@@ -64,18 +64,28 @@ func (s Spec) footprint() footprint {
 
 // blocks is the one answer to "how much sort memory do rows rows take": the
 // blocks of pageSize bytes a store fills with their rows — each rounded up to
-// the slot granule when the store recycles slots — and their entries, each
-// packed whole into a block, never fewer than one of each. The governor's ask
+// the slot granule in a padded store — and their entries, each packed whole
+// into a block, never fewer than one of each. The governor's ask
 // (FootprintBlocks) and PlanSpill's memory load both go through it.
-func (f footprint) blocks(rows int64, recycles bool, pageSize int) int64 {
-	row := f.row
-	if recycles {
-		row = (row + slotGranule - 1) / slotGranule * slotGranule
+func (f footprint) blocks(rows int64, padded bool, pageSize int) int64 {
+	return max(packed(rows, f.slot(padded), pageSize), 1) + max(packed(rows, f.entry, pageSize), 1)
+}
+
+// slot is the store bytes a row takes: its encoded width, rounded up to the
+// slot granule in a padded store.
+func (f footprint) slot(padded bool) int64 {
+	if padded {
+		return (f.row + slotGranule - 1) / slotGranule * slotGranule
 	}
-	page := int64(pageSize)
-	packed := func(width int64) int64 {
-		per := max(page/max(width, 1), 1)
-		return max((rows+per-1)/per, 1)
-	}
-	return packed(row) + packed(f.entry)
+	return f.row
+}
+
+// perBlock is how many items of width bytes a block of pageSize bytes holds,
+// each packed whole — never fewer than one.
+func perBlock(width int64, pageSize int) int64 { return max(int64(pageSize)/max(width, 1), 1) }
+
+// packed is the blocks that n items of width bytes fill.
+func packed(n, width int64, pageSize int) int64 {
+	per := perBlock(width, pageSize)
+	return (n + per - 1) / per
 }

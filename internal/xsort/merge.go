@@ -59,18 +59,58 @@ func writeRun(ns storage.TempSpace, st *rowStore, order []uint32) (*storage.File
 	return w.close()
 }
 
-// mergeCursor is one input of a multiway merge: a run reader and its head
-// row, still encoded — a view of the reader's current page — with the sort
-// key re-derived from those bytes into the cursor's own buffer (one encode per
-// row read buys log(fan-in) byte comparisons in the heap).
+// mergeInput is one sorted input of a merge: a run file's reader
+// (storage.TupleReader), or a spilled segment's kept tail (tailRun). NextRaw
+// returns the next encoded row, a view valid until the following call;
+// Buffered reports whether it can do so without reading a page.
+type mergeInput interface {
+	NextRaw() ([]byte, bool, error)
+	Buffered() bool
+}
+
+// tailRun is a spilled segment's kept tail as a merge input: the rows its
+// store still holds at input end, their entries laid out in sorted order
+// (MRS.keepTail). The rows are already in memory, so it is always Buffered
+// and its reads are no transfers; its spans are store rows, valid until the
+// store is released.
+type tailRun struct {
+	st   *rowStore
+	next int // entries handed out
+}
+
+func (t *tailRun) NextRaw() ([]byte, bool, error) {
+	if t.next == t.st.len() {
+		return nil, false, nil
+	}
+	row := t.st.rowBytes(t.st.entry(t.st.handle(t.next)))
+	t.next++
+	return row, true, nil
+}
+
+func (t *tailRun) Buffered() bool { return true }
+
+// readers opens a merge input on each run.
+func readers(runs []*storage.File) []mergeInput {
+	in := make([]mergeInput, len(runs))
+	for i, f := range runs {
+		in[i] = storage.NewTupleReader(f)
+	}
+	return in
+}
+
+// mergeCursor is one input of a multiway merge and its head row, still
+// encoded — a view of the reader's current page or of the tail's store —
+// with the sort key re-derived from those bytes into the cursor's own buffer
+// (one encode per row read buys log(fan-in) byte comparisons in the heap).
 type mergeCursor struct {
-	r   *storage.TupleReader
-	ord int // the run's place in the run list: full-key ties go to the earlier run
+	r   mergeInput
+	ord int // the input's place in the run list: full-key ties go to the earlier run
 	row []byte
 	key []byte
 }
 
-// runMerger merges sorted runs into one sorted stream of encoded rows with a
+// runMerger merges sorted inputs — runs, and a spilled segment's kept tail
+// in its place among them — into one sorted stream of encoded rows with a
 // binary heap of cursors; comparisons are counted. Heads are compared on their
 // keys past the keyer's skip — a spilled segment's runs all share the
 // encoded bytes of the segment's `given` prefix — and rows that tie on the
@@ -85,10 +125,10 @@ type runMerger struct {
 	taken       bool // the top cursor's head has been handed out: advance it first
 }
 
-func newRunMerger(runs []*storage.File, ky *keyer, comparisons *int64) (*runMerger, error) {
+func newRunMerger(inputs []mergeInput, ky *keyer, comparisons *int64) (*runMerger, error) {
 	m := &runMerger{ky: ky, comparisons: comparisons}
-	for ord, f := range runs {
-		c := &mergeCursor{r: storage.NewTupleReader(f), ord: ord}
+	for ord, in := range inputs {
+		c := &mergeCursor{r: in, ord: ord}
 		ok, err := m.load(c)
 		if err != nil {
 			return nil, err
@@ -174,7 +214,8 @@ func (m *runMerger) next() ([]byte, bool, error) {
 // over the run pages they sit on, and returns how many it appended. Once c
 // holds a row it stops before any row whose load would read a new run page:
 // the chunk does only the I/O its first row needs, and every span in it stays
-// on its cursor's current page — valid until the next call reads past it.
+// on its cursor's current page — valid until the next call reads past it. A
+// kept tail never reads a page, so its rows never end a chunk.
 func (m *runMerger) fill(c *types.Chunk, limit int64) (int64, error) {
 	var n int64
 	for ; n < limit && !c.Full(); n++ {
@@ -213,7 +254,7 @@ func mergeGroup(abort func() error, ns storage.TempSpace, group []*storage.File,
 		w.abandon()
 		return nil, err
 	}
-	m, err := newRunMerger(group, ky, &stats.Comparisons)
+	m, err := newRunMerger(readers(group), ky, &stats.Comparisons)
 	if err != nil {
 		return fail(err)
 	}

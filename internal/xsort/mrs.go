@@ -3,6 +3,7 @@ package xsort
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"pyro/internal/iter"
 	"pyro/internal/keys"
@@ -20,7 +21,8 @@ import (
 //   - a segment that fits in memory is sorted with zero disk I/O and its
 //     tuples are emitted as soon as the segment's end is seen — pipelined,
 //     early output;
-//   - a segment larger than memory spills runs and merges just those runs.
+//   - a segment larger than memory spills runs and merges just those runs,
+//     beside the rows it still holds when the segment ends (keepTail).
 //
 // With k = 0 (nothing given) the whole input is a single segment: the full
 // sort, the paper's observation that MRS converges to SRS at the one-segment
@@ -28,7 +30,10 @@ import (
 // replacementSelection decides: with nothing given and no Limit it is
 // standard replacement selection (Knuth '73; SRS in the paper), runs of about
 // twice the memory; otherwise every filled memory batch is sorted and written
-// as one run.
+// as one run. What the store holds when the segment ends — the heap, or the
+// last batch — is kept for the final merge instead of written whenever that
+// merge then needs no reduction pass, so fully sorted input writes N − load
+// rows, not N.
 //
 // Because segments are mutually independent, their sorts are embarrassingly
 // parallel. With Config.Parallelism = P > 1, in-memory segment sorts run on
@@ -141,7 +146,9 @@ type spillState struct {
 	runs  []*storage.File
 }
 
-// segment is a collected segment queued for emission. In-memory segments
+// segment is a collected segment queued for emission. A spilled segment
+// that kept its tail (MRS.keepTail) holds a store too: the rows its final
+// merge reads from memory, in sorted order. In-memory segments
 // sorted on a worker publish their work tally through done; the consumer
 // folds it into SortStats when the segment reaches the head of the queue,
 // keeping the stats single-writer and their totals deterministic.
@@ -155,6 +162,7 @@ type segment struct {
 	err     error         // worker panic during the async sort, if any
 	spilled bool
 	sp      *spillState
+	tailAt  int // a spilled segment that kept its tail in store: the tail's place among sp.runs
 
 	pos     int64
 	merging *runMerger
@@ -212,7 +220,7 @@ func NewMRS(input iter.Iterator, schema *types.Schema, target, given sortord.Ord
 func (m *MRS) startSegment() *segCollector {
 	c := &segCollector{store: m.spare, keep: m.owed}
 	if m.spare = nil; c.store == nil {
-		c.store = newRowStore(m.cfg.Disk, m.ky.width, recyclesSlots(m.given, m.cfg.Limit))
+		c.store = newRowStore(m.cfg.Disk, m.ky.width, m.rs)
 	}
 	skip := m.ky.codec.KeyPrefixLen(m.pending.key, m.prefix)
 	c.prefix, c.ky = append([]byte(nil), m.pending.key[:skip]...), m.ky.withSkip(skip)
@@ -383,7 +391,8 @@ func (m *MRS) emit(c *types.Chunk) error {
 
 // adopt makes seg the current emission head: waits for an asynchronous sort
 // to finish (folding its work tally into the stats) or, for a spilled
-// segment, reduces its runs and opens their merge.
+// segment, reduces its runs and opens their merge — beside its kept tail, if
+// it has one.
 func (m *MRS) adopt(seg *segment) error {
 	if seg.done != nil {
 		<-seg.done
@@ -397,19 +406,29 @@ func (m *MRS) adopt(seg *segment) error {
 	}
 	if seg.spilled {
 		// seg is already off the queue and not yet the emission head, so
-		// nothing downstream owns its arena: if adoption does not complete —
-		// an error, or a panic unwinding toward the cursor's containment —
-		// the arena must be released here or its runs outlive Close.
+		// nothing downstream owns its arena or its kept tail: if adoption
+		// does not complete — an error, or a panic unwinding toward the
+		// cursor's containment — they must be released here or they outlive
+		// Close.
 		adopted := false
 		defer func() {
 			if !adopted {
-				seg.sp.release()
+				m.release(seg)
 			}
 		}()
-		runs, err := reduceRuns(m.cfg.fanIn(), m.bind.Abort, seg.sp.arena, seg.sp.runs, seg.ky, seg.keep, &m.stats)
-		if err == nil {
-			seg.sp.runs = runs
-			seg.merging, err = newRunMerger(runs, seg.ky, &m.stats.Comparisons)
+		var err error
+		if seg.store != nil {
+			// keepTail kept the tail only beside runs the final merge takes
+			// as they are.
+			inputs := slices.Insert(readers(seg.sp.runs), seg.tailAt, mergeInput(&tailRun{st: seg.store}))
+			seg.merging, err = newRunMerger(inputs, seg.ky, &m.stats.Comparisons)
+		} else {
+			var runs []*storage.File
+			runs, err = reduceRuns(m.cfg.fanIn(), m.bind.Abort, seg.sp.arena, seg.sp.runs, seg.ky, seg.keep, &m.stats)
+			if err == nil {
+				seg.sp.runs = runs
+				seg.merging, err = newRunMerger(readers(runs), seg.ky, &m.stats.Comparisons)
+			}
 		}
 		if err != nil {
 			return err
@@ -663,24 +682,16 @@ func (m *MRS) finish(c *segCollector) (*segment, error) {
 	}
 	if c.spilled {
 		m.stats.SpilledSegs++
-		var err error
-		switch {
-		case c.heap != nil:
-			for err == nil && c.heap.len() > 0 {
-				err = m.replace(c)
-			}
-			if err == nil {
-				err = m.finishRun(c)
-			}
-		case c.store.len() > 0:
-			err = m.flush(c)
+		seg := &segment{spilled: true, sp: c.sp, ky: c.ky, keep: c.keep}
+		err := m.keepTail(c, seg)
+		if err != nil || seg.store == nil {
+			m.dropStore(c.store) // written, or unwritten after a failed spill
 		}
-		m.dropStore(c.store) // empty, or unwritten after a failed spill
 		if err != nil {
 			c.sp.release()
 			return nil, err
 		}
-		return &segment{spilled: true, sp: c.sp, ky: c.ky, keep: c.keep}, nil
+		return seg, nil
 	}
 	seg := &segment{store: c.store, ky: c.ky, keep: c.keep}
 	if m.par > 1 {
@@ -698,6 +709,92 @@ func (m *MRS) finish(c *segCollector) (*segment, error) {
 		tally.addTo(&m.stats)
 	}
 	return seg, nil
+}
+
+// keepTail ends a spilled segment's run formation at input end. The rows
+// its store still holds stay there as one more sorted input of the final
+// merge, read beside the runs (seg.store), when that merge then
+// needs no reduction pass: when the store's blocks and one read block per
+// disk run fit the live allowance. When they do not, the fewest last row
+// blocks for which the rest fits are written as one more, small run
+// (evictTail). Those rows are the latest arrivals only in a store nothing was
+// freed from, so a bounded collector that selected before it spilled — only
+// a governor shrink makes one — evicts nothing; replacement selection
+// promises ties no order and evicts whatever its last blocks hold. A tail
+// that cannot stay is written as a last run: replacement selection drains
+// its heap into its runs, a batch is flushed.
+func (m *MRS) keepTail(c *segCollector, seg *segment) error {
+	runs := len(c.sp.runs)
+	if c.heap != nil {
+		runs++ // the replacement-selection run being written
+	}
+	cut, ok := c.store.tailCut(runs, m.memoryBlocks(), m.rs || !c.store.freed)
+	switch {
+	case !ok && c.heap != nil:
+		for c.heap.len() > 0 {
+			if err := m.replace(c); err != nil {
+				return err
+			}
+		}
+		return m.finishRun(c)
+	case !ok && c.store.len() > 0:
+		return m.flush(c)
+	case !ok:
+		return nil
+	}
+	if c.heap != nil {
+		if err := m.finishRun(c); err != nil {
+			return err
+		}
+		// The heap's rows are the store's live ones; freed entries leave
+		// holes that the sort below must not see.
+		before := c.store.bytes()
+		c.store.compact(c.heap.heap)
+		m.resized(c.store, before)
+		c.heap = nil
+	}
+	order, tally := formOrder(c.store, c.ky)
+	tally.addTo(&m.stats)
+	seg.tailAt = len(c.sp.runs)
+	if cut < len(c.store.rows) {
+		var err error
+		if order, err = m.evictTail(c, cut, order); err != nil {
+			return err
+		}
+	}
+	// The kept rows' entries are laid out in their sorted order, so the
+	// merge reads the tail by handle and no permutation outlives the sort.
+	before := c.store.bytes()
+	c.store.evict(cut, order)
+	m.resized(c.store, before)
+	seg.store = c.store
+	return nil
+}
+
+// evictTail writes the rows on the store's row pages from cut on, in sorted
+// order, as one more run of the segment. order is the whole tail sorted;
+// what is returned is the kept rows' order.
+func (m *MRS) evictTail(c *segCollector, cut int, order []uint32) ([]uint32, error) {
+	w := newRunWriter(c.sp.arena)
+	kept := order[:0] // filtered in place: writes trail reads
+	for _, h := range order {
+		if err := m.guard.Check(); err != nil {
+			w.abandon()
+			return nil, err
+		}
+		if c.store.rowPage(h) < cut {
+			kept = append(kept, h)
+		} else if err := w.write(c.store.rowBytes(c.store.entry(h))); err != nil {
+			w.abandon()
+			return nil, err
+		}
+	}
+	run, err := w.close()
+	if err != nil {
+		return nil, err
+	}
+	m.addRun(c, run)
+	return kept, nil
 }
 
 // firstRows cuts an emission order at keep rows.

@@ -27,7 +27,10 @@ func liveHeap() int64 {
 // holds. For each phase in which a sort sits on a full budget, the live heap
 // the sort added (run files, which this disk keeps on the heap, taken out)
 // must be within 15 % of SortStats.PeakMemBytes — the blocks of its row
-// stores. What the margin covers: the permutation a sort orders or the
+// stores. A final merge over a kept tail holds the tail's blocks: there the
+// blocks out of the disk's pool must be the blocks accounted, within the
+// budget, and the heap within 15 % of them; an early Close gives them back.
+// What the margin covers: the permutation a sort orders or the
 // replacement-selection heap (4 bytes a row), the run writers' page buffers,
 // one batch of emitted rows.
 func TestAccountedIsResident(t *testing.T) {
@@ -125,13 +128,49 @@ func TestAccountedIsResident(t *testing.T) {
 				if _, err := pull1(m); err != nil {
 					t.Fatal(err)
 				}
-				if m.stats.RunsGenerated < 3 {
+				// Two batches are written; the third stays for the final merge.
+				if m.stats.RunsGenerated < 2 {
 					t.Fatalf("the segment was meant to spill several batches: %+v", m.stats)
 				}
 				if err := m.Close(); err != nil {
 					t.Fatal(err)
 				}
 				return heap, peak
+			}},
+			{"mrs-kept-tail", func(t *testing.T, d *storage.Disk, in *genIter, base func() int64) (heap, held int64) {
+				// The same oversized segment, stopped in its final merge: the
+				// last batch is held as the merge's kept tail, its blocks
+				// accounted until Close gives them back.
+				row := in.row
+				in.row = func(i int) types.Tuple {
+					t := row(i)
+					t[0] = types.NewInt(0)
+					return t
+				}
+				m, err := NewMRS(in, sh.schema, sortord.New("c1", "c2"), sortord.New("c1"), Config{Disk: d, MemoryBlocks: blocks, Parallelism: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := m.Open(); err != nil {
+					t.Fatal(err)
+				}
+				if ok, err := pull1(m); !ok || err != nil {
+					t.Fatalf("first row: %v %v", ok, err)
+				}
+				if m.cur == nil || !m.cur.spilled || m.cur.store == nil {
+					t.Fatalf("the segment was meant to merge over a kept tail: %+v", m.stats)
+				}
+				heap, held = base(), m.liveBytes
+				if live := d.LiveBlocks() * int64(d.PageSize()); live != held || held > blocks*int64(d.PageSize()) {
+					t.Fatalf("%d bytes of blocks out, %d accounted, budget %d", live, held, blocks*d.PageSize())
+				}
+				if err := m.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if d.LiveBlocks() != 0 {
+					t.Fatalf("%d blocks still out after Close mid-merge", d.LiveBlocks())
+				}
+				return heap, held
 			}},
 		}
 		for _, ph := range phases {

@@ -25,30 +25,24 @@ func replacementSelection(given sortord.Order, limit int64) bool {
 	return given.IsEmpty() && limit == 0
 }
 
-// recyclesSlots reports whether the store of such a sort frees rows while it
-// fills — replacement selection, or a bounded collector's selection — and so
-// keeps its row slots recyclable (newRowStore). MRS builds its stores by it and
-// PlanSpill's memoryLoad counts rows by it.
-func recyclesSlots(given sortord.Order, limit int64) bool {
-	return given.IsEmpty() || limit > 0
-}
-
 // SpillPlan is how one sort — a full sort, or one segment of a partial sort —
 // uses its run files, as PlanSpill predicts it. Page counts are run-file
 // transfers; the sort's input and output are not in them.
 type SpillPlan struct {
 	InMemory bool // nothing is written: the rows, or the bounded selection, fit M
 
-	Runs       int // formation runs
-	Passes     int // intermediate merge passes, the final merge excluded
-	RunsMerged int // runs the intermediate merges consume (SortStats.RunsMerged)
-	FanIn      int // runs the final merge reads
+	Runs       int   // formation runs, an evicted tail's included
+	Passes     int   // intermediate merge passes, the final merge excluded
+	RunsMerged int   // runs the intermediate merges consume (SortStats.RunsMerged)
+	FanIn      int   // runs the final merge reads
+	Held       int64 // rows the final merge reads from memory beside them: the kept tail (0 when it is written)
 
 	Written   int64 // run pages written: formation runs and every intermediate merge's output
 	Read      int64 // run pages the intermediate merges read
 	FinalRead int64 // run pages the final merge reads
 
-	// Rows read back from runs: a merge keys every row it reads.
+	// Rows a merge reads back — from runs, or the final merge from the kept
+	// tail: a merge keys every row it reads.
 	MergedRows int64 // by the intermediate merges
 	FinalRows  int64 // by the final merge
 }
@@ -67,6 +61,13 @@ func (p SpillPlan) Pages() int64 { return p.Written + p.Read + p.FinalRead }
 //     load (cut at limit rows), replacement selection forms runs of about
 //     two; a bounded sort spills only when limit rows do not fit, since its
 //     collector selects whenever the store is full with more;
+//   - at input end the store still holds a memory load under replacement
+//     selection and the last batch otherwise, and keeps it for the final
+//     merge (Held) when that merge then needs no pass, as MRS.keepTail
+//     decides by footprint.tailCut: all of it beside one read block per run,
+//     or, where the sort may evict, all but the fewest last row blocks, which
+//     become one more run. Otherwise every row is written, and an external
+//     sort moves its input 2p+1 times over;
 //   - every pass is reductionPass at mergeFanIn, and every intermediate
 //     merge's output is cut at limit rows, as is the final merge's read;
 //   - a run of r rows takes the pages a TupleWriter fills with r rows of the
@@ -85,7 +86,7 @@ func (p SpillPlan) Pages() int64 { return p.Written + p.Read + p.FinalRead }
 func PlanSpill(s Spec, rows, limit int64, memoryBlocks, pageSize int) SpillPlan {
 	srs := replacementSelection(s.Given, limit)
 	f := s.footprint()
-	load := memoryLoad(f, recyclesSlots(s.Given, limit), memoryBlocks, pageSize)
+	load := memoryLoad(f, srs, memoryBlocks, pageSize)
 	keep := int64(noLimit)
 	if limit > 0 {
 		keep = limit
@@ -100,9 +101,24 @@ func PlanSpill(s Spec, rows, limit int64, memoryBlocks, pageSize int) SpillPlan 
 	if srs {
 		runLen = 2 * load
 	}
-	runs := push(nil, min(runLen, keep), int(rows/runLen))
-	if tail := rows % runLen; tail > 0 {
-		runs = push(runs, min(tail, keep), 1)
+	formed := func(n int64) []span { // runs of runLen over n rows, cut at keep
+		runs := push(nil, min(runLen, keep), int(n/runLen))
+		if tail := n % runLen; tail > 0 {
+			runs = push(runs, min(tail, keep), 1)
+		}
+		return runs
+	}
+	before := (rows - 1) / load * load // the batches flushed before the last
+	if srs {
+		before = rows - load
+	}
+	runs := formed(before)
+	tail := rows - before
+	held := f.tailCut(tail, int((before+runLen-1)/runLen), srs, memoryBlocks, pageSize)
+	if held == 0 {
+		runs = formed(rows)
+	} else if held < tail {
+		runs = push(runs, tail-held, 1)
 	}
 	var p SpillPlan
 	for _, r := range runs {
@@ -110,13 +126,14 @@ func PlanSpill(s Spec, rows, limit int64, memoryBlocks, pageSize int) SpillPlan 
 		p.Written += int64(r.count) * pages(r.n)
 	}
 
-	// merge is one merge of in cut at keep rows: the rows it emits and the
-	// pages and rows it reads to emit them. Cut short, it stops reading each
-	// input at a row that may fall anywhere on its page: x rows cost
-	// x/perPage + ½ pages, at most the whole input — summed exactly, in
-	// half-pages of 2·perPage, and rounded once.
-	merge := func(in []span) (out, read, loaded int64) {
-		total := int64(0)
+	// merge is one merge of in, and of held rows in memory, cut at keep rows:
+	// the rows it emits and the pages and rows it reads to emit them. Cut
+	// short, it stops reading each input at a row that may fall anywhere on
+	// its page: x rows cost x/perPage + ½ pages, at most the whole input —
+	// summed exactly, in half-pages of 2·perPage, and rounded once. Rows in
+	// memory cost no page.
+	merge := func(in []span, held int64) (out, read, loaded int64) {
+		total := held
 		for _, r := range in {
 			total += int64(r.count) * r.n
 		}
@@ -131,6 +148,12 @@ func PlanSpill(s Spec, rows, limit int64, memoryBlocks, pageSize int) SpillPlan 
 			x := min(r.n, int64(float64(out)*float64(r.n)/float64(total))+1)
 			cut += c * min(2*x+perPage, 2*perPage*pages(r.n))
 			loaded += c * x
+		}
+		switch {
+		case out == total:
+			loaded += held
+		case held > 0:
+			loaded += min(held, int64(float64(out)*float64(held)/float64(total))+1)
 		}
 		return out, read + (cut+perPage)/(2*perPage), loaded
 	}
@@ -158,7 +181,7 @@ func PlanSpill(s Spec, rows, limit int64, memoryBlocks, pageSize int) SpillPlan 
 				_, rest = take(rest, (alike-1)*w)
 			}
 			runs = rest
-			out, read, loaded := merge(grp)
+			out, read, loaded := merge(grp, 0)
 			k := int64(alike)
 			outs = push(outs, out, alike)
 			p.RunsMerged += alike * w
@@ -175,7 +198,8 @@ func PlanSpill(s Spec, rows, limit int64, memoryBlocks, pageSize int) SpillPlan 
 	for _, r := range runs {
 		p.FanIn += r.count
 	}
-	_, p.FinalRead, p.FinalRows = merge(runs)
+	p.Held = held
+	_, p.FinalRead, p.FinalRows = merge(runs, held)
 	return p
 }
 
@@ -212,15 +236,41 @@ func take(list []span, w int) (head, rest []span) {
 	return head, list
 }
 
+// tailCut is rowStore.tailCut planned for a store holding tail rows of
+// footprint f, packed as rowStore.add packs them, beside runs disk runs: the
+// rows the final merge keeps in memory — all of them, or those before the
+// fewest last row blocks whose eviction makes the rest fit with one more read
+// block — or 0 when they are written. A planned sort always may evict: a
+// bounded one spills only with its store full of rows it keeps, so it has
+// freed none.
+func (f footprint) tailCut(tail int64, runs int, padded bool, memoryBlocks, pageSize int) int64 {
+	allowance := int64(memoryBlocks) - int64(runs)
+	if f.blocks(tail, padded, pageSize) <= allowance {
+		return tail
+	}
+	// The most row blocks, short of all, whose rows fit with their entries:
+	// a binary search, since both grow with the blocks kept.
+	perRow := perBlock(f.slot(padded), pageSize)
+	lo, hi := int64(0), packed(tail, f.slot(padded), pageSize)-1
+	for lo < hi {
+		if k := (lo + hi + 1) / 2; k+packed(k*perRow, f.entry, pageSize)+1 <= allowance {
+			lo = k
+		} else {
+			hi = k - 1
+		}
+	}
+	return lo * perRow
+}
+
 // memoryLoad is how many rows of footprint f a store of memoryBlocks blocks
 // takes before it refuses one (rowStore.add): the most whose blocks
 // (footprint.blocks) fit, the store never held to fewer than two blocks.
-func memoryLoad(f footprint, recycles bool, memoryBlocks, pageSize int) int64 {
+func memoryLoad(f footprint, padded bool, memoryBlocks, pageSize int) int64 {
 	m := int64(max(memoryBlocks, 2))
 	// One row always fits; m blocks of rows alone would leave none for entries.
 	lo, hi := int64(1), m*max(int64(pageSize)/max(f.row, 1), 1)
 	for lo < hi {
-		if mid := (lo + hi + 1) / 2; f.blocks(mid, recycles, pageSize) <= m {
+		if mid := (lo + hi + 1) / 2; f.blocks(mid, padded, pageSize) <= m {
 			lo = mid
 		} else {
 			hi = mid - 1

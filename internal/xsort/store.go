@@ -34,15 +34,19 @@ import (
 //
 // Row slots are recycled: replacement selection frees the row it has just
 // written and gives the slot to the incoming row, and a bounded collector
-// frees the rows its selection dropped. Such a store rounds slot sizes up to
-// 4 bytes, so that rows of varying width fall into few size classes, and
-// keeps free slots by class; a row takes the smallest free slot that holds
-// it, and the bytes the slot has to spare ride in the entry's flag byte, so
-// the slot comes back at its full capacity whichever row used it last. Rows
-// of a fixed-width schema always fit exactly. A row that finds no slot and
-// no room under the budget is refused, and its owner frees rows until one
-// fits; nothing is ever moved, so widths that vary by more than the flag byte
-// can record leave slots idle until the store is released.
+// frees the rows its selection dropped. A store keeps free slots by capacity
+// class (4 bytes wide); a row takes a free slot that holds it, and the bytes
+// the slot has to spare ride in the entry's flag byte, so the slot comes back
+// at its full capacity whichever row used it last. Replacement selection
+// frees a row for every row it admits, so its store pads: it rounds slot
+// sizes up to the class width, and rows of varying width then fit each
+// other's slots. Every other store packs its rows as they come — a bounded
+// collector frees rows only when it selects, and one that spills never does,
+// so it forms the same batches as an unbounded sort. Rows of a fixed-width
+// schema always fit exactly. A row that finds no slot and no room under the
+// budget is refused, and its owner frees rows until one fits; nothing is ever
+// moved, so widths that vary by more than the flag byte can record leave
+// slots idle until the store is released.
 //
 // A store is owned by one goroutine at a time: the consumer while it is
 // filled, then whichever worker sorts or spills it. release returns every
@@ -53,7 +57,7 @@ type rowStore struct {
 	blockSize int
 	width     int // entry prefix bytes
 	size      int // entry bytes: width + entryOverhead
-	pad       int // row slots are multiples of this: slotGranule if slots get recycled, else 1
+	pad       int // row slots are multiples of this: slotGranule in replacement selection's store, else 1
 
 	// rows[off/blockSize] is the block holding the row at offset off; a
 	// multi-page block (a row larger than a page) is followed by nil
@@ -77,6 +81,7 @@ type rowStore struct {
 	freeEnts []uint32     // recycled entry handles
 	freeRows [][]freeSlot // recycled row slots by capacity/slotGranule
 	nFree    int
+	freed    bool // a row was freed since the store was last empty: its last row blocks need not hold its latest arrivals
 }
 
 // freeSlot is a recycled row slot.
@@ -96,13 +101,11 @@ const (
 )
 
 // newRowStore returns an empty store whose entries carry width prefix bytes
-// (entryWidth). recycles says whether
-// the owner will free rows while it goes on adding them (replacement
-// selection, a bounded collector); a store that is only ever filled and then
-// released packs its rows unpadded.
-func newRowStore(disk *storage.Disk, width int, recycles bool) *rowStore {
+// (entryWidth). padded rounds its row slots up to the slot granule: the
+// store of replacement selection, which frees a row for every row it admits.
+func newRowStore(disk *storage.Disk, width int, padded bool) *rowStore {
 	s := &rowStore{disk: disk, blockSize: disk.PageSize(), width: width, size: width + entryOverhead, pad: 1}
-	if recycles {
+	if padded {
 		s.pad = slotGranule
 	}
 	s.perBlock = s.blockSize / s.size
@@ -133,14 +136,15 @@ func (s *rowStore) entry(h uint32) []byte {
 // handles appends the handles of all appended entries, in arrival order.
 // Valid while no entry has been freed (a fill, a collected segment).
 func (s *rowStore) handles(dst []uint32) []uint32 {
-	left := s.appended
-	for b := 0; left > 0; b++ {
-		for i := 0; i < min(left, s.perBlock); i++ {
-			dst = append(dst, uint32(b)<<s.shift|uint32(i))
-		}
-		left -= s.perBlock
+	for i := 0; i < s.appended; i++ {
+		dst = append(dst, s.handle(i))
 	}
 	return dst
+}
+
+// handle returns the handle of the i-th appended entry.
+func (s *rowStore) handle(i int) uint32 {
+	return uint32(i/s.perBlock)<<s.shift | uint32(i%s.perBlock)
 }
 
 // locate returns the block buffer holding entry e's row and the row's
@@ -351,6 +355,7 @@ func (s *rowStore) putFree(off, size uint32) {
 
 // freeRow recycles the row slot of entry e (the entry itself stays).
 func (s *rowStore) freeRow(e []byte) {
+	s.freed = true
 	off := binary.BigEndian.Uint32(e[s.width+1:])
 	size := len(s.rowBytes(e)) + int(e[s.width]>>slackShift)
 	if e[s.width]&flagTrunc != 0 {
@@ -386,12 +391,20 @@ func (s *rowStore) keepOnly(kept, dropped []uint32) {
 	for _, h := range dropped {
 		s.freeRow(s.entry(h))
 	}
+	s.compact(kept)
+}
+
+// compact makes the entries of kept, in that order, entries
+// 0..len(kept)-1 — a dense store again, whatever was freed before — and
+// returns the entry blocks past them. Every other entry is dropped; its row
+// is the caller's to have recycled or given back.
+func (s *rowStore) compact(kept []uint32) {
 	buf := entryScratch.get(len(kept) * s.size)
 	tmp := (*buf)[:0]
 	for _, h := range kept {
 		tmp = append(tmp, s.entry(h)...)
 	}
-	s.appended, s.live = len(kept), len(kept)
+	s.appended, s.live, s.freeEnts = len(kept), len(kept), s.freeEnts[:0]
 	for i := range kept {
 		copy(s.entBufs[i/s.perBlock][i%s.perBlock*s.size:], tmp[i*s.size:(i+1)*s.size])
 	}
@@ -402,6 +415,67 @@ func (s *rowStore) keepOnly(kept, dropped []uint32) {
 		s.ents, s.entBufs = s.ents[:last], s.entBufs[:last]
 		s.pages--
 	}
+}
+
+// rowPage returns the page of the row blocks that entry h's row starts on.
+// A row inside a multi-page block may start past the block's first page,
+// which is why evictions cut only at a block's first page.
+func (s *rowStore) rowPage(h uint32) int {
+	return int(binary.BigEndian.Uint32(s.entry(h)[s.width+1:])) / s.blockSize
+}
+
+// tailCut decides how much of the store a spilled segment keeps in memory
+// through its final merge, which reads runs disk runs beside it, one block
+// each, all within allowance blocks. It returns the first row page to evict:
+// len(s.rows) when the store and the runs' read blocks fit as they are, else
+// the cut that evicts the fewest last row blocks such that the rows left —
+// their entries packed densely — fit with one more read block, for the run
+// the evicted rows become. ok is false when nothing can stay (no cut leaves a
+// row, or evict forbids cutting): the store is then written whole.
+func (s *rowStore) tailCut(runs, allowance int, evict bool) (cut int, ok bool) {
+	if s.live > 0 && s.pages+runs <= allowance {
+		return len(s.rows), true
+	}
+	if !evict || s.live == 0 {
+		return 0, false
+	}
+	onPage := make([]int, len(s.rows))
+	for i := 0; i < s.appended; i++ {
+		h := s.handle(i)
+		if binary.BigEndian.Uint32(s.entry(h)[s.width+1:]) != deadEntry {
+			onPage[s.rowPage(h)]++
+		}
+	}
+	kept, rowPages := s.live, s.pages-len(s.ents)
+	for cut = len(s.rows) - 1; cut > 0; cut-- {
+		kept -= onPage[cut]
+		if s.rows[cut] == nil {
+			continue // a placeholder page of a multi-page block, or a freed one
+		}
+		rowPages -= s.rows[cut].Pages()
+		entPages := (kept + s.perBlock - 1) / s.perBlock
+		if kept > 0 && rowPages+entPages+runs+1 <= allowance {
+			return cut, true
+		}
+	}
+	return 0, false
+}
+
+// evict gives back the row blocks from page cut on — whose rows the caller
+// has written out; none when cut is len(s.rows) — and compacts the entries
+// of kept, every row before the cut, in that order (compact). Nothing may be
+// added to the store after.
+func (s *rowStore) evict(cut int, kept []uint32) {
+	for i, b := range s.rows[cut:] {
+		if b != nil {
+			s.pages -= b.Pages()
+			s.disk.PutBlock(b)
+			s.rows[cut+i] = nil
+		}
+	}
+	s.rows, s.rowPos = s.rows[:cut], s.blockSize
+	s.freeRows, s.nFree = s.freeRows[:0], 0
+	s.compact(kept)
 }
 
 // scratch recycles the buffers a sort step fills and drops within one call
@@ -447,5 +521,5 @@ func (s *rowStore) release() {
 	clear(s.entBufs)
 	s.rows, s.ents, s.entBufs, s.freeEnts, s.freeRows = s.rows[:0], s.ents[:0], s.entBufs[:0], s.freeEnts[:0], s.freeRows[:0]
 	s.rowPos = s.blockSize
-	s.appended, s.live, s.pages, s.nFree = 0, 0, 0, 0
+	s.appended, s.live, s.pages, s.nFree, s.freed = 0, 0, 0, 0, false
 }

@@ -2,6 +2,7 @@ package xsort
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -259,8 +260,9 @@ func (c sortCase) String() string {
 // sequence (with a Limit its first rows) wherever the sort is stable — an
 // in-memory full sort included — and the key sequence and the row multiset
 // for a spilled replacement selection, whose heap may reorder rows that tie
-// on the whole key.
-func checkSortCase(t *testing.T, c sortCase) {
+// on the whole key. It returns the spilled segments that kept their tail for
+// the final merge, and those of them that evicted part of it.
+func checkSortCase(t *testing.T, c sortCase) (kept, evicted int) {
 	t.Helper()
 	r := rand.New(rand.NewSource(c.seed))
 	kinds := []types.Kind{types.KindInt, types.KindFloat, types.KindBool, types.KindString}
@@ -300,7 +302,7 @@ func checkSortCase(t *testing.T, c sortCase) {
 	if err != nil {
 		t.Fatalf("%v: %v", c, err)
 	}
-	got, err := drain(m)
+	got, err := iter.Drain(&tailWatch{MRS: m, kept: &kept, evicted: &evicted}, schema.Len())
 	if err != nil {
 		t.Fatalf("%v: %v", c, err)
 	}
@@ -319,13 +321,33 @@ func checkSortCase(t *testing.T, c sortCase) {
 		if !reflect.DeepEqual(encodedMultiset(got), encodedMultiset(want)) {
 			t.Fatalf("%v: output is not a permutation of the input", c)
 		}
-		return
+		return kept, evicted
 	}
 	for i := range got {
 		if !sameTuple(got[i], want[i]) {
 			t.Fatalf("%v: output diverges at %d: %v, want %v", c, i, got[i], want[i])
 		}
 	}
+	return kept, evicted
+}
+
+// tailWatch counts, as a sort is drained, the spilled segments it merges
+// over a kept tail, and those of them that evicted part of it.
+type tailWatch struct {
+	*MRS
+	last          *segment
+	kept, evicted *int
+}
+
+func (w *tailWatch) NextChunk(c *types.Chunk) error {
+	err := w.MRS.NextChunk(c)
+	if s := w.cur; s != nil && s != w.last && s.spilled && s.store != nil {
+		w.last = s
+		if *w.kept++; len(s.sp.runs) > s.tailAt {
+			*w.evicted++
+		}
+	}
+	return err
 }
 
 // sameTuple is DeepEqual that tells the two float zeros apart by bits, as
@@ -345,9 +367,19 @@ func encodedMultiset(rows []types.Tuple) map[string]int {
 // TestStoreBackedSortsMatchStableSort is the seeded property: SRS, MRS in
 // memory, MRS spilled and the bounded collector, at Parallelism 1/2/4 ×
 // batch 1/64/1024, rows arriving as tuples, as
-// decoded chunks and as encoded spans.
+// decoded chunks and as encoded spans — and first the tailCases, spilled
+// batch and bounded sorts whose final merge reads a kept tail, some of them
+// after evicting part of it.
 func TestStoreBackedSortsMatchStableSort(t *testing.T) {
 	r := rand.New(rand.NewSource(222))
+	tails := map[string]int{}
+	for _, c := range tailCases {
+		kept, evicted := checkSortCase(t, c.sortCase)
+		tails[c.tail] += map[string]int{"kept": kept - evicted, "evicted": evicted}[c.tail]
+	}
+	if tails["kept"] == 0 || tails["evicted"] == 0 {
+		t.Errorf("the tail cases kept %d tails and evicted from %d, want some of each", tails["kept"], tails["evicted"])
+	}
 	for _, par := range []int{1, 2, 4} {
 		for _, batch := range []int{1, 64, 1024} {
 			for trial := 0; trial < 12; trial++ {
@@ -374,6 +406,9 @@ func FuzzStoreBackedSort(f *testing.F) {
 	f.Add(int64(2), uint16(700), uint16(700), uint8(4), uint16(9), uint8(1))
 	f.Add(int64(3), uint16(50), uint16(1), uint8(200), uint16(0), uint8(6))
 	f.Add(int64(4), uint16(900), uint16(300), uint8(3), uint16(450), uint8(11))
+	for _, c := range tailCases {
+		f.Add(c.seed, uint16(c.n), uint16(c.perSeg), uint8(c.blocks), uint16(c.limit), uint8(16))
+	}
 	f.Fuzz(func(t *testing.T, seed int64, n, perSeg uint16, blocks uint8, limit uint16, flags uint8) {
 		if n == 0 || n > 1500 || perSeg == 0 || blocks == 0 {
 			t.Skip()
@@ -793,4 +828,128 @@ func TestSRSSpillsLongStringKeys(t *testing.T) {
 		}
 		storage.AssertNoLeaks(t, d)
 	}
+}
+
+// tailCases are spilled one-segment sorts a little over a memory load that
+// keep the rows they hold at input end for the final merge: MRS batches and a
+// bounded collector keeping all of them, and batches evicting part.
+var tailCases = []struct {
+	sortCase
+	tail string // "kept" or "evicted"
+}{
+	{sortCase{seed: 1, n: 300, perSeg: 300, blocks: 16, par: 1, batch: 64, encoded: true}, "kept"},
+	{sortCase{seed: 2, n: 600, perSeg: 600, blocks: 16, par: 2, batch: 1}, "kept"},
+	{sortCase{seed: 1, n: 300, perSeg: 300, blocks: 16, limit: 270, par: 1, batch: 64, encoded: true}, "kept"},
+	{sortCase{seed: 1, n: 900, perSeg: 900, blocks: 16, par: 1, batch: 1024, encoded: true}, "evicted"},
+	{sortCase{seed: 2, n: 800, perSeg: 800, blocks: 16, par: 4, batch: 64}, "evicted"},
+}
+
+// FuzzTailCut checks the kept-tail cut on stores the fuzzer shapes: n rows
+// of a width that may vary and may exceed a page, in a padded store with
+// every third row freed and the slots partly refilled, or in a packed one;
+// runs disk runs beside it within allowance blocks. rowStore.tailCut must
+// agree with a brute-force search — keep the whole store if it fits beside a
+// read block per run, else cut at the highest block start whose rows, their
+// entries packed, fit with one more read block, else write everything — and
+// evict must leave exactly the rows before the cut, in the order given, on
+// the blocks the store accounts for; nothing stays out after release. On a
+// packed store of fixed-width rows no wider than a page PlanSpill's
+// footprint.tailCut keeps as many rows.
+func FuzzTailCut(f *testing.F) {
+	f.Add(uint16(300), uint8(6), uint8(0), uint8(1), uint8(16), false)
+	f.Add(uint16(300), uint8(6), uint8(0), uint8(3), uint8(12), true)
+	f.Add(uint16(90), uint8(40), uint8(9), uint8(2), uint8(30), false)
+	f.Add(uint16(40), uint8(200), uint8(0), uint8(0), uint8(8), true)
+	f.Fuzz(func(t *testing.T, n uint16, width, vary, runs, allowance uint8, padded bool) {
+		if n == 0 || n > 2000 {
+			t.Skip()
+		}
+		const page = 512
+		d := storage.NewDisk(page)
+		defer storage.AssertNoLeaks(t, d)
+		st := newRowStore(d, 8, padded)
+		defer st.release()
+		row := func(i int) inputRow {
+			w := int(width) * 5
+			if vary > 0 {
+				w += i % int(vary)
+			}
+			var key [8]byte
+			binary.BigEndian.PutUint64(key[:], uint64(i))
+			return inputRow{t: types.NewTuple(types.NewInt(int64(i)), types.NewString(strings.Repeat("x", w))), key: key[:]}
+		}
+		for i := 0; i < int(n); i++ {
+			r := row(i)
+			st.add(r, r.key, 0, math.MaxInt32)
+		}
+		if padded {
+			for i := 0; i < int(n); i += 3 {
+				st.free(st.handle(i))
+			}
+			for i := int(n); i < int(n)+int(n)/6; i++ {
+				r := row(i)
+				st.add(r, r.key, 0, math.MaxInt32)
+			}
+		}
+
+		// The brute force: the live rows and the row pages before each cut.
+		var live []uint32
+		for i := 0; i < st.appended; i++ {
+			if binary.BigEndian.Uint32(st.entry(st.handle(i))[st.width+1:]) != deadEntry {
+				live = append(live, st.handle(i))
+			}
+		}
+		before := func(cut int) (kept []uint32, pages int) {
+			for _, h := range live {
+				if st.rowPage(h) < cut {
+					kept = append(kept, h)
+				}
+			}
+			for _, b := range st.rows[:cut] {
+				if b != nil {
+					pages += b.Pages()
+				}
+			}
+			return kept, pages
+		}
+		fits := func(cut int) bool {
+			kept, pages := before(cut)
+			return len(kept) > 0 && pages+(len(kept)+st.perBlock-1)/st.perBlock+int(runs)+1 <= int(allowance)
+		}
+		wantCut, wantOK := len(st.rows), len(live) > 0 && st.pages+int(runs) <= int(allowance)
+		for p := len(st.rows) - 1; !wantOK && p > 0; p-- {
+			if st.rows[p] != nil && fits(p) {
+				wantCut, wantOK = p, true
+			}
+		}
+		cut, ok := st.tailCut(int(runs), int(allowance), true)
+		if ok != wantOK || (ok && cut != wantCut) {
+			t.Fatalf("%d rows on %d pages beside %d runs in %d blocks: cut %d %v, want %d %v",
+				len(live), st.pages, runs, allowance, cut, ok, wantCut, wantOK)
+		}
+		if !ok {
+			return
+		}
+		kept, rowPages := before(cut)
+		var rows [][]byte
+		for _, h := range kept {
+			rows = append(rows, append([]byte(nil), st.rowBytes(st.entry(h))...))
+		}
+		st.evict(cut, kept)
+		if st.len() != len(kept) || st.pages != rowPages+(len(kept)+st.perBlock-1)/st.perBlock || int64(st.pages) != d.LiveBlocks() {
+			t.Fatalf("evicted at %d: %d rows on %d pages (%d out), want %d rows on %d row pages",
+				cut, st.len(), st.pages, d.LiveBlocks(), len(kept), rowPages)
+		}
+		for i := range kept {
+			if got := st.rowBytes(st.entry(st.handle(i))); !bytes.Equal(got, rows[i]) {
+				t.Fatalf("kept row %d is %x, want %x", i, got, rows[i])
+			}
+		}
+		if !padded && vary == 0 && len(rows[0]) <= page {
+			f := footprint{row: int64(len(rows[0])), entry: int64(st.size)}
+			if planned := f.tailCut(int64(len(live)), int(runs), false, int(allowance), page); planned != int64(len(kept)) {
+				t.Fatalf("planned to keep %d of %d rows, the store keeps %d", planned, len(live), len(kept))
+			}
+		}
+	})
 }

@@ -12,7 +12,9 @@
 // spills when no Limit bounds it: heap-based run formation producing runs
 // averaging twice the memory size, followed by multiway merging. With fully
 // sorted input it still writes one big run to disk and reads it back,
-// breaking the pipeline — the deficiency the paper highlights. SRS and MRS
+// breaking the pipeline — the deficiency the paper highlights — though only
+// N − load of its N rows: what it holds when the input ends stays in memory
+// (below). SRS and MRS
 // differ in that algorithm only (replacementSelection decides it), not in
 // the operator: both read their input on the first NextChunk, never in Open.
 //
@@ -58,13 +60,18 @@
 //
 // A spilled run is one file of encoded rows: a spill copies row bytes out of
 // the store, an intermediate merge copies the winner's bytes from page to
-// page, and the final merge hands them out as chunk spans. Merges key
-// each row they read from its bytes and break full-key ties by run ordinal;
-// runs are formed in arrival order by stable sorts and reductions keep merged
-// outputs in place, so the sort is stable and its output bytes do not depend
-// on the reduction schedule (merge.go). The one exception is a segment
-// spilled by replacement selection: its heap promises rows with duplicate
-// full sort keys no order.
+// page, and the final merge hands them out as chunk spans. The rows a spilled
+// segment's store still holds when its input ends are not written at all
+// when the final merge can then read them beside the runs with no reduction
+// pass — their blocks and one read block per run within the allowance, or
+// else after evicting the fewest last row blocks as one more small run
+// (MRS.keepTail): the kept tail is one more merge input, read from memory.
+// Merges key each row they read from its bytes and break full-key ties by
+// run ordinal; runs are formed in arrival order by stable sorts and
+// reductions keep merged outputs in place, so the sort is stable and its
+// output bytes do not depend on the reduction schedule (merge.go). The one
+// exception is a segment spilled by replacement selection: its heap promises
+// rows with duplicate full sort keys no order.
 //
 // Independent in-memory segments are sorted on a bounded worker pool
 // (Config.Parallelism); see mrs.go for the pipelining contract. Spilling is
@@ -72,9 +79,9 @@
 // consumer goroutine, into a storage.SpillArena per spilled segment.
 //
 // PlanSpill (spill.go) predicts how a sort spills — runs formed, passes, run
-// pages written and read — without sorting, from these same rules: what a
-// store admits, the formation replacementSelection picks, and reductionPass.
-// The cost model prices sorts from it.
+// pages written and read, the tail kept — without sorting, from these same
+// rules: what a store admits, the formation replacementSelection picks, what
+// a tail cut keeps, and reductionPass. The cost model prices sorts from it.
 //
 // A sort's query reaches it through MRS.Bind (exec.Bind calls it): the
 // binding's abort is polled by segment collection, replacement selection and

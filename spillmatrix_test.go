@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+
+	"pyro/internal/storage"
 )
 
 // spillDB builds a workload whose ORDER BY must spill: 12k rows shuffled
@@ -96,4 +98,76 @@ func TestSpillingSortGoldenMatrix(t *testing.T) {
 			t.Fatalf("par%d: IO attribution varies: got %+v want %+v", par, r.io, ref.io)
 		}
 	}
+}
+
+// TestKeptTailsStayWithinTheirBudget follows the memory a spilling sort
+// keeps for its final merge on the plan_join benchmark's q4 shape: three full
+// sorts of about 7 500 rows, a little over one memory load each at M = 64,
+// under two full outer merge joins (and a partial sort between them, which
+// fits). Every sort spills and keeps the rows it
+// still holds at input end through its final merge, so the three merges run
+// at once, each over its own kept tail: the blocks out of the disk's pool at
+// the first row are those tails. Each sort must still stay within its
+// budget. The blocks out at the first row are logged, the trade a kept tail
+// makes for the pages it does not move.
+func TestKeptTailsStayWithinTheirBudget(t *testing.T) {
+	const blocks = 64
+	db := Open(Config{SortMemoryBlocks: blocks, PlanCacheSize: -1})
+	for i, prefix := range []string{"a_", "b_", "c_"} {
+		cols := make([]Column, 5)
+		for c := range cols {
+			cols[c] = Column{Name: fmt.Sprintf("%sc%d", prefix, c+1), Type: Int64}
+		}
+		rows := make([][]any, 7500+50*i)
+		for r := range rows {
+			h := uint64(r*3+i+1) * 0x9e3779b97f4a7c15
+			rows[r] = []any{int64(h >> 59 % 40), int64(h >> 50 % 40), int64(h >> 40 % 25), int64(h >> 30 % 25), int64(h >> 20 % 25)}
+		}
+		if err := db.CreateTable(fmt.Sprintf("r%d", i+1), cols, nil, rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := db.Scan("r1").
+		FullOuterJoin(db.Scan("r2"), And(
+			Eq(Col("a_c5"), Col("b_c5")), Eq(Col("a_c4"), Col("b_c4")), Eq(Col("a_c3"), Col("b_c3")))).
+		FullOuterJoin(db.Scan("r3"), And(
+			Eq(Col("c_c1"), Col("a_c1")), Eq(Col("c_c4"), Col("a_c4")), Eq(Col("c_c5"), Col("a_c5"))))
+	plan, err := db.Optimize(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := db.Query(context.Background(), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !cur.Next() {
+		t.Fatalf("no first row: %v", cur.Err())
+	}
+	atFirst := db.Disk().LiveBlocks()
+	for cur.Next() {
+	}
+	if err := cur.Close(); err != nil {
+		t.Fatal(err)
+	}
+	budget := int64(blocks * storage.DefaultPageSize)
+	spilled := 0
+	for i, s := range cur.Stats().Sorts {
+		if s.RunsGenerated > 0 {
+			spilled++
+			if s.MergePasses != 0 {
+				t.Errorf("sort %d was meant to merge with no pass: %+v", i, s)
+			}
+		}
+		if s.PeakMemBytes > budget {
+			t.Errorf("sort %d peaked at %d bytes, over its %d-byte budget", i, s.PeakMemBytes, budget)
+		}
+	}
+	if spilled != 3 {
+		t.Fatalf("%d sorts spilled, want q4's three full sorts: %+v", spilled, cur.Stats().Sorts)
+	}
+	if n := db.Disk().LiveBlocks(); n != 0 {
+		t.Fatalf("%d blocks still out after Close", n)
+	}
+	t.Logf("blocks out at the first row: %d (budget %d a sort); run pages moved: %d",
+		atFirst, blocks, cur.Stats().IO.RunPageReads+cur.Stats().IO.RunPageWrites)
 }
