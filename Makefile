@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race race-serve chaos bench fuzz-smoke perf-ab fmt vet lint-pyro loc ci
+.PHONY: build test race race-serve chaos run-patterns bench fuzz-smoke perf-ab fmt vet lint-pyro loc ci
 
 build:
 	$(GO) build ./...
@@ -61,16 +61,25 @@ perf-ab:
 # The serving layer's concurrency under the race detector at a forced
 # GOMAXPROCS: governor fairness/starvation, admission, plan cache, the
 # concurrent-cursor tests and the chunked executor's pooled-buffer paths.
+RACE_SERVE_RUN = Govern|Gate|Admission|Concurrent|Starv|PlanCache|Serving|Grant|Chunk
 race-serve:
-	GOMAXPROCS=8 $(GO) test -race -count=1 -run 'Govern|Gate|Admission|Concurrent|Starv|PlanCache|Serving|Grant|Override|Chunk' ./...
+	GOMAXPROCS=8 $(GO) test -race -count=1 -run '$(RACE_SERVE_RUN)' ./...
 
 # Fault-sweep harness at full resolution: every page transfer of every
 # plan-matrix arm is failed (and panicked) in turn, under the race
 # detector with GOMAXPROCS forced, plus the temp-quota ENOSPC arm, the
 # four context-deadline tests and the in-call abort of every looping
 # operator. The default `make test` runs the same sweep strided.
+CHAOS_RUN = Chaos|QueryTimeoutAbortsSort|WithDeadlineInPast|DeadlineWhile|InCallAbortReachesEveryLoop
 chaos:
-	PYRO_CHAOS_FULL=1 GOMAXPROCS=8 $(GO) test -race -count=1 -run 'Chaos|QueryTimeoutAbortsSort|WithDeadlineInPast|DeadlineWhile|InCallAbortReachesEveryLoop' .
+	PYRO_CHAOS_FULL=1 GOMAXPROCS=8 $(GO) test -race -count=1 -run '$(CHAOS_RUN)' .
+
+# Every `|` alternative of the race-serve and chaos -run patterns must still
+# match a test: a renamed or deleted test must not leave a target quietly
+# running less than it says (scripts/check-run-patterns.sh).
+run-patterns:
+	GO="$(GO)" scripts/check-run-patterns.sh '$(RACE_SERVE_RUN)' ./...
+	GO="$(GO)" scripts/check-run-patterns.sh '$(CHAOS_RUN)' .
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -97,4 +106,4 @@ lint-pyro:
 loc:
 	@GO="$(GO)" scripts/loc.sh $(if $(filter command line environment,$(origin BASE)),$(BASE))
 
-ci: build vet fmt lint-pyro test race race-serve chaos bench fuzz-smoke
+ci: build vet fmt lint-pyro run-patterns test race race-serve chaos bench fuzz-smoke

@@ -101,8 +101,8 @@ type cursorArm struct {
 }
 
 // pullArm runs arm once: Query, pull, Close. It returns the query's stats.
-func pullArm(tb testing.TB, db *Database, arm cursorArm, opts ...ExecOption) ExecStats {
-	cur, err := db.Query(context.Background(), arm.plan, opts...)
+func pullArm(tb testing.TB, db *Database, arm cursorArm) ExecStats {
+	cur, err := db.Query(context.Background(), arm.plan)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -456,8 +456,8 @@ type workCounters struct {
 
 // TestWorkCounters pins the work counters of the cursor and run-formation
 // benchmark arms exactly. The counters replicate bit-for-bit on any machine
-// — sort parallelism is pinned to 1 and the golden tests pin parallelism
-// invariance — so a plan-shape or engine change that moves any of them
+// — the database's sort parallelism is 1 and the golden tests pin
+// parallelism invariance — so a plan-shape or engine change that moves any of them
 // fails here; a change that means to move them updates this table and says
 // why.
 //
@@ -475,7 +475,7 @@ type workCounters struct {
 // the run at input end, a comparison per sift, but sorts what it holds, by
 // radix: its comparisons fell and its radix passes rose.
 func TestWorkCounters(t *testing.T) {
-	db := segmentedDB(t, 50_000, 500)
+	db := segmentedDBWith(t, Config{SortMemoryBlocks: 64, SortParallelism: 1}, 50_000, 500)
 	want := map[string]workCounters{
 		"TimeToFirstRow/partial-cursor": {500, 15, 4, 0},
 		"TimeToFirstRow/full-cursor":    {1_111_250, 281, 725, 346},
@@ -490,7 +490,7 @@ func TestWorkCounters(t *testing.T) {
 	}
 	got := map[string]workCounters{}
 	cursor := func(name string, arm cursorArm) {
-		st := pullArm(t, db, arm, WithSortParallelism(1))
+		st := pullArm(t, db, arm)
 		var c workCounters
 		for _, s := range st.Sorts {
 			c.comparisons += s.Comparisons

@@ -23,8 +23,8 @@ import (
 // asked to fill, so the tree runs one row per call down to its sorts (which
 // pull their input in xsort.Config.BatchSize chunks): this is the reference
 // the default drain must match.
-func queryOneRow(db *Database, plan *Plan, opts ...ExecOption) (*Cursor, error) {
-	cur, err := db.Query(context.Background(), plan, opts...)
+func queryOneRow(db *Database, plan *Plan) (*Cursor, error) {
+	cur, err := db.Query(context.Background(), plan)
 	if err != nil {
 		return nil, err
 	}
@@ -34,15 +34,15 @@ func queryOneRow(db *Database, plan *Plan, opts ...ExecOption) (*Cursor, error) 
 
 // queryChunked is Query: the cursor drains chunks of
 // types.DefaultChunkCapacity rows.
-func queryChunked(db *Database, plan *Plan, opts ...ExecOption) (*Cursor, error) {
-	return db.Query(context.Background(), plan, opts...)
+func queryChunked(db *Database, plan *Plan) (*Cursor, error) {
+	return db.Query(context.Background(), plan)
 }
 
 // drainModes are the two chunk capacities a cursor drains its root at: one
 // row (the reference) and the default.
 var drainModes = []struct {
 	name  string
-	query func(db *Database, plan *Plan, opts ...ExecOption) (*Cursor, error)
+	query func(db *Database, plan *Plan) (*Cursor, error)
 }{
 	{"cap=1", queryOneRow},
 	{"cap=1024", queryChunked},
@@ -112,21 +112,25 @@ func checkInteriorOrders(t testing.TB, db *Database, plan *Plan) {
 	}
 }
 
-// drained is what a cursor served and froze: rows, sort counters and the
-// query's tap-attributed I/O.
+// drained is what a cursor served and froze: rows, sort counters, the
+// query's tap-attributed I/O and its sort-memory grant.
 type drained struct {
-	rows  [][]any
-	sorts []SortStats
-	io    IOStats
+	rows    [][]any
+	sorts   []SortStats
+	io      IOStats
+	granted int
 }
 
 // drainStop pulls up to stop rows (all of them when stop < 0) from a cursor
-// opened by query, closes it and returns what it froze. Sort parallelism is
-// pinned to 1 so every SortStats counter is bit-deterministic.
+// opened by query, closes it and returns what it froze. db's sort
+// parallelism must be 1 for every SortStats counter to be bit-deterministic.
 func drainStop(t *testing.T, db *Database, plan *Plan, stop int,
-	query func(*Database, *Plan, ...ExecOption) (*Cursor, error), opts ...ExecOption) drained {
+	query func(*Database, *Plan) (*Cursor, error)) drained {
 	t.Helper()
-	cur, err := query(db, plan, append(opts, WithSortParallelism(1))...)
+	if db.cfg.SortParallelism != 1 {
+		t.Fatalf("drainStop needs a database at sort parallelism 1, not %d", db.cfg.SortParallelism)
+	}
+	cur, err := query(db, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +148,7 @@ func drainStop(t *testing.T, db *Database, plan *Plan, stop int,
 		t.Fatal(err)
 	}
 	st := cur.Stats()
-	d.sorts, d.io = st.Sorts, st.IO
+	d.sorts, d.io, d.granted = st.Sorts, st.IO, st.GrantedBlocks
 	return d
 }
 
@@ -213,9 +217,10 @@ func sameStop(t *testing.T, at string, got, want drained, replay func(i int, n i
 }
 
 // planReplay is sameStop's replay for the plans Query runs: it builds plan
-// under a budget of blocks, as a cursor with that budget and sort
-// parallelism 1 does, and drains its i-th sort enforcer (pre-order, as
-// QueryStats.Sorts lists them) alone, one row per chunk, for n rows.
+// under a static budget of blocks — a cursor's GrantedBlocks, which its
+// sorts run at while no other query shrinks the grant — at sort
+// parallelism 1, and drains its i-th sort enforcer (pre-order, as
+// ExecStats.Sorts lists them) alone, one row per chunk, for n rows.
 func planReplay(t *testing.T, db *Database, plan *Plan, blocks int) func(int, int64) SortStats {
 	return func(i int, n int64) SortStats {
 		t.Helper()
@@ -236,7 +241,7 @@ func planReplay(t *testing.T, db *Database, plan *Plan, blocks int) func(int, in
 // identical per-query I/O. Chunks may only remove per-row overhead, never
 // change what the engine reads or computes.
 func TestChunkMatchesRowAtATime(t *testing.T) {
-	db := openTestDB(t)
+	db := openTestDBWith(t, Config{SortMemoryBlocks: 64, SortParallelism: 1})
 	for name, plan := range chunkDiffPlans(t, db) {
 		t.Run(name, func(t *testing.T) {
 			checkInteriorOrders(t, db, plan)
@@ -279,7 +284,7 @@ func TestNothingSortsInOpen(t *testing.T) {
 		t.Run(name, func(t *testing.T) { check(t, db, plan) })
 	}
 	t.Run("spill-matrix", func(t *testing.T) {
-		sdb := spillDB(t)
+		sdb := spillDB(t, 1)
 		plan, err := sdb.Optimize(sdb.Scan("t").OrderBy("b", "a"))
 		if err != nil {
 			t.Fatal(err)
@@ -297,22 +302,24 @@ func TestNothingSortsInOpen(t *testing.T) {
 // invariant — a chunk refill may only do the work its first row needs, plus
 // work that is free (rows co-resident on an already-read page), so an early
 // stop observes the same pages read and the same sort segments touched. The
-// budget is set explicitly so the replayed sorts get the cursor's, not a
-// governed grant.
+// replayed sorts run at the cursor's grant: a bounded sort's Top-K ask for
+// orderby-limit, the full budget for the others.
 func TestChunkMatchesRowAtATimeEarlyClose(t *testing.T) {
-	db := openTestDB(t)
+	db := openTestDBWith(t, Config{SortMemoryBlocks: 64, SortParallelism: 1})
 	plans := chunkDiffPlans(t, db)
-	mem := WithSortMemoryBlocks(db.cfg.SortMemoryBlocks)
 	for _, name := range []string{"scan-filter", "join-orderby", "union-all", "orderby-limit"} {
 		plan := plans[name]
 		t.Run(name, func(t *testing.T) {
 			for _, j := range []int{1, 13} {
-				want := drainStop(t, db, plan, j, queryOneRow, mem)
+				want := drainStop(t, db, plan, j, queryOneRow)
 				if len(want.rows) != j {
 					t.Fatalf("stop %d: only %d rows", j, len(want.rows))
 				}
-				sameStop(t, fmt.Sprintf("stop %d", j), drainStop(t, db, plan, j, queryChunked, mem), want,
-					planReplay(t, db, plan, db.cfg.SortMemoryBlocks))
+				got := drainStop(t, db, plan, j, queryChunked)
+				if got.granted != want.granted {
+					t.Fatalf("stop %d: granted %d blocks, the one-row drain %d", j, got.granted, want.granted)
+				}
+				sameStop(t, fmt.Sprintf("stop %d", j), got, want, planReplay(t, db, plan, got.granted))
 			}
 		})
 	}
@@ -323,7 +330,7 @@ func TestChunkMatchesRowAtATimeEarlyClose(t *testing.T) {
 // resumes on the same page. k groups ten rows; v is a permutation.
 func midPageDB(t *testing.T, n int) *Database {
 	t.Helper()
-	db := Open(Config{PageSize: 32 << 10, SortMemoryBlocks: 64})
+	db := Open(Config{PageSize: 32 << 10, SortMemoryBlocks: 64, SortParallelism: 1})
 	t.Cleanup(func() { storage.AssertNoLeaks(t, db.disk) })
 	rows := make([][]any, n)
 	for i := range rows {
@@ -417,7 +424,7 @@ func TestChunkBoundaryMidPage(t *testing.T) {
 			t.Fatal(err)
 		}
 		// rowFed drains the reference: the same MRS fed and drained one row
-		// per chunk, under the budget Query is pinned to below.
+		// per chunk, under the budget a lone cursor is granted in full.
 		rowFed := func(stop int) drained {
 			t.Helper()
 			tap := storage.NewTap()
@@ -432,7 +439,7 @@ func TestChunkBoundaryMidPage(t *testing.T) {
 		}
 		replay := func(_ int, n int64) SortStats { return rowFed(int(n)).sorts[0] }
 		for _, stop := range stops {
-			got := drainStop(t, db, plan, stop, queryChunked, WithSortMemoryBlocks(64))
+			got := drainStop(t, db, plan, stop, queryChunked)
 			if stop < 0 {
 				sameDrain(t, "full drain", got, rowFed(stop))
 			} else {
@@ -578,7 +585,7 @@ func TestConcurrentChunkCursors(t *testing.T) {
 // plan's root and for a merge join reading two of them.
 func TestChunkStopsInSpilledMerge(t *testing.T) {
 	const n = 8_000
-	db := segmentedDB(t, n, n)
+	db := segmentedDBWith(t, Config{SortMemoryBlocks: 4, SortParallelism: 1}, n, n)
 	stops := []int{1, 2, 100, 1023, 1024, 1025, 4_000, -1}
 	spilled := func(t *testing.T, sorts []SortStats) {
 		t.Helper()
@@ -594,10 +601,9 @@ func TestChunkStopsInSpilledMerge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mem := WithSortMemoryBlocks(4)
-		spilled(t, drainStop(t, db, plan, -1, queryChunked, mem).sorts)
+		spilled(t, drainStop(t, db, plan, -1, queryChunked).sorts)
 		for _, stop := range stops {
-			got, want := drainStop(t, db, plan, stop, queryChunked, mem), drainStop(t, db, plan, stop, queryOneRow, mem)
+			got, want := drainStop(t, db, plan, stop, queryChunked), drainStop(t, db, plan, stop, queryOneRow)
 			if stop < 0 {
 				sameDrain(t, "full drain", got, want)
 			} else {

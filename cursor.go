@@ -19,56 +19,6 @@ import (
 // (comparisons, runs, merge passes, segments, radix passes).
 type SortStats = xsort.SortStats
 
-// execConfig is the per-query execution state ExecOptions mutate: the
-// Database Config knobs plus execution-only settings that are not part of
-// the database configuration.
-type execConfig struct {
-	Config
-	rowTarget int64
-	// memoryOverride records that WithSortMemoryBlocks pinned the budget
-	// explicitly, which bypasses the sort-memory governor.
-	memoryOverride bool
-}
-
-// ExecOption overrides one execution knob for a single Query call, leaving
-// the Database's Config untouched. Options apply to every operator the
-// query builds; except for WithRowTarget — which re-optimizes the plan for
-// first-k consumption — the optimizer's plan choice is not revisited
-// (re-plan with Optimize if a different knob should also change the plan).
-type ExecOption func(*execConfig)
-
-// WithSortParallelism bounds concurrent MRS segment sorts per enforcer for
-// this query (0 = GOMAXPROCS, 1 = the paper's serial algorithm).
-func WithSortParallelism(n int) ExecOption {
-	return func(c *execConfig) { c.SortParallelism = n }
-}
-
-// WithSortMemoryBlocks overrides the per-sort memory budget M (in disk
-// blocks) for this query. The explicit value is taken literally: the query
-// bypasses the database's sort-memory governor entirely — it takes no
-// grant from the global pool and its budget is never shrunk under
-// contention. Use it for experiments that need an exact, reproducible M
-// per query; leave it unset to share the pool.
-func WithSortMemoryBlocks(n int) ExecOption {
-	return func(c *execConfig) {
-		c.SortMemoryBlocks = n
-		c.memoryOverride = true
-	}
-}
-
-// WithRowTarget declares that this consumer wants the first k rows fast —
-// the streaming analogue of a LIMIT the query doesn't have. Query
-// re-optimizes the plan with the optimizer's row budget set to k, so plan
-// comparison happens by the cost of the first k rows (favoring pipelined
-// partial-sort plans over blocking full sorts and hash operators, §7
-// Top-K) instead of full drain. Unlike Query.Limit the result is NOT
-// truncated: all rows stream if the cursor is drained — only the plan
-// choice changes. Negative k is rejected by Query; 0 means "no target"
-// (the option is a no-op, like omitting it).
-func WithRowTarget(k int64) ExecOption {
-	return func(c *execConfig) { c.rowTarget = k }
-}
-
 // ExecStats is one query's execution report, available from Cursor.Stats
 // at any point in the cursor's life (live while streaming, frozen once the
 // cursor finishes).
@@ -102,9 +52,8 @@ type ExecStats struct {
 	QueuedTime time.Duration
 	// GrantedBlocks is the sort-memory grant this query received from the
 	// global governor, in blocks, as initially issued (a later query's
-	// arrival may have shrunk it since). Zero when the query took no grant:
-	// the budget was pinned with WithSortMemoryBlocks, or the plan has no
-	// memory-consuming operator.
+	// arrival may have shrunk it since). Zero exactly when the plan holds no
+	// operator that buffers sort memory (no sort, no nested-loops join).
 	GrantedBlocks int
 	// GrantWait is how long the query blocked waiting for sort memory;
 	// GrantWaits is 1 when it blocked at all (per-query grants block at
@@ -170,18 +119,19 @@ type Cursor struct {
 }
 
 // Query compiles a plan and returns a streaming cursor over its results.
-// Execution resources come from the Database's Config, overridden per
-// query by any ExecOptions. The context is the query's one cancellation
-// signal, and a deadline is a context deadline (context.WithTimeout): while
-// the query queues at the admission gate or waits for sort memory, its end
-// wakes the wait; once the query runs, ctx.Err is checked before each Next
-// and polled inside the sort enforcers' long loops. Either way the query
+// It runs the plan it is given, with the resources of the Database's
+// Config: plan choice, a row target's included, happened at Optimize. The
+// context is the query's one cancellation signal, and a deadline is a
+// context deadline (context.WithTimeout): while the query queues at the
+// admission gate or waits for sort memory, its end wakes the wait; once the
+// query runs, ctx.Err is checked before each Next and polled inside the sort
+// enforcers' long loops. Either way the query
 // fails with the context's error (context.Canceled or
 // context.DeadlineExceeded) and gives back all it held. Query opens the
 // plan but sorts nothing: a blocking full-sort plan does its sorting on the
 // first Next (its errors surface from Cursor.Err) — a pipelined
 // partial-sort plan is what makes the first row arrive early.
-func (db *Database) Query(ctx context.Context, p *Plan, opts ...ExecOption) (*Cursor, error) {
+func (db *Database) Query(ctx context.Context, p *Plan) (*Cursor, error) {
 	if p == nil {
 		return nil, fmt.Errorf("pyro: nil plan")
 	}
@@ -194,19 +144,9 @@ func (db *Database) Query(ctx context.Context, p *Plan, opts ...ExecOption) (*Cu
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	cfg := execConfig{Config: db.cfg}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.rowTarget < 0 {
-		return nil, fmt.Errorf("pyro: negative row target %d", cfg.rowTarget)
-	}
-	if cfg.rowTarget != 0 && p.node == nil {
-		return nil, fmt.Errorf("pyro: plan carries no query to re-optimize for a row target")
-	}
 
 	// Admission: with a bounded gate the query queues, until ctx ends, for
-	// an execution slot before any optimizer or build work happens.
+	// an execution slot before any build work happens.
 	var queued time.Duration
 	admitted := false
 	if db.gate != nil {
@@ -233,18 +173,6 @@ func (db *Database) Query(ctx context.Context, p *Plan, opts ...ExecOption) (*Cu
 		}
 	}()
 
-	inner := p.inner
-	if cfg.rowTarget != 0 {
-		ropts := p.opts
-		ropts.RowTarget = cfg.rowTarget
-		rplan, _, err := db.optimize(p.node, ropts)
-		if err != nil {
-			return nil, err
-		}
-		inner = rplan
-	}
-	tap := storage.NewTap()
-
 	// Sort-memory grant: a query whose plan buffers sort memory asks the
 	// global pool for its configured budget — or, when every sort is
 	// bounded by a Limit, for the little those bounds need
@@ -254,18 +182,17 @@ func (db *Database) Query(ctx context.Context, p *Plan, opts ...ExecOption) (*Cu
 	// level, so a small neighbour's ask leaves the rest of the pool to this
 	// query, and it is shrunk to a later, lower level when another query
 	// arrives. The grant doubles as the query's live budget (iter.Budget),
-	// which every sort and nested-loops join re-reads. Explicit
-	// WithSortMemoryBlocks bypasses all of this, as does a plan with no sort
-	// or spool operator. The context's Err, the tap and the grant reach the
-	// plan in one binding (exec.Bind).
+	// which every sort and nested-loops join re-reads. Only a plan with no
+	// sort or spool operator takes no grant. The context's Err, the tap and
+	// the grant reach the plan in one binding (exec.Bind).
 	bcfg := core.BuildConfig{
 		Disk:             db.disk,
-		SortMemoryBlocks: cfg.SortMemoryBlocks,
-		SortParallelism:  cfg.SortParallelism,
-		Query:            iter.Binding{Abort: ctx.Err, Tap: tap},
+		SortMemoryBlocks: db.cfg.SortMemoryBlocks,
+		SortParallelism:  db.cfg.SortParallelism,
+		Query:            iter.Binding{Abort: ctx.Err, Tap: storage.NewTap()},
 	}
-	if ask := sortMemoryAsk(inner, cfg.Config); !cfg.memoryOverride && ask > 0 {
-		g, err := db.gov.Acquire(min(max(ask, db.gov.MinGrant()), cfg.SortMemoryBlocks), nil, ctx)
+	if ask := sortMemoryAsk(p.inner, db.cfg); ask > 0 {
+		g, err := db.gov.Acquire(min(max(ask, db.gov.MinGrant()), db.cfg.SortMemoryBlocks), nil, ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -273,7 +200,7 @@ func (db *Database) Query(ctx context.Context, p *Plan, opts ...ExecOption) (*Cu
 		bcfg.Query.Budget = g
 	}
 
-	op, err := core.Build(inner, bcfg)
+	op, err := core.Build(p.inner, bcfg)
 	if err != nil {
 		return nil, err
 	}
@@ -281,9 +208,9 @@ func (db *Database) Query(ctx context.Context, p *Plan, opts ...ExecOption) (*Cu
 		db:       db,
 		ctx:      ctx,
 		op:       op,
-		cols:     inner.Schema.Names(),
+		cols:     p.inner.Schema.Names(),
 		sorts:    exec.CollectSorts(op),
-		tap:      tap,
+		tap:      bcfg.Query.Tap,
 		admitted: admitted,
 		queued:   queued,
 		grant:    grant,

@@ -17,7 +17,13 @@ import (
 // test and benchmark measure the identical workload.
 func segmentedDB(t testing.TB, n, segSize int) *Database {
 	t.Helper()
-	db := Open(Config{SortMemoryBlocks: 64})
+	return segmentedDBWith(t, Config{SortMemoryBlocks: 64}, n, segSize)
+}
+
+// segmentedDBWith is segmentedDB opened under cfg.
+func segmentedDBWith(t testing.TB, cfg Config, n, segSize int) *Database {
+	t.Helper()
+	db := Open(cfg)
 	t.Cleanup(func() { storage.AssertNoLeaks(t, db.disk) })
 	rows := make([][]any, n)
 	for i := 0; i < n; i++ {
@@ -197,13 +203,13 @@ func TestCursorEarlyCloseAbandonsWork(t *testing.T) {
 // sort must drop the unread runs with their arenas — no files survive, and
 // run-page reads stay strictly below the full drain's.
 func TestCursorEarlyCloseAbandonsSpillRuns(t *testing.T) {
-	db := segmentedDB(t, 40_000, 20_000) // 2 oversized segments at 8 blocks
+	db := segmentedDBWith(t, Config{SortMemoryBlocks: 8}, 40_000, 20_000) // 2 oversized segments
 	plan, err := db.Optimize(db.Scan("big").OrderBy("g", "v"))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	full, err := db.Query(context.Background(), plan, WithSortMemoryBlocks(8))
+	full, err := db.Query(context.Background(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +223,7 @@ func TestCursorEarlyCloseAbandonsSpillRuns(t *testing.T) {
 		t.Fatal("workload must spill for this test to mean anything")
 	}
 
-	cur, err := db.Query(context.Background(), plan, WithSortMemoryBlocks(8))
+	cur, err := db.Query(context.Background(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,45 +306,13 @@ func TestCursorContextCancellation(t *testing.T) {
 	}
 }
 
-func TestCursorExecOptionsOverridePerQuery(t *testing.T) {
-	db := segmentedDB(t, 50_000, 10_000) // few large segments
-	plan, err := db.Optimize(db.Scan("big").OrderBy("g", "v"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	drain := func(opts ...ExecOption) ExecStats {
-		t.Helper()
-		cur, err := db.Query(context.Background(), plan, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for cur.Next() {
-		}
-		if err := cur.Err(); err != nil {
-			t.Fatal(err)
-		}
-		return cur.Stats()
-	}
-
-	base := drain()
-
-	// A tiny per-query memory budget forces spilling.
-	spilled := drain(WithSortMemoryBlocks(8))
-	if spilled.Sorts[0].RunsGenerated <= base.Sorts[0].RunsGenerated {
-		t.Fatalf("an 8-block budget should form more runs than the configured one: %d vs %d",
-			spilled.Sorts[0].RunsGenerated, base.Sorts[0].RunsGenerated)
-	}
-	// The overrides were those queries' alone.
-	if again := drain(); again.Sorts[0].RunsGenerated != base.Sorts[0].RunsGenerated {
-		t.Fatal("per-query override leaked into the database config")
-	}
-}
-
 // TestConcurrentCursors runs several cursors over one Database (and one
 // shared Plan) at once; `make race` gates the storage and spill layers
-// underneath. Spilling is forced so concurrent arenas are exercised.
+// underneath. Spilling is forced so concurrent arenas are exercised: each
+// cursor is granted 8 blocks of a pool that holds all four grants.
 func TestConcurrentCursors(t *testing.T) {
-	db := segmentedDB(t, 20_000, 10_000)
+	const workers = 4
+	db := segmentedDBWith(t, Config{SortMemoryBlocks: 8, GlobalSortMemoryBlocks: workers * 8}, 20_000, 10_000)
 	plan, err := db.Optimize(db.Scan("big").OrderBy("g", "v"))
 	if err != nil {
 		t.Fatal(err)
@@ -348,7 +322,6 @@ func TestConcurrentCursors(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	const workers = 4
 	results := make([][][]any, workers)
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
@@ -356,7 +329,7 @@ func TestConcurrentCursors(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			cur, err := db.Query(context.Background(), plan, WithSortMemoryBlocks(8))
+			cur, err := db.Query(context.Background(), plan)
 			if err != nil {
 				errs[w] = err
 				return
@@ -396,9 +369,10 @@ func TestConcurrentCursors(t *testing.T) {
 // I/O — a scan under a spilling sort (its arenas), a covering index scan, a
 // nested-loops spool and a deferred fetch — run four cursors to a plan and
 // then one cursor each; serial sort knobs keep each cursor's I/O
-// bit-deterministic.
+// bit-deterministic, and a pool that holds four full grants keeps every
+// concurrent cursor at the solo run's budget.
 func TestPerQueryIOAttribution(t *testing.T) {
-	db := segmentedDB(t, 20_000, 10_000)
+	db := segmentedDBWith(t, Config{SortMemoryBlocks: 8, SortParallelism: 1, GlobalSortMemoryBlocks: 4 * 8}, 20_000, 10_000)
 	var wide, probe [][]any
 	for i := 0; i < 6000; i++ {
 		wide = append(wide, []any{int64(i), int64(i % 1000), "wide-payload-wide-payload-wide-payload-wide-payload"})
@@ -433,10 +407,8 @@ func TestPerQueryIOAttribution(t *testing.T) {
 		{"deferred fetch", "Fetch", db.Scan("wide").Filter(Eq(Col("tag"), Int(7))),
 			func(io IOStats) bool { return io.Seeks > 0 }},
 	}
-	opts := []ExecOption{WithSortMemoryBlocks(8), WithSortParallelism(1)}
-
 	drain := func(plan *Plan) (ExecStats, error) {
-		cur, err := db.Query(context.Background(), plan, opts...)
+		cur, err := db.Query(context.Background(), plan)
 		if err != nil {
 			return ExecStats{}, err
 		}

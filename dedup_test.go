@@ -86,17 +86,20 @@ func compareAny(a, b any) int {
 // key, so DISTINCT's group columns reduce to it through the key's functional
 // dependency and the sort-based plan sorts on the key alone.
 func TestDuplicateEliminationAgreesWithReference(t *testing.T) {
-	db := Open(Config{SortMemoryBlocks: 64})
-	t.Cleanup(func() { storage.AssertNoLeaks(t, db.disk) })
 	tRows, uRows := dedupRows(1200, 0, 0), dedupRows(750, 10000, 3)
-	if err := db.CreateTable("t", dedupColumns("t_"), ClusterOn("t_k"), tRows); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.CreateTable("u", dedupColumns("u_"), ClusterOn("u_k"), uRows); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.CreateIndex("t_gf", "t", []string{"t_g", "t_f"}, []string{"t_s", "t_k"}); err != nil {
-		t.Fatal(err)
+	open := func(blocks int) *Database {
+		db := Open(Config{SortMemoryBlocks: blocks})
+		t.Cleanup(func() { storage.AssertNoLeaks(t, db.disk) })
+		if err := db.CreateTable("t", dedupColumns("t_"), ClusterOn("t_k"), tRows); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.CreateTable("u", dedupColumns("u_"), ClusterOn("u_k"), uRows); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.CreateIndex("t_gf", "t", []string{"t_g", "t_f"}, []string{"t_s", "t_k"}); err != nil {
+			t.Fatal(err)
+		}
+		return db
 	}
 
 	// Each projection is a list of column ordinals into both tables.
@@ -124,44 +127,45 @@ func TestDuplicateEliminationAgreesWithReference(t *testing.T) {
 	heuristics := []Heuristic{PYRO, PYROOMinus, PYROP, PYROO, PYROE}
 	memories := []struct {
 		name string
-		opts []ExecOption
-	}{{"ample", nil}, {"M=2", []ExecOption{WithSortMemoryBlocks(2)}}}
+		db   *Database
+	}{{"ample", open(64)}, {"M=2", open(2)}}
 
-	for pname, ords := range projections {
-		tCols, uCols := names("t_", ords), names("u_", ords)
-		tq := func() *Query { return db.Scan("t").Select(tCols...) }
-		uq := func() *Query { return db.Scan("u").Select(uCols...) }
-		queries := []struct {
-			name string
-			q    *Query
-			want map[string]bool
-		}{
-			{"distinct", tq().Distinct(), reference(ords, tRows)},
-			{"union", tq().Union(uq()), reference(ords, tRows, uRows)},
-			{"unionall-distinct", tq().UnionAll(uq()).Distinct(), reference(ords, tRows, uRows)},
-			{"groupby", tq().GroupBy(tCols), reference(ords, tRows)},
-		}
-		for _, qc := range queries {
-			for _, ordered := range []bool{false, true} {
-				q := qc.q
-				orderBy := []string{tCols[1], tCols[0]}
-				if ordered {
-					q = q.OrderBy(orderBy...)
-				}
-				for _, h := range heuristics {
-					for _, hash := range []bool{true, false} {
-						opts := []OptimizeOption{WithHeuristic(h)}
-						if !hash {
-							opts = append(opts, WithoutHashAgg())
-						}
-						plan, err := db.Optimize(q, opts...)
-						if err != nil {
-							t.Fatal(err)
-						}
-						checkInteriorOrders(t, db, plan)
-						for _, mem := range memories {
+	for _, mem := range memories {
+		db := mem.db
+		for pname, ords := range projections {
+			tCols, uCols := names("t_", ords), names("u_", ords)
+			tq := func() *Query { return db.Scan("t").Select(tCols...) }
+			uq := func() *Query { return db.Scan("u").Select(uCols...) }
+			queries := []struct {
+				name string
+				q    *Query
+				want map[string]bool
+			}{
+				{"distinct", tq().Distinct(), reference(ords, tRows)},
+				{"union", tq().Union(uq()), reference(ords, tRows, uRows)},
+				{"unionall-distinct", tq().UnionAll(uq()).Distinct(), reference(ords, tRows, uRows)},
+				{"groupby", tq().GroupBy(tCols), reference(ords, tRows)},
+			}
+			for _, qc := range queries {
+				for _, ordered := range []bool{false, true} {
+					q := qc.q
+					orderBy := []string{tCols[1], tCols[0]}
+					if ordered {
+						q = q.OrderBy(orderBy...)
+					}
+					for _, h := range heuristics {
+						for _, hash := range []bool{true, false} {
+							opts := []OptimizeOption{WithHeuristic(h)}
+							if !hash {
+								opts = append(opts, WithoutHashAgg())
+							}
+							plan, err := db.Optimize(q, opts...)
+							if err != nil {
+								t.Fatal(err)
+							}
+							checkInteriorOrders(t, db, plan)
 							name := fmt.Sprintf("%s/%s/ordered=%v/h=%d/hash=%v/%s", pname, qc.name, ordered, h, hash, mem.name)
-							rows := drainDedup(t, db, plan, mem.opts...)
+							rows := drainDedup(t, db, plan)
 							checkDedupResult(t, name, plan, rows, qc.want)
 							if ordered {
 								checkOrderedBy(t, name, plan, rows, []int{1, 0})
@@ -175,9 +179,9 @@ func TestDuplicateEliminationAgreesWithReference(t *testing.T) {
 }
 
 // drainDedup runs plan to completion and returns its rows.
-func drainDedup(t *testing.T, db *Database, plan *Plan, opts ...ExecOption) [][]any {
+func drainDedup(t *testing.T, db *Database, plan *Plan) [][]any {
 	t.Helper()
-	cur, err := db.Query(context.Background(), plan, opts...)
+	cur, err := db.Query(context.Background(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,9 @@ import (
 // partial sort and the first rows are served after reading only the first
 // day's segment — closing the cursor early abandons the rest.
 func ExampleDatabase_Query() {
-	db := pyro.Open(pyro.Config{SortMemoryBlocks: 64})
+	// Sort parallelism 1 keeps reading strictly demand-driven (the paper's
+	// serial algorithm), so the segment count below is deterministic.
+	db := pyro.Open(pyro.Config{SortMemoryBlocks: 64, SortParallelism: 1})
 	var rows [][]any
 	for day := 0; day < 30; day++ {
 		for e := 0; e < 100; e++ {
@@ -33,9 +35,7 @@ func ExampleDatabase_Query() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Parallelism 1 keeps reading strictly demand-driven (the paper's
-	// serial algorithm), so the segment count below is deterministic.
-	cur, err := db.Query(context.Background(), plan, pyro.WithSortParallelism(1))
+	cur, err := db.Query(context.Background(), plan)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -256,9 +256,10 @@ func (opt *Optimizer) bestPlan(n logical.Node, required sortord.Order, budget in
 
 // boundedPlan is bestPlan for a node whose output a Limit reads directly: at
 // most bound rows of it will ever be consumed (0 = no such promise). A budget
-// is a hint — a WithRowTarget consumer may read on — and only steers plan
-// comparison; a bound is a guarantee, so a sort enforced on this node's
-// output may discard everything past its first bound rows (Plan.SortLimit).
+// is a hint — a plan optimized for a row target may still be drained — and
+// only steers plan comparison; a bound is a guarantee, so a sort enforced on
+// this node's output may discard everything past its first bound rows
+// (Plan.SortLimit).
 // The bound describes the first rows of this node's output *in the required
 // order*, so it reaches a child only through nodes that preserve cardinality
 // (Project, a nested OrderBy or Limit) and only where no re-sort will stand

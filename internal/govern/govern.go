@@ -1,6 +1,6 @@
 // Package govern arbitrates shared execution resources across the
 // concurrent queries of one database. Everything below it is per-query:
-// each cursor has its own storage tap, its own ExecOptions, its own spill
+// each cursor has its own storage tap, its own grant, its own spill
 // arenas. Nothing above it stops a thousand concurrent Top-K cursors from
 // each claiming the full sort-memory budget and thrashing the spill path.
 // The package provides the two serving-side arbiters:

@@ -20,6 +20,7 @@ import (
 	"pyro/internal/core"
 	"pyro/internal/exec"
 	"pyro/internal/storage"
+	"pyro/internal/types"
 	"pyro/internal/xsort"
 )
 
@@ -109,7 +110,8 @@ type runStats struct {
 	firstOut time.Duration // time to first output tuple
 }
 
-// measure drains an operator, charging I/O to disk and timing the run.
+// measure drains an operator in chunks of types.DefaultChunkCapacity, as a
+// cursor does, charging I/O to disk and timing the run.
 func measure(disk *storage.Disk, op exec.Operator) (runStats, error) {
 	disk.ResetStats()
 	start := time.Now()
@@ -117,18 +119,18 @@ func measure(disk *storage.Disk, op exec.Operator) (runStats, error) {
 		return runStats{}, err
 	}
 	var rs runStats
+	c := types.NewChunk(op.Schema().Len(), types.DefaultChunkCapacity)
 	for {
-		_, ok, err := op.Next()
-		if err != nil {
+		if err := op.NextChunk(c); err != nil {
 			return runStats{}, errors.Join(err, op.Close())
 		}
-		if !ok {
+		if c.Rows() == 0 {
 			break
 		}
 		if rs.rows == 0 {
 			rs.firstOut = time.Since(start)
 		}
-		rs.rows++
+		rs.rows += int64(c.Rows())
 	}
 	if err := op.Close(); err != nil {
 		return runStats{}, err
@@ -180,11 +182,14 @@ func sortedProjection(ix *catalog.Index, cols []string) (exec.Operator, error) {
 }
 
 // mkSortConfig builds an xsort config on the disk under scale's sort knobs.
+// The sort pulls its input in chunks of types.DefaultChunkCapacity, as
+// every sort core.Build makes does.
 func mkSortConfig(disk *storage.Disk, blocks int, scale Scale) xsort.Config {
 	return xsort.Config{
 		Disk:         disk,
 		MemoryBlocks: blocks,
 		Parallelism:  scale.SortParallelism,
+		BatchSize:    types.DefaultChunkCapacity,
 	}
 }
 

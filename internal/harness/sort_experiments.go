@@ -11,6 +11,7 @@ import (
 	"pyro/internal/exec"
 	"pyro/internal/sortord"
 	"pyro/internal/storage"
+	"pyro/internal/types"
 	"pyro/internal/workload"
 )
 
@@ -113,15 +114,15 @@ func RunA2(w io.Writer, scale Scale) error {
 		marks = make([]time.Duration, len(checkpoints))
 		next := 0
 		var n int64
+		c := types.NewChunk(op.Schema().Len(), types.DefaultChunkCapacity)
 		for {
-			_, ok, err := op.Next()
-			if err != nil {
+			if err := op.NextChunk(c); err != nil {
 				return nil, err
 			}
-			if !ok {
+			if c.Rows() == 0 {
 				break
 			}
-			n++
+			n += int64(c.Rows())
 			for next < len(checkpoints) && float64(n) >= checkpoints[next]*float64(rows) {
 				marks[next] = time.Since(start)
 				next++

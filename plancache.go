@@ -51,8 +51,7 @@ type planEntry struct {
 }
 
 // planCache is a mutex-guarded LRU over optimization results. A database
-// has one; every Optimize call and every WithRowTarget re-optimization
-// consults it.
+// has one; every Optimize call consults it.
 type planCache struct {
 	mu    sync.Mutex
 	cap   int

@@ -5,6 +5,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"pyro/internal/core"
+	"pyro/internal/cost"
 )
 
 // groupedDB builds the tentpole's plan-flip workload: 50k rows clustered on
@@ -117,11 +120,12 @@ func TestTopKPlanFlipMatrix(t *testing.T) {
 	}
 }
 
-// TestWithRowTargetReplansWithoutTruncating: WithRowTarget(k) re-optimizes
-// an unlimited query for first-k consumption — the executed plan becomes
-// the pipelined partial-sort plan — but the stream is NOT truncated: a
-// full drain still yields every row, identical to the blocking plan's
-// output.
+// TestWithRowTargetReplansWithoutTruncating: Optimize(q, WithRowTarget(k))
+// plans an unlimited query for first-k consumption — the plan becomes the
+// pipelined partial-sort plan, bounding no sort — but the stream is NOT
+// truncated: a full drain still yields every row, identical to the
+// blocking plan's output. The targeted plan is exactly core.Optimize's at
+// RowTarget k, and a negative k is rejected.
 func TestWithRowTargetReplansWithoutTruncating(t *testing.T) {
 	db := groupedDB(t)
 	plan, err := db.Optimize(groupedQuery(db))
@@ -133,9 +137,9 @@ func TestWithRowTargetReplansWithoutTruncating(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	drain := func(opts ...ExecOption) ([][]any, ExecStats) {
+	drain := func(p *Plan) ([][]any, ExecStats) {
 		t.Helper()
-		cur, err := db.Query(context.Background(), plan, opts...)
+		cur, err := db.Query(context.Background(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,16 +155,23 @@ func TestWithRowTargetReplansWithoutTruncating(t *testing.T) {
 
 	// Without a row target the blocking plan runs: its enforcer is a full
 	// sort (its whole input one segment).
-	base, baseStats := drain()
+	base, baseStats := drain(plan)
 	if len(baseStats.Sorts) != 1 || baseStats.Sorts[0].Segments != 1 {
 		t.Fatalf("expected one full-sort enforcer, got %+v", baseStats.Sorts)
 	}
 
-	// With a row target the pipelined plan runs — the enforcer is an MRS
-	// partial sort — and the full drain still returns everything.
-	targeted, targetStats := drain(WithRowTarget(10))
+	// With a row target the pipelined plan is chosen — the enforcer is an
+	// MRS partial sort, unbounded — and the full drain returns everything.
+	targetedPlan, err := db.Optimize(groupedQuery(db), WithRowTarget(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex := targetedPlan.Explain(); !strings.Contains(ex, "partial") || strings.Contains(ex, "limit=") {
+		t.Fatalf("WithRowTarget(10) should plan an unbounded partial sort:\n%s", ex)
+	}
+	targeted, targetStats := drain(targetedPlan)
 	if len(targetStats.Sorts) != 1 || targetStats.Sorts[0].Segments <= 1 {
-		t.Fatalf("WithRowTarget did not re-plan to a partial sort: %+v", targetStats.Sorts)
+		t.Fatalf("WithRowTarget did not plan a partial sort: %+v", targetStats.Sorts)
 	}
 	if targetStats.Rows != int64(len(want.Data)) {
 		t.Fatalf("WithRowTarget truncated the stream: %d rows, want %d",
@@ -170,12 +181,34 @@ func TestWithRowTargetReplansWithoutTruncating(t *testing.T) {
 		t.Fatal("row-targeted plan and blocking plan disagree on the result")
 	}
 
-	// The original Plan is untouched by per-query re-planning.
-	if !strings.Contains(plan.Explain(), "HashAggregate") {
-		t.Fatalf("WithRowTarget mutated the caller's plan:\n%s", plan.Explain())
+	// The untargeted plan of the same query is still the blocking one.
+	if again, err := db.Optimize(groupedQuery(db)); err != nil || !strings.Contains(again.Explain(), "HashAggregate") {
+		t.Fatalf("a row target leaked into the untargeted plan (%v):\n%s", err, again.Explain())
 	}
 
-	if _, err := db.Query(context.Background(), plan, WithRowTarget(-1)); err == nil {
+	// The option sets core.Options.RowTarget and nothing else: one k per
+	// row-target band, so each is the first sighting of its band.
+	for _, k := range []int64{1, 3, 100, 1000, 50_000} {
+		got, err := db.Optimize(groupedQuery(db), WithRowTarget(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := core.DefaultOptions(core.HeuristicFavorable)
+		opts.Model = cost.DefaultModel()
+		opts.Model.PageSize = db.cfg.PageSize
+		opts.Model.MemoryBlocks = int64(db.cfg.SortMemoryBlocks)
+		opts.RowTarget = k
+		ref, err := core.Optimize(groupedQuery(db).node, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Explain() != ref.Plan.Format() {
+			t.Fatalf("WithRowTarget(%d) plan differs from core.Optimize at RowTarget %d:\n%s\nwant\n%s",
+				k, k, got.Explain(), ref.Plan.Format())
+		}
+	}
+
+	if _, err := db.Optimize(groupedQuery(db), WithRowTarget(-1)); err == nil {
 		t.Fatal("negative row target should error")
 	}
 }
@@ -187,16 +220,15 @@ func TestWithRowTargetReplansWithoutTruncating(t *testing.T) {
 // pins the segment pipeline so the two runs are comparable number for
 // number.
 func TestPushedDownLimitMatchesEarlyClose(t *testing.T) {
-	db := segmentedDB(t, 50_000, 500) // 100 segments
+	db := segmentedDBWith(t, Config{SortMemoryBlocks: 64, SortParallelism: 1}, 50_000, 500) // 100 segments
 	const k = 10
-	serial := []ExecOption{WithSortParallelism(1)}
 
 	// Arm 1: unlimited plan, consumer pulls k rows and closes.
 	unlimited, err := db.Optimize(db.Scan("big").OrderBy("g", "v"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur, err := db.Query(context.Background(), unlimited, serial...)
+	cur, err := db.Query(context.Background(), unlimited)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +251,7 @@ func TestPushedDownLimitMatchesEarlyClose(t *testing.T) {
 	if !strings.Contains(limited.Explain(), "partial") {
 		t.Fatalf("expected a partial-sort Top-K plan:\n%s", limited.Explain())
 	}
-	cur2, err := db.Query(context.Background(), limited, serial...)
+	cur2, err := db.Query(context.Background(), limited)
 	if err != nil {
 		t.Fatal(err)
 	}

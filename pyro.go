@@ -104,9 +104,9 @@ type Config struct {
 	// below 1/256 of the pool (at least one block): a query whose share
 	// would, waits until a release makes room. 0 or less defaults to
 	// SortMemoryBlocks — the pool admits one full-budget sort's worth of
-	// memory in total. Queries that override their budget with
-	// WithSortMemoryBlocks bypass the governor entirely (the explicit value
-	// is taken literally, as documented there).
+	// memory in total. Every query whose plan holds a sort or a
+	// nested-loops join takes its memory from this pool; there is no
+	// ungoverned path.
 	GlobalSortMemoryBlocks int
 	// MaxConcurrentQueries bounds how many queries execute at once; excess
 	// Query calls queue in arrival order until their context ends and
@@ -114,11 +114,11 @@ type Config struct {
 	// admission gate).
 	MaxConcurrentQueries int
 	// PlanCacheSize bounds the database's plan cache, which lets repeated
-	// Optimize calls and WithRowTarget re-optimizations of the same query
-	// shape skip the optimizer: entries are keyed by (logical query
-	// signature, optimizer options, row-target band), so any option that
-	// could change plan choice misses. 0 defaults to 256 entries; negative
-	// disables caching.
+	// Optimize calls of the same query shape skip the optimizer: entries
+	// are keyed by (logical query signature, optimizer options, row-target
+	// band), so any option that could change plan choice misses, and
+	// WithRowTarget values in one power-of-two band share a plan. 0
+	// defaults to 256 entries; negative disables caching.
 	PlanCacheSize int
 }
 
@@ -296,15 +296,25 @@ func WithoutHashAgg() OptimizeOption {
 	return func(o *core.Options) { o.DisableHashAgg = true }
 }
 
-// Plan is an optimized physical plan bound to its database. It remembers
-// the logical query and the options it was optimized under, so execution
-// can re-plan it for a different consumption profile (WithRowTarget).
+// WithRowTarget declares that the consumer wants the first k rows fast —
+// the streaming analogue of a LIMIT the query doesn't have. The optimizer
+// compares plans by the cost of their first k rows (favoring pipelined
+// partial-sort plans over blocking full sorts and hash operators, §7
+// Top-K) instead of by full drain. Unlike Query.Limit the result is NOT
+// truncated and no sort is bounded: all rows stream if the cursor is
+// drained — only the plan choice changes. Optimize rejects a negative k; 0
+// means "no target" (the option is a no-op, like omitting it).
+func WithRowTarget(k int64) OptimizeOption {
+	return func(o *core.Options) { o.RowTarget = k }
+}
+
+// Plan is an optimized physical plan bound to its database. Query runs it
+// as it is: every choice the optimizer makes, a row target's included,
+// happens at Optimize.
 type Plan struct {
 	db    *Database
 	inner *core.Plan
 	stats core.Stats
-	node  logical.Node
-	opts  core.Options
 }
 
 // Explain renders the plan tree with costs, cardinalities and sort orders.
@@ -339,6 +349,9 @@ func (db *Database) Optimize(q *Query, opts ...OptimizeOption) (*Plan, error) {
 	for _, o := range opts {
 		o(&options)
 	}
+	if options.RowTarget < 0 {
+		return nil, fmt.Errorf("pyro: negative row target %d", options.RowTarget)
+	}
 	// Fold in the final heuristic's implied defaults after every option has
 	// run: explicit ablations OR onto them, so composition is
 	// order-independent and only the last WithHeuristic matters.
@@ -362,7 +375,7 @@ func (db *Database) Optimize(q *Query, opts ...OptimizeOption) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{db: db, inner: inner, stats: stats, node: q.node, opts: options}, nil
+	return &Plan{db: db, inner: inner, stats: stats}, nil
 }
 
 // optimize runs the optimizer through the plan cache. The cache key is the

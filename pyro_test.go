@@ -37,7 +37,13 @@ func queryAll(db *Database, p *Plan) (*resultRows, error) {
 // covering indices and all query-builder verbs.
 func openTestDB(t *testing.T) *Database {
 	t.Helper()
-	db := Open(Config{SortMemoryBlocks: 64})
+	return openTestDBWith(t, Config{SortMemoryBlocks: 64})
+}
+
+// openTestDBWith is openTestDB opened under cfg.
+func openTestDBWith(t *testing.T, cfg Config) *Database {
+	t.Helper()
+	db := Open(cfg)
 	t.Cleanup(func() { storage.AssertNoLeaks(t, db.disk) })
 	var orders, items [][]any
 	for i := 0; i < 200; i++ {

@@ -54,82 +54,124 @@ func servingDB(t testing.TB, extra Config) *Database {
 	return db
 }
 
+// The governor is the one path to sort memory. A lone query whose plan holds
+// a sort — full, partial or bounded by a Limit — or a nested-loops join takes
+// exactly one grant, of at most SortMemoryBlocks, without waiting, holds it
+// while the cursor is open and returns it at Close. An unbounded sort or a
+// spool gets its full ask, the whole SortMemoryBlocks: single-cursor
+// execution is identical to a static budget of that size. A plan of scans
+// and hash operators takes no grant. planShapes is that table; the three
+// tests below split its rows between them, so each row runs once.
+type planShape struct {
+	name, op string // op is what the plan must hold
+	q        func(db *Database) *Query
+	grants   int
+	full     bool // the grant is all of SortMemoryBlocks
+}
+
+var planShapes = []planShape{
+	{"full sort", "Sort (v, pad)", func(db *Database) *Query { return db.Scan("big").OrderBy("v", "pad") }, 1, true},
+	{"partial sort", "Sort(partial) (g) -> (g, v)", func(db *Database) *Query { return db.Scan("big").OrderBy("g", "v") }, 1, true},
+	{"bounded Top-K sort", "limit=10", func(db *Database) *Query { return db.Scan("big").OrderBy("g", "v").Limit(10) }, 1, false},
+	{"NL join", "NestedLoopsJoin", func(db *Database) *Query {
+		return db.Scan("probe").Join(db.Scan("big"), Lt(Col("pad"), Col("a")))
+	}, 1, true},
+	{"hash-only", "HashAggregate", func(db *Database) *Query {
+		return db.Scan("big").GroupBy([]string{"v"}, Agg{Name: "n", Func: Count})
+	}, 0, false},
+	{"scan-only", "Scan", func(db *Database) *Query { return db.Scan("big") }, 0, false},
+}
+
+// TestSingleCursorGetsFullGrant: a lone unbounded sort is granted the whole
+// SortMemoryBlocks.
 func TestSingleCursorGetsFullGrant(t *testing.T) {
-	db := segmentedDB(t, 10_000, 500)
-	plan, err := db.Optimize(db.Scan("big").OrderBy("g", "v"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur, err := db.Query(context.Background(), plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cur.Close()
-	for cur.Next() {
-	}
-	if err := cur.Err(); err != nil {
-		t.Fatal(err)
-	}
-	st := cur.Stats()
-	// A lone governed query gets exactly the configured per-sort budget —
-	// the guarantee that keeps single-cursor execution identical to a
-	// static budget of that size.
-	if st.GrantedBlocks != 64 {
-		t.Fatalf("lone cursor granted %d blocks, want the full SortMemoryBlocks=64", st.GrantedBlocks)
-	}
-	if st.GrantWaits != 0 || st.GrantWait != 0 {
-		t.Fatalf("lone cursor waited for memory: %+v", st)
-	}
-	gov := db.ServingStats().Governor
-	if gov.Grants == 0 {
-		t.Fatal("governor recorded no grants")
-	}
-	if gov.GrantedBlocks != 0 || gov.LiveGrants != 0 {
-		t.Fatalf("grant not returned at cursor close: %+v", gov)
-	}
+	checkPlanShapeGrants(t, "full sort", "partial sort")
 }
 
-func TestExplicitMemoryOverrideBypassesGovernor(t *testing.T) {
-	db := segmentedDB(t, 5_000, 500)
-	plan, err := db.Optimize(db.Scan("big").OrderBy("g", "v"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := db.ServingStats().Governor.Grants
-	cur, err := db.Query(context.Background(), plan, WithSortMemoryBlocks(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for cur.Next() {
-	}
-	if err := cur.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if g := cur.Stats().GrantedBlocks; g != 0 {
-		t.Fatalf("pinned-budget cursor reports a grant of %d blocks, want none", g)
-	}
-	if after := db.ServingStats().Governor.Grants; after != before {
-		t.Fatalf("pinned-budget query took a governor grant (%d -> %d)", before, after)
-	}
-}
-
+// TestScanOnlyPlanTakesNoGrant: a plan without a sort or a spool takes no
+// grant.
 func TestScanOnlyPlanTakesNoGrant(t *testing.T) {
-	db := segmentedDB(t, 1_000, 100)
-	plan, err := db.Optimize(db.Scan("big"))
-	if err != nil {
+	checkPlanShapeGrants(t, "hash-only", "scan-only")
+}
+
+// TestPlanShapesTakeOneGrantOrNone: a bounded sort takes one grant of its
+// smaller ask, and an NL join's spool one grant of the whole budget.
+func TestPlanShapesTakeOneGrantOrNone(t *testing.T) {
+	checkPlanShapeGrants(t, "bounded Top-K sort", "NL join")
+}
+
+// checkPlanShapeGrants runs the named rows of planShapes as subtests that
+// share one fresh database.
+func checkPlanShapeGrants(t *testing.T, shapes ...string) {
+	db := segmentedDB(t, 10_000, 500)
+	probe := make([][]any, 10)
+	for a := range probe {
+		probe[a] = []any{int64(a)}
+	}
+	if err := db.CreateTable("probe", []Column{{Name: "a", Type: Int64}}, nil, probe); err != nil {
 		t.Fatal(err)
 	}
-	cur, err := db.Query(context.Background(), plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for cur.Next() {
-	}
-	if err := cur.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if g := cur.Stats().GrantedBlocks; g != 0 {
-		t.Fatalf("sort-free scan took a %d-block grant", g)
+	m := db.cfg.SortMemoryBlocks
+	for _, name := range shapes {
+		i := slices.IndexFunc(planShapes, func(c planShape) bool { return c.name == name })
+		if i < 0 {
+			t.Fatalf("no plan shape %q", name)
+		}
+		c := planShapes[i]
+		t.Run(c.name, func(t *testing.T) {
+			plan, err := db.Optimize(c.q(db))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ex := plan.Explain()
+			if !strings.Contains(ex, c.op) {
+				t.Fatalf("the plan has no %s:\n%s", c.op, ex)
+			}
+			if c.grants == 0 && (strings.Contains(ex, "Sort") || strings.Contains(ex, "NestedLoops")) {
+				t.Fatalf("the plan buffers sort memory:\n%s", ex)
+			}
+			before := db.ServingStats().Governor
+			cur, err := db.Query(context.Background(), plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cur.Close()
+			if !cur.Next() {
+				t.Fatalf("no first row: %v", cur.Err())
+			}
+			if live := db.ServingStats().Governor.LiveGrants; live != c.grants {
+				t.Fatalf("an open cursor holds %d grants, want %d", live, c.grants)
+			}
+			for cur.Next() {
+			}
+			if err := cur.Err(); err != nil {
+				t.Fatal(err)
+			}
+			if err := cur.Close(); err != nil {
+				t.Fatal(err)
+			}
+			st := cur.Stats()
+			gov := db.ServingStats().Governor
+			if n := gov.Grants - before.Grants; n != int64(c.grants) {
+				t.Fatalf("the query took %d grants, want %d", n, c.grants)
+			}
+			switch {
+			case c.grants == 0 && st.GrantedBlocks != 0:
+				t.Fatalf("a grant-free plan reports %d granted blocks", st.GrantedBlocks)
+			case c.grants == 1 && (st.GrantedBlocks < 1 || st.GrantedBlocks > m):
+				t.Fatalf("granted %d blocks, want 1..%d", st.GrantedBlocks, m)
+			case c.full && st.GrantedBlocks != m:
+				t.Fatalf("lone cursor granted %d blocks, want the full SortMemoryBlocks=%d", st.GrantedBlocks, m)
+			case c.grants == 1 && !c.full && st.GrantedBlocks >= m:
+				t.Fatalf("a bounded sort was granted %d blocks, want its ask below %d", st.GrantedBlocks, m)
+			}
+			if st.GrantWaits != 0 || st.GrantWait != 0 {
+				t.Fatalf("lone cursor waited for memory: %+v", st)
+			}
+			if gov.GrantedBlocks != 0 || gov.LiveGrants != 0 {
+				t.Fatalf("grant not returned at cursor close: %+v", gov)
+			}
+		})
 	}
 }
 
@@ -438,36 +480,29 @@ func TestPlanCacheHitsAndMisses(t *testing.T) {
 
 func TestPlanCacheRowTargetBands(t *testing.T) {
 	db := segmentedDB(t, 2_000, 100)
-	plan, err := db.Optimize(db.Scan("big").OrderBy("g", "v"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(k int64) {
+	q := func() *Query { return db.Scan("big").OrderBy("g", "v") }
+	optimize := func(opts ...OptimizeOption) {
 		t.Helper()
-		cur, err := db.Query(context.Background(), plan, WithRowTarget(k))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cur.Next()
-		if err := cur.Close(); err != nil {
+		if _, err := db.Optimize(q(), opts...); err != nil {
 			t.Fatal(err)
 		}
 	}
+	optimize()
 	before := db.ServingStats().PlanCache
 
-	run(5) // band {5..8}: first sighting must miss and re-optimize
+	optimize(WithRowTarget(5)) // band {5..8}: first sighting must miss, never alias the untargeted plan
 	s1 := db.ServingStats().PlanCache
 	if s1.Misses != before.Misses+1 {
-		t.Fatalf("first row-target query did not miss: %+v -> %+v", before, s1)
+		t.Fatalf("first row-target Optimize did not miss: %+v -> %+v", before, s1)
 	}
 
-	run(6) // same band: must hit
+	optimize(WithRowTarget(6)) // same band: must hit
 	s2 := db.ServingStats().PlanCache
 	if s2.Hits != s1.Hits+1 || s2.Misses != s1.Misses {
 		t.Fatalf("same-band row target did not hit: %+v -> %+v", s1, s2)
 	}
 
-	run(100) // different band: the differing ExecOption must miss
+	optimize(WithRowTarget(100)) // different band: must miss
 	s3 := db.ServingStats().PlanCache
 	if s3.Misses != s2.Misses+1 {
 		t.Fatalf("different-band row target did not miss: %+v -> %+v", s2, s3)

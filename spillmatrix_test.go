@@ -10,10 +10,11 @@ import (
 )
 
 // spillDB builds a workload whose ORDER BY must spill: 12k rows shuffled
-// by a multiplicative hash, 512-byte pages, an 8-block sort budget.
-func spillDB(t *testing.T) *Database {
+// by a multiplicative hash, 512-byte pages, an 8-block sort budget, sorting
+// at parallelism par.
+func spillDB(t *testing.T, par int) *Database {
 	t.Helper()
-	db := Open(Config{PageSize: 512, SortMemoryBlocks: 8})
+	db := Open(Config{PageSize: 512, SortMemoryBlocks: 8, SortParallelism: par})
 	rows := make([][]any, 12_000)
 	for i := range rows {
 		rows[i] = []any{int64(i), int64((i * 2654435761) % 12_000), fmt.Sprintf("pad-%d", i%97)}
@@ -33,13 +34,6 @@ func spillDB(t *testing.T) *Database {
 // same order — the ORDER BY's — with the same work counters and the same
 // per-query I/O attribution, and every run page it moves is a page of rows.
 func TestSpillingSortGoldenMatrix(t *testing.T) {
-	db := spillDB(t)
-	plan, err := db.Optimize(db.Scan("t").OrderBy("b", "a"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkInteriorOrders(t, db, plan)
-
 	type result struct {
 		rows  [][]any
 		sorts []SortStats
@@ -47,7 +41,13 @@ func TestSpillingSortGoldenMatrix(t *testing.T) {
 	}
 	drain := func(par int) result {
 		t.Helper()
-		cur, err := db.Query(context.Background(), plan, WithSortParallelism(par))
+		db := spillDB(t, par)
+		plan, err := db.Optimize(db.Scan("t").OrderBy("b", "a"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkInteriorOrders(t, db, plan)
+		cur, err := db.Query(context.Background(), plan)
 		if err != nil {
 			t.Fatal(err)
 		}

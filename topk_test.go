@@ -10,7 +10,9 @@ import (
 	"sync"
 	"testing"
 
+	"pyro/internal/core"
 	"pyro/internal/storage"
+	"pyro/internal/types"
 )
 
 // TestTopKCorrectness: LIMIT over ORDER BY returns the first K rows of the
@@ -143,8 +145,8 @@ func boundDB(t testing.TB, cfg Config, segs, segSize int) (*Database, [][]any) {
 }
 
 // queryRows runs plan to exhaustion and returns its rows and stats.
-func queryRows(db *Database, plan *Plan, opts ...ExecOption) ([][]any, ExecStats, error) {
-	cur, err := db.Query(context.Background(), plan, opts...)
+func queryRows(db *Database, plan *Plan) ([][]any, ExecStats, error) {
+	cur, err := db.Query(context.Background(), plan)
 	if err != nil {
 		return nil, ExecStats{}, err
 	}
@@ -159,9 +161,9 @@ func queryRows(db *Database, plan *Plan, opts ...ExecOption) ([][]any, ExecStats
 }
 
 // drainStats is queryRows for the test's own goroutine: any error is fatal.
-func drainStats(t testing.TB, db *Database, plan *Plan, opts ...ExecOption) ([][]any, ExecStats) {
+func drainStats(t testing.TB, db *Database, plan *Plan) ([][]any, ExecStats) {
 	t.Helper()
-	rows, st, err := queryRows(db, plan, opts...)
+	rows, st, err := queryRows(db, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,26 +178,26 @@ func drainStats(t testing.TB, db *Database, plan *Plan, opts ...ExecOption) ([][
 // following segments.)
 func TestLimitInsideFirstSegmentDoesOneSegmentsWork(t *testing.T) {
 	const segSize, k = 2000, 100
-	cfg := Config{SortMemoryBlocks: 16}
-	many, rows := boundDB(t, cfg, 6, segSize)
-	// The same first segment plus the one row whose g ends it.
-	one := Open(cfg)
-	t.Cleanup(func() { storage.AssertNoLeaks(t, one.disk) })
-	if err := one.CreateTable("big", []Column{
-		{Name: "g", Type: Int64},
-		{Name: "v", Type: Int64},
-		{Name: "pad", Type: Int64},
-	}, ClusterOn("g"), rows[:segSize+1]); err != nil {
-		t.Fatal(err)
-	}
 	for _, par := range []int{1, 2} {
+		cfg := Config{SortMemoryBlocks: 16, SortParallelism: par}
+		many, rows := boundDB(t, cfg, 6, segSize)
+		// The same first segment plus the one row whose g ends it.
+		one := Open(cfg)
+		t.Cleanup(func() { storage.AssertNoLeaks(t, one.disk) })
+		if err := one.CreateTable("big", []Column{
+			{Name: "g", Type: Int64},
+			{Name: "v", Type: Int64},
+			{Name: "pad", Type: Int64},
+		}, ClusterOn("g"), rows[:segSize+1]); err != nil {
+			t.Fatal(err)
+		}
 		run := func(db *Database) ExecStats {
 			plan, err := db.Optimize(db.Scan("big").OrderBy("g", "v").Limit(k))
 			if err != nil {
 				t.Fatal(err)
 			}
 			checkInteriorOrders(t, db, plan)
-			got, st := drainStats(t, db, plan, WithSortParallelism(par))
+			got, st := drainStats(t, db, plan)
 			if len(got) != k {
 				t.Fatalf("par=%d: %d rows, want %d", par, len(got), k)
 			}
@@ -272,15 +274,22 @@ func TestLimitIsPrefixOfUnlimited(t *testing.T) {
 							}
 							// Under a shared pool two cursors run at once, so
 							// grants are partial and shrink mid-query. Without
-							// one, a single cursor pins the sort budget to M,
-							// bypassing the governor, so a Limit sort runs at
-							// the static M and not at its small ask.
+							// one, a single cursor is granted its ask, so a
+							// Limit sort runs at its small Top-K ask; the plan
+							// built below the API runs it at the static M.
 							cursors := 1
-							var opts []ExecOption
 							if pool > 0 {
 								cursors = 2
 							} else {
-								opts = append(opts, WithSortMemoryBlocks(blocks))
+								op, err := core.Build(plan.inner, core.BuildConfig{
+									Disk: db.disk, SortMemoryBlocks: blocks, SortParallelism: par,
+								})
+								if err != nil {
+									t.Fatal(err)
+								}
+								if err := check(drainOp(t, op, types.DefaultChunkCapacity, -1)); err != nil {
+									t.Fatalf("static M: %v", err)
+								}
 							}
 							errs := make([]error, cursors)
 							var wg sync.WaitGroup
@@ -288,7 +297,7 @@ func TestLimitIsPrefixOfUnlimited(t *testing.T) {
 								wg.Add(1)
 								go func() {
 									defer wg.Done()
-									got, _, err := queryRows(db, plan, opts...)
+									got, _, err := queryRows(db, plan)
 									if err == nil {
 										err = check(got)
 									}
@@ -419,13 +428,17 @@ func TestExplainShowsPushedBound(t *testing.T) {
 		t.Fatalf("an unlimited sort printed a bound:\n%s", unlimited)
 	}
 
-	// A row target is a hint: it re-plans, never truncates, never bounds.
-	plan, err := db.Optimize(db.Scan("big").OrderBy("g", "v"))
+	// A row target is a hint: it steers plan choice, never truncates, never
+	// bounds.
+	plan, err := db.Optimize(db.Scan("big").OrderBy("g", "v"), WithRowTarget(7))
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkInteriorOrders(t, db, plan)
-	got, st := drainStats(t, db, plan, WithRowTarget(7))
+	if strings.Contains(plan.Explain(), "limit=") {
+		t.Fatalf("a row target bounded a sort:\n%s", plan.Explain())
+	}
+	got, st := drainStats(t, db, plan)
 	if len(got) != 5000 || st.Sorts[0].TuplesOut != 5000 {
 		t.Fatalf("WithRowTarget(7) truncated the stream: %d rows, sort emitted %d", len(got), st.Sorts[0].TuplesOut)
 	}
