@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race race-serve chaos run-patterns bench fuzz-smoke perf-ab fmt vet lint-pyro loc ci
+.PHONY: build test race race-serve chaos run-patterns bench fuzz-smoke fuzz-targets perf-ab fmt vet lint-pyro loc ci
 
 build:
 	$(GO) build ./...
@@ -20,8 +20,8 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Every fuzz target for 10 s each, past its seed corpus: a smoke pass that
-# the codec, store, limit, page-format, spill-plan, kept-tail cut and
-# governor-level invariants still hold on inputs nobody wrote down, not a campaign.
+# the codec, store, limit, run-heap, page-format, spill-plan, kept-tail cut
+# and governor-level invariants still hold on inputs nobody wrote down, not a campaign.
 # `go test -fuzz` takes one target per run, so they run one after another.
 FUZZ_TARGETS = \
 	./internal/keys:FuzzFixedPrefixAgreesWithFullCompare \
@@ -31,6 +31,7 @@ FUZZ_TARGETS = \
 	./internal/xsort:FuzzMRSLimit \
 	./internal/xsort:FuzzSpillPlan \
 	./internal/xsort:FuzzTailCut \
+	./internal/xsort:FuzzRunHeap \
 	./internal/govern:FuzzGovernorLevel \
 	./internal/storage:FuzzReadChunk \
 	./internal/types:FuzzDecodeTuple \
@@ -40,6 +41,12 @@ fuzz-smoke:
 		echo "fuzz-smoke: $${t#*:}"; \
 		$(GO) test -run '^$$' -fuzz "^$${t#*:}$$" -fuzztime 10s "$${t%%:*}" || exit 1; \
 	done
+
+# Every `func Fuzz…` in a test file is listed in FUZZ_TARGETS and every listed
+# target is still defined (scripts/check-fuzz-targets.sh): fuzz-smoke runs a
+# new target, and a renamed or deleted one does not leave it fuzzing nothing.
+fuzz-targets:
+	GO="$(GO)" scripts/check-fuzz-targets.sh $(FUZZ_TARGETS)
 
 # Paired end-to-end A/B of the benchmark (cmd/pyro-perf): BASE's committed
 # files against the working tree, PAIRS alternating pairs at seeds 1..PAIRS,
@@ -106,4 +113,4 @@ lint-pyro:
 loc:
 	@GO="$(GO)" scripts/loc.sh $(if $(filter command line environment,$(origin BASE)),$(BASE))
 
-ci: build vet fmt lint-pyro run-patterns test race race-serve chaos bench fuzz-smoke
+ci: build vet fmt lint-pyro run-patterns fuzz-targets test race race-serve chaos bench fuzz-smoke

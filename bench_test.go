@@ -474,19 +474,32 @@ type workCounters struct {
 // page of each run). Replacement selection no longer drains its heap through
 // the run at input end, a comparison per sift, but sorts what it holds, by
 // radix: its comparisons fell and its radix passes rose.
+//
+// Three arms moved when every spilling segment came to form its runs by
+// replacement selection, and the run heap came to pop bottom-up and, with
+// the merge, to compare 8-byte key heads first.
+// MRSSpilledSortRunFormation's 12 500-row segments form two runs by
+// replacement selection, where they wrote three memory-load batches, and
+// evict their heap's last row blocks as a third to keep the rest for the
+// final merge — their keys do not tie across the cut: run pages fell
+// 864 → 828; its comparisons rose 237 010 → 699 171 and its radix passes
+// fell 1 769 → 783, as heap sifts replace batch sorts. The unbounded full
+// sorts keep their runs and pages; their comparisons fell, 943 972 → 757 419
+// (SRSSpilledSortRunFormation) and 1 111 250 → 646 547
+// (TimeToFirstRow/full-cursor), a pop spending one comparison a level.
 func TestWorkCounters(t *testing.T) {
 	db := segmentedDBWith(t, Config{SortMemoryBlocks: 64, SortParallelism: 1}, 50_000, 500)
 	want := map[string]workCounters{
 		"TimeToFirstRow/partial-cursor": {500, 15, 4, 0},
-		"TimeToFirstRow/full-cursor":    {1_111_250, 281, 725, 346},
+		"TimeToFirstRow/full-cursor":    {646_547, 281, 725, 346},
 		"TopKPlanned/planned-limit":     {1_008, 0, 4, 0},
 		"TopKPlanned/early-close":       {500, 15, 4, 0},
 		"ScanFilterThroughput":          {0, 0, 379, 0},
 		"ScanSortLimitThroughput":       {51_805, 72, 379, 0},
 		"MRSPartialSortRunFormation":    {140_507, 1_100, 0, 0},
-		"MRSSpilledSortRunFormation":    {237_010, 1_769, 864, 864},
+		"MRSSpilledSortRunFormation":    {699_171, 783, 828, 828},
 		"SRSSortRunFormation":           {91_014, 1_111, 0, 0},
-		"SRSSpilledSortRunFormation":    {943_972, 566, 830, 830},
+		"SRSSpilledSortRunFormation":    {757_419, 566, 830, 830},
 	}
 	got := map[string]workCounters{}
 	cursor := func(name string, arm cursorArm) {
@@ -554,9 +567,11 @@ func BenchmarkMRSSortParallelism(b *testing.B) {
 
 // BenchmarkSRSHeapReplacementSelection isolates the replacement-selection
 // heap: a spill-heavy full sort whose run formation is dominated by heap
-// push/pop traffic (every input tuple passes through the heap once).
-// The heap permutes int32 slots over stable entry storage rather than
-// swapping 56-byte entries; this benchmark guards that win.
+// push/pop traffic (every input tuple passes through the heap once). The
+// heap moves 4-byte entry handles over stable entry storage rather than
+// swapping entries, a pop sifts bottom-up, and a comparison reads the 8-byte
+// key head first; the same heap forms every spilling segment's runs, so this
+// benchmark guards them all.
 func BenchmarkSRSHeapReplacementSelection(b *testing.B) {
 	rows := sortBenchRows(100_000, 1) // single segment: pure heap churn
 	rng := rand.New(rand.NewSource(3))

@@ -62,16 +62,37 @@ import (
 // sort spends more comparisons than the pushes did, and the seeded heap sifts
 // differently from then on. The pop sequence — the keys in ascending order —
 // is the same, so checksum, runs, passes, merged runs and I/O held.
+//
+// The MRS structure was re-captured when a partial sort's oversized segments
+// came to form their runs by replacement selection — in a store that pads
+// its row slots and numbers its rows, so that its heap breaks full-key ties
+// by arrival — and when the run heap came to pop bottom-up (Floyd) and, with
+// the merge, to compare 8-byte key heads first:
+//
+//	MRS  runs 81 → 46   passes 3 → 3   merged 72 → 31   I/O 1524 → 1420   comparisons 91739 → 86961
+//	SRS  runs 108       passes 4       merged 158       I/O 3750          comparisons 95862 → 87995
+//
+// MRS: 8 blocks of 512 bytes now hold 70 rows — 5 row blocks of 14 rows in
+// 36-byte slots (34 bytes padded to the 4-byte granule) and 3 entry blocks
+// of 18-byte entries — where they held 75 in batches, but replacement
+// selection's runs are about two of those loads, so each 2000-row segment
+// forms 16, 15 and 15 runs instead of 27, and its one partial pass at fan-in
+// 7 merges 11, 10 and 10 of them instead of 24. A segment's heap rows are all
+// written: beside 15 runs no block is left for a kept tail. Comparisons fell
+// for both: a bottom-up pop
+// spends one comparison a level on the way down and few on the way back up,
+// where a sift-down spent two a level. SRS (nothing given) keeps its store's
+// bytes and its runs. The checksum did not move.
 const (
 	goldenChecksum = 0x5cfb849c70b9843d
 
-	goldenMRSComparisons = 91739
-	goldenMRSRuns        = 81
+	goldenMRSComparisons = 86961
+	goldenMRSRuns        = 46
 	goldenMRSPasses      = 3
-	goldenMRSRunsMerged  = 72   // per segment: 24 of 27
-	goldenMRSIOTotal     = 1524 // 762 reads + 762 writes, all run-attributed
+	goldenMRSRunsMerged  = 31   // per segment: 11 of 16, 10 of 15, 10 of 15
+	goldenMRSIOTotal     = 1420 // 710 reads + 710 writes, all run-attributed
 
-	goldenSRSComparisons = 95862
+	goldenSRSComparisons = 87995
 	goldenSRSRuns        = 108
 	goldenSRSPasses      = 4
 	goldenSRSRunsMerged  = 158  // 108 + 36 + 12 + 2 of 4

@@ -2,6 +2,7 @@ package xsort
 
 import (
 	"bytes"
+	"encoding/binary"
 	"sort"
 
 	"pyro/internal/keys"
@@ -45,7 +46,7 @@ func (k *keyer) suffix(r inputRow) []byte { return r.key[k.skip:] }
 // caller knows the bytes before it agree). Callers count comparisons.
 func (k *keyer) compareEntries(st *rowStore, a, b []byte, depth int) int {
 	w := k.width
-	if c := bytes.Compare(a[depth:w], b[depth:w]); c != 0 {
+	if c := compareKeys(a[depth:w], b[depth:w]); c != 0 {
 		return c
 	}
 	// Equal prefixes: complete keys are equal keys, and a complete key
@@ -57,6 +58,24 @@ func (k *keyer) compareEntries(st *rowStore, a, b []byte, depth int) int {
 	oa, _ := st.overflow(a)
 	ob, _ := st.overflow(b)
 	return bytes.Compare(oa, ob)
+}
+
+// compareKeys orders two encoded keys, or parts of keys, bytewise. Keys that
+// both reach eight bytes are compared on those first, as one big-endian
+// uint64 — the head of a key nearly always decides, and deciding it in a
+// register is what a heap or merge comparison mostly costs — and on the rest
+// with bytes.Compare only when the heads tie.
+func compareKeys(a, b []byte) int {
+	if len(a) >= 8 && len(b) >= 8 {
+		if x, y := binary.BigEndian.Uint64(a), binary.BigEndian.Uint64(b); x != y {
+			if x < y {
+				return -1
+			}
+			return 1
+		}
+		a, b = a[8:], b[8:]
+	}
+	return bytes.Compare(a, b)
 }
 
 // bound is a buffered row's key lifted out of the store: what input rows are
@@ -82,29 +101,27 @@ func (k *keyer) lift(b *bound, st *rowStore, e []byte) {
 func (k *keyer) compareBound(r inputRow, b *bound) int {
 	key := r.key[k.skip:]
 	if b.trunc {
-		return bytes.Compare(key, b.key)
+		return compareKeys(key, b.key)
 	}
 	// b's key is complete and zero-padded to the prefix width. Keys are
 	// prefix-free, so two different ones differ within the shorter one: as
 	// far as r's key reaches into the padded prefix decides, and agreement
 	// there means the same key.
 	n := min(len(key), k.width)
-	return bytes.Compare(key[:n], b.key[:n])
+	return compareKeys(key[:n], b.key[:n])
 }
 
-// sortEntries stable-sorts the entries of st under the keyer, returning the
-// emission order as a permutation of entry handles and the number of key
-// comparisons performed. Sorting handles instead of entries keeps the sort's
-// data movement to 4-byte swaps; emission then reads st through the
-// permutation. The count is returned rather than accumulated so parallel
-// segment sorts can tally locally and publish once, keeping SortStats free
-// of atomics and its totals deterministic.
-func sortEntries(st *rowStore, ky *keyer) ([]uint32, int64) {
-	order := st.handles(make([]uint32, 0, st.appended))
+// sortByKey stable-sorts hs, handles of st's entries, under the keyer, and
+// returns the key comparisons it made. Sorting handles instead of entries
+// keeps the sort's data movement to 4-byte swaps; emission then reads st
+// through the permutation. The count is returned rather than accumulated so
+// parallel segment sorts can tally locally and publish once, keeping
+// SortStats free of atomics and its totals deterministic.
+func sortByKey(st *rowStore, ky *keyer, hs []uint32) int64 {
 	var comparisons int64
-	sort.SliceStable(order, func(i, j int) bool {
+	sort.SliceStable(hs, func(i, j int) bool {
 		comparisons++
-		return ky.compareEntries(st, st.entry(order[i]), st.entry(order[j]), 0) < 0
+		return ky.compareEntries(st, st.entry(hs[i]), st.entry(hs[j]), 0) < 0
 	})
-	return order, comparisons
+	return comparisons
 }

@@ -1,7 +1,6 @@
 package xsort
 
 import (
-	"bytes"
 	"fmt"
 
 	"pyro/internal/iter"
@@ -46,18 +45,6 @@ func (w *runWriter) close() (*storage.File, error) {
 
 // abandon removes the partially written run.
 func (w *runWriter) abandon() { w.ns.Remove(w.file.Name()) }
-
-// writeRun writes the rows of st, in emission order, as one run in ns.
-func writeRun(ns storage.TempSpace, st *rowStore, order []uint32) (*storage.File, error) {
-	w := newRunWriter(ns)
-	for _, h := range order {
-		if err := w.write(st.rowBytes(st.entry(h))); err != nil {
-			w.abandon()
-			return nil, err
-		}
-	}
-	return w.close()
-}
 
 // mergeInput is one sorted input of a merge: a run file's reader
 // (storage.TupleReader), or a spilled segment's kept tail (tailRun). NextRaw
@@ -118,6 +105,12 @@ type mergeCursor struct {
 // sorts and every reduction keeps merged outputs in their groups' place
 // (reductionPass), so that tie-break is what makes the sort stable and its
 // output bytes independent of the reduction schedule.
+//
+// The heap sifts the way runHeap does: bottom-up, the hole walking to a leaf
+// at one comparison a level — a cursor's next head rarely belongs far up the
+// heap, and a textbook sift-down spends two a level to place it — and each
+// comparison reads the keys' first eight bytes as one integer first
+// (compareKeys).
 type runMerger struct {
 	cursors     []*mergeCursor
 	ky          *keyer
@@ -138,7 +131,7 @@ func newRunMerger(inputs []mergeInput, ky *keyer, comparisons *int64) (*runMerge
 		}
 	}
 	for i := len(m.cursors)/2 - 1; i >= 0; i-- {
-		m.siftDown(i)
+		m.down(i, m.cursors[i])
 	}
 	return m, nil
 }
@@ -156,33 +149,35 @@ func (m *runMerger) load(c *mergeCursor) (bool, error) {
 	return true, nil
 }
 
-func (m *runMerger) less(i, j int) bool {
+func (m *runMerger) less(a, b *mergeCursor) bool {
 	*m.comparisons++
-	a, b := m.cursors[i], m.cursors[j]
-	if c := bytes.Compare(a.key[m.ky.skip:], b.key[m.ky.skip:]); c != 0 {
+	if c := compareKeys(a.key[m.ky.skip:], b.key[m.ky.skip:]); c != 0 {
 		return c < 0
 	}
 	return a.ord < b.ord
 }
 
-func (m *runMerger) siftDown(i int) {
-	n := len(m.cursors)
-	//pyro:bounded(heap sift descends one level per iteration: at most log2(fan-in) steps)
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && m.less(l, smallest) {
-			smallest = l
+// down places moving, whose slot is the hole at root, in the subtree below
+// root: the hole walks down to a leaf along the smaller child, and moving
+// climbs back from there, no higher than root.
+func (m *runMerger) down(root int, moving *mergeCursor) {
+	n, i := len(m.cursors), root
+	for c := 2*i + 1; c < n; c = 2*i + 1 {
+		if r := c + 1; r < n && m.less(m.cursors[r], m.cursors[c]) {
+			c = r
 		}
-		if r < n && m.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			return
-		}
-		m.cursors[i], m.cursors[smallest] = m.cursors[smallest], m.cursors[i]
-		i = smallest
+		m.cursors[i] = m.cursors[c]
+		i = c
 	}
+	for i > root {
+		parent := (i - 1) / 2
+		if !m.less(moving, m.cursors[parent]) {
+			break
+		}
+		m.cursors[i] = m.cursors[parent]
+		i = parent
+	}
+	m.cursors[i] = moving
 }
 
 // next returns the smallest head row among all cursors, encoded. The bytes
@@ -196,12 +191,15 @@ func (m *runMerger) next() ([]byte, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
+		moving := m.cursors[0]
 		if !ok {
 			last := len(m.cursors) - 1
-			m.cursors[0] = m.cursors[last]
+			moving = m.cursors[last]
 			m.cursors = m.cursors[:last]
 		}
-		m.siftDown(0)
+		if len(m.cursors) > 0 {
+			m.down(0, moving)
+		}
 	}
 	if len(m.cursors) == 0 {
 		return nil, false, nil

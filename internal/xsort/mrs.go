@@ -26,14 +26,16 @@ import (
 //
 // With k = 0 (nothing given) the whole input is a single segment: the full
 // sort, the paper's observation that MRS converges to SRS at the one-segment
-// extreme (Fig 9). How an oversized segment forms its runs is the one thing
-// replacementSelection decides: with nothing given and no Limit it is
-// standard replacement selection (Knuth '73; SRS in the paper), runs of about
-// twice the memory; otherwise every filled memory batch is sorted and written
-// as one run. What the store holds when the segment ends — the heap, or the
-// last batch — is kept for the final merge instead of written whenever that
-// merge then needs no reduction pass, so fully sorted input writes N − load
-// rows, not N.
+// extreme (Fig 9). An oversized segment forms its runs the way §3.1 defines
+// MRS: by replacement selection (Knuth '73) over the segment, runs of about
+// twice the memory — with nothing given that is SRS. A partial or bounded
+// sort's heap breaks full-key ties by arrival (numbered, heap.go), so its
+// segments stay stable when they spill; the unbounded full sort's does not.
+// What the heap holds when the segment ends is kept for the final merge
+// instead of written whenever that merge then needs no reduction pass, so
+// fully sorted input writes N − load rows, not N. A bounded segment
+// (Config.Limit) whose bound is short of two memory loads writes every
+// filled memory batch, sorted, as one run instead (replacementSelection).
 //
 // Because segments are mutually independent, their sorts are embarrassingly
 // parallel. With Config.Parallelism = P > 1, in-memory segment sorts run on
@@ -64,8 +66,9 @@ import (
 // cut-off — any later tuple that does not sort before it cannot be among the
 // first keep rows and is dropped with one comparison, never buffered, never
 // spilled. A segment spills only if keep rows themselves exceed the budget,
-// and then every formation run and every reduction merge's output is cut at
-// keep rows. When a finished segment brings owed to zero the sort treats its
+// and then every formation run — a batch, or a replacement-selection run,
+// whose rows past keep are dropped as they leave the heap — and every
+// reduction merge's output is cut at keep rows. When a finished segment brings owed to zero the sort treats its
 // input as exhausted: nothing past the covering segments is read (beyond the
 // one lookahead tuple that found the boundary), collected or read ahead.
 // An unbounded sort runs the same code with owed = noLimit, a bound no
@@ -80,7 +83,8 @@ type MRS struct {
 	prefix int          // |given|
 	par    int          // resolved segment-sort parallelism
 	bind   iter.Binding // the query's abort, tap and live budget (Bind)
-	rs     bool         // replacementSelection(given, Limit): oversized segments form runs by replacement selection
+	batch  footprint    // a row in a store that neither pads nor numbers: what replacementSelection weighs a bound against
+	loads  [2]int       // memoryLoad(batch) at the last live allowance asked about: {blocks, rows}
 	stats  SortStats
 
 	// Input state. pending is the lookahead row — the first of the next
@@ -124,11 +128,13 @@ type segCollector struct {
 	prefix  []byte
 	ky      *keyer
 	store   *rowStore // the rows buffered so far; its blocks are the segment's memory
+	rs      bool      // replacementSelection: the segment forms its runs by replacement selection, else in batches
 	spilled bool
 	sp      *spillState // non-nil once the segment has spilled
-	heap    *runHeap    // replacement selection over store, once the segment has spilled under it
-	run     *runWriter  // the replacement-selection run being written
-	last    bound       // the key last written to run
+	heap    *runHeap    // replacement selection over store, once the segment has spilled
+	run     *runWriter  // the replacement-selection run being written; nil before its first row
+	runRows int64       // rows of the run being written, dropped ones past keep included
+	last    bound       // the key last taken for run
 
 	// Bounded selection (see MRS): keep is the owed rows this segment can
 	// contribute, rows the tuples seen so far, cut the key of the keep-th
@@ -207,7 +213,7 @@ func NewMRS(input iter.Iterator, schema *types.Schema, target, given sortord.Ord
 		ky:          &keyer{codec: codec, width: entryWidth(codec, prefix, cfg.Disk.PageSize())},
 		prefix:      prefix,
 		par:         cfg.parallelism(),
-		rs:          replacementSelection(given, cfg.Limit),
+		batch:       Spec{Schema: schema, Target: target, Given: given}.footprint(cfg.Limit, false),
 		passthrough: prefix == target.Len(),
 		owed:        cfg.limit(),
 	}, nil
@@ -217,14 +223,33 @@ func NewMRS(input iter.Iterator, schema *types.Schema, target, given sortord.Ord
 // keyer to the segment: skip is the encoded byte length of the segment's
 // `given`-prefix values (prefix columns of variable width make it
 // segment-specific), which every key of the segment starts with.
+//
+// How the segment forms runs if it spills (replacementSelection), and with
+// it how its store lays rows out, is decided here, against the live
+// allowance the segment starts under.
 func (m *MRS) startSegment() *segCollector {
-	c := &segCollector{store: m.spare, keep: m.owed}
-	if m.spare = nil; c.store == nil {
-		c.store = newRowStore(m.cfg.Disk, m.ky.width, m.rs)
+	c := &segCollector{keep: m.owed}
+	c.rs = replacementSelection(c.keep, m.batchLoad())
+	num := c.rs && numbered(m.given, m.cfg.Limit)
+	if c.store, m.spare = m.spare, nil; c.store == nil || c.store.numbered != num || (c.store.pad > 1) != c.rs {
+		c.store = newRowStore(m.cfg.Disk, m.ky.width, c.rs, num)
 	}
 	skip := m.ky.codec.KeyPrefixLen(m.pending.key, m.prefix)
 	c.prefix, c.ky = append([]byte(nil), m.pending.key[:skip]...), m.ky.withSkip(skip)
 	return c
+}
+
+// batchLoad is how many rows a store that neither pads nor numbers them holds
+// under the live allowance (memoryLoad of the schema's average row). Only a
+// bounded sort weighs it; an unbounded one owes more than any load.
+func (m *MRS) batchLoad() int64 {
+	if m.owed == noLimit {
+		return 0
+	}
+	if blocks := m.memoryBlocks(); m.loads[1] == 0 || m.loads[0] != blocks {
+		m.loads = [2]int{blocks, int(memoryLoad(m.batch, blocks, m.cfg.Disk.PageSize()))}
+	}
+	return int64(m.loads[1])
 }
 
 // Bind hands the sort its query's binding: segment collection, replacement
@@ -554,7 +579,7 @@ func (m *MRS) collect(limit int) (*segment, error) {
 				before = c.store.bytes() // shed and spill have settled their own accounts
 			}
 			m.resized(c.store, before)
-			if int64(c.store.len())/2 >= c.keep {
+			if c.heap == nil && int64(c.store.len())/2 >= c.keep {
 				m.selectTop(c)
 			}
 		}
@@ -594,45 +619,45 @@ func (m *MRS) admit(c *segCollector) bool {
 }
 
 // spill makes room in an oversized segment's store, on the consumer
-// goroutine, in the segment's spill arena: a batch is written whole as one
-// run (flush), or replacement selection writes its next row.
+// goroutine, in the segment's spill arena: replacement selection writes its
+// next row (replace), or a batch is written whole as one run (flush). The
+// first replacement step sorts the fill like any other buffer, and the
+// ascending order seeds the heap: a sorted array is a valid min-heap.
 func (m *MRS) spill(c *segCollector) error {
 	if c.sp == nil {
 		c.sp = &spillState{arena: m.cfg.Disk.NewArenaTapped(m.bind.Tap)}
 	}
-	if !m.rs {
+	if !c.rs {
 		return m.flush(c)
 	}
 	if c.heap == nil {
-		// The fill is sorted like any other buffer, and the ascending order
-		// seeds the heap: a sorted array is a valid min-heap.
-		order, tally := formOrder(c.store, c.ky)
+		buf := permScratch.get(0)
+		var tally sortTally
+		*buf, tally = formOrder(c.store, c.ky, *buf)
 		tally.addTo(&m.stats)
-		c.heap = newRunHeap(c.store, c.ky, &m.stats.Comparisons)
-		c.heap.seed(order)
-		c.run = newRunWriter(c.sp.arena)
+		c.heap = newRunHeap(c.store, c.ky, buf, &m.stats.Comparisons)
 	}
 	return m.replace(c)
 }
 
-// flush sorts the collector's buffered tuples and writes them as one run of
-// the segment, then gives the store's blocks back; the collector goes on
-// buffering into the emptied store.
+// flush sorts the collector's buffered tuples and writes their first keep as
+// one run of the segment, then gives the store's blocks back; the collector
+// goes on buffering into the emptied store.
 func (m *MRS) flush(c *segCollector) error {
-	run, tally, err := formRun(c.sp.arena, c.store, c.ky, c.keep)
+	order, tally := formOrder(c.store, c.ky, nil)
 	tally.addTo(&m.stats)
-	if err != nil {
+	if _, err := m.evictTail(c, 0, firstRows(order, c.keep)); err != nil {
 		return err
 	}
-	m.addRun(c, run)
 	m.dropStore(c.store)
 	return nil
 }
 
-// replace is one step of replacement selection: the heap's minimum is
-// written to the current run — finished first, and the next one started,
-// when the minimum belongs to the next run — and its slot given back, for
-// the row that did not fit.
+// replace is one replacement step: the heap's minimum is written to the
+// current run (closing it and starting the next when the minimum belongs to
+// the next run) and its slot freed. A run of a bounded segment is cut at
+// keep rows: a row past them sorts after keep rows of the segment, so it is
+// dropped instead of written.
 func (m *MRS) replace(c *segCollector) error {
 	if err := m.guard.Check(); err != nil {
 		return err
@@ -642,22 +667,31 @@ func (m *MRS) replace(c *segCollector) error {
 			return err
 		}
 		c.heap.nextRun()
-		c.run = newRunWriter(c.sp.arena)
+	}
+	if c.run == nil {
+		c.run, c.runRows = newRunWriter(c.sp.arena), 0
 	}
 	e := c.heap.pop()
-	if err := c.run.write(c.store.rowBytes(c.store.entry(e))); err != nil {
-		return err
+	row := c.store.rowBytes(c.store.entry(e))
+	if c.runRows++; c.runRows <= c.keep {
+		if err := c.run.write(row); err != nil {
+			return err
+		}
 	}
 	c.ky.lift(&c.last, c.store, c.store.entry(e))
 	before := c.store.bytes()
-	c.store.free(e)
+	c.store.free(e, len(row))
 	m.resized(c.store, before)
 	return nil
 }
 
-// finishRun closes the replacement-selection run being written.
+// finishRun closes the run being written, if it has a row.
 func (m *MRS) finishRun(c *segCollector) error {
+	if c.run == nil {
+		return nil
+	}
 	run, err := c.run.close()
+	c.run = nil
 	if err != nil {
 		return err
 	}
@@ -684,6 +718,7 @@ func (m *MRS) finish(c *segCollector) (*segment, error) {
 		m.stats.SpilledSegs++
 		seg := &segment{spilled: true, sp: c.sp, ky: c.ky, keep: c.keep}
 		err := m.keepTail(c, seg)
+		c.heap.release()
 		if err != nil || seg.store == nil {
 			m.dropStore(c.store) // written, or unwritten after a failed spill
 		}
@@ -699,12 +734,12 @@ func (m *MRS) finish(c *segCollector) (*segment, error) {
 		go func() {
 			defer close(seg.done)
 			defer recoverWorker(&seg.err)
-			seg.order, seg.tally = formOrder(seg.store, seg.ky)
+			seg.order, seg.tally = formOrder(seg.store, seg.ky, nil)
 			seg.order = firstRows(seg.order, seg.keep)
 		}()
 	} else {
 		var tally sortTally
-		seg.order, tally = formOrder(seg.store, seg.ky)
+		seg.order, tally = formOrder(seg.store, seg.ky, nil)
 		seg.order = firstRows(seg.order, seg.keep)
 		tally.addTo(&m.stats)
 	}
@@ -713,22 +748,27 @@ func (m *MRS) finish(c *segCollector) (*segment, error) {
 
 // keepTail ends a spilled segment's run formation at input end. The rows
 // its store still holds stay there as one more sorted input of the final
-// merge, read beside the runs (seg.store), when that merge then
-// needs no reduction pass: when the store's blocks and one read block per
-// disk run fit the live allowance. When they do not, the fewest last row
+// merge, read beside the runs (seg.store), when that merge then needs no
+// reduction pass: when the store's blocks and one read block per disk run
+// fit the live allowance. When they do not, the rows on the fewest last row
 // blocks for which the rest fits are written as one more, small run
-// (evictTail). Those rows are the latest arrivals only in a store nothing was
-// freed from, so a bounded collector that selected before it spilled — only
-// a governor shrink makes one — evicts nothing; replacement selection
-// promises ties no order and evicts whatever its last blocks hold. A tail
-// that cannot stay is written as a last run: replacement selection drains
-// its heap into its runs, a batch is flushed.
+// (evictTail), read after the tail. That keeps ties in arrival order where
+// the last blocks hold the latest arrivals: in a batch of a store nothing
+// was freed from. A bounded collector that selected before it spilled — only
+// a governor shrink makes one — freed rows, and evicts nothing. Replacement
+// selection recycles its slots: the full sort's heap promises ties no order,
+// and a numbered store evicts only where no written row has an equal key
+// and an earlier arrival than a kept one (stableCut), and otherwise writes
+// its whole tail as that run. A tail that cannot stay is written as a last
+// run: replacement selection drains its heap into its runs, a batch is
+// flushed.
 func (m *MRS) keepTail(c *segCollector, seg *segment) error {
+	st := c.store
 	runs := len(c.sp.runs)
-	if c.heap != nil {
+	if c.run != nil {
 		runs++ // the replacement-selection run being written
 	}
-	cut, ok := c.store.tailCut(runs, m.memoryBlocks(), m.rs || !c.store.freed)
+	cut, ok := st.tailCut(runs, m.memoryBlocks(), c.heap != nil || !st.freed)
 	switch {
 	case !ok && c.heap != nil:
 		for c.heap.len() > 0 {
@@ -737,26 +777,35 @@ func (m *MRS) keepTail(c *segCollector, seg *segment) error {
 			}
 		}
 		return m.finishRun(c)
-	case !ok && c.store.len() > 0:
+	case !ok && st.len() > 0:
 		return m.flush(c)
 	case !ok:
 		return nil
 	}
+	if err := m.finishRun(c); err != nil {
+		return err
+	}
 	if c.heap != nil {
-		if err := m.finishRun(c); err != nil {
-			return err
-		}
 		// The heap's rows are the store's live ones; freed entries leave
 		// holes that the sort below must not see.
-		before := c.store.bytes()
-		c.store.compact(c.heap.heap)
-		m.resized(c.store, before)
-		c.heap = nil
+		before := st.bytes()
+		st.compact(c.heap.heap)
+		m.resized(st, before)
 	}
-	order, tally := formOrder(c.store, c.ky)
+	buf := permScratch.get(0)
+	defer permScratch.put(buf)
+	order, tally := formOrder(st, c.ky, *buf)
+	*buf = order
 	tally.addTo(&m.stats)
+	if st.numbered && c.heap != nil {
+		tiesByArrival(st, c.ky, order)
+	}
 	seg.tailAt = len(c.sp.runs)
-	if cut < len(c.store.rows) {
+	if cut < len(st.rows) {
+		if st.numbered && !stableCut(st, c.ky, order, cut) {
+			_, err := m.evictTail(c, 0, order)
+			return err
+		}
 		var err error
 		if order, err = m.evictTail(c, cut, order); err != nil {
 			return err
@@ -764,19 +813,19 @@ func (m *MRS) keepTail(c *segCollector, seg *segment) error {
 	}
 	// The kept rows' entries are laid out in their sorted order, so the
 	// merge reads the tail by handle and no permutation outlives the sort.
-	before := c.store.bytes()
-	c.store.evict(cut, order)
-	m.resized(c.store, before)
-	seg.store = c.store
+	before := st.bytes()
+	st.evict(cut, order)
+	m.resized(st, before)
+	seg.store = st
 	return nil
 }
 
-// evictTail writes the rows on the store's row pages from cut on, in sorted
-// order, as one more run of the segment. order is the whole tail sorted;
-// what is returned is the kept rows' order.
+// evictTail writes the rows of order on the store's row pages from cut on, in
+// that order, as one more run of the segment, and returns the others' order,
+// filtered in place. A flush writes them all (cut 0).
 func (m *MRS) evictTail(c *segCollector, cut int, order []uint32) ([]uint32, error) {
 	w := newRunWriter(c.sp.arena)
-	kept := order[:0] // filtered in place: writes trail reads
+	kept := order[:0] // writes trail reads
 	for _, h := range order {
 		if err := m.guard.Check(); err != nil {
 			w.abandon()
@@ -797,21 +846,43 @@ func (m *MRS) evictTail(c *segCollector, cut int, order []uint32) ([]uint32, err
 	return kept, nil
 }
 
+// tiesByArrival puts the rows of order — st's rows, sorted by key — that have
+// equal keys in arrival order. The sort is stable by handle, and once
+// replacement selection has recycled slots, handle order is not arrival
+// order; equal keys are rare, so an insertion sort that compares keys only
+// where arrivals are out of order costs about a check a row.
+func tiesByArrival(st *rowStore, ky *keyer, order []uint32) {
+	for i := 1; i < len(order); i++ {
+		for j := i; j > 0; j-- {
+			a, b := st.entry(order[j-1]), st.entry(order[j])
+			if !st.arrivedBefore(b, a) || ky.compareEntries(st, a, b, 0) != 0 {
+				break
+			}
+			order[j-1], order[j] = order[j], order[j-1]
+		}
+	}
+}
+
+// stableCut reports whether writing the rows of order — st's rows sorted, by
+// arrival among equal keys — that sit on row pages from cut on as a run read
+// after the kept ones keeps rows with equal keys in arrival order: no written
+// row is followed in order by a kept one with an equal key.
+func stableCut(st *rowStore, ky *keyer, order []uint32, cut int) bool {
+	for i := 1; i < len(order); i++ {
+		a, b := order[i-1], order[i]
+		if st.rowPage(a) >= cut && st.rowPage(b) < cut && ky.compareEntries(st, st.entry(a), st.entry(b), 0) == 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // firstRows cuts an emission order at keep rows.
 func firstRows(order []uint32, keep int64) []uint32 {
 	if int64(len(order)) > keep {
 		return order[:keep]
 	}
 	return order
-}
-
-// formRun sorts one memory batch of an oversized segment and copies its
-// first keep rows to a run in arena (everything, for an unbounded sort). The
-// store is the caller's to release.
-func formRun(arena *storage.SpillArena, st *rowStore, ky *keyer, keep int64) (*storage.File, sortTally, error) {
-	order, tally := formOrder(st, ky)
-	run, err := writeRun(arena, st, firstRows(order, keep))
-	return run, tally, err
 }
 
 // pastCut reports whether r cannot be among the segment's first keep rows:
@@ -829,10 +900,12 @@ func (m *MRS) pastCut(c *segCollector, r inputRow) bool {
 // shed is the no-room step of a bounded segment: if the store holds more
 // than the keep rows anyone will read, cut it down to them, which frees the
 // dropped rows' slots for the rows to come; it reports whether the segment
-// may go on buffering — not if nothing could be dropped, and not if the
-// store is over a shrunk allowance, which freed slots do not cure.
+// may go on buffering — not if nothing could be dropped, not if the
+// store is over a shrunk allowance, which freed slots do not cure, and not
+// once replacement selection has begun: its heap holds the store's rows, and
+// cuts its runs at keep itself.
 func (m *MRS) shed(c *segCollector) bool {
-	if int64(c.store.len()) <= c.keep {
+	if c.heap != nil || int64(c.store.len()) <= c.keep {
 		return false
 	}
 	m.selectTop(c)
@@ -845,7 +918,10 @@ func (m *MRS) shed(c *segCollector) bool {
 // slots are recycled and the surplus entry blocks leave the memory
 // accounting.
 func (m *MRS) selectTop(c *segCollector) {
-	order, tally := formOrder(c.store, c.ky)
+	buf := permScratch.get(0)
+	defer permScratch.put(buf)
+	order, tally := formOrder(c.store, c.ky, *buf)
+	*buf = order
 	tally.addTo(&m.stats)
 	c.ky.lift(&c.cut, c.store, c.store.entry(order[c.keep-1]))
 	c.hasCut = true
@@ -901,6 +977,7 @@ func (m *MRS) Close() error {
 	}
 	m.segq = nil
 	if m.col != nil {
+		m.col.heap.release()
 		m.dropStore(m.col.store)
 		m.col.sp.release()
 		m.col = nil

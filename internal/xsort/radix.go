@@ -7,7 +7,7 @@ import "sort"
 // encoding pays for: because key order IS byte order, the entries of a row
 // store can be sorted by byte-bucket distribution over their fixed-width key
 // prefixes in O(n·width) with no comparisons at all. The sorter operates on
-// the same entry-handle permutations the comparison path uses (sortEntries),
+// the same entry-handle permutations the comparison path uses (sortByKey),
 // so emission, spilling and merging are untouched — only how the permutation
 // is produced changes. Entries whose whole prefix agrees are complete, equal
 // keys (arrival order stands) or truncated ones, which a stable comparison
@@ -67,7 +67,7 @@ var adaptiveMinTuples = 128
 
 // sortTally is the work done by one run-formation sort, tallied locally so
 // parallel segment sorts and spill jobs can publish once into SortStats in
-// deterministic order (the same single-writer discipline sortEntries'
+// deterministic order (the same single-writer discipline sortByKey's
 // comparison count already followed).
 type sortTally struct {
 	comparisons      int64
@@ -88,37 +88,18 @@ func radixEligible(n int, ky *keyer) bool {
 	return n >= adaptiveMinTuples && ky.width >= adaptiveMinKeyBytes
 }
 
-// formOrder produces st's emission permutation — by radix or by comparison,
-// as radixEligible decides. Both branches yield the identical stable order;
-// they differ only in how the work is spent (and therefore tallied).
-func formOrder(st *rowStore, ky *keyer) ([]uint32, sortTally) {
-	if radixEligible(st.len(), ky) {
-		return radixSortEntries(st, ky)
+// formOrder produces st's emission permutation, in dst's storage when it is
+// large enough (nil allocates) — by radix or by comparison, as radixEligible
+// decides. Both branches yield the identical stable order; they differ only
+// in how the work is spent (and therefore tallied).
+func formOrder(st *rowStore, ky *keyer, dst []uint32) ([]uint32, sortTally) {
+	order := st.handles(dst)
+	if radixEligible(len(order), ky) {
+		r := radixSorter{st: st, ky: ky, cutoff: radixInsertionCutoff, order: order}
+		r.run()
+		return order, r.tally
 	}
-	order, comparisons := sortEntries(st, ky)
-	return order, sortTally{comparisons: comparisons}
-}
-
-// radixSortEntries stable-sorts st's entries by prefix bytes (and full keys
-// where truncated prefixes tie), returning the emission permutation and the
-// work tally.
-func radixSortEntries(st *rowStore, ky *keyer) ([]uint32, sortTally) {
-	return radixSortEntriesCutoff(st, ky, radixInsertionCutoff)
-}
-
-// radixSortEntriesCutoff is radixSortEntries with an explicit insertion-sort
-// cutoff; BenchmarkRadixInsertionCutoff sweeps it to keep the constant
-// honest against real key-length distributions.
-func radixSortEntriesCutoff(st *rowStore, ky *keyer, cutoff int) ([]uint32, sortTally) {
-	r := radixSorter{st: st, ky: ky, cutoff: cutoff}
-	r.order = st.handles(make([]uint32, 0, st.appended))
-	if len(r.order) > 1 {
-		buf := permScratch.get(len(r.order))
-		r.scratch = *buf
-		r.sort(0, len(r.order), 0)
-		permScratch.put(buf)
-	}
-	return r.order, r.tally
+	return order, sortTally{comparisons: sortByKey(st, ky, order)}
 }
 
 type radixSorter struct {
@@ -127,6 +108,16 @@ type radixSorter struct {
 	order, scratch []uint32
 	cutoff         int
 	tally          sortTally
+}
+
+// run sorts the whole of order, with a pooled scratch permutation.
+func (r *radixSorter) run() {
+	if len(r.order) > 1 {
+		buf := permScratch.get(len(r.order))
+		r.scratch = *buf
+		r.sort(0, len(r.order), 0)
+		permScratch.put(buf)
+	}
 }
 
 // sort orders order[lo:hi] — whose prefixes all agree on bytes [0, depth) —

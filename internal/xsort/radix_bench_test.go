@@ -74,7 +74,7 @@ func BenchmarkRadixInsertionCutoff(b *testing.B) {
 				b.ReportAllocs()
 				var t sortTally
 				for i := 0; i < b.N; i++ {
-					_, t = radixSortEntriesCutoff(st, ky, cutoff)
+					_, t = radixSortEntriesCutoff(st, ky, cutoff, nil)
 				}
 				b.ReportMetric(float64(t.comparisons), "comparisons/op")
 				b.ReportMetric(float64(t.radixPasses), "radix-passes/op")

@@ -82,11 +82,11 @@ func TestRadixSortKeyedMatchesStableSort(t *testing.T) {
 			want[i] = handles[idx]
 		}
 
-		got, tally := radixSortEntries(st, ky)
+		got, tally := radixSortEntries(st, ky, nil)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d (%d prefix cols): radix order %v != stable order %v", trial, prefixCols, got, want)
 		}
-		if cmp, _ := sortEntries(st, ky); !reflect.DeepEqual(cmp, want) {
+		if cmp, _ := sortEntries(st, ky, nil); !reflect.DeepEqual(cmp, want) {
 			t.Fatalf("trial %d (%d prefix cols): comparison order %v != stable order %v", trial, prefixCols, cmp, want)
 		}
 		if len(rows) > radixInsertionCutoff && tally.radixPasses == 0 && prefixCols == 0 {
@@ -224,4 +224,28 @@ func TestRunFormationModesAgree(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sortEntries stable-sorts the entries of st under the keyer, returning the
+// emission order as a permutation of entry handles — in dst's storage when it
+// is large enough — and the number of key comparisons performed.
+func sortEntries(st *rowStore, ky *keyer, dst []uint32) ([]uint32, int64) {
+	order := st.handles(dst)
+	return order, sortByKey(st, ky, order)
+}
+
+// radixSortEntries stable-sorts st's entries by prefix bytes (and full keys
+// where truncated prefixes tie), returning the emission permutation, in dst's
+// storage when it is large enough, and the work tally.
+func radixSortEntries(st *rowStore, ky *keyer, dst []uint32) ([]uint32, sortTally) {
+	return radixSortEntriesCutoff(st, ky, radixInsertionCutoff, dst)
+}
+
+// radixSortEntriesCutoff is radixSortEntries with an explicit insertion-sort
+// cutoff; BenchmarkRadixInsertionCutoff sweeps it to keep the constant
+// honest against real key-length distributions.
+func radixSortEntriesCutoff(st *rowStore, ky *keyer, cutoff int, dst []uint32) ([]uint32, sortTally) {
+	r := radixSorter{st: st, ky: ky, cutoff: cutoff, order: st.handles(dst)}
+	r.run()
+	return r.order, r.tally
 }

@@ -32,7 +32,8 @@ func liveHeap() int64 {
 // budget, and the heap within 15 % of them; an early Close gives them back.
 // What the margin covers: the permutation a sort orders or the
 // replacement-selection heap (4 bytes a row), the run writers' page buffers,
-// one batch of emitted rows.
+// one batch of emitted rows. A partial sort's arrival numbers are inside its
+// store's blocks, so they are accounted.
 func TestAccountedIsResident(t *testing.T) {
 	const (
 		blocks = 256
@@ -101,8 +102,8 @@ func TestAccountedIsResident(t *testing.T) {
 			}},
 			{"mrs-oversized", func(t *testing.T, d *storage.Disk, in *genIter, base func() int64) (heap, peak int64) {
 				// One oversized segment of a partial sort (c1 is made
-				// constant), which spills in batches: with nothing given it
-				// would be replacement selection, the srs phases.
+				// constant): replacement selection in a store whose entries
+				// carry arrival numbers.
 				row := in.row
 				in.row = func(i int) types.Tuple {
 					t := row(i)
@@ -115,7 +116,7 @@ func TestAccountedIsResident(t *testing.T) {
 				}
 				fills := 0
 				in.probe = func(i int) {
-					// Mid-collection: the third batch is about to fill.
+					// Mid-collection, past the second run's start.
 					if heap == 0 && m.col != nil && full(m.col.store) && i > rows/2 {
 						if fills++; fills == 1 {
 							heap, peak = base(), m.stats.PeakMemBytes
@@ -128,9 +129,8 @@ func TestAccountedIsResident(t *testing.T) {
 				if _, err := pull1(m); err != nil {
 					t.Fatal(err)
 				}
-				// Two batches are written; the third stays for the final merge.
 				if m.stats.RunsGenerated < 2 {
-					t.Fatalf("the segment was meant to spill several batches: %+v", m.stats)
+					t.Fatalf("the segment was meant to spill several runs: %+v", m.stats)
 				}
 				if err := m.Close(); err != nil {
 					t.Fatal(err)
@@ -139,7 +139,8 @@ func TestAccountedIsResident(t *testing.T) {
 			}},
 			{"mrs-kept-tail", func(t *testing.T, d *storage.Disk, in *genIter, base func() int64) (heap, held int64) {
 				// The same oversized segment, stopped in its final merge: the
-				// last batch is held as the merge's kept tail, its blocks
+				// heap's rows less its last row blocks, written as one more
+				// run, are held as the merge's kept tail, their blocks
 				// accounted until Close gives them back.
 				row := in.row
 				in.row = func(i int) types.Tuple {

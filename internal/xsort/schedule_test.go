@@ -286,12 +286,19 @@ func TestRunsArePayloadFiles(t *testing.T) {
 	for batch := 0; batch < 40; batch++ {
 		var st *rowStore
 		st, ky = fillStore(t, d, target, 0, genRows(30, 1, rng))
-		run, tally, err := formRun(arena, st, ky, noLimit)
+		order, tally := formOrder(st, ky, nil)
+		tally.addTo(&stats)
+		w := newRunWriter(arena)
+		for _, h := range order {
+			if err := w.write(st.rowBytes(st.entry(h))); err != nil {
+				t.Fatal(err)
+			}
+		}
 		st.release()
+		run, err := w.close()
 		if err != nil {
 			t.Fatal(err)
 		}
-		tally.addTo(&stats)
 		runs = append(runs, run)
 	}
 	check("formation", runs)

@@ -1,6 +1,8 @@
 package xsort
 
 import (
+	"math"
+
 	"pyro/internal/sortord"
 	"pyro/internal/storage"
 	"pyro/internal/types"
@@ -13,16 +15,6 @@ type Spec struct {
 	Schema *types.Schema
 	Target sortord.Order
 	Given  sortord.Order
-}
-
-// replacementSelection reports whether a sort over an input carrying given,
-// bounded by limit rows (0: unbounded), forms the runs of its oversized
-// segment by replacement selection (SRS in the paper): nothing given, no
-// limit. Every other spilling segment writes one run per memory batch — a
-// bounded full sort is one segment under the bounded collector. MRS forms
-// runs by it and PlanSpill prices them by it, so the two cannot disagree.
-func replacementSelection(given sortord.Order, limit int64) bool {
-	return given.IsEmpty() && limit == 0
 }
 
 // SpillPlan is how one sort — a full sort, or one segment of a partial sort —
@@ -56,18 +48,24 @@ func (p SpillPlan) Pages() int64 { return p.Written + p.Read + p.FinalRead }
 // it is put together from the rules the sorter runs by:
 //
 //   - a store holds what rowStore.add lets it (memoryLoad): as many rows as
-//     footprint.blocks — the governor's own measure — fits in memoryBlocks;
-//   - replacementSelection chooses the run formation: a batch is one memory
-//     load (cut at limit rows), replacement selection forms runs of about
-//     two; a bounded sort spills only when limit rows do not fit, since its
-//     collector selects whenever the store is full with more;
+//     footprint.blocks — the governor's own measure — fits in memoryBlocks,
+//     padded under replacement selection, their entries carrying arrival
+//     numbers where the store numbers its rows;
+//   - replacementSelection chooses the run formation: replacement
+//     selection, in a store that pads its rows and, but in the unbounded
+//     full sort, numbers them, forms runs of about two memory loads, the
+//     first of e−1 (the snowplow), each cut at limit rows; a bounded sort
+//     whose limit is short of two loads of a store that neither pads nor
+//     numbers writes batches of one memory load, cut at limit rows, and
+//     spills only when limit rows do not fit, since its collector selects
+//     whenever the store is full with more;
 //   - at input end the store still holds a memory load under replacement
 //     selection and the last batch otherwise, and keeps it for the final
 //     merge (Held) when that merge then needs no pass, as MRS.keepTail
 //     decides by footprint.tailCut: all of it beside one read block per run,
-//     or, where the sort may evict, all but the fewest last row blocks, which
-//     become one more run. Otherwise every row is written, and an external
-//     sort moves its input 2p+1 times over;
+//     or all but the fewest last row blocks' worth, which become one more
+//     run. Otherwise every row is written, and an external sort moves its
+//     input 2p+1 times over;
 //   - every pass is reductionPass at mergeFanIn, and every intermediate
 //     merge's output is cut at limit rows, as is the final merge's read;
 //   - a run of r rows takes the pages a TupleWriter fills with r rows of the
@@ -77,48 +75,87 @@ func (p SpillPlan) Pages() int64 { return p.Written + p.Read + p.FinalRead }
 // proportion to the input's length, plus the one row it holds as that input's
 // head — and, on average, half a page past them. Rows of varying width are
 // priced at their average width, so the page counts are exact only for
-// fixed-width rows.
+// fixed-width rows, and replacement selection's runs are priced at the
+// lengths they take on random keys.
 //
-// The run list is kept run-length encoded (span): every formation run but the
-// last has the same length, and a pass merges alike neighbours into alike
-// outputs, so planning takes time and memory in the passes, not in the runs:
-// an estimate of 10¹² rows at M = 2 is some 35 passes of work.
+// The run list is kept run-length encoded (span): all formation runs but the
+// first and the last two have the same length, and a pass merges alike
+// neighbours into alike outputs, so planning takes time and memory in the
+// passes, not in the runs: an estimate of 10¹² rows at M = 2 is some 35
+// passes of work.
 func PlanSpill(s Spec, rows, limit int64, memoryBlocks, pageSize int) SpillPlan {
-	srs := replacementSelection(s.Given, limit)
-	f := s.footprint()
-	load := memoryLoad(f, srs, memoryBlocks, pageSize)
 	keep := int64(noLimit)
 	if limit > 0 {
 		keep = limit
 	}
-	if rows <= load || (!srs && keep < load) {
+	f := s.footprint(limit, false)
+	load := memoryLoad(f, memoryBlocks, pageSize)
+	rs := replacementSelection(keep, load)
+	if rs {
+		f = s.footprint(limit, true)
+		load = memoryLoad(f, memoryBlocks, pageSize)
+	}
+	if rows <= load || keep < load {
 		return SpillPlan{InMemory: true}
 	}
 
 	perPage := storage.TuplesPerPage(f.row, int64(pageSize))
 	pages := func(n int64) int64 { return (n + perPage - 1) / perPage }
-	runLen := load
-	if srs {
-		runLen = 2 * load
-	}
-	formed := func(n int64) []span { // runs of runLen over n rows, cut at keep
-		runs := push(nil, min(runLen, keep), int(n/runLen))
-		if tail := n % runLen; tail > 0 {
-			runs = push(runs, min(tail, keep), 1)
+	var runs []span
+	run := func(n int64, count int) { runs = push(runs, min(n, keep), count) } // a run is cut at keep rows
+	var held int64
+	if rs {
+		// On random keys (the snowplow) the first run is (e−1) memory loads
+		// long, every later one two. The heap holds a memory load at input
+		// end; the rows written before it fill runs up to one still open,
+		// open rows into it, which would have reached full rows.
+		first, runLen := max(int64(float64(load)*(math.E-1)), 1), 2*load
+		open, full := rows-load, first
+		disk := 0 // the runs on disk at input end, the open one included
+		if open > first {
+			k := (open - first) / runLen
+			run(first, 1)
+			run(runLen, int(k))
+			open, full, disk = open-first-k*runLen, runLen, 1+int(k)
 		}
-		return runs
-	}
-	before := (rows - 1) / load * load // the batches flushed before the last
-	if srs {
-		before = rows - load
-	}
-	runs := formed(before)
-	tail := rows - before
-	held := f.tailCut(tail, int((before+runLen-1)/runLen), srs, memoryBlocks, pageSize)
-	if held == 0 {
-		runs = formed(rows)
-	} else if held < tail {
-		runs = push(runs, tail-held, 1)
+		if open > 0 {
+			disk++
+		}
+		if held = f.tailCut(load, disk, memoryBlocks, pageSize); held == 0 {
+			// A drained heap's rows of the open run complete it and the rest
+			// are one last run: a fraction t through a run, the snowplow has
+			// the heap's load split (1−t) current, t next.
+			next := int64(float64(load) * min(float64(open)/float64(full), 1))
+			run(open+load-next, 1)
+			if next > 0 {
+				run(next, 1)
+			}
+		} else {
+			if open > 0 {
+				run(open, 1)
+			}
+			if held < load {
+				run(load-held, 1) // the rows written to make room
+			}
+		}
+	} else {
+		// A bounded segment's batches: one memory load each, cut at keep,
+		// and the last, at input end, is the tail.
+		formed := func(n int64) {
+			run(load, int(n/load))
+			if tail := n % load; tail > 0 {
+				run(tail, 1)
+			}
+		}
+		before := (rows - 1) / load * load // the batches flushed before the last
+		formed(before)
+		tail := rows - before
+		if held = f.tailCut(tail, int(before/load), memoryBlocks, pageSize); held == 0 {
+			runs = runs[:0]
+			formed(rows)
+		} else if held < tail {
+			run(tail-held, 1)
+		}
 	}
 	var p SpillPlan
 	for _, r := range runs {
@@ -158,10 +195,11 @@ func PlanSpill(s Spec, rows, limit int64, memoryBlocks, pageSize int) SpillPlan 
 		return out, read + (cut+perPage)/(2*perPage), loaded
 	}
 	fanIn := mergeFanIn(memoryBlocks)
+	var grp, spare []span // take's buffer, and the list a pass fills: the one before it
 	for n := p.Runs; n > fanIn; {
 		p.Passes++
 		groups, first := passShape(n, fanIn)
-		var outs []span
+		all, outs := runs, spare[:0]
 		for g, left := 0, n; g < groups; {
 			w := fanIn
 			if g == 0 {
@@ -176,12 +214,11 @@ func PlanSpill(s Spec, rows, limit int64, memoryBlocks, pageSize int) SpillPlan 
 			if w == fanIn {
 				alike = max(min(runs[0].count/w, groups-g), 1)
 			}
-			grp, rest := take(runs, w)
-			if alike > 1 {
-				_, rest = take(rest, (alike-1)*w)
-			}
-			runs = rest
+			grp, runs = take(grp[:0], runs, w)
 			out, read, loaded := merge(grp, 0)
+			if alike > 1 {
+				_, runs = take(grp[:0], runs, (alike-1)*w)
+			}
 			k := int64(alike)
 			outs = push(outs, out, alike)
 			p.RunsMerged += alike * w
@@ -193,7 +230,7 @@ func PlanSpill(s Spec, rows, limit int64, memoryBlocks, pageSize int) SpillPlan 
 		for _, r := range runs {
 			outs = push(outs, r.n, r.count)
 		}
-		runs = outs
+		runs, spare = outs, all[:0]
 	}
 	for _, r := range runs {
 		p.FanIn += r.count
@@ -223,8 +260,9 @@ func push(list []span, n int64, count int) []span {
 	return append(list, span{n, count})
 }
 
-// take splits the first w runs off list, consuming its head span in place.
-func take(list []span, w int) (head, rest []span) {
+// take splits the first w runs off list onto head, consuming its head span
+// in place.
+func take(head, list []span, w int) ([]span, []span) {
 	for w > 0 {
 		c := min(w, list[0].count)
 		head = append(head, span{list[0].n, c})
@@ -236,22 +274,21 @@ func take(list []span, w int) (head, rest []span) {
 	return head, list
 }
 
-// tailCut is rowStore.tailCut planned for a store holding tail rows of
-// footprint f, packed as rowStore.add packs them, beside runs disk runs: the
-// rows the final merge keeps in memory — all of them, or those before the
-// fewest last row blocks whose eviction makes the rest fit with one more read
-// block — or 0 when they are written. A planned sort always may evict: a
-// bounded one spills only with its store full of rows it keeps, so it has
-// freed none.
-func (f footprint) tailCut(tail int64, runs int, padded bool, memoryBlocks, pageSize int) int64 {
+// tailCut is MRS.keepTail planned for a store holding tail rows of footprint
+// f, packed as rowStore.add packs them, beside runs disk runs: the rows the
+// final merge keeps in memory — all of them, or the most that fit in whole
+// row blocks with their entries and one more read block, for the run the
+// others become (on random keys no two rows across that cut tie) — or 0 when
+// they are written.
+func (f footprint) tailCut(tail int64, runs int, memoryBlocks, pageSize int) int64 {
 	allowance := int64(memoryBlocks) - int64(runs)
-	if f.blocks(tail, padded, pageSize) <= allowance {
+	if f.blocks(tail, pageSize) <= allowance {
 		return tail
 	}
 	// The most row blocks, short of all, whose rows fit with their entries:
 	// a binary search, since both grow with the blocks kept.
-	perRow := perBlock(f.slot(padded), pageSize)
-	lo, hi := int64(0), packed(tail, f.slot(padded), pageSize)-1
+	perRow := perBlock(f.slot(), pageSize)
+	lo, hi := int64(0), packed(tail, f.slot(), pageSize)-1
 	for lo < hi {
 		if k := (lo + hi + 1) / 2; k+packed(k*perRow, f.entry, pageSize)+1 <= allowance {
 			lo = k
@@ -265,12 +302,12 @@ func (f footprint) tailCut(tail int64, runs int, padded bool, memoryBlocks, page
 // memoryLoad is how many rows of footprint f a store of memoryBlocks blocks
 // takes before it refuses one (rowStore.add): the most whose blocks
 // (footprint.blocks) fit, the store never held to fewer than two blocks.
-func memoryLoad(f footprint, padded bool, memoryBlocks, pageSize int) int64 {
+func memoryLoad(f footprint, memoryBlocks, pageSize int) int64 {
 	m := int64(max(memoryBlocks, 2))
 	// One row always fits; m blocks of rows alone would leave none for entries.
 	lo, hi := int64(1), m*max(int64(pageSize)/max(f.row, 1), 1)
 	for lo < hi {
-		if mid := (lo + hi + 1) / 2; f.blocks(mid, padded, pageSize) <= m {
+		if mid := (lo + hi + 1) / 2; f.blocks(mid, pageSize) <= m {
 			lo = mid
 		} else {
 			hi = mid - 1

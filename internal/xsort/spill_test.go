@@ -102,8 +102,8 @@ func TestPricedInMemoryIffNoRunPages(t *testing.T) {
 	for _, c := range spillCases(threeInts.schema, threeInts.row) {
 		for _, blocks := range []int{1, 2, 4, 16} {
 			for _, limit := range []int64{0, 10, 60, 400} {
-				padded := replacementSelection(c.spec.Given, limit)
-				load := memoryLoad(c.spec.footprint(), padded, blocks, spillPage)
+				f := c.spec.footprint(limit, true)
+				load := memoryLoad(f, blocks, spillPage)
 				for _, n := range []int64{1, load - 1, load, load + 1, 200, 3 * load} {
 					if n < 1 {
 						continue
@@ -115,7 +115,7 @@ func TestPricedInMemoryIffNoRunPages(t *testing.T) {
 							c.name, blocks, limit, n, p.InMemory, io.RunPageWrites)
 					}
 					payload := (n + 15) / 16
-					if payload <= int64(blocks) && int64(blocks) < c.spec.footprint().blocks(n, padded, spillPage) && io.RunPageWrites > 0 {
+					if payload <= int64(blocks) && int64(blocks) < f.blocks(n, spillPage) && io.RunPageWrites > 0 {
 						payloadFitsYetSpills++
 					}
 				}
@@ -128,26 +128,28 @@ func TestPricedInMemoryIffNoRunPages(t *testing.T) {
 }
 
 // TestSpillPlanMatchesSorter holds PlanSpill to the sort it predicts, run at
-// parallelism 1 on a storage.Disk: formation runs, passes and merged runs
-// against SortStats, run pages written and read against IOStats — for MRS
-// batches (a known prefix), SRS replacement selection (none) and bounded cuts
-// (a limit past what fits, with a prefix and without). On fixed-width rows
-// the MRS structure is exact and every page count is within 5 %;
-// replacement selection's runs are priced at their average of two memory
-// loads, so only its pages are held. Rows of varying width are priced at
-// their average width: the worst point of the benchmark's seg shape is
-// logged.
+// parallelism 1 on a storage.Disk: run pages written and read against
+// IOStats — for replacement selection over a partial sort's segment (a known
+// prefix) and over a full sort (none), unbounded and bounded by a limit at
+// least a memory load, which spills. Every such sort forms its runs by
+// replacement selection, which the plan prices at the snowplow's run
+// lengths: on fixed-width rows every page count is within 5 %. Rows of
+// varying width are priced at their average width: the worst point of the
+// benchmark's seg shape is logged.
 //
 // Deep sorts (3 000 and 12 000 rows) need reduction passes and write every
 // row. Sorts of 1.2, 1.9 and 2.6 memory loads need none: they keep the rows
 // they hold at input end for the final merge — all of them, all but a few
-// evicted row blocks, or, where neither fits, none — and the grid holds each
-// of the three. Those sorts move a few pages to a few dozen, where 5 % is
-// less than a page and a cut merge's read is planned to half a page, so a
-// page count may also be one page off; and one more per replacement-selection
-// run the plan did not foresee, as a first run shorter than two loads moves
-// the eviction by a block.
+// row blocks' worth, or, where neither fits, none — and the grid, over both
+// shapes, holds each of the three. (A heap keeps all its rows only where
+// they leave a block to spare beside the runs' read blocks: the seg shape's
+// rows do at some of these points, three-int rows at none.) Those sorts move
+// a few pages to a few dozen, where 5 % is less than a page and a cut
+// merge's read is planned to half a page, so a page count may also be one
+// page off; and one more per replacement-selection run the plan did not
+// foresee, as a first run shorter than the plan's moves the cut by a block.
 func TestSpillPlanMatchesSorter(t *testing.T) {
+	tails := map[string]int{}
 	for _, sh := range []struct {
 		name   string
 		schema *types.Schema
@@ -158,7 +160,6 @@ func TestSpillPlanMatchesSorter(t *testing.T) {
 		{"seg", segDeclared.schema, segDeclared.row, false},
 	} {
 		worst, worstAt := 0.0, ""
-		tails := map[string]int{}
 		check := func(c spillCase, n int, limit int64, blocks int, deep bool) {
 			at := fmt.Sprintf("%s/%s M=%d rows=%d limit=%d", sh.name, c.name, blocks, n, limit)
 			p := PlanSpill(c.spec, int64(n), limit, blocks, spillPage)
@@ -166,7 +167,12 @@ func TestSpillPlanMatchesSorter(t *testing.T) {
 			if p.InMemory || st.RunsGenerated == 0 {
 				t.Fatalf("%s: planned %+v, sorted %+v", at, p, st)
 			}
-			rs := replacementSelection(c.spec.Given, limit)
+			keep := int64(noLimit)
+			if limit > 0 {
+				keep = limit
+			}
+			batch := memoryLoad(c.spec.footprint(limit, false), blocks, spillPage)
+			rs := replacementSelection(keep, batch)
 			slack := int64(0)
 			if !deep {
 				slack = 1
@@ -196,10 +202,9 @@ func TestSpillPlanMatchesSorter(t *testing.T) {
 			}
 			// The tail: a memory load under replacement selection, the last
 			// batch otherwise.
-			load := memoryLoad(c.spec.footprint(), replacementSelection(c.spec.Given, limit), blocks, spillPage)
-			tail := int64(n) - int64(n-1)/load*load
+			tail := int64(n) - int64(n-1)/batch*batch
 			if rs {
-				tail = load
+				tail = memoryLoad(c.spec.footprint(limit, true), blocks, spillPage)
 			}
 			switch {
 			case p.Held == 0:
@@ -219,21 +224,23 @@ func TestSpillPlanMatchesSorter(t *testing.T) {
 				}
 				for _, bounded := range []bool{false, true} {
 					for _, loads := range []float64{1.2, 1.9, 2.6} {
-						padded := !bounded && replacementSelection(c.spec.Given, 0)
-						n := int(loads * float64(memoryLoad(c.spec.footprint(), padded, blocks, spillPage)))
+						n := int(loads * float64(memoryLoad(c.spec.footprint(0, true), blocks, spillPage)))
 						var limit int64
 						if bounded {
-							limit = int64(n - n/10) // past the load, so the sort spills
+							// Past a batch load, so the sort spills: in
+							// batches short of two of them, by replacement
+							// selection from there.
+							limit = max(int64(n-n/10), memoryLoad(c.spec.footprint(1, false), blocks, spillPage))
 						}
 						check(c, n, limit, blocks, false)
 					}
 				}
 			}
 		}
-		t.Logf("%s: worst point %.1f %% off — %s; tails %v", sh.name, 100*worst, worstAt, tails)
-		if sh.fixed && (tails["kept"] == 0 || tails["evicted"] == 0 || tails["written"] == 0) {
-			t.Errorf("%s: the grid misses a tail regime: %v", sh.name, tails)
-		}
+		t.Logf("%s: worst point %.1f %% off — %s; tails so far %v", sh.name, 100*worst, worstAt, tails)
+	}
+	if tails["kept"] == 0 || tails["evicted"] == 0 || tails["written"] == 0 {
+		t.Errorf("the grid misses a tail regime: %v", tails)
 	}
 }
 
@@ -278,7 +285,14 @@ func FuzzSpillPlan(f *testing.F) {
 		if fanIn < 2 || passes != p.Passes || merged != p.RunsMerged || runs != p.FanIn {
 			t.Fatalf("fan-in %d: the loop makes %d passes merging %d runs into %d; planned %+v", fanIn, passes, merged, runs, p)
 		}
-		load := memoryLoad(c.spec.footprint(), replacementSelection(c.spec.Given, keep), int(blocks), int(page))
+		bound := int64(noLimit)
+		if keep > 0 {
+			bound = keep
+		}
+		load := memoryLoad(c.spec.footprint(keep, false), int(blocks), int(page))
+		if replacementSelection(bound, load) {
+			load = memoryLoad(c.spec.footprint(keep, true), int(blocks), int(page))
+		}
 		if p.Held < 0 || p.Held > min(load, n) || (p.Held > 0 && p.Passes != 0) {
 			t.Fatalf("a tail of %d rows (a load is %d) kept beside %d passes: %+v", p.Held, load, p.Passes, p)
 		}
@@ -306,14 +320,17 @@ func FuzzSpillPlan(f *testing.F) {
 func TestSpillPlanCostsPassesNotRuns(t *testing.T) {
 	const rows int64 = 1e12
 	for _, c := range spillCases(threeInts.schema, threeInts.row) {
-		srs := replacementSelection(c.spec.Given, 0)
-		runLen := memoryLoad(c.spec.footprint(), srs, 2, spillPage)
-		if srs {
-			runLen *= 2
+		// The snowplow's runs: a first of (e−1) loads, then two loads each,
+		// and the heap's last load drained into the open run and one more.
+		load := memoryLoad(c.spec.footprint(0, true), 2, spillPage)
+		first, runLen := int64(float64(load)*(math.E-1)), 2*load
+		want := 1 + (rows-load-first)/runLen + 1
+		if open := (rows - load - first) % runLen; load*open >= runLen {
+			want++
 		}
 		var p SpillPlan
 		allocs := testing.AllocsPerRun(3, func() { p = PlanSpill(c.spec, rows, 0, 2, spillPage) })
-		if want := (rows + runLen - 1) / runLen; int64(p.Runs) != want || p.FanIn != 2 || p.Passes < 30 {
+		if int64(p.Runs) != want || p.FanIn != 2 || p.Passes < 30 {
 			t.Fatalf("%s: %+v, want %d runs reduced to two", c.name, p, want)
 		}
 		if allocs > float64(8*p.Passes) {
@@ -323,20 +340,23 @@ func TestSpillPlanCostsPassesNotRuns(t *testing.T) {
 }
 
 // TestSpillPlanPredictsGoldens plans the golden workload (golden_test.go),
-// whose rows are fixed-width ("payload" is 7 bytes): MRS's structure and
-// transfers come out exactly as pinned, SRS's structure exactly and its pages
-// within 1 % — replacement selection's first run is shorter than two memory
-// loads.
+// whose rows are fixed-width ("payload" is 7 bytes). Both sorts form their
+// runs by replacement selection, which the plan prices at the snowplow's
+// run lengths: SRS's structure comes out exactly as pinned, MRS's passes
+// exactly and its runs and merged runs within one a segment — a segment's
+// first run may end a few rows from the plan's and push its last into one
+// more — and the pages of both within 1 %.
 func TestSpillPlanPredictsGoldens(t *testing.T) {
 	schema := types.NewSchema(
 		types.Column{Name: "c1", Kind: types.KindInt},
 		types.Column{Name: "c2", Kind: types.KindInt},
 		types.Column{Name: "c3", Kind: types.KindString, Width: len("payload")},
 	)
+	near := func(planned, pinned, by int64) bool { return max(planned-pinned, pinned-planned) <= by }
 	mrs := PlanSpill(Spec{Schema: schema, Target: sortord.New("c1", "c2"), Given: sortord.New("c1")}, 2000, 0, 8, 512)
-	if 3*mrs.Runs != goldenMRSRuns || 3*mrs.Passes != goldenMRSPasses || 3*mrs.RunsMerged != goldenMRSRunsMerged ||
-		3*mrs.Pages() != goldenMRSIOTotal {
-		t.Errorf("MRS, one of three segments: %+v", mrs)
+	if 3*mrs.Passes != goldenMRSPasses || !near(3*int64(mrs.Runs), goldenMRSRuns, 3) ||
+		!near(3*int64(mrs.RunsMerged), goldenMRSRunsMerged, 3) || !near(3*mrs.Pages(), goldenMRSIOTotal, goldenMRSIOTotal/100) {
+		t.Errorf("MRS, one of three segments: %+v, %d pages against %d", mrs, mrs.Pages(), goldenMRSIOTotal)
 	}
 	srs := PlanSpill(Spec{Schema: schema, Target: sortord.New("c1", "c2")}, 6000, 0, 4, 512)
 	if srs.Runs != goldenSRSRuns || srs.Passes != goldenSRSPasses || srs.RunsMerged != goldenSRSRunsMerged ||

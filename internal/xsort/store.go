@@ -15,13 +15,13 @@ import (
 // encoded, in the page row format it arrived in and will spill as, and
 // beside it one fixed-width entry
 //
-//	[ width bytes: normalized-key prefix, zero-padded ][ 1 byte: flags ][ u32 row offset ]
+//	[ width bytes: normalized-key prefix, zero-padded ][ 1 byte: flags ][ u32 row offset ][ u32 arrival ]
 //
-// (entry.go). Rows and entries are appended to page-sized
-// blocks drawn one at a time from the disk's block pool, so the memory a
-// sort holds is, exactly, held() blocks: that count is what the budget is
-// compared to, what PeakMemBytes records, and what a spill or a Close gives
-// back. Nothing is sized up front; a store that buffers ten rows holds two
+// (entry.go; the arrival number in a numbered store only). Rows and entries
+// are appended to page-sized blocks drawn one at a time from the disk's block
+// pool, so the memory a sort holds is, exactly, held() blocks: that count is
+// what the budget is compared to, what PeakMemBytes records, and what a spill
+// or a Close gives back. Nothing is sized up front; a store that buffers ten rows holds two
 // blocks.
 //
 // A key longer than the prefix keeps its remaining bytes — the overflow — in
@@ -41,12 +41,18 @@ import (
 // frees a row for every row it admits, so its store pads: it rounds slot
 // sizes up to the class width, and rows of varying width then fit each
 // other's slots. Every other store packs its rows as they come — a bounded
-// collector frees rows only when it selects, and one that spills never does,
-// so it forms the same batches as an unbounded sort. Rows of a fixed-width
-// schema always fit exactly. A row that finds no slot and no room under the
-// budget is refused, and its owner frees rows until one fits; nothing is ever
-// moved, so widths that vary by more than the flag byte can record leave
-// slots idle until the store is released.
+// collector frees rows only when it selects, and one that spills in batches
+// never does. Rows of a fixed-width schema always fit exactly. A row that
+// finds no slot and no room under the budget is refused, and its owner frees
+// rows until one fits; nothing is ever moved, so widths that vary by more
+// than the flag byte can record leave slots idle until the store is released.
+//
+// A replacement-selection store of a partial or bounded sort also numbers its
+// rows as they arrive, in a u32 at the end of each entry (arrival; numbered).
+// Handles are recycled with the slots, so once replacement selection has
+// freed a row the handle order no longer says which of two rows with equal
+// keys came first; the arrival number does, and the heap and the kept tail
+// break full-key ties by it.
 //
 // A store is owned by one goroutine at a time: the consumer while it is
 // filled, then whichever worker sorts or spills it. release returns every
@@ -55,9 +61,11 @@ import (
 type rowStore struct {
 	disk      *storage.Disk
 	blockSize int
-	width     int // entry prefix bytes
-	size      int // entry bytes: width + entryOverhead
-	pad       int // row slots are multiples of this: slotGranule in replacement selection's store, else 1
+	width     int    // entry prefix bytes
+	size      int    // entry bytes: width + entryOverhead, + arrivalBytes in a numbered store
+	pad       int    // row slots are multiples of this: slotGranule in replacement selection's store, else 1
+	numbered  bool   // entries carry arrival numbers
+	arrivals  uint32 // rows added since the store was last empty: the next arrival number
 
 	// rows[off/blockSize] is the block holding the row at offset off; a
 	// multi-page block (a row larger than a page) is followed by nil
@@ -101,10 +109,11 @@ const (
 )
 
 // newRowStore returns an empty store whose entries carry width prefix bytes
-// (entryWidth). padded rounds its row slots up to the slot granule: the
-// store of replacement selection, which frees a row for every row it admits.
-func newRowStore(disk *storage.Disk, width int, padded bool) *rowStore {
-	s := &rowStore{disk: disk, blockSize: disk.PageSize(), width: width, size: width + entryOverhead, pad: 1}
+// (entryWidth) and, when numbered, their rows' arrival numbers. padded rounds
+// its row slots up to the slot granule: the store of replacement selection,
+// which frees a row for every row it admits.
+func newRowStore(disk *storage.Disk, width int, padded, numbered bool) *rowStore {
+	s := &rowStore{disk: disk, blockSize: disk.PageSize(), width: width, size: entrySize(width, numbered), pad: 1, numbered: numbered}
 	if padded {
 		s.pad = slotGranule
 	}
@@ -136,6 +145,10 @@ func (s *rowStore) entry(h uint32) []byte {
 // handles appends the handles of all appended entries, in arrival order.
 // Valid while no entry has been freed (a fill, a collected segment).
 func (s *rowStore) handles(dst []uint32) []uint32 {
+	if cap(dst) < s.appended || dst == nil {
+		dst = make([]uint32, 0, s.appended)
+	}
+	dst = dst[:0]
 	for i := 0; i < s.appended; i++ {
 		dst = append(dst, s.handle(i))
 	}
@@ -205,9 +218,10 @@ func (s *rowStore) overflow(e []byte) ([]byte, int) {
 // suffix — the row's sort key past the sorter's shared-prefix skip; when
 // suffix is longer the tie flag is set and the rest goes into the slot as the
 // row's overflow. run is the replacement-selection run parity (0 outside
-// replacement selection). It reports false, buffering nothing, when the store may not hold the
-// row: the blocks it has plus the ones the row would add exceed maxBlocks
-// (never counted below one row block and one entry block). A store over its
+// replacement selection). A numbered store gives the row the next arrival
+// number. It reports false, buffering nothing, when the store may not hold the row: the
+// blocks it has plus the ones the row would add exceed maxBlocks (never
+// counted below one row block and one entry block). A store over its
 // allowance — a governor shrink — therefore refuses every row until its owner
 // has emptied it, and an empty store that has no room gives its blocks back
 // and then takes whatever the row needs, so a sort always makes progress.
@@ -280,7 +294,23 @@ func (s *rowStore) add(r inputRow, suffix []byte, run byte, maxBlocks int) (uint
 	clear(e[copy(e, suffix):s.width])
 	e[s.width] = flags
 	binary.BigEndian.PutUint32(e[s.width+1:], off)
+	if s.numbered {
+		binary.BigEndian.PutUint32(e[s.width+entryOverhead:], s.arrivals)
+		s.arrivals++
+	}
 	return h, true
+}
+
+// arrival returns the arrival number of entry e of a numbered store.
+func (s *rowStore) arrival(e []byte) uint32 {
+	return binary.BigEndian.Uint32(e[s.width+entryOverhead:])
+}
+
+// arrivedBefore reports whether entry a's row arrived before entry b's.
+// Arrival numbers wrap at 2³², so they are compared as serial numbers: the
+// order holds between any two rows that arrived fewer than 2³¹ rows apart.
+func (s *rowStore) arrivedBefore(a, b []byte) bool {
+	return int32(s.arrival(a)-s.arrival(b)) < 0
 }
 
 // takeSlot claims the n-byte slot place chose — a recycled one, the tail of
@@ -353,30 +383,31 @@ func (s *rowStore) putFree(off, size uint32) {
 	s.nFree++
 }
 
-// freeRow recycles the row slot of entry e (the entry itself stays).
-func (s *rowStore) freeRow(e []byte) {
+// freeRow recycles the row slot of entry e, whose row is rowLen bytes (the
+// entry itself stays).
+func (s *rowStore) freeRow(e []byte, rowLen int) {
 	s.freed = true
-	off := binary.BigEndian.Uint32(e[s.width+1:])
-	size := len(s.rowBytes(e)) + int(e[s.width]>>slackShift)
+	off, size := int(binary.BigEndian.Uint32(e[s.width+1:])), rowLen+int(e[s.width]>>slackShift)
 	if e[s.width]&flagTrunc != 0 {
 		_, n := s.overflow(e)
-		off, size = off-uint32(n), size+n
+		off, size = off-n, size+n
 	}
 	if size > s.blockSize {
 		// A multi-page block fits nothing else: it goes back whole.
-		i := int(off) / s.blockSize
+		i := off / s.blockSize
 		s.pages -= s.rows[i].Pages()
 		s.disk.PutBlock(s.rows[i])
 		s.rows[i] = nil
 		return
 	}
-	s.putFree(off, uint32(size))
+	s.putFree(uint32(off), uint32(size))
 }
 
-// free recycles entry h and its row slot.
-func (s *rowStore) free(h uint32) {
+// free recycles entry h and its row slot; rowLen is the row's length
+// (len(rowBytes)), which the caller that has just written it knows.
+func (s *rowStore) free(h uint32, rowLen int) {
 	e := s.entry(h)
-	s.freeRow(e)
+	s.freeRow(e, rowLen)
 	binary.BigEndian.PutUint32(e[s.width+1:], deadEntry)
 	s.freeEnts = append(s.freeEnts, h)
 	s.live--
@@ -389,7 +420,8 @@ func (s *rowStore) free(h uint32) {
 // permutation of the store's handles.
 func (s *rowStore) keepOnly(kept, dropped []uint32) {
 	for _, h := range dropped {
-		s.freeRow(s.entry(h))
+		e := s.entry(h)
+		s.freeRow(e, len(s.rowBytes(e)))
 	}
 	s.compact(kept)
 }
@@ -521,5 +553,5 @@ func (s *rowStore) release() {
 	clear(s.entBufs)
 	s.rows, s.ents, s.entBufs, s.freeEnts, s.freeRows = s.rows[:0], s.ents[:0], s.entBufs[:0], s.freeEnts[:0], s.freeRows[:0]
 	s.rowPos = s.blockSize
-	s.appended, s.live, s.pages, s.nFree, s.freed = 0, 0, 0, 0, false
+	s.appended, s.live, s.pages, s.nFree, s.arrivals, s.freed = 0, 0, 0, 0, 0, false
 }

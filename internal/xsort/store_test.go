@@ -32,7 +32,7 @@ func fillStore(tb testing.TB, d *storage.Disk, target sortord.Order, prefixCols 
 	if len(rows) > 0 {
 		ky = ky.withSkip(codec.PrefixLen(rows[0], prefixCols))
 	}
-	st := newRowStore(d, ky.width, true)
+	st := newRowStore(d, ky.width, true, false)
 	for _, row := range rows {
 		r := inputRow{t: row, key: codec.Append(nil, row)}
 		if _, ok := st.add(r, ky.suffix(r), 0, 1<<30); !ok {
@@ -70,7 +70,7 @@ func TestStoreSortsUnderEveryKeySpec(t *testing.T) {
 			t.Fatal(err)
 		}
 		ky := &keyer{codec: codec, width: entryWidth(codec, 0, d.PageSize())}
-		st := newRowStore(d, ky.width, true)
+		st := newRowStore(d, ky.width, true, false)
 
 		type buffered struct {
 			h   uint32
@@ -133,10 +133,10 @@ func TestStoreSortsUnderEveryKeySpec(t *testing.T) {
 		for i, j := range idx {
 			want[i] = live[j].h
 		}
-		if got, _ := radixSortEntries(st, ky); !reflect.DeepEqual(got, want) {
+		if got, _ := radixSortEntries(st, ky, nil); !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d (%+v): radix order %v, want %v", trial, cols, got, want)
 		}
-		if got, _ := sortEntries(st, ky); !reflect.DeepEqual(got, want) {
+		if got, _ := sortEntries(st, ky, nil); !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d (%+v): comparison order %v, want %v", trial, cols, got, want)
 		}
 
@@ -145,7 +145,7 @@ func TestStoreSortsUnderEveryKeySpec(t *testing.T) {
 		for step := 0; step < 200; step++ {
 			if len(live) > 0 && r.Intn(2) == 0 {
 				i := r.Intn(len(live))
-				st.free(live[i].h)
+				st.free(live[i].h, len(st.rowBytes(st.entry(live[i].h))))
 				live[i] = live[len(live)-1]
 				live = live[:len(live)-1]
 			} else {
@@ -368,8 +368,8 @@ func encodedMultiset(rows []types.Tuple) map[string]int {
 // memory, MRS spilled and the bounded collector, at Parallelism 1/2/4 ×
 // batch 1/64/1024, rows arriving as tuples, as
 // decoded chunks and as encoded spans — and first the tailCases, spilled
-// batch and bounded sorts whose final merge reads a kept tail, some of them
-// after evicting part of it.
+// sorts whose final merge reads a kept tail, some of them after writing part
+// of it.
 func TestStoreBackedSortsMatchStableSort(t *testing.T) {
 	r := rand.New(rand.NewSource(222))
 	tails := map[string]int{}
@@ -694,9 +694,14 @@ func TestFootprintPricesTheStoresEntry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		size := entryWidth(codec, c.given.Len(), page) + entryOverhead
-		if got := (Spec{Schema: sortSchema, Target: c.target, Given: c.given}).footprint().entry; got != int64(size) {
-			t.Errorf("sort to %v given %v: footprint prices %d-byte entries, the store holds %d-byte ones", c.target, c.given, got, size)
+		for _, limit := range []int64{0, 1} {
+			for _, rs := range []bool{false, true} {
+				size := entrySize(entryWidth(codec, c.given.Len(), page), rs && numbered(c.given, limit))
+				if got := (Spec{Schema: sortSchema, Target: c.target, Given: c.given}).footprint(limit, rs).entry; got != int64(size) {
+					t.Errorf("sort to %v given %v, limit %d, replacement selection %v: footprint prices %d-byte entries, the store holds %d-byte ones",
+						c.target, c.given, limit, rs, got, size)
+				}
+			}
 		}
 	}
 }
@@ -763,7 +768,7 @@ func TestStoreRecyclesMixedWidths(t *testing.T) {
 	const steps = 20_000
 	for step := 0; step < steps; step++ {
 		i := r.Intn(len(live))
-		st.free(live[i].h)
+		st.free(live[i].h, len(st.rowBytes(st.entry(live[i].h))))
 		live[i] = live[len(live)-1]
 		live = live[:len(live)-1]
 		fill()
@@ -831,17 +836,21 @@ func TestSRSSpillsLongStringKeys(t *testing.T) {
 }
 
 // tailCases are spilled one-segment sorts a little over a memory load that
-// keep the rows they hold at input end for the final merge: MRS batches and a
-// bounded collector keeping all of them, and batches evicting part.
+// keep the rows they hold at input end for the final merge: partial and
+// bounded sorts keeping all of them, partial and bounded sorts evicting part
+// — their numbered stores, where no two rows across the cut tie (stableCut)
+// — and unbounded full sorts evicting part.
 var tailCases = []struct {
 	sortCase
 	tail string // "kept" or "evicted"
 }{
 	{sortCase{seed: 1, n: 300, perSeg: 300, blocks: 16, par: 1, batch: 64, encoded: true}, "kept"},
-	{sortCase{seed: 2, n: 600, perSeg: 600, blocks: 16, par: 2, batch: 1}, "kept"},
+	{sortCase{seed: 6, n: 400, perSeg: 400, blocks: 16, par: 2, batch: 64}, "kept"},
 	{sortCase{seed: 1, n: 300, perSeg: 300, blocks: 16, limit: 270, par: 1, batch: 64, encoded: true}, "kept"},
-	{sortCase{seed: 1, n: 900, perSeg: 900, blocks: 16, par: 1, batch: 1024, encoded: true}, "evicted"},
-	{sortCase{seed: 2, n: 800, perSeg: 800, blocks: 16, par: 4, batch: 64}, "evicted"},
+	{sortCase{seed: 1, n: 500, perSeg: 500, blocks: 16, par: 1, batch: 64, encoded: true}, "evicted"},
+	{sortCase{seed: 6, n: 900, perSeg: 900, blocks: 16, limit: 810, par: 4, batch: 64, encoded: true}, "evicted"},
+	{sortCase{seed: 2, n: 900, perSeg: 900, blocks: 16, par: 1, batch: 1024, encoded: true, srs: true}, "evicted"},
+	{sortCase{seed: 2, n: 800, perSeg: 800, blocks: 16, par: 4, batch: 64, srs: true}, "evicted"},
 }
 
 // FuzzTailCut checks the kept-tail cut on stores the fuzzer shapes: n rows
@@ -867,7 +876,7 @@ func FuzzTailCut(f *testing.F) {
 		const page = 512
 		d := storage.NewDisk(page)
 		defer storage.AssertNoLeaks(t, d)
-		st := newRowStore(d, 8, padded)
+		st := newRowStore(d, 8, padded, false)
 		defer st.release()
 		row := func(i int) inputRow {
 			w := int(width) * 5
@@ -884,7 +893,7 @@ func FuzzTailCut(f *testing.F) {
 		}
 		if padded {
 			for i := 0; i < int(n); i += 3 {
-				st.free(st.handle(i))
+				st.free(st.handle(i), len(st.rowBytes(st.entry(st.handle(i)))))
 			}
 			for i := int(n); i < int(n)+int(n)/6; i++ {
 				r := row(i)
@@ -947,7 +956,7 @@ func FuzzTailCut(f *testing.F) {
 		}
 		if !padded && vary == 0 && len(rows[0]) <= page {
 			f := footprint{row: int64(len(rows[0])), entry: int64(st.size)}
-			if planned := f.tailCut(int64(len(live)), int(runs), false, int(allowance), page); planned != int64(len(kept)) {
+			if planned := f.tailCut(int64(len(live)), int(runs), int(allowance), page); planned != int64(len(kept)) {
 				t.Fatalf("planned to keep %d of %d rows, the store keeps %d", planned, len(live), len(kept))
 			}
 		}

@@ -7,16 +7,19 @@
 // segment's last tuple has been read, giving pipelined execution, early
 // output, and fewer comparisons (suffix-only within a segment).
 //
-// With nothing given the input is one segment: the full sort. The paper's
-// SRS — standard replacement selection (Knuth '73) — is how that segment
-// spills when no Limit bounds it: heap-based run formation producing runs
-// averaging twice the memory size, followed by multiway merging. With fully
-// sorted input it still writes one big run to disk and reads it back,
-// breaking the pipeline — the deficiency the paper highlights — though only
-// N − load of its N rows: what it holds when the input ends stays in memory
-// (below). SRS and MRS
-// differ in that algorithm only (replacementSelection decides it), not in
-// the operator: both read their input on the first NextChunk, never in Open.
+// With nothing given the input is one segment: the full sort. A segment that
+// outgrows memory — the full sort's, a partial sort's, a bounded one's —
+// forms its runs as §3.1 defines MRS: by replacement selection (Knuth '73)
+// over the segment, heap-based run formation producing runs averaging twice
+// the memory size, followed by multiway merging. With nothing given that is
+// the paper's SRS: with fully sorted input it still writes one big run to
+// disk and reads it back, breaking the pipeline — the deficiency the paper
+// highlights — though only N − load of its N rows: what it holds when the
+// input ends stays in memory (below). The one exception is a Limit between
+// one and two memory loads: that segment writes its memory batches, sorted
+// (replacementSelection decides it). SRS and MRS differ in the given prefix
+// only, not in the operator: both read their input on the first NextChunk,
+// never in Open.
 //
 // Sort memory is one thing: a row store (store.go). Every row a sort buffers
 // — a segment or spill batch, the replacement-selection heap, a bounded
@@ -32,16 +35,18 @@
 // (storage.Disk.LiveBlocks is the leak check). M blocks of budget are M
 // blocks of heap holding M pages' worth of rows and entries; the one thing
 // outside them is the 4-byte-a-row permutation a sort orders or the
-// replacement-selection heap. Input that arrives as chunks filled from a
-// scan is buffered by copying its encoded spans — the chunk is never decoded
-// — and output leaves the same way: NextChunk hands the consumer's chunk the
-// rows' bytes as spans over the store or the run page, decoded only when the
-// consumer reads a datum.
+// replacement-selection heap; the arrival numbers a partial or bounded
+// sort's heap breaks ties by are inside them. Input that arrives as chunks
+// filled from a scan is buffered by copying its encoded spans — the chunk is
+// never decoded — and output leaves the same way: NextChunk hands the
+// consumer's chunk the rows' bytes as spans over the store or the run page,
+// decoded only when the consumer reads a datum.
 //
 // Keys are normalized: each tuple's sort key is encoded once (package keys)
-// into an order-preserving byte string, so a comparison is a bytes.Compare of
-// two entry prefixes — and of the keys' overflow, kept beside the rows, when
-// both prefixes are truncated and tie — instead of a typed field walk. Every
+// into an order-preserving byte string, so a comparison is a byte comparison
+// of two entry prefixes — their first eight bytes as one integer, then the
+// rest — and of the keys' overflow, kept beside the rows, when both prefixes
+// are truncated and tie, instead of a typed field walk. Every
 // resolvable order has such an encoding (a NULL-typed column is its marker
 // byte), so there is no second key representation.
 //
@@ -56,7 +61,8 @@
 // accounting changes (RadixPasses and RadixBucketScans alongside a smaller
 // Comparisons). Replacement selection itself is comparison-based: its
 // incremental push/pop structure is what produces the 2M-sized runs, and a
-// heap has no radix equivalent.
+// heap has no radix equivalent. Its heap, and the merge's, sift bottom-up
+// (heap.go), about one comparison a level.
 //
 // A spilled run is one file of encoded rows: a spill copies row bytes out of
 // the store, an intermediate merge copies the winner's bytes from page to
@@ -64,14 +70,15 @@
 // segment's store still holds when its input ends are not written at all
 // when the final merge can then read them beside the runs with no reduction
 // pass — their blocks and one read block per run within the allowance, or
-// else after evicting the fewest last row blocks as one more small run
-// (MRS.keepTail): the kept tail is one more merge input, read from memory.
-// Merges key each row they read from its bytes and break full-key ties by
-// run ordinal; runs are formed in arrival order by stable sorts and
-// reductions keep merged outputs in place, so the sort is stable and its
-// output bytes do not depend on the reduction schedule (merge.go). The one
-// exception is a segment spilled by replacement selection: its heap promises
-// rows with duplicate full sort keys no order.
+// else after writing some of them as one more small run (MRS.keepTail): the
+// kept tail is one more merge input, read from memory. Merges key each row
+// they read from its bytes and break full-key ties by run ordinal; runs are
+// formed in arrival order — a batch by a stable sort, a partial or bounded
+// sort's replacement-selection run by a heap that breaks ties by arrival
+// number — and reductions keep merged outputs in place, so the sort is stable
+// and its output bytes do not depend on the reduction schedule (merge.go).
+// The one exception is the unbounded full sort once it spills: its heap
+// promises rows with duplicate full sort keys no order.
 //
 // Independent in-memory segments are sorted on a bounded worker pool
 // (Config.Parallelism); see mrs.go for the pipelining contract. Spilling is
@@ -179,8 +186,9 @@ type Config struct {
 	// sort emits at most Limit rows and does only the work those rows need.
 	// Each segment keeps a bounded selection of the rows still owed instead
 	// of the whole segment (spilling only if those rows themselves exceed the
-	// budget, and then as batch runs cut at that many rows, never by
-	// replacement selection), and the sort stops reading input at the first
+	// budget, and then in runs cut at that many rows: by replacement
+	// selection from two memory loads on, in memory batches short of that),
+	// and the sort stops reading input at the first
 	// segment boundary at or past the bound — see mrs.go. The emitted rows
 	// are the first Limit rows of the unlimited sort, a full sort's included.
 	// 0 means unbounded.
