@@ -260,24 +260,23 @@ func openOp(op exec.Operator) (err error) {
 // 0 means the plan holds no operator that buffers tuples against the budget
 // (no sort enforcer, no block-nested-loops spool): pure scans, filters and
 // hash operators run grant-free. A plan whose every sort is bounded by a
-// Limit (core.Plan.SortLimit) asks only for what the bounded collector can
-// use — room for 2·limit rows, the point at which it selects — so Top-K
-// traffic leaves the rest of the pool to queries that need it. Any
-// unbounded sort or spool asks for the full SortMemoryBlocks, as does a bound
-// too large to matter. The row footprint is an estimate; a wrong one only
-// costs speed: the collector selects at whatever budget it was given and
-// spills correctly if it must.
+// Limit (core.Plan.Sort.Limit) asks only for what the bounded collector can
+// use (xsort.FootprintBlocks), so Top-K traffic leaves the rest of the pool
+// to queries that need it. Any unbounded sort or spool asks for the full
+// SortMemoryBlocks, as does a bound too large to matter. The row footprint
+// is an estimate; a wrong one only costs speed: the collector selects at
+// whatever budget it was given and spills correctly if it must.
 func sortMemoryAsk(p *core.Plan, cfg Config) int {
 	full := int64(cfg.SortMemoryBlocks)
 	var ask int64
 	p.Walk(func(q *core.Plan) {
 		switch {
-		case q.Kind == core.OpNLJoin, q.Kind == core.OpSort && q.SortLimit == 0:
+		case q.Kind == core.OpNLJoin, q.Kind == core.OpSort && q.Sort.Limit == 0:
 			ask = full
 		case q.Kind == core.OpSort:
 			// More rows than the full budget has bytes never fit.
-			rows := 2 * min(q.SortLimit, full*int64(cfg.PageSize))
-			need := xsort.FootprintBlocks(q.Schema, q.SortTarget, q.SortGiven, rows, cfg.PageSize)
+			limit := min(q.Sort.Limit, full*int64(cfg.PageSize))
+			need := xsort.FootprintBlocks(q.Schema, q.SortTarget, q.SortGiven, limit, cfg.PageSize)
 			ask = max(ask, min(full, need))
 		}
 	})

@@ -56,7 +56,7 @@ func build(p *Plan, cfg BuildConfig) (exec.Operator, error) {
 		MemoryBlocks: cfg.SortMemoryBlocks,
 		Parallelism:  cfg.SortParallelism,
 		BatchSize:    types.DefaultChunkCapacity,
-		Limit:        p.SortLimit,
+		Limit:        p.Sort.Limit,
 	}
 
 	switch p.Kind {

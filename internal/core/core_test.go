@@ -516,8 +516,12 @@ func TestPlanFormatAndSignature(t *testing.T) {
 	if s == "" || res.Plan.Signature() == "" {
 		t.Fatal("plan rendering empty")
 	}
-	if res.Plan.LocalCost() < 0 {
-		t.Fatalf("local cost negative: %f", res.Plan.LocalCost())
+	local := res.Plan.Cost.Total
+	for _, ch := range res.Plan.Children {
+		local -= ch.Cost.Total
+	}
+	if local < 0 {
+		t.Fatalf("local cost negative: %f", local)
 	}
 }
 

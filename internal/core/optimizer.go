@@ -2,14 +2,12 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"pyro/internal/cost"
 	"pyro/internal/exec"
 	"pyro/internal/expr"
 	"pyro/internal/ford"
 	"pyro/internal/logical"
-	"pyro/internal/ordersel"
 	"pyro/internal/sortord"
 	"pyro/internal/xsort"
 )
@@ -259,7 +257,7 @@ func (opt *Optimizer) bestPlan(n logical.Node, required sortord.Order, budget in
 // is a hint — a plan optimized for a row target may still be drained — and
 // only steers plan comparison; a bound is a guarantee, so a sort enforced on
 // this node's output may discard everything past its first bound rows
-// (Plan.SortLimit).
+// (Plan.Sort.Limit).
 // The bound describes the first rows of this node's output *in the required
 // order*, so it reaches a child only through nodes that preserve cardinality
 // (Project, a nested OrderBy or Limit) and only where no re-sort will stand
@@ -435,14 +433,12 @@ func ordered(n logical.Node) bool {
 // guarantee required. canon, when non-nil, maps equivalent column names
 // (both sides of an equijoin) to a canonical spelling before comparison.
 //
-// Cost composition is where the two phases diverge: a full sort (SRS)
+// The enforcer is priced by cost.Model.Sort over plan: a full sort (SRS)
 // blocks on its child's entire drain plus its own startup, while a partial
 // sort (MRS) needs only the first segment's worth of input and one segment
-// sort before emitting — the child's prefix cost for N/D rows. Totals
-// compose exactly as the scalar model did.
-//
-// A positive bound (see boundedPlan) below the input's cardinality makes the
-// enforcer a bounded sort, annotated and priced by boundSort.
+// sort before emitting. A positive bound (see boundedPlan) below the input's
+// cardinality makes it a bounded sort that emits, and is priced for, bound
+// rows.
 func (opt *Optimizer) enforce(plan *Plan, required sortord.Order, props logical.Props, canon func(sortord.Order) sortord.Order, bound int64) *Plan {
 	if required.IsEmpty() {
 		return plan
@@ -460,10 +456,7 @@ func (opt *Optimizer) enforce(plan *Plan, required sortord.Order, props logical.
 	}
 	segments := int64(1)
 	if !prefix.IsEmpty() {
-		segments = props.DistinctOn(prefix)
-		if segments < 1 {
-			segments = 1
-		}
+		segments = max(props.DistinctOn(prefix), 1)
 	}
 	node := &Plan{
 		Kind:       OpSort,
@@ -475,79 +468,16 @@ func (opt *Optimizer) enforce(plan *Plan, required sortord.Order, props logical.
 		Rows:       plan.Rows,
 		Blocks:     plan.Blocks,
 	}
-	if !prefix.IsEmpty() && segments > 1 {
-		node.SortSegments = segments
-	}
+	limit := int64(0)
 	if bound > 0 && bound < plan.Rows {
-		opt.boundSort(node, segments, bound)
-		return node
+		limit = bound
+		node.Rows = bound
+		node.Blocks = opt.blocksFor(bound, plan.Schema.AvgTupleWidth())
 	}
 	spec := xsort.Spec{Schema: plan.Schema, Target: node.SortTarget, Given: node.SortGiven}
-	var sortCost cost.Cost
-	var startup float64
-	if node.SortSegments > 1 {
-		// Partial sort: pipelined. First row after one segment of input and
-		// one segment sort.
-		sortCost = opt.opts.Model.PartialSort(spec, plan.Rows, segments)
-		perSegRows := plan.Rows / segments
-		if perSegRows < 1 {
-			perSegRows = 1
-		}
-		startup = plan.Cost.Prefix(perSegRows) + sortCost.Startup
-	} else {
-		// Full sort (or a single-segment partial sort, which degenerates to
-		// one full sort of everything): the whole input is consumed before
-		// the first row, then the sort's own blocking phase runs (an
-		// external sort still streams its final merge read).
-		sortCost = opt.opts.Model.FullSort(spec, plan.Rows)
-		startup = plan.Cost.Total + sortCost.Startup
-	}
-	node.Cost = cost.Cost{
-		Startup: startup,
-		Total:   plan.Cost.Total + sortCost.Total,
-		Rows:    plan.Rows,
-	}
+	node.Sort = opt.opts.Model.Sort(spec, plan.Rows, segments, limit)
+	node.Cost = node.Sort.Cost(plan.Cost, plan.PrefixCost)
 	return node
-}
-
-// boundSort turns the enforcer node into the bounded sort a Limit reading at
-// most bound rows of it allows (bound < the input's rows), and prices it as
-// what the executor does with xsort.Config.Limit: the input prefix of the
-// s = ⌈bound·D/N⌉ covering segments, s−1 ordinary segment sorts, and a
-// bounded selection (cost.Model.BoundedSort) of the rows still owed in the
-// last covering segment — no spill term when those rows fit M. The node
-// emits bound rows, so its Total is already the cost of everything a
-// consumer can ask of it.
-func (opt *Optimizer) boundSort(node *Plan, segments, bound int64) {
-	m, plan := opt.opts.Model, node.Children[0]
-	spec := xsort.Spec{Schema: plan.Schema, Target: node.SortTarget, Given: node.SortGiven}
-	segRows := plan.Rows
-	if segments > 1 {
-		segRows = max(plan.Rows/segments, 1)
-	}
-	covering := ordersel.SegmentBudget(bound, plan.Rows, segments)
-	inRows := min(covering*segRows, plan.Rows)
-	owed := bound - (covering-1)*segRows // of the last covering segment
-	// Segments before the last are cut at rows they never reach, but are
-	// sorted by the same bounded collector. A single covering segment has
-	// none, and its sort is planned once.
-	var full cost.Cost
-	if covering > 1 {
-		full = m.BoundedSort(spec, segRows, bound)
-	}
-	last := m.BoundedSort(spec, segRows, owed)
-
-	total := plan.PrefixCost(inRows) + float64(covering-1)*full.Total + last.Total
-	// First row: one segment of input and that segment's sort — the bounded
-	// selection itself when a single segment covers the bound.
-	startup := plan.Cost.Prefix(segRows) + full.Total
-	if covering == 1 {
-		startup = plan.Cost.Prefix(inRows) + last.Startup
-	}
-	node.SortLimit = bound
-	node.Rows = bound
-	node.Blocks = opt.blocksFor(bound, plan.Schema.AvgTupleWidth())
-	node.Cost = cost.Cost{Startup: math.Min(startup, total), Total: total, Rows: bound}
 }
 
 func (opt *Optimizer) scanCandidates(s *logical.Scan) ([]*Plan, error) {

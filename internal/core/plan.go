@@ -19,7 +19,6 @@ import (
 	"pyro/internal/exec"
 	"pyro/internal/expr"
 	"pyro/internal/logical"
-	"pyro/internal/ordersel"
 	"pyro/internal/sortord"
 	"pyro/internal/types"
 )
@@ -105,18 +104,14 @@ type Plan struct {
 	UnionOrder sortord.Order // OpMergeUnion
 	LimitK     int64         // OpLimit
 	FetchKeys  []string      // OpFetch: child columns carrying the cluster key
-	// SortSegments is the estimated partial-sort segment count D (OpSort
-	// with a non-empty SortGiven). PrefixCost uses it to charge a Top-K
-	// prefix exactly ⌈k·D/N⌉ segment sorts instead of the generic linear
-	// interpolation.
-	SortSegments int64
-	// SortLimit is the row bound of an OpSort that a Limit reads directly or
-	// through order- and cardinality-preserving nodes only (Project): nobody
-	// will ever read past the sort's first SortLimit rows, so Build hands it
-	// to the enforcer as xsort.Config.Limit and the node is priced, and
-	// counted in Rows, as the bounded sort it runs as. A row-target hint
-	// never sets it — that consumer may read on. 0 means unbounded.
-	SortLimit int64
+	// Sort is an OpSort's price: its segment count D, estimated from the
+	// given prefix, and its row bound. The bound is set only for a sort a
+	// Limit reads directly or through order- and cardinality-preserving
+	// nodes (Project): nobody will ever read past its first Sort.Limit rows,
+	// so Build hands it to the enforcer as xsort.Config.Limit and the node
+	// is priced, and counted in Rows, as the bounded sort it runs as. A
+	// row-target hint never sets it — that consumer may read on.
+	Sort cost.SortPrice
 
 	// Derived annotations.
 	Schema   *types.Schema
@@ -129,45 +124,17 @@ type Plan struct {
 	Logical logical.Node
 }
 
-// LocalCost returns this node's own full-drain cost (cumulative minus
-// children).
-func (p *Plan) LocalCost() float64 {
-	c := p.Cost.Total
-	for _, ch := range p.Children {
-		c -= ch.Cost.Total
-	}
-	return c
-}
-
 // PrefixCost estimates the cost of producing this node's first k output
-// rows. For a partial-sort enforcer the estimate steps one segment sort at
-// a time — ordersel.SegmentBudget(k, N, D) segment sorts plus the child
-// prefix feeding them — which is the §3.1 pipelining benefit the two-phase
-// model exists to price; every other node interpolates its cumulative
-// Cost. PrefixCost(k ≥ Rows) equals Cost.Total, so unlimited plan
-// comparisons are exactly the full-drain comparisons of the scalar model.
+// rows. A sort enforcer's is its price's (cost.SortPrice.PrefixCost), which
+// steps one segment sort at a time through an unbounded partial sort — the
+// §3.1 pipelining benefit the two-phase model exists to price; every other
+// node interpolates its cumulative Cost. PrefixCost(k ≥ Rows) equals
+// Cost.Total, so unlimited plan comparisons are exactly the full-drain
+// comparisons of the scalar model.
 func (p *Plan) PrefixCost(k int64) float64 {
-	if k <= 0 {
-		return 0
-	}
-	if p.Rows > 0 && k >= p.Rows {
-		return p.Cost.Total
-	}
-	// A bounded sort is priced for the Rows = SortLimit rows it emits, which
-	// the k ≥ Rows case above returned; a smaller k interpolates that.
-	if p.IsPartialSort() && p.SortLimit == 0 && p.SortSegments > 1 && len(p.Children) == 1 {
-		child := p.Children[0]
-		segs := ordersel.SegmentBudget(k, p.Rows, p.SortSegments)
-		perSegRows := p.Rows / p.SortSegments
-		if perSegRows < 1 {
-			perSegRows = 1
-		}
-		inRows := segs * perSegRows
-		if inRows > p.Rows {
-			inRows = p.Rows
-		}
-		perSegCost := p.LocalCost() / float64(p.SortSegments)
-		return child.PrefixCost(inRows) + float64(segs)*perSegCost
+	if p.Kind == OpSort {
+		in := p.Children[0]
+		return p.Sort.PrefixCost(k, in.Cost, in.PrefixCost)
 	}
 	return p.Cost.Prefix(k)
 }
@@ -219,8 +186,8 @@ func (p *Plan) describe() string {
 		} else {
 			fmt.Fprintf(&b, " %v", p.SortTarget)
 		}
-		if p.SortLimit > 0 {
-			fmt.Fprintf(&b, " limit=%d", p.SortLimit)
+		if p.Sort.Limit > 0 {
+			fmt.Fprintf(&b, " limit=%d", p.Sort.Limit)
 		}
 	case OpMergeJoin:
 		fmt.Fprintf(&b, "[%s] %v = %v", p.JoinType, p.LeftKey, p.RightKey)

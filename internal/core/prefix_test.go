@@ -70,8 +70,8 @@ func TestPartialSortEnforcerTwoPhase(t *testing.T) {
 	if !sortNode.IsPartialSort() {
 		t.Fatalf("expected a partial-sort root:\n%s", res.Plan.Format())
 	}
-	if sortNode.SortSegments <= 1 {
-		t.Fatalf("partial sort recorded %d segments", sortNode.SortSegments)
+	if sortNode.Sort.Segments <= 1 {
+		t.Fatalf("partial sort recorded %d segments", sortNode.Sort.Segments)
 	}
 	if sortNode.Cost.Startup >= sortNode.Cost.Total {
 		t.Fatalf("partial sort should be pipelined: startup %f, total %f",
@@ -127,7 +127,7 @@ func TestLimitPlansUnderRowBudget(t *testing.T) {
 	}
 	// The sort under the Limit is bounded by it: it emits 5 rows and its
 	// total is already the 5-row cost, far below the unlimited query's.
-	if child.Kind != OpSort || child.SortLimit != 5 || child.Rows != 5 {
+	if child.Kind != OpSort || child.Sort.Limit != 5 || child.Rows != 5 {
 		t.Fatalf("expected a sort bounded at 5 rows under the Limit:\n%s", limited.Plan.Format())
 	}
 	unlimited := mustOptimize(t, ordered, DefaultOptions(HeuristicFavorable))
@@ -202,7 +202,7 @@ func TestMergeSideBudget(t *testing.T) {
 }
 
 // TestLimitBoundReachesOnlyTheSortItSitsOn pins which sorts a Limit bounds
-// (Plan.SortLimit): the enforcer directly below it or below projections,
+// (Plan.Sort.Limit): the enforcer directly below it or below projections,
 // tightened by an enclosing Limit — never a sort under a filter or an
 // aggregate, whose cardinality the bound says nothing about, never a sort
 // under another sort, which needs every row, and never on the strength of a
@@ -216,14 +216,14 @@ func TestLimitBoundReachesOnlyTheSortItSitsOn(t *testing.T) {
 	order := sortord.New("ps_partkey", "ps_availqty")
 	opts := DefaultOptions(HeuristicFavorable)
 
-	// allSortLimits lists the SortLimit of every sort, outermost first.
+	// allSortLimits lists the Sort.Limit of every sort, outermost first.
 	allSortLimits := func(root logical.Node, opts Options) (*Plan, []int64) {
 		t.Helper()
 		plan := mustOptimize(t, root, opts).Plan
 		var limits []int64
 		plan.Walk(func(p *Plan) {
 			if p.Kind == OpSort {
-				limits = append(limits, p.SortLimit)
+				limits = append(limits, p.Sort.Limit)
 			}
 		})
 		return plan, limits
@@ -255,7 +255,7 @@ func TestLimitBoundReachesOnlyTheSortItSitsOn(t *testing.T) {
 	for _, tc := range cases {
 		plan, limits := sortLimits(tc.root, opts)
 		if limits[0] != tc.want {
-			t.Fatalf("%s: SortLimit = %d, want %d\n%s", tc.name, limits[0], tc.want, plan.Format())
+			t.Fatalf("%s: Sort.Limit = %d, want %d\n%s", tc.name, limits[0], tc.want, plan.Format())
 		}
 		rows := execPlan(t, f, plan)
 		if want := int(plan.Rows); len(rows) != want {
@@ -281,7 +281,7 @@ func TestLimitBoundReachesOnlyTheSortItSitsOn(t *testing.T) {
 	for _, tc := range stacked {
 		plan, limits := allSortLimits(tc.root, opts)
 		if !slices.Equal(limits, tc.want) {
-			t.Fatalf("%s: SortLimits = %v, want %v\n%s", tc.name, limits, tc.want, plan.Format())
+			t.Fatalf("%s: Sort.Limits = %v, want %v\n%s", tc.name, limits, tc.want, plan.Format())
 		}
 		if rows := execPlan(t, f, plan); len(rows) != int(plan.Rows) {
 			t.Fatalf("%s: executed %d rows, plan says %d", tc.name, len(rows), plan.Rows)

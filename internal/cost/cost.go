@@ -8,15 +8,21 @@
 //	                 where e' = one partial-sort segment of e
 //	                 (N(e') = N/D, B(e') = B/D, uniformity assumed)
 //
+// Both are one enforcer, xsort.MRS over D segments (D = 1 for the full
+// sort), and Model.Sort prices it — bounded at its first k rows too, as §7's
+// Top-K bounds it — in one function.
+//
 // The external case's pages come from xsort.PlanSpill, the sorter's own
 // spill plan, not from the logarithm: what fits M is what its row store
-// holds, runs are one memory load (MRS) or about two (replacement
-// selection), and a pass rewrites only what the final merge cannot take.
-// With memory-load runs and n = F^k of them that is B·(2p+1) less the input
-// read the scan below the sort already pays (TestFullSortExternalFormula).
-// B·(2p+1) holds only when a reduction runs: a sort whose final merge needs
-// no pass keeps the rows its store holds at input end for that merge, so
-// only the rest — B less about a memory load — is written and read back.
+// holds; a segment larger than that forms its runs by replacement
+// selection, about two memory loads each, and only a bound between one and
+// two loads writes memory-load batches instead (xsort.replacementSelection);
+// a pass rewrites only what the final merge cannot take. With n = F^k runs
+// that is B·(2p+1) less the input read the scan below the sort already
+// pays, to two pages per run file (TestFullSortExternalFormula). B·(2p+1)
+// holds only when a reduction runs: a sort whose final merge needs no pass
+// keeps the rows its store holds at input end for that merge, so only the
+// rest — B less about a memory load — is written and read back.
 //
 // CPU work is translated into I/O units by per-operation weights, as the
 // paper does ("CPU cost is appropriately translated into I/O cost units").
@@ -27,9 +33,9 @@
 // a full sort's input consumption) and the full-drain total (Total). Cost.Prefix(k)
 // interpolates the cost of producing only the first k rows, which is what a
 // Top-K consumer pays under a pipelined plan: a partial sort's prefix cost
-// grows one segment sort at a time, while a blocking operator charges its
-// full Startup before the first row no matter how small k is (§3.1
-// benefit 2, §7 Top-K).
+// grows one segment sort at a time (SortPrice.PrefixCost), while a blocking
+// operator charges its full Startup before the first row no matter how
+// small k is (§3.1 benefit 2, §7 Top-K).
 package cost
 
 import (
@@ -125,75 +131,129 @@ func (m Model) SortCPU(rows int64) float64 {
 	return float64(rows) * math.Log2(float64(rows)) * m.CmpWeight
 }
 
-// FullSort is coe(e, ε, o) for rows rows of s: a sort from scratch or, when s
-// has a given prefix, one segment of a partial sort. See sortCost.
-func (m Model) FullSort(s xsort.Spec, rows int64) Cost {
-	return m.sortCost(s, rows, 0, m.SortCPU(rows))
+// SegmentBudget returns how many of a partial sort's segments must be
+// collected and sorted to deliver the first k of rows output rows:
+// ⌈k·segments/rows⌉, clamped to [1, segments] (uniform segments, §3.2's
+// N/D assumption). A consumer that reads only k rows pays for exactly this
+// many segment sorts, not all D of them.
+func SegmentBudget(k, rows, segments int64) int64 {
+	if segments <= 1 || k <= 0 {
+		return 1
+	}
+	if rows <= 0 || k >= rows {
+		return segments
+	}
+	return min(max((k*segments+rows-1)/rows, 1), segments)
 }
 
-// BoundedSort is the cost of a sort of rows rows of s whose consumer reads
-// only the first keep of them — a LIMIT sitting on the sort
-// (xsort.Config.Limit, §7 Top-K). The sort becomes a bounded selection:
-// every input row costs log₂ keep comparisons instead of log₂ rows and, the
-// point, it spills nothing while keep rows fit M, however large the input —
-// rows past the cut-off are dropped, never buffered. When they do not fit,
-// its runs and merges are cut at keep rows. keep ≥ rows cuts nothing, but the
-// sort is still the bounded one; keep ≤ 0 is a FullSort. The result's Rows is
-// at most keep: the bounded sort emits no more.
-func (m Model) BoundedSort(s xsort.Spec, rows, keep int64) Cost {
-	if keep <= 0 {
-		return m.FullSort(s, rows)
-	}
-	cpu := m.SortCPU(rows)
-	if keep < rows {
-		cpu = float64(rows) * math.Log2(math.Max(float64(keep), 2)) * m.CmpWeight
-	}
-	c := m.sortCost(s, rows, keep, cpu)
-	c.Rows = min(rows, keep)
-	return c
+// SortPrice is one sort enforcer as the model prices it: xsort.MRS over N
+// input rows in Segments segments of N/Segments rows (a full sort is one
+// segment), bounded at its first Limit rows (0: unbounded). It holds
+// the sort's own work; Cost and PrefixCost compose it over the input it
+// reads. The zero value is no sort.
+type SortPrice struct {
+	Segments int64 // D, the segments it sorts its input in
+	Limit    int64 // the most rows anyone reads of it; 0 is no bound
+
+	rows, segRows int64 // N and N/D
+	seg           Cost  // each segment sort before the last one a consumer reaches
+	last          Cost  // the last segment sort a consumer of all it emits reaches
 }
 
-// sortCost prices one sort bounded by limit (0: none) from its spill plan,
-// xsort.PlanSpill at M = MemoryBlocks: cpu, plus one unit per run page moved
-// and KeyEncodeWeight per row a merge reads back (runs hold rows only, so a
-// merge keys every row it reads). An in-memory sort blocks on all of it: the
-// buffer must be full and sorted before the smallest key is known. An external
-// one blocks on run formation and the intermediate passes and streams its
-// final merge read.
-func (m Model) sortCost(s xsort.Spec, rows, limit int64, cpu float64) Cost {
-	if rows <= 1 {
-		return Cost{Rows: rows}
-	}
-	p := xsort.PlanSpill(s, rows, limit, int(m.MemoryBlocks), m.PageSize)
-	startup := cpu + float64(p.Written+p.Read) + float64(p.MergedRows)*m.KeyEncodeWeight
-	return Cost{
-		Startup: startup,
-		Total:   startup + float64(p.FinalRead) + float64(p.FinalRows)*m.KeyEncodeWeight,
-		Rows:    rows,
-	}
-}
-
-// PartialSort is coe(e, o1, o2) for rows rows of s expressed via the segment
-// count: the caller computes D = D(e, attrs(o2 ∧ o1)) and passes it along
-// with N(e). Each of the D segments is a FullSort of N/D rows; if s.Given
-// covers s.Target (o2 ≤ o1) the cost is zero.
+// Sort prices the enforcer xsort.MRS(s.Given, limit) over rows rows of s in
+// segments segments: coe(e, o1, o2) = D · coe(e', ε, o2 − (o2 ∧ o1)) of
+// §3.2, with the full sort coe(e, ε, o) as the case D = 1, bounded at its
+// first limit rows as §7's Top-K bounds it (limit ≤ 0: no bound).
 //
-// The split: only the first segment must be collected and sorted before the
-// first row exists (Startup = one segment's full sort), and each further
-// block of N/D rows costs one more segment sort — the property that makes
-// Prefix(k) charge ≈ ⌈k·D/N⌉ segment sorts and a Top-K plan comparison
-// favor the pipelined enforcer.
-func (m Model) PartialSort(s xsort.Spec, rows, segments int64) Cost {
-	if s.Given.Len() >= s.Target.Len() || rows <= 1 {
-		return Cost{Rows: rows}
+// One segment sort is priced from its spill plan, xsort.PlanSpill at
+// M = MemoryBlocks: its comparisons, plus one unit per run page moved and
+// KeyEncodeWeight per row a merge reads back (runs hold rows only, so a
+// merge keys every row it reads). In memory it blocks on all of it — the
+// buffer must be full and sorted before the smallest key is known; external,
+// it blocks on run formation and the intermediate passes and streams its
+// final merge read.
+//
+// An unbounded sort's segments are all alike, priced with no limit. A
+// bounded one emits limit rows from the first SegmentBudget(limit, N, D)
+// segments: those before the last are sorted by the bounded collector at
+// rows they never reach, and the last at the rows still owed from it. Every
+// row of a segment cut short costs log₂ of the rows kept, not log₂ of the
+// segment, and nothing spills while those fit M. A limit of N or more
+// still bounds: the limit decides whether a store numbers its rows and
+// which run formation it uses.
+func (m Model) Sort(s xsort.Spec, rows, segments, limit int64) SortPrice {
+	p := SortPrice{Segments: max(segments, 1), Limit: max(limit, 0), rows: rows}
+	p.segRows = max(rows/p.Segments, 1)
+	if rows <= 1 || s.Given.Len() >= s.Target.Len() {
+		return p
 	}
-	segments = max(segments, 1)
-	seg := m.FullSort(s, max(rows/segments, 1))
-	return Cost{
-		Startup: seg.Total,
-		Total:   float64(segments) * seg.Total,
-		Rows:    rows,
+	segment := func(keep int64) Cost {
+		n := p.segRows
+		cpu := m.SortCPU(n)
+		if keep > 0 && keep < n {
+			cpu = float64(n) * math.Log2(math.Max(float64(keep), 2)) * m.CmpWeight
+		}
+		sp := xsort.PlanSpill(s, n, keep, int(m.MemoryBlocks), m.PageSize)
+		startup := cpu + float64(sp.Written+sp.Read) + float64(sp.MergedRows)*m.KeyEncodeWeight
+		return Cost{Startup: startup, Total: startup + float64(sp.FinalRead) + float64(sp.FinalRows)*m.KeyEncodeWeight}
 	}
+	if p.Limit == 0 {
+		p.seg = segment(0)
+		p.last = p.seg
+		return p
+	}
+	// A single covering segment is planned once.
+	covering := SegmentBudget(p.Limit, rows, p.Segments)
+	if covering > 1 {
+		p.seg = segment(p.Limit)
+	}
+	p.last = segment(p.Limit - (covering-1)*p.segRows)
+	return p
+}
+
+// Cost is the sort's cumulative cost over its input: in is the input's cost
+// and prefix(k) what its first k rows cost (core.Plan.PrefixCost). The sort
+// emits all its rows, or Limit of them, once it has read and sorted the
+// segments that hold them (through). Its first row waits for one segment of
+// input, priced by in.Prefix, and for that segment's sort: the whole sort
+// when more segments follow, only its blocking phase when none does.
+func (p SortPrice) Cost(in Cost, prefix func(int64) float64) Cost {
+	rows := p.rows
+	if p.Limit > 0 {
+		rows = min(rows, p.Limit)
+	}
+	total := p.through(rows, in, prefix)
+	first := p.last.Startup
+	if SegmentBudget(rows, p.rows, p.Segments) > 1 {
+		first = p.seg.Total
+	}
+	return Cost{Startup: min(in.Prefix(p.segRows)+first, total), Total: total, Rows: rows}
+}
+
+// PrefixCost is what the sort's first k rows cost over its input (see
+// Cost): 0 for k ≤ 0 and the total from its last row on. An unbounded
+// partial sort steps one segment sort at a time (through) — the §3.1
+// pipelining benefit the two-phase model exists to price — while a full
+// sort streams its final merge and a bounded one's Cost already stops at its
+// limit: both interpolate their Cost.
+func (p SortPrice) PrefixCost(k int64, in Cost, prefix func(int64) float64) float64 {
+	if p.Limit == 0 && p.Segments > 1 && k > 0 && k < p.rows {
+		return p.through(k, in, prefix)
+	}
+	return p.Cost(in, prefix).Prefix(k)
+}
+
+// through is what the sort's first k rows cost as a consumer reaches them
+// segment by segment: the input rows of the c = SegmentBudget(k, N, D)
+// segments that hold them — the whole input, at its total, once k reaches
+// N — and c segment sorts.
+func (p SortPrice) through(k int64, in Cost, prefix func(int64) float64) float64 {
+	c := SegmentBudget(k, p.rows, p.Segments)
+	read := in.Total
+	if k < p.rows {
+		read = prefix(min(c*p.segRows, p.rows))
+	}
+	return read + float64(c-1)*p.seg.Total + p.last.Total
 }
 
 // ScanIO is the cost of a sequential scan over blocks pages (streaming:

@@ -25,10 +25,13 @@ var (
 	segSpec  = xsort.Spec{Schema: threeInts, Target: sortord.New("a", "b"), Given: sortord.New("a")}
 )
 
+// own is a sort's own price: its Cost over an input that costs nothing.
+func own(p SortPrice) Cost { return p.Cost(Cost{}, Cost{}.Prefix) }
+
 func TestFullSortInMemory(t *testing.T) {
 	m := DefaultModel()
 	// Fits in memory: CPU only, and fully blocking (Startup == Total).
-	got := m.FullSort(fullSpec, 1000)
+	got := own(m.Sort(fullSpec, 1000, 1, 0))
 	want := m.SortCPU(1000)
 	if got.Total != want {
 		t.Fatalf("in-memory sort = %f, want cpu %f", got.Total, want)
@@ -37,7 +40,7 @@ func TestFullSortInMemory(t *testing.T) {
 		t.Fatalf("in-memory sort must block on its whole CPU cost: startup %f, total %f",
 			got.Startup, got.Total)
 	}
-	if m.FullSort(fullSpec, 0).Total != 0 || m.FullSort(fullSpec, 1).Total != 0 {
+	if own(m.Sort(fullSpec, 0, 1, 0)).Total != 0 || own(m.Sort(fullSpec, 1, 1, 0)).Total != 0 {
 		t.Fatal("degenerate sorts are free")
 	}
 }
@@ -52,12 +55,13 @@ func paperModel() Model {
 }
 
 // batchLoad is how many rows of s a store that neither pads nor numbers them
-// holds in mem blocks: the most whose footprint, as the governor asks it,
-// fits (xsort.memoryLoad).
+// holds in mem blocks (xsort.memoryLoad): the most that a sort bounded at
+// as many rows keeps in memory — a bound short of two such loads is selected
+// in memory in that store.
 func batchLoad(s xsort.Spec, mem, page int) int64 {
 	lo, hi := int64(1), int64(1)<<40
 	for lo < hi {
-		if mid := (lo + hi + 1) / 2; xsort.FootprintBlocks(s.Schema, s.Target, s.Given, mid, page) <= int64(max(mem, 2)) {
+		if mid := (lo + hi + 1) / 2; xsort.PlanSpill(s, mid, mid, mem, page).InMemory {
 			lo = mid
 		} else {
 			hi = mid - 1
@@ -92,8 +96,9 @@ func rowsForRuns(s xsort.Spec, n int64, mem int, page int) int64 {
 // that spills forms its runs by replacement selection, whose runs are of
 // unequal length (the first and the last two are shorter), so a run file's
 // last page is partly empty: the identity holds to two pages — one written,
-// one read — per run file. FullSort and BoundedSort price exactly their
-// plans: run formation and the passes block, the final merge read streams.
+// one read — per run file. The sort's price, unbounded and bounded, is
+// exactly its plan: run formation and the passes block, the final merge read
+// streams.
 func TestFullSortExternalFormula(t *testing.T) {
 	bounded := 0
 	for _, c := range []struct{ mem, fanIn, maxK int64 }{{3, 2, 5}, {5, 4, 3}} {
@@ -112,16 +117,16 @@ func TestFullSortExternalFormula(t *testing.T) {
 			if files := int64(p.Runs + p.RunsMerged); max(p.Pages()-2*k*b, 2*k*b-p.Pages()) > 2*files {
 				t.Fatalf("%s: %d run pages, want 2k·B = %d within %d", at, p.Pages(), 2*k*b, 2*files)
 			}
-			if got := m.FullSort(segSpec, rows); got.Total != float64(p.Pages()) || got.Startup != float64(p.Written+p.Read) {
-				t.Fatalf("%s: FullSort = %+v, want total %d, startup %d", at, got, p.Pages(), p.Written+p.Read)
+			if got := own(m.Sort(segSpec, rows, 1, 0)); got.Total != float64(p.Pages()) || got.Startup != float64(p.Written+p.Read) {
+				t.Fatalf("%s: sort = %+v, want total %d, startup %d", at, got, p.Pages(), p.Written+p.Read)
 			}
 			// A bound that cuts nothing: the same formation, its store
 			// numbering its rows — once the rows are more than a bounded
 			// collector selects in memory.
 			if bp := xsort.PlanSpill(segSpec, rows, rows, int(c.mem), m.PageSize); !bp.InMemory {
 				bounded++
-				if got := m.BoundedSort(segSpec, rows, rows); got.Total != float64(bp.Pages()) || got.Startup != float64(bp.Written+bp.Read) {
-					t.Fatalf("%s: BoundedSort = %+v, plan %+v", at, got, bp)
+				if got := own(m.Sort(segSpec, rows, 1, rows)); got.Total != float64(bp.Pages()) || got.Startup != float64(bp.Written+bp.Read) {
+					t.Fatalf("%s: bounded sort = %+v, plan %+v", at, got, bp)
 				}
 			}
 		}
@@ -129,12 +134,12 @@ func TestFullSortExternalFormula(t *testing.T) {
 	if bounded == 0 {
 		t.Fatal("no bounded sort spilled")
 	}
-	// PartialSort prices its oversized segments through FullSort: two
-	// segments of 16 memory loads, the same plan apiece.
+	// A partial sort prices its oversized segments as full sorts of them:
+	// two segments of 16 memory loads, the same plan apiece.
 	m := paperModel()
 	m.MemoryBlocks = 5
-	seg := m.FullSort(segSpec, 16*396)
-	if got := m.PartialSort(segSpec, 2*16*396, 2); seg.Total == 0 || got.Total != 2*seg.Total {
+	seg := own(m.Sort(segSpec, 16*396, 1, 0))
+	if got := own(m.Sort(segSpec, 2*16*396, 2, 0)); seg.Total == 0 || got.Total != 2*seg.Total {
 		t.Fatalf("spilling partial sort = %f, want 2 × %f", got.Total, seg.Total)
 	}
 }
@@ -195,7 +200,7 @@ func TestSpillPlanOrdering(t *testing.T) {
 			m := DefaultModel()
 			m.MemoryBlocks = mem
 			p := plan(100_000, 0, int(mem))
-			c := m.FullSort(s, 100_000)
+			c := own(m.Sort(s, 100_000, 1, 0))
 			if p.FanIn != 2 || math.IsInf(c.Total, 0) || math.IsNaN(c.Total) || c.Total <= 0 || c.Startup > c.Total {
 				t.Errorf("%v M=%d: fan-in %d, cost %+v", s.Target, mem, p.FanIn, c)
 			}
@@ -208,7 +213,7 @@ func TestPartialSort(t *testing.T) {
 	// 2M rows, 1000 segments: each segment 2000 rows, in memory. Cost =
 	// 1000 * cpu(2000), and only the first segment's sort blocks the first
 	// row.
-	got := m.PartialSort(segSpec, 2_000_000, 1000)
+	got := own(m.Sort(segSpec, 2_000_000, 1000, 0))
 	want := 1000 * m.SortCPU(2000)
 	if math.Abs(got.Total-want) > 1e-9 {
 		t.Fatalf("partial sort = %f, want %f", got.Total, want)
@@ -216,13 +221,20 @@ func TestPartialSort(t *testing.T) {
 	if math.Abs(got.Startup-m.SortCPU(2000)) > 1e-12 {
 		t.Fatalf("partial sort startup = %f, want one segment sort %f", got.Startup, m.SortCPU(2000))
 	}
+	// Its first k rows cost the ⌈k·D/N⌉ segment sorts that hold them.
+	p := m.Sort(segSpec, 2_000_000, 1000, 0)
+	for k, segs := range map[int64]float64{1: 1, 2000: 1, 2001: 2, 1_999_999: 1000, 2_000_000: 1000} {
+		if got := p.PrefixCost(k, Cost{}, Cost{}.Prefix); math.Abs(got-segs*m.SortCPU(2000)) > 1e-9 {
+			t.Fatalf("first %d rows = %f, want %v segment sorts", k, got, segs)
+		}
+	}
 	// Full-order-satisfied: zero.
 	sorted := xsort.Spec{Schema: threeInts, Target: sortord.New("a"), Given: sortord.New("a")}
-	if m.PartialSort(sorted, 2_000_000, 1000).Total != 0 {
+	if own(m.Sort(sorted, 2_000_000, 1000, 0)).Total != 0 {
 		t.Fatal("satisfied order costs nothing")
 	}
 	// Partial sort must beat a full external sort here.
-	if full := m.FullSort(fullSpec, 2_000_000); got.Total >= full.Total {
+	if full := own(m.Sort(fullSpec, 2_000_000, 1, 0)); got.Total >= full.Total {
 		t.Fatalf("partial (%f) should beat full (%f)", got.Total, full.Total)
 	}
 }
@@ -233,8 +245,8 @@ func TestPartialSortSegmentsExceedMemory(t *testing.T) {
 	if xsort.PlanSpill(segSpec, 1_000_000, 0, int(m.MemoryBlocks), m.PageSize).InMemory {
 		t.Fatal("a million-row segment should spill at the default M")
 	}
-	got := m.PartialSort(segSpec, 2_000_000, 2)
-	perSeg := m.FullSort(segSpec, 1_000_000)
+	got := own(m.Sort(segSpec, 2_000_000, 2, 0))
+	perSeg := own(m.Sort(segSpec, 1_000_000, 1, 0))
 	if got.Total != 2*perSeg.Total {
 		t.Fatalf("oversized segments = %f, want %f", got.Total, 2*perSeg.Total)
 	}
@@ -242,10 +254,10 @@ func TestPartialSortSegmentsExceedMemory(t *testing.T) {
 		t.Fatalf("oversized segments startup = %f, want one full segment %f", got.Startup, perSeg.Total)
 	}
 	// Degenerate inputs.
-	if m.PartialSort(segSpec, 1, 0).Total != 0 {
+	if own(m.Sort(segSpec, 1, 0, 0)).Total != 0 {
 		t.Fatal("single row free")
 	}
-	if got := m.PartialSort(segSpec, 100, 0); got.Total != m.FullSort(segSpec, 100).Total {
+	if got := own(m.Sort(segSpec, 100, 0, 0)); got.Total != own(m.Sort(segSpec, 100, 1, 0)).Total {
 		t.Fatal("zero segments clamps to 1")
 	}
 }
@@ -256,7 +268,7 @@ func TestMonotonicity(t *testing.T) {
 	// in time-to-first-row.
 	prevTotal, prevStartup := math.Inf(1), math.Inf(1)
 	for _, segs := range []int64{1, 10, 100, 1000, 10000} {
-		c := m.PartialSort(segSpec, 10_000_000, segs)
+		c := own(m.Sort(segSpec, 10_000_000, segs, 0))
 		if c.Total > prevTotal {
 			t.Fatalf("partial sort not monotone at %d segments: %f > %f", segs, c.Total, prevTotal)
 		}
@@ -326,8 +338,8 @@ func TestPrefixInterpolation(t *testing.T) {
 func TestPrefixTopKSortFlip(t *testing.T) {
 	m := DefaultModel()
 	rows := int64(10_000_000)
-	full := m.FullSort(fullSpec, rows)
-	partial := m.PartialSort(segSpec, rows, 10_000)
+	full := own(m.Sort(fullSpec, rows, 1, 0))
+	partial := own(m.Sort(segSpec, rows, 10_000, 0))
 	for _, k := range []int64{1, 100} {
 		f, p := full.Prefix(k), partial.Prefix(k)
 		if p*100 > f {
@@ -403,8 +415,8 @@ func TestSortCheaperWithPartialPrefixRealScenario(t *testing.T) {
 	// partkey). D(suppkey) = 10000 segments.
 	m := DefaultModel()
 	rows := int64(6_000_000)
-	full := m.FullSort(fullSpec, rows)
-	partial := m.PartialSort(segSpec, rows, 10_000)
+	full := own(m.Sort(fullSpec, rows, 1, 0))
+	partial := own(m.Sort(segSpec, rows, 10_000, 0))
 	if partial.Total >= full.Total/10 {
 		t.Fatalf("partial (%f) should be at least 10x cheaper than full (%f)", partial.Total, full.Total)
 	}
@@ -424,7 +436,7 @@ func TestSpillLayoutPricing(t *testing.T) {
 		t.Fatalf("merges read %d and %d rows, want all %d twice", p.MergedRows, p.FinalRows, rows)
 	}
 	key := float64(rows) * m.KeyEncodeWeight
-	got := m.FullSort(segSpec, rows)
+	got := own(m.Sort(segSpec, rows, 1, 0))
 	if want := float64(p.Written+p.Read) + key; got.Startup != want {
 		t.Fatalf("external sort startup = %f, want %f", got.Startup, want)
 	}
@@ -433,13 +445,13 @@ func TestSpillLayoutPricing(t *testing.T) {
 	}
 	bare := paperModel()
 	bare.MemoryBlocks = 5
-	if bare.FullSort(segSpec, rows).Total != float64(p.Pages()) {
+	if own(bare.Sort(segSpec, rows, 1, 0)).Total != float64(p.Pages()) {
 		t.Fatal("zeroed weights must leave the bare run pages")
 	}
 	// In-memory sorts never read a run.
 	noKey := DefaultModel()
 	noKey.KeyEncodeWeight = 0
-	if DefaultModel().FullSort(fullSpec, 1000) != noKey.FullSort(fullSpec, 1000) {
+	if own(DefaultModel().Sort(fullSpec, 1000, 1, 0)) != own(noKey.Sort(fullSpec, 1000, 1, 0)) {
 		t.Fatal("merge-read key work must not reprice in-memory sorts")
 	}
 }
@@ -454,7 +466,7 @@ func TestBoundedSort(t *testing.T) {
 	m.MemoryBlocks = 16
 	const rows = 200_000 // ≈ 140 memory loads: the full sort is deep external
 
-	fits := m.BoundedSort(fullSpec, rows, 100)
+	fits := own(m.Sort(fullSpec, rows, 1, 100))
 	if fits.Rows != 100 {
 		t.Fatalf("a bounded sort emits keep rows, got %d", fits.Rows)
 	}
@@ -466,7 +478,7 @@ func TestBoundedSort(t *testing.T) {
 	}
 
 	// 20 000 kept rows do not fit 16 blocks.
-	spills := m.BoundedSort(fullSpec, rows, 20_000)
+	spills := own(m.Sort(fullSpec, rows, 1, 20_000))
 	p := xsort.PlanSpill(fullSpec, rows, 20_000, 16, m.PageSize)
 	if p.InMemory || p.Written < rows/132 || spills.Startup < float64(p.Written) {
 		t.Fatalf("a spilling bounded sort still writes its input once: %+v, startup %f", p, spills.Startup)
@@ -475,8 +487,43 @@ func TestBoundedSort(t *testing.T) {
 		t.Fatalf("spilling bounded sort = %+v", spills)
 	}
 	for _, keep := range []int64{0, -1} {
-		if got := m.BoundedSort(fullSpec, rows, keep); got != m.FullSort(fullSpec, rows) {
+		if got := own(m.Sort(fullSpec, rows, 1, keep)); got != own(m.Sort(fullSpec, rows, 1, 0)) {
 			t.Fatalf("keep=%d is no bound: %+v", keep, got)
 		}
+	}
+}
+
+// TestSegmentBudget pins the Top-K segment arithmetic the two-phase cost
+// model charges partial sorts with.
+func TestSegmentBudget(t *testing.T) {
+	cases := []struct {
+		k, rows, segments, want int64
+	}{
+		{1, 50_000, 100, 1},   // first row: one segment
+		{500, 50_000, 100, 1}, // exactly one segment's worth
+		{501, 50_000, 100, 2}, // one row into the second segment
+		{100, 10_000, 100, 1}, // k = rows/segments
+		{5_000, 50_000, 100, 10},
+		{50_000, 50_000, 100, 100}, // full drain: every segment
+		{60_000, 50_000, 100, 100}, // k beyond rows clamps
+		{0, 50_000, 100, 1},        // degenerate budgets clamp low
+		{-3, 50_000, 100, 1},
+		{10, 50_000, 1, 1}, // a single segment is a full sort
+		{10, 50_000, 0, 1},
+		{10, 0, 100, 100}, // unknown cardinality: assume everything
+	}
+	for _, c := range cases {
+		if got := SegmentBudget(c.k, c.rows, c.segments); got != c.want {
+			t.Fatalf("SegmentBudget(%d, %d, %d) = %d, want %d", c.k, c.rows, c.segments, got, c.want)
+		}
+	}
+	// Monotone in k, bounded by D.
+	prev := int64(0)
+	for k := int64(0); k <= 55_000; k += 1000 {
+		got := SegmentBudget(k, 50_000, 100)
+		if got < prev || got > 100 {
+			t.Fatalf("SegmentBudget not monotone/bounded at k=%d: %d (prev %d)", k, got, prev)
+		}
+		prev = got
 	}
 }

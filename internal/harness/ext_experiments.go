@@ -9,7 +9,6 @@ import (
 	"pyro/internal/cost"
 	"pyro/internal/expr"
 	"pyro/internal/logical"
-	"pyro/internal/ordersel"
 	"pyro/internal/sortord"
 	"pyro/internal/storage"
 	"pyro/internal/types"
@@ -67,7 +66,7 @@ func runTopK(w io.Writer, scale Scale) error {
 	t.write(w)
 	fmt.Fprintf(w, "§3.1 benefit 2: \"producing tuples early has immense benefits for Top-K queries\"\n")
 	fmt.Fprintf(w, "two-phase model: the Limit node prices the plan at its first-%d-rows prefix (%d of %d segments)\n",
-		k, ordersel.SegmentBudget(k, rows, 500), 500)
+		k, cost.SegmentBudget(k, rows, 500), 500)
 	return nil
 }
 

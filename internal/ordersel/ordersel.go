@@ -166,33 +166,6 @@ func PathOrder(sets []sortord.AttrSet) ([]sortord.Order, int) {
 	return perms, opt
 }
 
-// SegmentBudget returns how many of a partial sort's segments must be
-// collected and sorted to deliver the first k of rows output rows:
-// ⌈k·segments/rows⌉, clamped to [1, segments] (uniform segments, §3.2's
-// N/D assumption). This is the segment-count arithmetic the two-phase cost
-// model charges a partial-sort enforcer for a Top-K prefix — with a row
-// budget k in scope, plan comparison sees exactly this many segment sorts
-// instead of all D of them.
-func SegmentBudget(k, rows, segments int64) int64 {
-	if segments <= 1 {
-		return 1
-	}
-	if k <= 0 || rows <= 0 || k >= rows {
-		if k <= 0 {
-			return 1
-		}
-		return segments
-	}
-	segs := (k*segments + rows - 1) / rows
-	if segs < 1 {
-		segs = 1
-	}
-	if segs > segments {
-		segs = segments
-	}
-	return segs
-}
-
 // adjacency builds an adjacency list for the problem's tree.
 func (p Problem) adjacency() [][]int {
 	adj := make([][]int, len(p.Sets))

@@ -350,38 +350,3 @@ func TestPathOrderLargePathPerformance(t *testing.T) {
 		t.Fatalf("31-node path: perms=%d benefit=%d", len(perms), benefit)
 	}
 }
-
-// TestSegmentBudget pins the Top-K segment arithmetic the two-phase cost
-// model charges partial sorts with.
-func TestSegmentBudget(t *testing.T) {
-	cases := []struct {
-		k, rows, segments, want int64
-	}{
-		{1, 50_000, 100, 1},   // first row: one segment
-		{500, 50_000, 100, 1}, // exactly one segment's worth
-		{501, 50_000, 100, 2}, // one row into the second segment
-		{100, 10_000, 100, 1}, // k = rows/segments
-		{5_000, 50_000, 100, 10},
-		{50_000, 50_000, 100, 100}, // full drain: every segment
-		{60_000, 50_000, 100, 100}, // k beyond rows clamps
-		{0, 50_000, 100, 1},        // degenerate budgets clamp low
-		{-3, 50_000, 100, 1},
-		{10, 50_000, 1, 1}, // a single segment is a full sort
-		{10, 50_000, 0, 1},
-		{10, 0, 100, 100}, // unknown cardinality: assume everything
-	}
-	for _, c := range cases {
-		if got := SegmentBudget(c.k, c.rows, c.segments); got != c.want {
-			t.Fatalf("SegmentBudget(%d, %d, %d) = %d, want %d", c.k, c.rows, c.segments, got, c.want)
-		}
-	}
-	// Monotone in k, bounded by D.
-	prev := int64(0)
-	for k := int64(0); k <= 55_000; k += 1000 {
-		got := SegmentBudget(k, 50_000, 100)
-		if got < prev || got > 100 {
-			t.Fatalf("SegmentBudget not monotone/bounded at k=%d: %d (prev %d)", k, got, prev)
-		}
-		prev = got
-	}
-}

@@ -70,11 +70,12 @@ func entryWidth(codec *keys.Codec, prefixCols, pageSize int) int {
 }
 
 // FootprintBlocks estimates the sort memory, in blocks of pageSize bytes, that
-// buffering rows rows of schema takes a bounded sort to target whose input
-// already carries given, as its store packs them (footprint.blocks). It is
-// what the governor asks for a bounded sort.
-func FootprintBlocks(schema *types.Schema, target, given sortord.Order, rows int64, pageSize int) int64 {
-	return Spec{Schema: schema, Target: target, Given: given}.footprint(1, false).blocks(rows, pageSize)
+// a sort to target bounded at limit rows, whose input already carries given,
+// can use: the 2·limit rows of schema its collector buffers before it selects
+// (MRS.collect), as its store packs them (footprint.blocks). It is what the
+// governor asks for a bounded sort.
+func FootprintBlocks(schema *types.Schema, target, given sortord.Order, limit int64, pageSize int) int64 {
+	return Spec{Schema: schema, Target: target, Given: given}.footprint(1, false).blocks(2*limit, pageSize)
 }
 
 // footprint is what one buffered row takes in sort memory, in bytes: its

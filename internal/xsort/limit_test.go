@@ -167,7 +167,7 @@ func TestMRSLimitBoundsMemoryAndDropsPastCutoff(t *testing.T) {
 	checkLimited(t, out, rows, k)
 	// 2k rows' worth of blocks, and one more of each kind for the row that
 	// triggers the selection.
-	if max := (FootprintBlocks(sortSchema, limitTarget, sortord.New("c1"), 2*k, 512) + 2) * 512; st.PeakMemBytes > max {
+	if max := (FootprintBlocks(sortSchema, limitTarget, sortord.New("c1"), k, 512) + 2) * 512; st.PeakMemBytes > max {
 		t.Fatalf("PeakMemBytes = %d, want at most 2k rows' blocks = %d", st.PeakMemBytes, max)
 	}
 	unlimitedCfg, _ := smallCfg(t, 10_000)
