@@ -126,15 +126,21 @@ type Plan struct {
 
 // PrefixCost estimates the cost of producing this node's first k output
 // rows. A sort enforcer's is its price's (cost.SortPrice.PrefixCost), which
-// steps one segment sort at a time through an unbounded partial sort — the
-// §3.1 pipelining benefit the two-phase model exists to price; every other
-// node interpolates its cumulative Cost. PrefixCost(k ≥ Rows) equals
+// steps one segment sort at a time through a partial sort — the §3.1
+// pipelining benefit the two-phase model exists to price; a Limit adds no
+// work to its child's first K rows, so its prefix is the child's; every
+// other node interpolates its cumulative Cost. PrefixCost(k ≥ Rows) equals
 // Cost.Total, so unlimited plan comparisons are exactly the full-drain
 // comparisons of the scalar model.
 func (p *Plan) PrefixCost(k int64) float64 {
-	if p.Kind == OpSort {
+	switch p.Kind {
+	case OpSort:
 		in := p.Children[0]
 		return p.Sort.PrefixCost(k, in.Cost, in.PrefixCost)
+	case OpLimit:
+		if len(p.Children) == 1 { // LIMIT 0 is planned without a child
+			return p.Children[0].PrefixCost(min(k, p.LimitK))
+		}
 	}
 	return p.Cost.Prefix(k)
 }

@@ -145,8 +145,8 @@ func TestLimitPlansUnderRowBudget(t *testing.T) {
 	if zero.Plan.Kind != OpLimit || len(zero.Plan.Children) != 0 {
 		t.Fatalf("LIMIT 0 should be a childless Limit:\n%s", zero.Plan.Format())
 	}
-	if zero.Plan.Cost.Total != 0 || zero.Plan.Rows != 0 {
-		t.Fatalf("LIMIT 0 cost = %+v rows = %d, want zero", zero.Plan.Cost, zero.Plan.Rows)
+	if zero.Plan.Cost.Total != 0 || zero.Plan.Rows != 0 || zero.Plan.PrefixCost(10) != 0 {
+		t.Fatalf("LIMIT 0 cost = %+v rows = %d prefix %f, want zero", zero.Plan.Cost, zero.Plan.Rows, zero.Plan.PrefixCost(10))
 	}
 	if zero.Plan.CountKind(OpSort) != 0 {
 		t.Fatalf("LIMIT 0 planned a sort:\n%s", zero.Plan.Format())

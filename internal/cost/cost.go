@@ -215,45 +215,61 @@ func (m Model) Sort(s xsort.Spec, rows, segments, limit int64) SortPrice {
 // and prefix(k) what its first k rows cost (core.Plan.PrefixCost). The sort
 // emits all its rows, or Limit of them, once it has read and sorted the
 // segments that hold them (through). Its first row waits for one segment of
-// input, priced by in.Prefix, and for that segment's sort: the whole sort
-// when more segments follow, only its blocking phase when none does.
+// input, priced by in.Prefix, and for that segment's blocking phase: the
+// final merge of a spilled segment streams.
 func (p SortPrice) Cost(in Cost, prefix func(int64) float64) Cost {
-	rows := p.rows
-	if p.Limit > 0 {
-		rows = min(rows, p.Limit)
-	}
+	rows := p.emits()
 	total := p.through(rows, in, prefix)
 	first := p.last.Startup
 	if SegmentBudget(rows, p.rows, p.Segments) > 1 {
-		first = p.seg.Total
+		first = p.seg.Startup
 	}
 	return Cost{Startup: min(in.Prefix(p.segRows)+first, total), Total: total, Rows: rows}
 }
 
 // PrefixCost is what the sort's first k rows cost over its input (see
-// Cost): 0 for k ≤ 0 and the total from its last row on. An unbounded
-// partial sort steps one segment sort at a time (through) — the §3.1
+// Cost): 0 for k ≤ 0 and the total from its last row on. A partial sort,
+// bounded or not, steps one segment sort at a time (through) — the §3.1
 // pipelining benefit the two-phase model exists to price — while a full
-// sort streams its final merge and a bounded one's Cost already stops at its
-// limit: both interpolate their Cost.
+// sort streams its final merge: it interpolates its Cost.
 func (p SortPrice) PrefixCost(k int64, in Cost, prefix func(int64) float64) float64 {
-	if p.Limit == 0 && p.Segments > 1 && k > 0 && k < p.rows {
+	if p.Segments > 1 && k > 0 && k < p.emits() {
 		return p.through(k, in, prefix)
 	}
 	return p.Cost(in, prefix).Prefix(k)
 }
 
+// emits is how many rows the sort hands out: N, or its Limit below that.
+func (p SortPrice) emits() int64 {
+	if p.Limit > 0 {
+		return min(p.rows, p.Limit)
+	}
+	return p.rows
+}
+
 // through is what the sort's first k rows cost as a consumer reaches them
 // segment by segment: the input rows of the c = SegmentBudget(k, N, D)
 // segments that hold them — the whole input, at its total, once k reaches
-// N — and c segment sorts.
+// N — the c−1 segment sorts before the one row k is in, and that one's
+// blocking phase plus its share of the final merge it streams (none in
+// memory) for the rows it has handed out by k. The segment row k is in is
+// the last one a bounded sort reaches only when it is the last that covers
+// its limit.
 func (p SortPrice) through(k int64, in Cost, prefix func(int64) float64) float64 {
 	c := SegmentBudget(k, p.rows, p.Segments)
 	read := in.Total
 	if k < p.rows {
 		read = prefix(min(c*p.segRows, p.rows))
 	}
-	return read + float64(c-1)*p.seg.Total + p.last.Total
+	cur, n := p.seg, p.segRows
+	if covering := SegmentBudget(p.emits(), p.rows, p.Segments); c == covering {
+		cur, n = p.last, p.emits()-(covering-1)*p.segRows
+	}
+	done := cur.Total
+	if out := k - (c-1)*p.segRows; out < n {
+		done = cur.Startup + (cur.Total-cur.Startup)*float64(out)/float64(n)
+	}
+	return read + float64(c-1)*p.seg.Total + done
 }
 
 // ScanIO is the cost of a sequential scan over blocks pages (streaming:

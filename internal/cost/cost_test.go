@@ -3,6 +3,7 @@ package cost
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"pyro/internal/sortord"
@@ -250,8 +251,10 @@ func TestPartialSortSegmentsExceedMemory(t *testing.T) {
 	if got.Total != 2*perSeg.Total {
 		t.Fatalf("oversized segments = %f, want %f", got.Total, 2*perSeg.Total)
 	}
-	if got.Startup != perSeg.Total {
-		t.Fatalf("oversized segments startup = %f, want one full segment %f", got.Startup, perSeg.Total)
+	// The first row waits for one segment's run formation and passes; that
+	// segment's final merge streams.
+	if got.Startup != perSeg.Startup {
+		t.Fatalf("oversized segments startup = %f, want one segment's blocking phase %f", got.Startup, perSeg.Startup)
 	}
 	// Degenerate inputs.
 	if own(m.Sort(segSpec, 1, 0, 0)).Total != 0 {
@@ -489,6 +492,59 @@ func TestBoundedSort(t *testing.T) {
 	for _, keep := range []int64{0, -1} {
 		if got := own(m.Sort(fullSpec, rows, 1, keep)); got != own(m.Sort(fullSpec, rows, 1, 0)) {
 			t.Fatalf("keep=%d is no bound: %+v", keep, got)
+		}
+	}
+}
+
+// TestPartialSortPrefixSteps: a partial sort's prefix, bounded or not, steps
+// one segment sort at a time — rows of a segment sorted in memory all cost
+// what its first does — and charges the segment the k-th row is in only its
+// blocking phase plus its share of a final merge it streams; it never
+// decreases in k and reaches the sort's Total at its last row.
+func TestPartialSortPrefixSteps(t *testing.T) {
+	m := DefaultModel()
+	const rows = 2_000_000
+	for _, c := range []struct {
+		name            string
+		segments, limit int64
+		spills          bool
+	}{
+		{"in memory", 1000, 0, false},
+		{"in memory, bounded", 1000, 10_000, false},
+		{"spilling", 2, 0, true},
+		{"spilling, bounded", 2, 1_500_000, true},
+	} {
+		p := m.Sort(segSpec, rows, c.segments, c.limit)
+		total := own(p)
+		prefix := func(k int64) float64 { return p.PrefixCost(k, Cost{}, Cost{}.Prefix) }
+		first, seg := prefix(1), p.seg // the first segment is not the last either covers
+		if c.spills != (seg.Startup < seg.Total) {
+			t.Fatalf("%s: segment sort %+v, want it to spill: %v", c.name, seg, c.spills)
+		}
+		if c.spills && (first >= seg.Total || first < seg.Startup) {
+			t.Errorf("%s: first row = %f, want the segment's blocking phase %f and a row of its merge, not the whole %f", c.name, first, seg.Startup, seg.Total)
+		}
+		if !c.spills && (first != seg.Total || prefix(p.segRows) != first) {
+			t.Errorf("%s: first row %f and the first segment's last %f, want both its one sort %f", c.name, first, prefix(p.segRows), seg.Total)
+		}
+		var ks []int64
+		for k := int64(0); k <= total.Rows+1; k += max(total.Rows/97, 1) {
+			ks = append(ks, k)
+		}
+		for s := int64(0); s <= c.segments; s++ {
+			ks = append(ks, s*p.segRows-1, s*p.segRows, s*p.segRows+1)
+		}
+		slices.Sort(ks)
+		prev := 0.0
+		for _, k := range ks {
+			if got := prefix(k); got < prev {
+				t.Fatalf("%s: PrefixCost(%d) = %f, below a smaller k's %f", c.name, k, got, prev)
+			} else {
+				prev = got
+			}
+		}
+		if got := prefix(total.Rows); got != total.Total {
+			t.Errorf("%s: PrefixCost(%d) = %f, want Total %f", c.name, total.Rows, got, total.Total)
 		}
 	}
 }

@@ -62,16 +62,21 @@ func (a *SpillArena) CreateTemp(prefix string, kind FileKind) *File {
 	return f
 }
 
-// Remove deletes the named arena file (no-op when absent, like Disk.Remove).
+// Remove deletes the named arena file (no-op when absent, like Disk.Remove);
+// a temp file's pages go back to the block pool.
 func (a *SpillArena) Remove(name string) {
 	a.mu.Lock()
-	defer a.mu.Unlock()
+	f := a.files[name]
 	delete(a.files, name)
+	a.mu.Unlock()
+	if f != nil {
+		f.discard()
+	}
 }
 
 // Release drops any remaining files (spill files are transient by
-// definition) and deregisters the arena. Idempotent; a released arena must
-// not be used again.
+// definition), their pages back to the block pool, and deregisters the
+// arena. Idempotent; a released arena must not be used again.
 func (a *SpillArena) Release() {
 	a.disk.mu.Lock()
 	if _, live := a.disk.arenas[a.id]; !live {
@@ -83,8 +88,12 @@ func (a *SpillArena) Release() {
 
 	a.mu.Lock()
 	a.released = true
+	files := a.files
 	a.files = nil
 	a.mu.Unlock()
+	for _, f := range files {
+		f.discard()
+	}
 }
 
 // fileNames lists the arena's files (caller holds no lock; used by

@@ -15,10 +15,23 @@ type Block struct {
 // Pages returns how many pages of memory the block occupies.
 func (b *Block) Pages() int { return b.pages }
 
-// blockPool recycles single-page blocks across sorts and queries; it is
-// process-wide because sort memory is. Blocks of a page size other than the
+// blockPool recycles single-page buffers across sorts and queries; it is
+// process-wide because sort memory is. It serves three holders: sort
+// memory's blocks (GetBlock/PutBlock), the pages of temporary files — a
+// run's or a spool's page comes from here when it is written and goes back
+// when the file is removed, truncated or its arena released (File.AppendPage)
+// — and a TupleWriter's staging page. Blocks of a page size other than the
 // asking disk's (several disks in one process) are dropped on sight.
 var blockPool sync.Pool
+
+// pageBlock returns a single-page block of this disk's page size, recycled
+// when the pool holds one. It counts nothing: the caller accounts for it.
+func (d *Disk) pageBlock() *Block {
+	if b, _ := blockPool.Get().(*Block); b != nil && len(b.Buf) == d.pageSize {
+		return b
+	}
+	return &Block{Buf: make([]byte, d.pageSize), pages: 1}
+}
 
 // GetBlock hands out a block of pages pages of this disk's page size (1
 // except for oversized rows). Single-page blocks come from the pool; every
@@ -27,9 +40,7 @@ var blockPool sync.Pool
 func (d *Disk) GetBlock(pages int) *Block {
 	d.liveBlocks.Add(int64(pages))
 	if pages == 1 {
-		if b, _ := blockPool.Get().(*Block); b != nil && len(b.Buf) == d.pageSize {
-			return b
-		}
+		return d.pageBlock()
 	}
 	return &Block{Buf: make([]byte, pages*d.pageSize), pages: pages}
 }
@@ -45,5 +56,6 @@ func (d *Disk) PutBlock(b *Block) {
 
 // LiveBlocks returns the pages of sort memory handed out and not yet
 // returned. A closed sort — drained, abandoned, aborted or failed — must
-// leave this at zero for its disk.
+// leave this at zero for its disk. Temporary files' pages are not sort
+// memory and never count here.
 func (d *Disk) LiveBlocks() int64 { return d.liveBlocks.Load() }

@@ -11,6 +11,16 @@
 // isolated temp namespaces whose files release together. Per-query
 // attribution is a Tap's job.
 //
+// A page is a heap buffer. A data or index file's pages are its own for
+// good; a temporary file's (KindRun: sort runs, a join's spool) are drawn
+// from the block pool sort memory is drawn from (block.go) and go back to it
+// when the file is removed, truncated or its arena released, so a query that
+// spills reuses the same few buffers run after run instead of allocating
+// every page it writes. Whoever removes a temp file vouches that nobody
+// still reads its pages — for a sort that is the chunk contract: the spans
+// of a chunk die at the next NextChunk, which is when a finished segment's
+// arena is released.
+//
 // The default page size is 4 KiB, matching the paper's setup ("We assume a
 // disk block size of 4K bytes").
 package storage
@@ -148,6 +158,7 @@ type Disk struct {
 	fault      atomic.Pointer[faultSlot] // installed FaultPlan; nil slot or plan = no faults
 	tempQuota  atomic.Int64              // max live run pages; <= 0 = unlimited
 	liveBlocks atomic.Int64              // pages of sort memory out (block.go)
+	tempPages  atomic.Int64              // pool buffers temp files hold as pages
 
 	mu        sync.Mutex
 	files     map[string]*File
@@ -215,11 +226,16 @@ func (d *Disk) Open(name string) (*File, error) {
 }
 
 // Remove deletes the named file. Removing a missing file is a no-op, like
-// closing an already-closed descriptor during cleanup.
+// closing an already-closed descriptor during cleanup. A temp file's pages
+// go back to the block pool (File.discard).
 func (d *Disk) Remove(name string) {
 	d.mu.Lock()
-	defer d.mu.Unlock()
+	f := d.files[name]
 	delete(d.files, name)
+	d.mu.Unlock()
+	if f != nil {
+		f.discard()
+	}
 }
 
 // FileNames lists files in deterministic order (for tests and tools),
@@ -295,9 +311,12 @@ type File struct {
 }
 
 // pageStore is the page state shared between a file and its tapped views.
+// A temp file's page i is a prefix of blocks[i].Buf, a pool buffer; a data
+// file has no blocks.
 type pageStore struct {
-	mu    sync.Mutex
-	pages [][]byte
+	mu     sync.Mutex
+	pages  [][]byte
+	blocks []*Block
 }
 
 // Tapped returns a view of the file whose transfers additionally charge t.
@@ -338,10 +357,12 @@ func (f *File) NumPages() int {
 }
 
 // AppendPage writes a new page at the end of the file and charges one block
-// write. The page contents are copied. The write can fail: on an injected
+// write. The page contents are copied: into a fresh buffer for a data file,
+// into a buffer from the block pool for a temp file (KindRun), which holds
+// it until it is removed or truncated. The write can fail: on an injected
 // write fault, on a run-page write past the disk's temp-space quota
 // (ErrNoTempSpace), or on a page larger than the block size. Nothing is
-// appended or charged on failure.
+// appended, charged or taken from the pool on failure.
 func (f *File) AppendPage(data []byte) (int, error) {
 	if len(data) > f.pageSize {
 		return 0, fmt.Errorf("storage: page of %d bytes exceeds page size %d in %q", len(data), f.pageSize, f.name)
@@ -354,10 +375,21 @@ func (f *File) AppendPage(data []byte) (int, error) {
 			return 0, err
 		}
 	}
-	cp := make([]byte, len(data))
+	var b *Block
+	var cp []byte
+	if f.kind == KindRun {
+		b = f.disk.pageBlock()
+		cp = b.Buf[:len(data):len(data)]
+		f.disk.tempPages.Add(1)
+	} else {
+		cp = make([]byte, len(data))
+	}
 	copy(cp, data)
 	f.data.mu.Lock()
 	f.data.pages = append(f.data.pages, cp)
+	if b != nil {
+		f.data.blocks = append(f.data.blocks, b)
+	}
 	n := len(f.data.pages)
 	f.data.mu.Unlock()
 	f.charge(0, 1, false)
@@ -385,9 +417,25 @@ func (f *File) ReadPage(i int) ([]byte, error) {
 // Seek records a random repositioning (merge-run switches, index probes).
 func (f *File) Seek() { f.charge(0, 0, true) }
 
-// Truncate drops all pages without charging I/O (models deallocation).
+// Truncate drops all pages without charging I/O (models deallocation). A
+// temp file's page buffers go back to the block pool: no page read before
+// the truncate may be used after it.
 func (f *File) Truncate() {
 	f.data.mu.Lock()
-	defer f.data.mu.Unlock()
-	f.data.pages = f.data.pages[:0]
+	blocks := f.data.blocks
+	f.data.pages, f.data.blocks = f.data.pages[:0], nil
+	f.data.mu.Unlock()
+	f.disk.tempPages.Add(-int64(len(blocks)))
+	for _, b := range blocks {
+		blockPool.Put(b)
+	}
+}
+
+// discard empties a temp file that has left its namespace, its pages back
+// to the block pool. A removed data file keeps its pages for whoever still
+// holds it.
+func (f *File) discard() {
+	if f.kind == KindRun {
+		f.Truncate()
+	}
 }

@@ -8,7 +8,8 @@ type TB interface {
 }
 
 // AssertNoLeaks fails the test if the disk holds any live temporary file,
-// unreleased spill arena or unreturned block of sort memory. Every query — successful, cancelled, failed by an
+// unreleased spill arena, unreturned block of sort memory or temp-file page
+// not handed back to the block pool. Every query — successful, cancelled, failed by an
 // injected fault, or panicked — must leave the device in this state, so
 // end-to-end tests call it after draining their cursors.
 func AssertNoLeaks(t TB, d *Disk) {
@@ -21,5 +22,8 @@ func AssertNoLeaks(t TB, d *Disk) {
 	}
 	if n := d.LiveBlocks(); n != 0 {
 		t.Errorf("storage: %d pages of sort memory not returned", n)
+	}
+	if n := d.tempPages.Load(); n != 0 {
+		t.Errorf("storage: %d temp-file pages not returned to the block pool", n)
 	}
 }

@@ -88,23 +88,32 @@ func TestStatsAddSub(t *testing.T) {
 	}
 }
 
+// A data page is a fresh buffer and a temp page a pool buffer: both are
+// copies, exactly as long as what was written.
 func TestAppendPageCopiesAndBounds(t *testing.T) {
-	d := NewDisk(64)
-	f := d.Create("f", KindData)
-	buf := []byte{9, 9}
-	if _, err := f.AppendPage(buf); err != nil {
-		t.Fatal(err)
-	}
-	buf[0] = 1
-	p, _ := f.ReadPage(0)
-	if p[0] != 9 {
-		t.Fatal("AppendPage must copy")
-	}
-	if _, err := f.AppendPage(make([]byte, 65)); err == nil {
-		t.Fatal("oversized page should error")
-	}
-	if f.NumPages() != 1 {
-		t.Fatal("failed append must not allocate a page")
+	for _, kind := range []FileKind{KindData, KindRun} {
+		d := NewDisk(64)
+		f := d.Create("f", kind)
+		buf := []byte{9, 9}
+		if _, err := f.AppendPage(buf); err != nil {
+			t.Fatal(err)
+		}
+		buf[0] = 1
+		p, _ := f.ReadPage(0)
+		if p[0] != 9 {
+			t.Fatal("AppendPage must copy")
+		}
+		if len(p) != 2 || cap(p) != 2 {
+			t.Fatalf("page of kind %d is %d bytes (cap %d), want the 2 written", kind, len(p), cap(p))
+		}
+		if _, err := f.AppendPage(make([]byte, 65)); err == nil {
+			t.Fatal("oversized page should error")
+		}
+		if f.NumPages() != 1 {
+			t.Fatal("failed append must not allocate a page")
+		}
+		d.Remove(f.Name())
+		AssertNoLeaks(t, d)
 	}
 }
 

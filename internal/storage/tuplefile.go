@@ -2,6 +2,7 @@ package storage
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"pyro/internal/types"
@@ -13,8 +14,12 @@ import (
 // produce one; erroring beats silent corruption). Page-write failures —
 // injected faults, temp-space exhaustion — are sticky: the first one is
 // returned from the Write or Close that hit it and from every call after.
+//
+// The page being filled is staged in a buffer from the block pool, which
+// Close hands back; AppendPage copies each full page into the file's own.
 type TupleWriter struct {
 	file   *File
+	stage  *Block // the staging page's pool buffer, nil once closed
 	buf    []byte
 	count  int
 	tuples int64
@@ -34,7 +39,8 @@ func TuplesPerPage(sz, pageSize int64) int64 {
 
 // NewTupleWriter starts writing at the end of f.
 func NewTupleWriter(f *File) *TupleWriter {
-	return &TupleWriter{file: f, buf: make([]byte, tupleHeader, f.pageSize)}
+	b := f.disk.pageBlock()
+	return &TupleWriter{file: f, stage: b, buf: b.Buf[:tupleHeader]}
 }
 
 // PageStarts returns, for each page written so far, the index of its first
@@ -98,14 +104,28 @@ func (w *TupleWriter) flush() error {
 	return nil
 }
 
-// Close flushes the final partial page. A non-nil error means the file is
-// missing pages and must not be used; the caller owns removing it. The
-// writer must not be used after Close.
+// errWriterClosed poisons a closed writer: its staging buffer is back in
+// the pool.
+var errWriterClosed = errors.New("storage: TupleWriter used after Close")
+
+// Close flushes the final partial page and hands the staging buffer back to
+// the pool. A non-nil error means the file is missing pages and must not be
+// used; the caller owns removing it. The writer must not be used after
+// Close: a Write or a second Close returns the first failure, or
+// errWriterClosed.
 func (w *TupleWriter) Close() error {
-	if w.err != nil {
-		return w.err
+	err := w.err
+	if err == nil {
+		err = w.flush()
 	}
-	return w.flush()
+	if w.stage != nil {
+		blockPool.Put(w.stage)
+		w.stage, w.buf = nil, nil
+	}
+	if w.err == nil {
+		w.err = errWriterClosed
+	}
+	return err
 }
 
 // TuplesWritten returns the number of tuples written so far.

@@ -66,7 +66,12 @@
 //
 // A spilled run is one file of encoded rows: a spill copies row bytes out of
 // the store, an intermediate merge copies the winner's bytes from page to
-// page, and the final merge hands them out as chunk spans. The rows a spilled
+// page, and the final merge hands them out as chunk spans. A run's pages are
+// drawn from the block pool the store's blocks come from (storage
+// File.AppendPage) and go back to it when the run is dropped: by the
+// intermediate merge that consumed it, or with its segment's arena, which is
+// released on the NextChunk after the segment's last chunk — when the spans
+// of that chunk die — or at Close. The rows a spilled
 // segment's store still holds when its input ends are not written at all
 // when the final merge can then read them beside the runs with no reduction
 // pass — their blocks and one read block per run within the allowance, or
