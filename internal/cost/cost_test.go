@@ -11,7 +11,7 @@ import (
 	"pyro/internal/xsort"
 )
 
-// threeInts encodes every row in 31 bytes, 132 rows to a 4 KiB run page.
+// threeInts encodes every row in 28 bytes, 146 rows to a 4 KiB run page.
 var threeInts = types.NewSchema(
 	types.Column{Name: "a", Kind: types.KindInt},
 	types.Column{Name: "b", Kind: types.KindInt},
@@ -110,7 +110,7 @@ func TestFullSortExternalFormula(t *testing.T) {
 			n *= c.fanIn
 			at := fmt.Sprintf("M=%d, %d runs", c.mem, n)
 			rows := rowsForRuns(segSpec, n, int(c.mem), m.PageSize)
-			b := (rows + 131) / 132
+			b := (rows + 145) / 146
 			p := xsort.PlanSpill(segSpec, rows, 0, int(c.mem), m.PageSize)
 			if rows == 0 || p.InMemory || int64(p.Runs) != n || int64(p.Passes) != k-1 || int64(p.FanIn) != c.fanIn {
 				t.Fatalf("%s: %d rows, %+v, want %d runs, %d passes, fan-in %d", at, rows, p, n, k-1, c.fanIn)
@@ -483,7 +483,7 @@ func TestBoundedSort(t *testing.T) {
 	// 20 000 kept rows do not fit 16 blocks.
 	spills := own(m.Sort(fullSpec, rows, 1, 20_000))
 	p := xsort.PlanSpill(fullSpec, rows, 20_000, 16, m.PageSize)
-	if p.InMemory || p.Written < rows/132 || spills.Startup < float64(p.Written) {
+	if p.InMemory || p.Written < rows/146 || spills.Startup < float64(p.Written) {
 		t.Fatalf("a spilling bounded sort still writes its input once: %+v, startup %f", p, spills.Startup)
 	}
 	if spills.Startup > spills.Total || spills.Rows != 20_000 {

@@ -341,9 +341,12 @@ func (m *MergeJoin) sameLeftKey(a, b types.Tuple) bool {
 	return true
 }
 
-// Close closes both inputs.
+// Close closes both inputs and hands the group slabs back to the pool.
 func (m *MergeJoin) Close() error {
 	m.l.rows.release()
 	m.r.rows.release()
+	m.lgroup, m.rgroup = m.lgroup[:0], m.rgroup[:0]
+	putSlab(&m.lslab)
+	putSlab(&m.rslab)
 	return closeBoth(m.left, m.right)
 }

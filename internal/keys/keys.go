@@ -295,7 +295,7 @@ func (c *Codec) AppendEncoded(dst, enc []byte) ([]byte, error) {
 			}
 			dst = append(dst, b)
 		case types.KindString:
-			dst = appendEscaped(dst, payload[4:])
+			dst = appendEscaped(dst, types.StringBytes(d))
 		}
 		if col.Desc {
 			for i := start; i < len(dst); i++ {

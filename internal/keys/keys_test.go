@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"pyro/internal/sortord"
@@ -529,6 +530,18 @@ func TestAppendEncodedAndKeyPrefixLen(t *testing.T) {
 			if got, want := c.KeyPrefixLen(want, k), c.PrefixLen(tup, k); got != want {
 				t.Fatalf("trial %d %+v %v: KeyPrefixLen(%d) = %d, PrefixLen = %d", trial, cols, tup, k, got, want)
 			}
+		}
+	}
+	// A string's length is a uvarint: one byte below 128, more from there.
+	c, err := New([]Col{{Ordinal: 1, Kind: types.KindString}, {Ordinal: 0, Kind: types.KindInt}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, 1, 127, 128, 300, 1 << 14, 1<<14 + 1} {
+		tup := types.NewTuple(types.NewInt(-3), types.NewString(strings.Repeat("a\x00", n)[:n]))
+		got, err := c.AppendEncoded(nil, tup.Encode(nil))
+		if want := c.Append(nil, tup); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%d-byte string: key from encoded row % x (%v), from datums % x", n, got, err, want)
 		}
 	}
 }

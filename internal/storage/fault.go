@@ -129,9 +129,13 @@ func (p *FaultPlan) Triggered() int {
 	return n
 }
 
-// check observes one transfer and returns the fault to inject, if any.
+// check observes one transfer and returns the fault to inject, if any. Every
+// rule the transfer matches counts it, so a rule's At is its At'th matching
+// transfer whatever the other rules do; where several rules address the
+// same transfer, all of them fire and the first one's fault is injected.
 func (p *FaultPlan) check(op FaultOp, kind FileKind, name string) *FaultError {
 	p.counts[op][kind].Add(1)
+	var fault *FaultError
 	for _, r := range p.rules {
 		if r.Class.Op != op || r.Class.Kind != kind {
 			continue
@@ -140,11 +144,11 @@ func (p *FaultPlan) check(op FaultOp, kind FileKind, name string) *FaultError {
 			continue
 		}
 		n := r.seen.Add(1)
-		if n == r.At && r.fired.CompareAndSwap(false, true) {
-			return &FaultError{Class: r.Class, Name: name, Seq: n, Panic: r.Panic, err: r.Err}
+		if n == r.At && r.fired.CompareAndSwap(false, true) && fault == nil {
+			fault = &FaultError{Class: r.Class, Name: name, Seq: n, Panic: r.Panic, err: r.Err}
 		}
 	}
-	return nil
+	return fault
 }
 
 // FaultError reports an injected fault with the exact transfer it hit, so a

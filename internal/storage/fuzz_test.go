@@ -34,6 +34,8 @@ func FuzzReadChunk(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0, 0}, 3) // absurd count, garbage payload
 	f.Add([]byte{0}, 1)                // shorter than the count header
 	f.Add(fuzzPage(1, two[0])[:7], 2)  // truncated mid-datum
+	// An 11-byte column count: an overlong uvarint.
+	f.Add([]byte{0, 1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}, 2)
 	f.Fuzz(func(t *testing.T, page []byte, ncols int) {
 		ncols = int(uint(ncols)%8) + 1
 		d := NewDisk(0)

@@ -140,10 +140,10 @@ func TestFailedTempWriteLeaksNoPage(t *testing.T) {
 		want  error
 	}{
 		{"fault", func(d *Disk) {
-			// The first rule fails the third run-page write; the second,
-			// which the first's firing hides that write from, the fourth.
+			// The first rule fails the third run-page write, the second
+			// the fourth.
 			run := FaultClass{OpWrite, KindRun}
-			d.SetFaultPlan(NewFaultPlan(FaultRule{Class: run, At: 3}, FaultRule{Class: run, At: 3}))
+			d.SetFaultPlan(NewFaultPlan(FaultRule{Class: run, At: 3}, FaultRule{Class: run, At: 4}))
 		}, ErrInjectedFault},
 		{"ENOSPC", func(d *Disk) { d.SetTempQuotaPages(2) }, ErrNoTempSpace},
 	}

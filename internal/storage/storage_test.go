@@ -193,9 +193,9 @@ func TestOversizedTupleErrors(t *testing.T) {
 // exactly together, and one that misses the remaining room by a byte.
 func TestWriteRawPageIdentical(t *testing.T) {
 	d := NewDisk(64)
-	str := func(n int) types.Tuple { return types.NewTuple(types.NewString(string(make([]byte, n)))) } // 9+n bytes encoded
+	str := func(n int) types.Tuple { return types.NewTuple(types.NewString(string(make([]byte, n)))) } // 3+n bytes encoded (n < 128)
 	var tuples []types.Tuple
-	for _, n := range []int{53, 22, 22, 21, 23, 0, 1, 40, 12, 13, 53, 5} {
+	for _, n := range []int{59, 28, 28, 27, 29, 6, 7, 46, 18, 19, 59, 11} {
 		tuples = append(tuples, str(n))
 	}
 	for i := 0; i < 40; i++ {
@@ -255,13 +255,13 @@ func TestWriteRawPageIdentical(t *testing.T) {
 
 	// An oversized tuple is refused by both entry points with the same
 	// error, and neither refusal poisons the writer.
-	big := str(54)
+	big := str(60)
 	w := NewTupleWriter(d.Create("big", KindRun))
 	werr, rerr := w.Write(big), w.WriteRaw(big.Encode(nil))
 	if werr == nil || rerr == nil || werr.Error() != rerr.Error() {
 		t.Fatalf("oversized tuple: Write err %v, WriteRaw err %v", werr, rerr)
 	}
-	if err := w.WriteRaw(str(53).Encode(nil)); err != nil {
+	if err := w.WriteRaw(str(59).Encode(nil)); err != nil {
 		t.Fatalf("writer unusable after a refused tuple: %v", err)
 	}
 }

@@ -1,7 +1,6 @@
 package types
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 )
@@ -44,6 +43,7 @@ type Chunk struct {
 	sel      []int32  // live physical row indices, nil = all n rows live
 	selBuf   []int32  // scratch selection storage, capacity cap(chunk)
 	capacity int
+	hdr      int // bytes of an encoded row's column count: uvarintLen(len(cols))
 }
 
 // NewChunk returns an empty chunk for ncols columns holding up to capacity
@@ -63,6 +63,7 @@ func (c *Chunk) reshape(ncols, capacity int) {
 		c.cols = make([][]Datum, ncols)
 	}
 	c.cols = c.cols[:ncols]
+	c.hdr = uvarintLen(ncols)
 	for j := range c.cols {
 		if cap(c.cols[j]) < capacity {
 			c.cols[j] = make([]Datum, 0, capacity)
@@ -99,8 +100,10 @@ func (c *Chunk) materialize(phys int) {
 }
 
 // decodeRow appends the datums of one framed tuple to the column vectors.
+// AppendEncoded has checked its column count, whose (shortest) uvarint is
+// hdr bytes long, so the datums start there.
 func (c *Chunk) decodeRow(buf []byte) {
-	pos := 4
+	pos := c.hdr
 	for j := range c.cols {
 		k := len(c.cols[j])
 		c.cols[j] = append(c.cols[j], Datum{})
@@ -223,11 +226,11 @@ func (c *Chunk) Truncate(k int) {
 // keeps the consumed span (EncodedRow), so buf must stay unmodified for as
 // long as the chunk holds the row.
 func (c *Chunk) AppendEncoded(buf []byte) (int, error) {
-	pos, err := EncodedTupleLen(buf)
+	n, pos, err := frame(buf)
 	if err != nil {
 		return 0, err
 	}
-	if n := int(binary.BigEndian.Uint32(buf[:4])); n != len(c.cols) {
+	if n != len(c.cols) {
 		return 0, fmt.Errorf("types: encoded tuple has arity %d, chunk wants %d", n, len(c.cols))
 	}
 	if len(c.enc) < c.n {

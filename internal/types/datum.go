@@ -196,7 +196,7 @@ func (d Datum) EncodedSize() int {
 	case KindBool:
 		return 1 + 1
 	case KindString:
-		return 1 + 4 + len(d.s)
+		return 1 + uvarintLen(len(d.s)) + len(d.s)
 	}
 	return 1
 }

@@ -5,13 +5,30 @@ import (
 )
 
 // addTupleCorpus seeds a fuzzer with valid encodings and the corrupt shapes
-// the decoder must reject: lying arity, truncated payloads, unknown kinds.
+// the decoder must reject: lying arity, truncated payloads, unknown kinds,
+// and uvarints that are overlong, above MaxInt or not the shortest.
 func addTupleCorpus(f *testing.F) {
 	f.Add(NewTuple(NewInt(42), NewString("abc"), NewFloat(1.5), NewBool(true), Null).Encode(nil))
 	f.Add(NewTuple().Encode(nil))
-	f.Add([]byte{0, 0, 0, 1, 4, 0, 0, 0, 3, 'a', 'b', 'c'})
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3})
-	f.Add([]byte{0, 0, 0, 2, 1, 0})
+	f.Add([]byte{1, 3, 3, 'a', 'b', 'c'})       // one string column, "abc"
+	f.Add([]byte{0xff, 0xff, 0xff, 0x0f, 1, 2}) // arity 2³²−1 over six bytes
+	f.Add([]byte{2, 1, 0})                      // an int cut after one payload byte
+	for _, corrupt := range corruptUvarints {
+		f.Add(corrupt)
+	}
+}
+
+// corruptUvarints are rows whose column count or string length is a uvarint
+// no reader may accept; each must be an error, never a panic.
+var corruptUvarints = [][]byte{
+	{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01},       // an 11-byte arity
+	{1, 3, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}, // an 11-byte string length
+	{1, 3, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 'a'},  // a string length of 2⁶⁴−1, above MaxInt
+	{0x80, 0x01, 0, 0, 0},   // arity 128 beyond a 3-byte rest
+	{0x81, 0x00, 0},         // arity 1 padded to two bytes
+	{1, 3, 0x81, 0x00, 'a'}, // length 1 padded to two bytes
+	{1, 3, 0x80},            // a string length cut off
+	{0x80},                  // an arity cut off
 }
 
 // FuzzDecodeTuple drives the tuple decoder with arbitrary bytes: corrupted
@@ -24,7 +41,7 @@ func FuzzDecodeTuple(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if n < 4 || n > len(data) {
+		if n < 1 || n > len(data) {
 			t.Fatalf("decoder consumed %d of %d bytes", n, len(data))
 		}
 		// Whatever decoded must survive a re-encode/re-decode round trip

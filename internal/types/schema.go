@@ -139,12 +139,12 @@ func (s *Schema) AvgTupleWidth() int {
 }
 
 // AvgEncodedWidth estimates the length of Tuple.Encode for one tuple of this
-// schema: the 4-byte arity, a kind byte per column, and the payload (a
-// string's 4-byte length plus its declared average width). This is what a
+// schema: the uvarint arity, a kind byte per column, and the payload (a
+// string's uvarint length plus its declared average width). This is what a
 // row occupies on a page and — the sort enforcers buffer rows in their page
 // format — in sort memory.
 func (s *Schema) AvgEncodedWidth() int {
-	w := 4
+	w := uvarintLen(len(s.cols))
 	for _, c := range s.cols {
 		switch c.Kind {
 		case KindInt, KindFloat:
@@ -152,7 +152,7 @@ func (s *Schema) AvgEncodedWidth() int {
 		case KindBool:
 			w += 1 + 1
 		case KindString:
-			w += 1 + 4 + c.DefaultWidth()
+			w += 1 + uvarintLen(c.DefaultWidth()) + c.DefaultWidth()
 		default:
 			w++
 		}

@@ -43,7 +43,7 @@ func (t Tuple) MemSize() int {
 
 // EncodedSize returns the exact byte length of Encode's output.
 func (t Tuple) EncodedSize() int {
-	n := 4 // column count
+	n := uvarintLen(len(t)) // column count
 	for _, d := range t {
 		n += d.EncodedSize()
 	}
@@ -51,22 +51,21 @@ func (t Tuple) EncodedSize() int {
 }
 
 // Encode appends a binary encoding of the tuple to buf and returns the
-// extended slice. Layout: u32 column count, then per datum a kind byte and
-// the payload (i64/f64 big-endian, bool byte, or u32-length-prefixed string).
+// extended slice. Layout: the column count as a uvarint, then per datum a
+// kind byte and the payload (i64/f64 big-endian, bool byte, or a string's
+// length as a uvarint followed by its bytes). A uvarint is one byte below
+// 128, so a row of fewer than 128 columns spends one byte on its count and
+// a string shorter than 128 bytes one byte on its length.
 func (t Tuple) Encode(buf []byte) []byte {
-	var scratch [8]byte
-	binary.BigEndian.PutUint32(scratch[:4], uint32(len(t)))
-	buf = append(buf, scratch[:4]...)
+	buf = appendUvarint(buf, len(t))
 	for _, d := range t {
 		buf = append(buf, byte(d.kind))
 		switch d.kind {
 		case KindNull:
 		case KindInt:
-			binary.BigEndian.PutUint64(scratch[:], uint64(d.i))
-			buf = append(buf, scratch[:]...)
+			buf = binary.BigEndian.AppendUint64(buf, uint64(d.i))
 		case KindFloat:
-			binary.BigEndian.PutUint64(scratch[:], math.Float64bits(d.f))
-			buf = append(buf, scratch[:]...)
+			buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(d.f))
 		case KindBool:
 			b := byte(0)
 			if d.i != 0 {
@@ -74,12 +73,43 @@ func (t Tuple) Encode(buf []byte) []byte {
 			}
 			buf = append(buf, b)
 		case KindString:
-			binary.BigEndian.PutUint32(scratch[:4], uint32(len(d.s)))
-			buf = append(buf, scratch[:4]...)
+			buf = appendUvarint(buf, len(d.s))
 			buf = append(buf, d.s...)
 		}
 	}
 	return buf
+}
+
+// appendUvarint appends x as a uvarint: one byte below 128.
+func appendUvarint(buf []byte, x int) []byte {
+	if x < 0x80 {
+		return append(buf, byte(x))
+	}
+	return binary.AppendUvarint(buf, uint64(x))
+}
+
+// uvarintLen returns the byte length of x's uvarint encoding.
+func uvarintLen(x int) int {
+	n := 1
+	for ; x >= 0x80; x >>= 7 {
+		n++
+	}
+	return n
+}
+
+// uvarint reads the uvarint at the start of buf: its value and the bytes it
+// took, or n = 0 when buf does not start with one that fits an int. It
+// accepts only the shortest encoding of a value, so a count's or a length's
+// byte width follows from its value (Chunk.decodeRow skips the column count
+// by it). The readers on the decode path take the one-byte case — every
+// count and length below 128 — inline and call this only past it, since
+// this function is too large to inline and they run once per datum.
+func uvarint(buf []byte) (int, int) {
+	x, n := binary.Uvarint(buf)
+	if n <= 0 || x > math.MaxInt || (n > 1 && buf[n-1] == 0) {
+		return 0, 0 // truncated, longer than 64 bits, above MaxInt or padded
+	}
+	return int(x), n
 }
 
 // decodeDatum parses one encoded datum (kind byte + payload) from buf into
@@ -115,15 +145,18 @@ func decodeDatum(d *Datum, buf []byte) (int, error) {
 		*d = NewBool(buf[1] != 0)
 		return 2, nil
 	case KindString:
-		if len(buf) < 5 {
-			return 0, fmt.Errorf("types: truncated string length")
+		l, h := 0, 1
+		if len(buf) > 1 && buf[1] < 0x80 {
+			l = int(buf[1])
+		} else if l, h = uvarint(buf[1:]); h == 0 {
+			return 0, fmt.Errorf("types: bad string length")
 		}
-		l := int(binary.BigEndian.Uint32(buf[1:5]))
-		if l < 0 || l > len(buf)-5 {
+		h++ // the kind byte
+		if l > len(buf)-h {
 			return 0, fmt.Errorf("types: truncated string payload")
 		}
-		*d = Datum{kind: KindString, s: string(buf[5 : 5+l])}
-		return 5 + l, nil
+		*d = Datum{kind: KindString, s: string(buf[h : h+l])}
+		return h + l, nil
 	default:
 		return 0, fmt.Errorf("types: unknown datum kind %d", kind)
 	}
@@ -135,21 +168,34 @@ func DecodeTuple(buf []byte) (Tuple, int, error) {
 	return DecodeTupleInto(nil, buf)
 }
 
+// arity reads the column count at the start of an encoded tuple: the count
+// and the bytes it took. Every datum takes at least its kind byte, so a
+// valid arity is bounded by the remaining bytes — corrupt headers are
+// rejected before anything is allocated. Its callers read a valid one-byte
+// count — a row of under 128 columns — inline and call it for anything
+// else, since it does not inline.
+func arity(buf []byte) (int, int, error) {
+	n, h := uvarint(buf)
+	if h == 0 {
+		return 0, 0, fmt.Errorf("types: bad tuple header (%d bytes)", len(buf))
+	}
+	if n > len(buf)-h {
+		return 0, 0, fmt.Errorf("types: tuple arity %d exceeds %d remaining bytes", n, len(buf)-h)
+	}
+	return n, h, nil
+}
+
 // DecodeTupleInto is DecodeTuple into caller-supplied datum storage: the
 // tuple is built in dst when its capacity covers the encoded arity (a fresh
 // tuple is allocated otherwise), so a caller emitting many rows can carve
 // them from one slab instead of paying an allocation per row.
 func DecodeTupleInto(dst Tuple, buf []byte) (Tuple, int, error) {
-	if len(buf) < 4 {
-		return nil, 0, fmt.Errorf("types: short tuple header (%d bytes)", len(buf))
+	n, pos, err := 0, 1, error(nil)
+	if len(buf) > 0 && int(buf[0]) < min(len(buf), 0x80) {
+		n = int(buf[0])
+	} else if n, pos, err = arity(buf); err != nil {
+		return nil, 0, err
 	}
-	n := int(binary.BigEndian.Uint32(buf[:4]))
-	// Every datum takes at least its kind byte, so a valid arity is bounded
-	// by the remaining bytes — reject corrupt headers before allocating.
-	if n < 0 || n > len(buf)-4 {
-		return nil, 0, fmt.Errorf("types: tuple arity %d exceeds %d remaining bytes", uint32(n), len(buf)-4)
-	}
-	pos := 4
 	t := dst[:0]
 	if cap(t) < n {
 		t = make(Tuple, n)
@@ -174,25 +220,29 @@ func DecodeTupleInto(dst Tuple, buf []byte) (Tuple, int, error) {
 // as DecodeTuple, so it fails exactly where DecodeTuple would
 // (FuzzEncodedTupleLen holds the two to one verdict).
 func EncodedTupleLen(buf []byte) (int, error) {
-	if len(buf) < 4 {
-		return 0, fmt.Errorf("types: short tuple header (%d bytes)", len(buf))
+	_, pos, err := frame(buf)
+	return pos, err
+}
+
+// frame is EncodedTupleLen that also returns the tuple's arity.
+func frame(buf []byte) (int, int, error) {
+	n, pos, err := 0, 1, error(nil)
+	if len(buf) > 0 && int(buf[0]) < min(len(buf), 0x80) {
+		n = int(buf[0])
+	} else if n, pos, err = arity(buf); err != nil {
+		return 0, 0, err
 	}
-	n := int(binary.BigEndian.Uint32(buf[:4]))
-	if n < 0 || n > len(buf)-4 {
-		return 0, fmt.Errorf("types: tuple arity %d exceeds %d remaining bytes", uint32(n), len(buf)-4)
-	}
-	pos := 4
 	for i := 0; i < n; i++ {
 		if pos >= len(buf) {
-			return 0, fmt.Errorf("types: truncated tuple at datum %d", i)
+			return 0, 0, fmt.Errorf("types: truncated tuple at datum %d", i)
 		}
 		sz, err := encodedDatumLen(buf[pos:])
 		if err != nil {
-			return 0, fmt.Errorf("types: datum %d: %w", i, err)
+			return 0, 0, fmt.Errorf("types: datum %d: %w", i, err)
 		}
 		pos += sz
 	}
-	return pos, nil
+	return n, pos, nil
 }
 
 // EncodedDatum returns the encoding — kind byte plus payload — of column col
@@ -200,13 +250,15 @@ func EncodedTupleLen(buf []byte) (int, error) {
 // a reader that needs one or two columns of a buffered row (a sort key, say)
 // walks instead of materializing the tuple. Framing errors are DecodeTuple's.
 func EncodedDatum(buf []byte, col int) ([]byte, error) {
-	if len(buf) < 4 {
-		return nil, fmt.Errorf("types: short tuple header (%d bytes)", len(buf))
+	n, pos, err := 0, 1, error(nil)
+	if len(buf) > 0 && int(buf[0]) < min(len(buf), 0x80) {
+		n = int(buf[0])
+	} else if n, pos, err = arity(buf); err != nil {
+		return nil, err
 	}
-	if n := int(binary.BigEndian.Uint32(buf[:4])); col < 0 || col >= n {
-		return nil, fmt.Errorf("types: column %d of an encoded tuple of arity %d", col, uint32(n))
+	if col < 0 || col >= n {
+		return nil, fmt.Errorf("types: column %d of an encoded tuple of arity %d", col, n)
 	}
-	pos := 4
 	for i := 0; ; i++ {
 		sz, err := encodedDatumLen(buf[pos:])
 		if err != nil {
@@ -217,6 +269,16 @@ func EncodedDatum(buf []byte, col int) ([]byte, error) {
 		}
 		pos += sz
 	}
+}
+
+// StringBytes returns the string of d, an encoded string datum as
+// EncodedDatum returns it: the bytes past its kind byte and its length.
+func StringBytes(d []byte) []byte {
+	i := 1
+	for d[i] >= 0x80 { // the length's continuation bytes
+		i++
+	}
+	return d[i+1:]
 }
 
 // encodedDatumLen returns the byte length (kind byte included) of the
@@ -233,14 +295,20 @@ func encodedDatumLen(buf []byte) (int, error) {
 	case KindBool:
 		sz = 1
 	case KindString:
-		if len(buf) < 5 {
-			return 0, fmt.Errorf("types: truncated string length")
+		l, h := 0, 1
+		if len(buf) > 1 && buf[1] < 0x80 {
+			l = int(buf[1])
+		} else if l, h = uvarint(buf[1:]); h == 0 {
+			return 0, fmt.Errorf("types: bad string length")
 		}
-		sz = 4 + int(binary.BigEndian.Uint32(buf[1:5]))
+		if l > len(buf)-1-h {
+			return 0, fmt.Errorf("types: truncated datum")
+		}
+		return 1 + h + l, nil
 	default:
 		return 0, fmt.Errorf("types: unknown datum kind %d", kind)
 	}
-	if sz < 0 || sz > len(buf)-1 {
+	if sz > len(buf)-1 {
 		return 0, fmt.Errorf("types: truncated datum")
 	}
 	return 1 + sz, nil

@@ -1,9 +1,11 @@
 package types
 
 import (
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -170,20 +172,31 @@ func TestTupleEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeTupleErrors(t *testing.T) {
-	if _, _, err := DecodeTuple([]byte{1, 2}); err == nil {
-		t.Fatal("short header should error")
+	if _, _, err := DecodeTuple(nil); err == nil {
+		t.Fatal("empty header should error")
+	}
+	if _, _, err := DecodeTuple([]byte{2, 0}); err == nil {
+		t.Fatal("arity beyond the bytes should error")
 	}
 	tup := NewTuple(NewString("abcdef"))
 	buf := tup.Encode(nil)
-	for cut := 5; cut < len(buf); cut++ {
+	for cut := 1; cut < len(buf); cut++ {
 		if _, _, err := DecodeTuple(buf[:cut]); err == nil {
 			t.Fatalf("truncation at %d should error", cut)
 		}
 	}
 	// Unknown kind byte.
-	bad := []byte{0, 0, 0, 1, 0xFF}
+	bad := []byte{1, 0xFF}
 	if _, _, err := DecodeTuple(bad); err == nil {
 		t.Fatal("unknown kind should error")
+	}
+	for _, corrupt := range corruptUvarints {
+		if _, _, err := DecodeTuple(corrupt); err == nil {
+			t.Fatalf("corrupt uvarint % x decoded", corrupt)
+		}
+		if _, err := EncodedTupleLen(corrupt); err == nil {
+			t.Fatalf("corrupt uvarint % x framed", corrupt)
+		}
 	}
 }
 
@@ -287,6 +300,51 @@ func TestKindString(t *testing.T) {
 	for k, want := range names {
 		if got := k.String(); got != want {
 			t.Errorf("Kind(%d).String() = %q, want %q", k, got, want)
+		}
+	}
+}
+
+// TestTupleEncodingGolden pins the row format byte for byte: the column
+// count and a string's length are uvarints (one byte below 128, two from
+// 128), a kind byte leads each datum, ints and floats are 8 bytes big-endian
+// and a bool one byte. Rows are what every data, index and run page and
+// every sort's memory hold, so a format change fails here first.
+func TestTupleEncodingGolden(t *testing.T) {
+	wide := make(Tuple, 130)
+	for i := range wide {
+		wide[i] = Null
+	}
+	cases := []struct {
+		name string
+		row  Tuple
+		want string // hex
+	}{
+		{"null", NewTuple(Null), "01" + "00"},
+		{"negative int", NewTuple(NewInt(-2)), "01" + "01" + "fffffffffffffffe"},
+		{"float", NewTuple(NewFloat(1.5)), "01" + "02" + "3ff8000000000000"},
+		{"bool", NewTuple(NewBool(true), NewBool(false)), "02" + "0401" + "0400"},
+		{"empty string", NewTuple(NewString("")), "01" + "03" + "00"},
+		{"127-byte string", NewTuple(NewString(strings.Repeat("a", 127))), "01" + "03" + "7f" + strings.Repeat("61", 127)},
+		{"128-byte string", NewTuple(NewString(strings.Repeat("b", 128))), "01" + "03" + "8001" + strings.Repeat("62", 128)},
+		{"130 columns", wide, "8201" + strings.Repeat("00", 130)},
+		{"mixed", NewTuple(NewInt(7), NewString("ab"), Null), "03" + "01" + "0000000000000007" + "03" + "02" + "6162" + "00"},
+	}
+	for _, c := range cases {
+		got := c.row.Encode(nil)
+		if hex.EncodeToString(got) != c.want {
+			t.Errorf("%s: Encode = %x, want %s", c.name, got, c.want)
+		}
+		if c.row.EncodedSize() != len(got) {
+			t.Errorf("%s: EncodedSize = %d, Encode wrote %d bytes", c.name, c.row.EncodedSize(), len(got))
+		}
+		back, n, err := DecodeTuple(got)
+		if err != nil || n != len(got) || len(back) != len(c.row) {
+			t.Fatalf("%s: DecodeTuple = %v, %d, %v", c.name, back, n, err)
+		}
+		for i := range back {
+			if back[i].Kind() != c.row[i].Kind() || back[i].Compare(c.row[i]) != 0 {
+				t.Fatalf("%s: datum %d decoded as %v, want %v", c.name, i, back[i], c.row[i])
+			}
 		}
 	}
 }

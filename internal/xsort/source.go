@@ -2,6 +2,7 @@ package xsort
 
 import (
 	"fmt"
+	"sync"
 
 	"pyro/internal/iter"
 	"pyro/internal/keys"
@@ -43,14 +44,23 @@ type tupleSource struct {
 	ncols int
 	batch int
 	chunk *types.Chunk
-	live  int // rows of the current batch
-	slab  []types.Datum
-	rows  []types.Tuple // datum views of the batch; empty when it is served from spans
-	keys  []byte        // the batch's keys back to back
-	ends  []int         // per-row end offsets within keys
-	pos   int
-	done  bool
+	*batchBuffers
+	live int // rows of the current batch
+	pos  int
+	done bool
 }
+
+// batchBuffers are what a tupleSource prepares a batch in. They come from
+// batchPool with the refill chunk and go back with it at release, so a query
+// that sorts reuses the last sort's buffers instead of growing its own.
+type batchBuffers struct {
+	slab []types.Datum
+	rows []types.Tuple // datum views of the batch; empty when it is served from spans
+	keys []byte        // the batch's keys back to back
+	ends []int         // per-row end offsets within keys
+}
+
+var batchPool = sync.Pool{New: func() any { return new(batchBuffers) }}
 
 // newTupleSource builds the source over it.
 func newTupleSource(it iter.Iterator, schema *types.Schema, codec *keys.Codec, cfg Config) *tupleSource {
@@ -92,6 +102,7 @@ func (s *tupleSource) next() (inputRow, bool, error) {
 func (s *tupleSource) refill() error {
 	if s.chunk == nil {
 		s.chunk = types.GetChunk(s.ncols, s.batch)
+		s.batchBuffers = batchPool.Get().(*batchBuffers)
 	}
 	if err := s.it.NextChunk(s.chunk); err != nil {
 		return err
@@ -129,12 +140,18 @@ func (s *tupleSource) refill() error {
 	return nil
 }
 
-// release returns the refill chunk to the pool (idempotent; called at EOF
-// and from the owning sort's Close). Rows served from it are dead after.
+// release returns the refill chunk and the batch buffers to their pools
+// (idempotent; called at EOF and from the owning sort's Close). Rows served
+// from them are dead after.
 func (s *tupleSource) release() {
 	if s.chunk != nil {
 		types.PutChunk(s.chunk)
 		s.chunk = nil
+		b := s.batchBuffers
+		clear(b.slab) // a pooled slab must not pin the strings of its last rows
+		b.rows, b.keys, b.ends = b.rows[:0], b.keys[:0], b.ends[:0]
+		batchPool.Put(b)
+		s.batchBuffers = nil
 	}
 }
 

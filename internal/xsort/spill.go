@@ -69,7 +69,9 @@ func (p SpillPlan) Pages() int64 { return p.Written + p.Read + p.FinalRead }
 //   - every pass is reductionPass at mergeFanIn, and every intermediate
 //     merge's output is cut at limit rows, as is the final merge's read;
 //   - a run of r rows takes the pages a TupleWriter fills with r rows of the
-//     schema's average encoded width (storage.TuplesPerPage).
+//     schema's average encoded width (storage.TuplesPerPage); where r is a
+//     replacement-selection run's planned length, its actual length varies
+//     about r, and so does where its last page ends.
 //
 // A merge cut short reads from each input its share of the rows it emits, in
 // proportion to the input's length, plus the one row it holds as that input's
@@ -99,8 +101,20 @@ func PlanSpill(s Spec, rows, limit int64, memoryBlocks, pageSize int) SpillPlan 
 		return SpillPlan{InMemory: true}
 	}
 
+	// Page counts are summed in units of half a row's share of a page —
+	// 2·perPage to the page — and rounded once, at the end. A run of n rows
+	// fills ⌈n/perPage⌉ pages where its length is known: a batch, or a run
+	// cut at keep. A replacement-selection run's length varies about the
+	// planned one, so its last page is on average (perPage−1)/(2·perPage)
+	// full past n/perPage — as is a merge's output of such runs.
 	perPage := storage.TuplesPerPage(f.row, int64(pageSize))
-	pages := func(n int64) int64 { return (n + perPage - 1) / perPage }
+	unit := 2 * perPage
+	units := func(n int64) int64 {
+		if rs && n < keep {
+			return 2*n + perPage - 1
+		}
+		return unit * ((n + perPage - 1) / perPage)
+	}
 	var runs []span
 	run := func(n int64, count int) { runs = push(runs, min(n, keep), count) } // a run is cut at keep rows
 	var held int64
@@ -160,30 +174,28 @@ func PlanSpill(s Spec, rows, limit int64, memoryBlocks, pageSize int) SpillPlan 
 	var p SpillPlan
 	for _, r := range runs {
 		p.Runs += r.count
-		p.Written += int64(r.count) * pages(r.n)
+		p.Written += int64(r.count) * units(r.n)
 	}
 
 	// merge is one merge of in, and of held rows in memory, cut at keep rows:
-	// the rows it emits and the pages and rows it reads to emit them. Cut
+	// the rows it emits and the units and rows it reads to emit them. Cut
 	// short, it stops reading each input at a row that may fall anywhere on
-	// its page: x rows cost x/perPage + ½ pages, at most the whole input —
-	// summed exactly, in half-pages of 2·perPage, and rounded once. Rows in
-	// memory cost no page.
+	// its page: x rows cost x/perPage + ½ pages, at most the whole input.
+	// Rows in memory cost no page.
 	merge := func(in []span, held int64) (out, read, loaded int64) {
 		total := held
 		for _, r := range in {
 			total += int64(r.count) * r.n
 		}
 		out = min(total, keep)
-		cut := int64(0)
 		for _, r := range in {
 			c := int64(r.count)
 			if out == total {
-				read, loaded = read+c*pages(r.n), loaded+c*r.n
+				read, loaded = read+c*units(r.n), loaded+c*r.n
 				continue
 			}
 			x := min(r.n, int64(float64(out)*float64(r.n)/float64(total))+1)
-			cut += c * min(2*x+perPage, 2*perPage*pages(r.n))
+			read += c * min(2*x+perPage, units(r.n))
 			loaded += c * x
 		}
 		switch {
@@ -192,7 +204,7 @@ func PlanSpill(s Spec, rows, limit int64, memoryBlocks, pageSize int) SpillPlan 
 		case held > 0:
 			loaded += min(held, int64(float64(out)*float64(held)/float64(total))+1)
 		}
-		return out, read + (cut+perPage)/(2*perPage), loaded
+		return out, read, loaded
 	}
 	fanIn := mergeFanIn(memoryBlocks)
 	var grp, spare []span // take's buffer, and the list a pass fills: the one before it
@@ -222,7 +234,7 @@ func PlanSpill(s Spec, rows, limit int64, memoryBlocks, pageSize int) SpillPlan 
 			k := int64(alike)
 			outs = push(outs, out, alike)
 			p.RunsMerged += alike * w
-			p.Written += k * pages(out)
+			p.Written += k * units(out)
 			p.Read += k * read
 			p.MergedRows += k * loaded
 			g, left, n = g+alike, left-alike*w, n-alike*(w-1)
@@ -237,6 +249,8 @@ func PlanSpill(s Spec, rows, limit int64, memoryBlocks, pageSize int) SpillPlan 
 	}
 	p.Held = held
 	_, p.FinalRead, p.FinalRows = merge(runs, held)
+	pages := func(u int64) int64 { return (u + perPage) / unit } // rounded half up
+	p.Written, p.Read, p.FinalRead = pages(p.Written), pages(p.Read), pages(p.FinalRead)
 	return p
 }
 

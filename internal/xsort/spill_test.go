@@ -39,7 +39,7 @@ func spillCases(schema *types.Schema, row func(int) types.Tuple) []spillCase {
 }
 
 // threeInts and segDeclared are residentShapes' row shapes with random keys: three ints
-// (every row 31 bytes), and the benchmark's seg rows (a 16–32-byte string,
+// (every row 28 bytes), and the benchmark's seg rows (a 16–32-byte string,
 // declared 24 wide as the benchmark declares it). Replacement selection's
 // runs depend on the key sequence, and residentShapes' Weyl sequence sets
 // them to a regular pattern of its own.
@@ -133,17 +133,18 @@ func TestPricedInMemoryIffNoRunPages(t *testing.T) {
 // prefix) and over a full sort (none), unbounded and bounded by a limit at
 // least a memory load, which spills. Every such sort forms its runs by
 // replacement selection, which the plan prices at the snowplow's run
-// lengths: on fixed-width rows every page count is within 5 %. Rows of
-// varying width are priced at their average width: the worst point of the
-// benchmark's seg shape is logged.
+// lengths, each run's last page on average half full: on fixed-width rows
+// every page count is within 5 %. Rows of varying width are priced at their
+// average width: the worst point of the benchmark's seg shape is logged.
 //
 // Deep sorts (3 000 and 12 000 rows) need reduction passes and write every
-// row. Sorts of 1.2, 1.9 and 2.6 memory loads need none: they keep the rows
-// they hold at input end for the final merge — all of them, all but a few
-// row blocks' worth, or, where neither fits, none — and the grid, over both
-// shapes, holds each of the three. (A heap keeps all its rows only where
-// they leave a block to spare beside the runs' read blocks: the seg shape's
-// rows do at some of these points, three-int rows at none.) Those sorts move
+// row. Sorts of 1.2, 1.9 and 2.6 memory loads need none — loads of the heap
+// for an unbounded sort, of the batch store a bounded one fills first: they
+// keep the rows they hold at input end for the final merge — all of them,
+// all but a few row blocks' worth, or, where neither fits, none — and the
+// grid, over both shapes, holds each of the three. (A heap keeps all its
+// rows only where they leave a block to spare beside the runs' read
+// blocks.) Those sorts move
 // a few pages to a few dozen, where 5 % is less than a page and a cut
 // merge's read is planned to half a page, so a page count may also be one
 // page off; and one more per replacement-selection run the plan did not
@@ -224,13 +225,20 @@ func TestSpillPlanMatchesSorter(t *testing.T) {
 				}
 				for _, bounded := range []bool{false, true} {
 					for _, loads := range []float64{1.2, 1.9, 2.6} {
-						n := int(loads * float64(memoryLoad(c.spec.footprint(0, true), blocks, spillPage)))
+						// Loads of the store the sort fills first: a
+						// replacement-selection heap's unbounded, a batch
+						// store's bounded.
+						load := memoryLoad(c.spec.footprint(0, true), blocks, spillPage)
+						if bounded {
+							load = memoryLoad(c.spec.footprint(1, false), blocks, spillPage)
+						}
+						n := int(loads * float64(load))
 						var limit int64
 						if bounded {
 							// Past a batch load, so the sort spills: in
 							// batches short of two of them, by replacement
 							// selection from there.
-							limit = max(int64(n-n/10), memoryLoad(c.spec.footprint(1, false), blocks, spillPage))
+							limit = max(int64(n-n/10), load)
 						}
 						check(c, n, limit, blocks, false)
 					}

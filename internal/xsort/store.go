@@ -239,10 +239,7 @@ func (s *rowStore) add(r inputRow, suffix []byte, run byte, maxBlocks int) (uint
 	}
 	need := n
 	n = (n + s.pad - 1) / s.pad * s.pad
-	entPages := 0
-	if len(s.freeEnts) == 0 && s.appended == len(s.ents)*s.perBlock {
-		entPages = 1
-	}
+	entPages := s.entryPages()
 	class, rowPages := s.place(n)
 	if s.pages+rowPages+entPages > maxBlocks ||
 		int64(len(s.rows)+rowPages)*int64(s.blockSize) > maxStoreSize {
@@ -353,6 +350,15 @@ func (s *rowStore) place(n int) (class, rowPages int) {
 		rowPages = (n + s.blockSize - 1) / s.blockSize
 	}
 	return class, rowPages
+}
+
+// entryPages returns the entry blocks the next row adds: one when no entry
+// slot is free.
+func (s *rowStore) entryPages() int {
+	if len(s.freeEnts) == 0 && s.appended == len(s.ents)*s.perBlock {
+		return 1
+	}
+	return 0
 }
 
 // findFree returns the capacity class of a recycled slot for an n-byte row —

@@ -595,9 +595,11 @@ func TestSRSRunsAverageTwiceTheFill(t *testing.T) {
 			}
 			fill := 0
 			in.probe = func(i int) {
-				// The first row the store has no room for ends the fill.
-				if st := collecting(s); fill == 0 && st != nil && st.held() == blocks {
-					if _, rowPages := st.place(sh.row(i).EncodedSize()); rowPages > 0 {
+				// The first row the store has no room for — its padded slot
+				// and its entry, as rowStore.add counts them — ends the fill.
+				if st := collecting(s); fill == 0 && st != nil {
+					slot := (sh.row(i).EncodedSize() + st.pad - 1) / st.pad * st.pad
+					if _, rowPages := st.place(slot); st.held()+rowPages+st.entryPages() > blocks {
 						fill = st.len()
 					}
 				}

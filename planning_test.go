@@ -325,7 +325,7 @@ func TestLimitZeroSemantics(t *testing.T) {
 // optimizer prices sorts at the grant the sort-memory pool would issue
 // right now, so the same query flips plans under contention. Alone, the
 // pool's full 1 200 blocks hold the sort of the hash aggregate's 10 000
-// groups (31-byte rows and 23-byte entries: ≈ 1 080 blocks of sort memory)
+// groups (28-byte rows and 23-byte entries: ≈ 1 010 blocks of sort memory)
 // and the blocking Sort(HashAggregate) wins on full-drain cost; with another
 // cursor pinning the pool the expected grant halves, that sort spills, and
 // the optimizer switches to the pipelined GroupAggregate(PartialSort) —

@@ -459,7 +459,7 @@ func TestBoundedSortAsksForLittleMemory(t *testing.T) {
 		_, st := drainStats(t, db, plan)
 		return st.GrantedBlocks
 	}
-	// 3 int64 columns are 31 bytes encoded, and a store entry for the one
+	// 3 int64 columns are 28 bytes encoded, and a store entry for the one
 	// column left to sort on is 14: 2·10 rows take a row block and an entry
 	// block (the least a sort holds), 2·100 rows two row blocks and one of
 	// entries. (Priced at Tuple.MemSize's 120 bytes a row — memory nobody
