@@ -1,10 +1,6 @@
 package exec
 
-import (
-	"sync"
-
-	"pyro/internal/types"
-)
+import "pyro/internal/types"
 
 // ChunkOperator is Operator. It is kept, like ChunkCapable, only because
 // cmd/pyro-perf's drain names it; both go when that drain does.
@@ -60,38 +56,27 @@ func (r *rowReader) release() {
 }
 
 // carve copies a lent row t into storage the caller keeps, cut from *slab.
-// A spent slab is replaced by another of n rows — a pooled one when the pool
-// has one that large — so rows carved earlier stay valid; truncating *slab
-// to zero length recycles it once they are dead, and putSlab hands it back
-// to the pool.
+// A spent slab is replaced by another of n rows, from slabs, so rows carved
+// earlier stay valid; truncating *slab to zero length recycles it once they
+// are dead, and putSlab hands it back to slabs.
 func carve(slab *[]types.Datum, t types.Tuple, n int) types.Tuple {
 	if cap(*slab)-len(*slab) < len(t) {
-		*slab = getSlab(n * len(t))
+		*slab = (*slabs.Get(n * len(t)))[:0]
 	}
 	start := len(*slab)
 	*slab = append(*slab, t...)
 	return (*slab)[start:len(*slab):len(*slab)]
 }
 
-// slabPool recycles carve's slabs across operators and queries, as
-// types.GetChunk recycles chunks.
-var slabPool sync.Pool
+// slabs recycles carve's slabs across operators and queries.
+var slabs types.Scratch[types.Datum]
 
-// getSlab returns an empty slab of at least n datums.
-func getSlab(n int) []types.Datum {
-	if p, _ := slabPool.Get().(*[]types.Datum); p != nil && cap(*p) >= n {
-		return (*p)[:0]
-	}
-	return make([]types.Datum, 0, n)
-}
-
-// putSlab hands *slab back to the pool and empties it. No row carved from it
-// may be used after; its datums are cleared so a pooled slab pins no string.
+// putSlab hands *slab back to slabs, cleared so it pins no string, and
+// empties it. No row carved from it may be used after.
 func putSlab(slab *[]types.Datum) {
 	if s := *slab; cap(s) > 0 {
 		clear(s[:cap(s)])
-		s = s[:0]
-		slabPool.Put(&s)
+		slabs.Put(&s)
 	}
 	*slab = nil
 }

@@ -296,3 +296,24 @@ func PutChunk(c *Chunk) {
 	c.Reset()
 	chunkPool.Put(c)
 }
+
+// Scratch recycles buffers of T across operators, sorts and queries, as
+// chunkPool recycles chunks: the slabs a join carves its kept rows from, the
+// buffers a sort prepares a batch in, the sorter's permutations and entry
+// copies. A buffer of a T that holds pointers must be cleared before Put, so
+// a pooled buffer pins nothing.
+type Scratch[T any] struct{ pool sync.Pool }
+
+// Get returns a buffer of length n, recycled when the pool has one that
+// large.
+func (p *Scratch[T]) Get(n int) *[]T {
+	if b, _ := p.pool.Get().(*[]T); b != nil && cap(*b) >= n {
+		*b = (*b)[:n]
+		return b
+	}
+	b := make([]T, n)
+	return &b
+}
+
+// Put hands a buffer from Get back; the caller must not use it again.
+func (p *Scratch[T]) Put(b *[]T) { p.pool.Put(b) }

@@ -41,7 +41,7 @@ func newRunHeap(st *rowStore, ky *keyer, order *[]uint32, comparisons *int64) *r
 func (h *runHeap) release() {
 	if h != nil && h.buf != nil {
 		*h.buf = h.heap[:0]
-		permScratch.put(h.buf)
+		permScratch.Put(h.buf)
 		h.buf, h.heap = nil, nil
 	}
 }

@@ -37,7 +37,7 @@ func FuzzRunHeap(f *testing.F) {
 		st := newRowStore(d, ky.width, true, true)
 		defer st.release()
 		var comparisons int64
-		buf := permScratch.get(0)
+		buf := permScratch.Get(0)
 		*buf = (*buf)[:0]
 		h := newRunHeap(st, ky, buf, &comparisons)
 		defer h.release()

@@ -631,7 +631,7 @@ func (m *MRS) spill(c *segCollector) error {
 		return m.flush(c)
 	}
 	if c.heap == nil {
-		buf := permScratch.get(0)
+		buf := permScratch.Get(0)
 		var tally sortTally
 		*buf, tally = formOrder(c.store, c.ky, *buf)
 		tally.addTo(&m.stats)
@@ -792,8 +792,8 @@ func (m *MRS) keepTail(c *segCollector, seg *segment) error {
 		st.compact(c.heap.heap)
 		m.resized(st, before)
 	}
-	buf := permScratch.get(0)
-	defer permScratch.put(buf)
+	buf := permScratch.Get(0)
+	defer permScratch.Put(buf)
 	order, tally := formOrder(st, c.ky, *buf)
 	*buf = order
 	tally.addTo(&m.stats)
@@ -918,8 +918,8 @@ func (m *MRS) shed(c *segCollector) bool {
 // slots are recycled and the surplus entry blocks leave the memory
 // accounting.
 func (m *MRS) selectTop(c *segCollector) {
-	buf := permScratch.get(0)
-	defer permScratch.put(buf)
+	buf := permScratch.Get(0)
+	defer permScratch.Put(buf)
 	order, tally := formOrder(c.store, c.ky, *buf)
 	*buf = order
 	tally.addTo(&m.stats)

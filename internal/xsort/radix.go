@@ -113,10 +113,10 @@ type radixSorter struct {
 // run sorts the whole of order, with a pooled scratch permutation.
 func (r *radixSorter) run() {
 	if len(r.order) > 1 {
-		buf := permScratch.get(len(r.order))
+		buf := permScratch.Get(len(r.order))
 		r.scratch = *buf
 		r.sort(0, len(r.order), 0)
-		permScratch.put(buf)
+		permScratch.Put(buf)
 	}
 }
 

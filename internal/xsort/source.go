@@ -2,7 +2,6 @@ package xsort
 
 import (
 	"fmt"
-	"sync"
 
 	"pyro/internal/iter"
 	"pyro/internal/keys"
@@ -44,23 +43,24 @@ type tupleSource struct {
 	ncols int
 	batch int
 	chunk *types.Chunk
-	*batchBuffers
-	live int // rows of the current batch
+	live  int // rows of the current batch
+	// The buffers a batch is prepared in, from the scratch pools below with
+	// the refill chunk and back to them at release, so a query that sorts
+	// reuses the last sort's buffers instead of growing its own.
+	slab *[]types.Datum
+	rows *[]types.Tuple // datum views of the batch; empty when it is served from spans
+	keys *[]byte        // the batch's keys back to back
+	ends *[]int         // per-row end offsets within keys
 	pos  int
 	done bool
 }
 
-// batchBuffers are what a tupleSource prepares a batch in. They come from
-// batchPool with the refill chunk and go back with it at release, so a query
-// that sorts reuses the last sort's buffers instead of growing its own.
-type batchBuffers struct {
-	slab []types.Datum
-	rows []types.Tuple // datum views of the batch; empty when it is served from spans
-	keys []byte        // the batch's keys back to back
-	ends []int         // per-row end offsets within keys
-}
-
-var batchPool = sync.Pool{New: func() any { return new(batchBuffers) }}
+var (
+	slabScratch types.Scratch[types.Datum]
+	rowScratch  types.Scratch[types.Tuple]
+	keyScratch  types.Scratch[byte]
+	endScratch  types.Scratch[int]
+)
 
 // newTupleSource builds the source over it.
 func newTupleSource(it iter.Iterator, schema *types.Schema, codec *keys.Codec, cfg Config) *tupleSource {
@@ -84,15 +84,15 @@ func (s *tupleSource) next() (inputRow, bool, error) {
 	i := s.pos
 	s.pos++
 	r := inputRow{enc: s.chunk.EncodedRow(i)}
-	if len(s.rows) > 0 {
-		r.t = s.rows[i]
+	if rows := *s.rows; len(rows) > 0 {
+		r.t = rows[i]
 	}
 	if s.codec != nil {
-		start := 0
+		ends, start := *s.ends, 0
 		if i > 0 {
-			start = s.ends[i-1]
+			start = ends[i-1]
 		}
-		r.key = s.keys[start:s.ends[i]]
+		r.key = (*s.keys)[start:ends[i]]
 	}
 	return r, true, nil
 }
@@ -102,7 +102,7 @@ func (s *tupleSource) next() (inputRow, bool, error) {
 func (s *tupleSource) refill() error {
 	if s.chunk == nil {
 		s.chunk = types.GetChunk(s.ncols, s.batch)
-		s.batchBuffers = batchPool.Get().(*batchBuffers)
+		s.slab, s.rows, s.keys, s.ends = slabScratch.Get(0), rowScratch.Get(0), keyScratch.Get(0), endScratch.Get(0)
 	}
 	if err := s.it.NextChunk(s.chunk); err != nil {
 		return err
@@ -113,29 +113,31 @@ func (s *tupleSource) refill() error {
 		s.release()
 		return nil
 	}
-	s.rows, s.keys, s.ends = s.rows[:0], s.keys[:0], s.ends[:0]
+	rows, keys, ends := (*s.rows)[:0], (*s.keys)[:0], (*s.ends)[:0]
+	defer func() { *s.rows, *s.keys, *s.ends = rows, keys, ends }()
 	codec := s.codec
 	if codec != nil && s.chunk.EncodedRow(s.live-1) != nil {
 		// Every row has its span (spans cover a prefix of the physical
 		// rows): keys come straight from the encoded bytes.
 		for i := 0; i < s.live; i++ {
 			var err error
-			if s.keys, err = codec.AppendEncoded(s.keys, s.chunk.EncodedRow(i)); err != nil {
+			if keys, err = codec.AppendEncoded(keys, s.chunk.EncodedRow(i)); err != nil {
 				return fmt.Errorf("xsort: encoding a sort key: %w", err)
 			}
-			s.ends = append(s.ends, len(s.keys))
+			ends = append(ends, len(keys))
 		}
 		return nil
 	}
-	if cap(s.slab) < s.live*s.ncols {
-		s.slab = make([]types.Datum, s.live*s.ncols)
+	if cap(*s.slab) < s.live*s.ncols {
+		*s.slab = make([]types.Datum, s.live*s.ncols)
 	}
+	slab := (*s.slab)[:cap(*s.slab)]
 	for i := 0; i < s.live; i++ {
-		row := s.slab[i*s.ncols : (i+1)*s.ncols : (i+1)*s.ncols]
-		s.rows = append(s.rows, s.chunk.CopyRow(row, i))
+		row := slab[i*s.ncols : (i+1)*s.ncols : (i+1)*s.ncols]
+		rows = append(rows, s.chunk.CopyRow(row, i))
 	}
 	if codec != nil {
-		s.keys, s.ends = codec.EncodeBatch(s.keys, s.rows, s.ends)
+		keys, ends = codec.EncodeBatch(keys, rows, ends)
 	}
 	return nil
 }
@@ -147,11 +149,14 @@ func (s *tupleSource) release() {
 	if s.chunk != nil {
 		types.PutChunk(s.chunk)
 		s.chunk = nil
-		b := s.batchBuffers
-		clear(b.slab) // a pooled slab must not pin the strings of its last rows
-		b.rows, b.keys, b.ends = b.rows[:0], b.keys[:0], b.ends[:0]
-		batchPool.Put(b)
-		s.batchBuffers = nil
+		slab, rows := *s.slab, *s.rows
+		clear(slab[:cap(slab)]) // pooled buffers must not pin the strings of their last rows
+		clear(rows[:cap(rows)])
+		slabScratch.Put(s.slab)
+		rowScratch.Put(s.rows)
+		keyScratch.Put(s.keys)
+		endScratch.Put(s.ends)
+		s.slab, s.rows, s.keys, s.ends = nil, nil, nil, nil
 	}
 }
 

@@ -249,8 +249,11 @@ func PlanSpill(s Spec, rows, limit int64, memoryBlocks, pageSize int) SpillPlan 
 	}
 	p.Held = held
 	_, p.FinalRead, p.FinalRows = merge(runs, held)
-	pages := func(u int64) int64 { return (u + perPage) / unit } // rounded half up
-	p.Written, p.Read, p.FinalRead = pages(p.Written), pages(p.Read), pages(p.FinalRead)
+	// Rounded half up, the final read as what it adds to the passes' reads:
+	// every page read was written, so Read+FinalRead, rounded as one sum,
+	// stays within Written.
+	pages := func(u int64) int64 { return (u + perPage) / unit }
+	p.Written, p.Read, p.FinalRead = pages(p.Written), pages(p.Read), pages(p.Read+p.FinalRead)-pages(p.Read)
 	return p
 }
 
